@@ -72,3 +72,8 @@ class FinslerModeError(LagmechError):
 
 class ConfigError(LagmechError):
     """A run configuration is structurally invalid."""
+
+
+class KernelInconsistency(LagmechError):
+    """Two routes to a quantity that agree identically disagreed beyond
+    their tolerance: the numerical kernel is inconsistent."""

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, FinslerModeError, SingularMetric
 from .geometry import (
     _spray_from_jet,
-    canonical_spray_at,
+    canonical_connection_at,
     metric_at,
 )
 from .jets import eval_jet, push_direction, sym_invert, tower_vector
@@ -130,19 +130,13 @@ def christoffel_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     """Formal Christoffel symbols of second kind of g(x, y).
 
     gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h),
-    with position derivatives of g obtained by x-directional pushes of the
-    metric pipeline.  For a homogeneous L these contract to the canonical
-    spray: gamma^i_jk y^j y^k = 2 G0^i.
+    with position derivatives of g from one x-push of the metric pipeline
+    seeded along every base direction.  For a homogeneous L these
+    contract to the canonical spray: gamma^i_jk y^j y^k = 2 G0^i.
     """
-    n = sys.n
     g = metric_at(sys.L, p)
-    cols = []
-    for k in range(n):
-        d = [0.0] * n
-        d[k] = 1.0
-        cols.append(push_direction(lambda q: eval_jet(sys.L, q, order=2).d_yy * 0.5,
-                                   p, d, wrt="x"))
-    dgdx = np.stack(cols, axis=-1)  # dgdx[a, b, c] = dg_ab/dx_c
+    dgdx = push_direction(lambda q: eval_jet(sys.L, q, order=2).d_yy * 0.5,
+                          p, np.eye(sys.n), wrt="x")  # dgdx[a, b, c] = dg_ab/dx_c
     a = dgdx + dgdx.transpose(0, 2, 1) - dgdx.transpose(2, 0, 1)
     return 0.5 * np.einsum("ih,hjk->ijk", g.inverse, a)
 
@@ -190,13 +184,7 @@ def finsler_identities(sys: MechanicalSystem, samples) -> FinslerIdentityReport:
             g = sym_invert(j.d_yy * 0.5)
             yv = tower_vector(p.y)
             spray0 = _spray_from_jet(j, g.inverse, yv)
-            n = sys.n
-            conn0 = np.stack(
-                [push_direction(lambda q: canonical_spray_at(sys.L, q), p,
-                                [1.0 if m == k else 0.0 for m in range(n)], wrt="y")
-                 for k in range(n)],
-                axis=-1,
-            )
+            conn0 = canonical_connection_at(sys.L, p)
             hde = horizontal_dE(sys, p)
             dvdy = force_jacobian_y(sys, p)
             gamma = christoffel_at(sys, p)

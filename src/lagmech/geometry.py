@@ -108,8 +108,8 @@ def two_form_eval(L: ScalarField, p: PhasePoint, X, Y) -> float:
 
 
 def _spray_from_jet(j: Jet, ginv, yv):
-    w = j.d_xy.dot(yv) - j.d_x
-    return ginv.dot(w) * 0.25
+    w = j.d_xy @ yv - j.d_x
+    return ginv @ w * 0.25
 
 
 def canonical_spray_at(L: ScalarField, p: PhasePoint):
@@ -122,17 +122,10 @@ def canonical_spray_at(L: ScalarField, p: PhasePoint):
 def canonical_connection_at(L: ScalarField, p: PhasePoint) -> np.ndarray:
     """Canonical nonlinear connection N0^i_j = dG0^i/dy_j.
 
-    Computed by pushing one dual layer through the full spray pipeline
-    along each fiber basis direction; column j is the derivative along
-    e_j.
+    Computed in one pass of the spray pipeline seeded along every fiber
+    basis direction; column j is the derivative along e_j.
     """
-    n = p.n
-    cols = []
-    for jdir in range(n):
-        d = [0.0] * n
-        d[jdir] = 1.0
-        cols.append(push_direction(lambda q: canonical_spray_at(L, q), p, d, wrt="y"))
-    return np.stack(cols, axis=-1)
+    return push_direction(lambda q: canonical_spray_at(L, q), p, np.eye(p.n), wrt="y")
 
 
 def cartan_tensor_at(L: ScalarField, p: PhasePoint) -> np.ndarray:

@@ -12,13 +12,16 @@ precision,
 No (x, x) block is carried; every identity in scope needs position
 derivatives only to first order directly, and anything deeper (such as
 position derivatives of the metric) is obtained by threading one extra
-dual layer through the full evaluation pipeline with
-:func:`push_direction`.  That same dual layer passes through matrix
-inversion inside :func:`sym_invert`, so directional derivatives of
-quantities built from the inverse metric need no hand-written calculus.
-
-A finite-difference oracle with the same block layout is provided for
-testing; it is deliberately independent of the jet propagation.
+forward-mode layer through the full evaluation pipeline with
+:func:`push_direction`.  That layer is a :class:`KDual`: float values
+with k tangents stored on a trailing float axis, so a pass seeded with a
+(k, n) direction matrix returns k directional derivatives and a full
+Jacobian costs one pass.  Under a push, jet blocks stay plain float
+arrays until a seeded coordinate reaches them and become KDual arrays
+from then on.  :func:`sym_invert` inverts the float value part and
+carries the tangents through d(A^-1) = -A^-1 dA A^-1, so directional
+derivatives of quantities built from the inverse metric need no
+hand-written calculus.
 """
 
 from __future__ import annotations
@@ -33,15 +36,14 @@ from .phase import PhasePoint
 
 __all__ = [
     "Dual",
+    "KDual",
     "Jet",
     "SymMatrix",
     "eval_jet",
-    "fd_oracle",
     "push_direction",
     "jacobian_y",
     "sym_invert",
     "value_of",
-    "dual_dot",
     "tower_vector",
     "ipow",
     "power",
@@ -51,15 +53,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# dual numbers (the single extra derivative layer)
+# dual numbers: the scalar one, and the k-tangent layer used by pushes
 # ---------------------------------------------------------------------------
 
 
 class Dual:
     """First-order dual number ``val + dot * eps`` with float components.
 
-    Used as the coordinate type when a directional derivative of an entire
-    evaluation pipeline is requested; never nested.
+    A scalar convenience for evaluating a field along one direction by
+    hand; :func:`push_direction` threads :class:`KDual` values instead.
     """
 
     __slots__ = ("val", "dot")
@@ -119,23 +121,156 @@ class Dual:
         return power(self, k)
 
 
+def _lift(v):
+    """Align a value operand with the trailing tangent axis."""
+    return v[..., None] if isinstance(v, np.ndarray) else v
+
+
+def _widen(dot, val):
+    """Broadcast a tangent block to the shape of the value it belongs to."""
+    shape = np.shape(val) + dot.shape[-1:]
+    return dot if dot.shape == shape else np.broadcast_to(dot, shape)
+
+
+def _check_divisor(d):
+    if np.ndim(d) == 0 and d == 0.0:
+        raise DomainError("division by zero in dual evaluation")
+
+
+class KDual:
+    """A float value carrying k tangents, ``val + dot . (eps_1, .., eps_k)``.
+
+    ``val`` is a float or a float64 array; ``dot`` is a float64 array of
+    shape ``shape(val) + (k,)`` whose trailing axis indexes the seeded
+    directions.  Arithmetic, indexing, transposition and ``@`` follow
+    numpy broadcasting on the value axes, and numpy operands defer to
+    these methods.  ``float()`` reads the value part of a scalar.
+    """
+
+    __slots__ = ("val", "dot")
+    __array_ufunc__ = None
+
+    def __init__(self, val, dot):
+        self.val = val
+        self.dot = dot
+
+    def __repr__(self):
+        return f"KDual({self.val!r}, {self.dot!r})"
+
+    @property
+    def shape(self):
+        return np.shape(self.val)
+
+    @property
+    def ndim(self):
+        return np.ndim(self.val)
+
+    def __float__(self):
+        return float(self.val)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.val)))
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        if any(k is Ellipsis for k in key):
+            return KDual(self.val[key], self.dot[key + (slice(None),)])
+        return KDual(self.val[key], self.dot[key])
+
+    @property
+    def T(self):
+        return self.transpose(*reversed(range(self.ndim)))
+
+    def transpose(self, *axes):
+        return KDual(self.val.transpose(axes), self.dot.transpose(axes + (len(axes),)))
+
+    def __add__(self, other):
+        if isinstance(other, KDual):
+            return KDual(self.val + other.val, self.dot + other.dot)
+        val = self.val + other
+        return KDual(val, _widen(self.dot, val))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, KDual):
+            return KDual(self.val - other.val, self.dot - other.dot)
+        val = self.val - other
+        return KDual(val, _widen(self.dot, val))
+
+    def __rsub__(self, other):
+        val = other - self.val
+        return KDual(val, _widen(-self.dot, val))
+
+    def __neg__(self):
+        return KDual(-self.val, -self.dot)
+
+    def __pos__(self):
+        return self
+
+    def __mul__(self, other):
+        if isinstance(other, KDual):
+            return KDual(self.val * other.val,
+                         self.dot * _lift(other.val) + _lift(self.val) * other.dot)
+        return KDual(self.val * other, self.dot * _lift(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, KDual):
+            _check_divisor(other.val)
+            v = self.val / other.val
+            return KDual(v, (self.dot - _lift(v) * other.dot) / _lift(other.val))
+        _check_divisor(other)
+        return KDual(self.val / other, self.dot / _lift(other))
+
+    def __rtruediv__(self, other):
+        _check_divisor(self.val)
+        v = other / self.val
+        return KDual(v, _lift(-v / self.val) * self.dot)
+
+    def __pow__(self, k):
+        return power(self, k)
+
+    def __matmul__(self, other):
+        return _matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
+
+
+def _matmul(a, b):
+    """``a @ b`` for 1-D and 2-D operands, either of which carries tangents."""
+    av = a.val if isinstance(a, KDual) else np.asarray(a)
+    bv = b.val if isinstance(b, KDual) else np.asarray(b)
+    dot = 0.0
+    if isinstance(a, KDual):
+        # contracts a's last value axis; broadcasts over a's leading axes
+        dot = bv.T @ a.dot
+    if isinstance(b, KDual):
+        t = b.dot
+        dot = dot + (av @ t.reshape(t.shape[0], -1)).reshape(av.shape[:-1] + t.shape[1:])
+    return KDual(av @ bv, dot)
+
+
+_DUALS = (Dual, KDual)
+
+
 def value_of(v):
     """Float value part of a tower scalar."""
-    return v.val if isinstance(v, Dual) else float(v)
+    return v.val if isinstance(v, _DUALS) else float(v)
 
 
-def tower_vector(seq) -> np.ndarray:
-    """Pack tower scalars into an array: float dtype when possible, object
-    dtype when dual numbers are present."""
+def tower_vector(seq):
+    """Pack tower scalars into a float vector, or into a KDual vector when
+    any of them carries tangents."""
     vals = list(seq)
-    if any(isinstance(v, Dual) for v in vals):
-        return np.array(vals, dtype=object)
-    return np.array([float(v) for v in vals])
-
-
-def dual_dot(v):
-    """Derivative part of a tower scalar (zero for plain numbers)."""
-    return v.dot if isinstance(v, Dual) else 0.0
+    vec = np.array([v.val if isinstance(v, KDual) else float(v) for v in vals])
+    tans = [v.dot for v in vals if isinstance(v, KDual)]
+    if not tans:
+        return vec
+    zero = np.zeros_like(tans[0])
+    return KDual(vec, np.array([v.dot if isinstance(v, KDual) else zero for v in vals]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,47 +279,47 @@ def dual_dot(v):
 
 
 def s_sqrt(v):
-    if isinstance(v, Dual):
+    if isinstance(v, _DUALS):
         if v.val <= 0.0:
             raise DomainError("sqrt requires a positive argument for derivatives")
         s = math.sqrt(v.val)
-        return Dual(s, 0.5 / s * v.dot)
+        return type(v)(s, 0.5 / s * v.dot)
     if v < 0.0:
         raise DomainError("sqrt of a negative value")
     return math.sqrt(v)
 
 
 def s_sin(v):
-    if isinstance(v, Dual):
-        return Dual(math.sin(v.val), math.cos(v.val) * v.dot)
+    if isinstance(v, _DUALS):
+        return type(v)(math.sin(v.val), math.cos(v.val) * v.dot)
     return math.sin(v)
 
 
 def s_cos(v):
-    if isinstance(v, Dual):
-        return Dual(math.cos(v.val), -math.sin(v.val) * v.dot)
+    if isinstance(v, _DUALS):
+        return type(v)(math.cos(v.val), -math.sin(v.val) * v.dot)
     return math.cos(v)
 
 
 def s_tan(v):
-    if isinstance(v, Dual):
+    if isinstance(v, _DUALS):
         t = math.tan(v.val)
-        return Dual(t, (1.0 + t * t) * v.dot)
+        return type(v)(t, (1.0 + t * t) * v.dot)
     return math.tan(v)
 
 
 def s_exp(v):
-    if isinstance(v, Dual):
+    if isinstance(v, _DUALS):
         e = math.exp(v.val)
-        return Dual(e, e * v.dot)
+        return type(v)(e, e * v.dot)
     return math.exp(v)
 
 
 def s_log(v):
-    if isinstance(v, Dual):
+    if isinstance(v, _DUALS):
         if v.val <= 0.0:
             raise DomainError("log of a non-positive value")
-        return Dual(math.log(v.val), v.dot / v.val)
+        return type(v)(math.log(v.val), v.dot / v.val)
     if v <= 0.0:
         raise DomainError("log of a non-positive value")
     return math.log(v)
@@ -245,11 +380,11 @@ def power(base, exponent):
         b = float(exponent)
         if isinstance(base, Jet):
             return base.pow_real(b)
-        if isinstance(base, Dual):
+        if isinstance(base, _DUALS):
             if base.val <= 0.0:
                 raise DomainError("non-integer power of a non-positive base")
             f0 = math.pow(base.val, b)
-            return Dual(f0, b * math.pow(base.val, b - 1.0) * base.dot)
+            return type(base)(f0, b * math.pow(base.val, b - 1.0) * base.dot)
         if base <= 0.0:
             raise DomainError("non-integer power of a non-positive base")
         return math.pow(base, b)
@@ -273,24 +408,22 @@ _ZERO_CACHE: dict = {}
 _SYM3_INDEX_CACHE: dict = {}
 
 
-def _zeros(shape, obj):
-    key = (shape, obj)
-    z = _ZERO_CACHE.get(key)
+def _zeros(shape):
+    z = _ZERO_CACHE.get(shape)
     if z is None:
-        z = np.full(shape, 0.0, dtype=object) if obj else np.zeros(shape)
+        z = np.zeros(shape)
         z.setflags(write=False)
-        _ZERO_CACHE[key] = z
+        _ZERO_CACHE[shape] = z
     return z
 
 
-def _basis(n, i, obj):
-    key = (n, i, obj)
-    e = _BASIS_CACHE.get(key)
+def _basis(n, i):
+    e = _BASIS_CACHE.get((n, i))
     if e is None:
-        e = np.full(n, 0.0, dtype=object) if obj else np.zeros(n)
+        e = np.zeros(n)
         e[i] = 1.0
         e.setflags(write=False)
-        _BASIS_CACHE[key] = e
+        _BASIS_CACHE[(n, i)] = e
     return e
 
 
@@ -308,22 +441,72 @@ def _sym3_indices(n):
 def _mirror3(t):
     """Force bitwise total symmetry by copying each entry from its
     sorted-index representative."""
+    if t is None:
+        return None
     i, j, k = _sym3_indices(t.shape[0])
     return t[i, j, k]
+
+
+# A block is a float array, a KDual array, or None when it is identically
+# zero; the helpers below skip the arithmetic on zero blocks.
+
+
+def _sum(*terms):
+    """Left-to-right sum of the non-zero blocks (None if there are none)."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
+
+
+def _diff(a, *terms):
+    """``a`` minus each non-zero block, left to right."""
+    for t in terms:
+        if t is not None:
+            a = -t if a is None else a - t
+    return a
+
+
+def _mul(a, s):
+    return None if a is None else a * s
+
+
+def _div(a, s):
+    return None if a is None else a / s
+
+
+def _outer(a, b):
+    """Tensor product of two blocks, either of which may carry tangents."""
+    if a is None or b is None:
+        return None
+    if isinstance(a, KDual) or isinstance(b, KDual):
+        return a[(Ellipsis,) + (None,) * b.ndim] * b
+    return np.multiply.outer(a, b)
+
+
+def _sym2(q):
+    return None if q is None else q + q.T
 
 
 def _sym_yy_y(a, b):
     """Symmetrized a_{ij} b_k over the three placements of the single index:
     a_ij b_k + a_ik b_j + a_jk b_i."""
-    r = np.multiply.outer(a, b)
-    return r + r.transpose(0, 2, 1) + r.transpose(2, 0, 1)
+    r = _outer(a, b)
+    return None if r is None else r + r.transpose(0, 2, 1) + r.transpose(2, 0, 1)
 
 
 def _sym_y_yy(a, b):
     """Symmetrized a_i b_{jk} over the three placements of the single index:
     a_i b_jk + a_j b_ik + a_k b_ij."""
-    p = np.multiply.outer(a, b)
-    return p + p.transpose(1, 0, 2) + p.transpose(1, 2, 0)
+    p = _outer(a, b)
+    return None if p is None else p + p.transpose(1, 0, 2) + p.transpose(1, 2, 0)
+
+
+def _finite(v) -> bool:
+    if isinstance(v, KDual):
+        return bool(np.isfinite(v.val).all() and np.isfinite(v.dot).all())
+    return bool(np.isfinite(v).all())
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +517,8 @@ def _sym_y_yy(a, b):
 class Jet:
     """Truncated Taylor carrier for one scalar field evaluation.
 
-    Blocks (``None`` above the tracked order, zero-filled after
-    :meth:`finalized`):
+    Blocks (``None`` while identically zero, which includes every block
+    above the tracked order; zero-filled by :meth:`finalized`):
 
     ``value``            scalar
     ``d_x[i]``           df/dx_i
@@ -344,17 +527,18 @@ class Jet:
     ``d_xy[i, j]``       d2f/dy_i dx_j           (row = y index)
     ``d_yyy[i, j, k]``   d3f/dy_i dy_j dy_k      (bitwise totally symmetric)
 
-    Supports ``+ - * / **`` against jets of the same shape and plain
-    numbers, plus the elementary functions of the expression language.
-    Instances are never mutated after construction.
+    Under a push the value and each block are float, or :class:`KDual`
+    once a seeded coordinate has reached them.  Supports ``+ - * / **``
+    against jets of the same shape and plain numbers, plus the elementary
+    functions of the expression language.  Instances are never mutated
+    after construction.
     """
 
-    __slots__ = ("n", "order", "obj", "value", "d_x", "d_y", "d_yy", "d_xy", "d_yyy")
+    __slots__ = ("n", "order", "value", "d_x", "d_y", "d_yy", "d_xy", "d_yyy")
 
-    def __init__(self, n, order, obj, value, d_x=None, d_y=None, d_yy=None, d_xy=None, d_yyy=None):
+    def __init__(self, n, order, value, d_x=None, d_y=None, d_yy=None, d_xy=None, d_yyy=None):
         self.n = n
         self.order = order
-        self.obj = obj
         self.value = value
         self.d_x = d_x
         self.d_y = d_y
@@ -365,121 +549,66 @@ class Jet:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, c, n, order, obj=False):
-        j = cls(n, order, obj, c)
-        if order >= 1:
-            j.d_x = _zeros((n,), obj)
-            j.d_y = _zeros((n,), obj)
-        if order >= 2:
-            j.d_yy = _zeros((n, n), obj)
-            j.d_xy = _zeros((n, n), obj)
-        if order >= 3:
-            j.d_yyy = _zeros((n, n, n), obj)
-        return j
+    def constant(cls, c, n, order):
+        return cls(n, order, c)
 
     @classmethod
-    def seed_x(cls, value, i, n, order, obj=False):
-        j = cls.constant(value, n, order, obj)
-        if order >= 1:
-            j.d_x = _basis(n, i, obj)
-        return j
+    def seed_x(cls, value, i, n, order):
+        return cls(n, order, value, d_x=_basis(n, i) if order >= 1 else None)
 
     @classmethod
-    def seed_y(cls, value, i, n, order, obj=False):
-        j = cls.constant(value, n, order, obj)
-        if order >= 1:
-            j.d_y = _basis(n, i, obj)
-        return j
+    def seed_y(cls, value, i, n, order):
+        return cls(n, order, value, d_y=_basis(n, i) if order >= 1 else None)
 
     def _const(self, c):
-        return Jet.constant(c, self.n, self.order, self.obj or isinstance(c, Dual))
+        return Jet.constant(c, self.n, self.order)
+
+    def _blocks(self):
+        return self.d_x, self.d_y, self.d_yy, self.d_xy, self.d_yyy
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            o = self.order
-            j = Jet(self.n, o, self.obj or other.obj, self.value + other.value)
-            if o >= 1:
-                j.d_x = self.d_x + other.d_x
-                j.d_y = self.d_y + other.d_y
-            if o >= 2:
-                j.d_yy = self.d_yy + other.d_yy
-                j.d_xy = self.d_xy + other.d_xy
-            if o >= 3:
-                j.d_yyy = self.d_yyy + other.d_yyy
-            return j
-        j = Jet(self.n, self.order, self.obj or isinstance(other, Dual), self.value + other)
-        j.d_x, j.d_y, j.d_yy, j.d_xy, j.d_yyy = self.d_x, self.d_y, self.d_yy, self.d_xy, self.d_yyy
-        return j
+            return Jet(self.n, self.order, self.value + other.value,
+                       *map(_sum, self._blocks(), other._blocks()))
+        return Jet(self.n, self.order, self.value + other, *self._blocks())
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            o = self.order
-            j = Jet(self.n, o, self.obj or other.obj, self.value - other.value)
-            if o >= 1:
-                j.d_x = self.d_x - other.d_x
-                j.d_y = self.d_y - other.d_y
-            if o >= 2:
-                j.d_yy = self.d_yy - other.d_yy
-                j.d_xy = self.d_xy - other.d_xy
-            if o >= 3:
-                j.d_yyy = self.d_yyy - other.d_yyy
-            return j
-        j = Jet(self.n, self.order, self.obj or isinstance(other, Dual), self.value - other)
-        j.d_x, j.d_y, j.d_yy, j.d_xy, j.d_yyy = self.d_x, self.d_y, self.d_yy, self.d_xy, self.d_yyy
-        return j
+            return Jet(self.n, self.order, self.value - other.value,
+                       *map(_diff, self._blocks(), other._blocks()))
+        return Jet(self.n, self.order, self.value - other, *self._blocks())
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        o = self.order
-        j = Jet(self.n, o, self.obj, -self.value)
-        if o >= 1:
-            j.d_x = -self.d_x
-            j.d_y = -self.d_y
-        if o >= 2:
-            j.d_yy = -self.d_yy
-            j.d_xy = -self.d_xy
-        if o >= 3:
-            j.d_yyy = -self.d_yyy
-        return j
+        return Jet(self.n, self.order, -self.value, *(_mul(b, -1.0) for b in self._blocks()))
 
     def __pos__(self):
         return self
 
     def __mul__(self, other):
         o = self.order
-        if isinstance(other, Jet):
-            sv, ov = self.value, other.value
-            j = Jet(self.n, o, self.obj or other.obj, sv * ov)
-            if o >= 1:
-                j.d_x = self.d_x * ov + other.d_x * sv
-                j.d_y = self.d_y * ov + other.d_y * sv
-            if o >= 2:
-                q = np.multiply.outer(self.d_y, other.d_y)
-                j.d_yy = (self.d_yy * ov + other.d_yy * sv) + (q + q.T)
-                j.d_xy = (self.d_xy * ov + other.d_xy * sv) \
-                    + np.multiply.outer(self.d_y, other.d_x) \
-                    + np.multiply.outer(other.d_y, self.d_x)
-            if o >= 3:
-                t = (self.d_yyy * ov + other.d_yyy * sv) \
-                    + _sym_yy_y(self.d_yy, other.d_y) \
-                    + _sym_y_yy(self.d_y, other.d_yy)
-                j.d_yyy = _mirror3(t)
-            return j
-        j = Jet(self.n, o, self.obj or isinstance(other, Dual), self.value * other)
+        if not isinstance(other, Jet):
+            return Jet(self.n, o, self.value * other, *(_mul(b, other) for b in self._blocks()))
+        sv, ov = self.value, other.value
+        j = Jet(self.n, o, sv * ov)
         if o >= 1:
-            j.d_x = self.d_x * other
-            j.d_y = self.d_y * other
+            j.d_x = _sum(_mul(self.d_x, ov), _mul(other.d_x, sv))
+            j.d_y = _sum(_mul(self.d_y, ov), _mul(other.d_y, sv))
         if o >= 2:
-            j.d_yy = self.d_yy * other
-            j.d_xy = self.d_xy * other
+            j.d_yy = _sum(_mul(self.d_yy, ov), _mul(other.d_yy, sv),
+                          _sym2(_outer(self.d_y, other.d_y)))
+            j.d_xy = _sum(_mul(self.d_xy, ov), _mul(other.d_xy, sv),
+                          _outer(self.d_y, other.d_x), _outer(other.d_y, self.d_x))
         if o >= 3:
-            j.d_yyy = self.d_yyy * other
+            j.d_yyy = _mirror3(_sum(_mul(self.d_yyy, ov), _mul(other.d_yyy, sv),
+                                    _sym_yy_y(self.d_yy, other.d_y),
+                                    _sym_y_yy(self.d_y, other.d_yy)))
         return j
 
     __rmul__ = __mul__
@@ -489,35 +618,24 @@ class Jet:
         if not isinstance(other, Jet):
             if value_of(other) == 0.0:
                 raise DomainError("division by zero")
-            j = Jet(self.n, o, self.obj or isinstance(other, Dual), self.value / other)
-            if o >= 1:
-                j.d_x = self.d_x / other
-                j.d_y = self.d_y / other
-            if o >= 2:
-                j.d_yy = self.d_yy / other
-                j.d_xy = self.d_xy / other
-            if o >= 3:
-                j.d_yyy = self.d_yyy / other
-            return j
+            return Jet(self.n, o, self.value / other, *(_div(b, other) for b in self._blocks()))
         if value_of(other.value) == 0.0:
             raise DomainError("division by zero")
         w0 = self.value / other.value
         q = 1.0 / other.value
-        j = Jet(self.n, o, self.obj or other.obj, w0)
+        j = Jet(self.n, o, w0)
         if o >= 1:
-            j.d_x = (self.d_x - other.d_x * w0) * q
-            j.d_y = (self.d_y - other.d_y * w0) * q
+            j.d_x = _mul(_diff(self.d_x, _mul(other.d_x, w0)), q)
+            j.d_y = _mul(_diff(self.d_y, _mul(other.d_y, w0)), q)
         if o >= 2:
-            c = np.multiply.outer(j.d_y, other.d_y)
-            j.d_yy = (self.d_yy - other.d_yy * w0 - (c + c.T)) * q
-            j.d_xy = (self.d_xy - other.d_xy * w0
-                      - np.multiply.outer(j.d_y, other.d_x)
-                      - np.multiply.outer(other.d_y, j.d_x)) * q
+            j.d_yy = _mul(_diff(self.d_yy, _mul(other.d_yy, w0),
+                                _sym2(_outer(j.d_y, other.d_y))), q)
+            j.d_xy = _mul(_diff(self.d_xy, _mul(other.d_xy, w0),
+                                _outer(j.d_y, other.d_x), _outer(other.d_y, j.d_x)), q)
         if o >= 3:
-            t = (self.d_yyy - other.d_yyy * w0
-                 - _sym_yy_y(j.d_yy, other.d_y)
-                 - _sym_y_yy(j.d_y, other.d_yy)) * q
-            j.d_yyy = _mirror3(t)
+            j.d_yyy = _mirror3(_mul(_diff(self.d_yyy, _mul(other.d_yyy, w0),
+                                          _sym_yy_y(j.d_yy, other.d_y),
+                                          _sym_y_yy(j.d_y, other.d_yy)), q))
         return j
 
     def __rtruediv__(self, other):
@@ -530,17 +648,18 @@ class Jet:
 
     def _compose(self, f0, f1, f2=None, f3=None):
         o = self.order
-        j = Jet(self.n, o, self.obj, f0)
+        j = Jet(self.n, o, f0)
         if o >= 1:
-            j.d_x = self.d_x * f1
-            j.d_y = self.d_y * f1
+            j.d_x = _mul(self.d_x, f1)
+            j.d_y = _mul(self.d_y, f1)
         if o >= 2:
-            j.d_yy = self.d_yy * f1 + np.multiply.outer(self.d_y, self.d_y) * f2
-            j.d_xy = self.d_xy * f1 + np.multiply.outer(self.d_y, self.d_x) * f2
+            j.d_yy = _sum(_mul(self.d_yy, f1), _mul(_outer(self.d_y, self.d_y), f2))
+            j.d_xy = _sum(_mul(self.d_xy, f1), _mul(_outer(self.d_y, self.d_x), f2))
         if o >= 3:
-            cube = np.multiply.outer(np.multiply.outer(self.d_y, self.d_y), self.d_y)
-            t = self.d_yyy * f1 + _sym_yy_y(self.d_yy, self.d_y) * f2 + cube * f3
-            j.d_yyy = _mirror3(t)
+            cube = _outer(_outer(self.d_y, self.d_y), self.d_y)
+            j.d_yyy = _mirror3(_sum(_mul(self.d_yyy, f1),
+                                    _mul(_sym_yy_y(self.d_yy, self.d_y), f2),
+                                    _mul(cube, f3)))
         return j
 
     def sqrt(self):
@@ -595,10 +714,7 @@ class Jet:
         v = self.value
         if value_of(v) <= 0.0:
             raise DomainError("non-integer power of a non-positive base")
-        if isinstance(v, Dual):
-            f0 = Dual(math.pow(v.val, b), b * math.pow(v.val, b - 1.0) * v.dot)
-        else:
-            f0 = math.pow(v, b)
+        f0 = power(v, b)
         f1 = b * power(v, b - 1.0)
         f2 = f3 = None
         if self.order >= 2:
@@ -610,37 +726,18 @@ class Jet:
     # -- finalization ----------------------------------------------------
 
     def finalized(self):
-        """Zero-fill blocks above the tracked order and verify finiteness."""
-        n, o, obj = self.n, self.order, self.obj
-        j = Jet(n, o, obj, self.value)
-        j.d_x = self.d_x if self.d_x is not None else _zeros((n,), obj)
-        j.d_y = self.d_y if self.d_y is not None else _zeros((n,), obj)
-        j.d_yy = self.d_yy if self.d_yy is not None else _zeros((n, n), obj)
-        j.d_xy = self.d_xy if self.d_xy is not None else _zeros((n, n), obj)
-        j.d_yyy = self.d_yyy if self.d_yyy is not None else _zeros((n, n, n), obj)
-        # blocks above the tracked order are shared zero arrays; only the
-        # propagated ones can carry non-finite values
-        filled = []
-        if o >= 1:
-            filled += [j.d_x, j.d_y]
-        if o >= 2:
-            filled += [j.d_yy, j.d_xy]
-        if o >= 3:
-            filled.append(j.d_yyy)
-        if obj:
-            if not math.isfinite(value_of(j.value)):
-                raise DomainError("field evaluation produced a non-finite value")
-            for b in filled:
-                for v in b.flat:
-                    if not math.isfinite(value_of(v)):
-                        raise DomainError("field evaluation produced a non-finite derivative")
-        else:
-            if not math.isfinite(j.value):
-                raise DomainError("field evaluation produced a non-finite value")
-            for b in filled:
-                if not np.isfinite(b).all():
-                    raise DomainError("field evaluation produced a non-finite derivative")
-        return j
+        """Zero-fill the zero blocks and verify finiteness."""
+        n = self.n
+        if not _finite(self.value):
+            raise DomainError("field evaluation produced a non-finite value")
+        blocks = []
+        for b, shape in zip(self._blocks(), ((n,), (n,), (n, n), (n, n), (n, n, n))):
+            if b is None:
+                b = _zeros(shape)
+            elif not _finite(b):
+                raise DomainError("field evaluation produced a non-finite derivative")
+            blocks.append(b)
+        return Jet(n, self.order, self.value, *blocks)
 
     def __repr__(self):
         return f"Jet(n={self.n}, order={self.order}, value={self.value!r})"
@@ -666,159 +763,63 @@ def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
     if order not in (0, 1, 2, 3):
         raise ValueError(f"jet order must be 0..3, got {order}")
     n = p.n
-    # obj mode is tracked per seed so a dual layer in, say, the x slots
-    # costs nothing for fields that never reference x: blocks stay float
-    # until a dual value actually flows into them.
-    xs = [Jet.seed_x(p.x[i], i, n, order, isinstance(p.x[i], Dual)) for i in range(n)]
-    ys = [Jet.seed_y(p.y[i], i, n, order, isinstance(p.y[i], Dual)) for i in range(n)]
+    xs = [Jet.seed_x(v, i, n, order) for i, v in enumerate(p.x)]
+    ys = [Jet.seed_y(v, i, n, order) for i, v in enumerate(p.y)]
     out = f(xs, ys)
     if not isinstance(out, Jet):
-        out = Jet.constant(out, n, order, isinstance(out, Dual))
+        out = Jet.constant(out, n, order)
     return out.finalized()
 
 
 def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
-    """Directional derivative of an arbitrary evaluation pipeline.
+    """Directional derivatives of an arbitrary evaluation pipeline.
 
-    Re-runs ``pipeline`` at ``p`` with one dual layer seeded along
-    ``direction`` in the ``y`` (default) or ``x`` coordinates, and returns
-    the derivative part of the output.  The pipeline may involve jets,
-    metric inversion, contractions: the layer is threaded through all of
-    it.  Output shape mirrors the pipeline output (scalar, vector or
-    matrix of floats).
+    Re-runs ``pipeline`` at ``p`` with the ``y`` (default) or ``x``
+    coordinates seeded along ``direction`` and returns the tangent part
+    of the output.  The pipeline may involve jets, metric inversion,
+    contractions: the tangents are threaded through all of it.
+
+    A length-n ``direction`` returns a float array shaped like the
+    pipeline output (a float for a scalar output).  A ``(k, n)`` matrix
+    returns all k directional derivatives from the same pass, stacked on
+    a trailing axis; with ``np.eye(n)`` that is the full Jacobian.
     """
 
     n = p.n
-    if len(direction) != n:
-        raise ValueError("direction length must equal the dimension")
+    d = np.asarray(direction, dtype=float)
+    if d.ndim not in (1, 2) or d.shape[-1] != n:
+        raise ValueError("direction must be a length-n vector or a (k, n) matrix")
+    seeds = d.reshape(-1, n)
     if wrt == "y":
-        q = PhasePoint(p.x, tuple(Dual(value_of(v), float(d)) for v, d in zip(p.y, direction)))
+        q = PhasePoint(p.x, tuple(KDual(value_of(v), seeds[:, i]) for i, v in enumerate(p.y)))
     elif wrt == "x":
-        q = PhasePoint(tuple(Dual(value_of(v), float(d)) for v, d in zip(p.x, direction)), p.y)
+        q = PhasePoint(tuple(KDual(value_of(v), seeds[:, i]) for i, v in enumerate(p.x)), p.y)
     else:
         raise ValueError("wrt must be 'x' or 'y'")
     out = pipeline(q)
-    if isinstance(out, (int, float, Dual)):
-        return dual_dot(out)
-    arr = np.asarray(out, dtype=object)
-    flat = np.array([dual_dot(v) for v in arr.flat], dtype=float)
-    return flat.reshape(arr.shape)
+    if isinstance(out, (list, tuple)):
+        out = tower_vector(out)
+    if isinstance(out, KDual):
+        tan = np.array(out.dot, dtype=float)
+    else:
+        tan = np.zeros(np.shape(out) + (len(seeds),))
+    if d.ndim == 2:
+        return tan
+    return tan[..., 0] if tan.ndim > 1 else float(tan[0])
 
 
 def jacobian_y(pipeline, p: PhasePoint) -> np.ndarray:
-    """Full y-Jacobian of a vector pipeline, column by column.
+    """Full y-Jacobian of a vector pipeline in one pass.
 
     Column j holds the derivative of the pipeline along the j-th fiber
     basis direction.
     """
 
-    n = p.n
-    cols = [push_direction(pipeline, p, _basis(n, j, False), wrt="y") for j in range(n)]
-    return np.stack(cols, axis=-1)
+    return push_direction(pipeline, p, np.eye(p.n), wrt="y")
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-# Step floors per derivative order.  Central differences at the caller's h
-# are meaningless for second and third derivatives once h drops below the
-# roundoff balance point (~eps^(1/4) and ~eps^(1/5) times the value scale),
-# so the base step is clamped upward per order and scaled with the value
-# magnitude; third-order stencils are Richardson-extrapolated twice, which
-# pushes their truncation to O(step^6) and lets the step stay large enough
-# to keep roundoff in check.  First-order blocks always honor h.
-_FD_FLOOR_2 = 1.5e-4
-_FD_FLOOR_3 = 6.0e-3
-
-
-def fd_oracle(f, p: PhasePoint, order: int = 3, h: float = 1e-5) -> Jet:
-    """Central-difference estimate of the same blocks as :func:`eval_jet`.
-
-    Pure value-level evaluations; entirely independent of the jet
-    propagation.  Truncation is O(step^2) per stencil before
-    extrapolation.  Intended as a test oracle, not a production
-    differentiator.
-    """
-
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    n = p.n
-    x0 = np.array([float(v) for v in p.x])
-    y0 = np.array([float(v) for v in p.y])
-
-    def ev(dx, dy):
-        q = PhasePoint(x0 + dx, y0 + dy)
-        return float(f(q.x, q.y))
-
-    zero = np.zeros(n)
-    f0 = ev(zero, zero)
-    scale = max(1.0, (abs(f0) / 2.0) ** (1.0 / 3.0))
-    s1 = h
-    s2 = max(h, _FD_FLOOR_2) * scale
-    s3 = max(h, _FD_FLOOR_3) * scale
-
-    out = Jet.constant(f0, n, order)
-    if order >= 1:
-        d_x = np.zeros(n)
-        d_y = np.zeros(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = s1
-            d_x[i] = (ev(e, zero) - ev(-e, zero)) / (2.0 * s1)
-            d_y[i] = (ev(zero, e) - ev(zero, -e)) / (2.0 * s1)
-        out.d_x, out.d_y = d_x, d_y
-    if order >= 2:
-        d_yy = np.zeros((n, n))
-        d_xy = np.zeros((n, n))
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = s2
-            d_yy[i, i] = (ev(zero, ei) - 2.0 * f0 + ev(zero, -ei)) / (s2 * s2)
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = s2
-                v = (ev(zero, ei + ej) - ev(zero, ei - ej)
-                     - ev(zero, ej - ei) + ev(zero, -ei - ej)) / (4.0 * s2 * s2)
-                d_yy[i, j] = v
-                d_yy[j, i] = v
-            for j in range(n):
-                ex = np.zeros(n)
-                ex[j] = s2
-                d_xy[i, j] = (ev(ex, ei) - ev(-ex, ei)
-                              - ev(ex, -ei) + ev(-ex, -ei)) / (4.0 * s2 * s2)
-        out.d_yy, out.d_xy = d_yy, d_xy
-    if order >= 3:
-        def third(a, b, c, s):
-            acc = 0.0
-            for sa in (1.0, -1.0):
-                for sb in (1.0, -1.0):
-                    for sc in (1.0, -1.0):
-                        shift = np.zeros(n)
-                        shift[a] += sa * s
-                        shift[b] += sb * s
-                        shift[c] += sc * s
-                        acc += sa * sb * sc * ev(zero, shift)
-            return acc / (8.0 * s * s * s)
-
-        d_yyy = np.zeros((n, n, n))
-        for a in range(n):
-            for b in range(a, n):
-                for c in range(b, n):
-                    t1 = third(a, b, c, s3)
-                    t2 = third(a, b, c, s3 / 2.0)
-                    t4 = third(a, b, c, s3 / 4.0)
-                    r1 = (4.0 * t2 - t1) / 3.0
-                    r2 = (4.0 * t4 - t2) / 3.0
-                    v = (16.0 * r2 - r1) / 15.0
-                    for idx in {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
-                        d_yyy[idx] = v
-        out.d_yyy = d_yyy
-    return out.finalized()
-
-
-# ---------------------------------------------------------------------------
-# symmetric inversion with the dual layer threaded through
+# symmetric inversion with the tangents carried through
 # ---------------------------------------------------------------------------
 
 
@@ -827,8 +828,9 @@ class SymMatrix:
     """A symmetric matrix with its inverse and a rank diagnostic.
 
     ``entries @ inverse`` equals the identity to roundoff scaled by the
-    condition number.  Entries may carry dual numbers; the eigenvalue
-    estimate always refers to the float value parts.
+    condition number.  Under a push the entries and the inverse are
+    :class:`KDual`; the eigenvalue estimates always refer to the float
+    value part.
     """
 
     entries: np.ndarray
@@ -841,46 +843,21 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-def _value_shadow(m):
-    return np.array([[value_of(v) for v in row] for row in m])
-
-
-def _gauss_jordan(m, obj):
-    """Invert by Gauss-Jordan with partial pivoting on the value parts.
-
-    Generic over the scalar tower: dividing and multiplying duals keeps
-    the derivative layer flowing through the factorization itself.
-    """
-
-    n = m.shape[0]
-    a = [list(row) for row in m]
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv_row = max(range(col, n), key=lambda r: abs(value_of(a[r][col])))
-        if value_of(a[piv_row][col]) == 0.0:
-            raise SingularMetric("exact zero pivot during inversion")
-        if piv_row != col:
-            a[col], a[piv_row] = a[piv_row], a[col]
-            inv[col], inv[piv_row] = inv[piv_row], inv[col]
-        piv = a[col][col]
-        for j in range(n):
-            a[col][j] = a[col][j] / piv
-            inv[col][j] = inv[col][j] / piv
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if value_of(factor) == 0.0:
-                continue
-            for j in range(n):
-                a[r][j] = a[r][j] - factor * a[col][j]
-                inv[r][j] = inv[r][j] - factor * inv[col][j]
-    dtype = object if obj else float
-    return np.array(inv, dtype=dtype)
+def _inverse(a):
+    """Inverse of a symmetric float matrix, in closed form up to 2x2."""
+    if a.shape[0] == 1:
+        return 1.0 / a
+    if a.shape[0] == 2:
+        p, b, d = a[0, 0], a[0, 1], a[1, 1]
+        return np.array([[d, -b], [-b, p]]) / (p * d - b * b)
+    return np.linalg.inv(a)
 
 
 def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
     """Symmetrize, gate on rank, and invert a small dense matrix.
+
+    The value part is inverted in floats; tangents, when ``m`` carries
+    them, follow from d(A^-1) = -A^-1 dA A^-1.
 
     Raises
     ------
@@ -892,27 +869,25 @@ def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
         If the input is not symmetric to 1e-12 relative.
     """
 
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    dual = isinstance(m, KDual)
+    a = m.val if dual else np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("sym_invert expects a square matrix")
-    obj = any(isinstance(v, Dual) for v in m.flat)
-    shadow = _value_shadow(m) if obj else m.astype(float)
-    norm = np.abs(shadow).max()
-    if np.abs(shadow - shadow.T).max() > 1e-12 * (1.0 + norm):
+    norm = np.abs(a).max()
+    if np.abs(a - a.T).max() > 1e-12 * (1.0 + norm):
         raise ValueError("matrix is not symmetric within 1e-12 relative")
-    ms = (m + m.T) * 0.5
-    shadow = (shadow + shadow.T) * 0.5
-    if ms.shape[0] == 1:
-        mn = mx = abs(shadow[0, 0])
-    elif ms.shape[0] == 2:
+    a = (a + a.T) * 0.5
+    if a.shape[0] == 1:
+        mn = mx = abs(a[0, 0])
+    elif a.shape[0] == 2:
         # closed-form symmetric 2x2 spectrum
-        a, b, d = shadow[0, 0], shadow[0, 1], shadow[1, 1]
-        half_tr = 0.5 * (a + d)
-        disc = math.sqrt(max(0.0, (0.5 * (a - d)) ** 2 + b * b))
+        p, b, d = a[0, 0], a[0, 1], a[1, 1]
+        half_tr = 0.5 * (p + d)
+        disc = math.sqrt(max(0.0, (0.5 * (p - d)) ** 2 + b * b))
         e1, e2 = abs(half_tr + disc), abs(half_tr - disc)
         mn, mx = min(e1, e2), max(e1, e2)
     else:
-        eig = np.linalg.eigvalsh(shadow)
+        eig = np.linalg.eigvalsh(a)
         mn = float(np.abs(eig).min())
         mx = float(np.abs(eig).max())
     if mx == 0.0 or mn < rel_tol * mx:
@@ -921,5 +896,8 @@ def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
             min_abs_eigen=mn,
             max_abs_eigen=mx,
         )
-    inv = _gauss_jordan(ms, obj)
-    return SymMatrix(ms if obj else ms.astype(float), inv, mn, mx)
+    inv = _inverse(a)
+    if not dual:
+        return SymMatrix(a, inv, mn, mx)
+    ms = (m + m.T) * 0.5
+    return SymMatrix(ms, KDual(inv, -(inv @ ms @ inv).dot), mn, mx)

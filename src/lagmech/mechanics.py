@@ -24,17 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SingularMetric
+from .errors import DomainError, KernelInconsistency, SingularMetric
 from .geometry import (
     _sode_residual,
     _spray_from_jet,
     _two_form_pieces,
     _two_form_value,
-    canonical_spray_at,
+    canonical_connection_at,
     dyn_cov_deriv_g,
     metric_at,
 )
-from .jets import eval_jet, push_direction, sym_invert, tower_vector
+from .jets import SymMatrix, eval_jet, push_direction, sym_invert, tower_vector
 from .phase import PhasePoint, ScalarField, VerticalField
 
 __all__ = [
@@ -84,26 +84,16 @@ class MechanicalSystem:
         )
 
 
-def _basis_dir(n, j):
-    d = [0.0] * n
-    d[j] = 1.0
-    return d
-
-
 def sigma_at(sys: MechanicalSystem, p: PhasePoint):
     """Force one-form components sigma_i = g_ij V^j."""
     g = metric_at(sys.L, p)
     v = tower_vector(sys.V(p.x, p.y))
-    return g.entries.dot(v)
+    return g.entries @ v
 
 
 def force_jacobian_y(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """dV^i/dy_j, column by column."""
-    cols = [
-        push_direction(lambda q: sys.V(q.x, q.y), p, _basis_dir(sys.n, j), wrt="y")
-        for j in range(sys.n)
-    ]
-    return np.stack(cols, axis=-1)
+    """dV^i/dy_j in one pass; column j is the derivative along e_j."""
+    return push_direction(lambda q: sys.V(q.x, q.y), p, np.eye(sys.n), wrt="y")
 
 
 def evolution_spray_at(sys: MechanicalSystem, p: PhasePoint):
@@ -116,30 +106,23 @@ def evolution_spray_at(sys: MechanicalSystem, p: PhasePoint):
     return spray0 - v * 0.25
 
 
+def _evolution_conn(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
+    """N^i_j = dG^i/dy_j in one pass of the evolution-spray pipeline."""
+    return push_direction(lambda q: evolution_spray_at(sys, q), p, np.eye(sys.n), wrt="y")
+
+
 def evolution_connection_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     """Evolution connection N^i_j = dG^i/dy_j.
 
-    Computed by directional pushes of the full evolution-spray pipeline
-    and cross-checked against N0 - (1/4) dV/dy; the two routes must agree
-    to 1e-10 or the kernel is inconsistent.
+    Computed by pushing the full evolution-spray pipeline and
+    cross-checked against N0 - (1/4) dV/dy; the two routes must agree to
+    1e-10 or :class:`~lagmech.errors.KernelInconsistency` is raised.
     """
-    n = sys.n
-    cols = [
-        push_direction(lambda q: evolution_spray_at(sys, q), p, _basis_dir(n, j), wrt="y")
-        for j in range(n)
-    ]
-    conn = np.stack(cols, axis=-1)
-    conn0 = np.stack(
-        [push_direction(lambda q: canonical_spray_at(sys.L, q), p, _basis_dir(n, j), wrt="y")
-         for j in range(n)],
-        axis=-1,
-    )
-    alt = conn0 - force_jacobian_y(sys, p) * 0.25
+    conn = _evolution_conn(sys, p)
+    alt = canonical_connection_at(sys.L, p) - force_jacobian_y(sys, p) * 0.25
     err = np.abs(conn - alt).max()
     if err > 1e-10 * (1.0 + np.abs(conn).max()):
-        raise RuntimeError(
-            f"evolution connection routes disagree by {err:.3e}; kernel inconsistency"
-        )
+        raise KernelInconsistency(f"evolution connection routes disagree by {err:.3e}")
     return conn
 
 
@@ -177,8 +160,11 @@ class EvolutionBundle:
     antisymmetric half is the helicoidal tensor:
 
         4 gbar_ij = J_ij + J_ji,   2 F_ij = J_ij - J_ji,  J = dsigma_dy.
+
+    ``metric`` is the metric at the point, with its inverse.
     """
 
+    metric: SymMatrix
     sigma: np.ndarray
     spray: np.ndarray
     conn: np.ndarray
@@ -193,25 +179,17 @@ def evolution_bundle_at(sys: MechanicalSystem, p: PhasePoint, validate: bool = T
 
     With ``validate`` the symmetric part is recomputed independently as
     the dynamical derivative of g along (spray, conn); a disagreement
-    beyond 1e-8 raises, since the two routes are equal identically.
+    beyond 1e-8 raises :class:`~lagmech.errors.KernelInconsistency`,
+    since the two routes are equal identically.
     """
-    n = sys.n
     j = eval_jet(sys.L, p, order=2)
     g = sym_invert(j.d_yy * 0.5)
     yv = tower_vector(p.y)
     v = tower_vector(sys.V(p.x, p.y))
     sigma = g.entries.dot(v)
     spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
-    conn = np.stack(
-        [push_direction(lambda q: evolution_spray_at(sys, q), p, _basis_dir(n, k), wrt="y")
-         for k in range(n)],
-        axis=-1,
-    )
-    dsig = np.stack(
-        [push_direction(lambda q: sigma_at(sys, q), p, _basis_dir(n, k), wrt="y")
-         for k in range(n)],
-        axis=-1,
-    )
+    conn = _evolution_conn(sys, p)
+    dsig = push_direction(lambda q: sigma_at(sys, q), p, np.eye(sys.n), wrt="y")
     gbar = (dsig + dsig.T) * 0.25
     helicoidal = (dsig - dsig.T) * 0.5
     power = float(sigma.dot(yv))
@@ -219,11 +197,9 @@ def evolution_bundle_at(sys: MechanicalSystem, p: PhasePoint, validate: bool = T
         alt = dyn_cov_deriv_g(sys.L, p, spray, conn)
         err = np.abs(gbar - alt).max()
         if err > 1e-8 * (1.0 + np.abs(g.entries).max()):
-            raise RuntimeError(
-                f"metric-derivative routes disagree by {err:.3e}; kernel inconsistency"
-            )
+            raise KernelInconsistency(f"metric-derivative routes disagree by {err:.3e}")
     return EvolutionBundle(
-        sigma=sigma, spray=spray, conn=conn, dsigma_dy=dsig,
+        metric=g, sigma=sigma, spray=spray, conn=conn, dsigma_dy=dsig,
         helicoidal=helicoidal, gbar=gbar, power=power,
     )
 
@@ -236,17 +212,18 @@ def symplectic_defect(sys: MechanicalSystem, p: PhasePoint) -> float:
     Equals the helicoidal tensor entrywise up to sign, which is asserted.
     """
     n = sys.n
+    eye = np.eye(n)
     bundle = evolution_bundle_at(sys, p, validate=False)
     j = eval_jet(sys.L, p, order=2)
     g2, a2 = _two_form_pieces(j)
     defect = 0.0
     for i in range(n):
-        di = np.concatenate([_basis_dir(n, i), -bundle.conn[:, i]])
+        di = np.concatenate([eye[i], -bundle.conn[:, i]])
         for k in range(i + 1, n):
-            dk = np.concatenate([_basis_dir(n, k), -bundle.conn[:, k]])
+            dk = np.concatenate([eye[k], -bundle.conn[:, k]])
             w = _two_form_value(g2, a2, di, dk)
             if abs(w + bundle.helicoidal[i, k]) > 1e-8 * (1.0 + abs(w)):
-                raise RuntimeError(
+                raise KernelInconsistency(
                     "horizontal two-form value does not match the helicoidal tensor"
                 )
             defect = max(defect, abs(w))
@@ -260,7 +237,7 @@ def _scalar_sl(sys: MechanicalSystem, q: PhasePoint):
     yv = tower_vector(q.y)
     v = tower_vector(sys.V(q.x, q.y))
     spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
-    return yv.dot(j.d_x) - 2.0 * spray.dot(j.d_y)
+    return yv @ j.d_x - 2.0 * (spray @ j.d_y)
 
 
 def _scalar_sl_free(sys: MechanicalSystem, q: PhasePoint):
@@ -269,7 +246,7 @@ def _scalar_sl_free(sys: MechanicalSystem, q: PhasePoint):
     g = sym_invert(j.d_yy * 0.5)
     yv = tower_vector(q.y)
     spray0 = _spray_from_jet(j, g.inverse, yv)
-    return yv.dot(j.d_x) - 2.0 * spray0.dot(j.d_y)
+    return yv @ j.d_x - 2.0 * (spray0 @ j.d_y)
 
 
 def horizontal_dL(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
@@ -280,23 +257,14 @@ def horizontal_dL(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     pushed scalar pipeline.  Both are computed and reconciled to 1e-8;
     route (a) is returned.
     """
-    n = sys.n
     j = eval_jet(sys.L, p, order=2)
-    conn = np.stack(
-        [push_direction(lambda q: evolution_spray_at(sys, q), p, _basis_dir(n, k), wrt="y")
-         for k in range(n)],
-        axis=-1,
-    )
-    route_a = j.d_x - j.d_y.dot(conn)
+    route_a = j.d_x - j.d_y.dot(_evolution_conn(sys, p))
     sigma = sigma_at(sys, p)
-    dsl = np.array(
-        [push_direction(lambda q: _scalar_sl(sys, q), p, _basis_dir(n, k), wrt="y")
-         for k in range(n)]
-    )
+    dsl = push_direction(lambda q: _scalar_sl(sys, q), p, np.eye(sys.n), wrt="y")
     route_b = (dsl - sigma) * 0.5
     err = np.abs(route_a - route_b).max()
     if err > 1e-8 * (1.0 + np.abs(route_a).max()):
-        raise RuntimeError(f"horizontal dL routes disagree by {err:.3e}")
+        raise KernelInconsistency(f"horizontal dL routes disagree by {err:.3e}")
     return route_a
 
 
@@ -307,31 +275,21 @@ def horizontal_dE(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     2 g_ij (2 G0^j - N0^j_k y^k) + (1/2) g_jk dV^j/dy_i y^k.  Reconciled
     to 1e-8; route (a) is returned.
     """
-    n = sys.n
     j = eval_jet(sys.L, p, order=2)
     g = sym_invert(j.d_yy * 0.5)
     yv = tower_vector(p.y)
     de_x = yv.dot(j.d_xy) - j.d_x
     de_y = yv.dot(j.d_yy)
-    conn = np.stack(
-        [push_direction(lambda q: evolution_spray_at(sys, q), p, _basis_dir(n, k), wrt="y")
-         for k in range(n)],
-        axis=-1,
-    )
-    route_a = de_x - de_y.dot(conn)
+    route_a = de_x - de_y.dot(_evolution_conn(sys, p))
 
     spray0 = _spray_from_jet(j, g.inverse, yv)
-    conn0 = np.stack(
-        [push_direction(lambda q: canonical_spray_at(sys.L, q), p, _basis_dir(n, k), wrt="y")
-         for k in range(n)],
-        axis=-1,
-    )
+    conn0 = canonical_connection_at(sys.L, p)
     dvdy = force_jacobian_y(sys, p)
     gy = g.entries.dot(yv)
     route_b = 2.0 * g.entries.dot(2.0 * spray0 - conn0.dot(yv)) + 0.5 * gy.dot(dvdy)
     err = np.abs(route_a - route_b).max()
     if err > 1e-8 * (1.0 + np.abs(route_a).max()):
-        raise RuntimeError(f"horizontal dE routes disagree by {err:.3e}")
+        raise KernelInconsistency(f"horizontal dE routes disagree by {err:.3e}")
     return route_a
 
 
@@ -342,7 +300,6 @@ def first_integral_conditions(sys: MechanicalSystem, p: PhasePoint):
     When the first vanishes at every sampled point, L is a candidate first
     integral of the horizontal flow; likewise the second for the energy.
     """
-    n = sys.n
     j = eval_jet(sys.L, p, order=2)
     g = sym_invert(j.d_yy * 0.5)
     yv = tower_vector(p.y)
@@ -354,11 +311,7 @@ def first_integral_conditions(sys: MechanicalSystem, p: PhasePoint):
     res_l = float(dv_contract.dot(theta) + 2.0 * csl)
 
     spray0 = _spray_from_jet(j, g.inverse, yv)
-    conn0 = np.stack(
-        [push_direction(lambda q: canonical_spray_at(sys.L, q), p, _basis_dir(n, k), wrt="y")
-         for k in range(n)],
-        axis=-1,
-    )
+    conn0 = canonical_connection_at(sys.L, p)
     dvdy = force_jacobian_y(sys, p)
     gy = g.entries.dot(yv)
     res_e = float(gy.dot(dvdy.dot(yv)) + 4.0 * yv.dot(g.entries.dot(2.0 * spray0 - conn0.dot(yv))))
@@ -426,12 +379,11 @@ def classify(sys: MechanicalSystem, samples, tol: float = 1e-8) -> Classificatio
     for idx, p in enumerate(samples):
         try:
             bundle = evolution_bundle_at(sys, p, validate=False)
-            g = metric_at(sys.L, p)
         except (SingularMetric, DomainError) as err:
             failures.append({"index": idx, "error": type(err).__name__, "detail": str(err)})
             continue
         tested += 1
-        scale = 1.0 + float(np.abs(g.entries).max())
+        scale = 1.0 + float(np.abs(bundle.metric.entries).max())
         metric_defect = max(metric_defect, float(np.abs(bundle.gbar).max()) / scale)
         sympl_defect = max(sympl_defect, float(np.abs(bundle.helicoidal).max()) / scale)
         worst_power = max(worst_power, bundle.power)

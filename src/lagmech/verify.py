@@ -29,7 +29,7 @@ from .geometry import (
     _spray_from_jet,
     _two_form_pieces,
     _two_form_value,
-    canonical_spray_at,
+    canonical_connection_at,
     dyn_cov_deriv_g,
     spray_equation_residual,
 )
@@ -47,14 +47,9 @@ from .phase import PhasePoint
 __all__ = ["run_verification"]
 
 
-def _basis(n, j):
-    d = [0.0] * n
-    d[j] = 1.0
-    return d
-
-
 def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dict:
     n = sys.n
+    eye = np.eye(n)
     out = {}
     j = eval_jet(sys.L, p, order=2)
     g = sym_invert(j.d_yy * 0.5)
@@ -67,19 +62,15 @@ def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dic
     out["cartan_form_transport"] = lie_theta_residual(sys, p)
 
     spray0 = _spray_from_jet(j, g.inverse, yv)
-    conn0 = np.stack(
-        [push_direction(lambda q: canonical_spray_at(sys.L, q), p, _basis(n, k), wrt="y")
-         for k in range(n)],
-        axis=-1,
-    )
+    conn0 = canonical_connection_at(sys.L, p)
     gbar0 = dyn_cov_deriv_g(sys.L, p, spray0, conn0)
     out["canonical_metricity"] = float(np.abs(gbar0).max()) / scale
 
     w0 = 0.0
     for i in range(n):
-        di = np.concatenate([_basis(n, i), -conn0[:, i]])
+        di = np.concatenate([eye[i], -conn0[:, i]])
         for k in range(i + 1, n):
-            dk = np.concatenate([_basis(n, k), -conn0[:, k]])
+            dk = np.concatenate([eye[k], -conn0[:, k]])
             w0 = max(w0, abs(_two_form_value(g2, a2, di, dk)))
     out["canonical_horizontal_two_form"] = w0
 
@@ -89,19 +80,16 @@ def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dic
 
     wh = 0.0
     for i in range(n):
-        di = np.concatenate([_basis(n, i), -bundle.conn[:, i]])
+        di = np.concatenate([eye[i], -bundle.conn[:, i]])
         for k in range(i + 1, n):
-            dk = np.concatenate([_basis(n, k), -bundle.conn[:, k]])
+            dk = np.concatenate([eye[k], -bundle.conn[:, k]])
             w = _two_form_value(g2, a2, di, dk)
             wh = max(wh, abs(w + bundle.helicoidal[i, k]))
     out["symplectic_vs_helicoidal"] = wh
 
     # horizontal derivative of L, both routes
     route_a = j.d_x - j.d_y.dot(bundle.conn)
-    dsl = np.array(
-        [push_direction(lambda q: _scalar_sl(sys, q), p, _basis(n, k), wrt="y")
-         for k in range(n)]
-    )
+    dsl = push_direction(lambda q: _scalar_sl(sys, q), p, eye, wrt="y")
     route_b = (dsl - bundle.sigma) * 0.5
     out["lagrangian_horizontal_routes"] = float(np.abs(route_a - route_b).max())
 

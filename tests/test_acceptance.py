@@ -20,7 +20,7 @@ from lagmech.geometry import (
     _two_form_pieces,
     _two_form_value,
 )
-from lagmech.jets import eval_jet, fd_oracle
+from lagmech.jets import eval_jet
 from lagmech.mechanics import (
     classify,
     evolution_bundle_at,
@@ -38,6 +38,7 @@ from lagmech.trajectories import (
     integrate_geodesic,
     integrate_horizontal,
 )
+from oracle import fd_oracle
 
 COUNT = 200
 

@@ -17,9 +17,10 @@ from lagmech.geometry import (
     spray_equation_residual,
     two_form_eval,
 )
-from lagmech.jets import fd_oracle, jacobian_y
+from lagmech.jets import jacobian_y
 from lagmech.phase import PhasePoint, ScalarField
 from lagmech.systems import instantiate, standard_samples
+from oracle import fd_oracle
 
 SQRT2 = math.sqrt(2.0)
 

@@ -11,12 +11,12 @@ from lagmech.errors import DomainError, SingularMetric
 from lagmech.jets import (
     Dual,
     eval_jet,
-    fd_oracle,
     jacobian_y,
     push_direction,
     sym_invert,
 )
 from lagmech.phase import PhasePoint, ScalarField
+from oracle import fd_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -267,3 +267,133 @@ def test_push_is_linear_in_direction(direction):
     e0 = push_direction(pipeline, p, [1.0, 0.0])
     e1 = push_direction(pipeline, p, [0.0, 1.0])
     assert np.abs(full - (d[0] * e0 + d[1] * e1)).max() <= 1e-9 * (1 + np.abs(full).max())
+
+
+# ---------------------------------------------------------------------------
+# the k-tangent layer
+# ---------------------------------------------------------------------------
+
+_PUSH_SYSTEMS = {
+    "SYS-A": ("SYS-A", {"c": 0.1}),
+    "SYS-B": ("SYS-B", {}),
+    "SYS-D": ("SYS-D", {"e": -0.5}),
+    "SYS-E6": ("SYS-E", {"e": -1.0, "base": "EUCLID", "n": 6}),
+}
+
+
+def _push_case(name):
+    from lagmech.systems import instantiate, standard_samples
+
+    builtin, params = _PUSH_SYSTEMS[name]
+    return instantiate(builtin, params), standard_samples(builtin, params, count=8)
+
+
+def _shifted(p, wrt, step):
+    if wrt == "y":
+        return PhasePoint(p.x, np.asarray(p.y) + step)
+    return PhasePoint(np.asarray(p.x) + step, p.y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_PUSH_SYSTEMS)),
+    index=st.integers(0, 7),
+    wrt=st.sampled_from(["x", "y"]),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_vector_push_matches_single_pushes_and_fd(name, index, wrt, k, seed):
+    from lagmech.mechanics import evolution_spray_at
+
+    sys_, samples = _push_case(name)
+    p = samples[index]
+    d = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, sys_.n))
+
+    def pipeline(q):
+        return evolution_spray_at(sys_, q)
+
+    many = push_direction(pipeline, p, d, wrt=wrt)
+    assert many.shape == (sys_.n, k)
+    for c in range(k):
+        one = push_direction(pipeline, p, d[c], wrt=wrt)
+        assert np.abs(many[:, c] - one).max() <= 1e-12 * (1.0 + np.abs(one).max())
+        h = 1e-6
+        fd = (pipeline(_shifted(p, wrt, h * d[c])) - pipeline(_shifted(p, wrt, -h * d[c]))) / (2 * h)
+        assert np.abs(one - fd).max() <= 1e-6 * (1.0 + np.abs(fd).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("near_gate", [False, True])
+def test_inverse_tangent_matches_fd(n, near_gate):
+    from lagmech.jets import KDual
+
+    rng = np.random.default_rng(n)
+    if near_gate:
+        # eigenvalue magnitudes down to 10x above the rank gate, permuted
+        perm = rng.permutation(n)
+        a = np.diag(np.geomspace(1.0, 1e-9, n) * rng.choice([-1.0, 1.0], n))[perm][:, perm]
+    else:
+        b = rng.normal(size=(n, n))
+        a = b @ b.T + 0.5 * np.eye(n)
+    da = rng.normal(size=(n, n, 2))
+    da = da + da.transpose(1, 0, 2)
+    sm = sym_invert(KDual(a, da))
+    h = 1e-4 * np.abs(np.linalg.eigvalsh(a)).min() / np.abs(da).max()
+    for c in range(2):
+        up = sym_invert(a + h * da[..., c]).inverse
+        dn = sym_invert(a - h * da[..., c]).inverse
+        fd = (up - dn) / (2 * h)
+        assert np.abs(sm.inverse.dot[..., c] - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_x_push_through_x_free_lagrangian_stays_float():
+    from lagmech.jets import Jet
+
+    n = 3
+    f = ScalarField(n, lambda x, y: y[0] * y[0] + y[1] * y[2] + y[2] ** 4)
+    seen = []
+
+    def pipeline(q):
+        j = eval_jet(f, q, order=3)
+        seen.append(j)
+        return sym_invert(j.d_yy * 0.5).inverse
+
+    p = PhasePoint((0.2, -0.1, 0.4), (1.0, 0.7, 1.3))
+    out = push_direction(pipeline, p, np.eye(n), wrt="x")
+    assert out.shape == (n, n, n) and not out.any()
+    (j,) = seen
+    assert isinstance(j, Jet) and isinstance(j.value, float)
+    for block in (j.d_x, j.d_y, j.d_yy, j.d_xy, j.d_yyy):
+        assert type(block) is np.ndarray
+
+
+def test_push_outputs_and_jet_blocks_are_float64(sys_d):
+    from lagmech.geometry import canonical_spray_at, metric_at
+    from lagmech.jets import KDual
+    from lagmech.mechanics import _scalar_sl, sigma_at
+
+    p = PhasePoint((0.3, -0.2), (0.9, 1.4))
+    jets_built = []
+
+    def jet_pipeline(q):
+        j = eval_jet(sys_d.L, q, order=3)
+        jets_built.append(j)
+        return j.d_yyy
+
+    pipelines = [jet_pipeline,
+                 lambda q: canonical_spray_at(sys_d.L, q),
+                 lambda q: sigma_at(sys_d, q),
+                 lambda q: metric_at(sys_d.L, q).inverse,
+                 lambda q: _scalar_sl(sys_d, q),
+                 lambda q: sys_d.V(q.x, q.y)]
+    for pipeline in pipelines:
+        for wrt in ("x", "y"):
+            for d in ([1.0, -0.5], np.eye(2)):
+                out = np.asarray(push_direction(pipeline, p, d, wrt=wrt))
+                assert out.dtype == np.float64
+    assert jets_built
+    for j in jets_built:
+        for block in (j.value, j.d_x, j.d_y, j.d_yy, j.d_xy, j.d_yyy):
+            parts = (block.val, block.dot) if isinstance(block, KDual) else (block,)
+            for part in parts:
+                assert np.asarray(part).dtype == np.float64

@@ -386,3 +386,28 @@ def test_report_serialization_fields(sys_d, samples_c):
     for key in ("dissipative_at_samples", "metric_defect", "symplectic_defect",
                 "is_metric", "is_symplectic", "tolerances"):
         assert key in d
+
+
+# ---------------------------------------------------------------------------
+# route disagreements are typed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("check, target", [
+    ("evolution_connection_at", "force_jacobian_y"),
+    ("evolution_bundle_at", "dyn_cov_deriv_g"),
+    ("symplectic_defect", "_two_form_value"),
+    ("horizontal_dL", "sigma_at"),
+    ("horizontal_dE", "force_jacobian_y"),
+])
+def test_route_disagreement_raises_kernel_inconsistency(monkeypatch, sys_d, check, target):
+    # shift one route of each cross-check by one unit so the two disagree
+    from lagmech import mechanics
+    from lagmech.errors import KernelInconsistency, LagmechError
+
+    original = getattr(mechanics, target)
+    monkeypatch.setattr(mechanics, target, lambda *a, **kw: original(*a, **kw) + 1.0)
+    p = PhasePoint((0.2, -0.3), (0.9, 1.2))
+    with pytest.raises(KernelInconsistency) as info:
+        getattr(mechanics, check)(sys_d, p)
+    assert isinstance(info.value, LagmechError)
