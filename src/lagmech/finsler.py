@@ -74,14 +74,14 @@ def homogeneity_residual_at(sys: MechanicalSystem, p: PhasePoint) -> float:
     """|Euler defect| of L at one point: |(dL/dy_i) y^i - 2L|."""
     j = eval_jet(sys.L, p, order=1)
     yv = tower_vector(p.y)
-    return float(abs(yv.dot(j.d_y) - 2.0 * j.value))
+    return float(abs(yv @ j.d_y - 2.0 * j.value))
 
 
 def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint, tol: float = _GATE_TOL):
     """Gate an operation on the homogeneity of L at a reference point."""
     j = eval_jet(sys.L, p, order=1)
     yv = tower_vector(p.y)
-    res = abs(yv.dot(j.d_y) - 2.0 * j.value)
+    res = abs(yv @ j.d_y - 2.0 * j.value)
     if res > tol * (1.0 + abs(j.value)):
         raise FinslerModeError(
             f"Lagrangian is not 2-homogeneous at {p} (Euler defect {res:.3e})"
@@ -110,11 +110,11 @@ def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
             failures.append({"index": idx, "error": type(err).__name__, "detail": str(err)})
             continue
         tested += 1
-        lag = abs(yv.dot(j.d_y) - 2.0 * j.value)
+        lag = abs(yv @ j.d_y - 2.0 * j.value)
         if lag > _GATE_TOL * (1.0 + abs(j.value)):
             accepted = False
         lag_res = max(lag_res, float(lag))
-        met_res = max(met_res, float(np.abs(j.d_yyy.dot(yv) * 0.5).max()))
+        met_res = max(met_res, float(np.abs((j.d_yyy @ yv) * 0.5).max()))
         frc_res = max(frc_res, float(np.abs(dvy).max()))
     return HomogeneityReport(
         lagrangian_residual=lag_res,
@@ -192,12 +192,12 @@ def finsler_identities(sys: MechanicalSystem, samples) -> FinslerIdentityReport:
             failures.append({"index": idx, "error": type(err).__name__, "detail": str(err)})
             continue
         tested += 1
-        e = yv.dot(j.d_y) - j.value
+        e = yv @ j.d_y - j.value
         res_e = max(res_e, float(abs(e - j.value)) / (1.0 + abs(float(j.value))))
-        res_h = max(res_h, float(np.abs(2.0 * spray0 - conn0.dot(yv)).max()))
-        rhs = 0.5 * g.entries.dot(yv).dot(dvdy)
+        res_h = max(res_h, float(np.abs(2.0 * spray0 - conn0 @ yv).max()))
+        rhs = 0.5 * (g.entries @ yv @ dvdy)
         res_s = max(res_s, float(np.abs(hde - rhs).max()))
-        res_c = max(res_c, float(np.abs(gamma.dot(yv).dot(yv) - 2.0 * spray0).max()))
+        res_c = max(res_c, float(np.abs(gamma @ yv @ yv - 2.0 * spray0).max()))
     return FinslerIdentityReport(
         energy_residual=res_e,
         spray_homogeneity_residual=res_h,

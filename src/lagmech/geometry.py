@@ -28,6 +28,7 @@ from .jets import (
     push_direction,
     sym_invert,
     SymMatrix,
+    tower_concat,
     tower_vector,
 )
 from .phase import PhasePoint, ScalarField
@@ -70,10 +71,10 @@ def energy_at(L: ScalarField, p: PhasePoint):
     """
     j = eval_jet(L, p, order=2)
     yv = tower_vector(p.y)
-    e = yv.dot(j.d_y) - j.value
-    de_x = yv.dot(j.d_xy) - j.d_x
-    de_y = yv.dot(j.d_yy)
-    return e, np.concatenate([de_x, de_y])
+    e = yv @ j.d_y - j.value
+    de_x = yv @ j.d_xy - j.d_x
+    de_y = yv @ j.d_yy
+    return e, tower_concat([de_x, de_y])
 
 
 def _two_form_pieces(j: Jet):
@@ -86,8 +87,8 @@ def _two_form_value(g, a, X, Y):
     n = g.shape[0]
     xx, xy = X[:n], X[n:]
     yx, yy = Y[:n], Y[n:]
-    term1 = 2.0 * (yx.dot(g).dot(xy) - xx.dot(g).dot(yy))
-    term2 = yx.dot(a).dot(xx) - xx.dot(a).dot(yx)
+    term1 = 2.0 * (yx @ g @ xy - xx @ g @ yy)
+    term2 = yx @ a @ xx - xx @ a @ yx
     return term1 + term2
 
 
@@ -140,10 +141,10 @@ def _sode_residual(j: Jet, yv, spray, de, sigma=None):
     """
     g, a = _two_form_pieces(j)
     sy = spray * (-2.0)
-    res_x = g.dot(sy) * 2.0 + a.dot(yv) * 2.0 + de[: len(yv)]
+    res_x = (g @ sy) * 2.0 + (a @ yv) * 2.0 + de[: len(yv)]
     if sigma is not None:
         res_x = res_x - sigma
-    res_y = g.dot(yv) * (-2.0) + de[len(yv):]
+    res_y = (g @ yv) * (-2.0) + de[len(yv):]
     return np.concatenate([res_x, res_y])
 
 
@@ -177,9 +178,9 @@ def dyn_cov_deriv_g(L: ScalarField, p: PhasePoint, spray, conn) -> np.ndarray:
     ydir = [float(v) for v in p.y]
     dg_along_y = push_direction(lambda q: eval_jet(L, q, order=2).d_yy * 0.5,
                                 p, ydir, wrt="x")
-    s_g = dg_along_y - j3.d_yyy.dot(np.asarray(spray, dtype=float))
+    s_g = dg_along_y - j3.d_yyy @ np.asarray(spray, dtype=float)
     g = j3.d_yy * 0.5
-    gn = g.dot(np.asarray(conn, dtype=float))
+    gn = g @ np.asarray(conn, dtype=float)
     return s_g - gn - gn.T
 
 
@@ -203,8 +204,8 @@ def lagrange_geometry(L: ScalarField, p: PhasePoint) -> LagrangeGeometry:
     yv = tower_vector(p.y)
     spray0 = _spray_from_jet(j, g.inverse, yv)
     conn0 = canonical_connection_at(L, p)
-    e = yv.dot(j.d_y) - j.value
-    de = np.concatenate([yv.dot(j.d_xy) - j.d_x, yv.dot(j.d_yy)])
+    e = yv @ j.d_y - j.value
+    de = np.concatenate([yv @ j.d_xy - j.d_x, yv @ j.d_yy])
     return LagrangeGeometry(
         g=g,
         E=float(e),

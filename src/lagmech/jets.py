@@ -27,6 +27,7 @@ hand-written calculus.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "sym_invert",
     "value_of",
     "tower_vector",
+    "tower_concat",
     "ipow",
     "power",
     "apply_function",
@@ -53,72 +55,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# dual numbers: the scalar one, and the k-tangent layer used by pushes
+# dual numbers: k tangents on a trailing float axis
 # ---------------------------------------------------------------------------
-
-
-class Dual:
-    """First-order dual number ``val + dot * eps`` with float components.
-
-    A scalar convenience for evaluating a field along one direction by
-    hand; :func:`push_direction` threads :class:`KDual` values instead.
-    """
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val, dot=0.0):
-        self.val = float(val)
-        self.dot = float(dot)
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.dot!r})"
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.dot + other.dot)
-        return Dual(self.val + other, self.dot)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.dot - other.dot)
-        return Dual(self.val - other, self.dot)
-
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.dot)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val * other.val, self.val * other.dot + self.dot * other.val)
-        return Dual(self.val * other, self.dot * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            if other.val == 0.0:
-                raise DomainError("division by zero in dual evaluation")
-            v = self.val / other.val
-            return Dual(v, (self.dot - v * other.dot) / other.val)
-        if other == 0.0:
-            raise DomainError("division by zero in dual evaluation")
-        return Dual(self.val / other, self.dot / other)
-
-    def __rtruediv__(self, other):
-        if self.val == 0.0:
-            raise DomainError("division by zero in dual evaluation")
-        v = other / self.val
-        return Dual(v, -v * self.dot / self.val)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.dot)
-
-    def __pos__(self):
-        return self
-
-    def __pow__(self, k):
-        return power(self, k)
 
 
 def _lift(v):
@@ -126,10 +64,10 @@ def _lift(v):
     return v[..., None] if isinstance(v, np.ndarray) else v
 
 
-def _widen(dot, val):
+def _widen(tan, val):
     """Broadcast a tangent block to the shape of the value it belongs to."""
-    shape = np.shape(val) + dot.shape[-1:]
-    return dot if dot.shape == shape else np.broadcast_to(dot, shape)
+    shape = np.shape(val) + tan.shape[-1:]
+    return tan if tan.shape == shape else np.broadcast_to(tan, shape)
 
 
 def _check_divisor(d):
@@ -138,24 +76,27 @@ def _check_divisor(d):
 
 
 class KDual:
-    """A float value carrying k tangents, ``val + dot . (eps_1, .., eps_k)``.
+    """A float value carrying k tangents, ``val + tan . (eps_1, .., eps_k)``.
 
-    ``val`` is a float or a float64 array; ``dot`` is a float64 array of
+    ``val`` is a float or a float64 array; ``tan`` is a float64 array of
     shape ``shape(val) + (k,)`` whose trailing axis indexes the seeded
-    directions.  Arithmetic, indexing, transposition and ``@`` follow
-    numpy broadcasting on the value axes, and numpy operands defer to
-    these methods.  ``float()`` reads the value part of a scalar.
+    directions.  Arithmetic, indexing, transposition, ``@`` and ``.dot``
+    follow numpy on the value axes, and numpy operands of arithmetic and
+    ``@`` defer to these methods.  A KDual has no plain array form:
+    ``np.asarray`` and ``ndarray.dot`` refuse it rather than build an
+    object array, so tower-generic code contracts with ``@``.  ``float()``
+    reads the value part of a scalar.
     """
 
-    __slots__ = ("val", "dot")
+    __slots__ = ("val", "tan")
     __array_ufunc__ = None
 
-    def __init__(self, val, dot):
+    def __init__(self, val, tan):
         self.val = val
-        self.dot = dot
+        self.tan = tan
 
     def __repr__(self):
-        return f"KDual({self.val!r}, {self.dot!r})"
+        return f"KDual({self.val!r}, {self.tan!r})"
 
     @property
     def shape(self):
@@ -168,42 +109,46 @@ class KDual:
     def __float__(self):
         return float(self.val)
 
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a KDual has no plain array form; contract it with @ "
+                        "or read its .val and .tan parts")
+
     def __iter__(self):
         return (self[i] for i in range(len(self.val)))
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
         if any(k is Ellipsis for k in key):
-            return KDual(self.val[key], self.dot[key + (slice(None),)])
-        return KDual(self.val[key], self.dot[key])
+            return KDual(self.val[key], self.tan[key + (slice(None),)])
+        return KDual(self.val[key], self.tan[key])
 
     @property
     def T(self):
         return self.transpose(*reversed(range(self.ndim)))
 
     def transpose(self, *axes):
-        return KDual(self.val.transpose(axes), self.dot.transpose(axes + (len(axes),)))
+        return KDual(self.val.transpose(axes), self.tan.transpose(axes + (len(axes),)))
 
     def __add__(self, other):
         if isinstance(other, KDual):
-            return KDual(self.val + other.val, self.dot + other.dot)
+            return KDual(self.val + other.val, self.tan + other.tan)
         val = self.val + other
-        return KDual(val, _widen(self.dot, val))
+        return KDual(val, _widen(self.tan, val))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, KDual):
-            return KDual(self.val - other.val, self.dot - other.dot)
+            return KDual(self.val - other.val, self.tan - other.tan)
         val = self.val - other
-        return KDual(val, _widen(self.dot, val))
+        return KDual(val, _widen(self.tan, val))
 
     def __rsub__(self, other):
         val = other - self.val
-        return KDual(val, _widen(-self.dot, val))
+        return KDual(val, _widen(-self.tan, val))
 
     def __neg__(self):
-        return KDual(-self.val, -self.dot)
+        return KDual(-self.val, -self.tan)
 
     def __pos__(self):
         return self
@@ -211,8 +156,8 @@ class KDual:
     def __mul__(self, other):
         if isinstance(other, KDual):
             return KDual(self.val * other.val,
-                         self.dot * _lift(other.val) + _lift(self.val) * other.dot)
-        return KDual(self.val * other, self.dot * _lift(other))
+                         self.tan * _lift(other.val) + _lift(self.val) * other.tan)
+        return KDual(self.val * other, self.tan * _lift(other))
 
     __rmul__ = __mul__
 
@@ -220,14 +165,14 @@ class KDual:
         if isinstance(other, KDual):
             _check_divisor(other.val)
             v = self.val / other.val
-            return KDual(v, (self.dot - _lift(v) * other.dot) / _lift(other.val))
+            return KDual(v, (self.tan - _lift(v) * other.tan) / _lift(other.val))
         _check_divisor(other)
-        return KDual(self.val / other, self.dot / _lift(other))
+        return KDual(self.val / other, self.tan / _lift(other))
 
     def __rtruediv__(self, other):
         _check_divisor(self.val)
         v = other / self.val
-        return KDual(v, _lift(-v / self.val) * self.dot)
+        return KDual(v, _lift(-v / self.val) * self.tan)
 
     def __pow__(self, k):
         return power(self, k)
@@ -238,27 +183,37 @@ class KDual:
     def __rmatmul__(self, other):
         return _matmul(other, self)
 
+    def dot(self, other):
+        return _matmul(self, other)
+
+
+class Dual(KDual):
+    """A scalar with one tangent, ``val + dot * eps``: a one-direction
+    :class:`KDual` for evaluating a field along a direction by hand."""
+
+    __slots__ = ()
+
+    def __init__(self, val, dot=0.0):
+        super().__init__(float(val), np.array([float(dot)]))
+
 
 def _matmul(a, b):
-    """``a @ b`` for 1-D and 2-D operands, either of which carries tangents."""
+    """``a @ b`` for a 1-D or 2-D ``b`` (``a`` of any rank), either of
+    which carries tangents; contracts a's last axis with b's first."""
     av = a.val if isinstance(a, KDual) else np.asarray(a)
     bv = b.val if isinstance(b, KDual) else np.asarray(b)
-    dot = 0.0
+    tan = 0.0
     if isinstance(a, KDual):
-        # contracts a's last value axis; broadcasts over a's leading axes
-        dot = bv.T @ a.dot
+        tan = bv.T @ a.tan
     if isinstance(b, KDual):
-        t = b.dot
-        dot = dot + (av @ t.reshape(t.shape[0], -1)).reshape(av.shape[:-1] + t.shape[1:])
-    return KDual(av @ bv, dot)
-
-
-_DUALS = (Dual, KDual)
+        t = b.tan
+        tan = tan + (av @ t.reshape(t.shape[0], -1)).reshape(av.shape[:-1] + t.shape[1:])
+    return KDual(av @ bv, tan)
 
 
 def value_of(v):
     """Float value part of a tower scalar."""
-    return v.val if isinstance(v, _DUALS) else float(v)
+    return v.val if isinstance(v, KDual) else float(v)
 
 
 def tower_vector(seq):
@@ -266,11 +221,22 @@ def tower_vector(seq):
     any of them carries tangents."""
     vals = list(seq)
     vec = np.array([v.val if isinstance(v, KDual) else float(v) for v in vals])
-    tans = [v.dot for v in vals if isinstance(v, KDual)]
+    tans = [v.tan for v in vals if isinstance(v, KDual)]
     if not tans:
         return vec
     zero = np.zeros_like(tans[0])
-    return KDual(vec, np.array([v.dot if isinstance(v, KDual) else zero for v in vals]))
+    return KDual(vec, np.array([v.tan if isinstance(v, KDual) else zero for v in vals]))
+
+
+def tower_concat(blocks):
+    """``np.concatenate`` of 1-D blocks, any of which may carry tangents."""
+    tans = [b.tan for b in blocks if isinstance(b, KDual)]
+    if not tans:
+        return np.concatenate(blocks)
+    k = tans[0].shape[-1]
+    return KDual(np.concatenate([b.val if isinstance(b, KDual) else b for b in blocks]),
+                 np.concatenate([b.tan if isinstance(b, KDual) else np.zeros(np.shape(b) + (k,))
+                                 for b in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,47 +245,47 @@ def tower_vector(seq):
 
 
 def s_sqrt(v):
-    if isinstance(v, _DUALS):
+    if isinstance(v, KDual):
         if v.val <= 0.0:
             raise DomainError("sqrt requires a positive argument for derivatives")
         s = math.sqrt(v.val)
-        return type(v)(s, 0.5 / s * v.dot)
+        return KDual(s, 0.5 / s * v.tan)
     if v < 0.0:
         raise DomainError("sqrt of a negative value")
     return math.sqrt(v)
 
 
 def s_sin(v):
-    if isinstance(v, _DUALS):
-        return type(v)(math.sin(v.val), math.cos(v.val) * v.dot)
+    if isinstance(v, KDual):
+        return KDual(math.sin(v.val), math.cos(v.val) * v.tan)
     return math.sin(v)
 
 
 def s_cos(v):
-    if isinstance(v, _DUALS):
-        return type(v)(math.cos(v.val), -math.sin(v.val) * v.dot)
+    if isinstance(v, KDual):
+        return KDual(math.cos(v.val), -math.sin(v.val) * v.tan)
     return math.cos(v)
 
 
 def s_tan(v):
-    if isinstance(v, _DUALS):
+    if isinstance(v, KDual):
         t = math.tan(v.val)
-        return type(v)(t, (1.0 + t * t) * v.dot)
+        return KDual(t, (1.0 + t * t) * v.tan)
     return math.tan(v)
 
 
 def s_exp(v):
-    if isinstance(v, _DUALS):
+    if isinstance(v, KDual):
         e = math.exp(v.val)
-        return type(v)(e, e * v.dot)
+        return KDual(e, e * v.tan)
     return math.exp(v)
 
 
 def s_log(v):
-    if isinstance(v, _DUALS):
+    if isinstance(v, KDual):
         if v.val <= 0.0:
             raise DomainError("log of a non-positive value")
-        return type(v)(math.log(v.val), v.dot / v.val)
+        return KDual(math.log(v.val), v.tan / v.val)
     if v <= 0.0:
         raise DomainError("log of a non-positive value")
     return math.log(v)
@@ -380,11 +346,11 @@ def power(base, exponent):
         b = float(exponent)
         if isinstance(base, Jet):
             return base.pow_real(b)
-        if isinstance(base, _DUALS):
+        if isinstance(base, KDual):
             if base.val <= 0.0:
                 raise DomainError("non-integer power of a non-positive base")
             f0 = math.pow(base.val, b)
-            return type(base)(f0, b * math.pow(base.val, b - 1.0) * base.dot)
+            return KDual(f0, b * math.pow(base.val, b - 1.0) * base.tan)
         if base <= 0.0:
             raise DomainError("non-integer power of a non-positive base")
         return math.pow(base, b)
@@ -505,7 +471,7 @@ def _sym_y_yy(a, b):
 
 def _finite(v) -> bool:
     if isinstance(v, KDual):
-        return bool(np.isfinite(v.val).all() and np.isfinite(v.dot).all())
+        return bool(np.isfinite(v.val).all() and np.isfinite(v.tan).all())
     return bool(np.isfinite(v).all())
 
 
@@ -783,6 +749,16 @@ def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
     pipeline output (a float for a scalar output).  A ``(k, n)`` matrix
     returns all k directional derivatives from the same pass, stacked on
     a trailing axis; with ``np.eye(n)`` that is the full Jacobian.
+
+    The pipeline sees :class:`KDual` coordinates, so it contracts with
+    ``@`` (or ``.dot`` on a KDual) and returns a KDual, a list of tower
+    scalars, or a float value the seeds never reached.
+
+    Raises
+    ------
+    TypeError
+        If the output is of any other kind (an object array, a jet);
+        its tangents cannot be read.
     """
 
     n = p.n
@@ -800,9 +776,13 @@ def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
     if isinstance(out, (list, tuple)):
         out = tower_vector(out)
     if isinstance(out, KDual):
-        tan = np.array(out.dot, dtype=float)
-    else:
+        tan = np.array(out.tan, dtype=float)
+    elif isinstance(out, (numbers.Real, np.ndarray)) and np.asarray(out).dtype.kind in "biuf":
+        # a float output the seeds never reached
         tan = np.zeros(np.shape(out) + (len(seeds),))
+    else:
+        raise TypeError(f"push_direction cannot read tangents from a {type(out).__name__} "
+                        "output; return a KDual, a float array or a list of tower scalars")
     if d.ndim == 2:
         return tan
     return tan[..., 0] if tan.ndim > 1 else float(tan[0])
@@ -900,4 +880,4 @@ def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
     if not dual:
         return SymMatrix(a, inv, mn, mx)
     ms = (m + m.T) * 0.5
-    return SymMatrix(ms, KDual(inv, -(inv @ ms @ inv).dot), mn, mx)
+    return SymMatrix(ms, KDual(inv, -(inv @ ms @ inv).tan), mn, mx)

@@ -129,7 +129,7 @@ def evolution_connection_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
 def dissipation_power(sys: MechanicalSystem, p: PhasePoint) -> float:
     """sigma_i y^i, the rate of change of the energy along evolution curves."""
     s = sigma_at(sys, p)
-    return float(s.dot(tower_vector(p.y)))
+    return float(s @ tower_vector(p.y))
 
 
 def evolution_equation_residual(sys: MechanicalSystem, p: PhasePoint) -> float:
@@ -144,9 +144,9 @@ def evolution_equation_residual(sys: MechanicalSystem, p: PhasePoint) -> float:
     yv = tower_vector(p.y)
     v = tower_vector(sys.V(p.x, p.y))
     spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
-    sigma = g.entries.dot(v)
-    e = yv.dot(j.d_y) - j.value
-    de = np.concatenate([yv.dot(j.d_xy) - j.d_x, yv.dot(j.d_yy)])
+    sigma = g.entries @ v
+    e = yv @ j.d_y - j.value
+    de = np.concatenate([yv @ j.d_xy - j.d_x, yv @ j.d_yy])
     res = _sode_residual(j, yv, spray, de, sigma=sigma)
     return float(np.abs(res).max())
 
@@ -186,13 +186,13 @@ def evolution_bundle_at(sys: MechanicalSystem, p: PhasePoint, validate: bool = T
     g = sym_invert(j.d_yy * 0.5)
     yv = tower_vector(p.y)
     v = tower_vector(sys.V(p.x, p.y))
-    sigma = g.entries.dot(v)
+    sigma = g.entries @ v
     spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
     conn = _evolution_conn(sys, p)
     dsig = push_direction(lambda q: sigma_at(sys, q), p, np.eye(sys.n), wrt="y")
     gbar = (dsig + dsig.T) * 0.25
     helicoidal = (dsig - dsig.T) * 0.5
-    power = float(sigma.dot(yv))
+    power = float(sigma @ yv)
     if validate:
         alt = dyn_cov_deriv_g(sys.L, p, spray, conn)
         err = np.abs(gbar - alt).max()
@@ -258,7 +258,7 @@ def horizontal_dL(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     route (a) is returned.
     """
     j = eval_jet(sys.L, p, order=2)
-    route_a = j.d_x - j.d_y.dot(_evolution_conn(sys, p))
+    route_a = j.d_x - j.d_y @ _evolution_conn(sys, p)
     sigma = sigma_at(sys, p)
     dsl = push_direction(lambda q: _scalar_sl(sys, q), p, np.eye(sys.n), wrt="y")
     route_b = (dsl - sigma) * 0.5
@@ -278,15 +278,15 @@ def horizontal_dE(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     j = eval_jet(sys.L, p, order=2)
     g = sym_invert(j.d_yy * 0.5)
     yv = tower_vector(p.y)
-    de_x = yv.dot(j.d_xy) - j.d_x
-    de_y = yv.dot(j.d_yy)
-    route_a = de_x - de_y.dot(_evolution_conn(sys, p))
+    de_x = yv @ j.d_xy - j.d_x
+    de_y = yv @ j.d_yy
+    route_a = de_x - de_y @ _evolution_conn(sys, p)
 
     spray0 = _spray_from_jet(j, g.inverse, yv)
     conn0 = canonical_connection_at(sys.L, p)
     dvdy = force_jacobian_y(sys, p)
-    gy = g.entries.dot(yv)
-    route_b = 2.0 * g.entries.dot(2.0 * spray0 - conn0.dot(yv)) + 0.5 * gy.dot(dvdy)
+    gy = g.entries @ yv
+    route_b = 2.0 * (g.entries @ (2.0 * spray0 - conn0 @ yv)) + 0.5 * (gy @ dvdy)
     err = np.abs(route_a - route_b).max()
     if err > 1e-8 * (1.0 + np.abs(route_a).max()):
         raise KernelInconsistency(f"horizontal dE routes disagree by {err:.3e}")
@@ -308,13 +308,13 @@ def first_integral_conditions(sys: MechanicalSystem, p: PhasePoint):
 
     dv_contract = push_direction(lambda q: sys.V(q.x, q.y), p, ydir, wrt="y")
     csl = push_direction(lambda q: _scalar_sl_free(sys, q), p, ydir, wrt="y")
-    res_l = float(dv_contract.dot(theta) + 2.0 * csl)
+    res_l = float(dv_contract @ theta + 2.0 * csl)
 
     spray0 = _spray_from_jet(j, g.inverse, yv)
     conn0 = canonical_connection_at(sys.L, p)
     dvdy = force_jacobian_y(sys, p)
-    gy = g.entries.dot(yv)
-    res_e = float(gy.dot(dvdy.dot(yv)) + 4.0 * yv.dot(g.entries.dot(2.0 * spray0 - conn0.dot(yv))))
+    gy = g.entries @ yv
+    res_e = float(gy @ (dvdy @ yv) + 4.0 * (yv @ (g.entries @ (2.0 * spray0 - conn0 @ yv))))
     return res_l, res_e
 
 
@@ -327,8 +327,8 @@ def lie_theta_residual(sys: MechanicalSystem, p: PhasePoint) -> float:
     yv = tower_vector(p.y)
     v = tower_vector(sys.V(p.x, p.y))
     spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
-    sigma = g.entries.dot(v)
-    s_theta = j.d_xy.dot(yv) - 2.0 * j.d_yy.dot(spray)
+    sigma = g.entries @ v
+    s_theta = j.d_xy @ yv - 2.0 * (j.d_yy @ spray)
     res_x = s_theta - j.d_x - sigma
     return float(np.abs(res_x).max())
 

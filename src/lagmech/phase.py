@@ -3,7 +3,7 @@
 A phase point u = (x, y) collects base coordinates x and fiber (velocity)
 coordinates y of a single chart on an open subset of R^n.  Fields are plain
 callables ``f(x, y)`` over sequences of tower scalars, so the same field
-definition evaluates on floats, dual numbers, or jets without change.
+definition evaluates on floats, dual numbers (KDual), or jets without change.
 """
 
 from __future__ import annotations

@@ -181,7 +181,7 @@ def _horizontal_accel(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
 def _geodesic_accel(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     gamma = christoffel_at(sys, p)
     yv = np.array([float(v) for v in p.y])
-    return -gamma.dot(yv).dot(yv)
+    return -(gamma @ yv @ yv)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +201,12 @@ def _observe(sys: MechanicalSystem, p: PhasePoint, accel: np.ndarray | None):
     g = sym_invert(j.d_yy * 0.5)
     yv = tower_vector(p.y)
     v = tower_vector(sys.V(p.x, p.y))
-    sigma = g.entries.dot(v)
+    sigma = g.entries @ v
     if accel is None:
         accel = -2.0 * (_spray_from_jet(j, g.inverse, yv) - v * 0.25)
-    energy = float(yv.dot(j.d_y) - j.value)
-    power = float(sigma.dot(yv))
-    el = j.d_xy.dot(yv) + j.d_yy.dot(accel) - j.d_x - sigma
+    energy = float(yv @ j.d_y - j.value)
+    power = float(sigma @ yv)
+    el = j.d_xy @ yv + j.d_yy @ accel - j.d_x - sigma
     return energy, float(j.value), power, float(np.abs(el).max())
 
 

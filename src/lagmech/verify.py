@@ -88,27 +88,27 @@ def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dic
     out["symplectic_vs_helicoidal"] = wh
 
     # horizontal derivative of L, both routes
-    route_a = j.d_x - j.d_y.dot(bundle.conn)
+    route_a = j.d_x - j.d_y @ bundle.conn
     dsl = push_direction(lambda q: _scalar_sl(sys, q), p, eye, wrt="y")
     route_b = (dsl - bundle.sigma) * 0.5
     out["lagrangian_horizontal_routes"] = float(np.abs(route_a - route_b).max())
 
     # horizontal derivative of E, both routes
-    de_x = yv.dot(j.d_xy) - j.d_x
-    de_y = yv.dot(j.d_yy)
-    hde = de_x - de_y.dot(bundle.conn)
+    de_x = yv @ j.d_xy - j.d_x
+    de_y = yv @ j.d_yy
+    hde = de_x - de_y @ bundle.conn
     dvdy = force_jacobian_y(sys, p)
-    gy = g.entries.dot(yv)
-    closed = 2.0 * g.entries.dot(2.0 * spray0 - conn0.dot(yv)) + 0.5 * gy.dot(dvdy)
+    gy = g.entries @ yv
+    closed = 2.0 * (g.entries @ (2.0 * spray0 - conn0 @ yv)) + 0.5 * (gy @ dvdy)
     out["energy_horizontal_routes"] = float(np.abs(hde - closed).max())
 
     if finsler:
         gamma = christoffel_at(sys, p)
         out["christoffel_contraction"] = float(
-            np.abs(gamma.dot(np.asarray(yv, dtype=float)).dot(np.asarray(yv, dtype=float))
+            np.abs(gamma @ np.asarray(yv, dtype=float) @ np.asarray(yv, dtype=float)
                    - 2.0 * spray0).max()
         )
-        out["finsler_energy_formula"] = float(np.abs(hde - 0.5 * gy.dot(dvdy)).max())
+        out["finsler_energy_formula"] = float(np.abs(hde - 0.5 * (gy @ dvdy)).max())
     return out
 
 

@@ -219,7 +219,7 @@ def test_dual_arithmetic_product_rule():
     x = Dual(3.0, 1.0)
     y = x * x * x  # d/dx x^3 = 27
     assert y.val == 27.0
-    assert y.dot == 27.0
+    assert y.tan[0] == 27.0
 
 
 def test_dual_division_and_functions():
@@ -228,12 +228,12 @@ def test_dual_division_and_functions():
     x = Dual(2.0, 1.0)
     y = (1.0 + x * x) / x  # f = x + 1/x, f' = 1 - 1/x^2
     assert y.val == pytest.approx(2.5)
-    assert y.dot == pytest.approx(0.75)
+    assert y.tan[0] == pytest.approx(0.75)
     s = s_sqrt(x)
     assert s.val == pytest.approx(math.sqrt(2.0))
-    assert s.dot == pytest.approx(0.5 / math.sqrt(2.0))
+    assert s.tan[0] == pytest.approx(0.5 / math.sqrt(2.0))
     lg = s_log(x)
-    assert lg.dot == pytest.approx(0.5)
+    assert lg.tan[0] == pytest.approx(0.5)
     with pytest.raises(DomainError):
         s_sqrt(Dual(0.0, 1.0))
 
@@ -343,7 +343,7 @@ def test_inverse_tangent_matches_fd(n, near_gate):
         up = sym_invert(a + h * da[..., c]).inverse
         dn = sym_invert(a - h * da[..., c]).inverse
         fd = (up - dn) / (2 * h)
-        assert np.abs(sm.inverse.dot[..., c] - fd).max() <= 1e-6 * np.abs(fd).max()
+        assert np.abs(sm.inverse.tan[..., c] - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def test_x_push_through_x_free_lagrangian_stays_float():
@@ -394,6 +394,59 @@ def test_push_outputs_and_jet_blocks_are_float64(sys_d):
     assert jets_built
     for j in jets_built:
         for block in (j.value, j.d_x, j.d_y, j.d_yy, j.d_xy, j.d_yyy):
-            parts = (block.val, block.dot) if isinstance(block, KDual) else (block,)
+            parts = (block.val, block.tan) if isinstance(block, KDual) else (block,)
             for part in parts:
                 assert np.asarray(part).dtype == np.float64
+
+
+@pytest.mark.parametrize("name", sorted(_PUSH_SYSTEMS))
+@pytest.mark.parametrize("wrt", ["x", "y"])
+def test_energy_push_matches_fd(name, wrt):
+    from lagmech.geometry import energy_at
+
+    sys_, samples = _push_case(name)
+    p = samples[3]
+    d = np.random.default_rng(7).uniform(-1.0, 1.0, (2, sys_.n))
+    h = 1e-6
+    for part in (0, 1):
+        def pipeline(q):
+            return energy_at(sys_.L, q)[part]
+
+        many = push_direction(pipeline, p, d, wrt=wrt)
+        for c in range(2):
+            one = push_direction(pipeline, p, d[c], wrt=wrt)
+            assert np.abs(many[..., c] - one).max() <= 1e-12 * (1.0 + np.abs(one).max())
+            fd = (np.asarray(pipeline(_shifted(p, wrt, h * d[c])))
+                  - np.asarray(pipeline(_shifted(p, wrt, -h * d[c])))) / (2 * h)
+            assert np.abs(one - fd).max() <= 1e-6 * (1.0 + np.abs(fd).max())
+
+
+def test_kdual_dot_is_matmul_and_has_no_array_form():
+    from lagmech.jets import KDual
+
+    rng = np.random.default_rng(3)
+    a = KDual(rng.normal(size=(3, 3)), rng.normal(size=(3, 3, 2)))
+    v = KDual(rng.normal(size=3), rng.normal(size=(3, 2)))
+    w = rng.normal(size=3)
+    for lhs, rhs in ((a, v), (v, a), (a, w), (v, v)):
+        left, right = lhs.dot(rhs), lhs @ rhs
+        assert np.array_equal(left.val, right.val) and np.array_equal(left.tan, right.tan)
+    assert np.array_equal((w @ a).val, w.dot(a.val))
+    with pytest.raises(TypeError):
+        np.asarray(v)
+    with pytest.raises(TypeError):
+        w.dot(v)
+
+
+def test_push_rejects_outputs_without_readable_tangents(sys_d):
+    p = PhasePoint((0.3, -0.2), (0.9, 1.4))
+
+    def object_array(q):
+        out = np.empty(2, dtype=object)
+        for i, v in enumerate(q.y):
+            out[i] = v
+        return out
+
+    for pipeline in (object_array, lambda q: eval_jet(sys_d.L, q, order=1)):
+        with pytest.raises(TypeError):
+            push_direction(pipeline, p, [1.0, 0.0])
