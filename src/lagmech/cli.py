@@ -41,8 +41,7 @@ from .errors import (
     VariableIndexError,
 )
 from .finsler import homogeneity_residual_at
-from .geometry import lagrange_geometry
-from .mechanics import MechanicalSystem, classify, evolution_bundle_at
+from .mechanics import MechanicalSystem, PointGeometry, classify
 from .phase import PhasePoint, VerticalField
 from .sampling import sample_box
 from .trajectories import (
@@ -261,21 +260,20 @@ def cmd_inspect(cfg: dict, args, overrides: dict) -> int:
     for idx, p in enumerate(samples):
         entry = {"index": idx, "point": {"x": list(p.x), "y": list(p.y)}}
         try:
-            geo = lagrange_geometry(sys_.L, p)
-            bundle = evolution_bundle_at(sys_, p, validate=False)
+            ctx = PointGeometry(sys_, p)
             entry.update({
-                "g": geo.g.entries,
-                "g_inv": geo.g.inverse,
-                "E": geo.E,
-                "G0": geo.spray0,
-                "N0": geo.conn0,
-                "C": geo.cartan,
-                "sigma": bundle.sigma,
-                "G": bundle.spray,
-                "N": bundle.conn,
-                "F": bundle.helicoidal,
-                "gbar": bundle.gbar,
-                "power": bundle.power,
+                "g": ctx.metric.entries,
+                "g_inv": ctx.metric.inverse,
+                "E": ctx.energy,
+                "G0": ctx.spray0,
+                "N0": ctx.conn0,
+                "C": ctx.cartan,
+                "sigma": ctx.sigma,
+                "G": ctx.spray,
+                "N": ctx.conn,
+                "F": ctx.helicoidal,
+                "gbar": ctx.gbar,
+                "power": ctx.power,
             })
         except (SingularMetric, DomainError) as err:
             hit_singular = True

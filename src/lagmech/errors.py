@@ -77,3 +77,10 @@ class ConfigError(LagmechError):
 class KernelInconsistency(LagmechError):
     """Two routes to a quantity that agree identically disagreed beyond
     their tolerance: the numerical kernel is inconsistent."""
+
+
+def failure_record(index: int, err: LagmechError, p) -> dict:
+    """The report entry for a sample point that failed: its index in the
+    sample list, the error type and message, and the point itself."""
+    return {"index": index, "error": type(err).__name__, "detail": str(err),
+            "point": {"x": list(p.x), "y": list(p.y)}}

@@ -16,18 +16,14 @@ the force term, so the energy is constant along them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FinslerModeError, SingularMetric
-from .geometry import (
-    _spray_from_jet,
-    canonical_connection_at,
-    metric_at,
-)
+from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
+from .geometry import _christoffel, _metric_x_pass
 from .jets import eval_jet, push_direction, sym_invert, tower_vector
-from .mechanics import MechanicalSystem, force_jacobian_y, horizontal_dE
+from .mechanics import MechanicalSystem, PointGeometry
 from .phase import PhasePoint
 
 __all__ = [
@@ -60,14 +56,7 @@ class HomogeneityReport:
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "lagrangian_residual": self.lagrangian_residual,
-            "metric_residual": self.metric_residual,
-            "force_residual": self.force_residual,
-            "points_tested": self.points_tested,
-            "accepted": self.accepted,
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def homogeneity_residual_at(sys: MechanicalSystem, p: PhasePoint) -> float:
@@ -107,7 +96,7 @@ def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
             dvy = push_direction(lambda q: sys.V(q.x, q.y), p,
                                  [float(v) for v in p.y], wrt="y")
         except (SingularMetric, DomainError) as err:
-            failures.append({"index": idx, "error": type(err).__name__, "detail": str(err)})
+            failures.append(failure_record(idx, err, p))
             continue
         tested += 1
         lag = abs(yv @ j.d_y - 2.0 * j.value)
@@ -130,15 +119,12 @@ def christoffel_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     """Formal Christoffel symbols of second kind of g(x, y).
 
     gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h),
-    with position derivatives of g from one x-push of the metric pipeline
-    seeded along every base direction.  For a homogeneous L these
-    contract to the canonical spray: gamma^i_jk y^j y^k = 2 G0^i.
+    with g and its position derivatives from one jet of L with x seeded
+    along every base direction.  For a homogeneous L these contract to
+    the canonical spray: gamma^i_jk y^j y^k = 2 G0^i.
     """
-    g = metric_at(sys.L, p)
-    dgdx = push_direction(lambda q: eval_jet(sys.L, q, order=2).d_yy * 0.5,
-                          p, np.eye(sys.n), wrt="x")  # dgdx[a, b, c] = dg_ab/dx_c
-    a = dgdx + dgdx.transpose(0, 2, 1) - dgdx.transpose(2, 0, 1)
-    return 0.5 * np.einsum("ih,hjk->ijk", g.inverse, a)
+    g, dgdx = _metric_x_pass(sys.L, p)
+    return _christoffel(sym_invert(g).inverse, dgdx)
 
 
 @dataclass
@@ -159,14 +145,7 @@ class FinslerIdentityReport:
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "energy_residual": self.energy_residual,
-            "spray_homogeneity_residual": self.spray_homogeneity_residual,
-            "energy_slope_residual": self.energy_slope_residual,
-            "christoffel_residual": self.christoffel_residual,
-            "points_tested": self.points_tested,
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def finsler_identities(sys: MechanicalSystem, samples) -> FinslerIdentityReport:
@@ -180,23 +159,17 @@ def finsler_identities(sys: MechanicalSystem, samples) -> FinslerIdentityReport:
     for idx, p in enumerate(samples):
         try:
             require_finsler_mode(sys, p)
-            j = eval_jet(sys.L, p, order=2)
-            g = sym_invert(j.d_yy * 0.5)
-            yv = tower_vector(p.y)
-            spray0 = _spray_from_jet(j, g.inverse, yv)
-            conn0 = canonical_connection_at(sys.L, p)
-            hde = horizontal_dE(sys, p)
-            dvdy = force_jacobian_y(sys, p)
-            gamma = christoffel_at(sys, p)
+            ctx = PointGeometry(sys, p)
+            gamma = ctx.christoffel
         except (SingularMetric, DomainError, FinslerModeError) as err:
-            failures.append({"index": idx, "error": type(err).__name__, "detail": str(err)})
+            failures.append(failure_record(idx, err, p))
             continue
         tested += 1
-        e = yv @ j.d_y - j.value
-        res_e = max(res_e, float(abs(e - j.value)) / (1.0 + abs(float(j.value))))
-        res_h = max(res_h, float(np.abs(2.0 * spray0 - conn0 @ yv).max()))
-        rhs = 0.5 * (g.entries @ yv @ dvdy)
-        res_s = max(res_s, float(np.abs(hde - rhs).max()))
+        lv, yv, spray0 = ctx.jet.value, ctx.y, ctx.spray0
+        res_e = max(res_e, float(abs(ctx.energy - lv)) / (1.0 + abs(float(lv))))
+        res_h = max(res_h, float(np.abs(2.0 * spray0 - ctx.conn0 @ yv).max()))
+        rhs = 0.5 * (ctx.metric.entries @ yv @ ctx.dV_dy)
+        res_s = max(res_s, float(np.abs(ctx.horizontal_dE() - rhs).max()))
         res_c = max(res_c, float(np.abs(gamma @ yv @ yv - 2.0 * spray0).max()))
     return FinslerIdentityReport(
         energy_residual=res_e,

@@ -26,10 +26,13 @@ from .jets import (
     Jet,
     eval_jet,
     push_direction,
+    seed_point,
     sym_invert,
     SymMatrix,
+    tangent_part,
     tower_concat,
     tower_vector,
+    value_part,
 )
 from .phase import PhasePoint, ScalarField
 
@@ -69,12 +72,13 @@ def energy_at(L: ScalarField, p: PhasePoint):
     Returns ``(E, dE)`` with ``dE`` of length 2n: first the dE/dx_k slots,
     then dE/dy_k = y^i d2L/dy_i dy_k.
     """
-    j = eval_jet(L, p, order=2)
-    yv = tower_vector(p.y)
-    e = yv @ j.d_y - j.value
-    de_x = yv @ j.d_xy - j.d_x
-    de_y = yv @ j.d_yy
+    e, de_x, de_y = _energy_parts(eval_jet(L, p, order=2), tower_vector(p.y))
     return e, tower_concat([de_x, de_y])
+
+
+def _energy_parts(j: Jet, yv):
+    """E and its x- and y-differentials from a jet of L, in any tower."""
+    return yv @ j.d_y - j.value, yv @ j.d_xy - j.d_x, yv @ j.d_yy
 
 
 def _two_form_pieces(j: Jet):
@@ -108,16 +112,18 @@ def two_form_eval(L: ScalarField, p: PhasePoint, X, Y) -> float:
     return float(_two_form_value(g, a, X, Y))
 
 
-def _spray_from_jet(j: Jet, ginv, yv):
-    w = j.d_xy @ yv - j.d_x
-    return ginv @ w * 0.25
+def _canonical_pass(L: ScalarField, p: PhasePoint):
+    """The jet of L (order 2), the metric, y and G0 at ``p``, in whatever
+    tower ``p`` carries: at a seeded point each output carries tangents."""
+    j = eval_jet(L, p, order=2)
+    g = sym_invert(j.d_yy * 0.5)
+    yv = tower_vector(p.y)
+    return j, g, yv, g.inverse @ (j.d_xy @ yv - j.d_x) * 0.25
 
 
 def canonical_spray_at(L: ScalarField, p: PhasePoint):
     """Coefficients G0^i of the canonical semispray of the Lagrange space."""
-    j = eval_jet(L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    return _spray_from_jet(j, g.inverse, tower_vector(p.y))
+    return _canonical_pass(L, p)[3]
 
 
 def canonical_connection_at(L: ScalarField, p: PhasePoint) -> np.ndarray:
@@ -134,18 +140,19 @@ def cartan_tensor_at(L: ScalarField, p: PhasePoint) -> np.ndarray:
     return eval_jet(L, p, order=3).d_yyy * 0.25
 
 
-def _sode_residual(j: Jet, yv, spray, de, sigma=None):
-    """Residual of i_S omega = -dE (+ sigma) over the 2n basis vectors.
+def _sode_residual(j: Jet, yv, spray, sigma=None) -> float:
+    """Max residual of i_S omega = -dE (+ sigma) over the 2n basis vectors.
 
     S has natural components (y, -2 spray); sigma acts on x-slots only.
     """
     g, a = _two_form_pieces(j)
+    _, de_x, de_y = _energy_parts(j, yv)
     sy = spray * (-2.0)
-    res_x = (g @ sy) * 2.0 + (a @ yv) * 2.0 + de[: len(yv)]
+    res_x = (g @ sy) * 2.0 + (a @ yv) * 2.0 + de_x
     if sigma is not None:
         res_x = res_x - sigma
-    res_y = (g @ yv) * (-2.0) + de[len(yv):]
-    return np.concatenate([res_x, res_y])
+    res_y = (g @ yv) * (-2.0) + de_y
+    return float(np.abs(np.concatenate([res_x, res_y])).max())
 
 
 def spray_equation_residual(L: ScalarField, p: PhasePoint) -> float:
@@ -154,13 +161,22 @@ def spray_equation_residual(L: ScalarField, p: PhasePoint) -> float:
     Evaluates | omega(S0, B) + dE(B) | over all 2n natural basis vectors B
     and returns the maximum; zero up to roundoff for a regular Lagrangian.
     """
-    j = eval_jet(L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    spray = _spray_from_jet(j, g.inverse, yv)
-    e, de = energy_at(L, p)
-    res = _sode_residual(j, yv, spray, de)
-    return float(np.abs(res).max())
+    j, _, yv, spray = _canonical_pass(L, p)
+    return _sode_residual(j, yv, spray)
+
+
+def _metric_x_pass(L: ScalarField, p: PhasePoint):
+    """g and its position derivatives ``dgdx[a, b, c] = dg_ab/dx_c`` from
+    one jet of L with x seeded along every base direction."""
+    g = eval_jet(L, seed_point(p, np.eye(p.n), wrt="x"), order=2).d_yy * 0.5
+    return value_part(g), tangent_part(g, p.n)
+
+
+def _dyn_cov(g, dgdx, d_yyy, yv, spray, conn):
+    """S(g_ij) - g_im N^m_j - g_mj N^m_i with S(g) = y^k dg/dx_k - 2 G^k dg/dy_k."""
+    s_g = dgdx @ yv - d_yyy @ np.asarray(spray, dtype=float)
+    gn = g @ np.asarray(conn, dtype=float)
+    return s_g - gn - gn.T
 
 
 def dyn_cov_deriv_g(L: ScalarField, p: PhasePoint, spray, conn) -> np.ndarray:
@@ -171,17 +187,18 @@ def dyn_cov_deriv_g(L: ScalarField, p: PhasePoint, spray, conn) -> np.ndarray:
     the canonical pair (where it vanishes) and the evolution pair of a
     forced system; the caller chooses which (spray, conn) to pass.
 
-    Position derivatives of g come from an x-directional push of the
-    metric pipeline; fiber derivatives are read off the third-order jet.
+    Position derivatives of g come from one x-seeded jet of L; fiber
+    derivatives are read off the third-order jet.
     """
     j3 = eval_jet(L, p, order=3)
-    ydir = [float(v) for v in p.y]
-    dg_along_y = push_direction(lambda q: eval_jet(L, q, order=2).d_yy * 0.5,
-                                p, ydir, wrt="x")
-    s_g = dg_along_y - j3.d_yyy @ np.asarray(spray, dtype=float)
-    g = j3.d_yy * 0.5
-    gn = g @ np.asarray(conn, dtype=float)
-    return s_g - gn - gn.T
+    _, dgdx = _metric_x_pass(L, p)
+    return _dyn_cov(j3.d_yy * 0.5, dgdx, j3.d_yyy, tower_vector(p.y), spray, conn)
+
+
+def _christoffel(ginv, dgdx):
+    """gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h)."""
+    a = dgdx + dgdx.transpose(0, 2, 1) - dgdx.transpose(2, 0, 1)
+    return 0.5 * np.einsum("ih,hjk->ijk", ginv, a)
 
 
 @dataclass
@@ -199,19 +216,8 @@ class LagrangeGeometry:
 
 def lagrange_geometry(L: ScalarField, p: PhasePoint) -> LagrangeGeometry:
     """Assemble the canonical geometry bundle at a point."""
-    j = eval_jet(L, p, order=3)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    spray0 = _spray_from_jet(j, g.inverse, yv)
-    conn0 = canonical_connection_at(L, p)
-    e = yv @ j.d_y - j.value
-    de = np.concatenate([yv @ j.d_xy - j.d_x, yv @ j.d_yy])
-    return LagrangeGeometry(
-        g=g,
-        E=float(e),
-        dE=de,
-        theta=j.d_y,
-        spray0=spray0,
-        conn0=conn0,
-        cartan=j.d_yyy * 0.25,
-    )
+    j, g, yv, spray0 = _canonical_pass(L, p)
+    e, de_x, de_y = _energy_parts(j, yv)
+    return LagrangeGeometry(g=g, E=float(e), dE=np.concatenate([de_x, de_y]), theta=j.d_y,
+                            spray0=spray0, conn0=canonical_connection_at(L, p),
+                            cartan=cartan_tensor_at(L, p))

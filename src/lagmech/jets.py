@@ -42,6 +42,9 @@ __all__ = [
     "SymMatrix",
     "eval_jet",
     "push_direction",
+    "seed_point",
+    "value_part",
+    "tangent_part",
     "jacobian_y",
     "sym_invert",
     "value_of",
@@ -339,7 +342,7 @@ def power(base, exponent):
 
     if isinstance(exponent, (int, float)) and float(exponent).is_integer():
         k = int(exponent)
-        if k < 0 and value_of(base) == 0.0:
+        if k < 0 and value_of(base.value if isinstance(base, Jet) else base) == 0.0:
             raise DomainError("zero raised to a negative power")
         return ipow(base, k)
     if isinstance(exponent, (int, float)):
@@ -531,6 +534,10 @@ class Jet:
 
     def _blocks(self):
         return self.d_x, self.d_y, self.d_yy, self.d_xy, self.d_yyy
+
+    def primal(self):
+        """The jet of the value parts: what the unseeded evaluation gives."""
+        return Jet(self.n, self.order, value_part(self.value), *map(value_part, self._blocks()))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -737,13 +744,44 @@ def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
     return out.finalized()
 
 
+def seed_point(p: PhasePoint, seeds, wrt: str = "y") -> PhasePoint:
+    """``p`` with its ``y`` (default) or ``x`` coordinates carrying the k
+    tangents of a (k, n) seed matrix, column i for coordinate i; with
+    ``np.eye(n)`` a pass yields the full Jacobian."""
+    if wrt == "y":
+        return PhasePoint(p.x, tuple(KDual(value_of(v), seeds[:, i]) for i, v in enumerate(p.y)))
+    if wrt == "x":
+        return PhasePoint(tuple(KDual(value_of(v), seeds[:, i]) for i, v in enumerate(p.x)), p.y)
+    raise ValueError("wrt must be 'x' or 'y'")
+
+
+def value_part(v):
+    """Float value part of a tower value; floats pass through."""
+    return v.val if isinstance(v, KDual) else v
+
+
+def tangent_part(out, k: int) -> np.ndarray:
+    """The k tangents of a pipeline output (a KDual, a list of tower
+    scalars, or a float value the seeds never reached) on a trailing axis.
+    Any other output (an object array, a jet) raises TypeError."""
+    if isinstance(out, (list, tuple)):
+        out = tower_vector(out)
+    if isinstance(out, KDual):
+        return np.array(out.tan, dtype=float)
+    if isinstance(out, (numbers.Real, np.ndarray)) and np.asarray(out).dtype.kind in "biuf":
+        return np.zeros(np.shape(out) + (k,))
+    raise TypeError(f"cannot read tangents from a {type(out).__name__} output; "
+                    "return a KDual, a float array or a list of tower scalars")
+
+
 def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
     """Directional derivatives of an arbitrary evaluation pipeline.
 
     Re-runs ``pipeline`` at ``p`` with the ``y`` (default) or ``x``
-    coordinates seeded along ``direction`` and returns the tangent part
-    of the output.  The pipeline may involve jets, metric inversion,
-    contractions: the tangents are threaded through all of it.
+    coordinates seeded along ``direction`` (see :func:`seed_point`) and
+    returns the tangent part of the output.  The pipeline may involve
+    jets, metric inversion, contractions: the tangents are threaded
+    through all of it.
 
     A length-n ``direction`` returns a float array shaped like the
     pipeline output (a float for a scalar output).  A ``(k, n)`` matrix
@@ -751,14 +789,8 @@ def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
     a trailing axis; with ``np.eye(n)`` that is the full Jacobian.
 
     The pipeline sees :class:`KDual` coordinates, so it contracts with
-    ``@`` (or ``.dot`` on a KDual) and returns a KDual, a list of tower
-    scalars, or a float value the seeds never reached.
-
-    Raises
-    ------
-    TypeError
-        If the output is of any other kind (an object array, a jet);
-        its tangents cannot be read.
+    ``@`` (or ``.dot`` on a KDual) and returns an output that
+    :func:`tangent_part` reads; any other output raises TypeError.
     """
 
     n = p.n
@@ -766,23 +798,7 @@ def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
     if d.ndim not in (1, 2) or d.shape[-1] != n:
         raise ValueError("direction must be a length-n vector or a (k, n) matrix")
     seeds = d.reshape(-1, n)
-    if wrt == "y":
-        q = PhasePoint(p.x, tuple(KDual(value_of(v), seeds[:, i]) for i, v in enumerate(p.y)))
-    elif wrt == "x":
-        q = PhasePoint(tuple(KDual(value_of(v), seeds[:, i]) for i, v in enumerate(p.x)), p.y)
-    else:
-        raise ValueError("wrt must be 'x' or 'y'")
-    out = pipeline(q)
-    if isinstance(out, (list, tuple)):
-        out = tower_vector(out)
-    if isinstance(out, KDual):
-        tan = np.array(out.tan, dtype=float)
-    elif isinstance(out, (numbers.Real, np.ndarray)) and np.asarray(out).dtype.kind in "biuf":
-        # a float output the seeds never reached
-        tan = np.zeros(np.shape(out) + (len(seeds),))
-    else:
-        raise TypeError(f"push_direction cannot read tangents from a {type(out).__name__} "
-                        "output; return a KDual, a float array or a list of tower scalars")
+    tan = tangent_part(pipeline(seed_point(p, seeds, wrt)), len(seeds))
     if d.ndim == 2:
         return tan
     return tan[..., 0] if tan.ndim > 1 else float(tan[0])

@@ -13,6 +13,13 @@ else follows from sigma:
 * the antisymmetric part (the helicoidal tensor), whose vanishing makes
   the evolution connection compatible with the symplectic 2-form.
 
+All of it comes from one pipeline: the jet of L, the metric, V, G0, G
+and sigma at a point.  The ODE right-hand sides run it on floats.
+:class:`PointGeometry` runs it once with y seeded along the identity,
+which yields the values together with every fiber Jacobian (N0, dV/dy,
+N, dsigma/dy); position derivatives of g and the order-3 jet are
+evaluated only when read.  Sweeps build one context per point.
+
 Theorem-style statements are exposed as numerical residuals; booleans
 appear only in :class:`ClassificationReport` behind explicit tolerances
 (absolute, scaled by 1 + max|g| at each point).
@@ -20,25 +27,40 @@ appear only in :class:`ClassificationReport` behind explicit tolerances
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, KernelInconsistency, SingularMetric
+from .errors import DomainError, KernelInconsistency, SingularMetric, failure_record
 from .geometry import (
+    _canonical_pass,
+    _christoffel,
+    _dyn_cov,
+    _energy_parts,
+    _metric_x_pass,
     _sode_residual,
-    _spray_from_jet,
     _two_form_pieces,
     _two_form_value,
     canonical_connection_at,
     dyn_cov_deriv_g,
-    metric_at,
 )
-from .jets import SymMatrix, eval_jet, push_direction, sym_invert, tower_vector
+from .jets import (
+    Jet,
+    SymMatrix,
+    eval_jet,
+    push_direction,
+    seed_point,
+    tangent_part,
+    tower_vector,
+    value_part,
+)
 from .phase import PhasePoint, ScalarField, VerticalField
 
 __all__ = [
     "MechanicalSystem",
+    "PointGeometry",
     "EvolutionBundle",
     "ClassificationReport",
     "sigma_at",
@@ -84,11 +106,138 @@ class MechanicalSystem:
         )
 
 
+class _Pass(NamedTuple):
+    jet: Jet
+    metric: SymMatrix
+    y: np.ndarray
+    V: np.ndarray
+    spray0: np.ndarray
+    spray: np.ndarray
+
+    @property
+    def sigma(self):
+        # computed when read: the ODE right-hand sides never read it
+        return self.metric.entries @ self.V
+
+
+def _evolution_pass(sys: MechanicalSystem, p: PhasePoint) -> _Pass:
+    """The jet of L, the metric, y, V, G0, G = G0 - V/4 and sigma = g V.
+
+    Runs in whatever tower ``p`` carries: floats at a plain point, values
+    with their tangents at a seeded one.
+    """
+    j, g, yv, spray0 = _canonical_pass(sys.L, p)
+    v = tower_vector(sys.V(p.x, p.y))
+    return _Pass(j, g, yv, v, spray0, spray0 - v * 0.25)
+
+
+def _scalar_s(r: _Pass, spray):
+    """S(L) = y^k dL/dx_k - 2 spray^k dL/dy_k from one pass."""
+    return r.y @ r.jet.d_x - 2.0 * (spray @ r.jet.d_y)
+
+
+class PointGeometry:
+    """Every pointwise quantity of a forced system at one phase point.
+
+    The evolution pipeline runs once, with y seeded along ``np.eye(n)``.
+    The value parts of that pass are what the pipeline gives at ``p``:
+    ``jet`` (L to order 2), ``metric``, ``y``, ``V``, ``spray0`` (G0),
+    ``spray`` (G) and ``sigma``.  Its tangents are their fiber Jacobians:
+    ``conn0`` (N0), ``dV_dy``, ``conn`` (N) and ``dsigma_dy`` (J).  The
+    symmetric quarter of J is the dynamical covariant derivative of g
+    along the evolution pair, its antisymmetric half the helicoidal
+    tensor: 4 gbar_ij = J_ij + J_ji, 2 F_ij = J_ij - J_ji.
+
+    Two more jet evaluations run only when read: ``dg_dx`` (x seeded
+    along ``np.eye(n)``), for the Christoffel symbols and the dynamical
+    derivative of g, and ``jet3`` (order 3), for the Cartan tensor and
+    d3L/dy3.  A context describes its own point only; build one per point.
+    """
+
+    def __init__(self, sys: MechanicalSystem, p: PhasePoint):
+        self.sys = sys
+        self.p = p
+        n = sys.n
+        self._dual = d = _evolution_pass(sys, seed_point(p, np.eye(n)))
+        sigma = d.sigma
+        self.jet = d.jet.primal()
+        self.metric = SymMatrix(value_part(d.metric.entries), value_part(d.metric.inverse),
+                                d.metric.min_abs_eigen_estimate, d.metric.max_abs_eigen)
+        self.y, self.V, self.spray0, self.spray, self.sigma = map(
+            value_part, (d.y, d.V, d.spray0, d.spray, sigma))
+        self.conn0, self.dV_dy, self.conn, self.dsigma_dy = (
+            tangent_part(v, n) for v in (d.spray0, d.V, d.spray, sigma))
+
+    @property
+    def energy(self) -> float:
+        return float(self.y @ self.jet.d_y - self.jet.value)
+
+    @cached_property
+    def dSL_dy(self) -> np.ndarray:
+        """d(S(L))/dy_i along the evolution spray."""
+        return tangent_part(_scalar_s(self._dual, self._dual.spray), self.sys.n)
+
+    @cached_property
+    def dS0L_dy(self) -> np.ndarray:
+        """d(S0(L))/dy_i along the canonical spray."""
+        return tangent_part(_scalar_s(self._dual, self._dual.spray0), self.sys.n)
+
+    @cached_property
+    def dg_dx(self) -> np.ndarray:
+        """``dg_dx[a, b, c] = dg_ab/dx_c``."""
+        return _metric_x_pass(self.sys.L, self.p)[1]
+
+    @cached_property
+    def jet3(self) -> Jet:
+        return eval_jet(self.sys.L, self.p, order=3)
+
+    @property
+    def cartan(self) -> np.ndarray:
+        return self.jet3.d_yyy * 0.25
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        return _christoffel(self.metric.inverse, self.dg_dx)
+
+    def dyn_cov_deriv_g(self, spray, conn) -> np.ndarray:
+        """Dynamical covariant derivative of g along (spray, conn)."""
+        return _dyn_cov(self.metric.entries, self.dg_dx, self.jet3.d_yyy, self.y, spray, conn)
+
+    @property
+    def gbar(self) -> np.ndarray:
+        return (self.dsigma_dy + self.dsigma_dy.T) * 0.25
+
+    @property
+    def helicoidal(self) -> np.ndarray:
+        return (self.dsigma_dy - self.dsigma_dy.T) * 0.5
+
+    @property
+    def power(self) -> float:
+        """sigma_i y^i, the energy rate along evolution curves."""
+        return float(self.sigma @ self.y)
+
+    def horizontal_dL(self) -> np.ndarray:
+        """dL/dx_i - N^j_i dL/dy_j."""
+        return self.jet.d_x - self.jet.d_y @ self.conn
+
+    def horizontal_dE(self) -> np.ndarray:
+        """dE/dx_i - N^j_i dE/dy_j."""
+        _, de_x, de_y = _energy_parts(self.jet, self.y)
+        return de_x - de_y @ self.conn
+
+    def horizontal_dE_closed(self, conn0, dv_dy) -> np.ndarray:
+        """The closed form 2 g_ij (2 G0^j - N0^j_k y^k) + (1/2) g_jk dV^j/dy_i y^k."""
+        g = self.metric.entries
+        return 2.0 * (g @ (2.0 * self.spray0 - conn0 @ self.y)) + 0.5 * ((g @ self.y) @ dv_dy)
+
+
+# the force-dependent tensors of a point are read off its context
+EvolutionBundle = PointGeometry
+
+
 def sigma_at(sys: MechanicalSystem, p: PhasePoint):
     """Force one-form components sigma_i = g_ij V^j."""
-    g = metric_at(sys.L, p)
-    v = tower_vector(sys.V(p.x, p.y))
-    return g.entries @ v
+    return _evolution_pass(sys, p).sigma
 
 
 def force_jacobian_y(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
@@ -98,27 +247,17 @@ def force_jacobian_y(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
 
 def evolution_spray_at(sys: MechanicalSystem, p: PhasePoint):
     """Evolution semispray G^i = G0^i - (1/4) V^i."""
-    j = eval_jet(sys.L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    spray0 = _spray_from_jet(j, g.inverse, yv)
-    v = tower_vector(sys.V(p.x, p.y))
-    return spray0 - v * 0.25
-
-
-def _evolution_conn(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """N^i_j = dG^i/dy_j in one pass of the evolution-spray pipeline."""
-    return push_direction(lambda q: evolution_spray_at(sys, q), p, np.eye(sys.n), wrt="y")
+    return _evolution_pass(sys, p).spray
 
 
 def evolution_connection_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     """Evolution connection N^i_j = dG^i/dy_j.
 
-    Computed by pushing the full evolution-spray pipeline and
-    cross-checked against N0 - (1/4) dV/dy; the two routes must agree to
-    1e-10 or :class:`~lagmech.errors.KernelInconsistency` is raised.
+    Read off the y-seeded evolution pipeline and cross-checked against
+    N0 - (1/4) dV/dy; the two routes must agree to 1e-10 or
+    :class:`~lagmech.errors.KernelInconsistency` is raised.
     """
-    conn = _evolution_conn(sys, p)
+    conn = PointGeometry(sys, p).conn
     alt = canonical_connection_at(sys.L, p) - force_jacobian_y(sys, p) * 0.25
     err = np.abs(conn - alt).max()
     if err > 1e-10 * (1.0 + np.abs(conn).max()):
@@ -128,8 +267,7 @@ def evolution_connection_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
 
 def dissipation_power(sys: MechanicalSystem, p: PhasePoint) -> float:
     """sigma_i y^i, the rate of change of the energy along evolution curves."""
-    s = sigma_at(sys, p)
-    return float(s @ tower_vector(p.y))
+    return float(sigma_at(sys, p) @ tower_vector(p.y))
 
 
 def evolution_equation_residual(sys: MechanicalSystem, p: PhasePoint) -> float:
@@ -139,69 +277,42 @@ def evolution_equation_residual(sys: MechanicalSystem, p: PhasePoint) -> float:
     fiber slots, the unique extension under which the defining equation
     of the evolution semispray closes.
     """
-    j = eval_jet(sys.L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    v = tower_vector(sys.V(p.x, p.y))
-    spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
-    sigma = g.entries @ v
-    e = yv @ j.d_y - j.value
-    de = np.concatenate([yv @ j.d_xy - j.d_x, yv @ j.d_yy])
-    res = _sode_residual(j, yv, spray, de, sigma=sigma)
-    return float(np.abs(res).max())
+    r = _evolution_pass(sys, p)
+    return _sode_residual(r.jet, r.y, r.spray, sigma=r.sigma)
 
 
-@dataclass
-class EvolutionBundle:
-    """All force-dependent pointwise tensors at one phase point.
-
-    ``dsigma_dy[i, j]`` is dsigma_i/dy_j; its symmetric quarter is the
-    dynamical covariant derivative of g along the evolution pair and its
-    antisymmetric half is the helicoidal tensor:
-
-        4 gbar_ij = J_ij + J_ji,   2 F_ij = J_ij - J_ji,  J = dsigma_dy.
-
-    ``metric`` is the metric at the point, with its inverse.
-    """
-
-    metric: SymMatrix
-    sigma: np.ndarray
-    spray: np.ndarray
-    conn: np.ndarray
-    dsigma_dy: np.ndarray
-    helicoidal: np.ndarray
-    gbar: np.ndarray
-    power: float
-
-
-def evolution_bundle_at(sys: MechanicalSystem, p: PhasePoint, validate: bool = True) -> EvolutionBundle:
-    """Assemble sigma, the evolution pair, and both parts of dsigma/dy.
+def evolution_bundle_at(sys: MechanicalSystem, p: PhasePoint, validate: bool = True) -> PointGeometry:
+    """sigma, the evolution pair, and both parts of dsigma/dy, read off
+    the point's :class:`PointGeometry`.
 
     With ``validate`` the symmetric part is recomputed independently as
     the dynamical derivative of g along (spray, conn); a disagreement
     beyond 1e-8 raises :class:`~lagmech.errors.KernelInconsistency`,
     since the two routes are equal identically.
     """
-    j = eval_jet(sys.L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    v = tower_vector(sys.V(p.x, p.y))
-    sigma = g.entries @ v
-    spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
-    conn = _evolution_conn(sys, p)
-    dsig = push_direction(lambda q: sigma_at(sys, q), p, np.eye(sys.n), wrt="y")
-    gbar = (dsig + dsig.T) * 0.25
-    helicoidal = (dsig - dsig.T) * 0.5
-    power = float(sigma @ yv)
+    bundle = PointGeometry(sys, p)
     if validate:
-        alt = dyn_cov_deriv_g(sys.L, p, spray, conn)
-        err = np.abs(gbar - alt).max()
-        if err > 1e-8 * (1.0 + np.abs(g.entries).max()):
+        alt = dyn_cov_deriv_g(sys.L, p, bundle.spray, bundle.conn)
+        err = np.abs(bundle.gbar - alt).max()
+        if err > 1e-8 * (1.0 + np.abs(bundle.metric.entries).max()):
             raise KernelInconsistency(f"metric-derivative routes disagree by {err:.3e}")
-    return EvolutionBundle(
-        metric=g, sigma=sigma, spray=spray, conn=conn, dsigma_dy=dsig,
-        helicoidal=helicoidal, gbar=gbar, power=power,
-    )
+    return bundle
+
+
+def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
+    """omega(delta_i, delta_k) on the horizontal basis delta_i = (e_i, -N[:, i])
+    of a connection, as an antisymmetric n x n array."""
+    n = conn.shape[0]
+    eye = np.eye(n)
+    g2, a2 = _two_form_pieces(j)
+    w = np.zeros((n, n))
+    for i in range(n):
+        di = np.concatenate([eye[i], -conn[:, i]])
+        for k in range(i + 1, n):
+            dk = np.concatenate([eye[k], -conn[:, k]])
+            w[i, k] = _two_form_value(g2, a2, di, dk)
+            w[k, i] = -w[i, k]
+    return w
 
 
 def symplectic_defect(sys: MechanicalSystem, p: PhasePoint) -> float:
@@ -211,57 +322,26 @@ def symplectic_defect(sys: MechanicalSystem, p: PhasePoint) -> float:
     vectors delta_i = (e_i, -N[:, i]) and returns the largest magnitude.
     Equals the helicoidal tensor entrywise up to sign, which is asserted.
     """
-    n = sys.n
-    eye = np.eye(n)
-    bundle = evolution_bundle_at(sys, p, validate=False)
-    j = eval_jet(sys.L, p, order=2)
-    g2, a2 = _two_form_pieces(j)
-    defect = 0.0
-    for i in range(n):
-        di = np.concatenate([eye[i], -bundle.conn[:, i]])
-        for k in range(i + 1, n):
-            dk = np.concatenate([eye[k], -bundle.conn[:, k]])
-            w = _two_form_value(g2, a2, di, dk)
-            if abs(w + bundle.helicoidal[i, k]) > 1e-8 * (1.0 + abs(w)):
-                raise KernelInconsistency(
-                    "horizontal two-form value does not match the helicoidal tensor"
-                )
-            defect = max(defect, abs(w))
-    return defect
-
-
-def _scalar_sl(sys: MechanicalSystem, q: PhasePoint):
-    """S(L) = y^k dL/dx_k - 2 G^k dL/dy_k as a tower scalar pipeline."""
-    j = eval_jet(sys.L, q, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(q.y)
-    v = tower_vector(sys.V(q.x, q.y))
-    spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
-    return yv @ j.d_x - 2.0 * (spray @ j.d_y)
-
-
-def _scalar_sl_free(sys: MechanicalSystem, q: PhasePoint):
-    """S0(L) along the canonical spray (force ignored)."""
-    j = eval_jet(sys.L, q, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(q.y)
-    spray0 = _spray_from_jet(j, g.inverse, yv)
-    return yv @ j.d_x - 2.0 * (spray0 @ j.d_y)
+    ctx = PointGeometry(sys, p)
+    w = _horizontal_two_form(ctx.jet, ctx.conn)
+    if np.any(np.abs(w + ctx.helicoidal) > 1e-8 * (1.0 + np.abs(w))):
+        raise KernelInconsistency(
+            "horizontal two-form value does not match the helicoidal tensor"
+        )
+    return float(np.abs(w).max())
 
 
 def horizontal_dL(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     """Horizontal derivative of L along the evolution connection.
 
     Route (a): dL/dx_i - N^j_i dL/dy_j, needing only first derivatives of
-    validated quantities; route (b): (1/2)(d(S(L))/dy_i - sigma_i) via a
-    pushed scalar pipeline.  Both are computed and reconciled to 1e-8;
+    validated quantities; route (b): (1/2)(d(S(L))/dy_i - sigma_i) from
+    the y-seeded pipeline.  Both are computed and reconciled to 1e-8;
     route (a) is returned.
     """
-    j = eval_jet(sys.L, p, order=2)
-    route_a = j.d_x - j.d_y @ _evolution_conn(sys, p)
-    sigma = sigma_at(sys, p)
-    dsl = push_direction(lambda q: _scalar_sl(sys, q), p, np.eye(sys.n), wrt="y")
-    route_b = (dsl - sigma) * 0.5
+    ctx = PointGeometry(sys, p)
+    route_a = ctx.horizontal_dL()
+    route_b = (ctx.dSL_dy - sigma_at(sys, p)) * 0.5
     err = np.abs(route_a - route_b).max()
     if err > 1e-8 * (1.0 + np.abs(route_a).max()):
         raise KernelInconsistency(f"horizontal dL routes disagree by {err:.3e}")
@@ -275,18 +355,10 @@ def horizontal_dE(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     2 g_ij (2 G0^j - N0^j_k y^k) + (1/2) g_jk dV^j/dy_i y^k.  Reconciled
     to 1e-8; route (a) is returned.
     """
-    j = eval_jet(sys.L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    de_x = yv @ j.d_xy - j.d_x
-    de_y = yv @ j.d_yy
-    route_a = de_x - de_y @ _evolution_conn(sys, p)
-
-    spray0 = _spray_from_jet(j, g.inverse, yv)
-    conn0 = canonical_connection_at(sys.L, p)
-    dvdy = force_jacobian_y(sys, p)
-    gy = g.entries @ yv
-    route_b = 2.0 * (g.entries @ (2.0 * spray0 - conn0 @ yv)) + 0.5 * (gy @ dvdy)
+    ctx = PointGeometry(sys, p)
+    route_a = ctx.horizontal_dE()
+    route_b = ctx.horizontal_dE_closed(canonical_connection_at(sys.L, p),
+                                       force_jacobian_y(sys, p))
     err = np.abs(route_a - route_b).max()
     if err > 1e-8 * (1.0 + np.abs(route_a).max()):
         raise KernelInconsistency(f"horizontal dE routes disagree by {err:.3e}")
@@ -300,37 +372,26 @@ def first_integral_conditions(sys: MechanicalSystem, p: PhasePoint):
     When the first vanishes at every sampled point, L is a candidate first
     integral of the horizontal flow; likewise the second for the energy.
     """
-    j = eval_jet(sys.L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    theta = j.d_y
-    ydir = [float(v) for v in p.y]
-
-    dv_contract = push_direction(lambda q: sys.V(q.x, q.y), p, ydir, wrt="y")
-    csl = push_direction(lambda q: _scalar_sl_free(sys, q), p, ydir, wrt="y")
-    res_l = float(dv_contract @ theta + 2.0 * csl)
-
-    spray0 = _spray_from_jet(j, g.inverse, yv)
-    conn0 = canonical_connection_at(sys.L, p)
-    dvdy = force_jacobian_y(sys, p)
-    gy = g.entries @ yv
-    res_e = float(gy @ (dvdy @ yv) + 4.0 * (yv @ (g.entries @ (2.0 * spray0 - conn0 @ yv))))
+    ctx = PointGeometry(sys, p)
+    yv = ctx.y
+    res_l = float((ctx.dV_dy @ yv) @ ctx.jet.d_y + 2.0 * (ctx.dS0L_dy @ yv))
+    res_e = 2.0 * float(ctx.horizontal_dE_closed(ctx.conn0, ctx.dV_dy) @ yv)
     return res_l, res_e
+
+
+def _lie_theta(r) -> float:
+    """Max residual of the Lie transport of the Cartan 1-form along the
+    evolution spray against dL + sigma."""
+    j = r.jet
+    s_theta = j.d_xy @ r.y - 2.0 * (j.d_yy @ r.spray)
+    return float(np.abs(s_theta - j.d_x - r.sigma).max())
 
 
 def lie_theta_residual(sys: MechanicalSystem, p: PhasePoint) -> float:
     """Residual of the Lie transport of the Cartan 1-form along the
     evolution semispray against dL + sigma, over the 2n natural basis
     vectors (the fiber slots vanish identically)."""
-    j = eval_jet(sys.L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    v = tower_vector(sys.V(p.x, p.y))
-    spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
-    sigma = g.entries @ v
-    s_theta = j.d_xy @ yv - 2.0 * (j.d_yy @ spray)
-    res_x = s_theta - j.d_x - sigma
-    return float(np.abs(res_x).max())
+    return _lie_theta(_evolution_pass(sys, p))
 
 
 @dataclass
@@ -352,16 +413,7 @@ class ClassificationReport:
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "dissipative_at_samples": dict(self.dissipative_at_samples),
-            "metric_defect": self.metric_defect,
-            "symplectic_defect": self.symplectic_defect,
-            "is_metric": self.is_metric,
-            "is_symplectic": self.is_symplectic,
-            "tolerances": dict(self.tolerances),
-            "points_tested": self.points_tested,
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def classify(sys: MechanicalSystem, samples, tol: float = 1e-8) -> ClassificationReport:
@@ -378,9 +430,9 @@ def classify(sys: MechanicalSystem, samples, tol: float = 1e-8) -> Classificatio
     tested = 0
     for idx, p in enumerate(samples):
         try:
-            bundle = evolution_bundle_at(sys, p, validate=False)
+            bundle = PointGeometry(sys, p)
         except (SingularMetric, DomainError) as err:
-            failures.append({"index": idx, "error": type(err).__name__, "detail": str(err)})
+            failures.append(failure_record(idx, err, p))
             continue
         tested += 1
         scale = 1.0 + float(np.abs(bundle.metric.entries).max())
@@ -401,8 +453,8 @@ def classify(sys: MechanicalSystem, samples, tol: float = 1e-8) -> Classificatio
         },
         metric_defect=metric_defect,
         symplectic_defect=sympl_defect,
-        is_metric=metric_defect <= tol,
-        is_symplectic=sympl_defect <= tol,
+        is_metric=tested > 0 and metric_defect <= tol,
+        is_symplectic=tested > 0 and sympl_defect <= tol,
         tolerances={"absolute": tol, "scaling": "1 + max|g|"},
         points_tested=tested,
         failures=failures,

@@ -26,9 +26,8 @@ import numpy as np
 
 from .errors import DomainError, SingularMetric
 from .finsler import christoffel_at, require_finsler_mode
-from .geometry import _spray_from_jet
-from .jets import eval_jet, push_direction, sym_invert, tower_vector
-from .mechanics import MechanicalSystem
+from .jets import push_direction
+from .mechanics import MechanicalSystem, _evolution_pass, evolution_spray_at
 from .phase import PhasePoint
 
 __all__ = [
@@ -160,19 +159,12 @@ class Trajectory:
 
 
 def _evolution_accel(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    j = eval_jet(sys.L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    v = tower_vector(sys.V(p.x, p.y))
-    spray = _spray_from_jet(j, g.inverse, yv) - v * 0.25
-    return -2.0 * spray
+    return -2.0 * _evolution_pass(sys, p).spray
 
 
 def _horizontal_accel(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     # N^i_j y^j is the y-directional derivative of the evolution spray
     # along y itself; one dual pass delivers the whole contraction.
-    from .mechanics import evolution_spray_at
-
     ny = push_direction(lambda q: evolution_spray_at(sys, q), p,
                         [float(v) for v in p.y], wrt="y")
     return -np.asarray(ny, dtype=float)
@@ -197,13 +189,10 @@ def _observe(sys: MechanicalSystem, p: PhasePoint, accel: np.ndarray | None):
     identically along evolution curves; other curve families pass their
     own right-hand side in.
     """
-    j = eval_jet(sys.L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    v = tower_vector(sys.V(p.x, p.y))
-    sigma = g.entries @ v
+    r = _evolution_pass(sys, p)
+    j, yv, sigma = r.jet, r.y, r.sigma
     if accel is None:
-        accel = -2.0 * (_spray_from_jet(j, g.inverse, yv) - v * 0.25)
+        accel = -2.0 * r.spray
     energy = float(yv @ j.d_y - j.value)
     power = float(sigma @ yv)
     el = j.d_xy @ yv + j.d_yy @ accel - j.d_x - sigma

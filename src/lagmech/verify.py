@@ -23,92 +23,48 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, FinslerModeError, SingularMetric
-from .finsler import christoffel_at, homogeneity_residual_at
-from .geometry import (
-    _spray_from_jet,
-    _two_form_pieces,
-    _two_form_value,
-    canonical_connection_at,
-    dyn_cov_deriv_g,
-    spray_equation_residual,
-)
-from .jets import eval_jet, push_direction, sym_invert, tower_vector
+from .errors import DomainError, SingularMetric, failure_record
+from .finsler import homogeneity_residual_at
+from .geometry import _sode_residual
 from .mechanics import (
     MechanicalSystem,
-    evolution_bundle_at,
-    evolution_equation_residual,
-    force_jacobian_y,
-    lie_theta_residual,
-    _scalar_sl,
+    PointGeometry,
+    _horizontal_two_form,
+    _lie_theta,
 )
 from .phase import PhasePoint
 
 __all__ = ["run_verification"]
 
 
+def _max_abs(a) -> float:
+    return float(np.abs(a).max())
+
+
 def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dict:
-    n = sys.n
-    eye = np.eye(n)
-    out = {}
-    j = eval_jet(sys.L, p, order=2)
-    g = sym_invert(j.d_yy * 0.5)
-    yv = tower_vector(p.y)
-    scale = 1.0 + float(np.abs(g.entries).max())
-    g2, a2 = _two_form_pieces(j)
-
-    out["canonical_spray_equation"] = spray_equation_residual(sys.L, p)
-    out["evolution_spray_equation"] = evolution_equation_residual(sys, p)
-    out["cartan_form_transport"] = lie_theta_residual(sys, p)
-
-    spray0 = _spray_from_jet(j, g.inverse, yv)
-    conn0 = canonical_connection_at(sys.L, p)
-    gbar0 = dyn_cov_deriv_g(sys.L, p, spray0, conn0)
-    out["canonical_metricity"] = float(np.abs(gbar0).max()) / scale
-
-    w0 = 0.0
-    for i in range(n):
-        di = np.concatenate([eye[i], -conn0[:, i]])
-        for k in range(i + 1, n):
-            dk = np.concatenate([eye[k], -conn0[:, k]])
-            w0 = max(w0, abs(_two_form_value(g2, a2, di, dk)))
-    out["canonical_horizontal_two_form"] = w0
-
-    bundle = evolution_bundle_at(sys, p, validate=False)
-    alt = dyn_cov_deriv_g(sys.L, p, bundle.spray, bundle.conn)
-    out["metric_derivative_agreement"] = float(np.abs(bundle.gbar - alt).max())
-
-    wh = 0.0
-    for i in range(n):
-        di = np.concatenate([eye[i], -bundle.conn[:, i]])
-        for k in range(i + 1, n):
-            dk = np.concatenate([eye[k], -bundle.conn[:, k]])
-            w = _two_form_value(g2, a2, di, dk)
-            wh = max(wh, abs(w + bundle.helicoidal[i, k]))
-    out["symplectic_vs_helicoidal"] = wh
-
-    # horizontal derivative of L, both routes
-    route_a = j.d_x - j.d_y @ bundle.conn
-    dsl = push_direction(lambda q: _scalar_sl(sys, q), p, eye, wrt="y")
-    route_b = (dsl - bundle.sigma) * 0.5
-    out["lagrangian_horizontal_routes"] = float(np.abs(route_a - route_b).max())
-
-    # horizontal derivative of E, both routes
-    de_x = yv @ j.d_xy - j.d_x
-    de_y = yv @ j.d_yy
-    hde = de_x - de_y @ bundle.conn
-    dvdy = force_jacobian_y(sys, p)
-    gy = g.entries @ yv
-    closed = 2.0 * (g.entries @ (2.0 * spray0 - conn0 @ yv)) + 0.5 * (gy @ dvdy)
-    out["energy_horizontal_routes"] = float(np.abs(hde - closed).max())
-
+    ctx = PointGeometry(sys, p)
+    j, yv = ctx.jet, ctx.y
+    scale = 1.0 + _max_abs(ctx.metric.entries)
+    hde = ctx.horizontal_dE()
+    out = {
+        "canonical_spray_equation": _sode_residual(j, yv, ctx.spray0),
+        "evolution_spray_equation": _sode_residual(j, yv, ctx.spray, sigma=ctx.sigma),
+        "cartan_form_transport": _lie_theta(ctx),
+        "canonical_metricity": _max_abs(ctx.dyn_cov_deriv_g(ctx.spray0, ctx.conn0)) / scale,
+        "canonical_horizontal_two_form": _max_abs(_horizontal_two_form(j, ctx.conn0)),
+        "metric_derivative_agreement": _max_abs(
+            ctx.gbar - ctx.dyn_cov_deriv_g(ctx.spray, ctx.conn)),
+        "symplectic_vs_helicoidal": _max_abs(_horizontal_two_form(j, ctx.conn) + ctx.helicoidal),
+        # horizontal derivatives of L and of E, both routes each
+        "lagrangian_horizontal_routes": _max_abs(
+            ctx.horizontal_dL() - (ctx.dSL_dy - ctx.sigma) * 0.5),
+        "energy_horizontal_routes": _max_abs(
+            hde - ctx.horizontal_dE_closed(ctx.conn0, ctx.dV_dy)),
+    }
     if finsler:
-        gamma = christoffel_at(sys, p)
-        out["christoffel_contraction"] = float(
-            np.abs(gamma @ np.asarray(yv, dtype=float) @ np.asarray(yv, dtype=float)
-                   - 2.0 * spray0).max()
-        )
-        out["finsler_energy_formula"] = float(np.abs(hde - 0.5 * (gy @ dvdy)).max())
+        out["christoffel_contraction"] = _max_abs(ctx.christoffel @ yv @ yv - 2.0 * ctx.spray0)
+        out["finsler_energy_formula"] = _max_abs(
+            hde - 0.5 * ((ctx.metric.entries @ yv) @ ctx.dV_dy))
     return out
 
 
@@ -117,20 +73,21 @@ def run_verification(sys: MechanicalSystem, samples, tol: float = 1e-8) -> dict:
 
     Returns a report with the max residual per identity, the offenders
     exceeding ``tol``, and the sample indices where the metric was
-    singular or a field left its domain.
+    singular or a field left its domain.  The two Finsler residuals are
+    reported when L passes the Euler test at each of the first 8 samples
+    where it can be evaluated.
     """
-    finsler = True
-    probes = samples[: min(8, len(samples))]
-    for p in probes:
+    # a probe outside the domain is skipped, as the sweep skips the point
+    homogeneous = []
+    for p in samples[:8]:
         try:
-            if homogeneity_residual_at(sys, p) > tol * (1.0 + abs(float(sys.L.at(p)))):
-                finsler = False
-                break
-        except (SingularMetric, DomainError, FinslerModeError):
-            finsler = False
+            homogeneous.append(homogeneity_residual_at(sys, p)
+                               <= tol * (1.0 + abs(float(sys.L.at(p)))))
+        except (SingularMetric, DomainError):
+            continue
+        if not homogeneous[-1]:
             break
-    if not probes:
-        finsler = False
+    finsler = bool(homogeneous) and all(homogeneous)
 
     maxima: dict = {}
     singular = []
@@ -139,9 +96,7 @@ def run_verification(sys: MechanicalSystem, samples, tol: float = 1e-8) -> dict:
         try:
             res = _point_residuals(sys, p, finsler)
         except (SingularMetric, DomainError) as err:
-            singular.append({"index": idx, "error": type(err).__name__,
-                             "detail": str(err),
-                             "point": {"x": list(p.x), "y": list(p.y)}})
+            singular.append(failure_record(idx, err, p))
             continue
         tested += 1
         for name, v in res.items():

@@ -231,3 +231,25 @@ def test_jet_tower_matches_fd_for_each_function(rng):
         for name in ("d_y", "d_yy", "d_yyy"):
             a, b = getattr(j, name), getattr(fd, name)
             assert np.abs(a - b).max() <= 1e-6 * (1.0 + np.abs(b).max()), src
+
+
+@pytest.mark.parametrize("src", ["y1^(-2) + y1^2", "pow(y1, -2)"])
+def test_negative_integer_power_of_a_jet(src):
+    from lagmech.jets import eval_jet, push_direction
+    from oracle import fd_oracle
+
+    field = bind_scalar(parse(src, 1), 1)
+    p = PhasePoint((0.0,), (2.0,))
+    for order in (1, 2, 3):
+        j = eval_jet(field, p, order=order)
+        assert j.value == field.at(p)
+        fd = fd_oracle(field, p, order=order, h=1e-5)
+        for name in ("d_y", "d_yy", "d_yyy")[:order]:
+            a, b = getattr(j, name), getattr(fd, name)
+            assert np.abs(a - b).max() <= 1e-6 * (1.0 + np.abs(b).max()), (src, order, name)
+    # under a push the jet's value slot carries a tangent: d/dy of dL/dy is d2L/dy2
+    pushed = push_direction(lambda q: eval_jet(field, q, order=2).d_y, p, [1.0])
+    fd = fd_oracle(field, p, order=2, h=1e-5)
+    assert np.abs(pushed - fd.d_yy[:, 0]).max() <= 1e-6 * (1.0 + np.abs(fd.d_yy).max())
+    with pytest.raises(DomainError):
+        eval_jet(field, PhasePoint((0.0,), (0.0,)), order=2)

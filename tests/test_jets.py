@@ -370,10 +370,14 @@ def test_x_push_through_x_free_lagrangian_stays_float():
 def test_push_outputs_and_jet_blocks_are_float64(sys_d):
     from lagmech.geometry import canonical_spray_at, metric_at
     from lagmech.jets import KDual
-    from lagmech.mechanics import _scalar_sl, sigma_at
+    from lagmech.mechanics import _evolution_pass, _scalar_s, sigma_at
 
     p = PhasePoint((0.3, -0.2), (0.9, 1.4))
     jets_built = []
+
+    def scalar_sl(q):
+        r = _evolution_pass(sys_d, q)
+        return _scalar_s(r, r.spray)
 
     def jet_pipeline(q):
         j = eval_jet(sys_d.L, q, order=3)
@@ -384,7 +388,7 @@ def test_push_outputs_and_jet_blocks_are_float64(sys_d):
                  lambda q: canonical_spray_at(sys_d.L, q),
                  lambda q: sigma_at(sys_d, q),
                  lambda q: metric_at(sys_d.L, q).inverse,
-                 lambda q: _scalar_sl(sys_d, q),
+                 scalar_sl,
                  lambda q: sys_d.V(q.x, q.y)]
     for pipeline in pipelines:
         for wrt in ("x", "y"):

@@ -300,10 +300,14 @@ def test_horizontal_dl_contraction_identity(sys_a, sys_d, samples_c, rng):
             out = horizontal_dL(sys_, p)
             yv = np.array([float(v) for v in p.y])
             lhs = 2.0 * out.dot(yv)
-            from lagmech.mechanics import _scalar_sl_free
+            from lagmech.mechanics import _evolution_pass, _scalar_s
+
+            def scalar_sl_free(q):
+                r = _evolution_pass(sys_, q)
+                return _scalar_s(r, r.spray0)
 
             theta = eval_jet(sys_.L, p, order=1).d_y
-            csl = push_direction(lambda q: _scalar_sl_free(sys_, q), p, list(yv), wrt="y")
+            csl = push_direction(scalar_sl_free, p, list(yv), wrt="y")
             dvy = push_direction(lambda q: sys_.V(q.x, q.y), p, list(yv), wrt="y")
             rhs = csl + 0.5 * dvy.dot(theta)
             assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
