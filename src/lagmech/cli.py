@@ -33,14 +33,13 @@ from .errors import (
     ConfigError,
     DomainError,
     FinslerModeError,
-    LagmechError,
     ParseError,
     SingularMetric,
     UnboundParameter,
     UnknownBuiltin,
     VariableIndexError,
 )
-from .finsler import homogeneity_residual_at
+from .finsler import is_finsler_mode
 from .mechanics import MechanicalSystem, PointGeometry, classify
 from .phase import PhasePoint, VerticalField
 from .sampling import sample_box
@@ -127,6 +126,22 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _number(spec: dict, key: str, default, kind=float):
+    """``spec[key]`` (``default`` when absent) converted by ``kind``."""
+    value = spec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{key!r} must be a number, got {value!r}") from err
+
+
+def _point(item, what: str) -> PhasePoint:
+    try:
+        return PhasePoint(item["x"], item["y"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{what} needs 'x' and 'y' lists of one length") from err
+
+
 def _parse_param(text: str):
     if "=" not in text:
         raise ConfigError(f"--param expects name=value, got {text!r}")
@@ -172,28 +187,17 @@ def build_system(cfg: dict, overrides: dict) -> MechanicalSystem:
                             label=spec.get("label", "custom"))
 
 
-def _is_finsler_mode(sys: MechanicalSystem, probes) -> bool:
-    for p in probes[: min(8, len(probes))]:
-        try:
-            j = homogeneity_residual_at(sys, p)
-        except LagmechError:
-            return False
-        if j > 1e-8 * (1.0 + abs(float(sys.L.at(p)))):
-            return False
-    return len(probes) > 0
-
-
 def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
     """Sample points from the config, or the builtin default box."""
     spec = cfg.get("samples") or {}
     if "points" in spec:
         pts = []
         for item in spec["points"]:
-            pts.append(PhasePoint(item["x"], item["y"]))
-            if len(item["x"]) != sys.n or len(item["y"]) != sys.n:
+            pts.append(_point(item, "a sample point"))
+            if pts[-1].n != sys.n:
                 raise ConfigError("sample point dimension mismatch")
         return pts
-    count = int(spec.get("count", 200))
+    count = _number(spec, "count", 200, int)
     mode = str(spec.get("mode", "halton"))
     if "box_x" in spec or "box_y" in spec:
         try:
@@ -214,7 +218,7 @@ def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
         min_y = 0.1
     else:
         probe = sample_box(box_x, box_y, 4, mode="halton", min_y_norm=0.15)
-        if _is_finsler_mode(sys, probe):
+        if is_finsler_mode(sys, probe):
             min_y = 0.1
     return sample_box(box_x, box_y, count, mode=mode, seed=seed, min_y_norm=min_y)
 
@@ -227,12 +231,12 @@ def _integrator_config(cfg: dict, args) -> IntegratorConfig:
         spec["t_end"] = args.t_end
     ic = IntegratorConfig(
         method=str(spec.get("method", "rk4_fixed")),
-        step=float(spec.get("step", 1e-3)),
-        t_end=float(spec.get("t_end", 10.0)),
-        record_every=int(spec.get("record_every", 1)),
-        rel_tol=float(spec.get("rel_tol", 1e-8)),
-        abs_tol=float(spec.get("abs_tol", 1e-10)),
-        max_step=float(spec.get("max_step", 0.1)),
+        step=_number(spec, "step", 1e-3),
+        t_end=_number(spec, "t_end", 10.0),
+        record_every=_number(spec, "record_every", 1, int),
+        rel_tol=_number(spec, "rel_tol", 1e-8),
+        abs_tol=_number(spec, "abs_tol", 1e-10),
+        max_step=_number(spec, "max_step", 0.1),
     )
     try:
         ic.validate()
@@ -254,7 +258,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_inspect(cfg: dict, args, overrides: dict) -> int:
     sys_ = build_system(cfg, overrides)
-    samples = build_samples(cfg, sys_, int(cfg.get("seed", args.seed or 0)))
+    samples = build_samples(cfg, sys_, _number(cfg, "seed", args.seed or 0, int))
     results = []
     hit_singular = False
     for idx, p in enumerate(samples):
@@ -286,9 +290,9 @@ def cmd_inspect(cfg: dict, args, overrides: dict) -> int:
 
 def cmd_classify(cfg: dict, args, overrides: dict) -> int:
     sys_ = build_system(cfg, overrides)
-    seed = int(cfg.get("seed", args.seed or 0))
+    seed = _number(cfg, "seed", args.seed or 0, int)
     samples = build_samples(cfg, sys_, seed)
-    tol = float(cfg.get("tolerance", 1e-8))
+    tol = _number(cfg, "tolerance", 1e-8)
     report = classify(sys_, samples, tol=tol)
     _emit(render_json(report.to_dict()), args.out)
     return EXIT_OK
@@ -296,9 +300,9 @@ def cmd_classify(cfg: dict, args, overrides: dict) -> int:
 
 def cmd_verify(cfg: dict, args, overrides: dict) -> int:
     sys_ = build_system(cfg, overrides)
-    seed = int(cfg.get("seed", args.seed or 0))
+    seed = _number(cfg, "seed", args.seed or 0, int)
     samples = build_samples(cfg, sys_, seed)
-    tol = float(cfg.get("tolerance", 1e-8))
+    tol = _number(cfg, "tolerance", 1e-8)
     report = run_verification(sys_, samples, tol=tol)
     _emit(render_json(report), args.out)
     if report["singular_points"]:
@@ -310,10 +314,7 @@ def cmd_verify(cfg: dict, args, overrides: dict) -> int:
 
 def cmd_simulate(cfg: dict, args, overrides: dict) -> int:
     sys_ = build_system(cfg, overrides)
-    initial = cfg.get("initial")
-    if not isinstance(initial, dict) or "x" not in initial or "y" not in initial:
-        raise ConfigError("simulate needs an 'initial' point with x and y")
-    p0 = PhasePoint(initial["x"], initial["y"])
+    p0 = _point(cfg.get("initial"), "simulate's 'initial' point")
     if p0.n != sys_.n:
         raise ConfigError("initial point dimension mismatch")
     ic = _integrator_config(cfg, args)

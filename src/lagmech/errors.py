@@ -74,11 +74,6 @@ class ConfigError(LagmechError):
     """A run configuration is structurally invalid."""
 
 
-class KernelInconsistency(LagmechError):
-    """Two routes to a quantity that agree identically disagreed beyond
-    their tolerance: the numerical kernel is inconsistent."""
-
-
 def failure_record(index: int, err: LagmechError, p) -> dict:
     """The report entry for a sample point that failed: its index in the
     sample list, the error type and message, and the point itself."""

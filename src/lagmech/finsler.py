@@ -31,6 +31,7 @@ __all__ = [
     "FinslerIdentityReport",
     "homogeneity_report",
     "homogeneity_residual_at",
+    "is_finsler_mode",
     "require_finsler_mode",
     "christoffel_at",
     "finsler_identities",
@@ -59,18 +60,41 @@ class HomogeneityReport:
         return asdict(self)
 
 
+def _euler_defect(j, p: PhasePoint) -> float:
+    """|(dL/dy_i) y^i - 2L| from a jet of L at ``p``."""
+    return float(abs(tower_vector(p.y) @ j.d_y - 2.0 * j.value))
+
+
 def homogeneity_residual_at(sys: MechanicalSystem, p: PhasePoint) -> float:
     """|Euler defect| of L at one point: |(dL/dy_i) y^i - 2L|."""
-    j = eval_jet(sys.L, p, order=1)
-    yv = tower_vector(p.y)
-    return float(abs(yv @ j.d_y - 2.0 * j.value))
+    return _euler_defect(eval_jet(sys.L, p, order=1), p)
+
+
+def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bool:
+    """Whether L passes the Euler test, |defect| <= tol (1 + |L|), at each
+    of the first 8 probes where it can be evaluated.
+
+    Probes outside the domain (or where the metric is singular) are
+    skipped, as a sweep skips such points; false when none evaluates.
+    """
+    tested = 0
+    for p in probes:
+        try:
+            j = eval_jet(sys.L, p, order=1)
+        except (SingularMetric, DomainError):
+            continue
+        if _euler_defect(j, p) > tol * (1.0 + abs(j.value)):
+            return False
+        tested += 1
+        if tested == 8:
+            break
+    return tested > 0
 
 
 def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint, tol: float = _GATE_TOL):
     """Gate an operation on the homogeneity of L at a reference point."""
     j = eval_jet(sys.L, p, order=1)
-    yv = tower_vector(p.y)
-    res = abs(yv @ j.d_y - 2.0 * j.value)
+    res = _euler_defect(j, p)
     if res > tol * (1.0 + abs(j.value)):
         raise FinslerModeError(
             f"Lagrangian is not 2-homogeneous at {p} (Euler defect {res:.3e})"
@@ -92,18 +116,17 @@ def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
     for idx, p in enumerate(samples):
         try:
             j = eval_jet(sys.L, p, order=3)
-            yv = tower_vector(p.y)
             dvy = push_direction(lambda q: sys.V(q.x, q.y), p,
                                  [float(v) for v in p.y], wrt="y")
         except (SingularMetric, DomainError) as err:
             failures.append(failure_record(idx, err, p))
             continue
         tested += 1
-        lag = abs(yv @ j.d_y - 2.0 * j.value)
+        lag = _euler_defect(j, p)
         if lag > _GATE_TOL * (1.0 + abs(j.value)):
             accepted = False
-        lag_res = max(lag_res, float(lag))
-        met_res = max(met_res, float(np.abs((j.d_yyy @ yv) * 0.5).max()))
+        lag_res = max(lag_res, lag)
+        met_res = max(met_res, float(np.abs((j.d_yyy @ tower_vector(p.y)) * 0.5).max()))
         frc_res = max(frc_res, float(np.abs(dvy).max()))
     return HomogeneityReport(
         lagrangian_residual=lag_res,

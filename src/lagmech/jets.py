@@ -36,7 +36,6 @@ from .errors import DomainError, SingularMetric
 from .phase import PhasePoint
 
 __all__ = [
-    "Dual",
     "KDual",
     "Jet",
     "SymMatrix",
@@ -45,7 +44,6 @@ __all__ = [
     "seed_point",
     "value_part",
     "tangent_part",
-    "jacobian_y",
     "sym_invert",
     "value_of",
     "tower_vector",
@@ -188,16 +186,6 @@ class KDual:
 
     def dot(self, other):
         return _matmul(self, other)
-
-
-class Dual(KDual):
-    """A scalar with one tangent, ``val + dot * eps``: a one-direction
-    :class:`KDual` for evaluating a field along a direction by hand."""
-
-    __slots__ = ()
-
-    def __init__(self, val, dot=0.0):
-        super().__init__(float(val), np.array([float(dot)]))
 
 
 def _matmul(a, b):
@@ -802,16 +790,6 @@ def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
     if d.ndim == 2:
         return tan
     return tan[..., 0] if tan.ndim > 1 else float(tan[0])
-
-
-def jacobian_y(pipeline, p: PhasePoint) -> np.ndarray:
-    """Full y-Jacobian of a vector pipeline in one pass.
-
-    Column j holds the derivative of the pipeline along the j-th fiber
-    basis direction.
-    """
-
-    return push_direction(pipeline, p, np.eye(p.n), wrt="y")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, KernelInconsistency, SingularMetric, failure_record
+from .errors import DomainError, SingularMetric, failure_record
 from .geometry import (
     _canonical_pass,
     _christoffel,
@@ -43,14 +43,11 @@ from .geometry import (
     _sode_residual,
     _two_form_pieces,
     _two_form_value,
-    canonical_connection_at,
-    dyn_cov_deriv_g,
 )
 from .jets import (
     Jet,
     SymMatrix,
     eval_jet,
-    push_direction,
     seed_point,
     tangent_part,
     tower_vector,
@@ -61,7 +58,6 @@ from .phase import PhasePoint, ScalarField, VerticalField
 __all__ = [
     "MechanicalSystem",
     "PointGeometry",
-    "EvolutionBundle",
     "ClassificationReport",
     "sigma_at",
     "evolution_spray_at",
@@ -225,24 +221,16 @@ class PointGeometry:
         _, de_x, de_y = _energy_parts(self.jet, self.y)
         return de_x - de_y @ self.conn
 
-    def horizontal_dE_closed(self, conn0, dv_dy) -> np.ndarray:
+    def horizontal_dE_closed(self) -> np.ndarray:
         """The closed form 2 g_ij (2 G0^j - N0^j_k y^k) + (1/2) g_jk dV^j/dy_i y^k."""
         g = self.metric.entries
-        return 2.0 * (g @ (2.0 * self.spray0 - conn0 @ self.y)) + 0.5 * ((g @ self.y) @ dv_dy)
-
-
-# the force-dependent tensors of a point are read off its context
-EvolutionBundle = PointGeometry
+        return (2.0 * (g @ (2.0 * self.spray0 - self.conn0 @ self.y))
+                + 0.5 * ((g @ self.y) @ self.dV_dy))
 
 
 def sigma_at(sys: MechanicalSystem, p: PhasePoint):
     """Force one-form components sigma_i = g_ij V^j."""
     return _evolution_pass(sys, p).sigma
-
-
-def force_jacobian_y(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """dV^i/dy_j in one pass; column j is the derivative along e_j."""
-    return push_direction(lambda q: sys.V(q.x, q.y), p, np.eye(sys.n), wrt="y")
 
 
 def evolution_spray_at(sys: MechanicalSystem, p: PhasePoint):
@@ -251,18 +239,9 @@ def evolution_spray_at(sys: MechanicalSystem, p: PhasePoint):
 
 
 def evolution_connection_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """Evolution connection N^i_j = dG^i/dy_j.
-
-    Read off the y-seeded evolution pipeline and cross-checked against
-    N0 - (1/4) dV/dy; the two routes must agree to 1e-10 or
-    :class:`~lagmech.errors.KernelInconsistency` is raised.
-    """
-    conn = PointGeometry(sys, p).conn
-    alt = canonical_connection_at(sys.L, p) - force_jacobian_y(sys, p) * 0.25
-    err = np.abs(conn - alt).max()
-    if err > 1e-10 * (1.0 + np.abs(conn).max()):
-        raise KernelInconsistency(f"evolution connection routes disagree by {err:.3e}")
-    return conn
+    """Evolution connection N^i_j = dG^i/dy_j, read off the point's
+    :class:`PointGeometry`."""
+    return PointGeometry(sys, p).conn
 
 
 def dissipation_power(sys: MechanicalSystem, p: PhasePoint) -> float:
@@ -281,22 +260,10 @@ def evolution_equation_residual(sys: MechanicalSystem, p: PhasePoint) -> float:
     return _sode_residual(r.jet, r.y, r.spray, sigma=r.sigma)
 
 
-def evolution_bundle_at(sys: MechanicalSystem, p: PhasePoint, validate: bool = True) -> PointGeometry:
-    """sigma, the evolution pair, and both parts of dsigma/dy, read off
-    the point's :class:`PointGeometry`.
-
-    With ``validate`` the symmetric part is recomputed independently as
-    the dynamical derivative of g along (spray, conn); a disagreement
-    beyond 1e-8 raises :class:`~lagmech.errors.KernelInconsistency`,
-    since the two routes are equal identically.
-    """
-    bundle = PointGeometry(sys, p)
-    if validate:
-        alt = dyn_cov_deriv_g(sys.L, p, bundle.spray, bundle.conn)
-        err = np.abs(bundle.gbar - alt).max()
-        if err > 1e-8 * (1.0 + np.abs(bundle.metric.entries).max()):
-            raise KernelInconsistency(f"metric-derivative routes disagree by {err:.3e}")
-    return bundle
+def evolution_bundle_at(sys: MechanicalSystem, p: PhasePoint) -> PointGeometry:
+    """sigma, the evolution pair, and both parts of dsigma/dy: the point's
+    :class:`PointGeometry`."""
+    return PointGeometry(sys, p)
 
 
 def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
@@ -320,49 +287,28 @@ def symplectic_defect(sys: MechanicalSystem, p: PhasePoint) -> float:
 
     Evaluates the Cartan 2-form on all pairs of evolution-horizontal basis
     vectors delta_i = (e_i, -N[:, i]) and returns the largest magnitude.
-    Equals the helicoidal tensor entrywise up to sign, which is asserted.
+    It equals the helicoidal tensor entrywise up to sign; ``verify``
+    reports the difference as ``symplectic_vs_helicoidal``.
     """
     ctx = PointGeometry(sys, p)
-    w = _horizontal_two_form(ctx.jet, ctx.conn)
-    if np.any(np.abs(w + ctx.helicoidal) > 1e-8 * (1.0 + np.abs(w))):
-        raise KernelInconsistency(
-            "horizontal two-form value does not match the helicoidal tensor"
-        )
-    return float(np.abs(w).max())
+    return float(np.abs(_horizontal_two_form(ctx.jet, ctx.conn)).max())
 
 
 def horizontal_dL(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """Horizontal derivative of L along the evolution connection.
-
-    Route (a): dL/dx_i - N^j_i dL/dy_j, needing only first derivatives of
-    validated quantities; route (b): (1/2)(d(S(L))/dy_i - sigma_i) from
-    the y-seeded pipeline.  Both are computed and reconciled to 1e-8;
-    route (a) is returned.
+    """Horizontal derivative of L along the evolution connection,
+    dL/dx_i - N^j_i dL/dy_j.  ``verify`` compares it with
+    (1/2)(d(S(L))/dy_i - sigma_i) as ``lagrangian_horizontal_routes``.
     """
-    ctx = PointGeometry(sys, p)
-    route_a = ctx.horizontal_dL()
-    route_b = (ctx.dSL_dy - sigma_at(sys, p)) * 0.5
-    err = np.abs(route_a - route_b).max()
-    if err > 1e-8 * (1.0 + np.abs(route_a).max()):
-        raise KernelInconsistency(f"horizontal dL routes disagree by {err:.3e}")
-    return route_a
+    return PointGeometry(sys, p).horizontal_dL()
 
 
 def horizontal_dE(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """Horizontal derivative of the energy along the evolution connection.
-
-    Route (a): dE/dx_i - N^j_i dE/dy_j.  Route (b): the closed form
-    2 g_ij (2 G0^j - N0^j_k y^k) + (1/2) g_jk dV^j/dy_i y^k.  Reconciled
-    to 1e-8; route (a) is returned.
+    """Horizontal derivative of the energy along the evolution connection,
+    dE/dx_i - N^j_i dE/dy_j.  ``verify`` compares it with the closed form
+    2 g_ij (2 G0^j - N0^j_k y^k) + (1/2) g_jk dV^j/dy_i y^k as
+    ``energy_horizontal_routes``.
     """
-    ctx = PointGeometry(sys, p)
-    route_a = ctx.horizontal_dE()
-    route_b = ctx.horizontal_dE_closed(canonical_connection_at(sys.L, p),
-                                       force_jacobian_y(sys, p))
-    err = np.abs(route_a - route_b).max()
-    if err > 1e-8 * (1.0 + np.abs(route_a).max()):
-        raise KernelInconsistency(f"horizontal dE routes disagree by {err:.3e}")
-    return route_a
+    return PointGeometry(sys, p).horizontal_dE()
 
 
 def first_integral_conditions(sys: MechanicalSystem, p: PhasePoint):
@@ -375,7 +321,7 @@ def first_integral_conditions(sys: MechanicalSystem, p: PhasePoint):
     ctx = PointGeometry(sys, p)
     yv = ctx.y
     res_l = float((ctx.dV_dy @ yv) @ ctx.jet.d_y + 2.0 * (ctx.dS0L_dy @ yv))
-    res_e = 2.0 * float(ctx.horizontal_dE_closed(ctx.conn0, ctx.dV_dy) @ yv)
+    res_e = 2.0 * float(ctx.horizontal_dE_closed() @ yv)
     return res_l, res_e
 
 

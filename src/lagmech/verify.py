@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SingularMetric, failure_record
-from .finsler import homogeneity_residual_at
+from .finsler import is_finsler_mode
 from .geometry import _sode_residual
 from .mechanics import (
     MechanicalSystem,
@@ -59,7 +59,7 @@ def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dic
         "lagrangian_horizontal_routes": _max_abs(
             ctx.horizontal_dL() - (ctx.dSL_dy - ctx.sigma) * 0.5),
         "energy_horizontal_routes": _max_abs(
-            hde - ctx.horizontal_dE_closed(ctx.conn0, ctx.dV_dy)),
+            hde - ctx.horizontal_dE_closed()),
     }
     if finsler:
         out["christoffel_contraction"] = _max_abs(ctx.christoffel @ yv @ yv - 2.0 * ctx.spray0)
@@ -75,19 +75,9 @@ def run_verification(sys: MechanicalSystem, samples, tol: float = 1e-8) -> dict:
     exceeding ``tol``, and the sample indices where the metric was
     singular or a field left its domain.  The two Finsler residuals are
     reported when L passes the Euler test at each of the first 8 samples
-    where it can be evaluated.
+    where it can be evaluated (:func:`~lagmech.finsler.is_finsler_mode`).
     """
-    # a probe outside the domain is skipped, as the sweep skips the point
-    homogeneous = []
-    for p in samples[:8]:
-        try:
-            homogeneous.append(homogeneity_residual_at(sys, p)
-                               <= tol * (1.0 + abs(float(sys.L.at(p)))))
-        except (SingularMetric, DomainError):
-            continue
-        if not homogeneous[-1]:
-            break
-    finsler = bool(homogeneous) and all(homogeneous)
+    finsler = is_finsler_mode(sys, samples, tol)
 
     maxima: dict = {}
     singular = []

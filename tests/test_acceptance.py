@@ -127,7 +127,7 @@ def test_criterion_04_metric_derivative_agreement(suites):
     worst = 0.0
     for builtin, (sys_, pts) in suites.items():
         for p in pts:
-            b = evolution_bundle_at(sys_, p, validate=False)
+            b = evolution_bundle_at(sys_, p)
             alt = dyn_cov_deriv_g(sys_.L, p, b.spray, b.conn)
             d = np.abs(b.gbar - alt).max()
             worst = max(worst, d)
@@ -144,7 +144,7 @@ def test_criterion_05_symplectic_criterion(suites):
         for p in pts:
             j = eval_jet(sys_.L, p, order=2)
             g2, a2 = _two_form_pieces(j)
-            b = evolution_bundle_at(sys_, p, validate=False)
+            b = evolution_bundle_at(sys_, p)
             n = sys_.n
             for i in range(n):
                 di = np.concatenate([np.eye(n)[i], -b.conn[:, i]])
@@ -236,7 +236,7 @@ def test_criterion_09_liouville_family(suites):
             assert shift <= 1e-10, (builtin, p)
     sys_ef, pts_c = suites["SYS-E"]
     for p in pts_c:
-        b = evolution_bundle_at(sys_ef, p, validate=False)
+        b = evolution_bundle_at(sys_ef, p)
         g = metric_at(sys_ef.L, p).entries
         d = np.abs(b.gbar - (-0.5) * g).max() / (1.0 + np.abs(g).max())
         worst_gbar = max(worst_gbar, d)

@@ -5,8 +5,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from lagmech.cli import build_samples, build_system, main
+from lagmech.sampling import sample_box
 from lagmech.trajectories import Trajectory
+from lagmech.verify import run_verification
 
 PY = [sys.executable, "-m", "lagmech"]
 
@@ -228,3 +232,32 @@ def test_cli_expression_system(tmp_path):
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     assert doc["residuals"]["evolution_spray_equation"] <= 1e-8
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("classify", {"samples": {"points": [{"x": [0.1, 0.2]}]}}),
+    ("classify", {"samples": {"count": "many"}}),
+    ("classify", {"samples": {"count": 4}, "seed": "lucky"}),
+    ("verify", {"samples": {"count": 4}, "tolerance": "tight"}),
+    ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]},
+                  "integrator": {"step": "big"}}),
+    ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0]}}),
+])
+def test_malformed_config_value_exit_code(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "bad.json", {"system": {"builtin": "SYS-B"}, **payload})
+    assert main([command, cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_finsler_gate_of_samples_agrees_with_verify():
+    # L is 2-homogeneous, but log(x1) leaves the domain for x1 <= 0, so
+    # some probes of the gate cannot be evaluated
+    cfg = {"system": {"n": 2, "lagrangian": "(y1^2 + y2^2) * log(x1)"},
+           "samples": {"box_x": [[-1, 2], [-1, 1]], "box_y": [[-1, 1], [-1, 1]],
+                       "count": 200}}
+    sys_ = build_system(cfg, {})
+    samples = build_samples(cfg, sys_, 0)
+    assert run_verification(sys_, samples)["finsler_mode"] is True
+    # Finsler mode draws box samples with fiber norms of at least 0.1
+    floor = sample_box(cfg["samples"]["box_x"], cfg["samples"]["box_y"], 200, min_y_norm=0.1)
+    assert samples == floor

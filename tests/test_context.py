@@ -26,8 +26,10 @@ from lagmech.mechanics import (
     evolution_bundle_at,
     evolution_connection_at,
     evolution_spray_at,
-    force_jacobian_y,
+    horizontal_dE,
+    horizontal_dL,
     sigma_at,
+    symplectic_defect,
 )
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
@@ -80,7 +82,10 @@ def test_context_fields_match_accessors(name, index, shift, scale):
     _close(ctx.spray, evolution_spray_at(sys_, p))
     _close(ctx.conn, evolution_connection_at(sys_, p))
     _close(ctx.sigma, sigma_at(sys_, p))
-    _close(ctx.dV_dy, force_jacobian_y(sys_, p))
+    dv_dy = jets.push_direction(lambda q: sys_.V(q.x, q.y), p, np.eye(sys_.n))
+    _close(ctx.dV_dy, dv_dy)
+    # N = N0 - dV/dy / 4 across independent passes
+    _close(ctx.conn, canonical_connection_at(sys_.L, p) - 0.25 * dv_dy)
     _close(ctx.christoffel, christoffel_at(sys_, p))
     _close(ctx.cartan, cartan_tensor_at(sys_.L, p))
     for spray, conn in ((ctx.spray0, ctx.conn0), (ctx.spray, ctx.conn)):
@@ -97,8 +102,9 @@ def test_context_fields_match_accessors(name, index, shift, scale):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts eval_jet and sym_invert calls made through any lagmech module."""
-    counts = {"eval_jet": 0, "sym_invert": 0}
+    """Counts eval_jet, sym_invert and push_direction calls made through
+    any lagmech module."""
+    counts = {"eval_jet": 0, "sym_invert": 0, "push_direction": 0}
     modules = [m for k, m in list(sys.modules.items())
                if m is not None and (k == "lagmech" or k.startswith("lagmech."))]
     for name in counts:
@@ -115,7 +121,7 @@ def passes(monkeypatch):
 
     def take():
         out = dict(counts)
-        counts.update(eval_jet=0, sym_invert=0)
+        counts.update(eval_jet=0, sym_invert=0, push_direction=0)
         return out
 
     return take
@@ -128,7 +134,13 @@ def test_pass_budget(passes, name, tmp_path):
     passes()
 
     classify(sys_, samples)
-    assert passes() == {"eval_jet": k, "sym_invert": k}
+    assert passes() == {"eval_jet": k, "sym_invert": k, "push_direction": 0}
+
+    # each accessor reads one context
+    for accessor in (evolution_connection_at, evolution_bundle_at, symplectic_defect,
+                     horizontal_dL, horizontal_dE):
+        accessor(sys_, samples[0])
+        assert passes() == {"eval_jet": 1, "sym_invert": 1, "push_direction": 0}
 
     # Finsler mode probes L once per probe (up to 8) before the sweep
     run_verification(sys_, samples)
@@ -142,7 +154,7 @@ def test_pass_budget(passes, name, tmp_path):
     assert used["sym_invert"] <= k
 
     christoffel_at(sys_, samples[0])
-    assert passes() == {"eval_jet": 1, "sym_invert": 1}
+    assert passes() == {"eval_jet": 1, "sym_invert": 1, "push_direction": 0}
 
     builtin, params = _SYSTEMS[name]
     cfg = tmp_path / "run.json"

@@ -264,13 +264,15 @@ def test_horizontal_de_sys_d_vanishes(sys_d, samples_c):
 
 
 def test_horizontal_de_finsler_force_term(sys_e_finsler, samples_c):
-    from lagmech.mechanics import force_jacobian_y
+    from lagmech.jets import push_direction
 
+    V = sys_e_finsler.V
     for p in samples_c[:8]:
         out = horizontal_dE(sys_e_finsler, p)
         g = metric_at(sys_e_finsler.L, p).entries
         yv = np.array([float(v) for v in p.y])
-        rhs = 0.5 * g.dot(yv).dot(force_jacobian_y(sys_e_finsler, p))
+        dv_dy = push_direction(lambda q: V(q.x, q.y), p, np.eye(2))
+        rhs = 0.5 * g.dot(yv).dot(dv_dy)
         assert np.abs(out - rhs).max() <= 1e-8
 
 
@@ -393,25 +395,36 @@ def test_report_serialization_fields(sys_d, samples_c):
 
 
 # ---------------------------------------------------------------------------
-# route disagreements are typed
+# verify reports a route disagreement
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("check, target", [
-    ("evolution_connection_at", "force_jacobian_y"),
-    ("evolution_bundle_at", "dyn_cov_deriv_g"),
-    ("symplectic_defect", "_two_form_value"),
-    ("horizontal_dL", "sigma_at"),
-    ("horizontal_dE", "force_jacobian_y"),
+@pytest.mark.parametrize("owner, target, residual", [
+    ("PointGeometry", "gbar", "metric_derivative_agreement"),
+    ("PointGeometry", "dyn_cov_deriv_g", "metric_derivative_agreement"),
+    ("PointGeometry", "helicoidal", "symplectic_vs_helicoidal"),
+    ("verify", "_horizontal_two_form", "symplectic_vs_helicoidal"),
+    ("PointGeometry", "horizontal_dL", "lagrangian_horizontal_routes"),
+    ("PointGeometry", "dSL_dy", "lagrangian_horizontal_routes"),
+    ("PointGeometry", "horizontal_dE", "energy_horizontal_routes"),
+    ("PointGeometry", "horizontal_dE_closed", "energy_horizontal_routes"),
 ])
-def test_route_disagreement_raises_kernel_inconsistency(monkeypatch, sys_d, check, target):
-    # shift one route of each cross-check by one unit so the two disagree
-    from lagmech import mechanics
-    from lagmech.errors import KernelInconsistency, LagmechError
+def test_route_disagreement_is_a_verify_offender(monkeypatch, sys_d, owner, target, residual):
+    # shift one side of a route comparison by one unit so the two disagree
+    import inspect
+    from functools import cached_property
 
-    original = getattr(mechanics, target)
-    monkeypatch.setattr(mechanics, target, lambda *a, **kw: original(*a, **kw) + 1.0)
-    p = PhasePoint((0.2, -0.3), (0.9, 1.2))
-    with pytest.raises(KernelInconsistency) as info:
-        getattr(mechanics, check)(sys_d, p)
-    assert isinstance(info.value, LagmechError)
+    from lagmech import mechanics, verify
+
+    samples = standard_samples("SYS-D", {"e": -0.5}, count=4)
+    assert verify.run_verification(sys_d, samples)["offenders"] == []
+    obj = mechanics.PointGeometry if owner == "PointGeometry" else verify
+    original = inspect.getattr_static(obj, target)
+    if isinstance(original, property):
+        shifted = property(lambda self: original.fget(self) + 1.0)
+    elif isinstance(original, cached_property):
+        shifted = property(lambda self: original.func(self) + 1.0)
+    else:
+        shifted = lambda *a, **kw: original(*a, **kw) + 1.0  # noqa: E731
+    monkeypatch.setattr(obj, target, shifted)
+    assert residual in verify.run_verification(sys_d, samples)["offenders"]
