@@ -217,10 +217,19 @@ def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
     if sys.domain_guard == "y_nonzero":
         min_y = 0.1
     else:
-        probe = sample_box(box_x, box_y, 4, mode="halton", min_y_norm=0.15)
+        probe = _draw(box_x, box_y, 4, mode="halton", min_y_norm=0.15)
         if is_finsler_mode(sys, probe):
             min_y = 0.1
-    return sample_box(box_x, box_y, count, mode=mode, seed=seed, min_y_norm=min_y)
+    return _draw(box_x, box_y, count, mode=mode, seed=seed, min_y_norm=min_y)
+
+
+def _draw(*args, **kwargs) -> list:
+    """``sample_box``, whose rejections of the sampling settings (mode,
+    bounds, dimension, fiber floor) are config errors."""
+    try:
+        return sample_box(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"cannot draw samples: {err}") from err
 
 
 def _integrator_config(cfg: dict, args) -> IntegratorConfig:

@@ -27,7 +27,7 @@ integer exponents multiply out and stay smooth through zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
@@ -48,7 +48,6 @@ __all__ = [
     "Neg",
     "Bin",
     "Call",
-    "SystemConfig",
     "parse",
     "evaluate",
     "eval_expr",
@@ -404,33 +403,3 @@ def _render(e: Expr, min_level: int) -> str:
 def to_source(e: Expr) -> str:
     """Render an expression; reparsing yields a structurally equal tree."""
     return _render(e, _LEVEL_ADD)
-
-
-# ---------------------------------------------------------------------------
-# system configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SystemConfig:
-    """Declarative description of a mechanical system.
-
-    ``lagrangian`` is either an expression source or a builtin id;
-    ``force`` is a list of n component sources, a builtin id, or None for
-    a free system.  Parameters are late-bound so the same config sweeps
-    parameter values without reparsing.
-    """
-
-    n: int
-    lagrangian: str
-    force: list | str | None = None
-    params: dict = field(default_factory=dict)
-    domain_guard: str | None = None
-
-    def validate(self):
-        if self.n < 1:
-            raise ValueError("dimension must be at least 1")
-        if isinstance(self.force, list) and len(self.force) != self.n:
-            raise ValueError(
-                f"force has {len(self.force)} components for dimension {self.n}"
-            )

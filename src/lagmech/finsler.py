@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
 from .geometry import _christoffel, _metric_x_pass
-from .jets import eval_jet, push_direction, sym_invert, tower_vector
+from .jets import eval_jet, seed_point, sym_invert, tangent_part, tower_vector
 from .mechanics import MechanicalSystem, PointGeometry
 from .phase import PhasePoint
 
@@ -30,7 +30,6 @@ __all__ = [
     "HomogeneityReport",
     "FinslerIdentityReport",
     "homogeneity_report",
-    "homogeneity_residual_at",
     "is_finsler_mode",
     "require_finsler_mode",
     "christoffel_at",
@@ -65,11 +64,6 @@ def _euler_defect(j, p: PhasePoint) -> float:
     return float(abs(tower_vector(p.y) @ j.d_y - 2.0 * j.value))
 
 
-def homogeneity_residual_at(sys: MechanicalSystem, p: PhasePoint) -> float:
-    """|Euler defect| of L at one point: |(dL/dy_i) y^i - 2L|."""
-    return _euler_defect(eval_jet(sys.L, p, order=1), p)
-
-
 def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bool:
     """Whether L passes the Euler test, |defect| <= tol (1 + |L|), at each
     of the first 8 probes where it can be evaluated.
@@ -91,9 +85,8 @@ def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bo
     return tested > 0
 
 
-def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint, tol: float = _GATE_TOL):
-    """Gate an operation on the homogeneity of L at a reference point."""
-    j = eval_jet(sys.L, p, order=1)
+def _require_euler(j, p: PhasePoint, tol: float = _GATE_TOL):
+    """Raise FinslerModeError unless a jet of L at ``p`` passes the Euler test."""
     res = _euler_defect(j, p)
     if res > tol * (1.0 + abs(j.value)):
         raise FinslerModeError(
@@ -101,11 +94,18 @@ def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint, tol: float = _GAT
         )
 
 
+def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint, tol: float = _GATE_TOL):
+    """Gate an operation on the homogeneity of L at a reference point."""
+    _require_euler(eval_jet(sys.L, p, order=1), p, tol)
+
+
 def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
     """Run the three Euler tests over a sample set.
 
     The system is accepted as Finsler-mode when the Lagrangian residual
-    stays below 1e-8 (1 + |L|) at every sampled point.
+    stays below 1e-8 (1 + |L|) at every sampled point.  Each point costs
+    one pass of L and V with y seeded along y itself: the value parts give
+    the Euler defect, the tangents (dg/dy) y and (dV/dy) y.
     """
     lag_res = 0.0
     met_res = 0.0
@@ -115,19 +115,20 @@ def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
     failures = []
     for idx, p in enumerate(samples):
         try:
-            j = eval_jet(sys.L, p, order=3)
-            dvy = push_direction(lambda q: sys.V(q.x, q.y), p,
-                                 [float(v) for v in p.y], wrt="y")
+            q = seed_point(p, np.array([p.y], dtype=float))
+            d = eval_jet(sys.L, q, order=2)
+            v = sys.V(q.x, q.y)
         except (SingularMetric, DomainError) as err:
             failures.append(failure_record(idx, err, p))
             continue
         tested += 1
+        j = d.primal()
         lag = _euler_defect(j, p)
         if lag > _GATE_TOL * (1.0 + abs(j.value)):
             accepted = False
         lag_res = max(lag_res, lag)
-        met_res = max(met_res, float(np.abs((j.d_yyy @ tower_vector(p.y)) * 0.5).max()))
-        frc_res = max(frc_res, float(np.abs(dvy).max()))
+        met_res = max(met_res, float(np.abs(tangent_part(d.d_yy * 0.5, 1)).max()))
+        frc_res = max(frc_res, float(np.abs(tangent_part(v, 1)).max()))
     return HomogeneityReport(
         lagrangian_residual=lag_res,
         metric_residual=met_res,
@@ -181,8 +182,8 @@ def finsler_identities(sys: MechanicalSystem, samples) -> FinslerIdentityReport:
     failures = []
     for idx, p in enumerate(samples):
         try:
-            require_finsler_mode(sys, p)
             ctx = PointGeometry(sys, p)
+            _require_euler(ctx.jet, p)
             gamma = ctx.christoffel
         except (SingularMetric, DomainError, FinslerModeError) as err:
             failures.append(failure_record(idx, err, p))

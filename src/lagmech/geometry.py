@@ -25,6 +25,7 @@ import numpy as np
 from .jets import (
     Jet,
     eval_jet,
+    hessian_y_tangent,
     push_direction,
     seed_point,
     sym_invert,
@@ -215,9 +216,13 @@ class LagrangeGeometry:
 
 
 def lagrange_geometry(L: ScalarField, p: PhasePoint) -> LagrangeGeometry:
-    """Assemble the canonical geometry bundle at a point."""
-    j, g, yv, spray0 = _canonical_pass(L, p)
-    e, de_x, de_y = _energy_parts(j, yv)
-    return LagrangeGeometry(g=g, E=float(e), dE=np.concatenate([de_x, de_y]), theta=j.d_y,
-                            spray0=spray0, conn0=canonical_connection_at(L, p),
-                            cartan=cartan_tensor_at(L, p))
+    """Assemble the canonical geometry bundle at a point from one pass of
+    the canonical pipeline with y seeded along ``np.eye(n)``: the values
+    are its value parts, N0 and the Cartan tensor its tangents."""
+    d, g, yv, spray0 = _canonical_pass(L, seed_point(p, np.eye(p.n)))
+    j = d.primal()
+    e, de_x, de_y = _energy_parts(j, value_part(yv))
+    return LagrangeGeometry(g=g.primal(), E=float(e), dE=np.concatenate([de_x, de_y]),
+                            theta=j.d_y, spray0=value_part(spray0),
+                            conn0=tangent_part(spray0, p.n),
+                            cartan=hessian_y_tangent(d) * 0.25)

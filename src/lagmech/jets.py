@@ -2,26 +2,22 @@
 
 The jet carried here is tailored to Lagrange-space geometry on a single
 chart: for a scalar field f(x, y) it propagates, exactly and to machine
-precision,
+precision, the value, the first derivatives in x and y, and the second
+derivatives in (y, y) and mixed (y, x).  No (x, x) block is carried.
 
-* the value,
-* first derivatives in x and y,
-* second derivatives in (y, y) and mixed (y, x),
-* third derivatives in (y, y, y).
+Anything deeper is one extra forward-mode layer threaded through the
+whole evaluation pipeline with :func:`push_direction`: a :class:`KDual`
+carries float values with k tangents on a trailing float axis, so a pass
+seeded with a (k, n) direction matrix returns k directional derivatives
+and a full Jacobian costs one pass.  Jet blocks stay plain float arrays
+until a seeded coordinate reaches them.  d3f/dy3 is the y-Jacobian of
+the Hessian block (:func:`hessian_y_tangent`), position derivatives of
+the metric its x-Jacobian.  :func:`sym_invert` inverts the float value
+part and carries the tangents through d(A^-1) = -A^-1 dA A^-1.
 
-No (x, x) block is carried; every identity in scope needs position
-derivatives only to first order directly, and anything deeper (such as
-position derivatives of the metric) is obtained by threading one extra
-forward-mode layer through the full evaluation pipeline with
-:func:`push_direction`.  That layer is a :class:`KDual`: float values
-with k tangents stored on a trailing float axis, so a pass seeded with a
-(k, n) direction matrix returns k directional derivatives and a full
-Jacobian costs one pass.  Under a push, jet blocks stay plain float
-arrays until a seeded coordinate reaches them and become KDual arrays
-from then on.  :func:`sym_invert` inverts the float value part and
-carries the tangents through d(A^-1) = -A^-1 dA A^-1, so directional
-derivatives of quantities built from the inverse metric need no
-hand-written calculus.
+Each elementary function is defined once, as its derivative sequence
+f, f', f'', f''' at a float; the same sequence serves floats, KDuals
+and jets.
 """
 
 from __future__ import annotations
@@ -29,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -40,6 +37,7 @@ __all__ = [
     "Jet",
     "SymMatrix",
     "eval_jet",
+    "hessian_y_tangent",
     "push_direction",
     "seed_point",
     "value_part",
@@ -231,65 +229,77 @@ def tower_concat(blocks):
 
 
 # ---------------------------------------------------------------------------
-# elementary functions on the value tower (floats and duals)
+# elementary functions: one derivative sequence each, for every tower
 # ---------------------------------------------------------------------------
+#
+# Each is a generator over a float v yielding f(v), f'(v), f''(v), f'''(v)
+# on demand; it raises DomainError before a term it cannot supply at v.  A
+# float takes f, a KDual f and f', an order-o jet o + 1 terms, or o + 2
+# when its value carries tangents (Jet._compose).
 
 
-def s_sqrt(v):
-    if isinstance(v, KDual):
-        if v.val <= 0.0:
-            raise DomainError("sqrt requires a positive argument for derivatives")
-        s = math.sqrt(v.val)
-        return KDual(s, 0.5 / s * v.tan)
+def _sqrt(v):
     if v < 0.0:
         raise DomainError("sqrt of a negative value")
-    return math.sqrt(v)
+    s = math.sqrt(v)
+    yield s
+    if v == 0.0:
+        raise DomainError("sqrt requires a positive argument for derivatives")
+    yield from (0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
 
 
-def s_sin(v):
-    if isinstance(v, KDual):
-        return KDual(math.sin(v.val), math.cos(v.val) * v.tan)
-    return math.sin(v)
+def _sin(v):
+    s, c = math.sin(v), math.cos(v)
+    yield from (s, c, -s, -c)
 
 
-def s_cos(v):
-    if isinstance(v, KDual):
-        return KDual(math.cos(v.val), -math.sin(v.val) * v.tan)
-    return math.cos(v)
+def _cos(v):
+    s, c = math.sin(v), math.cos(v)
+    yield from (c, -s, -c, s)
 
 
-def s_tan(v):
-    if isinstance(v, KDual):
-        t = math.tan(v.val)
-        return KDual(t, (1.0 + t * t) * v.tan)
-    return math.tan(v)
+def _tan(v):
+    t = math.tan(v)
+    yield t
+    sec2 = 1.0 + t * t
+    yield from (sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t))
 
 
-def s_exp(v):
-    if isinstance(v, KDual):
-        e = math.exp(v.val)
-        return KDual(e, e * v.tan)
-    return math.exp(v)
+def _exp(v):
+    e = math.exp(v)
+    yield from (e, e, e, e)
 
 
-def s_log(v):
-    if isinstance(v, KDual):
-        if v.val <= 0.0:
-            raise DomainError("log of a non-positive value")
-        return KDual(math.log(v.val), v.tan / v.val)
+def _log(v):
     if v <= 0.0:
         raise DomainError("log of a non-positive value")
-    return math.log(v)
+    yield math.log(v)
+    f1 = 1.0 / v
+    yield from (f1, -(f1 * f1), 2.0 * (f1 * f1 * f1))
 
 
-SCALAR_FUNCTIONS = {
-    "sqrt": s_sqrt,
-    "sin": s_sin,
-    "cos": s_cos,
-    "tan": s_tan,
-    "exp": s_exp,
-    "log": s_log,
-}
+def _real_power(v, b):
+    if v <= 0.0:
+        raise DomainError("non-integer power of a non-positive base")
+    yield math.pow(v, b)
+    yield from (b * math.pow(v, b - 1.0), b * (b - 1.0) * math.pow(v, b - 2.0),
+                b * (b - 1.0) * (b - 2.0) * math.pow(v, b - 3.0))
+
+
+# the named functions of the expression language, as derivative sequences
+SCALAR_FUNCTIONS = {"sqrt": _sqrt, "sin": _sin, "cos": _cos,
+                    "tan": _tan, "exp": _exp, "log": _log}
+
+
+def _apply(seq, v):
+    """Apply the function whose derivative sequence is ``seq`` to a float,
+    a KDual or a jet."""
+    if isinstance(v, Jet):
+        return v._compose(seq)
+    if isinstance(v, KDual):
+        f0, f1 = islice(seq(v.val), 2)
+        return KDual(f0, f1 * v.tan)
+    return next(seq(v))
 
 
 def ipow(v, k: int):
@@ -335,25 +345,14 @@ def power(base, exponent):
         return ipow(base, k)
     if isinstance(exponent, (int, float)):
         b = float(exponent)
-        if isinstance(base, Jet):
-            return base.pow_real(b)
-        if isinstance(base, KDual):
-            if base.val <= 0.0:
-                raise DomainError("non-integer power of a non-positive base")
-            f0 = math.pow(base.val, b)
-            return KDual(f0, b * math.pow(base.val, b - 1.0) * base.tan)
-        if base <= 0.0:
-            raise DomainError("non-integer power of a non-positive base")
-        return math.pow(base, b)
+        return _apply(lambda v: _real_power(v, b), base)
     # exponent is itself a varying tower value: a^b = exp(b * log(a))
     return apply_function("exp", exponent * apply_function("log", base))
 
 
 def apply_function(name, v):
     """Apply a named elementary function to a tower scalar or jet."""
-    if isinstance(v, Jet):
-        return getattr(v, name)()
-    return SCALAR_FUNCTIONS[name](v)
+    return _apply(SCALAR_FUNCTIONS[name], v)
 
 
 # ---------------------------------------------------------------------------
@@ -368,40 +367,27 @@ _SYM3_INDEX_CACHE: dict = {}
 def _zeros(shape):
     z = _ZERO_CACHE.get(shape)
     if z is None:
-        z = np.zeros(shape)
+        z = _ZERO_CACHE[shape] = np.zeros(shape)
         z.setflags(write=False)
-        _ZERO_CACHE[shape] = z
     return z
 
 
 def _basis(n, i):
-    e = _BASIS_CACHE.get((n, i))
+    e = _BASIS_CACHE.get(n)
     if e is None:
-        e = np.zeros(n)
-        e[i] = 1.0
+        e = _BASIS_CACHE[n] = np.eye(n)
         e.setflags(write=False)
-        _BASIS_CACHE[(n, i)] = e
-    return e
-
-
-def _sym3_indices(n):
-    """Index arrays that map every (i, j, k) to its sorted permutation."""
-    idx = _SYM3_INDEX_CACHE.get(n)
-    if idx is None:
-        grid = np.indices((n, n, n)).reshape(3, -1)
-        s = np.sort(grid, axis=0)
-        idx = (s[0].reshape(n, n, n), s[1].reshape(n, n, n), s[2].reshape(n, n, n))
-        _SYM3_INDEX_CACHE[n] = idx
-    return idx
+    return e[i]
 
 
 def _mirror3(t):
-    """Force bitwise total symmetry by copying each entry from its
-    sorted-index representative."""
-    if t is None:
-        return None
-    i, j, k = _sym3_indices(t.shape[0])
-    return t[i, j, k]
+    """Force bitwise total symmetry on an (n, n, n) array by copying each
+    entry from its sorted-index representative."""
+    n = t.shape[0]
+    idx = _SYM3_INDEX_CACHE.get(n)
+    if idx is None:
+        idx = _SYM3_INDEX_CACHE[n] = tuple(np.sort(np.indices((n, n, n)), axis=0))
+    return t[idx]
 
 
 # A block is a float array, a KDual array, or None when it is identically
@@ -446,20 +432,6 @@ def _sym2(q):
     return None if q is None else q + q.T
 
 
-def _sym_yy_y(a, b):
-    """Symmetrized a_{ij} b_k over the three placements of the single index:
-    a_ij b_k + a_ik b_j + a_jk b_i."""
-    r = _outer(a, b)
-    return None if r is None else r + r.transpose(0, 2, 1) + r.transpose(2, 0, 1)
-
-
-def _sym_y_yy(a, b):
-    """Symmetrized a_i b_{jk} over the three placements of the single index:
-    a_i b_jk + a_j b_ik + a_k b_ij."""
-    p = _outer(a, b)
-    return None if p is None else p + p.transpose(1, 0, 2) + p.transpose(1, 2, 0)
-
-
 def _finite(v) -> bool:
     if isinstance(v, KDual):
         return bool(np.isfinite(v.val).all() and np.isfinite(v.tan).all())
@@ -484,9 +456,11 @@ class Jet:
     ``d_xy[i, j]``       d2f/dy_i dx_j           (row = y index)
     ``d_yyy[i, j, k]``   d3f/dy_i dy_j dy_k      (bitwise totally symmetric)
 
-    Under a push the value and each block are float, or :class:`KDual`
-    once a seeded coordinate has reached them.  Supports ``+ - * / **``
-    against jets of the same shape and plain numbers, plus the elementary
+    Arithmetic propagates orders 0 to 2; ``d_yyy`` is filled only by
+    :func:`eval_jet` at order 3, as the y-tangent of ``d_yy``.  Under a
+    push the value and each block are float, or :class:`KDual` once a
+    seeded coordinate has reached them.  Supports ``+ - * / **`` against
+    jets of the same shape and plain numbers, plus the elementary
     functions of the expression language.  Instances are never mutated
     after construction.
     """
@@ -521,7 +495,7 @@ class Jet:
         return Jet.constant(c, self.n, self.order)
 
     def _blocks(self):
-        return self.d_x, self.d_y, self.d_yy, self.d_xy, self.d_yyy
+        return self.d_x, self.d_y, self.d_yy, self.d_xy
 
     def primal(self):
         """The jet of the value parts: what the unseeded evaluation gives."""
@@ -566,10 +540,6 @@ class Jet:
                           _sym2(_outer(self.d_y, other.d_y)))
             j.d_xy = _sum(_mul(self.d_xy, ov), _mul(other.d_xy, sv),
                           _outer(self.d_y, other.d_x), _outer(other.d_y, self.d_x))
-        if o >= 3:
-            j.d_yyy = _mirror3(_sum(_mul(self.d_yyy, ov), _mul(other.d_yyy, sv),
-                                    _sym_yy_y(self.d_yy, other.d_y),
-                                    _sym_y_yy(self.d_y, other.d_yy)))
         return j
 
     __rmul__ = __mul__
@@ -593,10 +563,6 @@ class Jet:
                                 _sym2(_outer(j.d_y, other.d_y))), q)
             j.d_xy = _mul(_diff(self.d_xy, _mul(other.d_xy, w0),
                                 _outer(j.d_y, other.d_x), _outer(other.d_y, j.d_x)), q)
-        if o >= 3:
-            j.d_yyy = _mirror3(_mul(_diff(self.d_yyy, _mul(other.d_yyy, w0),
-                                          _sym_yy_y(j.d_yy, other.d_y),
-                                          _sym_y_yy(j.d_y, other.d_yy)), q))
         return j
 
     def __rtruediv__(self, other):
@@ -607,92 +573,35 @@ class Jet:
 
     # -- chain rule ----------------------------------------------------
 
-    def _compose(self, f0, f1, f2=None, f3=None):
-        o = self.order
-        j = Jet(self.n, o, f0)
+    def _compose(self, seq):
+        """Chain rule through the function whose derivative sequence is
+        ``seq``.  When the value carries tangents so does each coefficient
+        f^(m), with f^(m+1) times the value's tangent."""
+        o, v = self.order, self.value
+        if isinstance(v, KDual):
+            fs = tuple(islice(seq(v.val), o + 2))
+            f = [KDual(a, b * v.tan) for a, b in zip(fs, fs[1:])]
+        else:
+            f = tuple(islice(seq(v), o + 1))
+        j = Jet(self.n, o, f[0])
         if o >= 1:
-            j.d_x = _mul(self.d_x, f1)
-            j.d_y = _mul(self.d_y, f1)
+            j.d_x = _mul(self.d_x, f[1])
+            j.d_y = _mul(self.d_y, f[1])
         if o >= 2:
-            j.d_yy = _sum(_mul(self.d_yy, f1), _mul(_outer(self.d_y, self.d_y), f2))
-            j.d_xy = _sum(_mul(self.d_xy, f1), _mul(_outer(self.d_y, self.d_x), f2))
-        if o >= 3:
-            cube = _outer(_outer(self.d_y, self.d_y), self.d_y)
-            j.d_yyy = _mirror3(_sum(_mul(self.d_yyy, f1),
-                                    _mul(_sym_yy_y(self.d_yy, self.d_y), f2),
-                                    _mul(cube, f3)))
+            j.d_yy = _sum(_mul(self.d_yy, f[1]), _mul(_outer(self.d_y, self.d_y), f[2]))
+            j.d_xy = _sum(_mul(self.d_xy, f[1]), _mul(_outer(self.d_y, self.d_x), f[2]))
         return j
-
-    def sqrt(self):
-        v = self.value
-        if value_of(v) <= 0.0:
-            raise DomainError("sqrt requires a positive argument for derivatives")
-        s = s_sqrt(v)
-        f1 = 0.5 / s
-        f2 = f3 = None
-        if self.order >= 2:
-            f2 = -0.25 / (s * v)
-        if self.order >= 3:
-            f3 = 0.375 / (s * v * v)
-        return self._compose(s, f1, f2, f3)
-
-    def sin(self):
-        s = s_sin(self.value)
-        c = s_cos(self.value)
-        return self._compose(s, c, -s, -c)
-
-    def cos(self):
-        s = s_sin(self.value)
-        c = s_cos(self.value)
-        return self._compose(c, -s, -c, s)
-
-    def tan(self):
-        t = s_tan(self.value)
-        sec2 = 1.0 + t * t
-        f2 = f3 = None
-        if self.order >= 2:
-            f2 = 2.0 * t * sec2
-        if self.order >= 3:
-            f3 = 2.0 * sec2 * (1.0 + 3.0 * t * t)
-        return self._compose(t, sec2, f2, f3)
-
-    def exp(self):
-        e = s_exp(self.value)
-        return self._compose(e, e, e, e)
-
-    def log(self):
-        if value_of(self.value) <= 0.0:
-            raise DomainError("log of a non-positive value")
-        f1 = 1.0 / self.value
-        f2 = f3 = None
-        if self.order >= 2:
-            f2 = -(f1 * f1)
-        if self.order >= 3:
-            f3 = 2.0 * (f1 * f1 * f1)
-        return self._compose(s_log(self.value), f1, f2, f3)
-
-    def pow_real(self, b: float):
-        v = self.value
-        if value_of(v) <= 0.0:
-            raise DomainError("non-integer power of a non-positive base")
-        f0 = power(v, b)
-        f1 = b * power(v, b - 1.0)
-        f2 = f3 = None
-        if self.order >= 2:
-            f2 = b * (b - 1.0) * power(v, b - 2.0)
-        if self.order >= 3:
-            f3 = b * (b - 1.0) * (b - 2.0) * power(v, b - 3.0)
-        return self._compose(f0, f1, f2, f3)
 
     # -- finalization ----------------------------------------------------
 
     def finalized(self):
-        """Zero-fill the zero blocks and verify finiteness."""
+        """Zero-fill the zero blocks, ``d_yyy`` included, and verify finiteness."""
         n = self.n
         if not _finite(self.value):
             raise DomainError("field evaluation produced a non-finite value")
         blocks = []
-        for b, shape in zip(self._blocks(), ((n,), (n,), (n, n), (n, n), (n, n, n))):
+        for b, shape in zip((*self._blocks(), self.d_yyy),
+                            ((n,), (n,), (n, n), (n, n), (n, n, n))):
             if b is None:
                 b = _zeros(shape)
             elif not _finite(b):
@@ -709,20 +618,8 @@ class Jet:
 # ---------------------------------------------------------------------------
 
 
-def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
-    """Evaluate a scalar field at ``p`` carrying derivatives up to ``order``.
-
-    Blocks above the requested order come back zero-filled, with
-    ``jet.order`` recording which blocks were actually propagated.
-
-    Raises
-    ------
-    DomainError
-        If the evaluation produces a non-finite value or derivative.
-    """
-
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"jet order must be 0..3, got {order}")
+def _propagate(f, p: PhasePoint, order: int) -> Jet:
+    """The jet of ``f`` at ``p`` to ``order`` <= 2, in the tower ``p`` carries."""
     n = p.n
     xs = [Jet.seed_x(v, i, n, order) for i, v in enumerate(p.x)]
     ys = [Jet.seed_y(v, i, n, order) for i, v in enumerate(p.y)]
@@ -730,6 +627,36 @@ def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
     if not isinstance(out, Jet):
         out = Jet.constant(out, n, order)
     return out.finalized()
+
+
+def hessian_y_tangent(j: Jet) -> np.ndarray:
+    """d3f/dy_i dy_j dy_k of a jet propagated with y seeded along ``np.eye(n)``:
+    the y-tangent of its ``d_yy`` block, made bitwise totally symmetric."""
+    return _mirror3(tangent_part(j.d_yy, j.n))
+
+
+def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
+    """Evaluate a scalar field at ``p`` carrying derivatives up to ``order``.
+
+    Blocks above the requested order come back zero-filled, with
+    ``jet.order`` recording which blocks were computed.  Order 3 runs one
+    order-2 pass with y seeded along ``np.eye(n)``: its value parts, and
+    ``d_yyy`` from :func:`hessian_y_tangent`.
+
+    Raises :class:`DomainError` if the evaluation produces a non-finite
+    value or derivative, and ValueError for an order outside 0..3 or for
+    order 3 at a point whose coordinates already carry tangents.
+    """
+
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"jet order must be 0..3, got {order}")
+    if order < 3:
+        return _propagate(f, p, order)
+    if any(isinstance(v, KDual) for v in (*p.x, *p.y)):
+        raise ValueError("an order-3 jet needs a point whose coordinates carry no tangents")
+    d = _propagate(f, seed_point(p, np.eye(p.n)), 2)
+    j = d.primal()
+    return Jet(j.n, 3, j.value, *j._blocks(), d_yyy=hessian_y_tangent(d))
 
 
 def seed_point(p: PhasePoint, seeds, wrt: str = "y") -> PhasePoint:
@@ -815,6 +742,11 @@ class SymMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    def primal(self) -> "SymMatrix":
+        """The value parts: what the unseeded inversion gives."""
+        return SymMatrix(value_part(self.entries), value_part(self.inverse),
+                         self.min_abs_eigen_estimate, self.max_abs_eigen)
 
 
 def _inverse(a):

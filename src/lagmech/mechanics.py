@@ -17,8 +17,8 @@ All of it comes from one pipeline: the jet of L, the metric, V, G0, G
 and sigma at a point.  The ODE right-hand sides run it on floats.
 :class:`PointGeometry` runs it once with y seeded along the identity,
 which yields the values together with every fiber Jacobian (N0, dV/dy,
-N, dsigma/dy); position derivatives of g and the order-3 jet are
-evaluated only when read.  Sweeps build one context per point.
+N, dsigma/dy, d3L/dy3); position derivatives of g are evaluated only
+when read.  Sweeps build one context per point.
 
 Theorem-style statements are exposed as numerical residuals; booleans
 appear only in :class:`ClassificationReport` behind explicit tolerances
@@ -46,8 +46,7 @@ from .geometry import (
 )
 from .jets import (
     Jet,
-    SymMatrix,
-    eval_jet,
+    hessian_y_tangent,
     seed_point,
     tangent_part,
     tower_vector,
@@ -139,15 +138,16 @@ class PointGeometry:
     The value parts of that pass are what the pipeline gives at ``p``:
     ``jet`` (L to order 2), ``metric``, ``y``, ``V``, ``spray0`` (G0),
     ``spray`` (G) and ``sigma``.  Its tangents are their fiber Jacobians:
-    ``conn0`` (N0), ``dV_dy``, ``conn`` (N) and ``dsigma_dy`` (J).  The
-    symmetric quarter of J is the dynamical covariant derivative of g
-    along the evolution pair, its antisymmetric half the helicoidal
-    tensor: 4 gbar_ij = J_ij + J_ji, 2 F_ij = J_ij - J_ji.
+    ``conn0`` (N0), ``dV_dy``, ``conn`` (N), ``dsigma_dy`` (J) and, read
+    off the Hessian block, ``d_yyy`` (d3L/dy3, four times the Cartan
+    tensor).  The symmetric quarter of J is the dynamical covariant
+    derivative of g along the evolution pair, its antisymmetric half the
+    helicoidal tensor: 4 gbar_ij = J_ij + J_ji, 2 F_ij = J_ij - J_ji.
 
-    Two more jet evaluations run only when read: ``dg_dx`` (x seeded
+    One more jet evaluation runs only when read: ``dg_dx`` (x seeded
     along ``np.eye(n)``), for the Christoffel symbols and the dynamical
-    derivative of g, and ``jet3`` (order 3), for the Cartan tensor and
-    d3L/dy3.  A context describes its own point only; build one per point.
+    derivative of g.  A context describes its own point only; build one
+    per point.
     """
 
     def __init__(self, sys: MechanicalSystem, p: PhasePoint):
@@ -157,8 +157,7 @@ class PointGeometry:
         self._dual = d = _evolution_pass(sys, seed_point(p, np.eye(n)))
         sigma = d.sigma
         self.jet = d.jet.primal()
-        self.metric = SymMatrix(value_part(d.metric.entries), value_part(d.metric.inverse),
-                                d.metric.min_abs_eigen_estimate, d.metric.max_abs_eigen)
+        self.metric = d.metric.primal()
         self.y, self.V, self.spray0, self.spray, self.sigma = map(
             value_part, (d.y, d.V, d.spray0, d.spray, sigma))
         self.conn0, self.dV_dy, self.conn, self.dsigma_dy = (
@@ -184,12 +183,13 @@ class PointGeometry:
         return _metric_x_pass(self.sys.L, self.p)[1]
 
     @cached_property
-    def jet3(self) -> Jet:
-        return eval_jet(self.sys.L, self.p, order=3)
+    def d_yyy(self) -> np.ndarray:
+        """d3L/dy_i dy_j dy_k, the y-tangent of the Hessian block."""
+        return hessian_y_tangent(self._dual.jet)
 
     @property
     def cartan(self) -> np.ndarray:
-        return self.jet3.d_yyy * 0.25
+        return self.d_yyy * 0.25
 
     @cached_property
     def christoffel(self) -> np.ndarray:
@@ -197,7 +197,7 @@ class PointGeometry:
 
     def dyn_cov_deriv_g(self, spray, conn) -> np.ndarray:
         """Dynamical covariant derivative of g along (spray, conn)."""
-        return _dyn_cov(self.metric.entries, self.dg_dx, self.jet3.d_yyy, self.y, spray, conn)
+        return _dyn_cov(self.metric.entries, self.dg_dx, self.d_yyy, self.y, spray, conn)
 
     @property
     def gbar(self) -> np.ndarray:

@@ -249,6 +249,19 @@ def test_malformed_config_value_exit_code(tmp_path, capsys, command, payload):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("payload", [
+    {"system": {"builtin": "SYS-B"}, "samples": {"count": 4, "mode": "sideways"}},
+    {"system": {"builtin": "SYS-B"},
+     "samples": {"box_x": [[1, -1], [-1, 1]], "box_y": [[-1, 1], [-1, 1]], "count": 4}},
+    {"system": {"builtin": "EUCLID", "params": {"n": 11}}, "samples": {"count": 4}},
+])
+def test_sample_drawing_config_error_exit_code(tmp_path, capsys, payload):
+    # sampling mode, box bounds and dimension are config values
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert main(["classify", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_finsler_gate_of_samples_agrees_with_verify():
     # L is 2-homogeneous, but log(x1) leaves the domain for x1 <= 0, so
     # some probes of the gate cannot be evaluated

@@ -253,3 +253,63 @@ def test_negative_integer_power_of_a_jet(src):
     assert np.abs(pushed - fd.d_yy[:, 0]).max() <= 1e-6 * (1.0 + np.abs(fd.d_yy).max())
     with pytest.raises(DomainError):
         eval_jet(field, PhasePoint((0.0,), (0.0,)), order=2)
+
+
+# ---------------------------------------------------------------------------
+# every primitive against the FD oracle, over random expression trees
+# ---------------------------------------------------------------------------
+
+
+def _one_plus_square(a):
+    return Bin("+", Num(1.0), Bin("^", a, Num(2.0)))
+
+
+def _guarded_strategy():
+    """n=2 trees over every primitive, each used where it is smooth and
+    bounded: sqrt, log and real powers of 1 + a^2, division by 2 + b^2,
+    tan and exp of bounded arguments."""
+    leaf = st.one_of(
+        st.builds(Num, st.floats(0.1, 2.0).map(lambda v: float(f"{v:.3g}"))),
+        st.builds(Var, st.sampled_from(["x", "y"]), st.integers(1, 2)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Bin, st.sampled_from(["+", "-", "*"]), children, children),
+            st.builds(lambda a, b: Bin("/", a, Bin("+", Num(2.0), Bin("^", b, Num(2.0)))),
+                      children, children),
+            st.builds(lambda a, k: Bin("^", a, Num(float(k))), children, st.integers(2, 3)),
+            st.builds(lambda a, r: Bin("^", _one_plus_square(a), Num(r)),
+                      children, st.sampled_from([1.0 / 3.0, -0.5, 1.5])),
+            st.builds(lambda a, f: Call(f, (_one_plus_square(a),)),
+                      children, st.sampled_from(["sqrt", "log"])),
+            st.builds(lambda a, f: Call(f, (Call("sin", (a,)),)),
+                      children, st.sampled_from(["sin", "cos", "exp"])),
+            st.builds(lambda a: Call("tan", (Bin("*", Num(0.5), Call("cos", (a,))),)), children),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=_guarded_strategy(),
+       x=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       y=st.tuples(st.floats(0.3, 1.5), st.floats(-1.5, -0.3)))
+def test_jets_of_random_trees_match_fd_and_pushes(tree, x, y):
+    from lagmech.jets import eval_jet, push_direction
+    from oracle import fd_oracle
+
+    field = bind_scalar(tree, 2)
+    p = PhasePoint(x, y)
+    for order in (1, 2, 3):
+        j = eval_jet(field, p, order=order)
+        assert j.value == field.at(p)
+        fd = fd_oracle(field, p, order=order, h=1e-5)
+        for name in ("d_x", "d_y", "d_yy", "d_xy", "d_yyy")[:{1: 2, 2: 4, 3: 5}[order]]:
+            a, b = getattr(j, name), getattr(fd, name)
+            assert np.abs(a - b).max() <= 1e-6 * (1.0 + np.abs(b).max()), (order, name)
+    # the y-tangent of the order-2 gradient is the jet's own Hessian
+    d_yy = eval_jet(field, p, order=2).d_yy
+    pushed = push_direction(lambda q: eval_jet(field, q, order=2).d_y, p, np.eye(2))
+    assert np.abs(pushed - d_yy).max() <= 1e-12 * (1.0 + np.abs(d_yy).max())

@@ -250,3 +250,18 @@ def test_bundle_consistency(sys_b):
     jac = push_direction(lambda q: canonical_spray_at(sys_b.L, q), p, np.eye(2))
     assert np.abs(geo.conn0 - jac).max() <= 1e-10
     assert geo.E == pytest.approx(energy_at(sys_b.L, p)[0])
+
+
+def test_lagrange_geometry_equals_the_accessors(sys_b, sys_c, samples_b, samples_c):
+    # one y-seeded pass gives what the single-quantity accessors give, bit for bit
+    for sys_, samples in ((sys_b, samples_b), (sys_c, samples_c)):
+        for p in samples[:4]:
+            geo = lagrange_geometry(sys_.L, p)
+            g = metric_at(sys_.L, p)
+            e, de = energy_at(sys_.L, p)
+            assert np.array_equal(geo.g.entries, g.entries)
+            assert np.array_equal(geo.g.inverse, g.inverse)
+            assert geo.E == e and np.array_equal(geo.dE, de)
+            assert np.array_equal(geo.spray0, canonical_spray_at(sys_.L, p))
+            assert np.array_equal(geo.conn0, canonical_connection_at(sys_.L, p))
+            assert np.array_equal(geo.cartan, cartan_tensor_at(sys_.L, p))
