@@ -7,49 +7,37 @@ nonlinear connection, and checks the defining identities numerically.
 
 import numpy as np
 
-from lagmech import (
-    PhasePoint,
-    canonical_connection_at,
-    canonical_spray_at,
-    dyn_cov_deriv_g,
-    energy_at,
-    instantiate,
-    metric_at,
-    spray_equation_residual,
-    standard_samples,
-)
+from lagmech import PhasePoint, PointGeometry, instantiate, standard_samples
 
 sys_b = instantiate("SYS-B")
+free = sys_b.free()  # the canonical geometry is that of the unforced system
 p = PhasePoint((1.0, 0.0), (1.0, 1.0))
 
 print("system:", sys_b.label, "  L =", sys_b.L.source)
 print("phase point:", p)
 
-g = metric_at(sys_b.L, p)
+ctx = PointGeometry(free, p)
+g = ctx.metric
 print("\nmetric g:")
 print(g.entries)
 print("inverse:")
 print(g.inverse)
 print(f"eigenvalue range: [{g.min_abs_eigen_estimate:.3g}, {g.max_abs_eigen:.3g}]")
 
-E, dE = energy_at(sys_b.L, p)
-print(f"\nenergy E = {E:.6f}, dE = {np.round(dE, 6)}")
+print(f"\nenergy E = {ctx.energy:.6f}, dE = {np.round(ctx.dE, 6)}")
 
-spray = canonical_spray_at(sys_b.L, p)
-conn = canonical_connection_at(sys_b.L, p)
-print("canonical semispray G0:", np.round(spray, 6))
+print("canonical semispray G0:", np.round(ctx.spray0, 6))
 print("canonical connection N0:")
-print(np.round(conn, 6))
+print(np.round(ctx.conn0, 6))
 
 print("\nidentity checks at 40 sample points:")
 worst_eq = 0.0
 worst_metric = 0.0
 for q in standard_samples("SYS-B", count=40):
-    worst_eq = max(worst_eq, spray_equation_residual(sys_b.L, q))
-    gq = metric_at(sys_b.L, q)
-    gbar = dyn_cov_deriv_g(sys_b.L, q, canonical_spray_at(sys_b.L, q),
-                           canonical_connection_at(sys_b.L, q))
-    worst_metric = max(worst_metric, np.abs(gbar).max() / (1 + np.abs(gq.entries).max()))
+    cq = PointGeometry(free, q)
+    worst_eq = max(worst_eq, cq.evolution_equation_residual())
+    gbar = cq.dyn_cov_deriv_g(cq.spray0, cq.conn0)
+    worst_metric = max(worst_metric, np.abs(gbar).max() / (1 + np.abs(cq.metric.entries).max()))
 print(f"  defining equation of the spray: max residual {worst_eq:.3e}")
 print(f"  metric derivative along the canonical pair: {worst_metric:.3e}")
 print("both are pure roundoff: the canonical pair is metric and symplectic.")

@@ -10,7 +10,6 @@ horizontal and geodesic curves.
 from .dsl import (
     bind_scalar,
     bind_vertical,
-    evaluate,
     parse,
     to_source,
 )
@@ -33,19 +32,6 @@ from .finsler import (
     finsler_identities,
     homogeneity_report,
 )
-from .geometry import (
-    LagrangeGeometry,
-    canonical_connection_at,
-    canonical_spray_at,
-    cartan_tensor_at,
-    dyn_cov_deriv_g,
-    energy_at,
-    lagrange_geometry,
-    metric_at,
-    spray_equation_residual,
-    theta_at,
-    two_form_eval,
-)
 from .jets import (
     Jet,
     SymMatrix,
@@ -58,17 +44,6 @@ from .mechanics import (
     MechanicalSystem,
     PointGeometry,
     classify,
-    dissipation_power,
-    evolution_bundle_at,
-    evolution_connection_at,
-    evolution_equation_residual,
-    evolution_spray_at,
-    first_integral_conditions,
-    horizontal_dE,
-    horizontal_dL,
-    lie_theta_residual,
-    sigma_at,
-    symplectic_defect,
 )
 from .phase import PhasePoint, ScalarField, VerticalField
 from .sampling import halton, sample_box
@@ -97,7 +72,6 @@ __all__ = [
     "IntegratorConfig",
     "Jet",
     "LagmechError",
-    "LagrangeGeometry",
     "MechanicalSystem",
     "ParseError",
     "PhasePoint",
@@ -112,46 +86,24 @@ __all__ = [
     "VerticalField",
     "bind_scalar",
     "bind_vertical",
-    "canonical_connection_at",
-    "canonical_spray_at",
-    "cartan_tensor_at",
     "catalog",
     "classify",
     "christoffel_at",
-    "dissipation_power",
-    "dyn_cov_deriv_g",
-    "energy_at",
     "energy_audit",
     "eval_jet",
-    "evaluate",
-    "evolution_bundle_at",
-    "evolution_connection_at",
-    "evolution_equation_residual",
-    "evolution_spray_at",
     "find",
     "finsler_identities",
-    "first_integral_conditions",
     "halton",
     "homogeneity_report",
-    "horizontal_dE",
-    "horizontal_dL",
     "instantiate",
     "integrate_evolution",
     "integrate_geodesic",
     "integrate_horizontal",
-    "lagrange_geometry",
-    "lie_theta_residual",
-    "metric_at",
     "parse",
     "push_direction",
     "run_verification",
     "sample_box",
-    "sigma_at",
-    "spray_equation_residual",
     "standard_samples",
     "sym_invert",
-    "symplectic_defect",
-    "theta_at",
     "to_source",
-    "two_form_eval",
 ]

@@ -38,7 +38,7 @@ from .errors import (
     VariableIndexError,
 )
 from .jets import apply_function, power
-from .phase import PhasePoint, ScalarField, VerticalField
+from .phase import ScalarField, VerticalField
 
 __all__ = [
     "Expr",
@@ -49,7 +49,6 @@ __all__ = [
     "Bin",
     "Call",
     "parse",
-    "evaluate",
     "eval_expr",
     "to_source",
     "bind_scalar",
@@ -287,24 +286,6 @@ def eval_expr(e: Expr, xs, ys, params=None):
             raise UnboundParameter(e.name)
         return params[e.name]
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def evaluate(e: Expr, p: PhasePoint, params=None, tower: str = "real", order: int = 3):
-    """Evaluate at a phase point in the requested numeric tower.
-
-    ``tower="real"`` returns a float; ``tower="jet"`` returns a jet of the
-    given order whose value slot is bit-identical to the real evaluation.
-    """
-    if tower == "real":
-        v = eval_expr(e, p.x, p.y, params)
-        return float(v) if isinstance(v, (int, float)) else v
-    if tower == "jet":
-        from .jets import eval_jet
-
-        n = p.n
-        return eval_jet(ScalarField(n, lambda xs, ys: eval_expr(e, xs, ys, params)),
-                        p, order)
-    raise ValueError(f"unknown tower {tower!r}")
 
 
 def parameter_names(e: Expr) -> set:

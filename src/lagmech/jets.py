@@ -45,7 +45,6 @@ __all__ = [
     "sym_invert",
     "value_of",
     "tower_vector",
-    "tower_concat",
     "ipow",
     "power",
     "apply_function",
@@ -217,17 +216,6 @@ def tower_vector(seq):
     return KDual(vec, np.array([v.tan if isinstance(v, KDual) else zero for v in vals]))
 
 
-def tower_concat(blocks):
-    """``np.concatenate`` of 1-D blocks, any of which may carry tangents."""
-    tans = [b.tan for b in blocks if isinstance(b, KDual)]
-    if not tans:
-        return np.concatenate(blocks)
-    k = tans[0].shape[-1]
-    return KDual(np.concatenate([b.val if isinstance(b, KDual) else b for b in blocks]),
-                 np.concatenate([b.tan if isinstance(b, KDual) else np.zeros(np.shape(b) + (k,))
-                                 for b in blocks]))
-
-
 # ---------------------------------------------------------------------------
 # elementary functions: one derivative sequence each, for every tower
 # ---------------------------------------------------------------------------
@@ -266,7 +254,10 @@ def _tan(v):
 
 
 def _exp(v):
-    e = math.exp(v)
+    try:
+        e = math.exp(v)
+    except OverflowError:
+        raise DomainError("exp overflows") from None
     yield from (e, e, e, e)
 
 
@@ -281,9 +272,12 @@ def _log(v):
 def _real_power(v, b):
     if v <= 0.0:
         raise DomainError("non-integer power of a non-positive base")
-    yield math.pow(v, b)
-    yield from (b * math.pow(v, b - 1.0), b * (b - 1.0) * math.pow(v, b - 2.0),
-                b * (b - 1.0) * (b - 2.0) * math.pow(v, b - 3.0))
+    try:
+        yield math.pow(v, b)
+        yield from (b * math.pow(v, b - 1.0), b * (b - 1.0) * math.pow(v, b - 2.0),
+                    b * (b - 1.0) * (b - 2.0) * math.pow(v, b - 3.0))
+    except OverflowError:
+        raise DomainError("real power overflows") from None
 
 
 # the named functions of the expression language, as derivative sequences

@@ -20,9 +20,9 @@ which yields the values together with every fiber Jacobian (N0, dV/dy,
 N, dsigma/dy, d3L/dy3); position derivatives of g are evaluated only
 when read.  Sweeps build one context per point.
 
-Theorem-style statements are exposed as numerical residuals; booleans
-appear only in :class:`ClassificationReport` behind explicit tolerances
-(absolute, scaled by 1 + max|g| at each point).
+Theorem-style statements are exposed as numerical residuals, members of
+the context; booleans appear only in :class:`ClassificationReport` behind
+explicit tolerances (absolute, scaled by 1 + max|g| at each point).
 """
 
 from __future__ import annotations
@@ -58,17 +58,6 @@ __all__ = [
     "MechanicalSystem",
     "PointGeometry",
     "ClassificationReport",
-    "sigma_at",
-    "evolution_spray_at",
-    "evolution_connection_at",
-    "evolution_equation_residual",
-    "dissipation_power",
-    "evolution_bundle_at",
-    "symplectic_defect",
-    "horizontal_dL",
-    "horizontal_dE",
-    "first_integral_conditions",
-    "lie_theta_residual",
     "classify",
 ]
 
@@ -126,6 +115,22 @@ def _evolution_pass(sys: MechanicalSystem, p: PhasePoint) -> _Pass:
     return _Pass(j, g, yv, v, spray0, spray0 - v * 0.25)
 
 
+def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
+    """omega(delta_i, delta_k) on the horizontal basis delta_i = (e_i, -N[:, i])
+    of a connection, as an antisymmetric n x n array."""
+    n = conn.shape[0]
+    eye = np.eye(n)
+    g2, a2 = _two_form_pieces(j)
+    w = np.zeros((n, n))
+    for i in range(n):
+        di = np.concatenate([eye[i], -conn[:, i]])
+        for k in range(i + 1, n):
+            dk = np.concatenate([eye[k], -conn[:, k]])
+            w[i, k] = _two_form_value(g2, a2, di, dk)
+            w[k, i] = -w[i, k]
+    return w
+
+
 def _scalar_s(r: _Pass, spray):
     """S(L) = y^k dL/dx_k - 2 spray^k dL/dy_k from one pass."""
     return r.y @ r.jet.d_x - 2.0 * (spray @ r.jet.d_y)
@@ -148,6 +153,14 @@ class PointGeometry:
     along ``np.eye(n)``), for the Christoffel symbols and the dynamical
     derivative of g.  A context describes its own point only; build one
     per point.
+
+    The paper's named results are members read off the same pass:
+    ``energy`` and ``dE``, the Cartan 2-form ``omega(X, Y)``, the
+    residuals ``evolution_equation_residual()``, ``lie_theta_residual()``
+    and ``symplectic_defect()``, the ``first_integral_conditions()`` and
+    the horizontal derivatives ``horizontal_dL()`` and ``horizontal_dE()``.
+    The free system's context, ``PointGeometry(sys.free(), p)``, gives the
+    canonical quantities of the Lagrange space.
     """
 
     def __init__(self, sys: MechanicalSystem, p: PhasePoint):
@@ -166,6 +179,25 @@ class PointGeometry:
     @property
     def energy(self) -> float:
         return float(self.y @ self.jet.d_y - self.jet.value)
+
+    @property
+    def dE(self) -> np.ndarray:
+        """The energy differential in the (x, y) basis: first the dE/dx_k
+        slots, then dE/dy_k = y^i d2L/dy_i dy_k."""
+        _, de_x, de_y = _energy_parts(self.jet, self.y)
+        return np.concatenate([de_x, de_y])
+
+    def omega(self, X, Y) -> float:
+        """The Cartan 2-form d(dL/dy_i dx^i) on two tangent vectors.
+
+        In coordinates: 2 g_ij dy^j ^ dx^i plus the antisymmetrized mixed
+        block (1/2)(d2L/dy_i dx_j - d2L/dy_j dx_i) dx^j ^ dx^i.
+        """
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.shape != (2 * self.sys.n,) or Y.shape != (2 * self.sys.n,):
+            raise ValueError("tangent vectors must have 2n components")
+        return float(_two_form_value(*_two_form_pieces(self.jet), X, Y))
 
     @cached_property
     def dSL_dy(self) -> np.ndarray:
@@ -227,117 +259,43 @@ class PointGeometry:
         return (2.0 * (g @ (2.0 * self.spray0 - self.conn0 @ self.y))
                 + 0.5 * ((g @ self.y) @ self.dV_dy))
 
+    def evolution_equation_residual(self) -> float:
+        """Residual of i_S omega = -dE + sigma over the 2n basis vectors.
 
-def sigma_at(sys: MechanicalSystem, p: PhasePoint):
-    """Force one-form components sigma_i = g_ij V^j."""
-    return _evolution_pass(sys, p).sigma
+        The force one-form acts on x-slots only and is extended by zero on
+        the fiber slots, the unique extension under which the defining
+        equation of the evolution semispray closes.  With no force this is
+        the defining equation of the canonical spray.
+        """
+        return _sode_residual(self.jet, self.y, self.spray, sigma=self.sigma)
 
+    def lie_theta_residual(self) -> float:
+        """Residual of the Lie transport of the Cartan 1-form along the
+        evolution semispray against dL + sigma, over the 2n natural basis
+        vectors (the fiber slots vanish identically)."""
+        j = self.jet
+        s_theta = j.d_xy @ self.y - 2.0 * (j.d_yy @ self.spray)
+        return float(np.abs(s_theta - j.d_x - self.sigma).max())
 
-def evolution_spray_at(sys: MechanicalSystem, p: PhasePoint):
-    """Evolution semispray G^i = G0^i - (1/4) V^i."""
-    return _evolution_pass(sys, p).spray
+    def symplectic_defect(self) -> float:
+        """Failure of the evolution horizontal subbundle to be Lagrangian:
+        the largest |omega(delta_i, delta_k)| over the horizontal basis
+        delta_i = (e_i, -N[:, i]).  It equals the helicoidal tensor
+        entrywise up to sign; ``verify`` reports the difference as
+        ``symplectic_vs_helicoidal``."""
+        return float(np.abs(_horizontal_two_form(self.jet, self.conn)).max())
 
+    def first_integral_conditions(self):
+        """Residuals of the two force conditions for conserved quantities.
 
-def evolution_connection_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """Evolution connection N^i_j = dG^i/dy_j, read off the point's
-    :class:`PointGeometry`."""
-    return PointGeometry(sys, p).conn
-
-
-def dissipation_power(sys: MechanicalSystem, p: PhasePoint) -> float:
-    """sigma_i y^i, the rate of change of the energy along evolution curves."""
-    return float(sigma_at(sys, p) @ tower_vector(p.y))
-
-
-def evolution_equation_residual(sys: MechanicalSystem, p: PhasePoint) -> float:
-    """Residual of i_S omega = -dE + sigma over the 2n basis vectors.
-
-    The force one-form acts on x-slots only and is extended by zero on the
-    fiber slots, the unique extension under which the defining equation
-    of the evolution semispray closes.
-    """
-    r = _evolution_pass(sys, p)
-    return _sode_residual(r.jet, r.y, r.spray, sigma=r.sigma)
-
-
-def evolution_bundle_at(sys: MechanicalSystem, p: PhasePoint) -> PointGeometry:
-    """sigma, the evolution pair, and both parts of dsigma/dy: the point's
-    :class:`PointGeometry`."""
-    return PointGeometry(sys, p)
-
-
-def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
-    """omega(delta_i, delta_k) on the horizontal basis delta_i = (e_i, -N[:, i])
-    of a connection, as an antisymmetric n x n array."""
-    n = conn.shape[0]
-    eye = np.eye(n)
-    g2, a2 = _two_form_pieces(j)
-    w = np.zeros((n, n))
-    for i in range(n):
-        di = np.concatenate([eye[i], -conn[:, i]])
-        for k in range(i + 1, n):
-            dk = np.concatenate([eye[k], -conn[:, k]])
-            w[i, k] = _two_form_value(g2, a2, di, dk)
-            w[k, i] = -w[i, k]
-    return w
-
-
-def symplectic_defect(sys: MechanicalSystem, p: PhasePoint) -> float:
-    """Failure of the evolution horizontal subbundle to be Lagrangian.
-
-    Evaluates the Cartan 2-form on all pairs of evolution-horizontal basis
-    vectors delta_i = (e_i, -N[:, i]) and returns the largest magnitude.
-    It equals the helicoidal tensor entrywise up to sign; ``verify``
-    reports the difference as ``symplectic_vs_helicoidal``.
-    """
-    ctx = PointGeometry(sys, p)
-    return float(np.abs(_horizontal_two_form(ctx.jet, ctx.conn)).max())
-
-
-def horizontal_dL(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """Horizontal derivative of L along the evolution connection,
-    dL/dx_i - N^j_i dL/dy_j.  ``verify`` compares it with
-    (1/2)(d(S(L))/dy_i - sigma_i) as ``lagrangian_horizontal_routes``.
-    """
-    return PointGeometry(sys, p).horizontal_dL()
-
-
-def horizontal_dE(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """Horizontal derivative of the energy along the evolution connection,
-    dE/dx_i - N^j_i dE/dy_j.  ``verify`` compares it with the closed form
-    2 g_ij (2 G0^j - N0^j_k y^k) + (1/2) g_jk dV^j/dy_i y^k as
-    ``energy_horizontal_routes``.
-    """
-    return PointGeometry(sys, p).horizontal_dE()
-
-
-def first_integral_conditions(sys: MechanicalSystem, p: PhasePoint):
-    """Residuals of the two force conditions for conserved quantities.
-
-    Returns ``(lagrangian_condition_residual, energy_condition_residual)``.
-    When the first vanishes at every sampled point, L is a candidate first
-    integral of the horizontal flow; likewise the second for the energy.
-    """
-    ctx = PointGeometry(sys, p)
-    yv = ctx.y
-    res_l = float((ctx.dV_dy @ yv) @ ctx.jet.d_y + 2.0 * (ctx.dS0L_dy @ yv))
-    res_e = 2.0 * float(ctx.horizontal_dE_closed() @ yv)
-    return res_l, res_e
-
-
-def _lie_theta(r) -> float:
-    """Max residual of the Lie transport of the Cartan 1-form along the
-    evolution spray against dL + sigma."""
-    j = r.jet
-    s_theta = j.d_xy @ r.y - 2.0 * (j.d_yy @ r.spray)
-    return float(np.abs(s_theta - j.d_x - r.sigma).max())
-
-
-def lie_theta_residual(sys: MechanicalSystem, p: PhasePoint) -> float:
-    """Residual of the Lie transport of the Cartan 1-form along the
-    evolution semispray against dL + sigma, over the 2n natural basis
-    vectors (the fiber slots vanish identically)."""
-    return _lie_theta(_evolution_pass(sys, p))
+        Returns ``(lagrangian_condition_residual, energy_condition_residual)``.
+        When the first vanishes at every sampled point, L is a candidate
+        first integral of the horizontal flow; likewise the second for the
+        energy.
+        """
+        res_l = float((self.dV_dy @ self.y) @ self.jet.d_y + 2.0 * (self.dS0L_dy @ self.y))
+        res_e = 2.0 * float(self.horizontal_dE_closed() @ self.y)
+        return res_l, res_e
 
 
 @dataclass

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, SingularMetric
 from .finsler import christoffel_at, require_finsler_mode
 from .jets import push_direction
-from .mechanics import MechanicalSystem, _evolution_pass, evolution_spray_at
+from .mechanics import MechanicalSystem, _evolution_pass
 from .phase import PhasePoint
 
 __all__ = [
@@ -165,7 +165,7 @@ def _evolution_accel(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
 def _horizontal_accel(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     # N^i_j y^j is the y-directional derivative of the evolution spray
     # along y itself; one dual pass delivers the whole contraction.
-    ny = push_direction(lambda q: evolution_spray_at(sys, q), p,
+    ny = push_direction(lambda q: _evolution_pass(sys, q).spray, p,
                         [float(v) for v in p.y], wrt="y")
     return -np.asarray(ny, dtype=float)
 

@@ -26,12 +26,7 @@ import numpy as np
 from .errors import DomainError, SingularMetric, failure_record
 from .finsler import is_finsler_mode
 from .geometry import _sode_residual
-from .mechanics import (
-    MechanicalSystem,
-    PointGeometry,
-    _horizontal_two_form,
-    _lie_theta,
-)
+from .mechanics import MechanicalSystem, PointGeometry, _horizontal_two_form
 from .phase import PhasePoint
 
 __all__ = ["run_verification"]
@@ -48,8 +43,8 @@ def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dic
     hde = ctx.horizontal_dE()
     out = {
         "canonical_spray_equation": _sode_residual(j, yv, ctx.spray0),
-        "evolution_spray_equation": _sode_residual(j, yv, ctx.spray, sigma=ctx.sigma),
-        "cartan_form_transport": _lie_theta(ctx),
+        "evolution_spray_equation": ctx.evolution_equation_residual(),
+        "cartan_form_transport": ctx.lie_theta_residual(),
         "canonical_metricity": _max_abs(ctx.dyn_cov_deriv_g(ctx.spray0, ctx.conn0)) / scale,
         "canonical_horizontal_two_form": _max_abs(_horizontal_two_form(j, ctx.conn0)),
         "metric_derivative_agreement": _max_abs(

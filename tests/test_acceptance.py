@@ -12,23 +12,8 @@ import numpy as np
 import pytest
 
 from lagmech.finsler import finsler_identities
-from lagmech.geometry import (
-    canonical_connection_at,
-    canonical_spray_at,
-    dyn_cov_deriv_g,
-    metric_at,
-    _two_form_pieces,
-    _two_form_value,
-)
 from lagmech.jets import eval_jet
-from lagmech.mechanics import (
-    classify,
-    evolution_bundle_at,
-    evolution_connection_at,
-    evolution_equation_residual,
-    horizontal_dE,
-    symplectic_defect,
-)
+from lagmech.mechanics import PointGeometry, classify
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
 from lagmech.trajectories import (
@@ -89,22 +74,19 @@ def test_criterion_02_canonical_pair_metric_and_symplectic(suites):
     worst_w = 0.0
     for builtin, (sys_, pts) in suites.items():
         for p in pts:
-            g = metric_at(sys_.L, p)
-            scale = 1.0 + np.abs(g.entries).max()
-            s0 = canonical_spray_at(sys_.L, p)
-            n0 = canonical_connection_at(sys_.L, p)
-            gbar = dyn_cov_deriv_g(sys_.L, p, s0, n0)
+            ctx = PointGeometry(sys_.free(), p)
+            scale = 1.0 + np.abs(ctx.metric.entries).max()
+            n0 = ctx.conn0
+            gbar = ctx.dyn_cov_deriv_g(ctx.spray0, n0)
             m = np.abs(gbar).max()
             assert m <= 1e-8 * scale, (builtin, p)
             worst_m = max(worst_m, m / scale)
-            j = eval_jet(sys_.L, p, order=2)
-            g2, a2 = _two_form_pieces(j)
             n = sys_.n
             for i in range(n):
                 di = np.concatenate([np.eye(n)[i], -n0[:, i]])
                 for k in range(i + 1, n):
                     dk = np.concatenate([np.eye(n)[k], -n0[:, k]])
-                    w = abs(_two_form_value(g2, a2, di, dk))
+                    w = abs(ctx.omega(di, dk))
                     assert w <= 1e-8, (builtin, p)
                     worst_w = max(worst_w, w)
     _report("criterion 2 (canonical pair metric+symplectic)",
@@ -116,7 +98,7 @@ def test_criterion_03_evolution_equation(suites):
     worst = 0.0
     for builtin, (sys_, pts) in suites.items():
         for p in pts:
-            r = evolution_equation_residual(sys_, p)
+            r = PointGeometry(sys_, p).evolution_equation_residual()
             worst = max(worst, r)
             assert r <= 1e-8, (builtin, p)
     _report("criterion 3 (forced spray equation)", f"max residual {worst:.3e} <= 1e-8")
@@ -127,8 +109,8 @@ def test_criterion_04_metric_derivative_agreement(suites):
     worst = 0.0
     for builtin, (sys_, pts) in suites.items():
         for p in pts:
-            b = evolution_bundle_at(sys_, p)
-            alt = dyn_cov_deriv_g(sys_.L, p, b.spray, b.conn)
+            b = PointGeometry(sys_, p)
+            alt = b.dyn_cov_deriv_g(b.spray, b.conn)
             d = np.abs(b.gbar - alt).max()
             worst = max(worst, d)
             assert d <= 1e-8, (builtin, p)
@@ -142,19 +124,17 @@ def test_criterion_05_symplectic_criterion(suites):
     worst_zero = 0.0
     for builtin, (sys_, pts) in suites.items():
         for p in pts:
-            j = eval_jet(sys_.L, p, order=2)
-            g2, a2 = _two_form_pieces(j)
-            b = evolution_bundle_at(sys_, p)
+            b = PointGeometry(sys_, p)
             n = sys_.n
             for i in range(n):
                 di = np.concatenate([np.eye(n)[i], -b.conn[:, i]])
                 for k in range(i + 1, n):
                     dk = np.concatenate([np.eye(n)[k], -b.conn[:, k]])
-                    w = _two_form_value(g2, a2, di, dk)
+                    w = b.omega(di, dk)
                     worst_eq = max(worst_eq, abs(w + b.helicoidal[i, k]))
                     assert abs(w + b.helicoidal[i, k]) <= 1e-8
             if builtin in ("SYS-D", "SYS-E"):
-                d = symplectic_defect(sys_, p)
+                d = b.symplectic_defect()
                 worst_zero = max(worst_zero, d)
                 assert d <= 1e-8, (builtin, p)
     _report("criterion 5 (symplectic criterion)",
@@ -194,7 +174,7 @@ def test_criterion_07_finsler_identities(suites):
     sys_d, pts_c = suites["SYS-D"]
     worst_f = 0.0
     for p in pts_c:
-        worst_f = max(worst_f, np.abs(horizontal_dE(sys_d, p)).max())
+        worst_f = max(worst_f, np.abs(PointGeometry(sys_d, p).horizontal_dE()).max())
     assert worst_f <= 1e-8
     _report("criterion 7 (homogeneity identities)",
             f"E-F^2 {worst_e:.3e} <= 1e-10; contraction {worst_c:.3e}; "
@@ -229,15 +209,15 @@ def test_criterion_09_liouville_family(suites):
         sys_ = instantiate(builtin, params)
         pts = standard_samples(builtin, params, count=50)
         for p in pts:
-            n = evolution_connection_at(sys_, p)
-            n0 = canonical_connection_at(sys_.L, p)
+            n = PointGeometry(sys_, p).conn
+            n0 = PointGeometry(sys_.free(), p).conn
             shift = np.abs(n - n0 + (e / 4.0) * np.eye(sys_.n)).max()
             worst_shift = max(worst_shift, shift)
             assert shift <= 1e-10, (builtin, p)
     sys_ef, pts_c = suites["SYS-E"]
     for p in pts_c:
-        b = evolution_bundle_at(sys_ef, p)
-        g = metric_at(sys_ef.L, p).entries
+        b = PointGeometry(sys_ef, p)
+        g = b.metric.entries
         d = np.abs(b.gbar - (-0.5) * g).max() / (1.0 + np.abs(g).max())
         worst_gbar = max(worst_gbar, d)
         assert d <= 1e-8, p

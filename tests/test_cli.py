@@ -274,3 +274,16 @@ def test_finsler_gate_of_samples_agrees_with_verify():
     # Finsler mode draws box samples with fiber norms of at least 0.1
     floor = sample_box(cfg["samples"]["box_x"], cfg["samples"]["box_y"], 200, min_y_norm=0.1)
     assert samples == floor
+
+
+@pytest.mark.parametrize("lagrangian", ["exp(y1^3) + y1^2", "y1^2 + (1 + y1^2)^200.5"])
+def test_overflow_is_a_recorded_domain_failure(tmp_path, capsys, lagrangian):
+    # exp and real powers overflow at y1 = 10: the point is recorded, not fatal
+    cfg = write_config(tmp_path, "overflow.json", {
+        "system": {"n": 1, "lagrangian": lagrangian},
+        "samples": {"points": [{"x": [0.0], "y": [10.0]}]},
+    })
+    assert main(["classify", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points_tested"] == 0
+    assert [f["error"] for f in doc["failures"]] == ["DomainError"]

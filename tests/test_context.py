@@ -12,28 +12,11 @@ from hypothesis import strategies as st
 from lagmech import jets
 from lagmech.cli import main
 from lagmech.finsler import christoffel_at, finsler_identities, homogeneity_report
-from lagmech.geometry import (
-    canonical_connection_at,
-    canonical_spray_at,
-    cartan_tensor_at,
-    dyn_cov_deriv_g,
-    energy_at,
-    metric_at,
-)
-from lagmech.mechanics import (
-    PointGeometry,
-    classify,
-    evolution_bundle_at,
-    evolution_connection_at,
-    evolution_spray_at,
-    horizontal_dE,
-    horizontal_dL,
-    sigma_at,
-    symplectic_defect,
-)
+from lagmech.mechanics import PointGeometry, classify
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
 from lagmech.verify import run_verification
+import routes
 
 _SYSTEMS = {
     "SYS-A": ("SYS-A", {"c": 0.1}),
@@ -57,7 +40,7 @@ def _close(a, b):
 
 
 # ---------------------------------------------------------------------------
-# every field equals its standalone accessor
+# every field equals a reference route built outside the context
 # ---------------------------------------------------------------------------
 
 
@@ -73,26 +56,39 @@ def test_context_fields_match_accessors(name, index, shift, scale):
     p0 = samples[index]
     p = PhasePoint(np.asarray(p0.x) + shift, np.asarray(p0.y) * scale)
     ctx = PointGeometry(sys_, p)
-    g = metric_at(sys_.L, p)
+    # unseeded float routes: one jet and one inversion each
+    g = routes.metric(sys_.L, p)
     _close(ctx.metric.entries, g.entries)
     _close(ctx.metric.inverse, g.inverse)
-    _close(ctx.energy, energy_at(sys_.L, p)[0])
-    _close(ctx.spray0, canonical_spray_at(sys_.L, p))
-    _close(ctx.conn0, canonical_connection_at(sys_.L, p))
-    _close(ctx.spray, evolution_spray_at(sys_, p))
-    _close(ctx.conn, evolution_connection_at(sys_, p))
-    _close(ctx.sigma, sigma_at(sys_, p))
+    _close(ctx.energy, routes.energy(sys_.L, p)[0])
+    _close(ctx.spray0, routes.canonical_spray(sys_.L, p))
+    spray, sigma = routes.evolution_spray(sys_, p), routes.sigma(sys_, p)
+    _close(ctx.spray, spray)
+    _close(ctx.sigma, sigma)
+    # Jacobians pushed through the float pipelines
+    conn0, conn = routes.canonical_connection(sys_.L, p), routes.evolution_connection(sys_, p)
+    _close(ctx.conn0, conn0)
+    _close(ctx.conn, conn)
     dv_dy = jets.push_direction(lambda q: sys_.V(q.x, q.y), p, np.eye(sys_.n))
     _close(ctx.dV_dy, dv_dy)
     # N = N0 - dV/dy / 4 across independent passes
-    _close(ctx.conn, canonical_connection_at(sys_.L, p) - 0.25 * dv_dy)
+    _close(ctx.conn, conn0 - 0.25 * dv_dy)
     _close(ctx.christoffel, christoffel_at(sys_, p))
-    _close(ctx.cartan, cartan_tensor_at(sys_.L, p))
-    for spray, conn in ((ctx.spray0, ctx.conn0), (ctx.spray, ctx.conn)):
-        _close(ctx.dyn_cov_deriv_g(spray, conn), dyn_cov_deriv_g(sys_.L, p, spray, conn))
-    alone = evolution_bundle_at(sys_, p)
+    _close(ctx.cartan, routes.cartan(sys_.L, p))
+    for pair in ((ctx.spray0, ctx.conn0), (ctx.spray, ctx.conn)):
+        _close(ctx.dyn_cov_deriv_g(*pair), routes.dyn_cov_deriv_g(sys_.L, p, *pair))
+    dsigma_dy = jets.push_direction(lambda q: routes.sigma(sys_, q), p, np.eye(sys_.n))
+    alone = {
+        "sigma": sigma,
+        "spray": spray,
+        "conn": conn,
+        "dsigma_dy": dsigma_dy,
+        "helicoidal": (dsigma_dy - dsigma_dy.T) * 0.5,
+        "gbar": (dsigma_dy + dsigma_dy.T) * 0.25,
+        "power": sigma @ np.asarray(p.y),
+    }
     for field in ("sigma", "spray", "conn", "dsigma_dy", "helicoidal", "gbar", "power"):
-        _close(getattr(ctx, field), getattr(alone, field))
+        _close(getattr(ctx, field), alone[field])
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +132,14 @@ def test_pass_budget(passes, name, tmp_path):
     classify(sys_, samples)
     assert passes() == {"eval_jet": k, "sym_invert": k, "push_direction": 0}
 
-    # each accessor reads one context
-    for accessor in (evolution_connection_at, evolution_bundle_at, symplectic_defect,
-                     horizontal_dL, horizontal_dE):
-        accessor(sys_, samples[0])
-        assert passes() == {"eval_jet": 1, "sym_invert": 1, "push_direction": 0}
+    # one context serves every member; the Christoffel symbols add one x-seeded jet
+    ctx = PointGeometry(sys_, samples[0])
+    ctx.dE, ctx.omega(np.ones(2 * sys_.n), np.arange(2.0 * sys_.n))
+    ctx.evolution_equation_residual(), ctx.lie_theta_residual(), ctx.symplectic_defect()
+    ctx.first_integral_conditions(), ctx.horizontal_dL(), ctx.horizontal_dE()
+    assert passes() == {"eval_jet": 1, "sym_invert": 1, "push_direction": 0}
+    ctx.christoffel
+    assert passes() == {"eval_jet": 1, "sym_invert": 0, "push_direction": 0}
 
     # Finsler mode probes L once per probe (up to 8) before the sweep
     run_verification(sys_, samples)

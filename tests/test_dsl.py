@@ -16,7 +16,6 @@ from lagmech.dsl import (
     Var,
     bind_scalar,
     eval_expr,
-    evaluate,
     parse,
     to_source,
 )
@@ -27,10 +26,20 @@ from lagmech.errors import (
     UnboundParameter,
     VariableIndexError,
 )
+from lagmech.jets import eval_jet
 from lagmech.phase import PhasePoint
 from lagmech.systems import catalog
 
 SQRT2 = math.sqrt(2.0)
+
+
+def value(tree, p, params=None):
+    """The plain value of an expression at a point, through its bound field."""
+    return bind_scalar(tree, p.n, params).at(p)
+
+
+def jet(tree, p, order):
+    return eval_jet(bind_scalar(tree, p.n), p, order)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +60,7 @@ def test_parse_unbalanced_reports_offset():
 
 def test_parse_riemannian_example_evaluates():
     e = parse("(1 + x1^2)*y1^2 + y2^2", 2)
-    v = evaluate(e, PhasePoint((1.0, 0.0), (1.0, 1.0)))
+    v = value(e, PhasePoint((1.0, 0.0), (1.0, 1.0)))
     assert v == 3.0
 
 
@@ -76,12 +85,12 @@ def test_precedence_unary_minus_vs_power():
     # -y1^2 must parse as -(y1^2)
     e = parse("-y1^2", 1)
     assert e == Neg(Bin("^", Var("y", 1), Num(2.0)))
-    assert evaluate(e, PhasePoint((0.0,), (3.0,))) == -9.0
+    assert value(e, PhasePoint((0.0,), (3.0,))) == -9.0
 
 
 def test_power_right_associative():
     e = parse("y1^2^3", 1)
-    assert evaluate(e, PhasePoint((0.0,), (2.0,))) == 2.0 ** 8
+    assert value(e, PhasePoint((0.0,), (2.0,))) == 2.0 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +100,18 @@ def test_power_right_associative():
 
 def test_eval_product():
     e = parse("x1*y1", 1)
-    assert evaluate(e, PhasePoint((2.0,), (3.0,))) == 6.0
+    assert value(e, PhasePoint((2.0,), (3.0,))) == 6.0
 
 
 def test_eval_division_by_zero():
     e = parse("1/y1", 1)
     with pytest.raises(DomainError):
-        evaluate(e, PhasePoint((0.0,), (0.0,)))
+        value(e, PhasePoint((0.0,), (0.0,)))
 
 
 def test_eval_quartic_root_jet_tower():
     e = parse("((y1^4 + y2^4))^(1/2)", 2)
-    j = evaluate(e, PhasePoint((0.0, 0.0), (1.0, 1.0)), tower="jet", order=2)
+    j = jet(e, PhasePoint((0.0, 0.0), (1.0, 1.0)), 2)
     assert j.value == pytest.approx(SQRT2, abs=1e-14)
     assert j.d_yy[0, 0] == pytest.approx(2.0 * SQRT2, rel=1e-12)
 
@@ -110,8 +119,8 @@ def test_eval_quartic_root_jet_tower():
 def test_eval_unbound_parameter():
     e = parse("e*y1", 1)
     with pytest.raises(UnboundParameter):
-        evaluate(e, PhasePoint((0.0,), (1.0,)))
-    assert evaluate(e, PhasePoint((0.0,), (1.0,)), params={"e": -0.5}) == -0.5
+        value(e, PhasePoint((0.0,), (1.0,)))
+    assert value(e, PhasePoint((0.0,), (1.0,)), {"e": -0.5}) == -0.5
 
 
 def test_eval_nonsmooth_rejected():
@@ -121,7 +130,7 @@ def test_eval_nonsmooth_rejected():
 
 def test_integer_power_smooth_through_zero():
     e = parse("y1^4", 1)
-    j = evaluate(e, PhasePoint((0.0,), (0.0,)), tower="jet", order=3)
+    j = jet(e, PhasePoint((0.0,), (0.0,)), 3)
     assert j.value == 0.0
     assert np.all(j.d_yyy == 0.0)
 
@@ -129,12 +138,12 @@ def test_integer_power_smooth_through_zero():
 def test_noninteger_power_needs_positive_base():
     e = parse("y1^(1/2)", 1)
     with pytest.raises(DomainError):
-        evaluate(e, PhasePoint((0.0,), (-1.0,)))
+        value(e, PhasePoint((0.0,), (-1.0,)))
 
 
 def test_pow_function_two_args():
     e = parse("pow(y1, 3)", 1)
-    assert evaluate(e, PhasePoint((0.0,), (2.0,))) == 8.0
+    assert value(e, PhasePoint((0.0,), (2.0,))) == 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +213,10 @@ def test_tower_value_bit_identical(rng):
     for _ in range(250):
         p = PhasePoint(rng.uniform(-1.5, 1.5, 2), rng.uniform(0.2, 2.0, 2))
         for tree in trees:
-            plain = evaluate(tree, p)
-            jet = evaluate(tree, p, tower="jet", order=2)
-            assert plain == jet.value  # bit-identical by construction
-            assert math.copysign(1.0, plain) == math.copysign(1.0, float(jet.value))
+            plain = value(tree, p)
+            j = jet(tree, p, 2)
+            assert plain == j.value  # bit-identical by construction
+            assert math.copysign(1.0, plain) == math.copysign(1.0, float(j.value))
 
 
 def test_bound_field_rejects_missing_parameter():
@@ -226,7 +235,7 @@ def test_jet_tower_matches_fd_for_each_function(rng):
     for src in sources:
         tree = parse(src, 1)
         field = ScalarField(1, lambda xs, ys, t=tree: eval_expr(t, xs, ys))
-        j = evaluate(tree, p, tower="jet", order=3)
+        j = jet(tree, p, 3)
         fd = fd_oracle(field, p, order=3, h=1e-5)
         for name in ("d_y", "d_yy", "d_yyy"):
             a, b = getattr(j, name), getattr(fd, name)

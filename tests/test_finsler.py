@@ -11,8 +11,7 @@ from lagmech.finsler import (
     homogeneity_report,
     require_finsler_mode,
 )
-from lagmech.geometry import canonical_connection_at, canonical_spray_at
-from lagmech.mechanics import MechanicalSystem, evolution_connection_at
+from lagmech.mechanics import MechanicalSystem, PointGeometry
 from lagmech.phase import PhasePoint, VerticalField
 from lagmech.systems import instantiate, standard_samples
 
@@ -73,7 +72,7 @@ def test_christoffel_contraction_identity(sys_b, samples_b):
         gamma = christoffel_at(sys_b, p)
         yv = np.array([float(v) for v in p.y])
         lhs = gamma.dot(yv).dot(yv)
-        rhs = 2.0 * canonical_spray_at(sys_b.L, p)
+        rhs = 2.0 * PointGeometry(sys_b.free(), p).spray0
         assert np.abs(lhs - rhs).max() <= 1e-8 * (1.0 + np.abs(rhs).max())
 
 
@@ -90,10 +89,8 @@ def test_identities_sys_d(sys_d, samples_c):
     rep = finsler_identities(sys_d, samples_c[:15])
     assert rep.energy_slope_residual <= 1e-8
     # the energy slope itself also vanishes for the zero-homogeneous force
-    from lagmech.mechanics import horizontal_dE
-
     for p in samples_c[:8]:
-        assert np.abs(horizontal_dE(sys_d, p)).max() <= 1e-8
+        assert np.abs(PointGeometry(sys_d, p).horizontal_dE()).max() <= 1e-8
 
 
 def test_identities_reject_inhomogeneous(sys_a):
@@ -108,8 +105,8 @@ def test_geodesic_coincidence_pointwise(sys_d, samples_c):
     # zero-homogeneous force: the force term drops out of the horizontal
     # SODE, so N y = N0 y at every point
     for p in samples_c[:10]:
-        n = evolution_connection_at(sys_d, p)
-        n0 = canonical_connection_at(sys_d.L, p)
+        n = PointGeometry(sys_d, p).conn
+        n0 = PointGeometry(sys_d.free(), p).conn
         yv = np.array([float(v) for v in p.y])
         assert np.abs(n.dot(yv) - n0.dot(yv)).max() <= 1e-8
 

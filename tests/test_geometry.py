@@ -6,21 +6,12 @@ import numpy as np
 import pytest
 
 from lagmech.errors import SingularMetric
-from lagmech.geometry import (
-    canonical_connection_at,
-    canonical_spray_at,
-    cartan_tensor_at,
-    dyn_cov_deriv_g,
-    energy_at,
-    lagrange_geometry,
-    metric_at,
-    spray_equation_residual,
-    two_form_eval,
-)
-from lagmech.jets import push_direction
+from lagmech.jets import eval_jet, push_direction
+from lagmech.mechanics import PointGeometry
 from lagmech.phase import PhasePoint, ScalarField
 from lagmech.systems import instantiate, standard_samples
 from oracle import fd_oracle
+import routes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -29,31 +20,36 @@ def euclid_L():
     return ScalarField(2, lambda x, y: y[0] * y[0] + y[1] * y[1])
 
 
+def free_at(L, p):
+    """The canonical geometry of L at p: the context of the unforced system."""
+    return PointGeometry(routes.free_system(L), p)
+
+
 # ---------------------------------------------------------------------------
 # metric
 # ---------------------------------------------------------------------------
 
 
 def test_metric_euclidean_identity():
-    g = metric_at(euclid_L(), PhasePoint((0.3, -2.0), (1.0, 0.2)))
+    g = free_at(euclid_L(), PhasePoint((0.3, -2.0), (1.0, 0.2))).metric
     assert np.array_equal(g.entries, np.eye(2))
 
 
 def test_metric_sys_b_diagonal(sys_b):
-    g = metric_at(sys_b.L, PhasePoint((1.0, 0.0), (0.5, 0.5)))
+    g = PointGeometry(sys_b.free(), PhasePoint((1.0, 0.0), (0.5, 0.5))).metric
     assert np.abs(g.entries - np.diag([2.0, 1.0])).max() < 1e-14
 
 
 def test_metric_cross_term_regular():
     L = ScalarField(2, lambda x, y: y[0] * y[1])
-    g = metric_at(L, PhasePoint((0.0, 0.0), (1.0, 1.0)))
+    g = free_at(L, PhasePoint((0.0, 0.0), (1.0, 1.0))).metric
     assert np.abs(g.entries - np.array([[0.0, 0.5], [0.5, 0.0]])).max() < 1e-15
     assert np.abs(g.inverse - np.array([[0.0, 2.0], [2.0, 0.0]])).max() < 1e-14
 
 
 def test_metric_singular_on_quartic_axis(sys_c):
     with pytest.raises(SingularMetric):
-        metric_at(sys_c.L, PhasePoint((0.0, 0.0), (1.0, 0.0)))
+        PointGeometry(sys_c.free(), PhasePoint((0.0, 0.0), (1.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -63,24 +59,29 @@ def test_metric_singular_on_quartic_axis(sys_c):
 
 def test_energy_homogeneous_equals_lagrangian(sys_c, samples_c):
     for p in samples_c[:20]:
-        e, _ = energy_at(sys_c.L, p)
+        e = PointGeometry(sys_c.free(), p).energy
         lval = sys_c.L.at(p)
         assert abs(e - lval) <= 1e-10 * (1.0 + abs(lval))
 
 
 def test_energy_oscillator_value(sys_a, p_oscillator):
     # E = y dL/dy - L = 2y^2 - (y^2 - x^2) = y^2 + x^2 = 5 at (1, 2)
-    e, de = energy_at(sys_a.L, p_oscillator)
+    ctx = PointGeometry(sys_a.free(), p_oscillator)
+    e, de = ctx.energy, ctx.dE
     assert e == pytest.approx(5.0, abs=1e-14)
     assert de[0] == pytest.approx(2.0, abs=1e-14)  # dE/dx = 2x
     assert de[1] == pytest.approx(4.0, abs=1e-14)  # dE/dy = 2y
 
 
 def test_energy_constant_lagrangian():
+    # a constant L has no metric, so no context: read the reference route
     L = ScalarField(1, lambda x, y: 4.5)
-    e, de = energy_at(L, PhasePoint((0.2,), (1.7,)))
+    p = PhasePoint((0.2,), (1.7,))
+    e, de_x, de_y = routes.energy(L, p)
     assert e == -4.5
-    assert np.all(de == 0.0)
+    assert np.all(de_x == 0.0) and np.all(de_y == 0.0)
+    with pytest.raises(SingularMetric):
+        free_at(L, p)
 
 
 # ---------------------------------------------------------------------------
@@ -89,34 +90,34 @@ def test_energy_constant_lagrangian():
 
 
 def test_two_form_vanishes_on_equal_arguments(sys_b, rng):
-    p = PhasePoint((0.4, -0.3), (1.0, 0.7))
+    ctx = PointGeometry(sys_b.free(), PhasePoint((0.4, -0.3), (1.0, 0.7)))
     for _ in range(10):
         X = rng.normal(size=4)
-        assert two_form_eval(sys_b.L, p, X, X) == 0.0
+        assert ctx.omega(X, X) == 0.0
 
 
 def test_two_form_euclid_canonical_pairing():
     p = PhasePoint((0.0, 0.0), (1.0, 1.0))
     X = np.array([0.0, 0.0, 1.0, 0.0])  # d/dy1
     Y = np.array([1.0, 0.0, 0.0, 0.0])  # d/dx1
-    assert two_form_eval(euclid_L(), p, X, Y) == pytest.approx(2.0)
+    assert free_at(euclid_L(), p).omega(X, Y) == pytest.approx(2.0)
 
 
 def test_two_form_antisymmetry(sys_b, rng):
-    p = PhasePoint((0.9, 0.1), (0.6, -1.1))
+    ctx = PointGeometry(sys_b.free(), PhasePoint((0.9, 0.1), (0.6, -1.1)))
     for _ in range(100):
         X = rng.normal(size=4)
         Y = rng.normal(size=4)
-        w1 = two_form_eval(sys_b.L, p, X, Y)
-        w2 = two_form_eval(sys_b.L, p, Y, X)
+        w1 = ctx.omega(X, Y)
+        w2 = ctx.omega(Y, X)
         assert abs(w1 + w2) <= 1e-12 * (1.0 + abs(w1))
 
 
 def test_two_form_adapted_basis_formula(sys_b, rng):
     # against 2 g_ij (delta y)^j wedge dx^i with the canonical connection
-    p = PhasePoint((1.1, -0.4), (0.8, 1.3))
-    g = metric_at(sys_b.L, p).entries
-    n0 = canonical_connection_at(sys_b.L, p)
+    ctx = PointGeometry(sys_b.free(), PhasePoint((1.1, -0.4), (0.8, 1.3)))
+    g = ctx.metric.entries
+    n0 = ctx.conn0
 
     def adapted(X, Y):
         dyx = X[2:] + n0.dot(X[:2])
@@ -126,7 +127,7 @@ def test_two_form_adapted_basis_formula(sys_b, rng):
     for _ in range(100):
         X = rng.normal(size=4)
         Y = rng.normal(size=4)
-        w = two_form_eval(sys_b.L, p, X, Y)
+        w = ctx.omega(X, Y)
         assert abs(w - adapted(X, Y)) <= 1e-8 * (1.0 + abs(w))
 
 
@@ -136,41 +137,41 @@ def test_two_form_adapted_basis_formula(sys_b, rng):
 
 
 def test_spray_euclid_zero():
-    s = canonical_spray_at(euclid_L(), PhasePoint((0.5, 0.5), (1.0, -2.0)))
+    s = free_at(euclid_L(), PhasePoint((0.5, 0.5), (1.0, -2.0))).spray0
     assert np.all(s == 0.0)
 
 
 def test_spray_oscillator_value(sys_a, p_oscillator):
     # quarter of g^-1 (0 - dL/dx) = (1/4)(2x) = x/2
-    s = canonical_spray_at(sys_a.L, p_oscillator)
+    s = PointGeometry(sys_a.free(), p_oscillator).spray0
     assert s[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_spray_x_independent_finsler_zero(sys_c, samples_c):
     for p in samples_c[:10]:
-        assert np.abs(canonical_spray_at(sys_c.L, p)).max() == 0.0
+        assert np.abs(PointGeometry(sys_c.free(), p).spray0).max() == 0.0
 
 
 def test_connection_euclid_zero():
-    n0 = canonical_connection_at(euclid_L(), PhasePoint((0.0, 0.0), (1.0, 1.0)))
+    n0 = free_at(euclid_L(), PhasePoint((0.0, 0.0), (1.0, 1.0))).conn0
     assert np.all(n0 == 0.0)
 
 
 def test_connection_oscillator_y_independent(sys_a, p_oscillator):
-    n0 = canonical_connection_at(sys_a.L, p_oscillator)
+    n0 = PointGeometry(sys_a.free(), p_oscillator).conn0
     assert np.abs(n0).max() <= 1e-14
 
 
 def test_connection_matches_fd_jacobian(sys_b):
     p = PhasePoint((1.0, 0.0), (1.0, 1.0))
-    n0 = canonical_connection_at(sys_b.L, p)
+    n0 = PointGeometry(sys_b.free(), p).conn0
     assert n0[0, 0] == pytest.approx(0.5, rel=1e-12)  # x y1 / (1 + x^2) at x=1, y1=1
     h = 1e-5
     for j in range(2):
         dy = np.zeros(2)
         dy[j] = h
-        up = canonical_spray_at(sys_b.L, PhasePoint(p.x, np.array(p.y) + dy))
-        dn = canonical_spray_at(sys_b.L, PhasePoint(p.x, np.array(p.y) - dy))
+        up = PointGeometry(sys_b.free(), PhasePoint(p.x, np.array(p.y) + dy)).spray0
+        dn = PointGeometry(sys_b.free(), PhasePoint(p.x, np.array(p.y) - dy)).spray0
         fd = (up - dn) / (2.0 * h)
         assert np.abs(n0[:, j] - fd).max() <= 1e-6 * (1.0 + np.abs(fd).max())
 
@@ -181,20 +182,20 @@ def test_connection_matches_fd_jacobian(sys_b):
 
 
 def test_cartan_zero_for_quadratic(sys_b):
-    c = cartan_tensor_at(sys_b.L, PhasePoint((0.7, 0.2), (1.0, -0.6)))
+    c = PointGeometry(sys_b.free(), PhasePoint((0.7, 0.2), (1.0, -0.6))).cartan
     assert np.all(c == 0.0)
 
 
 def test_cartan_quartic_vs_fd(sys_c):
     p = PhasePoint((0.0, 0.0), (1.0, 1.0))
-    c = cartan_tensor_at(sys_c.L, p)
+    c = PointGeometry(sys_c.free(), p).cartan
     fd = fd_oracle(sys_c.L, p, order=3, h=1e-5)
     assert np.abs(c - 0.25 * fd.d_yyy).max() <= 1e-5 * (1.0 + np.abs(fd.d_yyy).max())
 
 
 def test_cartan_total_symmetry(sys_c, samples_c):
     for p in samples_c[:6]:
-        c = cartan_tensor_at(sys_c.L, p)
+        c = PointGeometry(sys_c.free(), p).cartan
         for perm in ((2, 1, 0), (1, 0, 2), (0, 2, 1)):
             assert np.array_equal(c, c.transpose(perm))
 
@@ -205,17 +206,17 @@ def test_cartan_total_symmetry(sys_c, samples_c):
 
 
 def test_spray_equation_euclid():
-    assert spray_equation_residual(euclid_L(), PhasePoint((0.2, 0.4), (1.0, -1.0))) <= 1e-12
+    assert free_at(euclid_L(), PhasePoint((0.2, 0.4), (1.0, -1.0))).evolution_equation_residual() <= 1e-12
 
 
 def test_spray_equation_oscillator(sys_a, p_oscillator):
-    assert spray_equation_residual(sys_a.L, p_oscillator) <= 1e-9
+    assert PointGeometry(sys_a.free(), p_oscillator).evolution_equation_residual() <= 1e-9
 
 
 def test_spray_equation_sys_b_sweep(sys_b, rng):
     for _ in range(100):
         p = PhasePoint(rng.uniform(-1.5, 1.5, 2), rng.uniform(-2.0, 2.0, 2))
-        assert spray_equation_residual(sys_b.L, p) <= 1e-8
+        assert PointGeometry(sys_b.free(), p).evolution_equation_residual() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +225,8 @@ def test_spray_equation_sys_b_sweep(sys_b, rng):
 
 
 def test_dyn_cov_euclid_zero():
-    L = euclid_L()
-    p = PhasePoint((0.1, 0.9), (1.0, 2.0))
-    s = canonical_spray_at(L, p)
-    n0 = canonical_connection_at(L, p)
-    assert np.all(dyn_cov_deriv_g(L, p, s, n0) == 0.0)
+    ctx = free_at(euclid_L(), PhasePoint((0.1, 0.9), (1.0, 2.0)))
+    assert np.all(ctx.dyn_cov_deriv_g(ctx.spray0, ctx.conn0) == 0.0)
 
 
 @pytest.mark.parametrize("builtin,params", [
@@ -237,31 +235,30 @@ def test_dyn_cov_euclid_zero():
 def test_canonical_pair_is_metric(builtin, params):
     sys_ = instantiate(builtin, params)
     for p in standard_samples(builtin, params, count=25):
-        g = metric_at(sys_.L, p)
-        s = canonical_spray_at(sys_.L, p)
-        n0 = canonical_connection_at(sys_.L, p)
-        gbar = dyn_cov_deriv_g(sys_.L, p, s, n0)
-        assert np.abs(gbar).max() <= 1e-8 * (1.0 + np.abs(g.entries).max())
+        ctx = PointGeometry(sys_.free(), p)
+        gbar = ctx.dyn_cov_deriv_g(ctx.spray0, ctx.conn0)
+        assert np.abs(gbar).max() <= 1e-8 * (1.0 + np.abs(ctx.metric.entries).max())
 
 
 def test_bundle_consistency(sys_b):
     p = PhasePoint((0.8, -0.5), (1.2, 0.4))
-    geo = lagrange_geometry(sys_b.L, p)
-    jac = push_direction(lambda q: canonical_spray_at(sys_b.L, q), p, np.eye(2))
-    assert np.abs(geo.conn0 - jac).max() <= 1e-10
-    assert geo.E == pytest.approx(energy_at(sys_b.L, p)[0])
+    ctx = PointGeometry(sys_b.free(), p)
+    jac = push_direction(lambda q: routes.canonical_spray(sys_b.L, q), p, np.eye(2))
+    assert np.abs(ctx.conn0 - jac).max() <= 1e-10
+    assert ctx.energy == pytest.approx(routes.energy(sys_b.L, p)[0])
 
 
-def test_lagrange_geometry_equals_the_accessors(sys_b, sys_c, samples_b, samples_c):
-    # one y-seeded pass gives what the single-quantity accessors give, bit for bit
+def test_free_context_equals_the_reference_routes(sys_b, sys_c, samples_b, samples_c):
+    # one y-seeded pass gives what the single-quantity routes give, bit for bit
     for sys_, samples in ((sys_b, samples_b), (sys_c, samples_c)):
         for p in samples[:4]:
-            geo = lagrange_geometry(sys_.L, p)
-            g = metric_at(sys_.L, p)
-            e, de = energy_at(sys_.L, p)
-            assert np.array_equal(geo.g.entries, g.entries)
-            assert np.array_equal(geo.g.inverse, g.inverse)
-            assert geo.E == e and np.array_equal(geo.dE, de)
-            assert np.array_equal(geo.spray0, canonical_spray_at(sys_.L, p))
-            assert np.array_equal(geo.conn0, canonical_connection_at(sys_.L, p))
-            assert np.array_equal(geo.cartan, cartan_tensor_at(sys_.L, p))
+            ctx = PointGeometry(sys_.free(), p)
+            g = routes.metric(sys_.L, p)
+            e, de_x, de_y = routes.energy(sys_.L, p)
+            assert np.array_equal(ctx.metric.entries, g.entries)
+            assert np.array_equal(ctx.metric.inverse, g.inverse)
+            assert ctx.energy == e and np.array_equal(ctx.dE, np.concatenate([de_x, de_y]))
+            assert np.array_equal(ctx.jet.d_y, eval_jet(sys_.L, p, order=1).d_y)
+            assert np.array_equal(ctx.spray0, routes.canonical_spray(sys_.L, p))
+            assert np.array_equal(ctx.conn0, routes.canonical_connection(sys_.L, p))
+            assert np.array_equal(ctx.cartan, routes.cartan(sys_.L, p))

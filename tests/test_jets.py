@@ -16,6 +16,7 @@ from lagmech.jets import (
 )
 from lagmech.phase import PhasePoint, ScalarField
 from oracle import fd_oracle
+import routes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -146,13 +147,11 @@ def test_push_componentwise_square():
 
 
 def test_push_spray_matches_fd_column(sys_b):
-    from lagmech.geometry import canonical_spray_at
-
     p = PhasePoint((1.0, 0.0), (1.0, 1.0))
-    col = push_direction(lambda q: canonical_spray_at(sys_b.L, q), p, [1.0, 0.0])
+    col = push_direction(lambda q: routes.canonical_spray(sys_b.L, q), p, [1.0, 0.0])
     h = 1e-5
-    up = canonical_spray_at(sys_b.L, PhasePoint((1.0, 0.0), (1.0 + h, 1.0)))
-    dn = canonical_spray_at(sys_b.L, PhasePoint((1.0, 0.0), (1.0 - h, 1.0)))
+    up = routes.canonical_spray(sys_b.L, PhasePoint((1.0, 0.0), (1.0 + h, 1.0)))
+    dn = routes.canonical_spray(sys_b.L, PhasePoint((1.0, 0.0), (1.0 - h, 1.0)))
     fd = (up - dn) / (2.0 * h)
     assert np.abs(col - fd).max() <= 1e-6 * (1.0 + np.abs(fd).max())
 
@@ -167,13 +166,11 @@ def test_push_jacobian_reconstructs_metric(sys_c, samples_c):
 
 def test_push_through_matrix_inverse_matches_identity_rule(sys_c):
     # d(g^-1) along a direction equals -g^-1 (dg) g^-1
-    from lagmech.geometry import metric_at
-
     p = PhasePoint((0.0, 0.0), (0.9, 1.4))
     d = [1.0, -0.5]
-    dinv = push_direction(lambda q: metric_at(sys_c.L, q).inverse, p, d)
-    g = metric_at(sys_c.L, p)
-    dg = push_direction(lambda q: metric_at(sys_c.L, q).entries, p, d)
+    dinv = push_direction(lambda q: routes.metric(sys_c.L, q).inverse, p, d)
+    g = routes.metric(sys_c.L, p)
+    dg = push_direction(lambda q: routes.metric(sys_c.L, q).entries, p, d)
     analytic = -g.inverse @ dg @ g.inverse
     assert np.abs(dinv - analytic).max() <= 1e-10 * (1.0 + np.abs(analytic).max())
 
@@ -195,9 +192,7 @@ def test_sym_invert_rank_deficient():
 
 
 def test_sym_invert_sys_b_metric(sys_b):
-    from lagmech.geometry import metric_at
-
-    g = metric_at(sys_b.L, PhasePoint((1.0, 0.0), (0.3, 0.4)))
+    g = routes.metric(sys_b.L, PhasePoint((1.0, 0.0), (0.3, 0.4)))
     assert np.abs(g.entries - np.diag([2.0, 1.0])).max() < 1e-14
     assert np.abs(g.inverse - np.diag([0.5, 1.0])).max() < 1e-14
 
@@ -243,6 +238,20 @@ def test_dual_division_and_functions():
     assert lg.tan[0] == pytest.approx(0.5)
     with pytest.raises(DomainError):
         apply_function("sqrt", KDual(0.0, np.array([1.0])))
+
+
+def test_overflow_raises_domain_error_in_every_tower():
+    from lagmech.jets import apply_function, power
+
+    f_exp = ScalarField(1, lambda x, y: apply_function("exp", y[0]))
+    f_pow = ScalarField(1, lambda x, y: power(y[0], 200.5))
+    for f, v in ((f_exp, 1000.0), (f_pow, 1e5)):
+        with pytest.raises(DomainError):
+            f([0.0], [v])
+        with pytest.raises(DomainError):
+            f([0.0], [KDual(v, np.array([1.0]))])
+        with pytest.raises(DomainError):
+            eval_jet(f, PhasePoint((0.0,), (v,)), order=2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,14 +319,12 @@ def _shifted(p, wrt, step):
     seed=st.integers(0, 2**16),
 )
 def test_vector_push_matches_single_pushes_and_fd(name, index, wrt, k, seed):
-    from lagmech.mechanics import evolution_spray_at
-
     sys_, samples = _push_case(name)
     p = samples[index]
     d = np.random.default_rng(seed).uniform(-1.0, 1.0, (k, sys_.n))
 
     def pipeline(q):
-        return evolution_spray_at(sys_, q)
+        return routes.evolution_spray(sys_, q)
 
     many = push_direction(pipeline, p, d, wrt=wrt)
     assert many.shape == (sys_.n, k)
@@ -373,8 +380,7 @@ def test_x_push_through_x_free_lagrangian_stays_float():
 
 
 def test_push_outputs_and_jet_blocks_are_float64(sys_d):
-    from lagmech.geometry import canonical_spray_at, metric_at
-    from lagmech.mechanics import _evolution_pass, _scalar_s, sigma_at
+    from lagmech.mechanics import _evolution_pass, _scalar_s
 
     p = PhasePoint((0.3, -0.2), (0.9, 1.4))
     jets_built = []
@@ -389,9 +395,9 @@ def test_push_outputs_and_jet_blocks_are_float64(sys_d):
         return j.d_yy
 
     pipelines = [jet_pipeline,
-                 lambda q: canonical_spray_at(sys_d.L, q),
-                 lambda q: sigma_at(sys_d, q),
-                 lambda q: metric_at(sys_d.L, q).inverse,
+                 lambda q: routes.canonical_spray(sys_d.L, q),
+                 lambda q: routes.sigma(sys_d, q),
+                 lambda q: routes.metric(sys_d.L, q).inverse,
                  scalar_sl,
                  lambda q: sys_d.V(q.x, q.y)]
     for pipeline in pipelines:
@@ -410,15 +416,14 @@ def test_push_outputs_and_jet_blocks_are_float64(sys_d):
 @pytest.mark.parametrize("name", sorted(_PUSH_SYSTEMS))
 @pytest.mark.parametrize("wrt", ["x", "y"])
 def test_energy_push_matches_fd(name, wrt):
-    from lagmech.geometry import energy_at
-
     sys_, samples = _push_case(name)
     p = samples[3]
     d = np.random.default_rng(7).uniform(-1.0, 1.0, (2, sys_.n))
     h = 1e-6
-    for part in (0, 1):
+    # E, dE/dx and dE/dy
+    for part in (0, 1, 2):
         def pipeline(q):
-            return energy_at(sys_.L, q)[part]
+            return routes.energy(sys_.L, q)[part]
 
         many = push_direction(pipeline, p, d, wrt=wrt)
         for c in range(2):

@@ -6,24 +6,10 @@ import numpy as np
 import pytest
 
 from lagmech.dsl import bind_scalar, bind_vertical, parse
-from lagmech.geometry import cartan_tensor_at, metric_at
-from lagmech.mechanics import (
-    MechanicalSystem,
-    classify,
-    dissipation_power,
-    evolution_bundle_at,
-    evolution_connection_at,
-    evolution_equation_residual,
-    evolution_spray_at,
-    first_integral_conditions,
-    horizontal_dE,
-    horizontal_dL,
-    lie_theta_residual,
-    sigma_at,
-    symplectic_defect,
-)
+from lagmech.mechanics import MechanicalSystem, PointGeometry, classify
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
+import routes
 
 SQRT2 = math.sqrt(2.0)
 # sigma of the normalized Liouville force at y=(1,1) on the quartic-root
@@ -54,42 +40,42 @@ def quartic_lagrange_base(e=-1.0):
 
 def test_sigma_zero_force(sys_b):
     p = PhasePoint((0.5, 0.5), (1.0, 2.0))
-    assert np.all(sigma_at(sys_b, p) == 0.0)
+    assert np.all(PointGeometry(sys_b, p).sigma == 0.0)
 
 
 def test_sigma_euclid_liouville(sys_e_euclid):
     p = PhasePoint((0.0, 0.0), (1.0, 2.0))
-    s = sigma_at(sys_e_euclid, p)
+    s = PointGeometry(sys_e_euclid, p).sigma
     assert np.abs(s - np.array([-0.5, -1.0]) * 2.0).max() < 1e-14  # g=I, V=-y => sigma=-y
     # e = -0.5 variant of the worked example
     half = instantiate("SYS-E", {"e": -0.5, "base": "EUCLID"})
-    assert np.abs(sigma_at(half, p) - np.array([-0.5, -1.0])).max() < 1e-14
+    assert np.abs(PointGeometry(half, p).sigma - np.array([-0.5, -1.0])).max() < 1e-14
 
 
 def test_sigma_normalized_liouville(sys_d):
     p = PhasePoint((0.0, 0.0), (1.0, 1.0))
-    s = sigma_at(sys_d, p)
+    s = PointGeometry(sys_d, p).sigma
     assert np.abs(s - (-0.5) * SIGMA_D_UNIT).max() <= 1e-10
 
 
 def test_power_identity_two_routes(sys_d, samples_c):
     for p in samples_c[:15]:
-        g = metric_at(sys_d.L, p)
+        g = routes.metric(sys_d.L, p)
         v = np.array(sys_d.V.at(p))
         yv = np.array([float(t) for t in p.y])
         direct = yv.dot(g.entries).dot(v)
-        assert abs(dissipation_power(sys_d, p) - direct) <= 1e-10 * (1.0 + abs(direct))
+        assert abs(PointGeometry(sys_d, p).power - direct) <= 1e-10 * (1.0 + abs(direct))
 
 
 def test_power_oscillator(sys_a, p_oscillator):
-    assert dissipation_power(sys_a, p_oscillator) == pytest.approx(-0.8, abs=1e-14)
+    assert PointGeometry(sys_a, p_oscillator).power == pytest.approx(-0.8, abs=1e-14)
 
 
 def test_power_liouville_finsler(sys_e_finsler, samples_c):
     # power = e F^2 for V = e y over a homogeneous base
     for p in samples_c[:15]:
         f2 = sys_e_finsler.L.at(p)
-        assert dissipation_power(sys_e_finsler, p) == pytest.approx(-f2, rel=1e-12)
+        assert PointGeometry(sys_e_finsler, p).power == pytest.approx(-f2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +84,19 @@ def test_power_liouville_finsler(sys_e_finsler, samples_c):
 
 
 def test_evolution_spray_free_reduces(sys_b):
-    from lagmech.geometry import canonical_spray_at
-
     p = PhasePoint((1.0, 0.2), (0.5, 1.0))
-    assert np.array_equal(evolution_spray_at(sys_b, p),
-                          canonical_spray_at(sys_b.L, p))
+    assert np.array_equal(PointGeometry(sys_b, p).spray,
+                          routes.canonical_spray(sys_b.L, p))
 
 
 def test_evolution_spray_oscillator(sys_a, p_oscillator):
     # G = G0 - V/4 = 0.5 - (-0.4)/4 = 0.6
-    assert evolution_spray_at(sys_a, p_oscillator)[0] == pytest.approx(0.6, abs=1e-14)
+    assert PointGeometry(sys_a, p_oscillator).spray[0] == pytest.approx(0.6, abs=1e-14)
 
 
 def test_evolution_connection_liouville_shift(sys_e_euclid):
     p = PhasePoint((0.0, 0.0), (1.0, 2.0))
-    n = evolution_connection_at(sys_e_euclid, p)
+    n = PointGeometry(sys_e_euclid, p).conn
     assert np.abs(n - 0.25 * np.eye(2)).max() <= 1e-10
 
 
@@ -120,16 +104,14 @@ def test_evolution_connection_dual_route(rng):
     sys_ = forced_sys_b()
     for _ in range(5):
         p = PhasePoint(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.5, 1.5, 2))
-        n = evolution_connection_at(sys_, p)  # internal 1e-10 cross-check
+        n = PointGeometry(sys_, p).conn  # internal 1e-10 cross-check
         assert np.isfinite(n).all()
 
 
 def test_evolution_connection_finsler_liouville(sys_e_finsler, samples_c):
-    from lagmech.geometry import canonical_connection_at
-
     for p in samples_c[:8]:
-        n = evolution_connection_at(sys_e_finsler, p)
-        n0 = canonical_connection_at(sys_e_finsler.L, p)
+        n = PointGeometry(sys_e_finsler, p).conn
+        n0 = PointGeometry(sys_e_finsler.free(), p).conn
         assert np.abs(n - n0 - 0.25 * np.eye(2)).max() <= 1e-10
 
 
@@ -139,21 +121,21 @@ def test_evolution_connection_finsler_liouville(sys_e_finsler, samples_c):
 
 
 def test_evolution_equation_free_matches_spray_equation(sys_b):
-    from lagmech.geometry import spray_equation_residual
+    from lagmech.geometry import _sode_residual
 
-    p = PhasePoint((0.4, 0.6), (1.1, -0.3))
-    assert evolution_equation_residual(sys_b, p) == pytest.approx(
-        spray_equation_residual(sys_b.L, p), abs=1e-15
+    ctx = PointGeometry(sys_b, PhasePoint((0.4, 0.6), (1.1, -0.3)))
+    assert ctx.evolution_equation_residual() == pytest.approx(
+        _sode_residual(ctx.jet, ctx.y, ctx.spray0), abs=1e-15
     )
 
 
 def test_evolution_equation_oscillator(sys_a, p_oscillator):
-    assert evolution_equation_residual(sys_a, p_oscillator) <= 1e-9
+    assert PointGeometry(sys_a, p_oscillator).evolution_equation_residual() <= 1e-9
 
 
 def test_evolution_equation_sys_d_sweep(sys_d):
     for p in standard_samples("SYS-D", {"e": -0.5}, count=100):
-        assert evolution_equation_residual(sys_d, p) <= 1e-8
+        assert PointGeometry(sys_d, p).evolution_equation_residual() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +144,7 @@ def test_evolution_equation_sys_d_sweep(sys_d):
 
 
 def test_bundle_zero_force(sys_b):
-    b = evolution_bundle_at(sys_b, PhasePoint((0.4, 0.1), (1.0, 0.5)))
+    b = PointGeometry(sys_b, PhasePoint((0.4, 0.1), (1.0, 0.5)))
     assert np.all(b.sigma == 0.0)
     assert np.all(b.helicoidal == 0.0)
     assert np.all(b.gbar == 0.0)
@@ -171,7 +153,7 @@ def test_bundle_zero_force(sys_b):
 
 def test_bundle_decomposition_identity(sys_d, samples_c):
     for p in samples_c[:10]:
-        b = evolution_bundle_at(sys_d, p)
+        b = PointGeometry(sys_d, p)
         j = b.dsigma_dy
         assert np.abs(4.0 * b.gbar - (j + j.T)).max() <= 1e-12
         assert np.abs(2.0 * b.helicoidal - (j - j.T)).max() <= 1e-12
@@ -185,9 +167,9 @@ def test_bundle_liouville_lagrange_base(rng):
     sys_ = quartic_lagrange_base(e=-1.0)
     for _ in range(6):
         p = PhasePoint(rng.uniform(-1, 1, 2), rng.uniform(0.3, 1.5, 2))
-        b = evolution_bundle_at(sys_, p)
-        g = metric_at(sys_.L, p).entries
-        c = cartan_tensor_at(sys_.L, p)
+        b = PointGeometry(sys_, p)
+        g = b.metric.entries
+        c = b.cartan
         yv = np.array([float(v) for v in p.y])
         expected = (-1.0 / 2.0) * (2.0 * c.dot(yv) + g)
         assert np.abs(b.gbar - expected).max() <= 1e-8
@@ -195,14 +177,14 @@ def test_bundle_liouville_lagrange_base(rng):
 
 def test_bundle_sys_d_helicoidal_vanishes(sys_d, samples_c):
     for p in samples_c[:20]:
-        b = evolution_bundle_at(sys_d, p)
+        b = PointGeometry(sys_d, p)
         assert np.abs(b.helicoidal).max() <= 1e-10
 
 
 def test_bundle_liouville_finsler_gbar(sys_e_finsler, samples_c):
     for p in samples_c[:20]:
-        b = evolution_bundle_at(sys_e_finsler, p)
-        g = metric_at(sys_e_finsler.L, p).entries
+        b = PointGeometry(sys_e_finsler, p)
+        g = b.metric.entries
         assert np.abs(b.gbar - (-0.5) * g).max() <= 1e-8 * (1.0 + np.abs(g).max())
 
 
@@ -212,19 +194,19 @@ def test_bundle_liouville_finsler_gbar(sys_e_finsler, samples_c):
 
 
 def test_symplectic_defect_free(sys_b):
-    assert symplectic_defect(sys_b, PhasePoint((0.7, -0.2), (0.9, 1.4))) <= 1e-8
+    assert PointGeometry(sys_b, PhasePoint((0.7, -0.2), (0.9, 1.4))).symplectic_defect() <= 1e-8
 
 
 def test_symplectic_defect_liouville(sys_e_finsler, samples_c):
     for p in samples_c[:10]:
-        assert symplectic_defect(sys_e_finsler, p) <= 1e-8
+        assert PointGeometry(sys_e_finsler, p).symplectic_defect() <= 1e-8
 
 
 def test_symplectic_defect_matches_helicoidal():
     sys_ = forced_sys_b()
     p = PhasePoint((0.6, 0.3), (1.0, 0.8))
-    d = symplectic_defect(sys_, p)  # internal sign cross-check runs
-    b = evolution_bundle_at(sys_, p)
+    d = PointGeometry(sys_, p).symplectic_defect()  # internal sign cross-check runs
+    b = PointGeometry(sys_, p)
     assert d == pytest.approx(np.abs(b.helicoidal).max(), rel=1e-9)
     assert d > 1e-3  # this force is genuinely non-symplectic
 
@@ -235,32 +217,32 @@ def test_symplectic_defect_matches_helicoidal():
 
 
 def test_horizontal_dl_euclid_free(euclid):
-    out = horizontal_dL(euclid, PhasePoint((0.2, 0.8), (1.0, -1.0)))
+    out = PointGeometry(euclid, PhasePoint((0.2, 0.8), (1.0, -1.0))).horizontal_dL()
     assert np.abs(out).max() <= 1e-14
 
 
 def test_horizontal_dl_zero_homogeneous_force(sys_d, samples_c):
     # contraction with y vanishes: L is constant along horizontal curves
     for p in samples_c[:10]:
-        out = horizontal_dL(sys_d, p)
+        out = PointGeometry(sys_d, p).horizontal_dL()
         yv = np.array([float(v) for v in p.y])
         assert abs(out.dot(yv)) <= 1e-8
 
 
 def test_horizontal_dl_routes_agree_forced():
     sys_ = forced_sys_b()
-    out = horizontal_dL(sys_, PhasePoint((0.5, -0.1), (1.2, 0.7)))
+    out = PointGeometry(sys_, PhasePoint((0.5, -0.1), (1.2, 0.7))).horizontal_dL()
     assert np.isfinite(out).all()
 
 
 def test_horizontal_de_euclid_free(euclid):
-    out = horizontal_dE(euclid, PhasePoint((0.0, 0.0), (1.0, 2.0)))
+    out = PointGeometry(euclid, PhasePoint((0.0, 0.0), (1.0, 2.0))).horizontal_dE()
     assert np.abs(out).max() <= 1e-14
 
 
 def test_horizontal_de_sys_d_vanishes(sys_d, samples_c):
     for p in samples_c[:10]:
-        assert np.abs(horizontal_dE(sys_d, p)).max() <= 1e-8
+        assert np.abs(PointGeometry(sys_d, p).horizontal_dE()).max() <= 1e-8
 
 
 def test_horizontal_de_finsler_force_term(sys_e_finsler, samples_c):
@@ -268,8 +250,9 @@ def test_horizontal_de_finsler_force_term(sys_e_finsler, samples_c):
 
     V = sys_e_finsler.V
     for p in samples_c[:8]:
-        out = horizontal_dE(sys_e_finsler, p)
-        g = metric_at(sys_e_finsler.L, p).entries
+        ctx = PointGeometry(sys_e_finsler, p)
+        out = ctx.horizontal_dE()
+        g = ctx.metric.entries
         yv = np.array([float(v) for v in p.y])
         dv_dy = push_direction(lambda q: V(q.x, q.y), p, np.eye(2))
         rhs = 0.5 * g.dot(yv).dot(dv_dy)
@@ -278,13 +261,13 @@ def test_horizontal_de_finsler_force_term(sys_e_finsler, samples_c):
 
 def test_first_integrals_zero_homogeneous(sys_d, samples_c):
     for p in samples_c[:10]:
-        res_l, res_e = first_integral_conditions(sys_d, p)
+        res_l, res_e = PointGeometry(sys_d, p).first_integral_conditions()
         assert abs(res_l) <= 1e-8
         assert abs(res_e) <= 1e-8
 
 
 def test_first_integrals_euclid_free(euclid):
-    res_l, res_e = first_integral_conditions(euclid, PhasePoint((0.1, 0.1), (1.0, 2.0)))
+    res_l, res_e = PointGeometry(euclid, PhasePoint((0.1, 0.1), (1.0, 2.0))).first_integral_conditions()
     assert res_l == 0.0
     assert res_e == 0.0
 
@@ -299,7 +282,7 @@ def test_horizontal_dl_contraction_identity(sys_a, sys_d, samples_c, rng):
              (sys_d, samples_c[:5])]
     for sys_, pts in cases:
         for p in pts:
-            out = horizontal_dL(sys_, p)
+            out = PointGeometry(sys_, p).horizontal_dL()
             yv = np.array([float(v) for v in p.y])
             lhs = 2.0 * out.dot(yv)
             from lagmech.mechanics import _evolution_pass, _scalar_s
@@ -320,7 +303,7 @@ def test_first_integrals_oscillator_nonzero(sys_a, p_oscillator):
     #   L-condition: (dV/dy y) dL/dy + 2 (d(S0 L)/dy) y
     #     = (-0.4)(4) + 2 (-4 x y)'_y y = -1.6 - 16 = -17.6
     #   E-condition: g (dV/dy) y y + 4 g (2 G0 - N0 y) y = -0.8 + 8 = 7.2
-    res_l, res_e = first_integral_conditions(sys_a, p_oscillator)
+    res_l, res_e = PointGeometry(sys_a, p_oscillator).first_integral_conditions()
     assert res_l == pytest.approx(-17.6, abs=1e-10)
     assert res_e == pytest.approx(7.2, abs=1e-10)
 
@@ -331,20 +314,20 @@ def test_first_integrals_oscillator_nonzero(sys_a, p_oscillator):
 
 
 def test_lie_theta_euclid(euclid):
-    assert lie_theta_residual(euclid, PhasePoint((0.3, 0.3), (1.0, -2.0))) <= 1e-12
+    assert PointGeometry(euclid, PhasePoint((0.3, 0.3), (1.0, -2.0))).lie_theta_residual() <= 1e-12
 
 
 def test_lie_theta_oscillator_sweep(sys_a, rng):
     for _ in range(100):
         p = PhasePoint(rng.uniform(-1.5, 1.5, 1), rng.uniform(-2, 2, 1))
-        assert lie_theta_residual(sys_a, p) <= 1e-8
+        assert PointGeometry(sys_a, p).lie_theta_residual() <= 1e-8
 
 
 def test_lie_theta_sys_d_sweep(sys_d, rng):
     for _ in range(100):
         y = rng.uniform(0.3, 2.0, 2)
         p = PhasePoint(rng.uniform(-1, 1, 2), y)
-        assert lie_theta_residual(sys_d, p) <= 1e-7
+        assert PointGeometry(sys_d, p).lie_theta_residual() <= 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from lagmech.errors import UnboundParameter, UnknownBuiltin
-from lagmech.geometry import metric_at
-from lagmech.mechanics import dissipation_power, evolution_bundle_at
+from lagmech.mechanics import PointGeometry
 from lagmech.phase import PhasePoint
 from lagmech.systems import catalog, find, instantiate, standard_samples
 
@@ -42,19 +41,19 @@ def test_sys_a_requires_damping_parameter():
 def test_sys_d_dissipative_for_negative_e():
     sys_ = instantiate("SYS-D", {"e": -0.5})
     p = PhasePoint((0.0, 0.0), (1.0, 1.0))
-    assert dissipation_power(sys_, p) < 0.0
-    assert dissipation_power(instantiate("SYS-D", {"e": 0.5}), p) > 0.0
+    assert PointGeometry(sys_, p).power < 0.0
+    assert PointGeometry(instantiate("SYS-D", {"e": 0.5}), p).power > 0.0
 
 
 def test_sys_e_euclid_worked_example():
     sys_ = instantiate("SYS-E", {"e": -1.0, "base": "EUCLID"})
     p = PhasePoint((0.0, 0.0), (1.0, 2.0))
     assert sys_.V.at(p) == [-1.0, -2.0]
-    assert dissipation_power(sys_, p) == pytest.approx(-5.0, abs=1e-14)
+    assert PointGeometry(sys_, p).power == pytest.approx(-5.0, abs=1e-14)
 
 
 def test_sys_c_metric_at_unit_diagonal(sys_c):
-    g = metric_at(sys_c.L, PhasePoint((0.0, 0.0), (1.0, 1.0)))
+    g = PointGeometry(sys_c.free(), PhasePoint((0.0, 0.0), (1.0, 1.0))).metric
     assert g.entries[0, 0] == pytest.approx(SQRT2, rel=1e-12)
     assert g.entries[0, 1] == pytest.approx(-SQRT2 / 2.0, rel=1e-12)
 
@@ -62,7 +61,7 @@ def test_sys_c_metric_at_unit_diagonal(sys_c):
 def test_euclid_dimension_configurable():
     sys_ = instantiate("EUCLID", {"n": 4})
     assert sys_.n == 4
-    g = metric_at(sys_.L, PhasePoint((0.0,) * 4, (1.0, 2.0, 3.0, 4.0)))
+    g = PointGeometry(sys_.free(), PhasePoint((0.0,) * 4, (1.0, 2.0, 3.0, 4.0))).metric
     assert np.array_equal(g.entries, np.eye(4))
 
 
@@ -71,26 +70,24 @@ def test_defaults_regular_on_documented_box(entry):
     sys_ = entry.build(dict(entry.default_params))
     pts = standard_samples(entry.id, dict(entry.default_params), count=25)
     for p in pts:
-        metric_at(sys_.L, p)  # must not raise
+        PointGeometry(sys_.free(), p)  # must not raise
 
 
 def test_sys_e_propositions_over_finsler_base(samples_c):
     sys_ = instantiate("SYS-E", {"e": -1.0, "base": "SYS-C"})
     for p in samples_c[:25]:
-        b = evolution_bundle_at(sys_, p)
-        g = metric_at(sys_.L, p).entries
+        b = PointGeometry(sys_, p)
+        g = b.metric.entries
         assert np.abs(b.helicoidal).max() <= 1e-10
         assert np.abs(b.gbar - (-0.5) * g).max() <= 1e-8 * (1.0 + np.abs(g).max())
 
 
 def test_sys_d_propositions(samples_c):
     sys_ = instantiate("SYS-D", {"e": -0.5})
-    from lagmech.mechanics import horizontal_dE
-
     for p in samples_c[:15]:
-        b = evolution_bundle_at(sys_, p)
+        b = PointGeometry(sys_, p)
         assert np.abs(b.helicoidal).max() <= 1e-10          # (i)
-        assert np.abs(horizontal_dE(sys_, p)).max() <= 1e-8  # (ii)
+        assert np.abs(b.horizontal_dE()).max() <= 1e-8      # (ii)
         assert b.power < 0.0                                 # (iii), e < 0
 
 
