@@ -126,13 +126,25 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _number(spec: dict, key: str, default, kind=float):
-    """``spec[key]`` (``default`` when absent) converted by ``kind``."""
+def _number(spec: dict, key: str, default) -> float:
+    """``spec[key]`` (``default`` when absent) as a float."""
     value = spec.get(key, default)
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from err
+
+
+def _integer(spec: dict, key: str, default: int) -> int:
+    """``spec[key]`` (``default`` when absent) as an int; a fractional or
+    non-finite value is an error, not truncated."""
+    value = spec.get(key, default)
+    if isinstance(value, int):
+        return value
+    number = _number(spec, key, default)
+    if not number.is_integer():
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _point(item, what: str) -> PhasePoint:
@@ -196,8 +208,12 @@ def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
             pts.append(_point(item, "a sample point"))
             if pts[-1].n != sys.n:
                 raise ConfigError("sample point dimension mismatch")
+        if not pts:
+            raise ConfigError("'points' must list at least one point")
         return pts
-    count = _number(spec, "count", 200, int)
+    count = _integer(spec, "count", 200)
+    if count < 1:
+        raise ConfigError(f"'count' must be at least 1, got {count}")
     mode = str(spec.get("mode", "halton"))
     if "box_x" in spec or "box_y" in spec:
         try:
@@ -242,7 +258,7 @@ def _integrator_config(cfg: dict, args) -> IntegratorConfig:
         method=str(spec.get("method", "rk4_fixed")),
         step=_number(spec, "step", 1e-3),
         t_end=_number(spec, "t_end", 10.0),
-        record_every=_number(spec, "record_every", 1, int),
+        record_every=_integer(spec, "record_every", 1),
         rel_tol=_number(spec, "rel_tol", 1e-8),
         abs_tol=_number(spec, "abs_tol", 1e-10),
         max_step=_number(spec, "max_step", 0.1),
@@ -267,7 +283,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_inspect(cfg: dict, args, overrides: dict) -> int:
     sys_ = build_system(cfg, overrides)
-    samples = build_samples(cfg, sys_, _number(cfg, "seed", args.seed or 0, int))
+    samples = build_samples(cfg, sys_, _integer(cfg, "seed", args.seed or 0))
     results = []
     hit_singular = False
     for idx, p in enumerate(samples):
@@ -299,7 +315,7 @@ def cmd_inspect(cfg: dict, args, overrides: dict) -> int:
 
 def cmd_classify(cfg: dict, args, overrides: dict) -> int:
     sys_ = build_system(cfg, overrides)
-    seed = _number(cfg, "seed", args.seed or 0, int)
+    seed = _integer(cfg, "seed", args.seed or 0)
     samples = build_samples(cfg, sys_, seed)
     tol = _number(cfg, "tolerance", 1e-8)
     report = classify(sys_, samples, tol=tol)
@@ -309,7 +325,7 @@ def cmd_classify(cfg: dict, args, overrides: dict) -> int:
 
 def cmd_verify(cfg: dict, args, overrides: dict) -> int:
     sys_ = build_system(cfg, overrides)
-    seed = _number(cfg, "seed", args.seed or 0, int)
+    seed = _integer(cfg, "seed", args.seed or 0)
     samples = build_samples(cfg, sys_, seed)
     tol = _number(cfg, "tolerance", 1e-8)
     report = run_verification(sys_, samples, tol=tol)
@@ -327,6 +343,9 @@ def cmd_simulate(cfg: dict, args, overrides: dict) -> int:
     if p0.n != sys_.n:
         raise ConfigError("initial point dimension mismatch")
     ic = _integrator_config(cfg, args)
+    fmt = str((cfg.get("output") or {}).get("format", "csv"))
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
     curve = args.curve
     try:
         if curve == "evolution":
@@ -341,7 +360,6 @@ def cmd_simulate(cfg: dict, args, overrides: dict) -> int:
         _sys.stderr.write(render_json({"status": traj.status}) + "\n")
         return EXIT_DOMAIN
 
-    fmt = str((cfg.get("output") or {}).get("format", "csv"))
     if args.out and args.out.endswith(".json"):
         fmt = "json"
     if fmt == "json":

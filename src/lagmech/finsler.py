@@ -20,10 +20,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
-from .geometry import _christoffel, _metric_x_pass
+from .errors import DomainError, FinslerModeError, SingularMetric
 from .jets import eval_jet, seed_point, sym_invert, tangent_part, tower_vector
-from .mechanics import MechanicalSystem, PointGeometry
+from .mechanics import MechanicalSystem, PointGeometry, _christoffel, _metric_x_pass, sweep
 from .phase import PhasePoint
 
 __all__ = [
@@ -99,6 +98,18 @@ def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint, tol: float = _GAT
     _require_euler(eval_jet(sys.L, p, order=1), p, tol)
 
 
+def _euler_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
+    q = seed_point(p, np.array([p.y], dtype=float))
+    d = eval_jet(sys.L, q, order=2)
+    v = sys.V(q.x, q.y)
+    j = d.primal()
+    lag = _euler_defect(j, p)
+    return {"lagrangian_residual": lag,
+            "metric_residual": float(np.abs(tangent_part(d.d_yy * 0.5, 1)).max()),
+            "force_residual": float(np.abs(tangent_part(v, 1)).max()),
+            "rejected": lag > _GATE_TOL * (1.0 + abs(j.value))}
+
+
 def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
     """Run the three Euler tests over a sample set.
 
@@ -107,34 +118,13 @@ def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
     one pass of L and V with y seeded along y itself: the value parts give
     the Euler defect, the tangents (dg/dy) y and (dV/dy) y.
     """
-    lag_res = 0.0
-    met_res = 0.0
-    frc_res = 0.0
-    tested = 0
-    accepted = True
-    failures = []
-    for idx, p in enumerate(samples):
-        try:
-            q = seed_point(p, np.array([p.y], dtype=float))
-            d = eval_jet(sys.L, q, order=2)
-            v = sys.V(q.x, q.y)
-        except (SingularMetric, DomainError) as err:
-            failures.append(failure_record(idx, err, p))
-            continue
-        tested += 1
-        j = d.primal()
-        lag = _euler_defect(j, p)
-        if lag > _GATE_TOL * (1.0 + abs(j.value)):
-            accepted = False
-        lag_res = max(lag_res, lag)
-        met_res = max(met_res, float(np.abs(tangent_part(d.d_yy * 0.5, 1)).max()))
-        frc_res = max(frc_res, float(np.abs(tangent_part(v, 1)).max()))
+    worst, tested, failures = sweep(samples, lambda p: _euler_values(sys, p))
     return HomogeneityReport(
-        lagrangian_residual=lag_res,
-        metric_residual=met_res,
-        force_residual=frc_res,
+        lagrangian_residual=worst.get("lagrangian_residual", 0.0),
+        metric_residual=worst.get("metric_residual", 0.0),
+        force_residual=worst.get("force_residual", 0.0),
         points_tested=tested,
-        accepted=accepted and tested > 0,
+        accepted=tested > 0 and not worst["rejected"],
         failures=failures,
     )
 
@@ -172,34 +162,27 @@ class FinslerIdentityReport:
         return asdict(self)
 
 
+def _identity_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
+    ctx = PointGeometry(sys, p)
+    _require_euler(ctx.jet, p)
+    lv, yv, spray0 = ctx.jet.value, ctx.y, ctx.spray0
+    rhs = 0.5 * (ctx.metric.entries @ yv @ ctx.dV_dy)
+    return {
+        "energy_residual": float(abs(ctx.energy - lv)) / (1.0 + abs(float(lv))),
+        "spray_homogeneity_residual": float(np.abs(2.0 * spray0 - ctx.conn0 @ yv).max()),
+        "energy_slope_residual": float(np.abs(ctx.horizontal_dE() - rhs).max()),
+        "christoffel_residual": float(np.abs(ctx.christoffel @ yv @ yv - 2.0 * spray0).max()),
+    }
+
+
 def finsler_identities(sys: MechanicalSystem, samples) -> FinslerIdentityReport:
     """Verify the identities forced by 2-homogeneity over a sample set."""
-    res_e = 0.0
-    res_h = 0.0
-    res_s = 0.0
-    res_c = 0.0
-    tested = 0
-    failures = []
-    for idx, p in enumerate(samples):
-        try:
-            ctx = PointGeometry(sys, p)
-            _require_euler(ctx.jet, p)
-            gamma = ctx.christoffel
-        except (SingularMetric, DomainError, FinslerModeError) as err:
-            failures.append(failure_record(idx, err, p))
-            continue
-        tested += 1
-        lv, yv, spray0 = ctx.jet.value, ctx.y, ctx.spray0
-        res_e = max(res_e, float(abs(ctx.energy - lv)) / (1.0 + abs(float(lv))))
-        res_h = max(res_h, float(np.abs(2.0 * spray0 - ctx.conn0 @ yv).max()))
-        rhs = 0.5 * (ctx.metric.entries @ yv @ ctx.dV_dy)
-        res_s = max(res_s, float(np.abs(ctx.horizontal_dE() - rhs).max()))
-        res_c = max(res_c, float(np.abs(gamma @ yv @ yv - 2.0 * spray0).max()))
+    worst, tested, failures = sweep(samples, lambda p: _identity_values(sys, p))
     return FinslerIdentityReport(
-        energy_residual=res_e,
-        spray_homogeneity_residual=res_h,
-        energy_slope_residual=res_s,
-        christoffel_residual=res_c,
+        energy_residual=worst.get("energy_residual", 0.0),
+        spray_homogeneity_residual=worst.get("spray_homogeneity_residual", 0.0),
+        energy_slope_residual=worst.get("energy_slope_residual", 0.0),
+        christoffel_residual=worst.get("christoffel_residual", 0.0),
         points_tested=tested,
         failures=failures,
     )

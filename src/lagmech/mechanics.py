@@ -1,8 +1,11 @@
-"""Evolution structures of a forced mechanical system (M, L, V).
+"""Pointwise geometry and evolution structures of a forced system (M, L, V).
 
-The external force enters as a vertical field V^i(x, y).  Lowering it with
-the metric gives the force one-form sigma_i = g_ij V^j, and everything
-else follows from sigma:
+The Lagrangian gives the metric g_ij = (1/2) d2L/dy_i dy_j, the energy,
+the Cartan forms and the canonical semispray
+G0^i = (1/4) g^{ik} (d2L/dy_k dx_h y^h - dL/dx_k).  The external force
+enters as a vertical field V^i(x, y).  Lowering it with the metric gives
+the force one-form sigma_i = g_ij V^j, and everything else follows from
+sigma:
 
 * evolution semispray  G^i = G0^i - (1/4) V^i  and its connection
   N^i_j = dG^i/dy_j = N0^i_j - (1/4) dV^i/dy_j,
@@ -13,12 +16,17 @@ else follows from sigma:
 * the antisymmetric part (the helicoidal tensor), whose vanishing makes
   the evolution connection compatible with the symplectic 2-form.
 
-All of it comes from one pipeline: the jet of L, the metric, V, G0, G
-and sigma at a point.  The ODE right-hand sides run it on floats.
+All of it comes from one pass: the jet of L, the metric, y, V, G0 and G
+at a point.  The ODE right-hand sides run it on floats.
 :class:`PointGeometry` runs it once with y seeded along the identity,
 which yields the values together with every fiber Jacobian (N0, dV/dy,
 N, dsigma/dy, d3L/dy3); position derivatives of g are evaluated only
-when read.  Sweeps build one context per point.
+when read.  Sweeps build one context per point and reduce through
+:func:`sweep`.
+
+Sign conventions, pinned by the identity tests: a tangent vector on TM
+has 2n components (x-slots, then y-slots) in the natural basis, and the
+wedge product is (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X).
 
 Theorem-style statements are exposed as numerical residuals, members of
 the context; booleans appear only in :class:`ClassificationReport` behind
@@ -29,25 +37,16 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SingularMetric, failure_record
-from .geometry import (
-    _canonical_pass,
-    _christoffel,
-    _dyn_cov,
-    _energy_parts,
-    _metric_x_pass,
-    _sode_residual,
-    _two_form_pieces,
-    _two_form_value,
-)
+from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
 from .jets import (
     Jet,
+    eval_jet,
     hessian_y_tangent,
     seed_point,
+    sym_invert,
     tangent_part,
     tower_vector,
     value_part,
@@ -59,6 +58,7 @@ __all__ = [
     "PointGeometry",
     "ClassificationReport",
     "classify",
+    "sweep",
 ]
 
 
@@ -90,29 +90,67 @@ class MechanicalSystem:
         )
 
 
-class _Pass(NamedTuple):
-    jet: Jet
-    metric: SymMatrix
-    y: np.ndarray
-    V: np.ndarray
-    spray0: np.ndarray
-    spray: np.ndarray
-
-    @property
-    def sigma(self):
-        # computed when read: the ODE right-hand sides never read it
-        return self.metric.entries @ self.V
-
-
-def _evolution_pass(sys: MechanicalSystem, p: PhasePoint) -> _Pass:
-    """The jet of L, the metric, y, V, G0, G = G0 - V/4 and sigma = g V.
+def _evolution_pass(sys: MechanicalSystem, p: PhasePoint):
+    """The jet of L (order 2), the metric, y, V, G0 and G = G0 - V/4 at
+    ``p``, as a plain tuple; sigma = g V is ``metric.entries @ V``.
 
     Runs in whatever tower ``p`` carries: floats at a plain point, values
     with their tangents at a seeded one.
     """
-    j, g, yv, spray0 = _canonical_pass(sys.L, p)
+    j = eval_jet(sys.L, p, order=2)
+    g = sym_invert(j.d_yy * 0.5)
+    yv = tower_vector(p.y)
+    spray0 = g.inverse @ (j.d_xy @ yv - j.d_x) * 0.25
     v = tower_vector(sys.V(p.x, p.y))
-    return _Pass(j, g, yv, v, spray0, spray0 - v * 0.25)
+    return j, g, yv, v, spray0, spray0 - v * 0.25
+
+
+def _energy_parts(j: Jet, yv):
+    """E and its x- and y-differentials from a jet of L, in any tower."""
+    return yv @ j.d_y - j.value, yv @ j.d_xy - j.d_x, yv @ j.d_yy
+
+
+def _two_form_pieces(j: Jet):
+    g = j.d_yy * 0.5
+    a = (j.d_xy - j.d_xy.T) * 0.5
+    return g, a
+
+
+def _two_form_value(g, a, X, Y):
+    n = g.shape[0]
+    xx, xy = X[:n], X[n:]
+    yx, yy = Y[:n], Y[n:]
+    term1 = 2.0 * (yx @ g @ xy - xx @ g @ yy)
+    term2 = yx @ a @ xx - xx @ a @ yx
+    return term1 + term2
+
+
+def _sode_residual(j: Jet, yv, spray, sigma=None) -> float:
+    """Max residual of i_S omega = -dE (+ sigma) over the 2n basis vectors.
+
+    S has natural components (y, -2 spray); sigma acts on x-slots only.
+    """
+    g, a = _two_form_pieces(j)
+    _, de_x, de_y = _energy_parts(j, yv)
+    sy = spray * (-2.0)
+    res_x = (g @ sy) * 2.0 + (a @ yv) * 2.0 + de_x
+    if sigma is not None:
+        res_x = res_x - sigma
+    res_y = (g @ yv) * (-2.0) + de_y
+    return float(np.abs(np.concatenate([res_x, res_y])).max())
+
+
+def _metric_x_pass(L: ScalarField, p: PhasePoint):
+    """g and its position derivatives ``dgdx[a, b, c] = dg_ab/dx_c`` from
+    one jet of L with x seeded along every base direction."""
+    g = eval_jet(L, seed_point(p, np.eye(p.n), wrt="x"), order=2).d_yy * 0.5
+    return value_part(g), tangent_part(g, p.n)
+
+
+def _christoffel(ginv, dgdx):
+    """gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h)."""
+    a = dgdx + dgdx.transpose(0, 2, 1) - dgdx.transpose(2, 0, 1)
+    return 0.5 * np.einsum("ih,hjk->ijk", ginv, a)
 
 
 def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
@@ -131,9 +169,9 @@ def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
     return w
 
 
-def _scalar_s(r: _Pass, spray):
-    """S(L) = y^k dL/dx_k - 2 spray^k dL/dy_k from one pass."""
-    return r.y @ r.jet.d_x - 2.0 * (spray @ r.jet.d_y)
+def _scalar_s(j: Jet, yv, spray):
+    """S(L) = y^k dL/dx_k - 2 spray^k dL/dy_k from a jet of L."""
+    return yv @ j.d_x - 2.0 * (spray @ j.d_y)
 
 
 class PointGeometry:
@@ -167,14 +205,15 @@ class PointGeometry:
         self.sys = sys
         self.p = p
         n = sys.n
-        self._dual = d = _evolution_pass(sys, seed_point(p, np.eye(n)))
-        sigma = d.sigma
-        self.jet = d.jet.primal()
-        self.metric = d.metric.primal()
+        self._dual = _evolution_pass(sys, seed_point(p, np.eye(n)))
+        j, g, yv, v, spray0, spray = self._dual
+        sigma = g.entries @ v
+        self.jet = j.primal()
+        self.metric = g.primal()
         self.y, self.V, self.spray0, self.spray, self.sigma = map(
-            value_part, (d.y, d.V, d.spray0, d.spray, sigma))
+            value_part, (yv, v, spray0, spray, sigma))
         self.conn0, self.dV_dy, self.conn, self.dsigma_dy = (
-            tangent_part(v, n) for v in (d.spray0, d.V, d.spray, sigma))
+            tangent_part(w, n) for w in (spray0, v, spray, sigma))
 
     @property
     def energy(self) -> float:
@@ -202,12 +241,14 @@ class PointGeometry:
     @cached_property
     def dSL_dy(self) -> np.ndarray:
         """d(S(L))/dy_i along the evolution spray."""
-        return tangent_part(_scalar_s(self._dual, self._dual.spray), self.sys.n)
+        j, _, yv, _, _, spray = self._dual
+        return tangent_part(_scalar_s(j, yv, spray), self.sys.n)
 
     @cached_property
     def dS0L_dy(self) -> np.ndarray:
         """d(S0(L))/dy_i along the canonical spray."""
-        return tangent_part(_scalar_s(self._dual, self._dual.spray0), self.sys.n)
+        j, _, yv, _, spray0, _ = self._dual
+        return tangent_part(_scalar_s(j, yv, spray0), self.sys.n)
 
     @cached_property
     def dg_dx(self) -> np.ndarray:
@@ -217,7 +258,7 @@ class PointGeometry:
     @cached_property
     def d_yyy(self) -> np.ndarray:
         """d3L/dy_i dy_j dy_k, the y-tangent of the Hessian block."""
-        return hessian_y_tangent(self._dual.jet)
+        return hessian_y_tangent(self._dual[0])
 
     @property
     def cartan(self) -> np.ndarray:
@@ -228,8 +269,11 @@ class PointGeometry:
         return _christoffel(self.metric.inverse, self.dg_dx)
 
     def dyn_cov_deriv_g(self, spray, conn) -> np.ndarray:
-        """Dynamical covariant derivative of g along (spray, conn)."""
-        return _dyn_cov(self.metric.entries, self.dg_dx, self.d_yyy, self.y, spray, conn)
+        """Dynamical covariant derivative of g along (spray, conn):
+        S(g_ij) - g_im N^m_j - g_mj N^m_i with S(g) = y^k dg/dx_k - 2 G^k dg/dy_k."""
+        s_g = self.dg_dx @ self.y - self.d_yyy @ np.asarray(spray, dtype=float)
+        gn = self.metric.entries @ np.asarray(conn, dtype=float)
+        return s_g - gn - gn.T
 
     @property
     def gbar(self) -> np.ndarray:
@@ -298,6 +342,30 @@ class PointGeometry:
         return res_l, res_e
 
 
+def sweep(samples, per_point) -> tuple:
+    """Reduce ``per_point(p)``, a dict of named values, over the samples.
+
+    Returns ``(maxima, points_tested, failures)``.  Each name keeps the
+    ordered maximum ``max(previous, value)`` of its values in sample
+    order; a name no tested point produced is absent.  A point where
+    ``per_point`` raises SingularMetric, DomainError or FinslerModeError
+    is skipped and recorded by ``failure_record`` under its index.
+    """
+    maxima: dict = {}
+    failures = []
+    tested = 0
+    for idx, p in enumerate(samples):
+        try:
+            values = per_point(p)
+        except (SingularMetric, DomainError, FinslerModeError) as err:
+            failures.append(failure_record(idx, err, p))
+            continue
+        tested += 1
+        for name, v in values.items():
+            maxima[name] = max(maxima[name], v) if name in maxima else v
+    return maxima, tested, failures
+
+
 @dataclass
 class ClassificationReport:
     """Aggregated verdicts for a sample sweep.
@@ -320,31 +388,21 @@ class ClassificationReport:
         return asdict(self)
 
 
-def classify(sys: MechanicalSystem, samples, tol: float = 1e-8) -> ClassificationReport:
-    """Sweep sample points and classify the evolution connection.
+def _classification_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
+    ctx = PointGeometry(sys, p)
+    scale = 1.0 + float(np.abs(ctx.metric.entries).max())
+    return {"metric_defect": float(np.abs(ctx.gbar).max()) / scale,
+            "symplectic_defect": float(np.abs(ctx.helicoidal).max()) / scale,
+            "worst_power": ctx.power}
 
-    Per-point failures (singular metric, domain exits) are recorded and
-    skipped rather than aborting the sweep.  The reduction is a plain
-    ordered maximum, so reports are deterministic for a fixed sample list.
-    """
-    metric_defect = 0.0
-    sympl_defect = 0.0
-    worst_power = -float("inf")
-    failures = []
-    tested = 0
-    for idx, p in enumerate(samples):
-        try:
-            bundle = PointGeometry(sys, p)
-        except (SingularMetric, DomainError) as err:
-            failures.append(failure_record(idx, err, p))
-            continue
-        tested += 1
-        scale = 1.0 + float(np.abs(bundle.metric.entries).max())
-        metric_defect = max(metric_defect, float(np.abs(bundle.gbar).max()) / scale)
-        sympl_defect = max(sympl_defect, float(np.abs(bundle.helicoidal).max()) / scale)
-        worst_power = max(worst_power, bundle.power)
-    if tested == 0:
-        worst_power = float("nan")
+
+def classify(sys: MechanicalSystem, samples, tol: float = 1e-8) -> ClassificationReport:
+    """Sweep sample points and classify the evolution connection; failed
+    points are recorded and skipped by :func:`sweep`."""
+    worst, tested, failures = sweep(samples, lambda p: _classification_values(sys, p))
+    metric_defect = worst.get("metric_defect", 0.0)
+    sympl_defect = worst.get("symplectic_defect", 0.0)
+    worst_power = worst.get("worst_power", float("nan"))
     weak = tested > 0 and worst_power <= tol
     strict = tested > 0 and worst_power <= -tol
     verdict = "strict" if strict else ("weak" if weak else "none")

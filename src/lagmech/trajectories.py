@@ -97,10 +97,6 @@ class Trajectory:
     status: str = "completed"
 
     @property
-    def state(self) -> list:
-        return [PhasePoint(self.xs[k], self.ys[k]) for k in range(len(self.t))]
-
-    @property
     def n(self) -> int:
         return self.xs.shape[1]
 
@@ -124,22 +120,6 @@ class Trajectory:
             out.write(",".join(f"{v:.17g}" for v in row) + "\n")
         return out.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "Trajectory":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        header = lines[0].split(",")
-        n = sum(1 for c in header if c.startswith("x"))
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        return cls(
-            t=rows[:, 0],
-            xs=rows[:, 1:1 + n],
-            ys=rows[:, 1 + n:1 + 2 * n],
-            energy=rows[:, 1 + 2 * n],
-            lagrangian=rows[:, 2 + 2 * n],
-            power=rows[:, 3 + 2 * n],
-            el_residual=rows[:, 4 + 2 * n],
-        )
-
     def to_dict(self) -> dict:
         return {
             "t": self.t.tolist(),
@@ -159,13 +139,13 @@ class Trajectory:
 
 
 def _evolution_accel(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    return -2.0 * _evolution_pass(sys, p).spray
+    return -2.0 * _evolution_pass(sys, p)[5]
 
 
 def _horizontal_accel(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     # N^i_j y^j is the y-directional derivative of the evolution spray
     # along y itself; one dual pass delivers the whole contraction.
-    ny = push_direction(lambda q: _evolution_pass(sys, q).spray, p,
+    ny = push_direction(lambda q: _evolution_pass(sys, q)[5], p,
                         [float(v) for v in p.y], wrt="y")
     return -np.asarray(ny, dtype=float)
 
@@ -189,10 +169,10 @@ def _observe(sys: MechanicalSystem, p: PhasePoint, accel: np.ndarray | None):
     identically along evolution curves; other curve families pass their
     own right-hand side in.
     """
-    r = _evolution_pass(sys, p)
-    j, yv, sigma = r.jet, r.y, r.sigma
+    j, g, yv, v, _, spray = _evolution_pass(sys, p)
+    sigma = g.entries @ v
     if accel is None:
-        accel = -2.0 * r.spray
+        accel = -2.0 * spray
     energy = float(yv @ j.d_y - j.value)
     power = float(sigma @ yv)
     el = j.d_xy @ yv + j.d_yy @ accel - j.d_x - sigma

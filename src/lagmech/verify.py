@@ -23,10 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, SingularMetric, failure_record
 from .finsler import is_finsler_mode
-from .geometry import _sode_residual
-from .mechanics import MechanicalSystem, PointGeometry, _horizontal_two_form
+from .mechanics import (
+    MechanicalSystem,
+    PointGeometry,
+    _horizontal_two_form,
+    _sode_residual,
+    sweep,
+)
 from .phase import PhasePoint
 
 __all__ = ["run_verification"]
@@ -73,21 +77,7 @@ def run_verification(sys: MechanicalSystem, samples, tol: float = 1e-8) -> dict:
     where it can be evaluated (:func:`~lagmech.finsler.is_finsler_mode`).
     """
     finsler = is_finsler_mode(sys, samples, tol)
-
-    maxima: dict = {}
-    singular = []
-    tested = 0
-    for idx, p in enumerate(samples):
-        try:
-            res = _point_residuals(sys, p, finsler)
-        except (SingularMetric, DomainError) as err:
-            singular.append(failure_record(idx, err, p))
-            continue
-        tested += 1
-        for name, v in res.items():
-            maxima[name] = max(maxima.get(name, 0.0), v)
-
-    residuals = dict(maxima)
+    residuals, tested, singular = sweep(samples, lambda p: _point_residuals(sys, p, finsler))
     if not finsler:
         residuals["christoffel_contraction"] = None
         residuals["finsler_energy_formula"] = None

@@ -1,7 +1,7 @@
 """Reference routes to the pointwise geometry, for the tests.
 
 Each route is built from the engine's primitives (``eval_jet``,
-``sym_invert``, ``push_direction`` and the canonical and evolution passes)
+``sym_invert``, ``push_direction`` and the evolution pass)
 on its own, not through :class:`~lagmech.mechanics.PointGeometry`, so a
 test can compare the context with it.  The routes run in whatever tower
 the point carries, so a test can also push them with ``push_direction``.
@@ -9,9 +9,13 @@ the point carries, so a test can also push them with ``push_direction``.
 
 import numpy as np
 
-from lagmech.geometry import _canonical_pass, _energy_parts, _metric_x_pass
 from lagmech.jets import eval_jet, push_direction, sym_invert, tower_vector
-from lagmech.mechanics import MechanicalSystem, _evolution_pass
+from lagmech.mechanics import (
+    MechanicalSystem,
+    _energy_parts,
+    _evolution_pass,
+    _metric_x_pass,
+)
 from lagmech.phase import VerticalField
 
 
@@ -31,7 +35,7 @@ def energy(L, p):
 
 
 def canonical_spray(L, p):
-    return _canonical_pass(L, p)[3]
+    return _evolution_pass(free_system(L), p)[4]
 
 
 def canonical_connection(L, p):
@@ -40,7 +44,7 @@ def canonical_connection(L, p):
 
 
 def evolution_spray(sys, p):
-    return _evolution_pass(sys, p).spray
+    return _evolution_pass(sys, p)[5]
 
 
 def evolution_connection(sys, p):
@@ -49,7 +53,8 @@ def evolution_connection(sys, p):
 
 
 def sigma(sys, p):
-    return _evolution_pass(sys, p).sigma
+    _, g, _, v, _, _ = _evolution_pass(sys, p)
+    return g.entries @ v
 
 
 def cartan(L, p):

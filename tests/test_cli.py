@@ -9,8 +9,8 @@ import pytest
 
 from lagmech.cli import build_samples, build_system, main
 from lagmech.sampling import sample_box
-from lagmech.trajectories import Trajectory
 from lagmech.verify import run_verification
+from trajectory_csv import read_csv
 
 PY = [sys.executable, "-m", "lagmech"]
 
@@ -166,7 +166,7 @@ def test_simulate_dissipative_run(tmp_path):
     assert out.returncode == 0
     audit = json.loads(out.stderr)
     assert audit["monotone_nonincreasing"] is True
-    traj = Trajectory.from_csv(open(csv_path).read())
+    traj = read_csv(open(csv_path).read())
     assert traj.energy[-1] < traj.energy[0]
 
 
@@ -180,8 +180,8 @@ def test_simulate_csv_round_trip_full_precision(tmp_path):
     out = run_cli("simulate", cfg, "--out", csv_path, "--curve", "geodesic")
     assert out.returncode == 0
     text = open(csv_path).read()
-    a = Trajectory.from_csv(text)
-    b = Trajectory.from_csv(a.to_csv())
+    a = read_csv(text)
+    b = read_csv(a.to_csv())
     assert np.array_equal(a.xs, b.xs)
     assert np.array_equal(a.energy, b.energy)
 
@@ -242,6 +242,17 @@ def test_cli_expression_system(tmp_path):
     ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]},
                   "integrator": {"step": "big"}}),
     ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0]}}),
+    # integer fields are not truncated, and a sweep needs at least one point
+    ("classify", {"samples": {"count": 2.5}}),
+    ("classify", {"samples": {"count": -5}}),
+    ("classify", {"samples": {"count": 0}}),
+    ("classify", {"samples": {"points": []}}),
+    ("inspect", {"samples": {"count": 4}, "seed": 2.5}),
+    ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]},
+                  "integrator": {"t_end": 0.01, "record_every": 2.5}}),
+    # the trajectory is written as csv or json, nothing else
+    ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]},
+                  "integrator": {"t_end": 0.01}, "output": {"format": "yaml"}}),
 ])
 def test_malformed_config_value_exit_code(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "bad.json", {"system": {"builtin": "SYS-B"}, **payload})

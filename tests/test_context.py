@@ -217,6 +217,24 @@ def test_verification_batch_equals_single_points(name):
     assert batch["singular_points"] == expected
 
 
+@pytest.mark.parametrize("name", ["SYS-B", "SYS-D"])
+@pytest.mark.parametrize("report", [homogeneity_report, finsler_identities])
+def test_finsler_reports_batch_equal_single_points(name, report):
+    sys_, samples = _with_failure(name)
+    batch = report(sys_, samples).to_dict()
+    singles = [report(sys_, [p]).to_dict() for p in samples]
+    assert batch["points_tested"] == sum(r["points_tested"] for r in singles)
+    residuals = [key for key in batch if key.endswith("_residual")]
+    assert len(residuals) >= 3
+    for key in residuals:
+        assert batch[key] == max(r[key] for r in singles if r["points_tested"])
+    expected = [dict(f, index=i) for i, r in enumerate(singles) for f in r["failures"]]
+    assert batch["failures"] == expected
+    assert [f["index"] for f in batch["failures"]] == ([3] if name == "SYS-D" else [])
+    if "accepted" in batch:
+        assert batch["accepted"] == all(r["accepted"] for r in singles if r["points_tested"])
+
+
 # ---------------------------------------------------------------------------
 # verdicts need tested points; failures name their point
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The documentation names only live API: README's Python blocks run, and
-every exported name resolves."""
+"""The documentation names only live API: README's Python blocks run,
+README's Layout lists every module, and every exported name resolves."""
 
 import importlib
 import pkgutil
@@ -22,6 +22,12 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("index", range(len(_BLOCKS)))
 def test_readme_python_block_runs(index):
     exec(compile(_BLOCKS[index], f"README.md block {index}", "exec"), {})
+
+
+def test_readme_layout_lists_every_module_once():
+    layout = README.read_text().split("## Layout", 1)[1]
+    listed = re.findall(r"`src/lagmech/(\w+)\.py`", layout)
+    assert sorted(listed) == _MODULES
 
 
 @pytest.mark.parametrize("name", ["lagmech"] + [f"lagmech.{m}" for m in _MODULES])

@@ -386,8 +386,8 @@ def test_push_outputs_and_jet_blocks_are_float64(sys_d):
     jets_built = []
 
     def scalar_sl(q):
-        r = _evolution_pass(sys_d, q)
-        return _scalar_s(r, r.spray)
+        j, _, yv, _, _, spray = _evolution_pass(sys_d, q)
+        return _scalar_s(j, yv, spray)
 
     def jet_pipeline(q):
         j = eval_jet(sys_d.L, q, order=2)

@@ -121,7 +121,7 @@ def test_evolution_connection_finsler_liouville(sys_e_finsler, samples_c):
 
 
 def test_evolution_equation_free_matches_spray_equation(sys_b):
-    from lagmech.geometry import _sode_residual
+    from lagmech.mechanics import _sode_residual
 
     ctx = PointGeometry(sys_b, PhasePoint((0.4, 0.6), (1.1, -0.3)))
     assert ctx.evolution_equation_residual() == pytest.approx(
@@ -288,8 +288,8 @@ def test_horizontal_dl_contraction_identity(sys_a, sys_d, samples_c, rng):
             from lagmech.mechanics import _evolution_pass, _scalar_s
 
             def scalar_sl_free(q):
-                r = _evolution_pass(sys_, q)
-                return _scalar_s(r, r.spray0)
+                j, _, yv, _, spray0, _ = _evolution_pass(sys_, q)
+                return _scalar_s(j, yv, spray0)
 
             theta = eval_jet(sys_.L, p, order=1).d_y
             csl = push_direction(scalar_sl_free, p, list(yv), wrt="y")
