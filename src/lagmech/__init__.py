@@ -44,6 +44,7 @@ from .mechanics import (
     MechanicalSystem,
     PointGeometry,
     classify,
+    stack_points,
 )
 from .phase import PhasePoint, ScalarField, VerticalField
 from .sampling import halton, sample_box
@@ -103,6 +104,7 @@ __all__ = [
     "push_direction",
     "run_verification",
     "sample_box",
+    "stack_points",
     "standard_samples",
     "sym_invert",
     "to_source",

@@ -40,7 +40,7 @@ from .errors import (
     VariableIndexError,
 )
 from .finsler import is_finsler_mode
-from .mechanics import MechanicalSystem, PointGeometry, classify
+from .mechanics import MechanicalSystem, PointGeometry, classify, each_point
 from .phase import PhasePoint, VerticalField
 from .sampling import sample_box
 from .trajectories import (
@@ -126,6 +126,18 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _section(cfg: dict, key: str, kind: type = dict):
+    """``cfg[key]``, a JSON object (or list, for ``kind=list``); empty when
+    absent or null."""
+    value = cfg.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _number(spec: dict, key: str, default) -> float:
     """``spec[key]`` (``default`` when absent) as a float."""
     value = spec.get(key, default)
@@ -171,7 +183,7 @@ def build_system(cfg: dict, overrides: dict) -> MechanicalSystem:
     spec = cfg.get("system")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'system' object")
-    params = dict(spec.get("params") or {})
+    params = dict(_section(spec, "params"))
     params.update(overrides)
     if "builtin" in spec:
         return _systems.instantiate(str(spec["builtin"]), params)
@@ -201,10 +213,10 @@ def build_system(cfg: dict, overrides: dict) -> MechanicalSystem:
 
 def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
     """Sample points from the config, or the builtin default box."""
-    spec = cfg.get("samples") or {}
+    spec = _section(cfg, "samples")
     if "points" in spec:
         pts = []
-        for item in spec["points"]:
+        for item in _section(spec, "points", list):
             pts.append(_point(item, "a sample point"))
             if pts[-1].n != sys.n:
                 raise ConfigError("sample point dimension mismatch")
@@ -224,11 +236,12 @@ def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
         if len(box_x) != sys.n or len(box_y) != sys.n:
             raise ConfigError("sample box dimension mismatch")
     else:
-        builtin = (cfg.get("system") or {}).get("builtin")
+        system = _section(cfg, "system")
+        builtin = system.get("builtin")
         entry = _systems.find(str(builtin)) if builtin else None
         if entry is None:
             raise ConfigError("expression systems need an explicit 'samples' box")
-        box_x, box_y = entry.box(dict((cfg.get("system") or {}).get("params") or {}))
+        box_x, box_y = entry.box(dict(_section(system, "params")))
     min_y = 0.0
     if sys.domain_guard == "y_nonzero":
         min_y = 0.1
@@ -249,7 +262,7 @@ def _draw(*args, **kwargs) -> list:
 
 
 def _integrator_config(cfg: dict, args) -> IntegratorConfig:
-    spec = dict(cfg.get("integrator") or {})
+    spec = dict(_section(cfg, "integrator"))
     if args.step is not None:
         spec["step"] = args.step
     if args.t_end is not None:
@@ -281,30 +294,34 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _inspect_fields(sys_: MechanicalSystem, p: PhasePoint) -> dict:
+    ctx = PointGeometry(sys_, p)
+    return {
+        "g": ctx.metric.entries,
+        "g_inv": ctx.metric.inverse,
+        "E": ctx.energy,
+        "G0": ctx.spray0,
+        "N0": ctx.conn0,
+        "C": ctx.cartan,
+        "sigma": ctx.sigma,
+        "G": ctx.spray,
+        "N": ctx.conn,
+        "F": ctx.helicoidal,
+        "gbar": ctx.gbar,
+        "power": ctx.power,
+    }
+
+
 def cmd_inspect(cfg: dict, args, overrides: dict) -> int:
     sys_ = build_system(cfg, overrides)
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", args.seed or 0))
     results = []
     hit_singular = False
-    for idx, p in enumerate(samples):
+    for idx, p, fields, err in each_point(samples, lambda q: _inspect_fields(sys_, q)):
         entry = {"index": idx, "point": {"x": list(p.x), "y": list(p.y)}}
-        try:
-            ctx = PointGeometry(sys_, p)
-            entry.update({
-                "g": ctx.metric.entries,
-                "g_inv": ctx.metric.inverse,
-                "E": ctx.energy,
-                "G0": ctx.spray0,
-                "N0": ctx.conn0,
-                "C": ctx.cartan,
-                "sigma": ctx.sigma,
-                "G": ctx.spray,
-                "N": ctx.conn,
-                "F": ctx.helicoidal,
-                "gbar": ctx.gbar,
-                "power": ctx.power,
-            })
-        except (SingularMetric, DomainError) as err:
+        if err is None:
+            entry.update(fields)
+        else:
             hit_singular = True
             entry["error"] = type(err).__name__
             entry["detail"] = str(err)
@@ -343,7 +360,7 @@ def cmd_simulate(cfg: dict, args, overrides: dict) -> int:
     if p0.n != sys_.n:
         raise ConfigError("initial point dimension mismatch")
     ic = _integrator_config(cfg, args)
-    fmt = str((cfg.get("output") or {}).get("format", "csv"))
+    fmt = str(_section(cfg, "output").get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
     curve = args.curve

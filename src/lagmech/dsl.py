@@ -4,7 +4,9 @@ Sources are plain arithmetic over coordinates ``x1..xn``, ``y1..yn`` and
 named parameters, e.g. ``"(1 + x1^2)*y1^2 + y2^2"``.  Parsed trees are
 immutable and evaluate over any numeric tower (floats, dual numbers,
 jets) with identical value parts, so one definition serves plain
-evaluation, directional derivatives, and full jet propagation.
+evaluation, directional derivatives, and full jet propagation.  A
+coordinate may also be an array over a batch of points; one evaluation
+then covers the batch.
 
 Grammar (EBNF, also in docs/grammar.md)::
 
@@ -30,6 +32,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import (
     ArityError,
     DomainError,
@@ -37,7 +41,7 @@ from .errors import (
     UnboundParameter,
     VariableIndexError,
 )
-from .jets import apply_function, power
+from .jets import Jet, KDual, apply_function, power
 from .phase import ScalarField, VerticalField
 
 __all__ = [
@@ -263,11 +267,10 @@ def eval_expr(e: Expr, xs, ys, params=None):
             return l - r
         if e.op == "*":
             return l * r
-        # division
-        if isinstance(l, (int, float)) and isinstance(r, (int, float)):
-            if r == 0.0:
+        # division; towers that carry derivatives check their own divisors
+        if not isinstance(l, (Jet, KDual)) and not isinstance(r, (Jet, KDual)):
+            if (r == 0.0).any() if isinstance(r, np.ndarray) else r == 0.0:
                 raise DomainError("division by zero")
-            return l / r
         return l / r
     if isinstance(e, Var):
         seq = xs if e.kind == "x" else ys

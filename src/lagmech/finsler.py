@@ -20,9 +20,29 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FinslerModeError, SingularMetric
-from .jets import eval_jet, seed_point, sym_invert, tangent_part, tower_vector
-from .mechanics import MechanicalSystem, PointGeometry, _christoffel, _metric_x_pass, sweep
+from .errors import FinslerModeError
+from .jets import (
+    _jet,
+    batch_shape,
+    eval_jet,
+    matvec,
+    max_abs,
+    seed_point,
+    sym_invert,
+    tangent_part,
+    tower_vector,
+    value_of,
+    vecdot,
+    vecmat,
+)
+from .mechanics import (
+    MechanicalSystem,
+    PointGeometry,
+    _christoffel,
+    _metric_x_pass,
+    each_point,
+    sweep,
+)
 from .phase import PhasePoint
 
 __all__ = [
@@ -59,8 +79,13 @@ class HomogeneityReport:
 
 
 def _euler_defect(j, p: PhasePoint) -> float:
-    """|(dL/dy_i) y^i - 2L| from a jet of L at ``p``."""
-    return float(abs(tower_vector(p.y) @ j.d_y - 2.0 * j.value))
+    """|(dL/dy_i) y^i - 2L| from a jet of L at ``p`` (per point of a batch)."""
+    return value_of(abs(vecdot(tower_vector(p.y, batch_shape(p)), j.d_y) - 2.0 * j.value))
+
+
+def _probe_values(sys: MechanicalSystem, p: PhasePoint, tol: float) -> dict:
+    j = _jet(sys.L, p, 1)
+    return {"defect": _euler_defect(j, p), "bound": tol * (1.0 + abs(j.value))}
 
 
 def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bool:
@@ -69,25 +94,33 @@ def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bo
 
     Probes outside the domain (or where the metric is singular) are
     skipped, as a sweep skips such points; false when none evaluates.
+    The probes run as one batch of up to 8, and a further batch only for
+    as many as were skipped.
     """
-    tested = 0
-    for p in probes:
-        try:
-            j = eval_jet(sys.L, p, order=1)
-        except (SingularMetric, DomainError):
-            continue
-        if _euler_defect(j, p) > tol * (1.0 + abs(j.value)):
-            return False
-        tested += 1
-        if tested == 8:
-            break
+    probes = list(probes)
+    tested = start = 0
+    while tested < 8 and start < len(probes):
+        batch = probes[start:start + 8 - tested]
+        start += len(batch)
+        for _, _, values, err in each_point(batch, lambda q: _probe_values(sys, q, tol)):
+            if err is not None:
+                continue
+            if values["defect"] > values["bound"]:
+                return False
+            tested += 1
     return tested > 0
 
 
 def _require_euler(j, p: PhasePoint, tol: float = _GATE_TOL):
-    """Raise FinslerModeError unless a jet of L at ``p`` passes the Euler test."""
+    """Raise FinslerModeError unless a jet of L at ``p`` passes the Euler
+    test (at every point of a batch)."""
     res = _euler_defect(j, p)
-    if res > tol * (1.0 + abs(j.value)):
+    bad = res > tol * (1.0 + abs(j.value))
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise FinslerModeError(
+                f"Lagrangian is not 2-homogeneous at {int(bad.sum())} of {bad.size} points")
+    elif bad:
         raise FinslerModeError(
             f"Lagrangian is not 2-homogeneous at {p} (Euler defect {res:.3e})"
         )
@@ -99,14 +132,16 @@ def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint, tol: float = _GAT
 
 
 def _euler_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
+    lanes = batch_shape(p)
+    b = bool(lanes)
     q = seed_point(p, np.array([p.y], dtype=float))
-    d = eval_jet(sys.L, q, order=2)
-    v = sys.V(q.x, q.y)
+    d = _jet(sys.L, q, 2)
+    v = tower_vector(sys.V(q.x, q.y), lanes)
     j = d.primal()
     lag = _euler_defect(j, p)
     return {"lagrangian_residual": lag,
-            "metric_residual": float(np.abs(tangent_part(d.d_yy * 0.5, 1)).max()),
-            "force_residual": float(np.abs(tangent_part(v, 1)).max()),
+            "metric_residual": max_abs(tangent_part(d.d_yy * 0.5, 1)[..., 0], b),
+            "force_residual": max_abs(tangent_part(v, 1)[..., 0], b),
             "rejected": lag > _GATE_TOL * (1.0 + abs(j.value))}
 
 
@@ -165,13 +200,13 @@ class FinslerIdentityReport:
 def _identity_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
     ctx = PointGeometry(sys, p)
     _require_euler(ctx.jet, p)
-    lv, yv, spray0 = ctx.jet.value, ctx.y, ctx.spray0
-    rhs = 0.5 * (ctx.metric.entries @ yv @ ctx.dV_dy)
+    lv, yv, spray0 = value_of(ctx.jet.value), ctx.y, ctx.spray0
+    rhs = 0.5 * vecmat(matvec(ctx.metric.entries, yv), ctx.dV_dy)
     return {
-        "energy_residual": float(abs(ctx.energy - lv)) / (1.0 + abs(float(lv))),
-        "spray_homogeneity_residual": float(np.abs(2.0 * spray0 - ctx.conn0 @ yv).max()),
-        "energy_slope_residual": float(np.abs(ctx.horizontal_dE() - rhs).max()),
-        "christoffel_residual": float(np.abs(ctx.christoffel @ yv @ yv - 2.0 * spray0).max()),
+        "energy_residual": abs(ctx.energy - lv) / (1.0 + abs(lv)),
+        "spray_homogeneity_residual": ctx.peak(2.0 * spray0 - matvec(ctx.conn0, yv)),
+        "energy_slope_residual": ctx.peak(ctx.horizontal_dE() - rhs),
+        "christoffel_residual": ctx.peak(matvec(matvec(ctx.christoffel, yv), yv) - 2.0 * spray0),
     }
 
 

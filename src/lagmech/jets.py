@@ -15,9 +15,23 @@ the Hessian block (:func:`hessian_y_tangent`), position derivatives of
 the metric its x-Jacobian.  :func:`sym_invert` inverts the float value
 part and carries the tangents through d(A^-1) = -A^-1 dA A^-1.
 
+A pass may also run over a batch of B points: a phase point whose
+coordinates are length-B float arrays.  The point axis sits after the
+value axes and before the tangent axis, so values are (B,), blocks
+(n, B) or (n, n, B) and tangents (..., B, k); elementwise arithmetic
+broadcasts unchanged.  The contractions :func:`matvec`, :func:`vecmat`,
+:func:`vecdot` and :func:`matmat` give each point of a batch the numpy
+call, and so the bits, of a one-point pass.  A domain check (division
+by zero, a root or logarithm out of range, overflow, a singular metric)
+raises for the whole batch before any point computes a non-finite
+value; :func:`lagmech.mechanics.sweep` splits a batch that raises.  A
+point of plain floats keeps the one-point path.
+
 Each elementary function is defined once, as its derivative sequence
-f, f', f'', f''' at a float; the same sequence serves floats, KDuals
-and jets.
+f, f', f'', f''' at a float or at each entry of an array; a term is
+computed only when read, and transcendentals are evaluated by
+:mod:`math`, one entry at a time.  The same sequence serves floats,
+KDuals and jets.
 """
 
 from __future__ import annotations
@@ -45,11 +59,30 @@ __all__ = [
     "sym_invert",
     "value_of",
     "tower_vector",
+    "batch_shape",
+    "matvec",
+    "vecmat",
+    "vecdot",
+    "matmat",
+    "max_abs",
     "ipow",
     "power",
     "apply_function",
     "SCALAR_FUNCTIONS",
 ]
+
+
+def _any(cond) -> bool:
+    """Whether a condition holds at a point, or at any point of a batch."""
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _each(fn, v, *args):
+    """``fn(v, *args)`` of a float, or of each entry of an array, by plain
+    float calls."""
+    if isinstance(v, np.ndarray):
+        return np.array([fn(e, *args) for e in v.ravel().tolist()]).reshape(v.shape)
+    return fn(v, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +102,7 @@ def _widen(tan, val):
 
 
 def _check_divisor(d):
-    if np.ndim(d) == 0 and d == 0.0:
+    if _any(d == 0.0):
         raise DomainError("division by zero in dual evaluation")
 
 
@@ -126,6 +159,9 @@ class KDual:
 
     def transpose(self, *axes):
         return KDual(self.val.transpose(axes), self.tan.transpose(axes + (len(axes),)))
+
+    def swapaxes(self, a, b):
+        return KDual(self.val.swapaxes(a, b), self.tan.swapaxes(a, b))
 
     def __add__(self, other):
         if isinstance(other, KDual):
@@ -199,83 +235,230 @@ def _matmul(a, b):
     return KDual(av @ bv, tan)
 
 
+# ---------------------------------------------------------------------------
+# contractions over a batch of points
+# ---------------------------------------------------------------------------
+#
+# numpy's ``@`` rounds differently by memory layout: a C-ordered, an
+# F-ordered (transposed) and a broadcast operand take different BLAS or
+# non-BLAS loops.  A batched product therefore moves the point axis to
+# the front and stores each point's slice the way the one-point array is
+# stored, then runs one stacked ``np.matmul``, which makes each point's
+# call with that point's layout.
+
+
+def _lanes(x, r):
+    """The batched array ``x`` (point axis at ``r``, after ``r`` core axes)
+    as a stack over a leading point axis, each slice laid out like the
+    one-point array: broadcast core axes stay broadcast, the others are
+    dense in the order of their strides.  An array without a point axis
+    is shared by every point."""
+    x = np.asarray(x)
+    if x.ndim == r:
+        return x[None]
+    v = np.moveaxis(x, r, 0)
+    core = range(1, v.ndim)
+    flat = [a for a in core if v.strides[a] == 0 and v.shape[a] > 1]
+    dense = sorted((a for a in core if a not in flat), key=lambda a: -abs(v.strides[a]))
+    order = [0, *dense, *flat]
+    src = v[tuple(slice(0, 1) if a in flat else slice(None) for a in range(v.ndim))]
+    out = np.ascontiguousarray(src.transpose(order)).transpose(np.argsort(order))
+    return np.broadcast_to(out, v.shape) if flat else out
+
+
+def _stacked(x, y, rx, ry):
+    """Each point's ``x @ y`` for stacks of core ranks ``rx`` and ``ry``,
+    as numpy treats one point: a vector is a row on the left and a column
+    on the right, and stacked operands broadcast."""
+    if rx == 1:
+        x = x[:, None, :]
+    if ry == 1:
+        y = y[..., None]
+    pad = x.ndim - y.ndim
+    if pad > 0:
+        y = y[(slice(None),) + (None,) * pad]
+    elif pad < 0:
+        x = x[(slice(None),) + (None,) * -pad]
+    out = np.matmul(x, y)
+    if ry == 1:
+        out = out[..., 0]
+    if rx == 1:
+        out = out[..., 0] if ry == 1 else out[..., 0, :]
+    return out
+
+
+def _batched_matmul(a, b, ra, rb):
+    """:func:`_matmul` (or plain ``@``) of batched operands of core ranks
+    ``ra`` and ``rb``, point by point; the result keeps the layout of
+    :func:`_lanes` with the point axis after its core axes."""
+    av = _lanes(value_part(a), ra)
+    bv = _lanes(value_part(b), rb)
+    ro = ra + rb - 2
+    val = np.moveaxis(_stacked(av, bv, ra, rb), 0, ro)
+    if not isinstance(a, KDual) and not isinstance(b, KDual):
+        return val
+    tan = 0.0
+    if isinstance(a, KDual):
+        bt = bv.swapaxes(-1, -2) if rb > 1 else bv
+        tan = _stacked(bt, _lanes(a.tan, ra), rb, ra + 1)
+    if isinstance(b, KDual):
+        t = _lanes(b.tan, rb)
+        prod = _stacked(av, t.reshape(t.shape[:2] + (-1,)), ra, 2)
+        tan = tan + prod.reshape(av.shape[:-1] + t.shape[2:])
+    return KDual(val, np.moveaxis(tan, 0, ro))
+
+
+def _rank(v) -> int:
+    return (v.val if isinstance(v, KDual) else v).ndim
+
+
+def matvec(a, v):
+    """``a @ v``: a matrix (or a stack of them) times a vector.  Batched
+    when ``v`` carries a point axis, and then ``a`` must too."""
+    if _rank(v) == 1:
+        return a @ v
+    return _batched_matmul(a, v, _rank(a) - 1, 1)
+
+
+def vecmat(v, a):
+    """``v @ a``: a vector times a matrix; batched as :func:`matvec`."""
+    if _rank(v) == 1:
+        return v @ a
+    return _batched_matmul(v, a, 1, _rank(a) - 1)
+
+
+def vecdot(u, v):
+    """``u @ v`` of two vectors; batched when ``u`` carries a point axis."""
+    if _rank(u) == 1:
+        return u @ v
+    return _batched_matmul(u, v, 1, 1)
+
+
+def matmat(a, b):
+    """``a @ b`` of two matrices; batched when ``a`` carries a point axis."""
+    if _rank(a) == 2:
+        return a @ b
+    return _batched_matmul(a, b, 2, 2)
+
+
+def max_abs(a, batched: bool = False):
+    """max |a| as a float, or per point (over the leading core axes) when
+    ``batched``."""
+    if batched:
+        return np.abs(a).max(axis=tuple(range(np.ndim(a) - 1)))
+    return float(np.abs(a).max())
+
+
 def value_of(v):
-    """Float value part of a tower scalar."""
-    return v.val if isinstance(v, KDual) else float(v)
+    """Float value part of a tower scalar (an array over a batch)."""
+    if isinstance(v, KDual):
+        return v.val
+    return v if isinstance(v, np.ndarray) else float(v)
 
 
-def tower_vector(seq):
+def batch_shape(p: PhasePoint) -> tuple:
+    """``(B,)`` for a batch of B points, ``()`` for a single point."""
+    v = p.x[0]
+    v = v.val if isinstance(v, KDual) else v
+    return v.shape if isinstance(v, np.ndarray) else ()
+
+
+def tower_vector(seq, lanes: tuple = ()):
     """Pack tower scalars into a float vector, or into a KDual vector when
-    any of them carries tangents."""
+    any of them carries tangents.  Over a batch (``lanes = (B,)``) the
+    vector is (n, B) and constant entries are broadcast to every point."""
     vals = list(seq)
-    vec = np.array([v.val if isinstance(v, KDual) else float(v) for v in vals])
+    if not lanes:
+        vec = np.array([v.val if isinstance(v, KDual) else float(v) for v in vals])
+    else:
+        vec = np.array([np.broadcast_to(value_part(v), lanes) for v in vals], dtype=float)
     tans = [v.tan for v in vals if isinstance(v, KDual)]
     if not tans:
         return vec
-    zero = np.zeros_like(tans[0])
-    return KDual(vec, np.array([v.tan if isinstance(v, KDual) else zero for v in vals]))
+    if not lanes:
+        zero = np.zeros_like(tans[0])
+        return KDual(vec, np.array([v.tan if isinstance(v, KDual) else zero for v in vals]))
+    zero = np.zeros(lanes + tans[0].shape[-1:])
+    return KDual(vec, np.array([_widen(v.tan, vec[0]) if isinstance(v, KDual) else zero
+                                for v in vals]))
 
 
 # ---------------------------------------------------------------------------
 # elementary functions: one derivative sequence each, for every tower
 # ---------------------------------------------------------------------------
 #
-# Each is a generator over a float v yielding f(v), f'(v), f''(v), f'''(v)
-# on demand; it raises DomainError before a term it cannot supply at v.  A
-# float takes f, a KDual f and f', an order-o jet o + 1 terms, or o + 2
-# when its value carries tangents (Jet._compose).
+# Each is a generator over a float or an array v yielding f(v), f'(v),
+# f''(v), f'''(v), each computed when it is read; it raises DomainError
+# before a term it cannot supply at v (at any entry of an array).  A float
+# takes f, a KDual f and f', an order-o jet o + 1 terms, or o + 2 when its
+# value carries tangents (Jet._compose).
 
 
 def _sqrt(v):
-    if v < 0.0:
+    if _any(v < 0.0):
         raise DomainError("sqrt of a negative value")
-    s = math.sqrt(v)
+    s = _each(math.sqrt, v)
     yield s
-    if v == 0.0:
+    if _any(v == 0.0):
         raise DomainError("sqrt requires a positive argument for derivatives")
-    yield from (0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
+    yield 0.5 / s
+    yield -0.25 / (s * v)
+    yield 0.375 / (s * v * v)
 
 
 def _sin(v):
-    s, c = math.sin(v), math.cos(v)
-    yield from (s, c, -s, -c)
+    s = _each(math.sin, v)
+    yield s
+    c = _each(math.cos, v)
+    yield c
+    yield -s
+    yield -c
 
 
 def _cos(v):
-    s, c = math.sin(v), math.cos(v)
-    yield from (c, -s, -c, s)
+    c = _each(math.cos, v)
+    yield c
+    s = _each(math.sin, v)
+    yield -s
+    yield -c
+    yield s
 
 
 def _tan(v):
-    t = math.tan(v)
+    t = _each(math.tan, v)
     yield t
     sec2 = 1.0 + t * t
-    yield from (sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t))
+    yield sec2
+    yield 2.0 * t * sec2
+    yield 2.0 * sec2 * (1.0 + 3.0 * t * t)
 
 
 def _exp(v):
     try:
-        e = math.exp(v)
+        e = _each(math.exp, v)
     except OverflowError:
         raise DomainError("exp overflows") from None
     yield from (e, e, e, e)
 
 
 def _log(v):
-    if v <= 0.0:
+    if _any(v <= 0.0):
         raise DomainError("log of a non-positive value")
-    yield math.log(v)
+    yield _each(math.log, v)
     f1 = 1.0 / v
-    yield from (f1, -(f1 * f1), 2.0 * (f1 * f1 * f1))
+    yield f1
+    yield -(f1 * f1)
+    yield 2.0 * (f1 * f1 * f1)
 
 
 def _real_power(v, b):
-    if v <= 0.0:
+    if _any(v <= 0.0):
         raise DomainError("non-integer power of a non-positive base")
     try:
-        yield math.pow(v, b)
-        yield from (b * math.pow(v, b - 1.0), b * (b - 1.0) * math.pow(v, b - 2.0),
-                    b * (b - 1.0) * (b - 2.0) * math.pow(v, b - 3.0))
+        yield _each(math.pow, v, b)
+        yield b * _each(math.pow, v, b - 1.0)
+        yield b * (b - 1.0) * _each(math.pow, v, b - 2.0)
+        yield b * (b - 1.0) * (b - 2.0) * _each(math.pow, v, b - 3.0)
     except OverflowError:
         raise DomainError("real power overflows") from None
 
@@ -292,7 +475,7 @@ def _apply(seq, v):
         return v._compose(seq)
     if isinstance(v, KDual):
         f0, f1 = islice(seq(v.val), 2)
-        return KDual(f0, f1 * v.tan)
+        return KDual(f0, _lift(f1) * v.tan)
     return next(seq(v))
 
 
@@ -334,7 +517,7 @@ def power(base, exponent):
 
     if isinstance(exponent, (int, float)) and float(exponent).is_integer():
         k = int(exponent)
-        if k < 0 and value_of(base.value if isinstance(base, Jet) else base) == 0.0:
+        if k < 0 and _any(value_of(base.value if isinstance(base, Jet) else base) == 0.0):
             raise DomainError("zero raised to a negative power")
         return ipow(base, k)
     if isinstance(exponent, (int, float)):
@@ -366,17 +549,18 @@ def _zeros(shape):
     return z
 
 
-def _basis(n, i):
+def _basis(n, i, batched=False):
+    """e_i, as a column (n, 1) that broadcasts over a batch when ``batched``."""
     e = _BASIS_CACHE.get(n)
     if e is None:
         e = _BASIS_CACHE[n] = np.eye(n)
         e.setflags(write=False)
-    return e[i]
+    return e[i, :, None] if batched else e[i]
 
 
 def _mirror3(t):
-    """Force bitwise total symmetry on an (n, n, n) array by copying each
-    entry from its sorted-index representative."""
+    """Force bitwise total symmetry on the leading (n, n, n) axes of an
+    array by copying each entry from its sorted-index representative."""
     n = t.shape[0]
     idx = _SYM3_INDEX_CACHE.get(n)
     if idx is None:
@@ -414,22 +598,29 @@ def _div(a, s):
 
 
 def _outer(a, b):
-    """Tensor product of two blocks, either of which may carry tangents."""
+    """Tensor product of two vector blocks, either of which may carry
+    tangents; a point axis after the vector axis is kept."""
     if a is None or b is None:
         return None
-    if isinstance(a, KDual) or isinstance(b, KDual):
-        return a[(Ellipsis,) + (None,) * b.ndim] * b
-    return np.multiply.outer(a, b)
+    return a[:, None] * b
 
 
 def _sym2(q):
-    return None if q is None else q + q.T
+    return None if q is None else q + q.swapaxes(0, 1)
 
 
 def _finite(v) -> bool:
     if isinstance(v, KDual):
         return bool(np.isfinite(v.val).all() and np.isfinite(v.tan).all())
     return bool(np.isfinite(v).all())
+
+
+def _full(b, shape):
+    """A block broadcast to ``shape`` (its tangents to ``shape + (k,)``)."""
+    if isinstance(b, KDual):
+        return b if b.shape == shape else KDual(np.broadcast_to(b.val, shape),
+                                                np.broadcast_to(b.tan, shape + b.tan.shape[-1:]))
+    return b if np.shape(b) == shape else np.broadcast_to(b, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +640,9 @@ class Jet:
     ``d_yy[i, j]``       d2f/dy_i dy_j           (bitwise symmetric)
     ``d_xy[i, j]``       d2f/dy_i dx_j           (row = y index)
     ``d_yyy[i, j, k]``   d3f/dy_i dy_j dy_k      (bitwise totally symmetric)
+
+    Over a batch of B points each block gains a trailing point axis:
+    ``value`` is (B,), ``d_x`` (n, B), ``d_yy`` (n, n, B).
 
     Arithmetic propagates orders 0 to 2; ``d_yyy`` is filled only by
     :func:`eval_jet` at order 3, as the y-tangent of ``d_yy``.  Under a
@@ -478,12 +672,12 @@ class Jet:
         return cls(n, order, c)
 
     @classmethod
-    def seed_x(cls, value, i, n, order):
-        return cls(n, order, value, d_x=_basis(n, i) if order >= 1 else None)
+    def seed_x(cls, value, i, n, order, batched=False):
+        return cls(n, order, value, d_x=_basis(n, i, batched) if order >= 1 else None)
 
     @classmethod
-    def seed_y(cls, value, i, n, order):
-        return cls(n, order, value, d_y=_basis(n, i) if order >= 1 else None)
+    def seed_y(cls, value, i, n, order, batched=False):
+        return cls(n, order, value, d_y=_basis(n, i, batched) if order >= 1 else None)
 
     def _const(self, c):
         return Jet.constant(c, self.n, self.order)
@@ -541,10 +735,10 @@ class Jet:
     def __truediv__(self, other):
         o = self.order
         if not isinstance(other, Jet):
-            if value_of(other) == 0.0:
+            if _any(value_of(other) == 0.0):
                 raise DomainError("division by zero")
             return Jet(self.n, o, self.value / other, *(_div(b, other) for b in self._blocks()))
-        if value_of(other.value) == 0.0:
+        if _any(value_of(other.value) == 0.0):
             raise DomainError("division by zero")
         w0 = self.value / other.value
         q = 1.0 / other.value
@@ -574,7 +768,7 @@ class Jet:
         o, v = self.order, self.value
         if isinstance(v, KDual):
             fs = tuple(islice(seq(v.val), o + 2))
-            f = [KDual(a, b * v.tan) for a, b in zip(fs, fs[1:])]
+            f = [KDual(a, _lift(b) * v.tan) for a, b in zip(fs, fs[1:])]
         else:
             f = tuple(islice(seq(v), o + 1))
         j = Jet(self.n, o, f[0])
@@ -588,8 +782,10 @@ class Jet:
 
     # -- finalization ----------------------------------------------------
 
-    def finalized(self):
-        """Zero-fill the zero blocks, ``d_yyy`` included, and verify finiteness."""
+    def finalized(self, lanes: tuple = ()):
+        """Zero-fill the zero blocks, ``d_yyy`` included, broadcast every
+        block over the batch ``lanes`` (``(B,)``, or ``()`` for one point),
+        and verify finiteness."""
         n = self.n
         if not _finite(self.value):
             raise DomainError("field evaluation produced a non-finite value")
@@ -597,11 +793,14 @@ class Jet:
         for b, shape in zip((*self._blocks(), self.d_yyy),
                             ((n,), (n,), (n, n), (n, n), (n, n, n))):
             if b is None:
-                b = _zeros(shape)
+                b = _zeros(shape + lanes)
             elif not _finite(b):
                 raise DomainError("field evaluation produced a non-finite derivative")
+            elif lanes:
+                b = _full(b, shape + lanes)
             blocks.append(b)
-        return Jet(n, self.order, self.value, *blocks)
+        value = _full(self.value, lanes) if lanes else self.value
+        return Jet(n, self.order, value, *blocks)
 
     def __repr__(self):
         return f"Jet(n={self.n}, order={self.order}, value={self.value!r})"
@@ -613,20 +812,25 @@ class Jet:
 
 
 def _propagate(f, p: PhasePoint, order: int) -> Jet:
-    """The jet of ``f`` at ``p`` to ``order`` <= 2, in the tower ``p`` carries."""
+    """The jet of ``f`` at ``p`` to ``order`` <= 2, in the tower ``p``
+    carries and over the batch it holds: the pass behind :func:`eval_jet`."""
     n = p.n
-    xs = [Jet.seed_x(v, i, n, order) for i, v in enumerate(p.x)]
-    ys = [Jet.seed_y(v, i, n, order) for i, v in enumerate(p.y)]
+    lanes = batch_shape(p)
+    batched = bool(lanes)
+    xs = [Jet.seed_x(v, i, n, order, batched) for i, v in enumerate(p.x)]
+    ys = [Jet.seed_y(v, i, n, order, batched) for i, v in enumerate(p.y)]
     out = f(xs, ys)
     if not isinstance(out, Jet):
         out = Jet.constant(out, n, order)
-    return out.finalized()
+    return out.finalized(lanes)
 
 
 def hessian_y_tangent(j: Jet) -> np.ndarray:
     """d3f/dy_i dy_j dy_k of a jet propagated with y seeded along ``np.eye(n)``:
-    the y-tangent of its ``d_yy`` block, made bitwise totally symmetric."""
-    return _mirror3(tangent_part(j.d_yy, j.n))
+    the y-tangent of its ``d_yy`` block, made bitwise totally symmetric
+    (over a batch, with the point axis last)."""
+    t = tangent_part(j.d_yy, j.n)
+    return _mirror3(np.moveaxis(t, -1, 2) if t.ndim == 4 else t)
 
 
 def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
@@ -653,14 +857,23 @@ def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
     return Jet(j.n, 3, j.value, *j._blocks(), d_yyy=hessian_y_tangent(d))
 
 
+def _seed(val, tan):
+    """A coordinate carrying the tangents ``tan``: (k,), or over a batch
+    (k, B) with one seed per point."""
+    if isinstance(val, np.ndarray):
+        tan = _widen(np.moveaxis(tan, 0, -1) if tan.ndim > 1 else tan, val)
+    return KDual(val, tan)
+
+
 def seed_point(p: PhasePoint, seeds, wrt: str = "y") -> PhasePoint:
     """``p`` with its ``y`` (default) or ``x`` coordinates carrying the k
     tangents of a (k, n) seed matrix, column i for coordinate i; with
-    ``np.eye(n)`` a pass yields the full Jacobian."""
+    ``np.eye(n)`` a pass yields the full Jacobian.  Over a batch the seeds
+    are (k, n), shared by every point, or (k, n, B), one matrix per point."""
     if wrt == "y":
-        return PhasePoint(p.x, tuple(KDual(value_of(v), seeds[:, i]) for i, v in enumerate(p.y)))
+        return PhasePoint(p.x, tuple(_seed(value_of(v), seeds[:, i]) for i, v in enumerate(p.y)))
     if wrt == "x":
-        return PhasePoint(tuple(KDual(value_of(v), seeds[:, i]) for i, v in enumerate(p.x)), p.y)
+        return PhasePoint(tuple(_seed(value_of(v), seeds[:, i]) for i, v in enumerate(p.x)), p.y)
     raise ValueError("wrt must be 'x' or 'y'")
 
 
@@ -725,7 +938,8 @@ class SymMatrix:
     ``entries @ inverse`` equals the identity to roundoff scaled by the
     condition number.  Under a push the entries and the inverse are
     :class:`KDual`; the eigenvalue estimates always refer to the float
-    value part.
+    value part.  Over a batch the matrices are (n, n, B) and the
+    estimates (B,).
     """
 
     entries: np.ndarray
@@ -744,53 +958,64 @@ class SymMatrix:
 
 
 def _inverse(a):
-    """Inverse of a symmetric float matrix, in closed form up to 2x2."""
+    """Inverse of a symmetric float matrix (or of each of a batch), in
+    closed form up to 2x2."""
     if a.shape[0] == 1:
         return 1.0 / a
     if a.shape[0] == 2:
         p, b, d = a[0, 0], a[0, 1], a[1, 1]
         return np.array([[d, -b], [-b, p]]) / (p * d - b * b)
+    if a.ndim == 3:
+        return np.moveaxis(np.linalg.inv(np.moveaxis(a, -1, 0)), 0, -1)
     return np.linalg.inv(a)
 
 
-def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
-    """Symmetrize, gate on rank, and invert a small dense matrix.
-
-    The value part is inverted in floats; tangents, when ``m`` carries
-    them, follow from d(A^-1) = -A^-1 dA A^-1.
-
-    Raises
-    ------
-    SingularMetric
-        When the smallest eigenvalue magnitude of the value part falls
-        below ``rel_tol`` times the largest; beyond that point the inverse
-        amplifies noise past every tolerance used downstream.
-    ValueError
-        If the input is not symmetric to 1e-12 relative.
-    """
-
-    dual = isinstance(m, KDual)
-    a = m.val if dual else np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("sym_invert expects a square matrix")
-    norm = np.abs(a).max()
-    if np.abs(a - a.T).max() > 1e-12 * (1.0 + norm):
-        raise ValueError("matrix is not symmetric within 1e-12 relative")
-    a = (a + a.T) * 0.5
+def _spectrum_range(a, batched):
+    """min and max |eigenvalue| of a symmetric matrix (per point of a
+    batch): closed form up to 2x2, ``eigvalsh`` beyond."""
     if a.shape[0] == 1:
         mn = mx = abs(a[0, 0])
     elif a.shape[0] == 2:
-        # closed-form symmetric 2x2 spectrum
         p, b, d = a[0, 0], a[0, 1], a[1, 1]
         half_tr = 0.5 * (p + d)
+        if batched:
+            # entrywise, as at one point: a float's ** 2 is C pow(), unlike an array's
+            sq = _each(lambda h: h ** 2, 0.5 * (p - d)) + b * b
+            disc = _each(lambda s: math.sqrt(max(0.0, s)), sq)
+            e1, e2 = abs(half_tr + disc), abs(half_tr - disc)
+            return np.minimum(e1, e2), np.maximum(e1, e2)
         disc = math.sqrt(max(0.0, (0.5 * (p - d)) ** 2 + b * b))
         e1, e2 = abs(half_tr + disc), abs(half_tr - disc)
         mn, mx = min(e1, e2), max(e1, e2)
+    elif batched:
+        eig = np.abs(np.linalg.eigvalsh(np.moveaxis(a, -1, 0)))
+        mn, mx = eig.min(axis=-1), eig.max(axis=-1)
     else:
         eig = np.linalg.eigvalsh(a)
         mn = float(np.abs(eig).min())
         mx = float(np.abs(eig).max())
-    if mx == 0.0 or mn < rel_tol * mx:
+    return mn, mx
+
+
+def _sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
+    """:func:`sym_invert` of one matrix or of a batch (n, n, B)."""
+    dual = isinstance(m, KDual)
+    a = m.val if dual else np.asarray(m, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[0] != a.shape[1]:
+        raise ValueError("sym_invert expects a square matrix")
+    batched = a.ndim == 3
+    axes = (0, 1) if batched else None  # over a batch, max per point
+    norm = np.abs(a).max(axis=axes)
+    at = a.swapaxes(0, 1)
+    if _any(np.abs(a - at).max(axis=axes) > 1e-12 * (1.0 + norm)):
+        raise ValueError("matrix is not symmetric within 1e-12 relative")
+    a = (a + at) * 0.5
+    mn, mx = _spectrum_range(a, batched)
+    bad = (mx == 0.0) | (mn < rel_tol * mx) if batched else mx == 0.0 or mn < rel_tol * mx
+    if _any(bad):
+        if batched:
+            first = int(np.flatnonzero(bad)[0])
+            mn, mx = float(mn[first]), float(mx[first])
         raise SingularMetric(
             f"metric rank failure: |eig| range [{mn:.3e}, {mx:.3e}]",
             min_abs_eigen=mn,
@@ -799,5 +1024,38 @@ def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
     inv = _inverse(a)
     if not dual:
         return SymMatrix(a, inv, mn, mx)
-    ms = (m + m.T) * 0.5
-    return SymMatrix(ms, KDual(inv, -(inv @ ms @ inv).tan), mn, mx)
+    ms = (m + m.swapaxes(0, 1)) * 0.5
+    return SymMatrix(ms, KDual(inv, -matmat(matmat(inv, ms), inv).tan), mn, mx)
+
+
+def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
+    """Symmetrize, gate on rank, and invert a small dense matrix.
+
+    The value part is inverted in floats; tangents, when ``m`` carries
+    them, follow from d(A^-1) = -A^-1 dA A^-1.  A batch (n, n, B) is
+    inverted point by point, with the bits of one-point inversions.
+
+    Raises
+    ------
+    SingularMetric
+        When the smallest eigenvalue magnitude of the value part falls
+        below ``rel_tol`` times the largest (at any point of a batch);
+        beyond that point the inverse amplifies noise past every
+        tolerance used downstream.
+    ValueError
+        If the input is not symmetric to 1e-12 relative.
+    """
+    return _sym_invert(m, rel_tol)
+
+
+# The pipeline's passes (here and in ``mechanics._evolution_pass``) go
+# through the public ``eval_jet`` and ``sym_invert`` at one point and
+# straight to ``_propagate`` and ``_sym_invert`` over a batch:
+# ``benchmarks/tracing.py`` wraps the public names and fingerprints their
+# arguments as one point's floats, so it sees every one-point pass and no
+# batch.
+
+
+def _jet(f, p: PhasePoint, order: int) -> Jet:
+    """:func:`eval_jet` to ``order`` <= 2 at ``p``, one point or a batch."""
+    return _propagate(f, p, order) if batch_shape(p) else eval_jet(f, p, order)

@@ -21,9 +21,8 @@ Points where the metric degenerates are collected, not fatal.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .finsler import is_finsler_mode
+from .jets import matvec, vecmat
 from .mechanics import (
     MechanicalSystem,
     PointGeometry,
@@ -36,34 +35,31 @@ from .phase import PhasePoint
 __all__ = ["run_verification"]
 
 
-def _max_abs(a) -> float:
-    return float(np.abs(a).max())
-
-
 def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dict:
     ctx = PointGeometry(sys, p)
     j, yv = ctx.jet, ctx.y
-    scale = 1.0 + _max_abs(ctx.metric.entries)
+    scale = 1.0 + ctx.peak(ctx.metric.entries)
     hde = ctx.horizontal_dE()
     out = {
         "canonical_spray_equation": _sode_residual(j, yv, ctx.spray0),
         "evolution_spray_equation": ctx.evolution_equation_residual(),
         "cartan_form_transport": ctx.lie_theta_residual(),
-        "canonical_metricity": _max_abs(ctx.dyn_cov_deriv_g(ctx.spray0, ctx.conn0)) / scale,
-        "canonical_horizontal_two_form": _max_abs(_horizontal_two_form(j, ctx.conn0)),
-        "metric_derivative_agreement": _max_abs(
+        "canonical_metricity": ctx.peak(ctx.dyn_cov_deriv_g(ctx.spray0, ctx.conn0)) / scale,
+        "canonical_horizontal_two_form": ctx.peak(_horizontal_two_form(j, ctx.conn0)),
+        "metric_derivative_agreement": ctx.peak(
             ctx.gbar - ctx.dyn_cov_deriv_g(ctx.spray, ctx.conn)),
-        "symplectic_vs_helicoidal": _max_abs(_horizontal_two_form(j, ctx.conn) + ctx.helicoidal),
+        "symplectic_vs_helicoidal": ctx.peak(_horizontal_two_form(j, ctx.conn) + ctx.helicoidal),
         # horizontal derivatives of L and of E, both routes each
-        "lagrangian_horizontal_routes": _max_abs(
+        "lagrangian_horizontal_routes": ctx.peak(
             ctx.horizontal_dL() - (ctx.dSL_dy - ctx.sigma) * 0.5),
-        "energy_horizontal_routes": _max_abs(
+        "energy_horizontal_routes": ctx.peak(
             hde - ctx.horizontal_dE_closed()),
     }
     if finsler:
-        out["christoffel_contraction"] = _max_abs(ctx.christoffel @ yv @ yv - 2.0 * ctx.spray0)
-        out["finsler_energy_formula"] = _max_abs(
-            hde - 0.5 * ((ctx.metric.entries @ yv) @ ctx.dV_dy))
+        out["christoffel_contraction"] = ctx.peak(
+            matvec(matvec(ctx.christoffel, yv), yv) - 2.0 * ctx.spray0)
+        out["finsler_energy_formula"] = ctx.peak(
+            hde - 0.5 * vecmat(matvec(ctx.metric.entries, yv), ctx.dV_dy))
     return out
 
 

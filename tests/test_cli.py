@@ -253,6 +253,13 @@ def test_cli_expression_system(tmp_path):
     # the trajectory is written as csv or json, nothing else
     ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]},
                   "integrator": {"t_end": 0.01}, "output": {"format": "yaml"}}),
+    # a section of the wrong JSON type
+    ("classify", {"samples": {"points": 5}}),
+    ("classify", {"samples": "many"}),
+    ("classify", {"system": {"builtin": "SYS-B", "params": 5}}),
+    ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]}, "integrator": "rk4"}),
+    ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]},
+                  "integrator": {"t_end": 0.01}, "output": "json"}),
 ])
 def test_malformed_config_value_exit_code(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "bad.json", {"system": {"builtin": "SYS-B"}, **payload})

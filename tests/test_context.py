@@ -2,6 +2,7 @@
 batch sweeps against one point at a time."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from lagmech import jets
 from lagmech.cli import main
 from lagmech.finsler import christoffel_at, finsler_identities, homogeneity_report
-from lagmech.mechanics import PointGeometry, classify
+from lagmech.mechanics import PointGeometry, classify, stack_points
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
 from lagmech.verify import run_verification
@@ -25,6 +26,7 @@ _SYSTEMS = {
     "SYS-D": ("SYS-D", {"e": -0.5}),
     "SYS-E": ("SYS-E", {"e": -1.0}),
     "EUCLID6": ("EUCLID", {"n": 6}),
+    "SYS-E6": ("SYS-E", {"e": -1.0, "base": "EUCLID", "n": 6}),
 }
 
 
@@ -46,7 +48,7 @@ def _close(a, b):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    name=st.sampled_from(sorted(_SYSTEMS)),
+    name=st.sampled_from(sorted(set(_SYSTEMS) - {"SYS-E6"})),
     index=st.integers(0, 11),
     shift=st.floats(-0.2, 0.2),
     scale=st.floats(0.6, 1.6),
@@ -98,13 +100,16 @@ def test_context_fields_match_accessors(name, index, shift, scale):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts eval_jet, sym_invert and push_direction calls made through
-    any lagmech module."""
-    counts = {"eval_jet": 0, "sym_invert": 0, "push_direction": 0}
+    """Counts jet passes (``jets._propagate``, the pass behind ``eval_jet``),
+    inversions (``jets._sym_invert``, behind ``sym_invert``) and
+    ``push_direction`` calls made through any lagmech module.  A pass over
+    a batch of points counts once."""
+    targets = {"jet": jets._propagate, "inversion": jets._sym_invert,
+               "push": jets.push_direction}
+    counts = dict.fromkeys(targets, 0)
     modules = [m for k, m in list(sys.modules.items())
                if m is not None and (k == "lagmech" or k.startswith("lagmech."))]
-    for name in counts:
-        original = getattr(jets, name)
+    for name, original in targets.items():
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
@@ -117,47 +122,66 @@ def passes(monkeypatch):
 
     def take():
         out = dict(counts)
-        counts.update(eval_jet=0, sym_invert=0, push_direction=0)
+        counts.update(dict.fromkeys(targets, 0))
         return out
 
     return take
 
 
+def test_failing_chunk_pass_budget(passes):
+    # a chunk that raises is retried in blocks of 16, a block that raises
+    # point by point: k failures cost 1 + 16 + 16 k passes, at most 1 + 16 + 256
+    sys_, samples = _case("SYS-D", count=254)
+    z = _zero_section(sys_.n, 1)
+    passes()
+    classify(sys_, samples[:100] + [z] + samples[100:253])
+    assert passes()["jet"] == 1 + 16 + 16
+    classify(sys_, samples[:40] + [z] + samples[40:200] + [z] + samples[200:])
+    assert passes()["jet"] == 1 + 16 + 2 * 16
+    classify(sys_, [z] * 256)
+    assert passes()["jet"] == 1 + 16 + 256
+
+
+def _read_every_member(ctx, n):
+    ctx.dE, ctx.omega(np.ones(2 * n), np.arange(2.0 * n))
+    ctx.evolution_equation_residual(), ctx.lie_theta_residual(), ctx.symplectic_defect()
+    ctx.first_integral_conditions(), ctx.horizontal_dL(), ctx.horizontal_dE()
+
+
 @pytest.mark.parametrize("name", ["SYS-B", "SYS-D", "EUCLID6"])
 def test_pass_budget(passes, name, tmp_path):
+    # a sweep of up to 256 points is one batched pass, whatever the count
     sys_, samples = _case(name, count=6)
-    k = len(samples)
     passes()
 
     classify(sys_, samples)
-    assert passes() == {"eval_jet": k, "sym_invert": k, "push_direction": 0}
+    assert passes() == {"jet": 1, "inversion": 1, "push": 0}
+    classify(sys_, samples * 50)  # 300 points: two chunks
+    assert passes() == {"jet": 2, "inversion": 2, "push": 0}
 
-    # one context serves every member; the Christoffel symbols add one x-seeded jet
-    ctx = PointGeometry(sys_, samples[0])
-    ctx.dE, ctx.omega(np.ones(2 * sys_.n), np.arange(2.0 * sys_.n))
-    ctx.evolution_equation_residual(), ctx.lie_theta_residual(), ctx.symplectic_defect()
-    ctx.first_integral_conditions(), ctx.horizontal_dL(), ctx.horizontal_dE()
-    assert passes() == {"eval_jet": 1, "sym_invert": 1, "push_direction": 0}
-    ctx.christoffel
-    assert passes() == {"eval_jet": 1, "sym_invert": 0, "push_direction": 0}
+    # one context serves every member, for one point or a batch; the
+    # Christoffel symbols add one x-seeded jet
+    for p in (samples[0], stack_points(samples)):
+        ctx = PointGeometry(sys_, p)
+        _read_every_member(ctx, sys_.n)
+        assert passes() == {"jet": 1, "inversion": 1, "push": 0}
+        ctx.christoffel
+        assert passes() == {"jet": 1, "inversion": 0, "push": 0}
 
-    # Finsler mode probes L once per probe (up to 8) before the sweep
+    # one batch of Finsler-mode probes, then the context and (all three
+    # systems are Finsler) the x-seeded jet of the Christoffel symbols
     run_verification(sys_, samples)
-    used = passes()
-    assert used["eval_jet"] <= 2 * k + min(8, k)
-    assert used["sym_invert"] <= 2 * k
+    assert passes() == {"jet": 3, "inversion": 1, "push": 0}
 
     finsler_identities(sys_, samples)
-    used = passes()
-    assert used["eval_jet"] <= 2 * k
-    assert used["sym_invert"] <= k
+    assert passes() == {"jet": 2, "inversion": 1, "push": 0}
 
     # one pass seeded along y itself serves all three Euler tests
     homogeneity_report(sys_, samples)
-    assert passes() == {"eval_jet": k, "sym_invert": 0, "push_direction": 0}
+    assert passes() == {"jet": 1, "inversion": 0, "push": 0}
 
     christoffel_at(sys_, samples[0])
-    assert passes() == {"eval_jet": 1, "sym_invert": 1, "push_direction": 0}
+    assert passes() == {"jet": 1, "inversion": 1, "push": 0}
 
     builtin, params = _SYSTEMS[name]
     cfg = tmp_path / "run.json"
@@ -167,9 +191,7 @@ def test_pass_budget(passes, name, tmp_path):
     }))
     passes()
     assert main(["inspect", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
-    used = passes()
-    assert used["eval_jet"] == k
-    assert used["sym_invert"] <= k
+    assert passes() == {"jet": 1, "inversion": 1, "push": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -177,62 +199,125 @@ def test_pass_budget(passes, name, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _with_failure(name):
+def _zero_section(n, t):
+    return PhasePoint((0.1 * t,) * n, (0.0,) * n)
+
+
+def _sample_list(name, layout):
+    """Sample points with points on the zero section (singular for SYS-D,
+    regular for SYS-A, SYS-B and SYS-E6) placed by ``layout``."""
+    if layout == "long":
+        sys_, samples = _case(name, count=300)  # more than one chunk of 256
+        return sys_, samples[:255] + [_zero_section(sys_.n, 1), _zero_section(sys_.n, 2)] + samples[255:]
     sys_, samples = _case(name, count=8)
-    # the zero section: singular for SYS-D, regular for SYS-B
-    return sys_, samples[:3] + [PhasePoint((0.1, 0.1), (0.0, 0.0))] + samples[3:]
+    z1, z2 = _zero_section(sys_.n, 1), _zero_section(sys_.n, 2)
+    return sys_, {"middle": samples[:3] + [z1] + samples[3:],
+                  "first": [z1] + samples,
+                  "last": samples + [z1],
+                  "adjacent": samples[:4] + [z1, z2] + samples[4:],
+                  "all": [_zero_section(sys_.n, t) for t in range(5)]}[layout]
 
 
-@pytest.mark.parametrize("name", ["SYS-B", "SYS-D"])
-def test_classify_batch_equals_single_points(name):
-    sys_, samples = _with_failure(name)
+_BATCH_CASES = [pytest.param(name, layout, id=name if layout == "middle" else f"{name}-{layout}")
+                for name, layout in [("SYS-B", "middle"), ("SYS-D", "middle"),
+                                     ("SYS-D", "first"), ("SYS-D", "last"), ("SYS-D", "adjacent"),
+                                     ("SYS-D", "all"), ("SYS-D", "long"), ("SYS-B", "long"),
+                                     ("SYS-A", "middle"), ("SYS-E6", "adjacent")]]
+
+
+def _failed_at(samples, failures):
+    return [f["index"] for f in failures], [samples[f["index"]] for f in failures]
+
+
+@pytest.mark.parametrize("name,layout", _BATCH_CASES)
+def test_classify_batch_equals_single_points(name, layout):
+    sys_, samples = _sample_list(name, layout)
     batch = classify(sys_, samples)
     singles = [classify(sys_, [p]) for p in samples]
-    assert batch.points_tested == sum(r.points_tested for r in singles)
-    assert batch.metric_defect == max(r.metric_defect for r in singles)
-    assert batch.symplectic_defect == max(r.symplectic_defect for r in singles)
-    worst = max(r.dissipative_at_samples["worst_power"] for r in singles if r.points_tested)
-    assert batch.dissipative_at_samples["worst_power"] == worst
     tested = [r for r in singles if r.points_tested]
-    assert batch.is_metric == all(r.is_metric for r in tested)
-    assert batch.is_symplectic == all(r.is_symplectic for r in tested)
+    assert batch.points_tested == len(tested)
+    assert batch.metric_defect == max((r.metric_defect for r in tested), default=0.0)
+    assert batch.symplectic_defect == max((r.symplectic_defect for r in tested), default=0.0)
+    worst = batch.dissipative_at_samples["worst_power"]
+    if tested:
+        assert worst == max(r.dissipative_at_samples["worst_power"] for r in tested)
+    else:
+        assert math.isnan(worst)
+    assert batch.is_metric == (bool(tested) and all(r.is_metric for r in tested))
+    assert batch.is_symplectic == (bool(tested) and all(r.is_symplectic for r in tested))
     expected = [dict(f, index=i) for i, r in enumerate(singles) for f in r.failures]
     assert batch.failures == expected
+    indices, points = _failed_at(samples, batch.failures)
+    assert all(p.y_norm() == 0.0 for p in points)
+    assert (len(indices) > 0) == (name == "SYS-D")
 
 
-@pytest.mark.parametrize("name", ["SYS-B", "SYS-D"])
-def test_verification_batch_equals_single_points(name):
-    sys_, samples = _with_failure(name)
+@pytest.mark.parametrize("name,layout", _BATCH_CASES)
+def test_verification_batch_equals_single_points(name, layout):
+    sys_, samples = _sample_list(name, layout)
     batch = run_verification(sys_, samples)
     singles = [run_verification(sys_, [p]) for p in samples]
     tested = [r for r in singles if r["points_tested"]]
     assert batch["points_tested"] == len(tested)
-    assert all(r["finsler_mode"] == batch["finsler_mode"] for r in tested)
+    # Finsler mode is decided per list; SYS-A's L is 2-homogeneous only at x = 0
+    if name != "SYS-A":
+        assert all(r["finsler_mode"] == batch["finsler_mode"] for r in tested)
     for key, value in batch["residuals"].items():
-        if value is None:
+        if value is None and name != "SYS-A":
             assert all(r["residuals"][key] is None for r in tested)
+        elif value is None:
+            assert not batch["finsler_mode"]
         else:
             assert value == max(r["residuals"][key] for r in tested)
     expected = [dict(f, index=i) for i, r in enumerate(singles) for f in r["singular_points"]]
     assert batch["singular_points"] == expected
 
 
-@pytest.mark.parametrize("name", ["SYS-B", "SYS-D"])
+@pytest.mark.parametrize("name,layout", _BATCH_CASES)
 @pytest.mark.parametrize("report", [homogeneity_report, finsler_identities])
-def test_finsler_reports_batch_equal_single_points(name, report):
-    sys_, samples = _with_failure(name)
+def test_finsler_reports_batch_equal_single_points(name, layout, report):
+    sys_, samples = _sample_list(name, layout)
     batch = report(sys_, samples).to_dict()
     singles = [report(sys_, [p]).to_dict() for p in samples]
-    assert batch["points_tested"] == sum(r["points_tested"] for r in singles)
+    tested = [r for r in singles if r["points_tested"]]
+    assert batch["points_tested"] == len(tested)
     residuals = [key for key in batch if key.endswith("_residual")]
     assert len(residuals) >= 3
     for key in residuals:
-        assert batch[key] == max(r[key] for r in singles if r["points_tested"])
+        assert batch[key] == max((r[key] for r in tested), default=0.0)
     expected = [dict(f, index=i) for i, r in enumerate(singles) for f in r["failures"]]
     assert batch["failures"] == expected
-    assert [f["index"] for f in batch["failures"]] == ([3] if name == "SYS-D" else [])
+    # SYS-D fails on the zero section; SYS-A's L = y1^2 - x1^2 fails the
+    # identities' Euler gate wherever x1 != 0
+    indices, points = _failed_at(samples, batch["failures"])
+    if name == "SYS-A" and report is finsler_identities:
+        assert indices == [i for i, p in enumerate(samples) if p.x[0] != 0.0]
+    else:
+        assert all(p.y_norm() == 0.0 for p in points)
+        assert (len(indices) > 0) == (name == "SYS-D")
     if "accepted" in batch:
-        assert batch["accepted"] == all(r["accepted"] for r in singles if r["points_tested"])
+        assert batch["accepted"] == (bool(tested) and all(r["accepted"] for r in tested))
+
+
+def test_batched_context_equals_one_point_contexts():
+    """Every field of a batched context is, point by point, bitwise the
+    field of the one-point context (stacked inverse and eigenvalues at n=6)."""
+    for name in ("SYS-A", "SYS-D", "SYS-E6"):
+        sys_, samples = _case(name, count=7)
+        batch = PointGeometry(sys_, stack_points(samples))
+        fields = ("y", "V", "spray0", "spray", "sigma", "conn0", "dV_dy", "conn", "dsigma_dy",
+                  "d_yyy", "dg_dx", "christoffel", "energy", "power", "gbar", "helicoidal")
+        for lane, p in enumerate(samples):
+            one = PointGeometry(sys_, p)
+            for field in fields:
+                assert np.array_equal(getattr(batch, field)[..., lane], getattr(one, field)), field
+            assert np.array_equal(batch.metric.inverse[..., lane], one.metric.inverse)
+            assert batch.metric.min_abs_eigen_estimate[lane] == one.metric.min_abs_eigen_estimate
+            for member in ("horizontal_dE_closed", "evolution_equation_residual",
+                           "lie_theta_residual", "symplectic_defect"):
+                assert np.array_equal(getattr(batch, member)()[..., lane], getattr(one, member)())
+            X, Y = np.linspace(-1.0, 1.0, 2 * sys_.n), np.cos(np.arange(2.0 * sys_.n))
+            assert batch.omega(X, Y)[lane] == one.omega(X, Y)
 
 
 # ---------------------------------------------------------------------------

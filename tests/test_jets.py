@@ -254,6 +254,50 @@ def test_overflow_raises_domain_error_in_every_tower():
             eval_jet(f, PhasePoint((0.0,), (v,)), order=2)
 
 
+def test_derivative_terms_are_computed_when_read(monkeypatch):
+    from types import SimpleNamespace
+
+    from lagmech import jets
+    from lagmech.jets import apply_function, power
+
+    calls = []
+
+    def counted(name):
+        fn = getattr(math, name)
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(jets, "math", SimpleNamespace(
+        **{name: counted(name) for name in ("pow", "sqrt", "sin", "cos", "tan", "exp", "log")}))
+    f = ScalarField(1, lambda x, y: power(y[0], 0.5))
+    # a float reads f, a KDual f and f', an order-o jet o + 1 terms
+    for value, pows in ((2.0, 1), (KDual(2.0, np.array([1.0])), 2)):
+        calls.clear()
+        f([0.0], [value])
+        assert calls == ["pow"] * pows
+    for order in (0, 1, 2):
+        calls.clear()
+        eval_jet(f, PhasePoint((0.0,), (2.0,)), order=order)
+        assert calls == ["pow"] * (order + 1)
+    calls.clear()
+    apply_function("sin", 0.3)
+    assert calls == ["sin"]
+
+
+def test_batched_elementary_functions_match_floats():
+    """Over an array each entry gets the math-module bits of its float."""
+    from lagmech.jets import apply_function, power
+
+    v = np.linspace(0.05, 3.0, 37)
+    for fn in (lambda t: power(t, 0.37), lambda t: power(t, -2.5),
+               *(lambda t, name=name: apply_function(name, t)
+                 for name in ("sqrt", "sin", "cos", "tan", "exp", "log"))):
+        batch = fn(v)
+        assert batch.shape == v.shape
+        assert all(batch[i] == fn(float(t)) for i, t in enumerate(v))
+    with pytest.raises(DomainError):
+        apply_function("log", np.array([1.0, 0.0, 2.0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(-2.0, 2.0),
