@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -234,6 +235,10 @@ def test_cli_expression_system(tmp_path):
     assert doc["residuals"]["evolution_spray_equation"] <= 1e-8
 
 
+_SYS_A_RUN = {"system": {"builtin": "SYS-A", "params": {"c": 0.1}},
+              "initial": {"x": [1.0], "y": [0.0]}}
+
+
 @pytest.mark.parametrize("command, payload", [
     ("classify", {"samples": {"points": [{"x": [0.1, 0.2]}]}}),
     ("classify", {"samples": {"count": "many"}}),
@@ -260,10 +265,22 @@ def test_cli_expression_system(tmp_path):
     ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]}, "integrator": "rk4"}),
     ("simulate", {"initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]},
                   "integrator": {"t_end": 0.01}, "output": "json"}),
+    # integrator settings must be finite (JSON NaN and Infinity parse)
+    ("simulate", {**_SYS_A_RUN, "integrator": {"step": math.nan}}),
+    ("simulate", {**_SYS_A_RUN, "integrator": {"t_end": math.inf}}),
+    ("simulate", {**_SYS_A_RUN, "integrator": {"method": "rk45_adaptive", "t_end": math.nan}}),
+    ("simulate", {**_SYS_A_RUN, "integrator": {"method": "rk45_adaptive", "max_step": math.nan}}),
 ])
 def test_malformed_config_value_exit_code(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "bad.json", {"system": {"builtin": "SYS-B"}, **payload})
     assert main([command, cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [["--step", "nan"], ["--t-end", "inf"]])
+def test_non_finite_integrator_flag_exit_code(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path, "run.json", _SYS_A_RUN)
+    assert main(["simulate", cfg, *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

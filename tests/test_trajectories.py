@@ -1,20 +1,29 @@
 """SODE integration: evolution, horizontal and geodesic curves."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import lagmech.trajectories as trajectories
+from lagmech.jets import KDual
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate
 from lagmech.trajectories import (
     IntegratorConfig,
+    Trajectory,
     energy_audit,
     integrate_evolution,
     integrate_geodesic,
     integrate_horizontal,
 )
+import trajectory_routes
 from trajectory_csv import read_csv
+
+INTEGRATE = {"evolution": integrate_evolution, "horizontal": integrate_horizontal,
+             "geodesic": integrate_geodesic}
 
 
 def test_config_validation():
@@ -185,3 +194,120 @@ def test_trajectory_state_property(sys_a):
     assert traj.xs.shape == traj.ys.shape == (len(traj.t), 1)
     assert traj.xs[0].tolist() == [1.0] and traj.ys[0].tolist() == [0.0]
     assert np.all(np.diff(traj.t) > 0.0)
+
+
+# -- one pass per stage: the same bits as the reference drivers -------------
+
+_RUNS = {
+    "SYS-A": (("SYS-A", {"c": 0.1}), (1.0,), (0.5,)),
+    "SYS-B": (("SYS-B", {}), (1.0, -0.3), (0.6, 0.9)),
+    "SYS-D": (("SYS-D", {"e": -0.5}), (0.1, 0.2), (1.0, 0.5)),
+    "SYS-E/EUCLID6": (("SYS-E", {"e": -1.0, "base": "EUCLID", "n": 6}),
+                      (0.1,) * 6, (1.0, 0.5, -0.3, 0.2, 0.4, -0.6)),
+}
+# SYS-D from the origin: the velocity decays onto the zero section, and the
+# adaptive run ends domain_stop at t = 4.0611
+_STOP = (("SYS-D", {"e": -0.5}), (0.0, 0.0), (1.0, 0.5))
+_GRID = [(name, curve, method, every)
+         for name in _RUNS
+         for curve in INTEGRATE if not (curve == "geodesic" and name == "SYS-A")
+         for method in ("rk4_fixed", "rk45_adaptive")
+         for every in (1, 3)]
+
+
+def _run(spec, t_end, method, every):
+    (builtin, params), x, y = spec
+    cfg = IntegratorConfig(method=method, step=0.02, t_end=t_end, record_every=every,
+                           rel_tol=1e-10, abs_tol=1e-12)
+    return instantiate(builtin, params), PhasePoint(x, y), cfg
+
+
+@pytest.mark.parametrize("name, curve, method, every",
+                         _GRID + [("stop", "evolution", "rk45_adaptive", e) for e in (1, 3)])
+def test_integrators_match_reference_routes(name, curve, method, every):
+    spec, t_end = (_STOP, 10.0) if name == "stop" else (_RUNS[name], 0.5)
+    sys_, p0, cfg = _run(spec, t_end, method, every)
+    got = INTEGRATE[curve](sys_, p0, cfg)
+    ref = trajectory_routes.integrate(curve, sys_, p0, cfg)
+    assert got.status == ref.status
+    for key in ("t", "xs", "ys", "energy", "lagrangian", "power", "el_residual"):
+        a, b = getattr(got, key), getattr(ref, key)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+    if name == "stop":
+        assert got.status == "domain_stop" and 4.06 < got.t[-1] < 4.07
+
+
+def test_dormand_prince_tableau_is_fsal():
+    # the last stage is evaluated at the 5th-order solution, bit for bit
+    assert trajectories._DP_A[6] == list(trajectory_routes.DP_B5[:6])
+    assert trajectory_routes.DP_B5[6] == 0.0
+
+
+def test_run_stats():
+    sys_, p0, cfg = _run(_RUNS["SYS-A"], 2.0, "rk45_adaptive", 1)
+    traj = integrate_evolution(sys_, p0, cfg)
+    st = traj.stats
+    assert traj.status == "completed" and st.stop is None
+    assert st.rejected > 0  # the step controller is exercised
+    assert st.rhs_calls == 6 * (st.accepted + st.rejected) + 1
+    assert st.min_step <= cfg.max_step
+
+    sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.3, "rk4_fixed", 3)
+    st = integrate_horizontal(sys_, p0, cfg).stats
+    assert (st.accepted, st.rejected, st.min_step) == (15, 0, 0.02)
+    assert st.rhs_calls == 4 * st.accepted + 1
+
+    sys_, p0, cfg = _run(_STOP, 10.0, "rk45_adaptive", 1)
+    traj = integrate_evolution(sys_, p0, cfg)
+    stop = traj.stats.stop
+    assert stop["error"] == "DomainError" and "zero section" in stop["detail"]
+    assert traj.t[-1] <= stop["t"] < 4.07
+    assert math.hypot(*stop["point"]["y"]) < 1e-8
+
+    # the stats stay out of the serialized trajectory and of comparisons
+    assert "stats" not in traj.to_dict()
+    assert not {f.name: f for f in dataclasses.fields(Trajectory)}["stats"].compare
+
+
+def test_singular_stop_records_eigen_range(sys_c):
+    traj = integrate_evolution(sys_c, PhasePoint((0.0, 0.0), (1.0, 0.0)),
+                               IntegratorConfig(t_end=1.0))
+    stop = traj.stats.stop
+    assert stop["error"] == "SingularMetric" and stop["t"] == 0.0
+    lo, hi = stop["eigen_range"]
+    assert 0.0 <= lo < 1e-10 * hi
+
+
+def _counting(monkeypatch, calls, name, kind):
+    fn = getattr(trajectories, name)
+
+    def counted(*args, **kwargs):
+        calls[kind(*args)] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(trajectories, name, counted)
+
+
+def _seeded(coords) -> bool:
+    return any(isinstance(v, KDual) for v in coords)
+
+
+@pytest.mark.parametrize("curve", list(INTEGRATE))
+def test_pass_budget(monkeypatch, curve):
+    # records read the stage's pass: with every state recorded, a run makes
+    # exactly one pass per right-hand side, and no float evolution pass
+    # beyond the evolution curve's own
+    calls = Counter()
+    _counting(monkeypatch, calls, "_evolution_pass", lambda s, p: (
+        "seeded pass" if _seeded(p.y) else "float pass"))
+    _counting(monkeypatch, calls, "push_direction", lambda *a: "push")
+    _counting(monkeypatch, calls, "eval_jet", lambda f, p, *a: (
+        "x-seeded jet" if _seeded(p.x) else "jet"))
+    for method in ("rk4_fixed", "rk45_adaptive"):
+        calls.clear()
+        sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.3, method, 1)
+        rhs = INTEGRATE[curve](sys_, p0, cfg).stats.rhs_calls
+        expected = {"evolution": {"float pass": rhs},
+                    "horizontal": {"push": rhs, "seeded pass": rhs},
+                    "geodesic": {"x-seeded jet": rhs}}[curve]
+        assert dict(calls) == expected, method
