@@ -11,7 +11,11 @@ One executable with five subcommands:
 Configuration is a single JSON file (see docs/config.md) with flag
 overrides for parameter sweeps.  All numeric output is printed with 17
 significant digits so regression goldens are stable; identical config
-and seed produce byte-identical output.
+and seed produce byte-identical output.  ``inspect`` formats each clean
+chunk of samples field by field, all points of the chunk in one pass
+(:func:`render_rows`), and assembles the entries in sample order; the
+output is byte-identical to rendering every point on its own with
+:func:`render_json`.
 
 Exit codes: 0 ok; 2 config or expression error; 3 domain or singularity
 failure at a requested point; 4 identity-suite tolerance failure.
@@ -23,6 +27,7 @@ import argparse
 import json
 import math
 import sys as _sys
+from itertools import chain
 
 import numpy as np
 
@@ -40,7 +45,7 @@ from .errors import (
     VariableIndexError,
 )
 from .finsler import is_finsler_mode
-from .mechanics import MechanicalSystem, PointGeometry, classify, each_point
+from .mechanics import MechanicalSystem, PointGeometry, classify, each_block
 from .phase import PhasePoint, VerticalField
 from .sampling import sample_box
 from .trajectories import (
@@ -65,23 +70,68 @@ EXIT_IDENTITY = 4
 # ---------------------------------------------------------------------------
 
 
+_INLINE = 26  # a list prints on one line when each element is shorter
+
+
+def _frame(items: list, pad: str, inline: bool) -> str:
+    """A JSON list of rendered ``items`` at indentation ``pad``: on one
+    line, or one item per line."""
+    if inline:
+        return "[" + ", ".join(items) + "]"
+    return "[\n" + ",\n".join(f"{pad}  {r}" for r in items) + "\n" + pad + "]"
+
+
+def _list(items: list, pad: str) -> str:
+    """A JSON list of rendered ``items``, on one line when each is shorter
+    than ``_INLINE`` characters and none breaks."""
+    if not items:
+        return "[]"
+    return _frame(items, pad, all(len(r) < _INLINE and "\n" not in r for r in items))
+
+
+def _object(pairs: list, pad: str) -> str:
+    """A JSON object of (quoted key, rendered value) pairs at indentation
+    ``pad``."""
+    if not pairs:
+        return "{}"
+    return "{\n" + ",\n".join(f"{pad}  {k}: {v}" for k, v in pairs) + "\n" + pad + "}"
+
+
+def render_rows(a, indent: int = 0) -> list:
+    """``render_json(a[i], indent)`` of every slice ``a[i]`` of a float
+    array along its leading axis.
+
+    All entries are formatted in one ``%.17g`` pass, with one finiteness
+    test for the ``null`` rule.  Then each nesting level, innermost first,
+    is framed over all slices together by the rule of :func:`_list`, one
+    row template per row filled in one pass.  A row that breaks holds an
+    element of ``_INLINE`` or more characters, so the length test implies
+    the no-newline test.
+    """
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel()
+    cells = (("%.17g\0" * flat.size) % tuple(flat.tolist())).split("\0")[:-1]
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        cells[i] = "null"
+    for axis in range(a.ndim - 1, 0, -1):
+        k = a.shape[axis]
+        rows = math.prod(a.shape[:axis])
+        pad = "  " * (indent + axis - 1)
+        row = {inline: _frame(["%s"] * k, pad, inline) + "\0" for inline in (True, False)}
+        lengths = np.fromiter(map(len, cells), dtype=int, count=len(cells))
+        inline = (lengths < _INLINE).reshape(rows, k).all(axis=1).tolist()
+        cells = ("".join([row[i] for i in inline]) % tuple(cells)).split("\0")[:-1]
+    return cells
+
+
 def render_json(obj, indent: int = 0) -> str:
     """Serialize with floats at 17 significant digits (full round trip)."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k, v in obj.items():
-            items.append(f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _object([(json.dumps(str(k)), render_json(v, indent + 1))
+                        for k, v in obj.items()], pad)
     if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        rendered = [render_json(v, indent + 1) for v in obj]
-        if all(len(r) < 26 and "\n" not in r for r in rendered):
-            return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(f"{pad}  {r}" for r in rendered) + "\n" + pad + "]"
+        return _list([render_json(v, indent + 1) for v in obj], pad)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -94,6 +144,8 @@ def render_json(obj, indent: int = 0) -> str:
             return "null"
         return format(v, ".17g")
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            return render_rows(obj[None], indent)[0]
         return render_json(obj.tolist(), indent)
     return json.dumps(obj)
 
@@ -312,21 +364,41 @@ def _inspect_fields(sys_: MechanicalSystem, p: PhasePoint) -> dict:
     }
 
 
+def _inspect_entries(start: int, points: list, values: dict) -> list:
+    """The rendered entries of points evaluated together: ``values`` of a
+    batch (a trailing point axis) or of a single point.  Each field is
+    formatted in one pass over all the points, and the entries fill one
+    entry template in one pass."""
+    batched = len(points) > 1
+
+    def slices(v):
+        v = np.asarray(v, dtype=float)
+        return np.moveaxis(v, -1, 0) if batched else v[None]
+
+    # an entry is at indent 2 of {"points": [...]}, its fields at 3
+    point = _object([('"x"', "%s"), ('"y"', "%s")], "      ")
+    entry = _object([('"index"', "%s"), ('"point"', point)]
+                    + [(json.dumps(name).replace("%", "%%"), "%s") for name in values], "    ")
+    cells = zip(range(start, start + len(points)),
+                render_rows([p.x for p in points], 4), render_rows([p.y for p in points], 4),
+                *(render_rows(slices(v), 3) for v in values.values()))
+    return (((entry + "\0") * len(points)) % tuple(chain.from_iterable(cells))).split("\0")[:-1]
+
+
 def cmd_inspect(cfg: dict, args, overrides: dict) -> int:
     sys_ = build_system(cfg, overrides)
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", args.seed or 0))
-    results = []
+    entries = []
     hit_singular = False
-    for idx, p, fields, err in each_point(samples, lambda q: _inspect_fields(sys_, q)):
-        entry = {"index": idx, "point": {"x": list(p.x), "y": list(p.y)}}
+    for start, points, values, err in each_block(samples, lambda q: _inspect_fields(sys_, q)):
         if err is None:
-            entry.update(fields)
-        else:
-            hit_singular = True
-            entry["error"] = type(err).__name__
-            entry["detail"] = str(err)
-        results.append(entry)
-    _emit(render_json({"points": results}), args.out)
+            entries += _inspect_entries(start, points, values)
+            continue
+        hit_singular = True
+        p = points[0]
+        entries.append(render_json({"index": start, "point": {"x": list(p.x), "y": list(p.y)},
+                                    "error": type(err).__name__, "detail": str(err)}, 2))
+    _emit(_object([('"points"', _list(entries, "  "))], ""), args.out)
     return EXIT_DOMAIN if hit_singular else EXIT_OK
 
 

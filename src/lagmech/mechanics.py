@@ -44,6 +44,7 @@ explicit tolerances (absolute, scaled by 1 + max|g| at each point).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from operator import matmul
@@ -53,6 +54,8 @@ import numpy as np
 from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
 from .jets import (
     Jet,
+    KDual,
+    _finite,
     _lanes,
     _jet,
     _propagate,
@@ -81,6 +84,7 @@ __all__ = [
     "classify",
     "stack_points",
     "sweep",
+    "each_block",
     "each_point",
 ]
 
@@ -120,12 +124,22 @@ class MechanicalSystem:
         )
 
 
+def _one_point_finite(v) -> bool:
+    """Whether a one-point tower vector, with its tangents if it carries
+    any, is finite: over a few entries one pass over lists costs less
+    than numpy's calls."""
+    if isinstance(v, KDual):
+        return _one_point_finite(v.val) and _one_point_finite(v.tan.ravel())
+    return all(map(math.isfinite, v.tolist()))
+
+
 def _evolution_pass(sys: MechanicalSystem, p: PhasePoint):
     """The jet of L (order 2), the metric, y, V, G0 and G = G0 - V/4 at
     ``p``, as a plain tuple; sigma = g V is ``metric.entries @ V``.
 
     Runs in whatever tower ``p`` carries: floats at a plain point, values
     with their tangents at a seeded one, and over the batch ``p`` holds.
+    Raises DomainError when V, or a tangent of V, is not finite.
     """
     lanes = batch_shape(p)
     # chosen once per pass: a plain point makes the one-point calls
@@ -136,6 +150,8 @@ def _evolution_pass(sys: MechanicalSystem, p: PhasePoint):
     yv = tower_vector(p.y, lanes)
     spray0 = mv(g.inverse, mv(j.d_xy, yv) - j.d_x) * 0.25
     v = tower_vector(sys.V(p.x, p.y), lanes)
+    if not (_finite(v) if lanes else _one_point_finite(v)):
+        raise DomainError("force evaluation produced a non-finite value")
     return j, g, yv, v, spray0, spray0 - v * 0.25
 
 
@@ -452,7 +468,16 @@ def _blocks(points, start, per_batch):
     yield start, points, values, None
 
 
-def _chunks(samples, per_batch):
+def each_block(samples, per_batch):
+    """Yield ``(start, points, values, error)`` for each run of consecutive
+    samples evaluated together, in sample order, ``start`` being the index
+    of its first point.
+
+    ``per_batch(p)`` returns a dict of named values at ``p``.  A clean
+    chunk or block of several points yields the values of its batch, with
+    a trailing point axis; a single point its one-point values, or None
+    and the SingularMetric, DomainError or FinslerModeError it raised.
+    """
     samples = list(samples)
     for start in range(0, len(samples), _CHUNK):
         yield from _blocks(samples[start:start + _CHUNK], start, per_batch)
@@ -467,7 +492,7 @@ def each_point(samples, per_batch):
     point where SingularMetric, DomainError or FinslerModeError is raised
     yields that error instead (``values`` None).
     """
-    for start, points, values, err in _chunks(samples, per_batch):
+    for start, points, values, err in each_block(samples, per_batch):
         if err is not None or len(points) == 1:
             yield start, points[0], values, err
             continue
@@ -488,7 +513,7 @@ def sweep(samples, per_batch) -> tuple:
     maxima: dict = {}
     failures = []
     tested = 0
-    for start, points, values, err in _chunks(samples, per_batch):
+    for start, points, values, err in each_block(samples, per_batch):
         if err is not None:
             failures.append(failure_record(start, err, points[0]))
             continue

@@ -10,10 +10,12 @@ convergence-order tests crisp; an adaptive Dormand-Prince 5(4) pair
 instead.  A step costs 4 right-hand sides under RK4 and 6 under
 Dormand-Prince, whose last stage is evaluated at the new state and
 serves as the next step's first (FSAL); a rejected step keeps its first
-stage.  A step that lands on a singular metric, leaves a field's
-domain, or (for slit-bundle systems) collapses the velocity below 1e-8
-truncates the trajectory with an explicit status instead of propagating
-non-finite values.
+stage, and a NaN error estimate rejects with the smallest step factor.
+A Dormand-Prince step that would end within 1e-12 max(1, t_end) of t_end
+is stretched to end on it (RK4 drops a remainder that short).  A step that lands on a singular metric, leaves a
+field's domain (a non-finite force included), or (for slit-bundle
+systems) collapses the velocity below 1e-8 truncates the trajectory
+with an explicit status instead of propagating non-finite values.
 
 Along every trajectory the energy, Lagrangian, dissipation power and the
 pointwise Lagrange-equation residual (with the curve's own right-hand
@@ -373,10 +375,14 @@ def _drive_rk45(run, z, cfg):
     stats = run.stats
     t = 0.0
     h = min(cfg.max_step, cfg.t_end)
+    # a step that would stop this close to t_end is stretched to end on it
+    end_tol = 1e-12 * max(1.0, cfg.t_end)
     f = run.stage(0.0, z, record=True, last=not t < cfg.t_end - 1e-14)
     while t < cfg.t_end - 1e-14:
         stats.min_step = min(stats.min_step, h)
-        h = min(h, cfg.t_end - t)
+        last = cfg.t_end - (t + h) < end_tol
+        if last:
+            h = cfg.t_end - t
         ks = [f[0]]
         for i in range(1, 7):
             zi = z + h * sum(a * k for a, k in zip(_DP_A[i], ks))
@@ -389,14 +395,15 @@ def _drive_rk45(run, z, cfg):
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(z5))
         err = float(np.sqrt(np.mean((np.asarray(z5 - z4) / scale) ** 2)))
         if err <= 1.0:
-            t += h
+            t = cfg.t_end if last else t + h
             z, f = z5, f7
             stats.accepted += 1
-            if stats.accepted % cfg.record_every == 0 or t >= cfg.t_end - 1e-14:
+            if stats.accepted % cfg.record_every == 0 or last:
                 run.record(t, z, f)
         else:
             stats.rejected += 1
-        factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
+        # a NaN estimate (no stage raised) rejects with the smallest factor
+        factor = 0.2 if math.isnan(err) else 0.9 * (err ** -0.2) if err > 0.0 else 5.0
         h = min(cfg.max_step, h * min(5.0, max(0.2, factor)))
         if h < 1e-15:
             run.at = (t, z)

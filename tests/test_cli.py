@@ -215,12 +215,13 @@ def test_determinism_byte_identical(tmp_path):
         "samples": {"count": 15, "mode": "random"},
         "seed": 42,
     })
-    first = run_cli("classify", cfg)
-    second = run_cli("classify", cfg)
-    assert first.stdout == second.stdout
-    assert first.returncode == second.returncode == 0
-    third = run_cli("classify", cfg, "--seed", "43")
-    assert third.stdout != first.stdout  # different sample draw
+    for command in ("classify", "inspect", "verify"):
+        first = run_cli(command, cfg)
+        second = run_cli(command, cfg)
+        assert first.stdout == second.stdout, command
+        assert first.returncode == second.returncode == 0, command
+        third = run_cli(command, cfg, "--seed", "43")
+        assert third.stdout != first.stdout, command  # different sample draw
 
 
 def test_cli_expression_system(tmp_path):
@@ -322,3 +323,30 @@ def test_overflow_is_a_recorded_domain_failure(tmp_path, capsys, lagrangian):
     doc = json.loads(capsys.readouterr().out)
     assert doc["points_tested"] == 0
     assert [f["error"] for f in doc["failures"]] == ["DomainError"]
+
+
+def test_non_finite_force_is_a_recorded_domain_failure(tmp_path):
+    # V = 1e200 y 1e200 overflows: the point is recorded, never printed as
+    # inf, NaN or null; at y = 0 the value is finite but its y-tangent is not
+    cfg = write_config(tmp_path, "force.json", {
+        "system": {"n": 1, "lagrangian": "y1^2", "force": ["1e200*y1*1e200"]},
+        "samples": {"points": [{"x": [0.0], "y": [1.0]}, {"x": [0.0], "y": [0.0]}]},
+        "initial": {"x": [0.0], "y": [1.0]},
+        "integrator": {"t_end": 0.01},
+    })
+    detail = "force evaluation produced a non-finite value"
+    out = run_cli("classify", cfg)
+    assert out.returncode == 0
+    doc = json.loads(out.stdout)
+    assert doc["points_tested"] == 0
+    assert [(f["index"], f["detail"]) for f in doc["failures"]] == [(0, detail), (1, detail)]
+    out = run_cli("verify", cfg)
+    assert out.returncode == 3
+    assert [f["index"] for f in json.loads(out.stdout)["singular_points"]] == [0, 1]
+    out = run_cli("inspect", cfg)
+    assert out.returncode == 3
+    assert [(p["error"], p["detail"]) for p in json.loads(out.stdout)["points"]] == [
+        ("DomainError", detail)] * 2
+    out = run_cli("simulate", cfg)
+    assert out.returncode == 3
+    assert json.loads(out.stderr) == {"status": "domain_stop"}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lagmech.trajectories as trajectories
+from lagmech.cli import build_system
 from lagmech.jets import KDual
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate
@@ -267,6 +268,47 @@ def test_run_stats():
     # the stats stay out of the serialized trajectory and of comparisons
     assert "stats" not in traj.to_dict()
     assert not {f.name: f for f in dataclasses.fields(Trajectory)}["stats"].compare
+
+
+def test_nan_error_estimate_rejects_the_step(sys_a):
+    # from x = 0.5 on the right-hand side returns NaN without raising, and
+    # keeps doing so: each attempt is rejected with the smallest factor
+    # until the step collapses (a NaN estimate must not grow the step)
+    calls = Counter()
+
+    def rhs(sys_, p):
+        calls["rhs"] += 1
+        assert calls["rhs"] < 2000, "the controller never gives up on a NaN estimate"
+        if calls["nan"] or p.x[0] > 0.5:
+            calls["nan"] += 1
+            return np.full(1, math.nan), (None,) * 4
+        return trajectories._evolution_rhs(sys_, p)
+
+    cfg = IntegratorConfig(method="rk45_adaptive", t_end=5.0)
+    traj = trajectories._integrate(sys_a, PhasePoint((0.0,), (1.0,)), cfg, rhs)
+    assert traj.status == "domain_stop"
+    assert traj.stats.stop["detail"] == "adaptive step collapsed"
+    assert traj.t[-1] == traj.stats.stop["t"] < 0.6 and np.isfinite(traj.xs).all()
+
+
+def test_adaptive_end_rule():
+    # the parent's 101st step was 1.95e-14 long: a step ending that close
+    # to t_end is stretched to end on it
+    sys_, p0, cfg = _run(_STOP, 10.0, "rk45_adaptive", 1)
+    for curve in ("horizontal", "geodesic"):
+        traj = INTEGRATE[curve](sys_, p0, cfg)
+        assert (traj.stats.accepted, traj.stats.rhs_calls) == (100, 601), curve
+        assert traj.t[-1] == 10.0 and len(traj.t) == 101, curve
+
+
+def test_non_finite_force_stops_the_run():
+    sys_ = build_system({"system": {"n": 1, "lagrangian": "y1^2",
+                                    "force": ["1e200*y1*1e200"]}}, {})
+    for method in ("rk4_fixed", "rk45_adaptive"):
+        traj = integrate_evolution(sys_, PhasePoint((0.0,), (1.0,)),
+                                   IntegratorConfig(method=method, t_end=0.1))
+        assert traj.status == "domain_stop" and len(traj.t) == 0, method
+        assert traj.stats.stop["detail"] == "force evaluation produced a non-finite value"
 
 
 def test_singular_stop_records_eigen_range(sys_c):
