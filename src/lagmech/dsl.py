@@ -6,7 +6,9 @@ immutable and evaluate over any numeric tower (floats, dual numbers,
 jets) with identical value parts, so one definition serves plain
 evaluation, directional derivatives, and full jet propagation.  A
 coordinate may also be an array over a batch of points; one evaluation
-then covers the batch.
+then covers the batch.  A bound field records its tree with parameters
+as numbers, which the trajectory integrators compile under the same
+domain rules (:mod:`lagmech.compiled`); every other path evaluates here.
 
 Grammar (EBNF, also in docs/grammar.md)::
 
@@ -28,6 +30,7 @@ integer exponents multiply out and stay smooth through zero.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -309,6 +312,20 @@ def parameter_names(e: Expr) -> set:
     return out
 
 
+def _bound_tree(e: Expr, params: dict):
+    """``e`` with each parameter replaced by its value as a ``Num``; None
+    when a value is not a real number."""
+    if isinstance(e, Param):
+        v = params[e.name]
+        return Num(float(v)) if isinstance(v, numbers.Real) else None
+    if isinstance(e, (Num, Var)):
+        return e
+    parts = [e.arg] if isinstance(e, Neg) else [e.left, e.right] if isinstance(e, Bin) else e.args
+    bound = [_bound_tree(a, params) for a in parts]
+    return None if None in bound else Neg(*bound) if isinstance(e, Neg) else \
+        Bin(e.op, *bound) if isinstance(e, Bin) else Call(e.name, tuple(bound))
+
+
 def bind_scalar(e: Expr, n: int, params=None, source: str | None = None) -> ScalarField:
     """Close an expression over a parameter map as a scalar field."""
     missing = parameter_names(e) - set(params or {})
@@ -316,7 +333,8 @@ def bind_scalar(e: Expr, n: int, params=None, source: str | None = None) -> Scal
         raise UnboundParameter(sorted(missing)[0])
     bound = dict(params or {})
     return ScalarField(n, lambda xs, ys: eval_expr(e, xs, ys, bound),
-                       source=source if source is not None else to_source(e))
+                       source=source if source is not None else to_source(e),
+                       tree=_bound_tree(e, bound))
 
 
 def bind_vertical(exprs, n: int, params=None) -> VerticalField:
@@ -329,10 +347,12 @@ def bind_vertical(exprs, n: int, params=None) -> VerticalField:
         if missing:
             raise UnboundParameter(sorted(missing)[0])
     bound = dict(params or {})
+    trees = [_bound_tree(e, bound) for e in exprs]
     return VerticalField(
         n,
         lambda xs, ys: [eval_expr(e, xs, ys, bound) for e in exprs],
         sources=[to_source(e) for e in exprs],
+        trees=None if None in trees else trees,
     )
 
 

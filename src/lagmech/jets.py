@@ -487,8 +487,9 @@ def ipow(v, k: int):
     tower so value slots agree bit for bit across towers.
     """
 
-    if k == 0:
-        return 1.0
+    if k == 0:  # a KDual keeps its tower, with no tangent
+        return KDual(np.ones_like(v.val) if isinstance(v.val, np.ndarray) else 1.0,
+                     np.zeros_like(v.tan)) if isinstance(v, KDual) else 1.0
     if k < 0:
         return 1.0 / ipow(v, -k)
     if k == 1:
@@ -997,6 +998,23 @@ def _spectrum_range(a, batched):
     return mn, mx
 
 
+def _rank_gate(a, batched: bool, rel_tol: float = 1e-10):
+    """min and max |eig| of a symmetric float matrix (or per point of a
+    batch); SingularMetric when the smallest is below rel_tol x largest."""
+    mn, mx = _spectrum_range(a, batched)
+    bad = (mx == 0.0) | (mn < rel_tol * mx) if batched else mx == 0.0 or mn < rel_tol * mx
+    if _any(bad):
+        if batched:
+            first = int(np.flatnonzero(bad)[0])
+            mn, mx = float(mn[first]), float(mx[first])
+        raise SingularMetric(
+            f"metric rank failure: |eig| range [{mn:.3e}, {mx:.3e}]",
+            min_abs_eigen=mn,
+            max_abs_eigen=mx,
+        )
+    return mn, mx
+
+
 def _sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
     """:func:`sym_invert` of one matrix or of a batch (n, n, B)."""
     dual = isinstance(m, KDual)
@@ -1010,17 +1028,7 @@ def _sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
     if _any(np.abs(a - at).max(axis=axes) > 1e-12 * (1.0 + norm)):
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     a = (a + at) * 0.5
-    mn, mx = _spectrum_range(a, batched)
-    bad = (mx == 0.0) | (mn < rel_tol * mx) if batched else mx == 0.0 or mn < rel_tol * mx
-    if _any(bad):
-        if batched:
-            first = int(np.flatnonzero(bad)[0])
-            mn, mx = float(mn[first]), float(mx[first])
-        raise SingularMetric(
-            f"metric rank failure: |eig| range [{mn:.3e}, {mx:.3e}]",
-            min_abs_eigen=mn,
-            max_abs_eigen=mx,
-        )
+    mn, mx = _rank_gate(a, batched, rel_tol)
     inv = _inverse(a)
     if not dual:
         return SymMatrix(a, inv, mn, mx)

@@ -449,17 +449,20 @@ def _blocks(points, start, per_batch):
     that raises point by point.  Yields ``(start, points, values, error)``
     for each block evaluated together, and for each single point that
     failed (``values`` None).  A single point runs the one-point path, so
-    a failure carries its own message."""
+    a failure carries its own message.  numpy's overflow in a pass ends in
+    the pass's finiteness checks, as a DomainError."""
     if len(points) == 1:
         try:
-            values = per_batch(points[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = per_batch(points[0])
         except _SKIPPED as err:
             yield start, points, None, err
         else:
             yield start, points, values, None
         return
     try:
-        values = per_batch(stack_points(points))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = per_batch(stack_points(points))
     except _SKIPPED:
         step = _BLOCK if len(points) > _BLOCK else 1
         for s in range(0, len(points), step):

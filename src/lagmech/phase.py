@@ -61,14 +61,16 @@ class ScalarField:
     Wraps a callable ``fn(x, y) -> scalar`` where ``x`` and ``y`` are
     sequences of tower scalars of length ``n``.  The result lives in the
     same tower as the inputs (float in, float out; jet in, jet out).
+    ``tree``: the bound expression tree, which the integrators compile.
     """
 
-    __slots__ = ("n", "fn", "source")
+    __slots__ = ("n", "fn", "source", "tree")
 
-    def __init__(self, n: int, fn: Callable, source: str | None = None):
+    def __init__(self, n: int, fn: Callable, source: str | None = None, tree=None):
         self.n = n
         self.fn = fn
         self.source = source
+        self.tree = tree
 
     def __call__(self, x: Sequence, y: Sequence):
         return self.fn(x, y)
@@ -85,15 +87,16 @@ class VerticalField:
     """A vertical vector field with components V^i(x, y).
 
     Only fiber components are carried; the field acts along the velocity
-    directions by construction.
+    directions by construction.  ``trees``: each component's bound tree.
     """
 
-    __slots__ = ("n", "fn", "sources")
+    __slots__ = ("n", "fn", "sources", "trees")
 
-    def __init__(self, n: int, fn: Callable, sources=None):
+    def __init__(self, n: int, fn: Callable, sources=None, trees=None):
         self.n = n
         self.fn = fn
         self.sources = tuple(sources) if sources else None
+        self.trees = tuple(trees) if trees is not None else None
 
     def __call__(self, x: Sequence, y: Sequence):
         comps = self.fn(x, y)
@@ -104,7 +107,9 @@ class VerticalField:
 
     @classmethod
     def zero(cls, n: int) -> "VerticalField":
-        return cls(n, lambda x, y: [0.0] * n, sources=["0"] * n)
+        from .dsl import Num
+
+        return cls(n, lambda x, y: [0.0] * n, sources=["0"] * n, trees=[Num(0.0)] * n)
 
     def __repr__(self):
         return f"VerticalField(n={self.n}, sources={self.sources!r})"

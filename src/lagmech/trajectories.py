@@ -12,18 +12,19 @@ Dormand-Prince, whose last stage is evaluated at the new state and
 serves as the next step's first (FSAL); a rejected step keeps its first
 stage, and a NaN error estimate rejects with the smallest step factor.
 A Dormand-Prince step that would end within 1e-12 max(1, t_end) of t_end
-is stretched to end on it (RK4 drops a remainder that short).  A step that lands on a singular metric, leaves a
-field's domain (a non-finite force included), or (for slit-bundle
+is stretched to end on it; RK4 drops a remainder that short and records
+its last state at t_end.  A step that lands on a singular metric, leaves
+a field's domain (a non-finite force included), or (for slit-bundle
 systems) collapses the velocity below 1e-8 truncates the trajectory
 with an explicit status instead of propagating non-finite values.
 
 Along every trajectory the energy, Lagrangian, dissipation power and the
-pointwise Lagrange-equation residual (with the curve's own right-hand
-side substituted for the second derivative) are recorded.  Each
-right-hand side returns the pass it ran (the jet of L, the metric, y and
-V, seeded for horizontal curves and geodesics) next to the acceleration,
-and a record reads the value parts of the pass of the stage evaluated at
-its state, so recording costs no pass of its own.  ``Trajectory.stats``
+Lagrange-equation residual (the curve's own acceleration substituted)
+are recorded.  A right-hand side is one call of the system's compiled
+program (:mod:`lagmech.compiled`, with the jet route's domain rules) when
+its fields come from the expression language, else the jet route; it
+returns the float blocks of L and V next to z', and a record reads those
+of its state's stage (a geodesic record evaluates V).  ``Trajectory.stats``
 counts what the run did and says where and why it stopped.
 """
 
@@ -43,7 +44,6 @@ from .jets import (
     seed_point,
     sym_invert,
     tangent_part,
-    tower_vector,
     value_part,
 )
 from .mechanics import MechanicalSystem, _christoffel, _evolution_pass
@@ -181,8 +181,8 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides: each returns the acceleration and the pass (jet of L,
-# metric, y, V) it ran at p, whose value parts are the float pass at p
+# the jet route's right-hand sides (fields without trees): each returns
+# the acceleration and the pass (jet of L, metric, y, V) it ran at p
 # ---------------------------------------------------------------------------
 
 
@@ -221,33 +221,58 @@ def _geodesic_rhs(sys: MechanicalSystem, p: PhasePoint):
 # ---------------------------------------------------------------------------
 
 
-def _observe(j, g, yv, v, accel):
-    """Energy, Lagrangian, power, and Lagrange-equation defect from a float
-    pass at a point and the curve's acceleration there; along evolution
-    curves the defect vanishes identically."""
-    sigma = g.entries @ v
-    energy = float(yv @ j.d_y - j.value)
-    power = float(sigma @ yv)
-    el = j.d_xy @ yv + j.d_yy @ accel - j.d_x - sigma
-    return energy, float(j.value), power, float(np.abs(el).max())
+def _route(sys: MechanicalSystem, curve: str):
+    """``(rhs, observe)``: ``rhs(z)`` is z' and the blocks (L, d_x, d_y, d_yy,
+    d_xy, V; V None on a geodesic) of the compiled program, or the jet route
+    for fields without trees; ``observe(z, blocks, accel)`` a record's traces."""
+    n = sys.n
+    if sys.L.tree is not None and sys.V.trees is not None:
+        from .compiled import program  # compiled at the first run, not at import
+
+        run = program(curve, sys.L, sys.V)
+
+        def rhs(z):
+            zdot, blocks = run(z.tolist())
+            return np.array(zdot), blocks
+    else:
+        accel = {"evolution": _evolution_rhs, "horizontal": _horizontal_rhs,
+                 "geodesic": _geodesic_rhs}[curve]
+
+        def rhs(z):
+            a, (j, g, yv, v) = accel(sys, PhasePoint(z[:n], z[n:]))
+            j = j.primal()
+            return (np.concatenate([z[n:], a]),
+                    (j.value, j.d_x, j.d_y, j.d_yy, j.d_xy, None if v is None else value_part(v)))
+
+    def observe(z, blocks, accel):
+        # energy, Lagrangian, power, and the Lagrange-equation defect with
+        # the curve's acceleration, which vanishes along evolution curves
+        value, d_x, d_y, d_yy, d_xy, v = blocks
+        d_yy, d_xy, yv, zl = np.reshape(d_yy, (n, n)), np.reshape(d_xy, (n, n)), z[n:], z.tolist()
+        sigma = (d_yy * 0.5) @ np.array(sys.V(zl[:n], zl[n:]) if v is None else v)
+        el = d_xy @ yv + d_yy @ accel - d_x - sigma
+        return (float(yv @ d_y - value), float(value), float(sigma @ yv),
+                float(np.abs(el).max()))
+
+    return rhs, observe
 
 
 class _Run:
     """One integration: its right-hand side, the zero-section guard, the
-    records and the stats.  A stage is the pair (z', the pass and the
-    acceleration) at a state z.
+    records and the stats.  A stage is the pair (z', what its pass saw)
+    at a state z.
     """
 
-    def __init__(self, sys: MechanicalSystem, rhs):
-        self.sys = sys
-        self.rhs = rhs
+    def __init__(self, sys: MechanicalSystem, route):
+        self.n = sys.n
+        self.rhs, self.observe = route
         self.guard_fiber = sys.domain_guard == "y_nonzero"
         self.stats = RunStats()
         self.at = (0.0, None)  # time and state of the latest evaluation
         self.rows = []
 
-    def _guard(self, p: PhasePoint):
-        if self.guard_fiber and p.y_norm() < _MIN_FIBER_NORM:
+    def _guard(self, z):
+        if self.guard_fiber and math.sqrt(sum(v ** 2 for v in z[self.n:].tolist())) < _MIN_FIBER_NORM:
             raise DomainError("velocity collapsed onto the zero section")
 
     def stage(self, t, z, record=False, last=False):
@@ -258,39 +283,32 @@ class _Run:
         still recorded, and the guard applies after the record unless the
         state is the ``last``, from which no step starts.
         """
-        n = self.sys.n
-        p = PhasePoint(z[:n], z[n:])
         self.at = (t, z)
         if not record:
-            self._guard(p)
+            self._guard(z)
         self.stats.rhs_calls += 1
-        accel, seen = self.rhs(self.sys, p)
-        f = (np.concatenate([z[n:], accel]), (*seen, accel))
+        f = self.rhs(z)
         if record:
             self.record(t, z, f)
             if not last:
-                self._guard(p)
+                self._guard(z)
         return f
 
     def record(self, t, z, stage):
-        n = self.sys.n
-        j, g, yv, v, accel = stage[1]
-        if v is None:
-            p = PhasePoint(z[:n], z[n:])
-            v = tower_vector(self.sys.V(p.x, p.y))
-        obs = _observe(j.primal(), g.primal(), value_part(yv), value_part(v), accel)
+        n = self.n
+        obs = self.observe(z, stage[1], stage[0][n:])
         self.rows.append((t, np.array(z[:n]), np.array(z[n:]), *obs))
 
     def stop(self, err):
         t, z = self.at
-        n = self.sys.n
+        n = self.n
         self.stats.stop = {"t": float(t), "error": type(err).__name__, "detail": str(err),
                            "point": {"x": z[:n].tolist(), "y": z[n:].tolist()}}
         if isinstance(err, SingularMetric):
             self.stats.stop["eigen_range"] = [err.min_abs_eigen, err.max_abs_eigen]
 
     def trajectory(self, status: str) -> Trajectory:
-        n = self.sys.n
+        n = self.n
         t, xs, ys, e, lv, w, r = zip(*self.rows) if self.rows else [()] * 7
         return Trajectory(
             t=np.array(t),
@@ -305,16 +323,21 @@ class _Run:
         )
 
 
-def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, rhs):
+def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, route):
+    """Integrate from p0 along ``route``, a curve family's name or a
+    ``(rhs, observe)`` pair as :func:`_route` makes."""
     cfg.validate()
-    run = _Run(sys, rhs)
+    run = _Run(sys, _route(sys, route) if isinstance(route, str) else route)
     z = np.concatenate([
         np.array([float(v) for v in p0.x]),
         np.array([float(v) for v in p0.y]),
     ])
     status = "completed"
     try:
-        (_drive_rk4 if cfg.method == "rk4_fixed" else _drive_rk45)(run, z, cfg)
+        # numpy's overflow becomes a non-finite value, which the jet
+        # route's finiteness checks turn into a DomainError
+        with np.errstate(over="ignore", invalid="ignore"):
+            (_drive_rk4 if cfg.method == "rk4_fixed" else _drive_rk45)(run, z, cfg)
     except SingularMetric as err:
         status = "singular_metric_stop"
         run.stop(err)
@@ -348,8 +371,10 @@ def _drive_rk4(run, z, cfg):
     for k in range(1, nfull + 1):
         z = _rk4_step(run, (k - 1) * h, z, h, f)
         last = k == nfull and rem == 0.0
-        # the new state's stage is the next step's first; a record reads it
-        f = run.stage(k * h, z, record=last or k % cfg.record_every == 0, last=last)
+        # the new state's stage is the next step's first; a record reads it.
+        # A dropped remainder leaves the last state on t_end.
+        f = run.stage(total if last else k * h, z,
+                      record=last or k % cfg.record_every == 0, last=last)
     if rem > 0.0:
         z = _rk4_step(run, nfull * h, z, rem, f)
         run.stage(total, z, record=True, last=True)
@@ -417,13 +442,13 @@ def _drive_rk45(run, z, cfg):
 
 def integrate_evolution(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the forced evolution SODE x'' = -2 G(x, x')."""
-    return _integrate(sys, p0, cfg, _evolution_rhs)
+    return _integrate(sys, p0, cfg, "evolution")
 
 
 def integrate_horizontal(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the horizontal-curve SODE x'' = -N(x, x') x' with the
     evolution connection."""
-    return _integrate(sys, p0, cfg, _horizontal_rhs)
+    return _integrate(sys, p0, cfg, "horizontal")
 
 
 def integrate_geodesic(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig) -> Trajectory:
@@ -434,7 +459,7 @@ def integrate_geodesic(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorCon
     route equivalent to the free evolution equations.
     """
     require_finsler_mode(sys, p0)
-    return _integrate(sys, p0, cfg, _geodesic_rhs)
+    return _integrate(sys, p0, cfg, "geodesic")
 
 
 def energy_audit(traj: Trajectory, sys: MechanicalSystem):

@@ -350,3 +350,21 @@ def test_non_finite_force_is_a_recorded_domain_failure(tmp_path):
     out = run_cli("simulate", cfg)
     assert out.returncode == 3
     assert json.loads(out.stderr) == {"status": "domain_stop"}
+
+
+def test_overflow_is_a_recorded_failure_in_process(tmp_path, capsys):
+    # the suite runs with RuntimeWarning as an error: numpy's overflow inside
+    # a sweep's pass must end as the recorded DomainError, not a warning
+    cfg = write_config(tmp_path, "force.json", {
+        "system": {"n": 1, "lagrangian": "y1^2", "force": ["1e200*y1*1e200"]},
+        "samples": {"points": [{"x": [0.0], "y": [1.0]}, {"x": [0.0], "y": [0.5]},
+                               {"x": [0.5], "y": [2.0]}]},
+    })
+    detail = "force evaluation produced a non-finite value"
+    assert main(["classify", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points_tested"] == 0 and {f["detail"] for f in doc["failures"]} == {detail}
+    assert main(["verify", cfg]) == 3
+    assert [f["detail"] for f in json.loads(capsys.readouterr().out)["singular_points"]] == [detail] * 3
+    assert main(["inspect", cfg]) == 3
+    assert [p["detail"] for p in json.loads(capsys.readouterr().out)["points"]] == [detail] * 3

@@ -1,0 +1,185 @@
+"""Compiled derivative programs against the jet route: the same blocks
+and accelerations, and the same errors at the same points."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import trajectory_routes
+from lagmech.compiled import program
+from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
+from lagmech.errors import DomainError, SingularMetric
+from lagmech.jets import eval_jet, sym_invert
+from lagmech.mechanics import MechanicalSystem, _evolution_pass
+from lagmech.phase import PhasePoint
+from lagmech.systems import catalog, instantiate, standard_samples
+from test_dsl import _guarded_strategy
+
+_TOL = 1e-13
+
+
+def _jet_route(kind, sys_, p):
+    """The jet route's acceleration and float pass at p."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "evolution":
+            j, g, yv, v, _, spray = _evolution_pass(sys_, p)
+            return -2.0 * spray, j, v
+        accel = {"horizontal": trajectory_routes.horizontal_accel,
+                 "geodesic": trajectory_routes.geodesic_accel}[kind](sys_, p)
+        return accel, None, None
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of what it raised; a singular
+    metric gives its eigenvalue range, which is roundoff where the metric
+    is singular by cancellation"""
+    try:
+        return fn(*args), None
+    except SingularMetric as err:
+        return None, ("SingularMetric", err.min_abs_eigen, err.max_abs_eigen)
+    except (DomainError, ArithmeticError, ValueError) as err:
+        return None, (type(err).__name__, str(err))
+
+
+def _same_error(err, ref):
+    if err and ref and err[0] == ref[0] == "SingularMetric":
+        return np.allclose(err[1:], ref[1:], rtol=1e-13, atol=1e-13 * ref[2])
+    return err == ref
+
+
+def _assert_agree(sys_, p, kinds=("evolution", "horizontal", "geodesic")):
+    """Each compiled program at p against the jet route: blocks to 1e-13 of
+    their size, accelerations to 1e-13 times the metric's condition number
+    (the inverse amplifies the blocks' rounding), or the same error."""
+    z = [*p.x, *p.y]
+    n = sys_.n
+    for kind in kinds:
+        got, err = _outcome(program(kind, sys_.L, sys_.V), z)
+        ref, ref_err = _outcome(_jet_route, kind, sys_, p)
+        assert _same_error(err, ref_err), (kind, p, err, ref_err)
+        if err is not None:
+            continue
+        zdot, (value, d_x, d_y, d_yy, d_xy, v) = got
+        accel, j, jv = ref
+        if j is not None:
+            blocks = [(value, j.value), (d_x, j.d_x), (d_y, j.d_y), (d_yy, j.d_yy.ravel()),
+                      (d_xy, j.d_xy.ravel()), (v, jv)]
+            for a, b in blocks:
+                a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+                assert np.abs(a - b).max() <= _TOL * (1.0 + np.abs(b).max()), (kind, p)
+        metric = sym_invert(eval_jet(sys_.L, p, 2).d_yy * 0.5)
+        cond = metric.max_abs_eigen / metric.min_abs_eigen_estimate
+        a = np.array(zdot[n:])
+        assert np.abs(a - accel).max() <= _TOL * cond * (1.0 + np.abs(accel).max()), (kind, p)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_builtins_agree_with_the_jet_route(entry):
+    sys_ = instantiate(entry.id, entry.default_params)
+    for p in standard_samples(entry.id, entry.default_params, count=12):
+        _assert_agree(sys_, p)
+        _assert_agree(sys_.free(), p, kinds=("geodesic",))
+
+
+_POINTS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                    st.floats(0.3, 1.5), st.floats(-1.5, -0.3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lag=_guarded_strategy(), force=st.tuples(_guarded_strategy(), _guarded_strategy()),
+       pts=st.lists(_POINTS, min_size=1, max_size=3))
+def test_random_trees_agree_with_the_jet_route(lag, force, pts):
+    # L + y1^2 + y2^2 keeps most metrics regular; a singular one must fail
+    # the same way on both routes
+    L = bind_scalar(Bin("+", lag, Bin("+", Bin("^", Var("y", 1), Num(2.0)),
+                                      Bin("^", Var("y", 2), Num(2.0)))), 2)
+    sys_ = MechanicalSystem(L, bind_vertical(list(force), 2), 2)
+    for x1, x2, y1, y2 in pts:
+        _assert_agree(sys_, PhasePoint((x1, x2), (y1, y2)))
+
+
+def _holed_strategy():
+    """n=2 trees whose primitives are applied wherever they land: roots,
+    logarithms, real and negative integer powers and quotients of
+    arguments that change sign, powers with varying exponents."""
+    leaf = st.one_of(
+        st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        st.builds(Var, st.sampled_from(["x", "y"]), st.integers(1, 2)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Bin, st.sampled_from(["+", "-", "*", "/"]), children, children),
+            st.builds(lambda a, k: Bin("^", a, Num(k)), children,
+                      st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.5, 1.5, -0.5])),
+            st.builds(lambda a, b: Call("pow", (a, b)), children, children),
+            st.builds(lambda a, f: Call(f, (a,)), children,
+                      st.sampled_from(["sqrt", "log", "sin", "cos", "exp", "tan"])),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=5)
+
+
+_HOLED_POINTS = st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.5])] * 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lag=_holed_strategy(), force=st.tuples(_holed_strategy(), _holed_strategy()),
+       pts=st.lists(_HOLED_POINTS, min_size=1, max_size=4))
+def test_domain_holes_fail_alike(lag, force, pts):
+    L = bind_scalar(Bin("+", lag, Bin("+", Bin("^", Var("y", 1), Num(2.0)),
+                                      Bin("^", Var("y", 2), Num(2.0)))), 2)
+    sys_ = MechanicalSystem(L, bind_vertical(list(force), 2), 2)
+    for x1, x2, y1, y2 in pts:
+        _assert_agree(sys_, PhasePoint((x1, x2), (y1, y2)))
+
+
+@pytest.mark.parametrize("source, point, detail", [
+    ("y1^2 + log(x1)", (-1.0, 0.5), "log of a non-positive value"),
+    ("y1^2 + sqrt(y1 - 1)", (0.0, 1.0), "sqrt requires a positive argument for derivatives"),
+    ("y1^2 + sqrt(x1 - 1)", (1.0, 1.0), "sqrt requires a positive argument for derivatives"),
+    ("y1^2 + 1/(x1 - y1)", (1.0, 1.0), "division by zero"),
+    ("y1^2 + (x1 - 1)^(-2)", (1.0, 1.0), "zero raised to a negative power"),
+    ("y1^2 + (x1 - 1)^1.5", (1.0, 1.0), "non-integer power of a non-positive base"),
+    ("y1^2 + exp(1000*x1)", (1.0, 1.0), "exp overflows"),
+    ("y1^2 + 1e200*x1*1e200", (1.0, 1.0), "field evaluation produced a non-finite value"),
+    ("y1^2 + log(x1)", (1e-320, 1.0), "field evaluation produced a non-finite derivative"),
+    ("y1^2*y1", (1.0, 0.0), "metric rank failure: |eig| range [0.000e+00, 0.000e+00]"),
+])
+def test_each_guard_raises_as_the_jet_route(source, point, detail):
+    # the evolution program's message; every program fails as its jet route
+    from lagmech.dsl import parse
+
+    sys_ = MechanicalSystem(bind_scalar(parse(source, 1), 1),
+                            bind_vertical([parse("0", 1)], 1), 1)
+    p = PhasePoint((point[0],), (point[1],))
+    try:
+        program("evolution", sys_.L, sys_.V)([*p.x, *p.y])
+    except (DomainError, SingularMetric) as err:
+        assert str(err) == detail
+    else:
+        raise AssertionError("no error")
+    _assert_agree(sys_, p)
+
+
+@pytest.mark.parametrize("force, point, detail", [
+    ("1e200*y1*1e200", (0.0, 1.0), "force evaluation produced a non-finite value"),
+    ("y1/x1", (0.0, 0.0), "division by zero"),
+    ("pow(y1, x1 - 1)", (0.0, 0.0), "zero raised to a negative power"),
+    ("pow(2 + y1, x1)", (0.5, 1.0), None),
+])
+def test_force_guards_follow_the_tower(force, point, detail):
+    # over floats V's quotient by x1 fails as a float quotient; pushed along
+    # y, a quotient of y1 is a dual one
+    from lagmech.dsl import parse
+
+    sys_ = MechanicalSystem(bind_scalar(parse("y1^2", 1), 1), bind_vertical([parse(force, 1)], 1), 1)
+    p = PhasePoint((point[0],), (point[1],))
+    _, err = _outcome(program("evolution", sys_.L, sys_.V), [*p.x, *p.y])
+    assert (err and err[1]) == detail
+    if force == "y1/x1":
+        _, err = _outcome(program("horizontal", sys_.L, sys_.V), [*p.x, *p.y])
+        assert err[1] == "division by zero in dual evaluation"
+    _assert_agree(sys_, p)

@@ -275,17 +275,18 @@ def test_nan_error_estimate_rejects_the_step(sys_a):
     # keeps doing so: each attempt is rejected with the smallest factor
     # until the step collapses (a NaN estimate must not grow the step)
     calls = Counter()
+    evolution, observe = trajectories._route(sys_a, "evolution")
 
-    def rhs(sys_, p):
+    def rhs(z):
         calls["rhs"] += 1
         assert calls["rhs"] < 2000, "the controller never gives up on a NaN estimate"
-        if calls["nan"] or p.x[0] > 0.5:
+        if calls["nan"] or z[0] > 0.5:
             calls["nan"] += 1
-            return np.full(1, math.nan), (None,) * 4
-        return trajectories._evolution_rhs(sys_, p)
+            return np.array([z[1], math.nan]), None
+        return evolution(z)
 
     cfg = IntegratorConfig(method="rk45_adaptive", t_end=5.0)
-    traj = trajectories._integrate(sys_a, PhasePoint((0.0,), (1.0,)), cfg, rhs)
+    traj = trajectories._integrate(sys_a, PhasePoint((0.0,), (1.0,)), cfg, (rhs, observe))
     assert traj.status == "domain_stop"
     assert traj.stats.stop["detail"] == "adaptive step collapsed"
     assert traj.t[-1] == traj.stats.stop["t"] < 0.6 and np.isfinite(traj.xs).all()
@@ -330,26 +331,155 @@ def _counting(monkeypatch, calls, name, kind):
     monkeypatch.setattr(trajectories, name, counted)
 
 
-def _seeded(coords) -> bool:
-    return any(isinstance(v, KDual) for v in coords)
+def _counted_programs(monkeypatch, calls):
+    """Count the calls of every compiled program the integrators fetch, by
+    kind."""
+    import lagmech.compiled as compiled
+
+    build = compiled.program
+
+    def counted_program(kind, L, V):
+        fn = build(kind, L, V)
+
+        def run(z):
+            calls[kind] += 1
+            return fn(z)
+
+        return run
+
+    monkeypatch.setattr(compiled, "program", counted_program)
 
 
 @pytest.mark.parametrize("curve", list(INTEGRATE))
 def test_pass_budget(monkeypatch, curve):
-    # records read the stage's pass: with every state recorded, a run makes
-    # exactly one pass per right-hand side, and no float evolution pass
-    # beyond the evolution curve's own
+    # with every state recorded, a run makes exactly one compiled call per
+    # right-hand side and no jet pass (a geodesic record evaluates V alone)
     calls = Counter()
-    _counting(monkeypatch, calls, "_evolution_pass", lambda s, p: (
-        "seeded pass" if _seeded(p.y) else "float pass"))
-    _counting(monkeypatch, calls, "push_direction", lambda *a: "push")
-    _counting(monkeypatch, calls, "eval_jet", lambda f, p, *a: (
-        "x-seeded jet" if _seeded(p.x) else "jet"))
+    for name in ("_evolution_pass", "push_direction", "eval_jet"):
+        _counting(monkeypatch, calls, name, lambda *a, name=name: name)
+    _counted_programs(monkeypatch, calls)
     for method in ("rk4_fixed", "rk45_adaptive"):
         calls.clear()
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.3, method, 1)
         rhs = INTEGRATE[curve](sys_, p0, cfg).stats.rhs_calls
-        expected = {"evolution": {"float pass": rhs},
-                    "horizontal": {"push": rhs, "seeded pass": rhs},
-                    "geodesic": {"x-seeded jet": rhs}}[curve]
-        assert dict(calls) == expected, method
+        assert dict(calls) == {curve: rhs}, method
+
+
+@pytest.mark.parametrize("curve", list(INTEGRATE))
+def test_hand_built_fields_take_the_jet_route(monkeypatch, curve):
+    # fields without trees keep the jet route's right-hand sides, which
+    # agree with the compiled ones
+    calls = Counter()
+    for name in ("_evolution_pass", "push_direction", "eval_jet"):
+        _counting(monkeypatch, calls, name, lambda *a, name=name: name)
+    _counted_programs(monkeypatch, calls)
+    sys_, p0, cfg = _run(_RUNS["SYS-B"], 0.2, "rk4_fixed", 1)
+    got = INTEGRATE[curve](_jet_route_system(sys_), p0, cfg)
+    passes = {"evolution": "_evolution_pass", "horizontal": "push_direction",
+              "geodesic": "eval_jet"}[curve]
+    assert calls[passes] == got.stats.rhs_calls and curve not in calls
+    ref = INTEGRATE[curve](sys_, p0, cfg)
+    assert got.status == ref.status == "completed"
+    assert np.abs(got.ys - ref.ys).max() <= 1e-14 and np.abs(got.xs - ref.xs).max() <= 1e-14
+
+
+def test_one_compile_per_tree(monkeypatch):
+    # two instantiations of SYS-D carry equal trees and share each program
+    import lagmech.compiled as compiled
+
+    compiled._program.cache_clear()
+    builds = Counter()
+    build = compiled._build
+
+    def counted(kind, *args):
+        builds[kind] += 1
+        return build(kind, *args)
+
+    monkeypatch.setattr(compiled, "_build", counted)
+    for _ in range(2):
+        sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.1, "rk4_fixed", 1)
+        for curve in INTEGRATE:
+            INTEGRATE[curve](sys_, p0, cfg)
+    assert builds == {"evolution": 1, "horizontal": 1, "geodesic": 1}
+
+
+@pytest.mark.parametrize("t_end", [0.3, 0.7])
+def test_rk4_ends_on_t_end(sys_a, t_end):
+    # 0.1 * 3 is 0.30000000000000004: the dropped remainder must not move
+    # the last record off t_end
+    cfg = IntegratorConfig(step=0.1, t_end=t_end, record_every=1)
+    p0 = PhasePoint((1.0,), (0.5,))
+    traj = integrate_evolution(sys_a, p0, cfg)
+    ref = trajectory_routes.integrate("evolution", sys_a, p0, cfg)
+    assert traj.t[-1] == ref.t[-1] == t_end
+    assert len(traj.t) == round(t_end / 0.1) + 1
+
+
+# Compiled against jet-route trajectories, relative to 1 + max|trace|.  The
+# two differ by rounding only: measured worst cases are 1.1e-16 over the
+# grid (SYS-D's power trace; every state there is bit-equal) and 2.7e-16
+# on _EVERY_FUNCTION (its energy trace).
+_JET_TOL = 1e-14
+
+
+@pytest.mark.parametrize("name, curve, method, every", _GRID)
+def test_trajectories_match_the_jet_route(name, curve, method, every):
+    sys_, p0, cfg = _run(_RUNS[name], 0.5, method, every)
+    got = INTEGRATE[curve](sys_, p0, cfg)
+    ref = trajectory_routes.integrate(curve, sys_, p0, cfg, jet=True)
+    assert got.status == ref.status == "completed"
+    assert got.t.shape == ref.t.shape
+    for key in ("t", "xs", "ys", "energy", "lagrangian", "power", "el_residual"):
+        a, b = getattr(got, key), getattr(ref, key)
+        assert np.abs(a - b).max() <= _JET_TOL * (1.0 + np.abs(b).max()), key
+
+
+# L = y1^2 + y2^2 - log(x1) pulls x1 through zero, out of log's domain
+_LOG_EXIT = ({"n": 2, "lagrangian": "y1^2 + y2^2 - log(x1)", "force": ["-0.1*y1", "0"]},
+             (0.5, 0.0), (-1.0, 0.5))
+
+
+# every function of the language, and powers whose exponents vary with x
+# (a float exponent of a base pushed along y) and with y
+_EVERY_FUNCTION = {"n": 2, "lagrangian": "exp(0.1*x1)*y1^2 + (2 + sin(x2))*y2^2 + 0.1*tan(0.2*x1)*y1*y2"
+                   " + 0.1*log(2 + x2^2)*sqrt(1 + y1^2 + y2^2) + 0.01*cos(x1*y2)",
+                   "force": ["-0.1*y1*pow(2 + y2^2, 0.3*sin(x1))", "-0.1*pow(1.5 + x2^2, y1)*y2"]}
+
+
+@pytest.mark.parametrize("curve", ["evolution", "horizontal"])
+@pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])
+def test_every_function_matches_the_jet_route(curve, method):
+    sys_ = build_system({"system": _EVERY_FUNCTION}, {})
+    p0 = PhasePoint((0.5, 0.0), (-1.0, 0.5))
+    cfg = IntegratorConfig(method=method, step=0.02, t_end=1.0, record_every=2)
+    got = INTEGRATE[curve](sys_, p0, cfg)
+    ref = INTEGRATE[curve](_jet_route_system(sys_), p0, cfg)
+    assert got.status == ref.status == "completed" and got.t.shape == ref.t.shape
+    for key in ("t", "xs", "ys", "energy", "lagrangian", "power", "el_residual"):
+        a, b = getattr(got, key), getattr(ref, key)
+        assert np.abs(a - b).max() <= _JET_TOL * (1.0 + np.abs(b).max()), key
+
+
+def _jet_route_system(sys_):
+    """The same system with hand-built fields, which take the jet route."""
+    from lagmech.mechanics import MechanicalSystem
+    from lagmech.phase import ScalarField, VerticalField
+
+    return MechanicalSystem(ScalarField(sys_.n, sys_.L.fn), VerticalField(sys_.n, sys_.V.fn),
+                            sys_.n, domain_guard=sys_.domain_guard)
+
+
+@pytest.mark.parametrize("case, method", [("stop", "rk45_adaptive"), ("log", "rk4_fixed"),
+                                          ("log", "rk45_adaptive")])
+def test_stop_records_match_the_jet_route(case, method):
+    if case == "stop":
+        sys_, p0, cfg = _run(_STOP, 10.0, method, 3)
+    else:
+        spec, x, y = _LOG_EXIT
+        sys_, p0 = build_system({"system": spec}, {}), PhasePoint(x, y)
+        cfg = IntegratorConfig(method=method, step=0.02, t_end=2.0, record_every=3)
+    got = integrate_evolution(sys_, p0, cfg)
+    ref = integrate_evolution(_jet_route_system(sys_), p0, cfg)
+    assert got.status == ref.status == "domain_stop"
+    assert got.stats.stop == ref.stats.stop
+    assert got.t.shape == ref.t.shape and np.abs(got.xs - ref.xs).max() <= 1e-12

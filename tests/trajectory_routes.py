@@ -1,10 +1,15 @@
 """Reference integrators for the tests: the seven-stage Dormand-Prince
 driver, which evaluates every stage of every attempt afresh, and the RK4
-driver whose records run their own right-hand side and evolution pass.
+driver whose records run their own right-hand side and pass.  A dropped
+RK4 remainder leaves the last state on t_end, as in the engine.
 
 Both take :class:`~lagmech.trajectories.IntegratorConfig` and return a
-:class:`~lagmech.trajectories.Trajectory` (with empty stats), so a test
-can compare the engine's integrators with them bit for bit.
+:class:`~lagmech.trajectories.Trajectory` (with empty stats).  By default
+they read the engine's accelerations and traces (``_route``, the compiled
+programs for expression systems), so a test can compare the engine's
+drivers with them bit for bit.  With ``jet=True`` they read the jet
+route instead: the float evolution pass, a push of it along y, and the
+Christoffel symbols of ``finsler.christoffel_at``.
 """
 
 import math
@@ -16,7 +21,7 @@ from lagmech.finsler import christoffel_at, require_finsler_mode
 from lagmech.jets import push_direction
 from lagmech.mechanics import _evolution_pass
 from lagmech.phase import PhasePoint
-from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, Trajectory
+from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, Trajectory, _route
 
 # the 5th-order weights of the pair
 DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
@@ -55,26 +60,39 @@ def observe(sys, p, accel):
     return energy, float(j.value), power, float(np.abs(el).max())
 
 
-def integrate(curve, sys, p0, cfg) -> Trajectory:
+def integrate(curve, sys, p0, cfg, jet=False) -> Trajectory:
     cfg.validate()
     if curve == "geodesic":
         require_finsler_mode(sys, p0)
-    accel_fn = ACCEL[curve]
     n = sys.n
     guard_fiber = sys.domain_guard == "y_nonzero"
+    if jet:
+        def accel(z):
+            return ACCEL[curve](sys, PhasePoint(z[:n], z[n:]))
+
+        def traces(z):
+            p = PhasePoint(z[:n], z[n:])
+            return observe(sys, p, None if curve == "evolution" else accel(z))
+    else:
+        route_rhs, route_observe = _route(sys, curve)
+
+        def accel(z):
+            return route_rhs(z)[0][n:]
+
+        def traces(z):
+            zdot, seen = route_rhs(z)
+            return route_observe(z, seen, zdot[n:])
 
     def rhs(z):
         p = PhasePoint(z[:n], z[n:])
         if guard_fiber and p.y_norm() < _MIN_FIBER_NORM:
             raise DomainError("velocity collapsed onto the zero section")
-        return np.concatenate([z[n:], accel_fn(sys, p)])
+        return np.concatenate([z[n:], accel(z)])
 
     rows = []
 
     def record(t, z):
-        p = PhasePoint(z[:n], z[n:])
-        a = None if curve == "evolution" else accel_fn(sys, p)
-        rows.append((t, np.array(z[:n]), np.array(z[n:]), *observe(sys, p, a)))
+        rows.append((t, np.array(z[:n]), np.array(z[n:]), *traces(z)))
 
     z = np.concatenate([np.array([float(v) for v in p0.x]),
                         np.array([float(v) for v in p0.y])])
@@ -113,7 +131,9 @@ def drive_rk4(rhs, record, z, cfg):
     for k in range(1, nfull + 1):
         z = rk4_step(rhs, z, h)
         t = k * h
-        if k % cfg.record_every == 0 or (k == nfull and rem == 0.0):
+        if k == nfull and rem == 0.0:
+            record(total, z)
+        elif k % cfg.record_every == 0:
             record(t, z)
     if rem > 0.0:
         z = rk4_step(rhs, z, rem)
