@@ -26,13 +26,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys as _sys
 from itertools import chain
 
 import numpy as np
 
 from . import systems as _systems
-from .dsl import bind_scalar, bind_vertical, parse
+from .dsl import bind_scalar, bind_vertical, parameter_names, parse
 from .errors import (
     ArityError,
     ConfigError,
@@ -245,19 +246,21 @@ def build_system(cfg: dict, overrides: dict) -> MechanicalSystem:
         raise ConfigError("expression systems need an integer 'n'") from err
     if "lagrangian" not in spec:
         raise ConfigError("expression systems need a 'lagrangian' source")
-    L = bind_scalar(parse(str(spec["lagrangian"]), n), n, params,
-                    source=str(spec["lagrangian"]))
+    lagrangian = parse(str(spec["lagrangian"]), n)
     force = spec.get("force")
-    if force is None:
-        V = VerticalField.zero(n)
-    else:
+    if force is not None:
         if not isinstance(force, list):
             raise ConfigError("'force' must be a list of n component sources")
         if len(force) != n:
             raise ConfigError(
                 f"force has {len(force)} components but the dimension is {n}"
             )
-        V = bind_vertical([parse(str(s), n) for s in force], n, params)
+        force = [parse(str(s), n) for s in force]
+    for name in sorted(parameter_names(lagrangian).union(*map(parameter_names, force or []))):
+        if name in params and not isinstance(params[name], numbers.Real):
+            raise ConfigError(f"parameter {name!r} must be a number, got {params[name]!r}")
+    L = bind_scalar(lagrangian, n, params, source=str(spec["lagrangian"]))
+    V = VerticalField.zero(n) if force is None else bind_vertical(force, n, params)
     return MechanicalSystem(L, V, n, params=params,
                             domain_guard=spec.get("domain_guard"),
                             label=spec.get("label", "custom"))

@@ -5,11 +5,12 @@ one straight-line function of the state ``[x1..xn, y1..yn]`` returning
 ``(z', (L, d_x, d_y, d_yy, d_xy, V))``, blocks as row-major lists.
 ``evolution`` runs L to order 2 and V, the jets' rank gate and inverse
 on floats, and x'' = -2 (G0 - V/4); ``horizontal`` adds the derivatives
-along y of L's blocks and of V, for x'' = -N y; ``geodesic`` contracts
-d3L/dy dy dx through the Christoffel symbols (V is None).  The domain
-rules are the jet route's: each node is evaluated where ``dsl.eval_expr``
-evaluates it, behind the same check, and takes the terms of the jets' own
-derivative sequence that the jet tower of the same pass takes.
+along y of L's blocks and of V, for x'' = -N y; ``geodesic`` emits the
+Christoffel contraction gamma^i_jk y^j y^k from d3L/dy dy dx as its own
+straight-line sums (V is None).  The domain rules are the jet route's:
+each node is evaluated where ``dsl.eval_expr`` evaluates it, behind the
+same check, and takes the terms of the jets' own derivative sequence
+that the jet tower of the same pass takes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .dsl import Bin, Call, Neg, Num, Var
 from .errors import DomainError
 from .jets import (SCALAR_FUNCTIONS, KDual, _inverse, _rank_gate, _real_power, ipow, power,
                    tangent_part, value_of)
-from .mechanics import _christoffel
 
 __all__ = ["program"]
 
@@ -47,13 +47,8 @@ def _invert(n, entries):
     return _inverse(a)
 
 
-def _geodesic(inv, dgdx, y):
-    yv = np.array(y)
-    return (-(_christoffel(inv, np.array(dgdx).reshape((len(y),) * 3)) @ yv @ yv)).tolist()
-
-
 _RUNTIME = {"_DomainError": DomainError, "_seq": _seq, "_ipow": ipow, "_invert": _invert,
-            "_geodesic": _geodesic, "_INF": float("inf"), "_NAN": float("nan")}
+            "_INF": float("inf"), "_NAN": float("nan")}
 # folding evaluates as the program would; a constant that fails is left
 # to fail, behind its check, at run time
 _FOLD = {"add": lambda _, a, b: a + b, "sub": lambda _, a, b: a - b, "mul": lambda _, a, b: a * b,
@@ -242,11 +237,15 @@ def _build(kind: str, n: int, ltree, vtrees):
     inv = [[g.node("name", (), f"i{i}_{j}") for j in r] for i in r]
     g.lines.append(f"{g.names(sum(inv, []))}, = _inv.ravel().tolist()")
     seen = f"({g.name(L)}, [{g.names(dx)}], [{g.names(dy)}], [{g.names(dyy)}], [{g.names(dxy)}]"
-    if kind == "geodesic":  # dg_ab/dx_c = d3L/dy_a dy_b dx_c / 2
-        dgdx = [g.mul(tan["x", c][2 * n + a], half) for a in range(n * n) for c in r]
-        g.lines.append(f"_acc = _geodesic(_inv, ({g.names(dgdx)},), ({ys},))")
-        return g, f"return [{ys}] + _acc, {seen}, None)"
     dot = lambda row, vec: reduce(g.add, (g.mul(row[j], vec[j]) for j in r), None)  # noqa: E731
+    if kind == "geodesic":
+        # gamma^i_jk y^j y^k = g^ih (2 dg_hj/dx_k - dg_jk/dx_h) y^j y^k / 2,
+        # with dg_ab/dx_c = d3L/dy_a dy_b dx_c / 2
+        dg = [[[g.mul(tan["x", c][2 * n + a * n + b], half) for c in r] for b in r] for a in r]
+        s = [dot([g.sub(g.mul(dot(dg[h][j], g.y), g.const(2.0)),
+                        dot([dg[j][k][h] for k in r], g.y)) for j in r], g.y) for h in r]
+        accel = [g.neg(g.mul(dot(inv[i], s), half)) for i in r]
+        return g, f"return [{ys}, {g.names(accel)}], {seen}, None)"
     dxy_y = [dot(dxy[i * n:], g.y) for i in r]
     spray0 = [g.mul(dot(inv[i], [g.sub(dxy_y[j], dx[j]) for j in r]), quarter) for i in r]
     g.names(spray0)  # before V, as the jet route

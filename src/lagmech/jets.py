@@ -20,12 +20,15 @@ coordinates are length-B float arrays.  The point axis sits after the
 value axes and before the tangent axis, so values are (B,), blocks
 (n, B) or (n, n, B) and tangents (..., B, k); elementwise arithmetic
 broadcasts unchanged.  The contractions :func:`matvec`, :func:`vecmat`,
-:func:`vecdot` and :func:`matmat` give each point of a batch the numpy
-call, and so the bits, of a one-point pass.  A domain check (division
-by zero, a root or logarithm out of range, overflow, a singular metric)
+:func:`vecdot` and :func:`matmat` are one rule, :func:`_contract`: a
+left-to-right sum of elementwise products started at +0.0, which runs
+the same IEEE operations on each point whatever the batch size, so a
+point gets the bits of its one-point pass by construction (ordered
+recursive summation; Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002, sec. 4.1).  A domain check (division by
+zero, a root or logarithm out of range, overflow, a singular metric)
 raises for the whole batch before any point computes a non-finite
-value; :func:`lagmech.mechanics.sweep` splits a batch that raises.  A
-point of plain floats keeps the one-point path.
+value; :func:`lagmech.mechanics.sweep` splits a batch that raises.
 
 Each elementary function is defined once, as its derivative sequence
 f, f', f'', f''' at a float or at each entry of an array; a term is
@@ -236,109 +239,74 @@ def _matmul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# contractions over a batch of points
+# contractions: one rule for a point and a batch
 # ---------------------------------------------------------------------------
-#
-# numpy's ``@`` rounds differently by memory layout: a C-ordered, an
-# F-ordered (transposed) and a broadcast operand take different BLAS or
-# non-BLAS loops.  A batched product therefore moves the point axis to
-# the front and stores each point's slice the way the one-point array is
-# stored, then runs one stacked ``np.matmul``, which makes each point's
-# call with that point's layout.
 
 
-def _lanes(x, r):
-    """The batched array ``x`` (point axis at ``r``, after ``r`` core axes)
-    as a stack over a leading point axis, each slice laid out like the
-    one-point array: broadcast core axes stay broadcast, the others are
-    dense in the order of their strides.  An array without a point axis
-    is shared by every point."""
-    x = np.asarray(x)
-    if x.ndim == r:
-        return x[None]
-    v = np.moveaxis(x, r, 0)
-    core = range(1, v.ndim)
-    flat = [a for a in core if v.strides[a] == 0 and v.shape[a] > 1]
-    dense = sorted((a for a in core if a not in flat), key=lambda a: -abs(v.strides[a]))
-    order = [0, *dense, *flat]
-    src = v[tuple(slice(0, 1) if a in flat else slice(None) for a in range(v.ndim))]
-    out = np.ascontiguousarray(src.transpose(order)).transpose(np.argsort(order))
-    return np.broadcast_to(out, v.shape) if flat else out
+def _expand(x, r: int, after: int, lanes: int, tangent: bool = False):
+    """``x`` (core rank ``r``) with ``after`` unit axes after its core axes
+    and, when it has no point axes, ``lanes`` unit ones (a tangent axis
+    stays last)."""
+    pad = (None,) * lanes if x.ndim - tangent == r else ()
+    if not (after or pad):
+        return x
+    return x[(slice(None),) * r + (None,) * after + (Ellipsis,) + pad + (slice(None),) * tangent]
 
 
-def _stacked(x, y, rx, ry):
-    """Each point's ``x @ y`` for stacks of core ranks ``rx`` and ``ry``,
-    as numpy treats one point: a vector is a row on the left and a column
-    on the right, and stacked operands broadcast."""
-    if rx == 1:
-        x = x[:, None, :]
-    if ry == 1:
-        y = y[..., None]
-    pad = x.ndim - y.ndim
-    if pad > 0:
-        y = y[(slice(None),) + (None,) * pad]
-    elif pad < 0:
-        x = x[(slice(None),) + (None,) * -pad]
-    out = np.matmul(x, y)
-    if ry == 1:
-        out = out[..., 0]
-    if rx == 1:
-        out = out[..., 0] if ry == 1 else out[..., 0, :]
-    return out
+def _ordered(terms, axis: int):
+    """The sum of ``terms`` along ``axis``, left to right from +0.0, so an
+    exact zero is +0.0 (a sum that started at its first term would keep
+    the sign of a -0.0 product)."""
+    total, head = 0.0, (slice(None),) * axis
+    for m in range(terms.shape[axis]):
+        total = total + terms[head + (m,)]
+    return total
 
 
-def _batched_matmul(a, b, ra, rb):
-    """:func:`_matmul` (or plain ``@``) of batched operands of core ranks
-    ``ra`` and ``rb``, point by point; the result keeps the layout of
-    :func:`_lanes` with the point axis after its core axes."""
-    av = _lanes(value_part(a), ra)
-    bv = _lanes(value_part(b), rb)
-    ro = ra + rb - 2
-    val = np.moveaxis(_stacked(av, bv, ra, rb), 0, ro)
-    if not isinstance(a, KDual) and not isinstance(b, KDual):
+def _contract(a, b, ra, rb):
+    """Contract the last of a's ``ra`` core axes with the first of b's
+    ``rb``: sum_m a[.., m] b[m, ..], of floats or KDuals, whose result has
+    a's other core axes, then b's.  Point axes trail the core axes of
+    either operand or of both, and a KDual's tangent axis trails them; a
+    rank given as None is what leaves that operand the other's point axes.
+    Each term is one elementwise product (a tangent term the product
+    rule's two), and the terms are summed by :func:`_ordered`."""
+    da, db = isinstance(a, KDual), isinstance(b, KDual)
+    av = a.val if da else np.asarray(a)
+    bv = b.val if db else np.asarray(b)
+    ra = av.ndim - bv.ndim + rb if ra is None else ra
+    rb = bv.ndim - av.ndim + ra if rb is None else rb
+    lanes = max(av.ndim - ra, bv.ndim - rb)
+    # (a's others, m, unit axes for b's others, points) times (m, b's others, points)
+    x = _expand(av, ra, rb - 1, lanes)
+    y = _expand(bv, rb, 0, lanes)
+    val = _ordered(x * y, ra - 1)
+    if not (da or db):
         return val
-    tan = 0.0
-    if isinstance(a, KDual):
-        bt = bv.swapaxes(-1, -2) if rb > 1 else bv
-        tan = _stacked(bt, _lanes(a.tan, ra), rb, ra + 1)
-    if isinstance(b, KDual):
-        t = _lanes(b.tan, rb)
-        prod = _stacked(av, t.reshape(t.shape[:2] + (-1,)), ra, 2)
-        tan = tan + prod.reshape(av.shape[:-1] + t.shape[2:])
-    return KDual(val, np.moveaxis(tan, 0, ro))
-
-
-def _rank(v) -> int:
-    return (v.val if isinstance(v, KDual) else v).ndim
+    tan = _sum(_expand(a.tan, ra, rb - 1, lanes, True) * y[..., None] if da else None,
+               x[..., None] * _expand(b.tan, rb, 0, lanes, True) if db else None)
+    return KDual(val, _ordered(tan, ra - 1))
 
 
 def matvec(a, v):
-    """``a @ v``: a matrix (or a stack of them) times a vector.  Batched
-    when ``v`` carries a point axis, and then ``a`` must too."""
-    if _rank(v) == 1:
-        return a @ v
-    return _batched_matmul(a, v, _rank(a) - 1, 1)
+    """``a @ v``: a matrix, or a tensor whose last core axis is contracted,
+    times a vector; ``a`` carries the point axes ``v`` carries."""
+    return _contract(a, v, None, 1)
 
 
 def vecmat(v, a):
-    """``v @ a``: a vector times a matrix; batched as :func:`matvec`."""
-    if _rank(v) == 1:
-        return v @ a
-    return _batched_matmul(v, a, 1, _rank(a) - 1)
+    """``v @ a``: a vector times a matrix or tensor; as :func:`matvec`."""
+    return _contract(v, a, 1, None)
 
 
 def vecdot(u, v):
-    """``u @ v`` of two vectors; batched when ``u`` carries a point axis."""
-    if _rank(u) == 1:
-        return u @ v
-    return _batched_matmul(u, v, 1, 1)
+    """``u @ v`` of two vectors."""
+    return _contract(u, v, 1, 1)
 
 
 def matmat(a, b):
-    """``a @ b`` of two matrices; batched when ``a`` carries a point axis."""
-    if _rank(a) == 2:
-        return a @ b
-    return _batched_matmul(a, b, 2, 2)
+    """``a @ b`` of two matrices."""
+    return _contract(a, b, 2, 2)
 
 
 def max_abs(a, batched: bool = False):
@@ -368,16 +336,11 @@ def tower_vector(seq, lanes: tuple = ()):
     any of them carries tangents.  Over a batch (``lanes = (B,)``) the
     vector is (n, B) and constant entries are broadcast to every point."""
     vals = list(seq)
-    if not lanes:
-        vec = np.array([v.val if isinstance(v, KDual) else float(v) for v in vals])
-    else:
-        vec = np.array([np.broadcast_to(value_part(v), lanes) for v in vals], dtype=float)
+    vec = np.array([np.broadcast_to(value_part(v), lanes) if lanes else value_part(v)
+                    for v in vals], dtype=float)
     tans = [v.tan for v in vals if isinstance(v, KDual)]
     if not tans:
         return vec
-    if not lanes:
-        zero = np.zeros_like(tans[0])
-        return KDual(vec, np.array([v.tan if isinstance(v, KDual) else zero for v in vals]))
     zero = np.zeros(lanes + tans[0].shape[-1:])
     return KDual(vec, np.array([_widen(v.tan, vec[0]) if isinstance(v, KDual) else zero
                                 for v in vals]))
@@ -406,8 +369,16 @@ def _sqrt(v):
     yield 0.375 / (s * v * v)
 
 
+def _trig(fn, v):
+    """``_each(fn, v)`` of sin, cos or tan, which have no value at +-inf."""
+    try:
+        return _each(fn, v)
+    except ValueError:
+        raise DomainError(f"{fn.__name__} of an infinite value") from None
+
+
 def _sin(v):
-    s = _each(math.sin, v)
+    s = _trig(math.sin, v)
     yield s
     c = _each(math.cos, v)
     yield c
@@ -416,7 +387,7 @@ def _sin(v):
 
 
 def _cos(v):
-    c = _each(math.cos, v)
+    c = _trig(math.cos, v)
     yield c
     s = _each(math.sin, v)
     yield -s
@@ -425,7 +396,7 @@ def _cos(v):
 
 
 def _tan(v):
-    t = _each(math.tan, v)
+    t = _trig(math.tan, v)
     yield t
     sec2 = 1.0 + t * t
     yield sec2
@@ -965,7 +936,8 @@ def _inverse(a):
         return 1.0 / a
     if a.shape[0] == 2:
         p, b, d = a[0, 0], a[0, 1], a[1, 1]
-        return np.array([[d, -b], [-b, p]]) / (p * d - b * b)
+        c = 0.0 - b  # -b, but +0.0 where b is a zero
+        return np.array([[d, c], [c, p]]) / (p * d - b * b)
     if a.ndim == 3:
         return np.moveaxis(np.linalg.inv(np.moveaxis(a, -1, 0)), 0, -1)
     return np.linalg.inv(a)
@@ -1022,10 +994,9 @@ def _sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
     if a.ndim not in (2, 3) or a.shape[0] != a.shape[1]:
         raise ValueError("sym_invert expects a square matrix")
     batched = a.ndim == 3
-    axes = (0, 1) if batched else None  # over a batch, max per point
-    norm = np.abs(a).max(axis=axes)
+    norm = np.abs(a).max(axis=(0, 1))  # over a batch, per point
     at = a.swapaxes(0, 1)
-    if _any(np.abs(a - at).max(axis=axes) > 1e-12 * (1.0 + norm)):
+    if _any(np.abs(a - at).max(axis=(0, 1)) > 1e-12 * (1.0 + norm)):
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     a = (a + at) * 0.5
     mn, mx = _rank_gate(a, batched, rel_tol)

@@ -17,7 +17,7 @@ sigma:
   the evolution connection compatible with the symplectic 2-form.
 
 All of it comes from one pass: the jet of L, the metric, y, V, G0 and G
-at a point.  The ODE right-hand sides run it on floats.
+at a point; the jet route's ODE right-hand sides run it on floats.
 :class:`PointGeometry` runs it once with y seeded along the identity,
 which yields the values together with every fiber Jacobian (N0, dV/dy,
 N, dsigma/dy, d3L/dy3); position derivatives of g are evaluated only
@@ -26,7 +26,8 @@ when read.
 A context holds one point or a batch of B points (a phase point whose
 coordinates are (B,) arrays, see :func:`stack_points`).  Over a batch
 the point axis comes last: scalars are (B,), vectors (n, B), matrices
-(n, n, B), and every point gets the bits its one-point context gives.
+(n, n, B).  Each contraction is one ordered sum per entry (see
+:mod:`lagmech.jets`), so a point gets the bits of its one-point context.
 :func:`sweep` evaluates the samples in chunks of up to 256 points, one
 batched context per chunk.  A chunk that raises SingularMetric,
 DomainError or FinslerModeError is retried in blocks of 16 points, and
@@ -44,24 +45,19 @@ explicit tolerances (absolute, scaled by 1 + max|g| at each point).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from operator import matmul
 
 import numpy as np
 
 from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
 from .jets import (
     Jet,
-    KDual,
+    _contract,
     _finite,
-    _lanes,
     _jet,
-    _propagate,
     _sym_invert,
     batch_shape,
-    eval_jet,
     hessian_y_tangent,
     matmat,
     matvec,
@@ -124,33 +120,21 @@ class MechanicalSystem:
         )
 
 
-def _one_point_finite(v) -> bool:
-    """Whether a one-point tower vector, with its tangents if it carries
-    any, is finite: over a few entries one pass over lists costs less
-    than numpy's calls."""
-    if isinstance(v, KDual):
-        return _one_point_finite(v.val) and _one_point_finite(v.tan.ravel())
-    return all(map(math.isfinite, v.tolist()))
-
-
 def _evolution_pass(sys: MechanicalSystem, p: PhasePoint):
     """The jet of L (order 2), the metric, y, V, G0 and G = G0 - V/4 at
-    ``p``, as a plain tuple; sigma = g V is ``metric.entries @ V``.
+    ``p``, as a plain tuple; sigma = g V is ``matvec(metric.entries, V)``.
 
     Runs in whatever tower ``p`` carries: floats at a plain point, values
     with their tangents at a seeded one, and over the batch ``p`` holds.
     Raises DomainError when V, or a tangent of V, is not finite.
     """
     lanes = batch_shape(p)
-    # chosen once per pass: a plain point makes the one-point calls
-    jet, invert, mv = ((_propagate, _sym_invert, matvec) if lanes
-                       else (eval_jet, sym_invert, matmul))
-    j = jet(sys.L, p, 2)
-    g = invert(j.d_yy * 0.5)
+    j = _jet(sys.L, p, 2)
+    g = (_sym_invert if lanes else sym_invert)(j.d_yy * 0.5)
     yv = tower_vector(p.y, lanes)
-    spray0 = mv(g.inverse, mv(j.d_xy, yv) - j.d_x) * 0.25
+    spray0 = matvec(g.inverse, matvec(j.d_xy, yv) - j.d_x) * 0.25
     v = tower_vector(sys.V(p.x, p.y), lanes)
-    if not (_finite(v) if lanes else _one_point_finite(v)):
+    if not _finite(v):
         raise DomainError("force evaluation produced a non-finite value")
     return j, g, yv, v, spray0, spray0 - v * 0.25
 
@@ -208,42 +192,21 @@ def _christoffel(ginv, dgdx):
     """gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h)."""
     rest = tuple(range(3, dgdx.ndim))  # the point axis of a batch
     a = dgdx + dgdx.transpose((0, 2, 1) + rest) - dgdx.transpose((2, 0, 1) + rest)
-    if not rest:
-        return 0.5 * np.einsum("ih,hjk->ijk", ginv, a)
-    return 0.5 * np.moveaxis(np.einsum("bih,bhjk->bijk", _lanes(ginv, 2), _lanes(a, 3)), 0, -1)
+    return 0.5 * _contract(ginv, a, 2, 3)
 
 
 def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
     """omega(delta_i, delta_k) on the horizontal basis delta_i = (e_i, -N[:, i])
-    of a connection, as an antisymmetric n x n array (n x n x B over a batch).
-    Over a batch the pairs i < k are evaluated as batches, each pair of
-    each point as its own lane, up to a chunk's worth of lanes at a time."""
+    of a connection, as an n x n array (n x n x B over a batch), in one
+    evaluation with each pair (i, k) of each point as its own lane.  Each
+    difference of the form's terms is negated exactly by swapping i and k,
+    so the result is exactly antisymmetric."""
     n = conn.shape[0]
     lanes = conn.shape[2:]
-    g2, a2 = _two_form_pieces(j)
-    eye = np.eye(n)
-    if not lanes:
-        w = np.zeros((n, n))
-        for i in range(n):
-            di = np.concatenate([eye[i], -conn[:, i]])
-            for k in range(i + 1, n):
-                dk = np.concatenate([eye[k], -conn[:, k]])
-                w[i, k] = _two_form_value(g2, a2, di, dk)
-                w[k, i] = -w[i, k]
-        return w
-    rows, cols = np.triu_indices(n, 1)
-    # column i: delta_i
-    delta = np.concatenate([np.broadcast_to(eye[:, :, None], (n, n) + lanes), -conn])
-    step = max(1, _CHUNK // int(np.prod(lanes)))
-    w = np.zeros((n, n) + lanes)
-    for start in range(0, len(rows), step):
-        r, c = rows[start:start + step], cols[start:start + step]
-        X, Y = (delta[:, idx].reshape(2 * n, -1) for idx in (r, c))
-        g, a = (np.broadcast_to(b[:, :, None], (n, n, len(r)) + lanes).reshape(n, n, -1)
-                for b in (g2, a2))
-        w[r, c] = _two_form_value(g, a, X, Y).reshape((len(r),) + lanes)
-        w[c, r] = -w[r, c]
-    return w
+    g, a = (b[:, :, None, None] for b in _two_form_pieces(j))
+    eye = np.eye(n).reshape((n, n) + (1,) * len(lanes))
+    delta = np.concatenate([np.broadcast_to(eye, (n, n) + lanes), -conn])  # column i: delta_i
+    return _two_form_value(g, a, delta[:, :, None], delta[:, None, :])
 
 
 def _scalar_s(j: Jet, yv, spray):

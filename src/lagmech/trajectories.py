@@ -40,11 +40,13 @@ from .errors import DomainError, SingularMetric
 from .finsler import require_finsler_mode
 from .jets import (
     eval_jet,
+    matvec,
     push_direction,
     seed_point,
     sym_invert,
     tangent_part,
     value_part,
+    vecdot,
 )
 from .mechanics import MechanicalSystem, _christoffel, _evolution_pass
 from .phase import PhasePoint
@@ -213,7 +215,7 @@ def _geodesic_rhs(sys: MechanicalSystem, p: PhasePoint):
     g = sym_invert(value_part(gx))
     gamma = _christoffel(g.inverse, tangent_part(gx, p.n))
     yv = np.array([float(v) for v in p.y])
-    return -(gamma @ yv @ yv), (d, g, yv, None)
+    return -matvec(matvec(gamma, yv), yv), (d, g, yv, None)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +251,13 @@ def _route(sys: MechanicalSystem, curve: str):
         # the curve's acceleration, which vanishes along evolution curves
         value, d_x, d_y, d_yy, d_xy, v = blocks
         d_yy, d_xy, yv, zl = np.reshape(d_yy, (n, n)), np.reshape(d_xy, (n, n)), z[n:], z.tolist()
-        sigma = (d_yy * 0.5) @ np.array(sys.V(zl[:n], zl[n:]) if v is None else v)
-        el = d_xy @ yv + d_yy @ accel - d_x - sigma
-        return (float(yv @ d_y - value), float(value), float(sigma @ yv),
+        if v is None:  # a geodesic's pass never saw V
+            v = sys.V(zl[:n], zl[n:])
+            if not all(map(math.isfinite, v)):
+                raise DomainError("force evaluation produced a non-finite value")
+        sigma = matvec(d_yy * 0.5, v)
+        el = matvec(d_xy, yv) + matvec(d_yy, accel) - d_x - sigma
+        return (float(vecdot(yv, d_y) - value), float(value), float(vecdot(sigma, yv)),
                 float(np.abs(el).max()))
 
     return rhs, observe

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -368,3 +369,70 @@ def test_overflow_is_a_recorded_failure_in_process(tmp_path, capsys):
     assert [f["detail"] for f in json.loads(capsys.readouterr().out)["singular_points"]] == [detail] * 3
     assert main(["inspect", cfg]) == 3
     assert [p["detail"] for p in json.loads(capsys.readouterr().out)["points"]] == [detail] * 3
+
+
+def test_trig_of_an_infinite_argument_is_a_recorded_domain_failure(tmp_path, capsys):
+    # sin(1e200 y 1e200) has no value: a recorded DomainError on the sweeps,
+    # and domain_stop on the compiled trajectory path
+    cfg = write_config(tmp_path, "trig.json", {
+        "system": {"n": 1, "lagrangian": "y1^2", "force": ["sin(1e200*y1*1e200)"]},
+        "samples": {"points": [{"x": [0.0], "y": [1.0]}, {"x": [0.5], "y": [-2.0]}]},
+        "initial": {"x": [0.0], "y": [1.0]},
+        "integrator": {"t_end": 0.01},
+    })
+    detail = "sin of an infinite value"
+    assert main(["classify", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points_tested"] == 0
+    assert [(f["index"], f["detail"]) for f in doc["failures"]] == [(0, detail), (1, detail)]
+    assert main(["inspect", cfg]) == 3
+    assert [p["detail"] for p in json.loads(capsys.readouterr().out)["points"]] == [detail] * 2
+    for curve in ("evolution", "horizontal"):
+        assert main(["simulate", cfg, "--curve", curve]) == 3
+        assert json.loads(capsys.readouterr().err) == {"status": "domain_stop"}
+
+
+def test_geodesic_records_check_the_force(tmp_path, capsys):
+    # a geodesic's pass never evaluates V; its records do, and an overflowed
+    # force ends the run as on the other curves, not as nan power rows
+    cfg = write_config(tmp_path, "geo.json", {
+        "system": {"n": 2, "lagrangian": "y1^2 + y2^2", "force": ["1e200*y1*1e200", "0"]},
+        "initial": {"x": [0.0, 0.0], "y": [1.0, 0.5]},
+        "integrator": {"t_end": 0.01},
+    })
+    assert main(["simulate", cfg, "--curve", "geodesic"]) == 3
+    assert json.loads(capsys.readouterr().err) == {"status": "domain_stop"}
+
+
+@pytest.mark.parametrize("params, flags", [({"c": "abc"}, []), ({"c": 1.0}, ["--param", "c=xyz"])])
+def test_non_numeric_expression_parameter_is_a_config_error(tmp_path, capsys, params, flags):
+    cfg = write_config(tmp_path, "param.json", {
+        "system": {"n": 1, "lagrangian": "c*y1^2", "params": params},
+        "samples": {"points": [{"x": [0.0], "y": [1.0]}]},
+    })
+    assert main(["classify", cfg, *flags]) == 2
+    assert "parameter 'c' must be a number" in capsys.readouterr().err
+    # a builtin keeps its string parameters, and an unused one is no error
+    assert build_system({"system": {"builtin": "SYS-E", "params": {"e": -1.0, "base": "EUCLID"}}},
+                        {}).n == 2
+    assert build_system({"system": {"n": 1, "lagrangian": "y1^2", "params": params}},
+                        {"c": "xyz"}).n == 1
+
+
+_SMOKE_BUILTINS = [
+    {"builtin": "EUCLID", "params": {"n": 3}}, {"builtin": "SYS-A", "params": {"c": 0.1}},
+    {"builtin": "SYS-B", "params": {}}, {"builtin": "SYS-C", "params": {}},
+    {"builtin": "SYS-D", "params": {"e": -0.5}}, {"builtin": "SYS-E", "params": {"e": -1.0}},
+    {"builtin": "SYS-E", "params": {"e": -1.0, "base": "EUCLID", "n": 6}},
+]
+
+
+@pytest.mark.parametrize("system", _SMOKE_BUILTINS, ids=lambda s: json.dumps(s["params"]))
+def test_builtin_reports_print_no_negative_zero(tmp_path, capsys, system):
+    # an exact zero prints as 0: every contraction sums from +0.0, and the
+    # closed-form 2x2 inverse negates its off-diagonal without a sign on zero
+    cfg = write_config(tmp_path, "smoke.json", {"system": system})
+    for command in ("classify", "inspect"):
+        main([command, cfg])
+        out = capsys.readouterr().out
+        assert not re.search(r"-0(?![\d.])", out), (command, re.search(r".*-0(?![\d.]).*", out))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagmech.dsl import (
@@ -305,6 +305,13 @@ def _guarded_strategy():
 @given(tree=_guarded_strategy(),
        x=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
        y=st.tuples(st.floats(0.3, 1.5), st.floats(-1.5, -0.3)))
+# two trees where a fixed-step oracle missed d_yy and d_yyy by its own
+# truncation, not by the jets'
+@example(tree=Call("exp", (Call("sin", (Bin("^", Bin("^", Var("y", 1), Num(2.0)), Num(2.0)),)),)),
+         x=(0.0, 0.0), y=(1.0, -1.0))
+@example(tree=Call("sin", (Call("sin", (Bin("^", Bin("^", _one_plus_square(Var("y", 1)), Num(1.5)),
+                                             Num(2.0)),)),)),
+         x=(0.0, 0.0), y=(1.0, -1.0))
 def test_jets_of_random_trees_match_fd_and_pushes(tree, x, y):
     from lagmech.jets import eval_jet, push_direction
     from oracle import fd_oracle

@@ -483,3 +483,14 @@ def test_stop_records_match_the_jet_route(case, method):
     assert got.status == ref.status == "domain_stop"
     assert got.stats.stop == ref.stats.stop
     assert got.t.shape == ref.t.shape and np.abs(got.xs - ref.xs).max() <= 1e-12
+
+
+def test_geodesic_records_check_the_force():
+    # both routes: the record at t=0 evaluates V, which overflows
+    sys_ = build_system({"system": {"n": 2, "lagrangian": "y1^2 + y2^2",
+                                    "force": ["1e200*y1*1e200", "0"]}}, {})
+    p0 = PhasePoint((0.0, 0.0), (1.0, 0.5))
+    for s in (sys_, _jet_route_system(sys_)):
+        traj = integrate_geodesic(s, p0, IntegratorConfig(step=0.01, t_end=0.05))
+        assert traj.status == "domain_stop" and len(traj.t) == 0
+        assert traj.stats.stop["detail"] == "force evaluation produced a non-finite value"
