@@ -4,10 +4,11 @@ memoised node by the chain rule; Laue, arXiv:1904.02990), and emitted as
 one straight-line function of the state ``[x1..xn, y1..yn]`` returning
 ``(z', (L, d_x, d_y, d_yy, d_xy, V))``, blocks as row-major lists.
 ``evolution`` runs L to order 2 and V, the jets' rank gate and inverse
-on floats, and x'' = -2 (G0 - V/4); ``horizontal`` adds the derivatives
-along y of L's blocks and of V, for x'' = -N y; ``geodesic`` emits the
-Christoffel contraction gamma^i_jk y^j y^k from d3L/dy dy dx as its own
-straight-line sums (V is None).  The domain rules are the jet route's:
+(their float closed forms up to 2x2, numpy beyond), and x'' = -2 (G0 -
+V/4); ``horizontal`` adds the derivatives along y of L's blocks and of
+V, for x'' = -N y; ``geodesic`` emits the Christoffel contraction
+gamma^i_jk y^j y^k from d3L/dy dy dx as its own straight-line sums (V
+is None).  The domain rules are the jet route's:
 each node is evaluated where ``dsl.eval_expr`` evaluates it, behind the
 same check, and takes the terms of the jets' own derivative sequence
 that the jet tower of the same pass takes.
@@ -23,8 +24,8 @@ import numpy as np
 
 from .dsl import Bin, Call, Neg, Num, Var
 from .errors import DomainError
-from .jets import (SCALAR_FUNCTIONS, KDual, _inverse, _rank_gate, _real_power, ipow, power,
-                   tangent_part, value_of)
+from .jets import (SCALAR_FUNCTIONS, KDual, _inverse, _inverse2, _rank_gate, _real_power,
+                   _spectrum2, _spectrum_range, ipow, power, tangent_part, value_of)
 
 __all__ = ["program"]
 
@@ -38,17 +39,27 @@ def _seq(f, m, v, b=None):
     if f == "pow":
         d = power(v if m == 1 else KDual(v, np.ones(1)), b)
         return (d,) if m == 1 else (value_of(d), float(tangent_part(d, 1)[0]))
-    return tuple(islice(_real_power(v, f[1]) if isinstance(f, tuple) else SCALAR_FUNCTIONS[f](v), m))
+    if isinstance(f, tuple):
+        return _real_power(v, f[1], m)
+    return tuple(islice(SCALAR_FUNCTIONS[f](v), m))
 
 
-def _invert(n, entries):
-    a = np.array(entries).reshape(n, n)
-    _rank_gate(a, False)
-    return _inverse(a)
+def _invert(n, e):
+    """The inverse of the symmetric matrix of row-major entries e, row-major,
+    behind the jets' rank gate: their float closed forms up to 2x2, numpy's beyond."""
+    if n < 3:
+        _rank_gate(*(_spectrum2(e[0], e[1], e[3]) if n == 2 else (abs(e[0]),) * 2))
+        try:
+            return _inverse2(e[0], e[1], e[3]) if n == 2 else [1.0 / e[0]]
+        except ZeroDivisionError:  # a determinant that underflows takes numpy's inf
+            return _inverse(np.array(e).reshape(2, 2)).ravel().tolist()
+    a = np.array(e).reshape(n, n)
+    _rank_gate(*_spectrum_range(a, False))
+    return _inverse(a).ravel().tolist()
 
 
-_RUNTIME = {"_DomainError": DomainError, "_seq": _seq, "_ipow": ipow, "_invert": _invert,
-            "_INF": float("inf"), "_NAN": float("nan")}
+_RUNTIME = {"_DomainError": DomainError, "_seq": _seq, "_rpow": _real_power, "_ipow": ipow,
+            "_invert": _invert, "_INF": float("inf"), "_NAN": float("nan")}
 # folding evaluates as the program would; a constant that fails is left
 # to fail, behind its check, at run time
 _FOLD = {"add": lambda _, a, b: a + b, "sub": lambda _, a, b: a - b, "mul": lambda _, a, b: a * b,
@@ -150,7 +161,9 @@ class _Dag:
         if op == "fn":
             m = self.counts[i]
             outs = "".join([f"v{i}, "] + [f"v{i}_{k}, " for k in range(1, m)])
-            self.lines.append(f"{outs}= _seq({arg!r}, {m}, {', '.join(a)})")
+            call = f"_rpow({a[0]}, {arg[1]!r}, {m})" if isinstance(arg, tuple) else \
+                f"_seq({arg!r}, {m}, {', '.join(a)})"
+            self.lines.append(f"{outs}= {call}")
         elif op == "ipow":
             self.lines.append(f"v{i} = " + _EXPR.get(arg, f"_ipow({{}}, {arg})").format(*a))
         else:
@@ -233,9 +246,9 @@ def _build(kind: str, n: int, ltree, vtrees):
     tan = {w: [g.d(v, w) for v in blocks] for w in wrts}
     g.check([L] + [g.d(L, w) for w in wrts], "field evaluation produced a non-finite value")
     g.check(blocks + sum(tan.values(), []), "field evaluation produced a non-finite derivative")
-    g.lines.append(f"_inv = _invert({n}, ({g.names([g.mul(v, half) for v in dyy])},))")
+    entries = g.names([g.mul(v, half) for v in dyy])
     inv = [[g.node("name", (), f"i{i}_{j}") for j in r] for i in r]
-    g.lines.append(f"{g.names(sum(inv, []))}, = _inv.ravel().tolist()")
+    g.lines.append(f"{g.names(sum(inv, []))}, = _invert({n}, ({entries},))")
     seen = f"({g.name(L)}, [{g.names(dx)}], [{g.names(dy)}], [{g.names(dyy)}], [{g.names(dxy)}]"
     dot = lambda row, vec: reduce(g.add, (g.mul(row[j], vec[j]) for j in r), None)  # noqa: E731
     if kind == "geodesic":

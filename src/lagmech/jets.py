@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -422,16 +423,20 @@ def _log(v):
     yield 2.0 * (f1 * f1 * f1)
 
 
-def _real_power(v, b):
-    if _any(v <= 0.0):
+def _real_power(v, b, m, k=0, pw=math.pow):
+    """Terms k..m-1 of v**b's derivative sequence, b (b-1) .. (b-j+1) v**(b-j),
+    at a float, or with ``pw`` entrywise at an array (:func:`power`)."""
+    if k == 0 and _any(v <= 0.0):  # a later term is read after term 0
         raise DomainError("non-integer power of a non-positive base")
+    c, terms = 1.0, []
     try:
-        yield _each(math.pow, v, b)
-        yield b * _each(math.pow, v, b - 1.0)
-        yield b * (b - 1.0) * _each(math.pow, v, b - 2.0)
-        yield b * (b - 1.0) * (b - 2.0) * _each(math.pow, v, b - 3.0)
+        for j in range(m):
+            if j >= k:
+                terms.append(c * pw(v, b - j))
+            c *= b - j
     except OverflowError:
         raise DomainError("real power overflows") from None
+    return terms
 
 
 # the named functions of the expression language, as derivative sequences
@@ -493,8 +498,9 @@ def power(base, exponent):
             raise DomainError("zero raised to a negative power")
         return ipow(base, k)
     if isinstance(exponent, (int, float)):
-        b = float(exponent)
-        return _apply(lambda v: _real_power(v, b), base)
+        b, pw = float(exponent), partial(_each, math.pow)
+        # the derivative sequence term by term, each computed when read
+        return _apply(lambda v: (_real_power(v, b, k + 1, k, pw)[0] for k in range(4)), base)
     # exponent is itself a varying tower value: a^b = exp(b * log(a))
     return apply_function("exp", exponent * apply_function("log", base))
 
@@ -929,18 +935,40 @@ class SymMatrix:
                          self.min_abs_eigen_estimate, self.max_abs_eigen)
 
 
+def _inverse2(p, b, d):
+    """[[p, b], [b, d]]^-1, row-major, of floats or entrywise of arrays."""
+    c = 0.0 - b  # -b, but +0.0 where b is a zero
+    det = p * d - b * b
+    return [d / det, c / det, c / det, p / det]
+
+
 def _inverse(a):
     """Inverse of a symmetric float matrix (or of each of a batch), in
     closed form up to 2x2."""
     if a.shape[0] == 1:
         return 1.0 / a
     if a.shape[0] == 2:
-        p, b, d = a[0, 0], a[0, 1], a[1, 1]
-        c = 0.0 - b  # -b, but +0.0 where b is a zero
-        return np.array([[d, c], [c, p]]) / (p * d - b * b)
+        return np.reshape(_inverse2(a[0, 0], a[0, 1], a[1, 1]), a.shape)
     if a.ndim == 3:
         return np.moveaxis(np.linalg.inv(np.moveaxis(a, -1, 0)), 0, -1)
     return np.linalg.inv(a)
+
+
+def _spectrum2(p, b, d):
+    """min and max |eigenvalue| of the symmetric [[p, b], [b, d]] of floats.
+    Where the closed form overflows it runs on the entries divided by the
+    largest and scales back (LAPACK's dlaev2), so min/max is scale-free."""
+    half_tr = 0.5 * (p + d)
+    try:  # a float's ** 2 is C pow(), as a numpy scalar's, and raises on overflow
+        disc = math.sqrt((0.5 * (p - d)) ** 2 + b * b)
+    except OverflowError:
+        disc = math.inf
+    if not abs(half_tr) + disc < math.inf:  # an eigenvalue, or the form, overflows
+        s = max(abs(p), abs(b), abs(d))
+        if 0.0 < s < math.inf:
+            return tuple(e * s for e in _spectrum2(p / s, b / s, d / s))
+    e1, e2 = abs(half_tr + disc), abs(half_tr - disc)
+    return (e1, e2) if e1 <= e2 else (e2, e1)
 
 
 def _spectrum_range(a, batched):
@@ -949,17 +977,8 @@ def _spectrum_range(a, batched):
     if a.shape[0] == 1:
         mn = mx = abs(a[0, 0])
     elif a.shape[0] == 2:
-        p, b, d = a[0, 0], a[0, 1], a[1, 1]
-        half_tr = 0.5 * (p + d)
-        if batched:
-            # entrywise, as at one point: a float's ** 2 is C pow(), unlike an array's
-            sq = _each(lambda h: h ** 2, 0.5 * (p - d)) + b * b
-            disc = _each(lambda s: math.sqrt(max(0.0, s)), sq)
-            e1, e2 = abs(half_tr + disc), abs(half_tr - disc)
-            return np.minimum(e1, e2), np.maximum(e1, e2)
-        disc = math.sqrt(max(0.0, (0.5 * (p - d)) ** 2 + b * b))
-        e1, e2 = abs(half_tr + disc), abs(half_tr - disc)
-        mn, mx = min(e1, e2), max(e1, e2)
+        (p, b), (_, d) = a.tolist()
+        mn, mx = map(np.array, zip(*map(_spectrum2, p, b, d))) if batched else _spectrum2(p, b, d)
     elif batched:
         eig = np.abs(np.linalg.eigvalsh(np.moveaxis(a, -1, 0)))
         mn, mx = eig.min(axis=-1), eig.max(axis=-1)
@@ -970,13 +989,12 @@ def _spectrum_range(a, batched):
     return mn, mx
 
 
-def _rank_gate(a, batched: bool, rel_tol: float = 1e-10):
-    """min and max |eig| of a symmetric float matrix (or per point of a
-    batch); SingularMetric when the smallest is below rel_tol x largest."""
-    mn, mx = _spectrum_range(a, batched)
-    bad = (mx == 0.0) | (mn < rel_tol * mx) if batched else mx == 0.0 or mn < rel_tol * mx
+def _rank_gate(mn, mx, rel_tol: float = 1e-10):
+    """``(mn, mx)``, min and max |eig| (floats, or per point of a batch);
+    SingularMetric when the smallest is below rel_tol x the largest."""
+    bad = (mx == 0.0) | (mn < rel_tol * mx)
     if _any(bad):
-        if batched:
+        if isinstance(bad, np.ndarray):
             first = int(np.flatnonzero(bad)[0])
             mn, mx = float(mn[first]), float(mx[first])
         raise SingularMetric(
@@ -999,7 +1017,7 @@ def _sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
     if _any(np.abs(a - at).max(axis=(0, 1)) > 1e-12 * (1.0 + norm)):
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     a = (a + at) * 0.5
-    mn, mx = _rank_gate(a, batched, rel_tol)
+    mn, mx = _rank_gate(*_spectrum_range(a, batched), rel_tol)
     inv = _inverse(a)
     if not dual:
         return SymMatrix(a, inv, mn, mx)

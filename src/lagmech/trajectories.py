@@ -22,10 +22,13 @@ Along every trajectory the energy, Lagrangian, dissipation power and the
 Lagrange-equation residual (the curve's own acceleration substituted)
 are recorded.  A right-hand side is one call of the system's compiled
 program (:mod:`lagmech.compiled`, with the jet route's domain rules) when
-its fields come from the expression language, else the jet route; it
-returns the float blocks of L and V next to z', and a record reads those
-of its state's stage (a geodesic record evaluates V).  ``Trajectory.stats``
-counts what the run did and says where and why it stopped.
+its fields come from the expression language, else the jet route, whose
+arrays become lists at its end: it returns z' and the float blocks of L
+and V as lists.  The drivers form the stages in floats, in numpy's order
+of operations; a record sums its traces from its stage's blocks in order
+from +0.0 as :func:`lagmech.jets.matvec` (a geodesic record evaluates V),
+and the arrays are built at the end.  ``Trajectory.stats`` counts what
+the run did and says where and why it stopped.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -46,7 +51,6 @@ from .jets import (
     sym_invert,
     tangent_part,
     value_part,
-    vecdot,
 )
 from .mechanics import MechanicalSystem, _christoffel, _evolution_pass
 from .phase import PhasePoint
@@ -224,18 +228,14 @@ def _geodesic_rhs(sys: MechanicalSystem, p: PhasePoint):
 
 
 def _route(sys: MechanicalSystem, curve: str):
-    """``(rhs, observe)``: ``rhs(z)`` is z' and the blocks (L, d_x, d_y, d_yy,
-    d_xy, V; V None on a geodesic) of the compiled program, or the jet route
-    for fields without trees; ``observe(z, blocks, accel)`` a record's traces."""
+    """``(rhs, observe)``: ``rhs(z)`` at a list z is z' and the blocks (L,
+    d_x, d_y, d_yy, d_xy, V; V None on a geodesic) as lists, by the compiled
+    program or the jet route; ``observe(z, blocks, accel)`` a record's traces."""
     n = sys.n
     if sys.L.tree is not None and sys.V.trees is not None:
         from .compiled import program  # compiled at the first run, not at import
 
-        run = program(curve, sys.L, sys.V)
-
-        def rhs(z):
-            zdot, blocks = run(z.tolist())
-            return np.array(zdot), blocks
+        rhs = program(curve, sys.L, sys.V)
     else:
         accel = {"evolution": _evolution_rhs, "horizontal": _horizontal_rhs,
                  "geodesic": _geodesic_rhs}[curve]
@@ -243,22 +243,27 @@ def _route(sys: MechanicalSystem, curve: str):
         def rhs(z):
             a, (j, g, yv, v) = accel(sys, PhasePoint(z[:n], z[n:]))
             j = j.primal()
-            return (np.concatenate([z[n:], a]),
-                    (j.value, j.d_x, j.d_y, j.d_yy, j.d_xy, None if v is None else value_part(v)))
+            return (z[n:] + a.tolist(), (float(j.value), j.d_x.tolist(), j.d_y.tolist(),
+                                         j.d_yy.ravel().tolist(), j.d_xy.ravel().tolist(),
+                                         None if v is None else value_part(v).tolist()))
+
+    # sum_m a[m] b[m] in order from +0.0, as jets._contract
+    dot = lambda a, b: reduce(add, map(mul, a, b), 0.0)  # noqa: E731
 
     def observe(z, blocks, accel):
         # energy, Lagrangian, power, and the Lagrange-equation defect with
         # the curve's acceleration, which vanishes along evolution curves
         value, d_x, d_y, d_yy, d_xy, v = blocks
-        d_yy, d_xy, yv, zl = np.reshape(d_yy, (n, n)), np.reshape(d_xy, (n, n)), z[n:], z.tolist()
+        yv, rows = z[n:], range(0, n * n, n)
         if v is None:  # a geodesic's pass never saw V
-            v = sys.V(zl[:n], zl[n:])
+            v = sys.V(z[:n], yv)
             if not all(map(math.isfinite, v)):
                 raise DomainError("force evaluation produced a non-finite value")
-        sigma = matvec(d_yy * 0.5, v)
-        el = matvec(d_xy, yv) + matvec(d_yy, accel) - d_x - sigma
-        return (float(vecdot(yv, d_y) - value), float(value), float(vecdot(sigma, yv)),
-                float(np.abs(el).max()))
+        sigma = [dot([e * 0.5 for e in d_yy[i:i + n]], v) for i in rows]
+        el = [dot(d_xy[i:i + n], yv) + dot(d_yy[i:i + n], accel) - dx - s
+              for i, dx, s in zip(rows, d_x, sigma)]
+        return (dot(yv, d_y) - value, value, dot(sigma, yv),
+                max(map(abs, el), key=lambda e: (e != e, e)))  # a NaN first, as numpy's max
 
     return rhs, observe
 
@@ -278,7 +283,7 @@ class _Run:
         self.rows = []
 
     def _guard(self, z):
-        if self.guard_fiber and math.sqrt(sum(v ** 2 for v in z[self.n:].tolist())) < _MIN_FIBER_NORM:
+        if self.guard_fiber and math.hypot(*z[self.n:]) < _MIN_FIBER_NORM:
             raise DomainError("velocity collapsed onto the zero section")
 
     def stage(self, t, z, record=False, last=False):
@@ -302,14 +307,13 @@ class _Run:
 
     def record(self, t, z, stage):
         n = self.n
-        obs = self.observe(z, stage[1], stage[0][n:])
-        self.rows.append((t, np.array(z[:n]), np.array(z[n:]), *obs))
+        self.rows.append((t, z[:n], z[n:], *self.observe(z, stage[1], stage[0][n:])))
 
     def stop(self, err):
         t, z = self.at
         n = self.n
         self.stats.stop = {"t": float(t), "error": type(err).__name__, "detail": str(err),
-                           "point": {"x": z[:n].tolist(), "y": z[n:].tolist()}}
+                           "point": {"x": z[:n], "y": z[n:]}}
         if isinstance(err, SingularMetric):
             self.stats.stop["eigen_range"] = [err.min_abs_eigen, err.max_abs_eigen]
 
@@ -318,8 +322,8 @@ class _Run:
         t, xs, ys, e, lv, w, r = zip(*self.rows) if self.rows else [()] * 7
         return Trajectory(
             t=np.array(t),
-            xs=np.stack(xs) if xs else np.zeros((0, n)),
-            ys=np.stack(ys) if ys else np.zeros((0, n)),
+            xs=np.array(xs) if xs else np.zeros((0, n)),
+            ys=np.array(ys) if ys else np.zeros((0, n)),
             energy=np.array(e),
             lagrangian=np.array(lv),
             power=np.array(w),
@@ -334,14 +338,11 @@ def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, rou
     ``(rhs, observe)`` pair as :func:`_route` makes."""
     cfg.validate()
     run = _Run(sys, _route(sys, route) if isinstance(route, str) else route)
-    z = np.concatenate([
-        np.array([float(v) for v in p0.x]),
-        np.array([float(v) for v in p0.y]),
-    ])
+    z = [float(v) for v in p0.x] + [float(v) for v in p0.y]
     status = "completed"
     try:
-        # numpy's overflow becomes a non-finite value, which the jet
-        # route's finiteness checks turn into a DomainError
+        # numpy's overflow becomes a non-finite value, which the finiteness
+        # checks of the next pass turn into a DomainError
         with np.errstate(over="ignore", invalid="ignore"):
             (_drive_rk4 if cfg.method == "rk4_fixed" else _drive_rk45)(run, z, cfg)
     except SingularMetric as err:
@@ -356,12 +357,13 @@ def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, rou
 def _rk4_step(run, t, z, h, f):
     """One RK4 step of size h from the state z at time t, whose stage f
     is given."""
-    k1 = f[0]
-    k2 = run.stage(t + 0.5 * h, z + 0.5 * h * k1)[0]
-    k3 = run.stage(t + 0.5 * h, z + 0.5 * h * k2)[0]
-    k4 = run.stage(t + h, z + h * k3)[0]
+    hh, h6, k1 = 0.5 * h, h / 6.0, f[0]
+    k2 = run.stage(t + hh, [a + hh * b for a, b in zip(z, k1)])[0]
+    k3 = run.stage(t + hh, [a + hh * b for a, b in zip(z, k2)])[0]
+    k4 = run.stage(t + h, [a + h * b for a, b in zip(z, k3)])[0]
     run.stats.accepted += 1
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
 def _drive_rk4(run, z, cfg):
@@ -388,7 +390,7 @@ def _drive_rk4(run, z, cfg):
 
 # Dormand-Prince 5(4) tableau; the last row of A holds the 5th-order
 # weights b5, whose seventh entry is 0
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
 _DP_A = [
     [],
     [1 / 5],
@@ -398,8 +400,15 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+
+
+def _combine(z, h, coefs, ks):
+    """z + h * sum(c * k for c, k in zip(coefs, ks)), as numpy arrays add."""
+    acc = [0.0] * len(z)
+    for c, k in zip(coefs, ks):
+        acc = [s + c * e for s, e in zip(acc, k)]
+    return [a + h * s for a, s in zip(z, acc)]
 
 
 def _drive_rk45(run, z, cfg):
@@ -416,15 +425,15 @@ def _drive_rk45(run, z, cfg):
             h = cfg.t_end - t
         ks = [f[0]]
         for i in range(1, 7):
-            zi = z + h * sum(a * k for a, k in zip(_DP_A[i], ks))
+            zi = _combine(z, h, _DP_A[i], ks)
             f7 = run.stage(t + _DP_C[i] * h, zi)
             ks.append(f7[0])
         # FSAL: the last stage ran at the 5th-order solution; accepted, it
         # is the next step's first stage and the record's pass
         z5 = zi
-        z4 = z + h * sum(b * k for b, k in zip(_DP_B4, ks))
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z), np.abs(z5))
-        err = float(np.sqrt(np.mean((np.asarray(z5 - z4) / scale) ** 2)))
+        za, z5a, z4a = np.array([z, z5, _combine(z, h, _DP_B4, ks)])
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(za), np.abs(z5a))
+        err = float(np.sqrt(np.mean(((z5a - z4a) / scale) ** 2)))
         if err <= 1.0:
             t = cfg.t_end if last else t + h
             z, f = z5, f7

@@ -436,3 +436,29 @@ def test_builtin_reports_print_no_negative_zero(tmp_path, capsys, system):
         main([command, cfg])
         out = capsys.readouterr().out
         assert not re.search(r"-0(?![\d.])", out), (command, re.search(r".*-0(?![\d.]).*", out))
+
+
+@pytest.mark.parametrize("scale", ["1", "1e100", "1e160", "1e300"])
+def test_rank_gate_verdict_does_not_depend_on_the_scale_of_L(tmp_path, capsys, scale):
+    # lambda L has lambda times L's metric, here diag(1, 1e-12): singular for
+    # every lambda.  The 2x2 closed form overflowed from 1e160 on: to [inf, inf]
+    # at one point, which passed the gate, and to an OverflowError on a batch
+    points = [{"x": [0.1, 0.2], "y": [0.7, 0.8]}, {"x": [0.3, 0.2], "y": [0.5, 0.8]},
+              {"x": [-0.1, 0.2], "y": [0.7, -0.4]}]
+    system = {"n": 2, "lagrangian": f"{scale}*(y1^2 + 1e-12*y2^2)"}
+    for count in (1, 3):
+        cfg = write_config(tmp_path, "scaled.json", {"system": system,
+                                                     "samples": {"points": points[:count]}})
+        assert main(["classify", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["points_tested"] == 0 and doc["is_metric"] is False
+        assert [(f["index"], f["error"]) for f in doc["failures"]] == \
+            [(i, "SingularMetric") for i in range(count)]
+        for f in doc["failures"]:
+            lo, hi = map(float, re.search(r"\[(.*), (.*)\]", f["detail"]).groups())
+            assert hi == pytest.approx(float(scale), rel=1e-3)
+            assert lo / hi == pytest.approx(1e-12, rel=1e-3)
+    cfg = write_config(tmp_path, "scaled.json", {"system": system, "initial": points[0],
+                                                 "integrator": {"t_end": 0.1}})
+    assert main(["simulate", cfg]) == 3
+    assert json.loads(capsys.readouterr().err) == {"status": "singular_metric_stop"}

@@ -1,16 +1,19 @@
 """Compiled derivative programs against the jet route: the same blocks
 and accelerations, and the same errors at the same points."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajectory_routes
-from lagmech.compiled import program
+from lagmech.compiled import _invert, program
 from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import eval_jet, sym_invert
+from lagmech.jets import _sym_invert, eval_jet, sym_invert
 from lagmech.mechanics import MechanicalSystem, _evolution_pass
 from lagmech.phase import PhasePoint
 from lagmech.systems import catalog, instantiate, standard_samples
@@ -183,3 +186,46 @@ def test_force_guards_follow_the_tower(force, point, detail):
         _, err = _outcome(program("horizontal", sys_.L, sys_.V), [*p.x, *p.y])
         assert err[1] == "division by zero in dual evaluation"
     _assert_agree(sys_, p)
+
+
+def _symmetric_entries(rng):
+    """Row-major symmetric 1x1 and 2x2 matrices: random entries of
+    magnitudes up to 1e300, near-singular ones with eigenvalue ratios on
+    either side of the 1e-10 gate, and entries whose closed forms
+    overflow or whose determinant underflows to zero."""
+    for _ in range(300):
+        yield [rng.normal() * 10.0 ** rng.uniform(-300, 300)]
+        p, b, d = rng.normal(size=3) * 10.0 ** rng.uniform(-300, 300, size=3)
+        yield [p, b, b, d]
+        scale = 10.0 ** rng.uniform(-150, 299)
+        big, small = scale * rng.choice([-1.0, 1.0]), scale * 10.0 ** rng.uniform(-13, -7)
+        c, s = math.cos(rng.uniform(0, math.pi)), math.sin(rng.uniform(0, math.pi))
+        yield [c * c * big + s * s * small, c * s * (big - small), c * s * (big - small),
+               s * s * big + c * c * small]
+    for e in (0.0, 1e-170, 1e160, 1e300, -1e300):
+        yield [e]
+        yield [e, 0.0, 0.0, e]
+        yield [e, e, e, e]
+    yield [1e300, 0.0, 0.0, 1e288]
+    yield [1e300, 5e299, 5e299, -1e300]
+
+
+def test_float_gate_and_inverse_match_the_jets():
+    # the compiled program's 1x1 and 2x2 gate and inverse run on floats; they
+    # give sym_invert's bits, and its SingularMetric with the same range
+    def outcome(fn, *args):
+        try:
+            return np.array(fn(*args), dtype=float).ravel().tobytes(), None
+        except SingularMetric as err:
+            return None, (str(err), err.min_abs_eigen, err.max_abs_eigen)
+
+    rng = np.random.default_rng(13)
+    seen = Counter()
+    for e in _symmetric_entries(rng):
+        e, n = [float(v) for v in e], 1 if len(e) == 1 else 2
+        with np.errstate(all="ignore"):  # an underflowed determinant divides by zero
+            got = outcome(_invert, n, e)
+            ref = outcome(lambda a: _sym_invert(a).inverse, np.array(e).reshape(n, n))
+        assert got == ref, e
+        seen[n, got[1] is None] += 1
+    assert min(seen[2, True], seen[2, False], seen[1, True]) > 100 and seen[1, False]

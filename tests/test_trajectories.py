@@ -494,3 +494,25 @@ def test_geodesic_records_check_the_force():
         traj = integrate_geodesic(s, p0, IntegratorConfig(step=0.01, t_end=0.05))
         assert traj.status == "domain_stop" and len(traj.t) == 0
         assert traj.stats.stop["detail"] == "force evaluation produced a non-finite value"
+
+
+# the force drives the fiber to about 1e297 within a step: the zero-section
+# guard's norm must not overflow (a float's v ** 2 raises), so the run ends
+# at the next pass's finiteness check
+_FIBER_OVERFLOW = {"n": 2, "lagrangian": "(y1^4 + y2^4)^(1/2)", "force": ["1e300*y1", "1e300*y2"],
+                   "domain_guard": "y_nonzero"}
+
+
+@pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])
+def test_zero_section_guard_does_not_overflow(method):
+    sys_ = build_system({"system": _FIBER_OVERFLOW}, {})
+    p0 = PhasePoint((0.1, 0.2), (0.7, 0.8))
+    cfg = IntegratorConfig(method=method, step=0.01, t_end=1.0)
+    traj = integrate_evolution(sys_, p0, cfg)
+    assert traj.status == "domain_stop" and len(traj.t) == 1
+    stop = traj.stats.stop
+    assert stop["detail"] == "field evaluation produced a non-finite value"
+    assert min(map(abs, stop["point"]["y"])) > 1e296
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = trajectory_routes.integrate("evolution", sys_, p0, cfg)
+    assert ref.status == "domain_stop" and ref.t.tobytes() == traj.t.tobytes()

@@ -5,11 +5,13 @@ RK4 remainder leaves the last state on t_end, as in the engine.
 
 Both take :class:`~lagmech.trajectories.IntegratorConfig` and return a
 :class:`~lagmech.trajectories.Trajectory` (with empty stats).  By default
-they read the engine's accelerations and traces (``_route``, the compiled
-programs for expression systems), so a test can compare the engine's
-drivers with them bit for bit.  With ``jet=True`` they read the jet
-route instead: the float evolution pass, a push of it along y, and the
-Christoffel symbols of ``finsler.christoffel_at``.
+they read the engine's accelerations and blocks (``_route``, the compiled
+programs for expression systems) and compute the traces from those blocks
+with numpy and the jets' contractions (:func:`contract_traces`), so a test
+can compare the engine's drivers and its float records with them bit for
+bit.  With ``jet=True`` they read the jet route instead: the float
+evolution pass, a push of it along y, and the Christoffel symbols of
+``finsler.christoffel_at``.
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 
 from lagmech.errors import DomainError, SingularMetric
 from lagmech.finsler import christoffel_at, require_finsler_mode
-from lagmech.jets import push_direction
+from lagmech.jets import matvec, push_direction, vecdot
 from lagmech.mechanics import _evolution_pass
 from lagmech.phase import PhasePoint
 from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, Trajectory, _route
@@ -60,6 +62,24 @@ def observe(sys, p, accel):
     return energy, float(j.value), power, float(np.abs(el).max())
 
 
+def contract_traces(sys, z, blocks, accel):
+    """E, L, power and the Lagrange defect from a stage's blocks (row-major
+    lists, V None on a geodesic), by numpy and ``jets._contract``: the form
+    the engine's records took before they summed in floats."""
+    n = sys.n
+    value, d_x, d_y, d_yy, d_xy, v = blocks
+    z = np.asarray(z)
+    d_yy, d_xy, yv, zl = np.reshape(d_yy, (n, n)), np.reshape(d_xy, (n, n)), z[n:], z.tolist()
+    if v is None:  # a geodesic's pass never saw V
+        v = sys.V(zl[:n], zl[n:])
+        if not all(map(math.isfinite, v)):
+            raise DomainError("force evaluation produced a non-finite value")
+    sigma = matvec(d_yy * 0.5, v)
+    el = matvec(d_xy, yv) + matvec(d_yy, accel) - d_x - sigma
+    return (float(vecdot(yv, d_y) - value), float(value), float(vecdot(sigma, yv)),
+            float(np.abs(el).max()))
+
+
 def integrate(curve, sys, p0, cfg, jet=False) -> Trajectory:
     cfg.validate()
     if curve == "geodesic":
@@ -74,18 +94,17 @@ def integrate(curve, sys, p0, cfg, jet=False) -> Trajectory:
             p = PhasePoint(z[:n], z[n:])
             return observe(sys, p, None if curve == "evolution" else accel(z))
     else:
-        route_rhs, route_observe = _route(sys, curve)
+        route_rhs = _route(sys, curve)[0]
 
         def accel(z):
-            return route_rhs(z)[0][n:]
+            return route_rhs(z.tolist())[0][n:]
 
         def traces(z):
-            zdot, seen = route_rhs(z)
-            return route_observe(z, seen, zdot[n:])
+            zdot, seen = route_rhs(z.tolist())
+            return contract_traces(sys, z, seen, zdot[n:])
 
     def rhs(z):
-        p = PhasePoint(z[:n], z[n:])
-        if guard_fiber and p.y_norm() < _MIN_FIBER_NORM:
+        if guard_fiber and math.hypot(*z[n:]) < _MIN_FIBER_NORM:
             raise DomainError("velocity collapsed onto the zero section")
         return np.concatenate([z[n:], accel(z)])
 
