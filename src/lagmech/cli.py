@@ -26,14 +26,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys as _sys
 from itertools import chain
 
 import numpy as np
 
 from . import systems as _systems
-from .dsl import bind_scalar, bind_vertical, parameter_names, parse
+from .dsl import bind_scalar, bind_vertical, parse
 from .errors import (
     ArityError,
     ConfigError,
@@ -256,9 +255,6 @@ def build_system(cfg: dict, overrides: dict) -> MechanicalSystem:
                 f"force has {len(force)} components but the dimension is {n}"
             )
         force = [parse(str(s), n) for s in force]
-    for name in sorted(parameter_names(lagrangian).union(*map(parameter_names, force or []))):
-        if name in params and not isinstance(params[name], numbers.Real):
-            raise ConfigError(f"parameter {name!r} must be a number, got {params[name]!r}")
     L = bind_scalar(lagrangian, n, params, source=str(spec["lagrangian"]))
     V = VerticalField.zero(n) if force is None else bind_vertical(force, n, params)
     return MechanicalSystem(L, V, n, params=params,

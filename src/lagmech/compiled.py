@@ -8,10 +8,11 @@ one straight-line function of the state ``[x1..xn, y1..yn]`` returning
 V/4); ``horizontal`` adds the derivatives along y of L's blocks and of
 V, for x'' = -N y; ``geodesic`` emits the Christoffel contraction
 gamma^i_jk y^j y^k from d3L/dy dy dx as its own straight-line sums (V
-is None).  The domain rules are the jet route's:
-each node is evaluated where ``dsl.eval_expr`` evaluates it, behind the
-same check, and takes the terms of the jets' own derivative sequence
-that the jet tower of the same pass takes.
+is None).  The domain rules are those of the same pass run on jets
+(``mechanics._evolution_pass``, the tests' reference route): each node
+is evaluated where ``dsl.eval_expr`` evaluates it, behind the same
+check, and takes the terms of the jets' own derivative sequence that
+the jet tower of the same pass takes.
 """
 
 from __future__ import annotations
@@ -49,10 +50,7 @@ def _invert(n, e):
     behind the jets' rank gate: their float closed forms up to 2x2, numpy's beyond."""
     if n < 3:
         _rank_gate(*(_spectrum2(e[0], e[1], e[3]) if n == 2 else (abs(e[0]),) * 2))
-        try:
-            return _inverse2(e[0], e[1], e[3]) if n == 2 else [1.0 / e[0]]
-        except ZeroDivisionError:  # a determinant that underflows takes numpy's inf
-            return _inverse(np.array(e).reshape(2, 2)).ravel().tolist()
+        return _inverse2(e[0], e[1], e[3]) if n == 2 else [1.0 / e[0]]
     a = np.array(e).reshape(n, n)
     _rank_gate(*_spectrum_range(a, False))
     return _inverse(a).ravel().tolist()

@@ -6,9 +6,10 @@ immutable and evaluate over any numeric tower (floats, dual numbers,
 jets) with identical value parts, so one definition serves plain
 evaluation, directional derivatives, and full jet propagation.  A
 coordinate may also be an array over a batch of points; one evaluation
-then covers the batch.  A bound field records its tree with parameters
-as numbers, which the trajectory integrators compile under the same
-domain rules (:mod:`lagmech.compiled`); every other path evaluates here.
+then covers the batch.  Binding substitutes the parameters once: a
+field is its tree with each parameter a number, which the trajectory
+integrators compile under the same domain rules (:mod:`lagmech.compiled`)
+and every other path evaluates here.
 
 Grammar (EBNF, also in docs/grammar.md)::
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from .errors import (
     ArityError,
+    ConfigError,
     DomainError,
     ParseError,
     UnboundParameter,
@@ -60,7 +62,7 @@ __all__ = [
     "to_source",
     "bind_scalar",
     "bind_vertical",
-    "parameter_names",
+    "real_parameter",
 ]
 
 
@@ -256,14 +258,14 @@ def parse(source: str, n: int) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def eval_expr(e: Expr, xs, ys, params=None):
+def eval_expr(e: Expr, xs, ys):
     """Evaluate over whatever tower the coordinate scalars live in."""
     if isinstance(e, Bin):
         if e.op == "^":
-            return power(eval_expr(e.left, xs, ys, params),
-                         eval_expr(e.right, xs, ys, params))
-        l = eval_expr(e.left, xs, ys, params)
-        r = eval_expr(e.right, xs, ys, params)
+            return power(eval_expr(e.left, xs, ys),
+                         eval_expr(e.right, xs, ys))
+        l = eval_expr(e.left, xs, ys)
+        r = eval_expr(e.right, xs, ys)
         if e.op == "+":
             return l + r
         if e.op == "-":
@@ -282,78 +284,56 @@ def eval_expr(e: Expr, xs, ys, params=None):
         return e.value
     if isinstance(e, Call):
         if e.name == "pow":
-            return power(eval_expr(e.args[0], xs, ys, params),
-                         eval_expr(e.args[1], xs, ys, params))
-        return apply_function(e.name, eval_expr(e.args[0], xs, ys, params))
+            return power(eval_expr(e.args[0], xs, ys),
+                         eval_expr(e.args[1], xs, ys))
+        return apply_function(e.name, eval_expr(e.args[0], xs, ys))
     if isinstance(e, Neg):
-        return -eval_expr(e.arg, xs, ys, params)
-    if isinstance(e, Param):
-        if params is None or e.name not in params:
-            raise UnboundParameter(e.name)
-        return params[e.name]
+        return -eval_expr(e.arg, xs, ys)
+    if isinstance(e, Param):  # a bound tree has none
+        raise UnboundParameter(e.name)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def parameter_names(e: Expr) -> set:
-    """Names of all free parameters in an expression."""
-    out: set = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Param):
-            out.add(node.name)
-        elif isinstance(node, Bin):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Call):
-            stack.extend(node.args)
-    return out
-
-
 def _bound_tree(e: Expr, params: dict):
-    """``e`` with each parameter replaced by its value as a ``Num``; None
-    when a value is not a real number."""
+    """``e`` with each parameter replaced by its value as a ``Num``.
+
+    Raises UnboundParameter for a parameter without a value, and
+    ConfigError for one whose value is not a real number.
+    """
     if isinstance(e, Param):
-        v = params[e.name]
-        return Num(float(v)) if isinstance(v, numbers.Real) else None
+        if e.name not in params:
+            raise UnboundParameter(e.name)
+        return Num(real_parameter(e.name, params[e.name]))
     if isinstance(e, (Num, Var)):
         return e
-    parts = [e.arg] if isinstance(e, Neg) else [e.left, e.right] if isinstance(e, Bin) else e.args
-    bound = [_bound_tree(a, params) for a in parts]
-    return None if None in bound else Neg(*bound) if isinstance(e, Neg) else \
-        Bin(e.op, *bound) if isinstance(e, Bin) else Call(e.name, tuple(bound))
+    if isinstance(e, Neg):
+        return Neg(_bound_tree(e.arg, params))
+    if isinstance(e, Bin):
+        return Bin(e.op, _bound_tree(e.left, params), _bound_tree(e.right, params))
+    return Call(e.name, tuple(_bound_tree(a, params) for a in e.args))
+
+
+def real_parameter(name: str, value) -> float:
+    """A parameter's value as a float; ConfigError unless it is a real
+    number."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"parameter {name!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def bind_scalar(e: Expr, n: int, params=None, source: str | None = None) -> ScalarField:
-    """Close an expression over a parameter map as a scalar field."""
-    missing = parameter_names(e) - set(params or {})
-    if missing:
-        raise UnboundParameter(sorted(missing)[0])
-    bound = dict(params or {})
-    return ScalarField(n, lambda xs, ys: eval_expr(e, xs, ys, bound),
-                       source=source if source is not None else to_source(e),
-                       tree=_bound_tree(e, bound))
+    """An expression with its parameters substituted, as a scalar field."""
+    return ScalarField(n, _bound_tree(e, params or {}),
+                       source=source if source is not None else to_source(e))
 
 
 def bind_vertical(exprs, n: int, params=None) -> VerticalField:
-    """Close force component expressions over a parameter map."""
+    """Force component expressions with their parameters substituted."""
     exprs = list(exprs)
     if len(exprs) != n:
         raise ValueError(f"force needs {n} components, got {len(exprs)}")
-    for e in exprs:
-        missing = parameter_names(e) - set(params or {})
-        if missing:
-            raise UnboundParameter(sorted(missing)[0])
-    bound = dict(params or {})
-    trees = [_bound_tree(e, bound) for e in exprs]
-    return VerticalField(
-        n,
-        lambda xs, ys: [eval_expr(e, xs, ys, bound) for e in exprs],
-        sources=[to_source(e) for e in exprs],
-        trees=None if None in trees else trees,
-    )
+    return VerticalField(n, [_bound_tree(e, params or {}) for e in exprs],
+                         sources=[to_source(e) for e in exprs])
 
 
 # ---------------------------------------------------------------------------

@@ -935,39 +935,64 @@ class SymMatrix:
                          self.min_abs_eigen_estimate, self.max_abs_eigen)
 
 
+# a symmetric [[p, b], [b, d]] with |p| + |b| + |d| in this range keeps
+# the closed form of its spectrum inside the float range: its squares
+# neither overflow nor, where the eigenvalues matter, underflow
+_SAFE2 = (2.0 ** -450, 2.0 ** 450)
+_MIN_NORMAL = 2.0 ** -1022
+
+
+def _scale2(p, b, d):
+    """The power of two that takes the largest of |p|, |b|, |d| (floats) to
+    [0.5, 1) (by 2^1023 at most; 2^-1024 for an infinity or a NaN, so that
+    no finite entry overflows).  A power of two scales every step of the
+    2x2 closed forms exactly, so a rescaled result is the unscaled one
+    wherever that stayed in the float range."""
+    m = max(abs(p), abs(b), abs(d))
+    return math.ldexp(1.0, min(1023, -math.frexp(m)[1]) if m < math.inf else -1024)
+
+
 def _inverse2(p, b, d):
-    """[[p, b], [b, d]]^-1, row-major, of floats or entrywise of arrays."""
+    """[[p, b], [b, d]]^-1 of floats, row-major; where the determinant
+    overflows or leaves the normal range, s (s A)^-1 with the s of
+    :func:`_scale2`."""
     c = 0.0 - b  # -b, but +0.0 where b is a zero
     det = p * d - b * b
-    return [d / det, c / det, c / det, p / det]
+    if _MIN_NORMAL <= abs(det) < math.inf:
+        return [d / det, c / det, c / det, p / det]
+    s = _scale2(p, b, d)
+    p, c, d = p * s, c * s, d * s
+    det = p * d - c * c
+    return [d / det * s, c / det * s, c / det * s, p / det * s]
 
 
 def _inverse(a):
     """Inverse of a symmetric float matrix (or of each of a batch), in
-    closed form up to 2x2."""
+    closed form up to 2x2 (a batch of 2x2 point by point)."""
     if a.shape[0] == 1:
         return 1.0 / a
     if a.shape[0] == 2:
-        return np.reshape(_inverse2(a[0, 0], a[0, 1], a[1, 1]), a.shape)
+        (p, b), (_, d) = a.tolist()
+        if a.ndim == 2:
+            return np.reshape(_inverse2(p, b, d), a.shape)
+        return np.array(list(map(_inverse2, p, b, d))).T.reshape(a.shape)
     if a.ndim == 3:
         return np.moveaxis(np.linalg.inv(np.moveaxis(a, -1, 0)), 0, -1)
     return np.linalg.inv(a)
 
 
 def _spectrum2(p, b, d):
-    """min and max |eigenvalue| of the symmetric [[p, b], [b, d]] of floats.
-    Where the closed form overflows it runs on the entries divided by the
-    largest and scales back (LAPACK's dlaev2), so min/max is scale-free."""
+    """min and max |eigenvalue| of the symmetric [[p, b], [b, d]] of floats,
+    in closed form; outside ``_SAFE2`` on the entries rescaled by
+    :func:`_scale2` (as LAPACK's dlaev2 scales them), so min/max is
+    scale-free."""
+    s = 1.0
+    if not _SAFE2[0] <= abs(p) + abs(b) + abs(d) <= _SAFE2[1]:
+        s = _scale2(p, b, d)
+        p, b, d = p * s, b * s, d * s
     half_tr = 0.5 * (p + d)
-    try:  # a float's ** 2 is C pow(), as a numpy scalar's, and raises on overflow
-        disc = math.sqrt((0.5 * (p - d)) ** 2 + b * b)
-    except OverflowError:
-        disc = math.inf
-    if not abs(half_tr) + disc < math.inf:  # an eigenvalue, or the form, overflows
-        s = max(abs(p), abs(b), abs(d))
-        if 0.0 < s < math.inf:
-            return tuple(e * s for e in _spectrum2(p / s, b / s, d / s))
-    e1, e2 = abs(half_tr + disc), abs(half_tr - disc)
+    disc = math.sqrt((0.5 * (p - d)) ** 2 + b * b)
+    e1, e2 = abs(half_tr + disc) / s, abs(half_tr - disc) / s
     return (e1, e2) if e1 <= e2 else (e2, e1)
 
 
@@ -991,8 +1016,9 @@ def _spectrum_range(a, batched):
 
 def _rank_gate(mn, mx, rel_tol: float = 1e-10):
     """``(mn, mx)``, min and max |eig| (floats, or per point of a batch);
-    SingularMetric when the smallest is below rel_tol x the largest."""
-    bad = (mx == 0.0) | (mn < rel_tol * mx)
+    SingularMetric when the smallest is zero or below rel_tol x the largest
+    (a product that underflows to zero where the largest is subnormal)."""
+    bad = (mn == 0.0) | (mn < rel_tol * mx)
     if _any(bad):
         if isinstance(bad, np.ndarray):
             first = int(np.flatnonzero(bad)[0])

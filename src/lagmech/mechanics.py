@@ -17,11 +17,11 @@ sigma:
   the evolution connection compatible with the symplectic 2-form.
 
 All of it comes from one pass: the jet of L, the metric, y, V, G0 and G
-at a point; the jet route's ODE right-hand sides run it on floats.
-:class:`PointGeometry` runs it once with y seeded along the identity,
-which yields the values together with every fiber Jacobian (N0, dV/dy,
-N, dsigma/dy, d3L/dy3); position derivatives of g are evaluated only
-when read.
+at a point; the trajectories run the same quantities compiled
+(:mod:`lagmech.compiled`).  :class:`PointGeometry` runs it once with y
+seeded along the identity, which yields the values together with every
+fiber Jacobian (N0, dV/dy, N, dsigma/dy, d3L/dy3); position derivatives
+of g are evaluated only when read.
 
 A context holds one point or a batch of B points (a phase point whose
 coordinates are (B,) arrays, see :func:`stack_points`).  Over a batch

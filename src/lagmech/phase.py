@@ -1,16 +1,16 @@
 """Phase points and evaluatable fields on the tangent bundle.
 
 A phase point u = (x, y) collects base coordinates x and fiber (velocity)
-coordinates y of a single chart on an open subset of R^n.  Fields are plain
-callables ``f(x, y)`` over sequences of tower scalars, so the same field
-definition evaluates on floats, dual numbers (KDual), or jets without change.
+coordinates y of a single chart on an open subset of R^n.  A field is its
+bound expression tree (:mod:`lagmech.dsl`), called as ``f(x, y)`` over
+sequences of tower scalars, so the same field evaluates on floats, dual
+numbers (KDual), or jets without change.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 def _coerce(values) -> tuple:
@@ -47,69 +47,69 @@ class PhasePoint:
     def n(self) -> int:
         return len(self.x)
 
-    def y_norm(self) -> float:
-        """Euclidean norm of the fiber coordinates (float entries only)."""
-        return math.sqrt(sum(float(v) ** 2 for v in self.y))
-
     def __repr__(self):
         return f"PhasePoint(x={self.x}, y={self.y})"
 
 
 class ScalarField:
-    """An evaluatable scalar field L(x, y), generic over the numeric tower.
-
-    Wraps a callable ``fn(x, y) -> scalar`` where ``x`` and ``y`` are
-    sequences of tower scalars of length ``n``.  The result lives in the
-    same tower as the inputs (float in, float out; jet in, jet out).
-    ``tree``: the bound expression tree, which the integrators compile.
+    """A scalar field L(x, y): its bound expression tree, evaluated by
+    :func:`lagmech.dsl.eval_expr` over whatever tower ``x`` and ``y``
+    carry (float in, float out; jet in, jet out).  The integrators
+    compile the same tree.
     """
 
-    __slots__ = ("n", "fn", "source", "tree")
+    __slots__ = ("n", "tree", "source")
 
-    def __init__(self, n: int, fn: Callable, source: str | None = None, tree=None):
+    def __init__(self, n: int, tree, source: str | None = None):
         self.n = n
-        self.fn = fn
-        self.source = source
         self.tree = tree
+        self.source = source
 
     def __call__(self, x: Sequence, y: Sequence):
-        return self.fn(x, y)
+        from .dsl import eval_expr  # dsl builds fields, so it imports this module
+
+        return eval_expr(self.tree, x, y)
 
     def at(self, p: PhasePoint):
         """Evaluate at a phase point with plain scalars."""
-        return self.fn(p.x, p.y)
+        from .dsl import eval_expr
+
+        return eval_expr(self.tree, p.x, p.y)
 
     def __repr__(self):
         return f"ScalarField(n={self.n}, source={self.source!r})"
 
 
 class VerticalField:
-    """A vertical vector field with components V^i(x, y).
+    """A vertical vector field with components V^i(x, y), one bound tree
+    each.
 
     Only fiber components are carried; the field acts along the velocity
-    directions by construction.  ``trees``: each component's bound tree.
+    directions by construction.
     """
 
-    __slots__ = ("n", "fn", "sources", "trees")
+    __slots__ = ("n", "trees", "sources")
 
-    def __init__(self, n: int, fn: Callable, sources=None, trees=None):
+    def __init__(self, n: int, trees, sources=None):
         self.n = n
-        self.fn = fn
+        self.trees = tuple(trees)
         self.sources = tuple(sources) if sources else None
-        self.trees = tuple(trees) if trees is not None else None
 
     def __call__(self, x: Sequence, y: Sequence):
-        comps = self.fn(x, y)
-        return list(comps)
+        from .dsl import eval_expr
+
+        return [eval_expr(t, x, y) for t in self.trees]
 
     def at(self, p: PhasePoint):
-        return self.fn(p.x, p.y)
+        from .dsl import eval_expr
+
+        return [eval_expr(t, p.x, p.y) for t in self.trees]
 
     @classmethod
     def zero(cls, n: int) -> "VerticalField":
         from .dsl import Num
 
-        return cls(n, lambda x, y: [0.0] * n, sources=["0"] * n, trees=[Num(0.0)] * n)
+        return cls(n, [Num(0.0)] * n, sources=["0"] * n)
 
     def __repr__(self):
         return f"VerticalField(n={self.n}, sources={self.sources!r})"

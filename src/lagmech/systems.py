@@ -4,7 +4,8 @@ All Lagrangians and forces are stored as expression sources and built
 through the expression language, so one evaluation mechanism serves the
 whole package.  Parameters are bound at instantiation; requesting an
 entry without a required parameter raises, rather than silently using a
-default.
+default, and a numeric parameter that is not a real number (or an ``n``
+that is not whole) is a ConfigError.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .dsl import bind_scalar, bind_vertical, parse
-from .errors import UnboundParameter, UnknownBuiltin
+from .dsl import bind_scalar, bind_vertical, parse, real_parameter
+from .errors import ConfigError, UnboundParameter, UnknownBuiltin
 from .mechanics import MechanicalSystem
 from .phase import VerticalField
 from .sampling import sample_box
@@ -79,8 +80,16 @@ def _require(params: dict, names):
             raise UnboundParameter(name)
 
 
+def _dimension(params: dict, default: int) -> int:
+    """The parameter ``n``: a real number with an integer value."""
+    n = real_parameter("n", params.get("n", default))
+    if not n.is_integer():
+        raise ConfigError(f"parameter 'n' must be a whole number, got {params['n']!r}")
+    return int(n)
+
+
 def _build_euclid(params: dict) -> MechanicalSystem:
-    n = int(params.get("n", 2))
+    n = _dimension(params, 2)
     src = _euclid_source(n)
     L = bind_scalar(parse(src, n), n, source=src)
     return MechanicalSystem(L, VerticalField.zero(n), n,
@@ -89,7 +98,7 @@ def _build_euclid(params: dict) -> MechanicalSystem:
 
 def _build_sys_a(params: dict) -> MechanicalSystem:
     _require(params, ("c",))
-    c = float(params["c"])
+    c = real_parameter("c", params["c"])
     e = -2.0 * c
     src = _BASES["SYS-A"][1](1)
     L = bind_scalar(parse(src, 1), 1, source=src)
@@ -111,7 +120,7 @@ def _build_sys_c(params: dict) -> MechanicalSystem:
 
 def _build_sys_d(params: dict) -> MechanicalSystem:
     _require(params, ("e",))
-    e = float(params["e"])
+    e = real_parameter("e", params["e"])
     L = bind_scalar(parse(_QUARTIC_ROOT, 2), 2, source=_QUARTIC_ROOT)
     v_sources = [f"e*y{i}*(y1^4 + y2^4)^(-1/4)" for i in (1, 2)]
     V = bind_vertical([parse(s, 2) for s in v_sources], 2, {"e": e})
@@ -121,12 +130,12 @@ def _build_sys_d(params: dict) -> MechanicalSystem:
 
 def _build_sys_e(params: dict) -> MechanicalSystem:
     _require(params, ("e",))
-    e = float(params["e"])
+    e = real_parameter("e", params["e"])
     base = str(params.get("base", "SYS-C"))
     if base not in _BASES:
         raise UnknownBuiltin(f"SYS-E base {base!r} is not a known Lagrangian")
     dim, src_fn, guard = _BASES[base]
-    n = int(params.get("n", dim if dim is not None else 2))
+    n = _dimension(params, dim if dim is not None else 2)
     src = src_fn(n)
     L = bind_scalar(parse(src, n), n, source=src)
     V = bind_vertical([parse(f"e*y{i}", n) for i in range(1, n + 1)], n, {"e": e})
@@ -145,7 +154,7 @@ _CATALOG = [
         reference="quadratic kinetic-energy baseline",
         domain_guard=None,
         build=_build_euclid,
-        box=lambda params: _base_box("EUCLID", int(params.get("n", 2))),
+        box=lambda params: _base_box("EUCLID", _dimension(params, 2)),
     ),
     BuiltinEntry(
         id="SYS-A",
@@ -206,7 +215,7 @@ _CATALOG = [
         domain_guard="y_nonzero",
         build=_build_sys_e,
         box=lambda params: _base_box(str(params.get("base", "SYS-C")),
-                                     int(params.get("n", _BASES[str(params.get("base", "SYS-C"))][0] or 2))),
+                                     _dimension(params, _BASES[str(params.get("base", "SYS-C"))][0] or 2)),
     ),
 ]
 

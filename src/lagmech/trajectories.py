@@ -21,14 +21,14 @@ with an explicit status instead of propagating non-finite values.
 Along every trajectory the energy, Lagrangian, dissipation power and the
 Lagrange-equation residual (the curve's own acceleration substituted)
 are recorded.  A right-hand side is one call of the system's compiled
-program (:mod:`lagmech.compiled`, with the jet route's domain rules) when
-its fields come from the expression language, else the jet route, whose
-arrays become lists at its end: it returns z' and the float blocks of L
-and V as lists.  The drivers form the stages in floats, in numpy's order
-of operations; a record sums its traces from its stage's blocks in order
-from +0.0 as :func:`lagmech.jets.matvec` (a geodesic record evaluates V),
-and the arrays are built at the end.  ``Trajectory.stats`` counts what
-the run did and says where and why it stopped.
+program (:mod:`lagmech.compiled`), built from the bound trees of L and V
+under the domain rules of their jet evaluation: it returns z' and the
+float blocks of L and V as lists.  The drivers form the stages in
+floats, in numpy's order of operations; a record sums its traces from
+its stage's blocks in order from +0.0 as :func:`lagmech.jets.matvec` (a
+geodesic record evaluates V), and the arrays are built at the end.
+``Trajectory.stats`` counts what the run did and says where and why it
+stopped.
 """
 
 from __future__ import annotations
@@ -43,16 +43,7 @@ import numpy as np
 
 from .errors import DomainError, SingularMetric
 from .finsler import require_finsler_mode
-from .jets import (
-    eval_jet,
-    matvec,
-    push_direction,
-    seed_point,
-    sym_invert,
-    tangent_part,
-    value_part,
-)
-from .mechanics import MechanicalSystem, _christoffel, _evolution_pass
+from .mechanics import MechanicalSystem
 from .phase import PhasePoint
 
 __all__ = [
@@ -187,42 +178,6 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# the jet route's right-hand sides (fields without trees): each returns
-# the acceleration and the pass (jet of L, metric, y, V) it ran at p
-# ---------------------------------------------------------------------------
-
-
-def _evolution_rhs(sys: MechanicalSystem, p: PhasePoint):
-    j, g, yv, v, _, spray = _evolution_pass(sys, p)
-    return -2.0 * spray, (j, g, yv, v)
-
-
-def _horizontal_rhs(sys: MechanicalSystem, p: PhasePoint):
-    # N^i_j y^j is the y-directional derivative of the evolution spray
-    # along y itself; one dual pass delivers the whole contraction.
-    passes = []
-
-    def spray(q):
-        passes.append(_evolution_pass(sys, q))
-        return passes[-1][5]
-
-    ny = push_direction(spray, p, [float(v) for v in p.y], wrt="y")
-    return -np.asarray(ny, dtype=float), passes[0][:4]
-
-
-def _geodesic_rhs(sys: MechanicalSystem, p: PhasePoint):
-    # the Christoffel symbols of finsler.christoffel_at, from one jet of L
-    # with x seeded along every base direction.  This pass never evaluates
-    # V: a record does (None here).
-    d = eval_jet(sys.L, seed_point(p, np.eye(p.n), wrt="x"), 2)
-    gx = d.d_yy * 0.5
-    g = sym_invert(value_part(gx))
-    gamma = _christoffel(g.inverse, tangent_part(gx, p.n))
-    yv = np.array([float(v) for v in p.y])
-    return -matvec(matvec(gamma, yv), yv), (d, g, yv, None)
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -230,22 +185,11 @@ def _geodesic_rhs(sys: MechanicalSystem, p: PhasePoint):
 def _route(sys: MechanicalSystem, curve: str):
     """``(rhs, observe)``: ``rhs(z)`` at a list z is z' and the blocks (L,
     d_x, d_y, d_yy, d_xy, V; V None on a geodesic) as lists, by the compiled
-    program or the jet route; ``observe(z, blocks, accel)`` a record's traces."""
+    program; ``observe(z, blocks, accel)`` a record's traces."""
+    from .compiled import program  # compiled at the first run, not at import
+
     n = sys.n
-    if sys.L.tree is not None and sys.V.trees is not None:
-        from .compiled import program  # compiled at the first run, not at import
-
-        rhs = program(curve, sys.L, sys.V)
-    else:
-        accel = {"evolution": _evolution_rhs, "horizontal": _horizontal_rhs,
-                 "geodesic": _geodesic_rhs}[curve]
-
-        def rhs(z):
-            a, (j, g, yv, v) = accel(sys, PhasePoint(z[:n], z[n:]))
-            j = j.primal()
-            return (z[n:] + a.tolist(), (float(j.value), j.d_x.tolist(), j.d_y.tolist(),
-                                         j.d_yy.ravel().tolist(), j.d_xy.ravel().tolist(),
-                                         None if v is None else value_part(v).tolist()))
+    rhs = program(curve, sys.L, sys.V)
 
     # sum_m a[m] b[m] in order from +0.0, as jets._contract
     dot = lambda a, b: reduce(add, map(mul, a, b), 0.0)  # noqa: E731

@@ -438,11 +438,12 @@ def test_builtin_reports_print_no_negative_zero(tmp_path, capsys, system):
         assert not re.search(r"-0(?![\d.])", out), (command, re.search(r".*-0(?![\d.]).*", out))
 
 
-@pytest.mark.parametrize("scale", ["1", "1e100", "1e160", "1e300"])
+@pytest.mark.parametrize("scale", ["1e-170", "1", "1e100", "1e160", "1e300"])
 def test_rank_gate_verdict_does_not_depend_on_the_scale_of_L(tmp_path, capsys, scale):
     # lambda L has lambda times L's metric, here diag(1, 1e-12): singular for
     # every lambda.  The 2x2 closed form overflowed from 1e160 on: to [inf, inf]
-    # at one point, which passed the gate, and to an OverflowError on a batch
+    # at one point, which passed the gate, and to an OverflowError on a batch.
+    # At 1e-170 its squares underflowed to two equal eigenvalues, which passed
     points = [{"x": [0.1, 0.2], "y": [0.7, 0.8]}, {"x": [0.3, 0.2], "y": [0.5, 0.8]},
               {"x": [-0.1, 0.2], "y": [0.7, -0.4]}]
     system = {"n": 2, "lagrangian": f"{scale}*(y1^2 + 1e-12*y2^2)"}
@@ -462,3 +463,48 @@ def test_rank_gate_verdict_does_not_depend_on_the_scale_of_L(tmp_path, capsys, s
                                                  "integrator": {"t_end": 0.1}})
     assert main(["simulate", cfg]) == 3
     assert json.loads(capsys.readouterr().err) == {"status": "singular_metric_stop"}
+
+
+# regular metrics out of the 2x2 closed forms' range: g = diag(1e160, 1e160 +
+# x1^2), whose determinant overflowed (g_inv and G0 printed as zeros), and
+# g = 1e-170 I, whose determinant underflowed (nulls and numpy's warning)
+_SCALED_REGULAR = [("1e160*(y1^2 + y2^2) + x1^2*y2^2", lambda x: [1e-160, 1.0 / (1e160 + x[0] ** 2)]),
+                   ("1e-170*(y1^2 + y2^2)", lambda x: [1e170, 1e170])]
+
+
+@pytest.mark.parametrize("lagrangian, diagonal", _SCALED_REGULAR, ids=["1e160", "1e-170"])
+def test_scaled_regular_metric_inverts(tmp_path, capsys, lagrangian, diagonal):
+    points = [{"x": [0.1, 0.2], "y": [0.7, 0.8]}, {"x": [0.3, 0.2], "y": [0.5, 0.8]},
+              {"x": [-0.1, 0.2], "y": [0.7, -0.4]}]
+    for count in (1, 3):
+        cfg = write_config(tmp_path, "scaled.json", {"system": {"n": 2, "lagrangian": lagrangian},
+                                                     "samples": {"points": points[:count]}})
+        assert main(["inspect", cfg]) == 0
+        for p, entry in zip(points, json.loads(capsys.readouterr().out)["points"]):
+            g_inv = np.array(entry["g_inv"], dtype=float)
+            assert np.allclose(g_inv, np.diag(diagonal(p["x"])), rtol=1e-15, atol=0.0)
+            assert np.isfinite(np.array(entry["G0"], dtype=float)).all()
+    cfg = write_config(tmp_path, "scaled.json", {"system": {"n": 2, "lagrangian": lagrangian},
+                                                 "initial": points[0], "integrator": {"t_end": 0.1}})
+    assert main(["simulate", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(err)["status"] == "completed"
+    # at 1e160 the zero inverse had integrated a straight line: defect 0.22
+    assert read_csv(out).el_residual.max() <= 1e-15
+
+
+@pytest.mark.parametrize("system, flags, detail", [
+    ({"builtin": "SYS-A", "params": {"c": 0.1}}, ["--param", "c=xyz"], "parameter 'c' must be a number"),
+    ({"builtin": "SYS-D", "params": {"e": "abc"}}, [], "parameter 'e' must be a number"),
+    ({"builtin": "SYS-E", "params": {"e": "abc"}}, [], "parameter 'e' must be a number"),
+    ({"builtin": "EUCLID", "params": {"n": "abc"}}, [], "parameter 'n' must be a number"),
+    ({"builtin": "EUCLID", "params": {"n": 2.5}}, [], "parameter 'n' must be a whole number"),
+    ({"builtin": "SYS-E", "params": {"e": -1.0, "base": "EUCLID", "n": 2.5}}, [],
+     "parameter 'n' must be a whole number"),
+], ids=["SYS-A-c", "SYS-D-e", "SYS-E-e", "EUCLID-n", "EUCLID-n-fraction", "SYS-E-n-fraction"])
+def test_builtin_parameter_errors_are_config_errors(tmp_path, capsys, system, flags, detail):
+    # a builtin's numeric parameters pass the expression systems' check:
+    # exit 2 with a ConfigError, not a ValueError traceback or a truncated n
+    cfg = write_config(tmp_path, "builtin.json", {"system": system})
+    assert main(["classify", cfg, *flags]) == 2
+    assert detail in capsys.readouterr().err

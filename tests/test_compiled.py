@@ -192,7 +192,8 @@ def _symmetric_entries(rng):
     """Row-major symmetric 1x1 and 2x2 matrices: random entries of
     magnitudes up to 1e300, near-singular ones with eigenvalue ratios on
     either side of the 1e-10 gate, and entries whose closed forms
-    overflow or whose determinant underflows to zero."""
+    overflow or whose determinant underflows to zero (a subnormal [[e, e],
+    [e, e]] among them, whose rank-gate product underflows too)."""
     for _ in range(300):
         yield [rng.normal() * 10.0 ** rng.uniform(-300, 300)]
         p, b, d = rng.normal(size=3) * 10.0 ** rng.uniform(-300, 300, size=3)
@@ -202,7 +203,7 @@ def _symmetric_entries(rng):
         c, s = math.cos(rng.uniform(0, math.pi)), math.sin(rng.uniform(0, math.pi))
         yield [c * c * big + s * s * small, c * s * (big - small), c * s * (big - small),
                s * s * big + c * c * small]
-    for e in (0.0, 1e-170, 1e160, 1e300, -1e300):
+    for e in (0.0, 5e-324, 1e-170, 1e160, 1e300, -1e300):
         yield [e]
         yield [e, 0.0, 0.0, e]
         yield [e, e, e, e]
@@ -223,7 +224,7 @@ def test_float_gate_and_inverse_match_the_jets():
     seen = Counter()
     for e in _symmetric_entries(rng):
         e, n = [float(v) for v in e], 1 if len(e) == 1 else 2
-        with np.errstate(all="ignore"):  # an underflowed determinant divides by zero
+        with np.errstate(all="ignore"):  # numpy's 1x1 inverse of a subnormal overflows
             got = outcome(_invert, n, e)
             ref = outcome(lambda a: _sym_invert(a).inverse, np.array(e).reshape(n, n))
         assert got == ref, e

@@ -248,7 +248,7 @@ def test_classify_batch_equals_single_points(name, layout):
     expected = [dict(f, index=i) for i, r in enumerate(singles) for f in r.failures]
     assert batch.failures == expected
     indices, points = _failed_at(samples, batch.failures)
-    assert all(p.y_norm() == 0.0 for p in points)
+    assert all(math.hypot(*p.y) == 0.0 for p in points)
     assert (len(indices) > 0) == (name == "SYS-D")
 
 
@@ -293,7 +293,7 @@ def test_finsler_reports_batch_equal_single_points(name, layout, report):
     if name == "SYS-A" and report is finsler_identities:
         assert indices == [i for i, p in enumerate(samples) if p.x[0] != 0.0]
     else:
-        assert all(p.y_norm() == 0.0 for p in points)
+        assert all(math.hypot(*p.y) == 0.0 for p in points)
         assert (len(indices) > 0) == (name == "SYS-D")
     if "accepted" in batch:
         assert batch["accepted"] == (bool(tested) and all(r["accepted"] for r in tested))

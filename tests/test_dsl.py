@@ -15,12 +15,13 @@ from lagmech.dsl import (
     Param,
     Var,
     bind_scalar,
-    eval_expr,
+    bind_vertical,
     parse,
     to_source,
 )
 from lagmech.errors import (
     ArityError,
+    ConfigError,
     DomainError,
     ParseError,
     UnboundParameter,
@@ -225,8 +226,21 @@ def test_bound_field_rejects_missing_parameter():
         bind_scalar(tree, 1, {"e": 1.0})
 
 
+@pytest.mark.parametrize("value", ["abc", None, [1.0], 1j])
+def test_binding_rejects_a_parameter_that_is_not_a_real_number(value):
+    # the field is its bound tree, so a value that is not a real number is a
+    # ConfigError at binding, not a TypeError at the first evaluation
+    with pytest.raises(ConfigError, match="parameter 'c' must be a number"):
+        bind_scalar(parse("c*y1^2", 1), 1, {"c": value})
+    with pytest.raises(ConfigError, match="parameter 'c' must be a number"):
+        bind_vertical([parse("-c*y1", 1)], 1, {"c": value})
+    # a parameter the expression does not use is not checked; an int binds
+    # as the float it equals
+    field = bind_scalar(parse("c*y1^2", 1), 1, {"c": 2, "d": value})
+    assert field.tree == parse("2.0*y1^2", 1) and field.at(PhasePoint((0.0,), (3.0,))) == 18.0
+
+
 def test_jet_tower_matches_fd_for_each_function(rng):
-    from lagmech.phase import ScalarField
     from oracle import fd_oracle
 
     sources = ["sin(y1)", "cos(y1)", "tan(0.4*y1)", "exp(y1)", "log(1 + y1^2)",
@@ -234,7 +248,7 @@ def test_jet_tower_matches_fd_for_each_function(rng):
     p = PhasePoint((0.0,), (0.8,))
     for src in sources:
         tree = parse(src, 1)
-        field = ScalarField(1, lambda xs, ys, t=tree: eval_expr(t, xs, ys))
+        field = bind_scalar(tree, 1)
         j = jet(tree, p, 3)
         fd = fd_oracle(field, p, order=3, h=1e-5)
         for name in ("d_y", "d_yy", "d_yyy"):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from lagmech.dsl import bind_scalar, parse
 from lagmech.errors import SingularMetric
 from lagmech.jets import eval_jet, push_direction
 from lagmech.mechanics import PointGeometry
-from lagmech.phase import PhasePoint, ScalarField
+from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
 from oracle import fd_oracle
 import routes
@@ -16,8 +17,12 @@ import routes
 SQRT2 = math.sqrt(2.0)
 
 
+def field(source, n):
+    return bind_scalar(parse(source, n), n)
+
+
 def euclid_L():
-    return ScalarField(2, lambda x, y: y[0] * y[0] + y[1] * y[1])
+    return field("y1*y1 + y2*y2", 2)
 
 
 def free_at(L, p):
@@ -41,7 +46,7 @@ def test_metric_sys_b_diagonal(sys_b):
 
 
 def test_metric_cross_term_regular():
-    L = ScalarField(2, lambda x, y: y[0] * y[1])
+    L = field("y1*y2", 2)
     g = free_at(L, PhasePoint((0.0, 0.0), (1.0, 1.0))).metric
     assert np.abs(g.entries - np.array([[0.0, 0.5], [0.5, 0.0]])).max() < 1e-15
     assert np.abs(g.inverse - np.array([[0.0, 2.0], [2.0, 0.0]])).max() < 1e-14
@@ -75,7 +80,7 @@ def test_energy_oscillator_value(sys_a, p_oscillator):
 
 def test_energy_constant_lagrangian():
     # a constant L has no metric, so no context: read the reference route
-    L = ScalarField(1, lambda x, y: 4.5)
+    L = field("4.5", 1)
     p = PhasePoint((0.2,), (1.7,))
     e, de_x, de_y = routes.energy(L, p)
     assert e == -4.5

@@ -14,7 +14,7 @@ from lagmech.jets import (
     push_direction,
     sym_invert,
 )
-from lagmech.phase import PhasePoint, ScalarField
+from lagmech.phase import PhasePoint
 from oracle import fd_oracle
 import routes
 
@@ -22,7 +22,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def quartic_root_field():
-    return ScalarField(2, lambda x, y: ((y[0] ** 4 + y[1] ** 4)) ** 0.5)
+    return lambda x, y: ((y[0] ** 4 + y[1] ** 4)) ** 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +31,7 @@ def quartic_root_field():
 
 
 def test_jet_quadratic_form():
-    f = ScalarField(2, lambda x, y: y[0] * y[0] + y[1] * y[1])
+    f = lambda x, y: y[0] * y[0] + y[1] * y[1]
     j = eval_jet(f, PhasePoint((0.0, 0.0), (1.0, 2.0)), order=2)
     assert j.value == 5.0
     assert np.array_equal(j.d_y, [2.0, 4.0])
@@ -40,7 +40,7 @@ def test_jet_quadratic_form():
 
 
 def test_jet_constant_field():
-    f = ScalarField(2, lambda x, y: 7.0)
+    f = lambda x, y: 7.0
     j = eval_jet(f, PhasePoint((0.3, -1.0), (1.0, 2.0)), order=3)
     assert j.value == 7.0
     for block in (j.d_x, j.d_y, j.d_yy, j.d_xy, j.d_yyy):
@@ -84,11 +84,8 @@ def test_order_three_refuses_a_seeded_point(sys_d):
 
 
 def test_jet_symmetry_is_bitwise(rng):
-    f = ScalarField(
-        3,
-        lambda x, y: (y[0] * y[1] * y[2] + (y[0] ** 4 + y[1] ** 4 + y[2] ** 4) ** 0.5
-                      + x[0] * y[1] ** 3),
-    )
+    def f(x, y):
+        return y[0] * y[1] * y[2] + (y[0] ** 4 + y[1] ** 4 + y[2] ** 4) ** 0.5 + x[0] * y[1] ** 3
     for _ in range(5):
         p = PhasePoint(rng.uniform(-1, 1, 3), rng.uniform(0.4, 1.6, 3))
         j = eval_jet(f, p, order=3)
@@ -103,14 +100,14 @@ def test_jet_symmetry_is_bitwise(rng):
 
 
 def test_fd_exact_on_quadratics():
-    f = ScalarField(2, lambda x, y: 3.0 * y[0] * y[0] - y[0] * y[1])
+    f = lambda x, y: 3.0 * y[0] * y[0] - y[0] * y[1]
     fd = fd_oracle(f, PhasePoint((0.0, 0.0), (0.7, -0.4)), order=2, h=1e-4)
     expected = np.array([[6.0, -1.0], [-1.0, 0.0]])
     assert np.abs(fd.d_yy - expected).max() < 1e-7
 
 
 def test_fd_sine_first_derivative():
-    f = ScalarField(1, lambda x, y: math.sin(y[0]) if isinstance(y[0], float) else y[0].sin())
+    f = lambda x, y: math.sin(y[0]) if isinstance(y[0], float) else y[0].sin()
     fd = fd_oracle(f, PhasePoint((0.0,), (0.0,)), order=1, h=1e-5)
     assert abs(fd.d_y[0] - 1.0) <= 1e-9
 
@@ -197,6 +194,48 @@ def test_sym_invert_sys_b_metric(sys_b):
     assert np.abs(g.inverse - np.diag([0.5, 1.0])).max() < 1e-14
 
 
+@pytest.mark.parametrize("k", [-980, -600, -450, 0, 450, 600, 1000])
+def test_2x2_gate_and_inverse_are_scale_free(k):
+    # 2^k A for a regular A and a singular one (eigenvalue ratio 1e-12), on
+    # one point and on a batch: a power of two scales the eigenvalue range
+    # by 2^k and the inverse by 2^-k exactly, however far the closed forms
+    # would leave the float range on the entries themselves
+    from lagmech.jets import _sym_invert
+
+    s = 2.0 ** k
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    ref = sym_invert(a)
+    one = sym_invert(a * s)
+    assert one.inverse.tobytes() == (ref.inverse / s).tobytes()
+    assert (one.min_abs_eigen_estimate, one.max_abs_eigen) == \
+        (ref.min_abs_eigen_estimate * s, ref.max_abs_eigen * s)
+    batch = _sym_invert(np.stack([a * s, a, a * 2.0 * s], axis=-1))
+    for i, m in enumerate((a * s, a, a * 2.0 * s)):
+        assert batch.inverse[..., i].tobytes() == sym_invert(m).inverse.tobytes()
+
+    def rank_failure(m):
+        with pytest.raises(SingularMetric) as err:
+            (sym_invert if m.ndim == 2 else _sym_invert)(m)
+        return err.value.min_abs_eigen, err.value.max_abs_eigen
+
+    singular = np.diag([1.0, 1e-12])
+    lo, hi = rank_failure(singular)
+    assert rank_failure(singular * s) == (lo * s, hi * s)
+    assert rank_failure(np.stack([a, singular * s], axis=-1)) == (lo * s, hi * s)
+
+
+@pytest.mark.parametrize("a, inverse", [
+    # the determinant overflowed to inf, and the inverse printed zeros
+    ([[1e160, 0.0], [0.0, 1e160 + 0.01]], [[1e-160, 0.0], [0.0, 1.0 / (1e160 + 0.01)]]),
+    # the determinant underflowed to 0, and the inverse printed nulls
+    ([[1e-170, 0.0], [0.0, 1e-170]], [[1e170, 0.0], [0.0, 1e170]]),
+    ([[1e-170, 3e-171], [3e-171, 2e-170]], [[2e170 / 1.91, -3e169 / 1.91], [-3e169 / 1.91, 1e170 / 1.91]]),
+])
+def test_2x2_inverse_out_of_the_closed_forms_range(a, inverse):
+    got = sym_invert(np.array(a)).inverse
+    assert np.allclose(got, inverse, rtol=1e-15, atol=0.0)
+
+
 def test_sym_invert_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_invert(np.array([[1.0, 0.5], [0.1, 1.0]]))
@@ -243,8 +282,8 @@ def test_dual_division_and_functions():
 def test_overflow_raises_domain_error_in_every_tower():
     from lagmech.jets import apply_function, power
 
-    f_exp = ScalarField(1, lambda x, y: apply_function("exp", y[0]))
-    f_pow = ScalarField(1, lambda x, y: power(y[0], 200.5))
+    f_exp = lambda x, y: apply_function("exp", y[0])
+    f_pow = lambda x, y: power(y[0], 200.5)
     for f, v in ((f_exp, 1000.0), (f_pow, 1e5)):
         with pytest.raises(DomainError):
             f([0.0], [v])
@@ -268,7 +307,7 @@ def test_derivative_terms_are_computed_when_read(monkeypatch):
 
     monkeypatch.setattr(jets, "math", SimpleNamespace(
         **{name: counted(name) for name in ("pow", "sqrt", "sin", "cos", "tan", "exp", "log")}))
-    f = ScalarField(1, lambda x, y: power(y[0], 0.5))
+    f = lambda x, y: power(y[0], 0.5)
     # a float reads f, a KDual f and f', an order-o jet o + 1 terms
     for value, pows in ((2.0, 1), (KDual(2.0, np.array([1.0])), 2)):
         calls.clear()
@@ -305,7 +344,7 @@ def test_batched_elementary_functions_match_floats():
     c=st.floats(-1.5, 1.5),
 )
 def test_jet_matches_fd_on_random_cubics(a, b, c):
-    f = ScalarField(1, lambda x, y: a * y[0] * y[0] * y[0] + b * y[0] * y[0] + c * y[0])
+    f = lambda x, y: a * y[0] * y[0] * y[0] + b * y[0] * y[0] + c * y[0]
     p = PhasePoint((0.0,), (0.7,))
     j = eval_jet(f, p, order=3)
     assert j.d_y[0] == pytest.approx(3 * a * 0.49 + 2 * b * 0.7 + c, abs=1e-12)
@@ -406,7 +445,7 @@ def test_x_push_through_x_free_lagrangian_stays_float():
     from lagmech.jets import Jet
 
     n = 3
-    f = ScalarField(n, lambda x, y: y[0] * y[0] + y[1] * y[2] + y[2] ** 4)
+    f = lambda x, y: y[0] * y[0] + y[1] * y[2] + y[2] ** 4
     seen = []
 
     def pipeline(q):

@@ -199,28 +199,42 @@ def test_trajectory_state_property(sys_a):
 
 # -- one pass per stage: the same bits as the reference drivers -------------
 
+# every function of the language, and powers whose exponents vary with x
+# (a float exponent of a base pushed along y) and with y
+_EVERY_FUNCTION = {"n": 2, "lagrangian": "exp(0.1*x1)*y1^2 + (2 + sin(x2))*y2^2 + 0.1*tan(0.2*x1)*y1*y2"
+                   " + 0.1*log(2 + x2^2)*sqrt(1 + y1^2 + y2^2) + 0.01*cos(x1*y2)",
+                   "force": ["-0.1*y1*pow(2 + y2^2, 0.3*sin(x1))", "-0.1*pow(1.5 + x2^2, y1)*y2"]}
+# each run's system config section, initial state and, where it is not
+# 1e-10, the adaptive rel_tol (abs_tol is 1e-2 of it).  At 1e-10 the step
+# controller of EVERY-FUNCTION's horizontal curve turns the 1e-16 by which
+# its compiled and jet stages differ into 2e-8 in a step size; its earlier
+# jet-route test ran at the defaults, 1e-8 and 1e-10
 _RUNS = {
-    "SYS-A": (("SYS-A", {"c": 0.1}), (1.0,), (0.5,)),
-    "SYS-B": (("SYS-B", {}), (1.0, -0.3), (0.6, 0.9)),
-    "SYS-D": (("SYS-D", {"e": -0.5}), (0.1, 0.2), (1.0, 0.5)),
-    "SYS-E/EUCLID6": (("SYS-E", {"e": -1.0, "base": "EUCLID", "n": 6}),
+    "SYS-A": ({"builtin": "SYS-A", "params": {"c": 0.1}}, (1.0,), (0.5,)),
+    "SYS-B": ({"builtin": "SYS-B"}, (1.0, -0.3), (0.6, 0.9)),
+    "SYS-D": ({"builtin": "SYS-D", "params": {"e": -0.5}}, (0.1, 0.2), (1.0, 0.5)),
+    "SYS-E/EUCLID6": ({"builtin": "SYS-E", "params": {"e": -1.0, "base": "EUCLID", "n": 6}},
                       (0.1,) * 6, (1.0, 0.5, -0.3, 0.2, 0.4, -0.6)),
+    "EVERY-FUNCTION": (_EVERY_FUNCTION, (0.5, 0.0), (-1.0, 0.5), 1e-8),
 }
 # SYS-D from the origin: the velocity decays onto the zero section, and the
 # adaptive run ends domain_stop at t = 4.0611
-_STOP = (("SYS-D", {"e": -0.5}), (0.0, 0.0), (1.0, 0.5))
+_STOP = ({"builtin": "SYS-D", "params": {"e": -0.5}}, (0.0, 0.0), (1.0, 0.5))
+# the geodesic needs a 2-homogeneous L
 _GRID = [(name, curve, method, every)
          for name in _RUNS
-         for curve in INTEGRATE if not (curve == "geodesic" and name == "SYS-A")
+         for curve in INTEGRATE
+         if not (curve == "geodesic" and name in ("SYS-A", "EVERY-FUNCTION"))
          for method in ("rk4_fixed", "rk45_adaptive")
          for every in (1, 3)]
 
 
 def _run(spec, t_end, method, every):
-    (builtin, params), x, y = spec
+    system, x, y, *rel_tol = spec
+    rel_tol = rel_tol[0] if rel_tol else 1e-10
     cfg = IntegratorConfig(method=method, step=0.02, t_end=t_end, record_every=every,
-                           rel_tol=1e-10, abs_tol=1e-12)
-    return instantiate(builtin, params), PhasePoint(x, y), cfg
+                           rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
+    return build_system({"system": system}, {}), PhasePoint(x, y), cfg
 
 
 @pytest.mark.parametrize("name, curve, method, every",
@@ -321,14 +335,15 @@ def test_singular_stop_records_eigen_range(sys_c):
     assert 0.0 <= lo < 1e-10 * hi
 
 
-def _counting(monkeypatch, calls, name, kind):
-    fn = getattr(trajectories, name)
+def _counting(monkeypatch, calls, module, name):
+    """Count the calls of ``module.name`` under its name."""
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls[kind(*args)] += 1
+        calls[name] += 1
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(trajectories, name, counted)
+    monkeypatch.setattr(module, name, counted)
 
 
 def _counted_programs(monkeypatch, calls):
@@ -354,33 +369,19 @@ def _counted_programs(monkeypatch, calls):
 def test_pass_budget(monkeypatch, curve):
     # with every state recorded, a run makes exactly one compiled call per
     # right-hand side and no jet pass (a geodesic record evaluates V alone)
+    import lagmech.jets as jets
+    import lagmech.mechanics as mechanics
+
     calls = Counter()
-    for name in ("_evolution_pass", "push_direction", "eval_jet"):
-        _counting(monkeypatch, calls, name, lambda *a, name=name: name)
+    for module, name in ((mechanics, "_evolution_pass"), (jets, "push_direction"),
+                         (jets, "eval_jet")):
+        _counting(monkeypatch, calls, module, name)
     _counted_programs(monkeypatch, calls)
     for method in ("rk4_fixed", "rk45_adaptive"):
         calls.clear()
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.3, method, 1)
         rhs = INTEGRATE[curve](sys_, p0, cfg).stats.rhs_calls
         assert dict(calls) == {curve: rhs}, method
-
-
-@pytest.mark.parametrize("curve", list(INTEGRATE))
-def test_hand_built_fields_take_the_jet_route(monkeypatch, curve):
-    # fields without trees keep the jet route's right-hand sides, which
-    # agree with the compiled ones
-    calls = Counter()
-    for name in ("_evolution_pass", "push_direction", "eval_jet"):
-        _counting(monkeypatch, calls, name, lambda *a, name=name: name)
-    _counted_programs(monkeypatch, calls)
-    sys_, p0, cfg = _run(_RUNS["SYS-B"], 0.2, "rk4_fixed", 1)
-    got = INTEGRATE[curve](_jet_route_system(sys_), p0, cfg)
-    passes = {"evolution": "_evolution_pass", "horizontal": "push_direction",
-              "geodesic": "eval_jet"}[curve]
-    assert calls[passes] == got.stats.rhs_calls and curve not in calls
-    ref = INTEGRATE[curve](sys_, p0, cfg)
-    assert got.status == ref.status == "completed"
-    assert np.abs(got.ys - ref.ys).max() <= 1e-14 and np.abs(got.xs - ref.xs).max() <= 1e-14
 
 
 def test_one_compile_per_tree(monkeypatch):
@@ -417,8 +418,8 @@ def test_rk4_ends_on_t_end(sys_a, t_end):
 
 # Compiled against jet-route trajectories, relative to 1 + max|trace|.  The
 # two differ by rounding only: measured worst cases are 1.1e-16 over the
-# grid (SYS-D's power trace; every state there is bit-equal) and 2.7e-16
-# on _EVERY_FUNCTION (its energy trace).
+# builtins (SYS-D's power trace; every state there is bit-equal) and
+# 1.8e-16 on EVERY-FUNCTION.
 _JET_TOL = 1e-14
 
 
@@ -439,36 +440,6 @@ _LOG_EXIT = ({"n": 2, "lagrangian": "y1^2 + y2^2 - log(x1)", "force": ["-0.1*y1"
              (0.5, 0.0), (-1.0, 0.5))
 
 
-# every function of the language, and powers whose exponents vary with x
-# (a float exponent of a base pushed along y) and with y
-_EVERY_FUNCTION = {"n": 2, "lagrangian": "exp(0.1*x1)*y1^2 + (2 + sin(x2))*y2^2 + 0.1*tan(0.2*x1)*y1*y2"
-                   " + 0.1*log(2 + x2^2)*sqrt(1 + y1^2 + y2^2) + 0.01*cos(x1*y2)",
-                   "force": ["-0.1*y1*pow(2 + y2^2, 0.3*sin(x1))", "-0.1*pow(1.5 + x2^2, y1)*y2"]}
-
-
-@pytest.mark.parametrize("curve", ["evolution", "horizontal"])
-@pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])
-def test_every_function_matches_the_jet_route(curve, method):
-    sys_ = build_system({"system": _EVERY_FUNCTION}, {})
-    p0 = PhasePoint((0.5, 0.0), (-1.0, 0.5))
-    cfg = IntegratorConfig(method=method, step=0.02, t_end=1.0, record_every=2)
-    got = INTEGRATE[curve](sys_, p0, cfg)
-    ref = INTEGRATE[curve](_jet_route_system(sys_), p0, cfg)
-    assert got.status == ref.status == "completed" and got.t.shape == ref.t.shape
-    for key in ("t", "xs", "ys", "energy", "lagrangian", "power", "el_residual"):
-        a, b = getattr(got, key), getattr(ref, key)
-        assert np.abs(a - b).max() <= _JET_TOL * (1.0 + np.abs(b).max()), key
-
-
-def _jet_route_system(sys_):
-    """The same system with hand-built fields, which take the jet route."""
-    from lagmech.mechanics import MechanicalSystem
-    from lagmech.phase import ScalarField, VerticalField
-
-    return MechanicalSystem(ScalarField(sys_.n, sys_.L.fn), VerticalField(sys_.n, sys_.V.fn),
-                            sys_.n, domain_guard=sys_.domain_guard)
-
-
 @pytest.mark.parametrize("case, method", [("stop", "rk45_adaptive"), ("log", "rk4_fixed"),
                                           ("log", "rk45_adaptive")])
 def test_stop_records_match_the_jet_route(case, method):
@@ -479,9 +450,9 @@ def test_stop_records_match_the_jet_route(case, method):
         sys_, p0 = build_system({"system": spec}, {}), PhasePoint(x, y)
         cfg = IntegratorConfig(method=method, step=0.02, t_end=2.0, record_every=3)
     got = integrate_evolution(sys_, p0, cfg)
-    ref = integrate_evolution(_jet_route_system(sys_), p0, cfg)
+    ref = trajectory_routes.integrate("evolution", sys_, p0, cfg, jet=True)
     assert got.status == ref.status == "domain_stop"
-    assert got.stats.stop == ref.stats.stop
+    assert {key: got.stats.stop[key] for key in ref.stats.stop} == ref.stats.stop
     assert got.t.shape == ref.t.shape and np.abs(got.xs - ref.xs).max() <= 1e-12
 
 
@@ -490,8 +461,9 @@ def test_geodesic_records_check_the_force():
     sys_ = build_system({"system": {"n": 2, "lagrangian": "y1^2 + y2^2",
                                     "force": ["1e200*y1*1e200", "0"]}}, {})
     p0 = PhasePoint((0.0, 0.0), (1.0, 0.5))
-    for s in (sys_, _jet_route_system(sys_)):
-        traj = integrate_geodesic(s, p0, IntegratorConfig(step=0.01, t_end=0.05))
+    cfg = IntegratorConfig(step=0.01, t_end=0.05)
+    for traj in (integrate_geodesic(sys_, p0, cfg),
+                 trajectory_routes.integrate("geodesic", sys_, p0, cfg, jet=True)):
         assert traj.status == "domain_stop" and len(traj.t) == 0
         assert traj.stats.stop["detail"] == "force evaluation produced a non-finite value"
 

@@ -4,14 +4,17 @@ driver whose records run their own right-hand side and pass.  A dropped
 RK4 remainder leaves the last state on t_end, as in the engine.
 
 Both take :class:`~lagmech.trajectories.IntegratorConfig` and return a
-:class:`~lagmech.trajectories.Trajectory` (with empty stats).  By default
-they read the engine's accelerations and blocks (``_route``, the compiled
-programs for expression systems) and compute the traces from those blocks
-with numpy and the jets' contractions (:func:`contract_traces`), so a test
-can compare the engine's drivers and its float records with them bit for
-bit.  With ``jet=True`` they read the jet route instead: the float
-evolution pass, a push of it along y, and the Christoffel symbols of
-``finsler.christoffel_at``.
+:class:`~lagmech.trajectories.Trajectory` whose stats hold only the stop
+of a run that did not complete: the error, its detail and the state of
+the evaluation that raised (the current state for a collapsed adaptive
+step), without its time.  By default they read the engine's
+accelerations and blocks (``_route``, the compiled programs) and compute
+the traces from those blocks with numpy and the jets' contractions
+(:func:`contract_traces`), so a test can compare the engine's drivers
+and its float records with them bit for bit.  With ``jet=True`` they
+read the jet route instead, the engine's reference for the compiled
+programs: the float evolution pass, a push of it along y, and the
+Christoffel symbols of ``finsler.christoffel_at``.
 """
 
 import math
@@ -23,7 +26,7 @@ from lagmech.finsler import christoffel_at, require_finsler_mode
 from lagmech.jets import matvec, push_direction, vecdot
 from lagmech.mechanics import _evolution_pass
 from lagmech.phase import PhasePoint
-from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, Trajectory, _route
+from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, RunStats, Trajectory, _route
 
 # the 5th-order weights of the pair
 DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
@@ -103,7 +106,10 @@ def integrate(curve, sys, p0, cfg, jet=False) -> Trajectory:
             zdot, seen = route_rhs(z.tolist())
             return contract_traces(sys, z, seen, zdot[n:])
 
+    at = [None]  # the state of the latest evaluation
+
     def rhs(z):
+        at[0] = z
         if guard_fiber and math.hypot(*z[n:]) < _MIN_FIBER_NORM:
             raise DomainError("velocity collapsed onto the zero section")
         return np.concatenate([z[n:], accel(z)])
@@ -111,25 +117,28 @@ def integrate(curve, sys, p0, cfg, jet=False) -> Trajectory:
     rows = []
 
     def record(t, z):
+        at[0] = z
         rows.append((t, np.array(z[:n]), np.array(z[n:]), *traces(z)))
 
     z = np.concatenate([np.array([float(v) for v in p0.x]),
                         np.array([float(v) for v in p0.y])])
-    status = "completed"
+    status, stats = "completed", RunStats()
     try:
         record(0.0, z)
         if cfg.t_end > 0.0:
-            drive = drive_rk4 if cfg.method == "rk4_fixed" else drive_rk45
-            drive(rhs, record, z, cfg)
-    except SingularMetric:
-        status = "singular_metric_stop"
-    except DomainError:
-        status = "domain_stop"
+            if cfg.method == "rk4_fixed":
+                drive_rk4(rhs, record, z, cfg)
+            else:
+                drive_rk45(rhs, record, z, cfg, at)
+    except (SingularMetric, DomainError) as err:
+        status = "singular_metric_stop" if isinstance(err, SingularMetric) else "domain_stop"
+        stats.stop = {"error": type(err).__name__, "detail": str(err),
+                      "point": {"x": at[0][:n].tolist(), "y": at[0][n:].tolist()}}
     t, xs, ys, e, lv, w, r = zip(*rows) if rows else [()] * 7
     return Trajectory(t=np.array(t), xs=np.stack(xs) if xs else np.zeros((0, n)),
                       ys=np.stack(ys) if ys else np.zeros((0, n)),
                       energy=np.array(e), lagrangian=np.array(lv), power=np.array(w),
-                      el_residual=np.array(r), status=status)
+                      el_residual=np.array(r), status=status, stats=stats)
 
 
 def rk4_step(rhs, z, h):
@@ -159,7 +168,7 @@ def drive_rk4(rhs, record, z, cfg):
         record(total, z)
 
 
-def drive_rk45(rhs, record, z, cfg):
+def drive_rk45(rhs, record, z, cfg, at):
     t = 0.0
     h = min(cfg.max_step, cfg.t_end)
     accepted = 0
@@ -182,4 +191,5 @@ def drive_rk45(rhs, record, z, cfg):
         factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
         h = min(cfg.max_step, h * min(5.0, max(0.2, factor)))
         if h < 1e-15:
+            at[0] = z
             raise DomainError("adaptive step collapsed")
