@@ -1,9 +1,10 @@
 """Numerical geometry of Lagrangian and Finslerian mechanical systems.
 
-The package evaluates, at machine precision via forward-mode jets, the
-canonical and forced (evolution) semisprays of a regular Lagrangian,
-their nonlinear connections, the Cartan forms and tensor, dissipation
-and symplectic-compatibility diagnostics, and integrates evolution,
+The package evaluates, at machine precision via derivative programs
+compiled from the Lagrangian and force expressions, the canonical and
+forced (evolution) semisprays of a regular Lagrangian, their nonlinear
+connections, the Cartan forms and tensor, dissipation and
+symplectic-compatibility diagnostics, and integrates evolution,
 horizontal and geodesic curves.
 """
 
@@ -36,7 +37,6 @@ from .jets import (
     Jet,
     SymMatrix,
     eval_jet,
-    push_direction,
     sym_invert,
 )
 from .mechanics import (
@@ -101,7 +101,6 @@ __all__ = [
     "integrate_geodesic",
     "integrate_horizontal",
     "parse",
-    "push_direction",
     "run_verification",
     "sample_box",
     "stack_points",

@@ -1,18 +1,43 @@
-"""Compiled derivative programs: the bound trees of L and V lowered once
-into a DAG (equal subtrees one node, constants folded, each partial a
-memoised node by the chain rule; Laue, arXiv:1904.02990), and emitted as
-one straight-line function of the state ``[x1..xn, y1..yn]`` returning
-``(z', (L, d_x, d_y, d_yy, d_xy, V))``, blocks as row-major lists.
-``evolution`` runs L to order 2 and V, the jets' rank gate and inverse
-(their float closed forms up to 2x2, numpy beyond), and x'' = -2 (G0 -
-V/4); ``horizontal`` adds the derivatives along y of L's blocks and of
-V, for x'' = -N y; ``geodesic`` emits the Christoffel contraction
-gamma^i_jk y^j y^k from d3L/dy dy dx as its own straight-line sums (V
-is None).  The domain rules are those of the same pass run on jets
-(``mechanics._evolution_pass``, the tests' reference route): each node
-is evaluated where ``dsl.eval_expr`` evaluates it, behind the same
-check, and takes the terms of the jets' own derivative sequence that
-the jet tower of the same pass takes.
+"""Compiled derivative programs: the only code in the package that
+differentiates.
+
+The bound trees of L and V are lowered once into a DAG (equal subtrees
+one node, constants folded, each partial a memoised node by the chain
+rule, the inverse metric's by d(g^-1) = -g^-1 (dg) g^-1), and each
+program kind is emitted as one straight-line function of the state
+``[x1..xn, y1..yn]``.  On one shared DAG forward-mode propagation and
+symbolic differentiation are the same computation (Laue,
+arXiv:1904.02990; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+2008, ch. 13), so every Jacobian is a partial of the DAG.
+
+The same code runs on floats at one point and on (B,) arrays over a
+batch: ``+ - * /`` are elementwise IEEE either way, elementary functions
+and real powers are evaluated by :mod:`math` entry by entry, a guard
+fires if its test holds at any point, and the inverse runs its closed
+forms point by point, so each point of a batch gets the bits of its
+one-point run.
+
+``evolution``   L to order 2 and V, the rank gate and inverse (the
+                jets' float closed forms up to 2x2, numpy beyond), and
+                x'' = -2 G = -2 (G0 - V/4)
+``horizontal``  x'' = -N y, the partial of G along y in the direction y
+``geodesic``    x'' = -gamma^i_jk y^j y^k from d3L/dy dy dx (V is None)
+``point``       what :class:`~lagmech.mechanics.PointGeometry` holds:
+                L's blocks and d3L/dy3, g, its inverse and its |eig|
+                range, G0, V, G, sigma = g V, and the y-Jacobians N0,
+                dV/dy, N, dsigma/dy, dS(L)/dy and dS0(L)/dy
+``metric_x``    g and dg/dx
+``jet``         L to order 0..3, with no inverse; given V, order 2 and
+                the partials of d_yy and V along y in the direction y
+
+The curve kinds return ``(z', (L, d_x, d_y, d_yy, d_xy, V))``, blocks as
+row-major lists; :func:`run` returns any kind's outputs at a phase point
+as floats and arrays.  The domain rules are those of the same pass run
+on a forward-mode tower (the tests' reference): L propagated as an
+order-2 jet (order o for ``jet``) and V in floats, each carrying
+tangents along the seeded directions.  Each node is evaluated behind the
+check the tower makes there and takes the terms of the jets' derivative
+sequence the tower takes.
 """
 
 from __future__ import annotations
@@ -25,44 +50,50 @@ import numpy as np
 
 from .dsl import Bin, Call, Neg, Num, Var
 from .errors import DomainError
-from .jets import (SCALAR_FUNCTIONS, KDual, _inverse, _inverse2, _rank_gate, _real_power,
-                   _spectrum2, _spectrum_range, ipow, power, tangent_part, value_of)
+from .jets import (SCALAR_FUNCTIONS, _inverse, _inverse2, _power, _rank_gate, _real_power,
+                   _spectrum2, _spectrum_range, ipow)
 
-__all__ = ["program"]
+__all__ = ["program", "run"]
 
 _X, _Y = 1, 2  # what a node depends on
-_DIR = "dir"  # the derivative in the y-directions along y itself: a push along y
+_DIR = "dir"  # the partial along y in the direction y itself
 
 
-def _seq(f, m, v, b=None):
-    """f(v), f'(v), ... to m terms, as the jets take them; f is ("rpow", b)
-    for v**b, or "pow" for v**b with b known at run time (m = 2: a push)."""
-    if f == "pow":
-        d = power(v if m == 1 else KDual(v, np.ones(1)), b)
-        return (d,) if m == 1 else (value_of(d), float(tangent_part(d, 1)[0]))
-    if isinstance(f, tuple):
-        return _real_power(v, f[1], m)
+def _seq(f, m, v):
+    """f(v), f'(v), ... to m terms of a named elementary function."""
     return tuple(islice(SCALAR_FUNCTIONS[f](v), m))
 
 
-def _invert(n, e):
-    """The inverse of the symmetric matrix of row-major entries e, row-major,
-    behind the jets' rank gate: their float closed forms up to 2x2, numpy's beyond."""
-    if n < 3:
-        _rank_gate(*(_spectrum2(e[0], e[1], e[3]) if n == 2 else (abs(e[0]),) * 2))
-        return _inverse2(e[0], e[1], e[3]) if n == 2 else [1.0 / e[0]]
-    a = np.array(e).reshape(n, n)
-    _rank_gate(*_spectrum_range(a, False))
-    return _inverse(a).ravel().tolist()
+def _invert(n, e, batched):
+    """``(inverse, min |eig|, max |eig|)`` of the symmetric matrix of
+    row-major entries e, the inverse row-major, behind the jets' rank gate:
+    their float closed forms up to 2x2, numpy's beyond; over a batch point
+    by point."""
+    if n == 2 and not batched:
+        mn, mx = _rank_gate(*_spectrum2(e[0], e[1], e[3]))
+        return _inverse2(e[0], e[1], e[3]), mn, mx
+    if n == 1 and not batched:
+        mn, mx = _rank_gate(abs(e[0]), abs(e[0]))
+        return [1.0 / e[0]], mn, mx
+    a = np.array(np.broadcast_arrays(*e) if batched else e).reshape((n, n) + (-1,) * batched)
+    mn, mx = _rank_gate(*_spectrum_range(a, batched))
+    inverse = _inverse(a)
+    return inverse.reshape(n * n, -1) if batched else inverse.ravel().tolist(), mn, mx
 
 
-_RUNTIME = {"_DomainError": DomainError, "_seq": _seq, "_rpow": _real_power, "_ipow": ipow,
-            "_invert": _invert, "_INF": float("inf"), "_NAN": float("nan")}
+def _fold_fn(f, a, b=None):
+    return (_power(a, b, 1) if f == "pow" else _real_power(a, f[1], 1) if isinstance(f, tuple)
+            else _seq(f, 1, a))[0]
+
+
+_RUNTIME = {"_DomainError": DomainError, "_seq": _seq, "_pow": _power, "_rpow": _real_power,
+            "_ipow": ipow, "_invert": _invert, "_ndarray": np.ndarray,
+            "_INF": float("inf"), "_NAN": float("nan")}
 # folding evaluates as the program would; a constant that fails is left
 # to fail, behind its check, at run time
 _FOLD = {"add": lambda _, a, b: a + b, "sub": lambda _, a, b: a - b, "mul": lambda _, a, b: a * b,
          "div": lambda _, a, b: a / b, "neg": lambda _, a: -a, "ipow": lambda k, a: ipow(a, k),
-         "fn": lambda f, a: _seq(f, 1, a)[0]}
+         "fn": _fold_fn}
 _EXPR = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{} / {}", "neg": "-{}",
          0: "1.0", 2: "{0} * {0}", 3: "{0} * {0} * {0}", 4: "({0} * {0}) * ({0} * {0})"}
 
@@ -73,8 +104,9 @@ class _Dag:
 
     def __init__(self, n: int):
         self.nodes, self.deps, self.ids, self.partials, self.counts = [], [], {}, {}, {}
-        self.lines, self.done, self.guarded = [], set(), set()
+        self.lines, self.done, self.guarded, self.solved = [], set(), set(), {}
         self.x, self.y = ([self.node(c, (), i) for i in range(n)] for c in "xy")
+        self.inv = []
 
     def node(self, op, kids=(), arg=None):
         key = (op, kids, repr(arg))  # repr tells -0.0 from 0.0
@@ -113,6 +145,10 @@ class _Dag:
     def neg(self, a):
         return None if a is None else self.node("neg", (a,))
 
+    def dot(self, a, b):
+        """sum_m a[m] b[m], left to right."""
+        return reduce(self.add, map(self.mul, a, b), None)
+
     def d(self, i, wrt):
         """Node i's partial derivative along ("x", k), ("y", k) or _DIR."""
         if i is None or not self.deps[i] & (_X if wrt[0] == "x" else _Y):
@@ -120,11 +156,18 @@ class _Dag:
         if (i, wrt) in self.partials:
             return self.partials[i, wrt]
         op, kids, arg = self.nodes[i]
-        if op in ("fn", "term"):  # a runtime exponent does not vary along wrt
+        if i in self.solved:  # d(g^-1 u) = g^-1 (du - (dg) g^-1 u)
+            row, u, s = self.solved[i]
+            n, g = len(self.x), self.nodes[self.inv[0]][1]
+            r = self.dot(self.inv[row * n:row * n + n], [self.sub(self.d(u[j], wrt), self.dot(
+                [self.d(g[j * n + k], wrt) for k in range(n)], s)) for j in range(n)])
+        elif op in ("fn", "term"):  # a runtime exponent does not vary along wrt
             fn, k = (i, 1) if op == "fn" else (kids[0], arg + 1)
             r = self.mul(self.node("term", (fn,), k), self.d(self.nodes[fn][1][0], wrt))
         elif op in ("x", "y"):
             r = self.y[arg] if wrt == _DIR else self.const(1.0) if wrt == (op, arg) else None
+        elif op == "inv":
+            raise ValueError("g^-1 is differentiated where it multiplies a vector (solve)")
         else:
             a, b = (kids + (None,))[:2]
             da, db = self.d(a, wrt), self.d(b, wrt)
@@ -132,7 +175,7 @@ class _Dag:
                 r = self.neg(da) if op == "neg" else getattr(self, op)(da, db)
             elif op == "mul":
                 r = self.add(self.mul(da, b), self.mul(db, a))
-            elif op == "div":  # as Jet.__truediv__: (da - db q) / b, by the reciprocal
+            elif op == "div":  # (da - db q) / b, by the reciprocal
                 r = self.div(da, b) if self.nodes[b][0] == "const" else self.mul(
                     self.sub(da, self.mul(db, i)), self.div(self.const(1.0), b))
             else:  # a^k
@@ -141,6 +184,28 @@ class _Dag:
         self.partials[i, wrt] = r
         return r
 
+    def solve(self, u):
+        """Nodes of g^-1 u, g^-1 the inverse this program took, whose partial
+        follows d(g^-1) = -g^-1 (dg) g^-1 as d(g^-1 u) = g^-1 (du - (dg) g^-1 u):
+        2 n^2 products a direction, not the 2 n^3 of d(g^-1) itself."""
+        n = len(self.x)
+        s = tuple(self.dot(self.inv[i * n:i * n + n], u) for i in range(n))
+        self.solved.update((v, (i, tuple(u), s)) for i, v in enumerate(s) if v is not None)
+        return list(s)
+
+    def invert(self, entries):
+        """Nodes of the inverse of the symmetric matrix of row-major entry
+        nodes, then of its min and max |eig|: one statement, behind the rank
+        gate."""
+        n, kids = len(self.x), tuple(self.const(0.0) if e is None else e for e in entries)
+        out = [self.node("inv", kids, k) for k in [*range(n * n), "min", "max"]]
+        self.inv = out[:-2]
+        names = [self.name(i) for i in out]
+        self.lines.append(f"({', '.join(names[:-2])},), {names[-2]}, {names[-1]} = _invert("
+                          f"{n}, ({self.names(kids)},), isinstance(x1, _ndarray))")
+        self.done.update(out)
+        return out
+
     def name(self, i) -> str:
         if i is None:
             return "0.0"
@@ -148,19 +213,33 @@ class _Dag:
         if op == "const":
             text = repr(v) if abs(v) < np.inf else "_NAN" if v != v else "_INF" if v > 0 else "-_INF"
             return f"({text})" if text.startswith("-") else text
-        return f"{op}{v + 1}" if op in ("x", "y") else v if op == "name" else \
+        return f"{op}{v + 1}" if op in ("x", "y") else f"ginv_{v}" if op == "inv" else \
             f"v{kids[0]}_{v}" if op == "term" else f"v{i}"
 
     def emit(self, i):
-        if i is None or i in self.done:
-            return
+        """Emit node i after every node it reads, with an explicit stack so
+        that a deep DAG takes no deep recursion."""
+        stack = [i]
+        while stack:
+            k = stack[-1]
+            if k is None or k in self.done:
+                stack.pop()
+                continue
+            todo = [c for c in self.nodes[k][1] if c not in self.done]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            stack.pop()
+            self.statement(k)
+
+    def statement(self, i):
         op, kids, arg = self.nodes[i]
-        a = [self.names([k]) for k in kids]
+        a = [self.name(k) for k in kids]
         if op == "fn":
             m = self.counts[i]
             outs = "".join([f"v{i}, "] + [f"v{i}_{k}, " for k in range(1, m)])
             call = f"_rpow({a[0]}, {arg[1]!r}, {m})" if isinstance(arg, tuple) else \
-                f"_seq({arg!r}, {m}, {', '.join(a)})"
+                f"_pow({', '.join(a)}, {m})" if arg == "pow" else f"_seq({arg!r}, {m}, {a[0]})"
             self.lines.append(f"{outs}= {call}")
         elif op == "ipow":
             self.lines.append(f"v{i} = " + _EXPR.get(arg, f"_ipow({{}}, {arg})").format(*a))
@@ -168,9 +247,15 @@ class _Dag:
             self.lines.append(f"v{i} = " + _EXPR[op].format(*a))
         self.done.add(i)
 
+    def raise_if(self, test, message):
+        """Raise DomainError(message) where ``test`` holds: a bool at a point,
+        an array over a batch (``jets._any``'s test, inline)."""
+        self.lines.append(f"if (_t := {test}) is not False and (_t is True or _t.any()): "
+                          f"raise _DomainError({message!r})")
+
     def lower(self, e, tower):
-        """The node of e, as ``dsl.eval_expr`` evaluates it over ``tower = (jet,
-        seeded)``: order-2 jets or floats, with tangents along ``seeded``."""
+        """The node of e, as the tower ``(order, seeded)`` evaluates it: an
+        order-o jet (floats for None), with tangents along ``seeded``."""
         if isinstance(e, Num):
             return self.const(e.value)
         if isinstance(e, Var):
@@ -187,8 +272,8 @@ class _Dag:
         if op == "const":
             k = int(v) if v.is_integer() else None  # a^0 of a pushed float is pushed
             return self.guard(self.node("fn", (a,), ("rpow", v)) if k is None else self.const(1.0)
-                              if k == 0 and (tower[0] or not self.carries(a, tower)) else a
-                              if k == 1 else self.node("ipow", (a,), k), tower)
+                              if k == 0 and (tower[0] is not None or not self.carries(a, tower))
+                              else a if k == 1 else self.node("ipow", (a,), k), tower)
         if self.carries(b, tower):  # a^b = exp(b log a), as the jets take it
             log = self.guard(self.node("fn", (a,), "log"), tower)
             return self.guard(self.node("fn", (self.guard(self.mul(b, log), tower),), "exp"), tower)
@@ -196,22 +281,22 @@ class _Dag:
 
     def carries(self, i, tower) -> bool:
         """Whether node i carries derivatives in the tower."""
-        return bool(self.deps[i] and (tower[0] or self.deps[i] & tower[1]))
+        return bool(self.deps[i] and (tower[0] is not None or self.deps[i] & tower[1]))
 
     def guard(self, i, tower):
-        """Schedule node i behind the check the jet route makes there."""
+        """Schedule node i behind the check the tower makes there."""
         op, kids, arg = self.nodes[i]
         if i in self.guarded or not kids:
             return i
         self.guarded.add(i)
         if op == "div" or op == "ipow" and arg < 0:
-            dual = not tower[0] and (self.deps[kids[0]] | self.deps[kids[-1]]) & tower[1]
+            dual = tower[0] is None and (self.deps[kids[0]] | self.deps[kids[-1]]) & tower[1]
             message = ("zero raised to a negative power" if op == "ipow" else
                        "division by zero in dual evaluation" if dual else "division by zero")
-            self.lines.append(f"if {self.name(kids[-1])} == 0.0: raise _DomainError({message!r})")
+            self.raise_if(f"{self.names(kids[-1:])} == 0.0", message)
         if op == "fn":
-            self.counts[i] = ((3 if tower[0] else 1) + bool(self.deps[i] & tower[1])
-                             if self.carries(i, tower) else 1)
+            self.counts[i] = ((1 if tower[0] is None else tower[0] + 1)
+                              + bool(self.deps[i] & tower[1]) if self.carries(i, tower) else 1)
         self.emit(i)
         return i
 
@@ -221,7 +306,7 @@ class _Dag:
             self.nodes[i][0] == "const" and abs(self.nodes[i][2]) < np.inf)]
         if nodes:
             zeros = " + ".join(f"{self.names([i])} * 0.0" for i in nodes)
-            self.lines.append(f"if {zeros} != 0.0: raise _DomainError({message!r})")
+            self.raise_if(f"{zeros} != 0.0", message)
 
     def names(self, nodes) -> str:
         for i in nodes:
@@ -229,66 +314,129 @@ class _Dag:
         return ", ".join(self.name(i) for i in nodes)
 
 
-def _build(kind: str, n: int, ltree, vtrees):
+# kind: (the order of L's jet, the seeded coordinates); jet's order is its own
+_TOWERS = {"evolution": (2, 0), "horizontal": (2, _Y), "geodesic": (2, _X),
+           "point": (2, _Y), "metric_x": (2, _X)}
+
+
+def _build(kind: str, n: int, ltree, vtrees, order):
+    """The DAG of a kind, and its return statement (a curve kind) or its
+    output groups, each a list of nodes with the array shape they fill."""
     g, r = _Dag(n), range(n)
-    seeded = {"horizontal": _Y, "geodesic": _X}.get(kind, 0)
-    ys, half, quarter = g.names(g.y), g.const(0.5), g.const(0.25)
-    L = g.lower(ltree, (True, seeded))
-    dx, dy = ([g.d(L, (c, i)) for i in r] for c in "xy")
-    # d_yy from i <= j only, so that it is bitwise symmetric as the jet's
-    dyy = [g.d(dy[min(i, j)], ("y", max(i, j))) for i in r for j in r]
-    dxy = [g.d(dy[i], ("x", j)) for i in r for j in r]
+    euler = kind == "jet" and vtrees is not None
+    if kind != "jet":
+        order, seeded = _TOWERS[kind]
+    else:
+        order, seeded = (2, _Y) if order == 3 or euler else (order, 0)
+    # the blocks' partials along the seeded directions, as the tower checks them
+    wrts = [_DIR] if kind == "horizontal" or euler else \
+        [("x" if seeded == _X else "y", k) for k in r] if seeded else []
+    half, quarter = g.const(0.5), g.const(0.25)
+    L = g.lower(ltree, (order, seeded))
+    dx, dy = ([g.d(L, (c, i)) for i in r] if order else [] for c in "xy")
+    # d_yy from i <= j only, so that it is bitwise symmetric
+    dyy = [g.d(dy[min(i, j)], ("y", max(i, j))) for i in r for j in r] if order > 1 else []
+    dxy = [g.d(dy[i], ("x", j)) for i in r for j in r] if order > 1 else []
     blocks = dx + dy + dyy + dxy
-    # the blocks' tangents along the seeded directions, as the jet route checks them
-    wrts = {"horizontal": [_DIR], "geodesic": [("x", c) for c in r]}.get(kind, [])
-    tan = {w: [g.d(v, w) for v in blocks] for w in wrts}
     g.check([L] + [g.d(L, w) for w in wrts], "field evaluation produced a non-finite value")
-    g.check(blocks + sum(tan.values(), []), "field evaluation produced a non-finite derivative")
-    entries = g.names([g.mul(v, half) for v in dyy])
-    inv = [[g.node("name", (), f"i{i}_{j}") for j in r] for i in r]
-    g.lines.append(f"{g.names(sum(inv, []))}, = _invert({n}, ({entries},))")
+    g.check(blocks + [g.d(v, w) for w in wrts for v in blocks],
+            "field evaluation produced a non-finite derivative")
+    G = [g.mul(v, half) for v in dyy]
+    # d_yyy[i, j, k] from its sorted indices, so that it is bitwise totally symmetric
+    dyyy = [g.d(dyy[a * n + b], ("y", c)) for i in r for j in r for k in r
+            for a, b, c in [sorted((i, j, k))]] if ("y", 0) in wrts else []
+    if kind == "jet" and not euler:
+        zero = [None] * n
+        return g, [([L], ()), (dx or zero, (n,)), (dy or zero, (n,)), (dyy or zero * n, (n, n)),
+                   (dxy or zero * n, (n, n)), (dyyy or zero * n * n, (n, n, n))]
+    if euler:
+        V = [g.lower(t, (None, seeded)) for t in vtrees]
+        return g, [([L], ()), (dy, (n,)), ([g.mul(g.d(v, _DIR), half) for v in dyy], (n, n)),
+                   ([g.d(v, _DIR) for v in V], (n,))]
+    if kind == "metric_x":
+        return g, [(G, (n, n)), ([g.d(v, ("x", c)) for v in G for c in r], (n, n, n))]
+    inv = g.invert(G)
     seen = f"({g.name(L)}, [{g.names(dx)}], [{g.names(dy)}], [{g.names(dyy)}], [{g.names(dxy)}]"
-    dot = lambda row, vec: reduce(g.add, (g.mul(row[j], vec[j]) for j in r), None)  # noqa: E731
+    ys = g.names(g.y)
     if kind == "geodesic":
         # gamma^i_jk y^j y^k = g^ih (2 dg_hj/dx_k - dg_jk/dx_h) y^j y^k / 2,
         # with dg_ab/dx_c = d3L/dy_a dy_b dx_c / 2
-        dg = [[[g.mul(tan["x", c][2 * n + a * n + b], half) for c in r] for b in r] for a in r]
-        s = [dot([g.sub(g.mul(dot(dg[h][j], g.y), g.const(2.0)),
-                        dot([dg[j][k][h] for k in r], g.y)) for j in r], g.y) for h in r]
-        accel = [g.neg(g.mul(dot(inv[i], s), half)) for i in r]
+        dg = [[[g.d(G[a * n + b], ("x", c)) for c in r] for b in r] for a in r]
+        s = [g.dot([g.sub(g.mul(g.dot(dg[h][j], g.y), g.const(2.0)),
+                          g.dot([dg[j][k][h] for k in r], g.y)) for j in r], g.y) for h in r]
+        accel = [g.neg(g.mul(g.dot(inv[i * n:i * n + n], s), half)) for i in r]
         return g, f"return [{ys}, {g.names(accel)}], {seen}, None)"
-    dxy_y = [dot(dxy[i * n:], g.y) for i in r]
-    spray0 = [g.mul(dot(inv[i], [g.sub(dxy_y[j], dx[j]) for j in r]), quarter) for i in r]
-    g.names(spray0)  # before V, as the jet route
-    V = [g.lower(t, (False, seeded)) for t in vtrees]
-    tV = [g.d(v, _DIR) for v in V] if kind == "horizontal" else []
-    g.check(V + tV, "force evaluation produced a non-finite value")
+    dxy_y = [g.dot(dxy[i * n:i * n + n], g.y) for i in r]
+    spray0 = [g.mul(v, quarter) for v in g.solve([g.sub(dxy_y[j], dx[j]) for j in r])]
+    g.names(spray0)  # before V, as the tower
+    V = [g.lower(t, (None, seeded)) for t in vtrees]
+    g.check(V + [g.d(v, w) for w in wrts for v in V],
+            "force evaluation produced a non-finite value")
+    spray = [g.sub(spray0[i], g.mul(V[i], quarter)) for i in r]
     if kind == "evolution":
-        accel = [g.mul(g.const(-2.0), g.sub(spray0[i], g.mul(V[i], quarter))) for i in r]
+        accel = [g.mul(g.const(-2.0), s) for s in spray]
+    elif kind == "horizontal":
+        accel = [g.neg(g.d(s, _DIR)) for s in spray]
     else:
-        # N y = D_y G0 - (dV/dy) y / 4, with D_y G0 =
-        #   g^-1 [(d_xyy y) y + d_xy y - d_xy^T y] / 4 - g^-1 (d_yyy y / 2) G0
-        t_dx, t_dyy, t_dxy = tan[_DIR][:n], tan[_DIR][2 * n:2 * n + n * n], tan[_DIR][2 * n + n * n:]
-        u = [g.sub(g.add(dot(t_dxy[i * n:], g.y), dxy_y[i]), t_dx[i]) for i in r]
-        m = [dot([g.mul(v, half) for v in t_dyy[i * n:i * n + n]], spray0) for i in r]
-        accel = [g.neg(g.sub(g.sub(g.mul(dot(inv[i], u), quarter), dot(inv[i], m)),
-                             g.mul(tV[i], quarter))) for i in r]
+        sigma = [g.dot(G[i * n:i * n + n], V) for i in r]
+        s_l = [g.sub(g.dot(g.y, dx), g.mul(g.const(2.0), g.dot(w, dy))) for w in (spray, spray0)]
+        jac = lambda w: [g.d(v, ("y", k)) for v in w for k in r]  # noqa: E731
+        return g, [([L], ()), (dx, (n,)), (dy, (n,)), (dyy, (n, n)), (dxy, (n, n)),
+                   (dyyy, (n, n, n)), (G, (n, n)), (inv[:-2], (n, n)), (inv[-2:-1], ()),
+                   (inv[-1:], ()), (spray0, (n,)), (V, (n,)), (spray, (n,)), (sigma, (n,)),
+                   (jac(spray0), (n, n)), (jac(V), (n, n)), (jac(spray), (n, n)),
+                   (jac(sigma), (n, n)), (jac(s_l[:1]), (n,)), (jac(s_l[1:]), (n,))]
     return g, f"return [{ys}, {g.names(accel)}], {seen}, [{g.names(V)}])"
 
 
-@lru_cache(maxsize=64)
-def _program(kind: str, n: int, key: str, ltree, vtrees):
-    g, tail = _build(kind, n, ltree, vtrees)
+@lru_cache(maxsize=128)
+def _program(kind: str, n: int, key: str, ltree, vtrees, order):
+    g, out = _build(kind, n, ltree, vtrees, order)
+    shapes = None
+    if not isinstance(out, str):  # output groups, as lists
+        shapes = [shape for _, shape in out]
+        out = "return (" + "".join(f"[{g.names(nodes)}], " for nodes, _ in out) + ")"
     namespace = dict(_RUNTIME)
     head = ", ".join(g.name(i) for i in g.x + g.y)
-    src = "\n    ".join([f"def program(z):\n    {head}, = z", *g.lines, tail])
+    src = "\n    ".join([f"def program(z):\n    {head}, = z", *g.lines, out])
     exec(compile(src, "<lagmech compiled program>", "exec"), namespace)
-    return namespace["program"]
+    return namespace["program"], shapes
 
 
-def program(kind: str, L, V):
+_WITH_V = ("evolution", "horizontal", "point", "jet")
+
+
+@lru_cache(maxsize=128)
+def _fields_program(kind: str, L, V, order):
+    """``_program`` of two field objects (hashed by identity), so a pass at
+    one point does not render their trees."""
+    vtrees = V.trees if V is not None and kind in _WITH_V else None
+    return _program(kind, L.n, repr((L.tree, vtrees)), L.tree, vtrees, order)
+
+
+def program(kind: str, L, V=None, order: int = 2):
     """The compiled ``kind`` program of fields L and V that carry their
     trees, built at its first request and shared by equal trees (their
-    repr tells -0.0 from 0.0)."""
-    vtrees = None if kind == "geodesic" else V.trees
-    return _program(kind, L.n, repr((L.tree, vtrees)), L.tree, vtrees)
+    repr tells -0.0 from 0.0); V is read by the kinds that take it."""
+    return _fields_program(kind, L, V, order)[0]
+
+
+def run(kind: str, L, V, p, order: int = 2) -> list:
+    """The outputs of the ``kind`` program at the phase point ``p``: a float
+    or an array per output group at one point, and over a batch (``p``'s
+    coordinates (B,) arrays) each with a trailing point axis.  An exact
+    zero is +0.0, as the contractions of :mod:`lagmech.jets` give it."""
+    fn, shapes = _fields_program(kind, L, V, order)
+    out = fn([*p.x, *p.y])
+    lanes = np.shape(p.x[0])
+    if not lanes:
+        return [vals[0] + 0.0 if not shape else np.array(vals).reshape(shape) + 0.0
+                for vals, shape in zip(out, shapes)]
+    arrays = []
+    for vals, shape in zip(out, shapes):
+        a = np.empty((len(vals),) + lanes)
+        for k, v in enumerate(vals):
+            a[k] = v
+        a += 0.0
+        arrays.append(a.reshape(shape + lanes))
+    return arrays

@@ -2,14 +2,11 @@
 
 Sources are plain arithmetic over coordinates ``x1..xn``, ``y1..yn`` and
 named parameters, e.g. ``"(1 + x1^2)*y1^2 + y2^2"``.  Parsed trees are
-immutable and evaluate over any numeric tower (floats, dual numbers,
-jets) with identical value parts, so one definition serves plain
-evaluation, directional derivatives, and full jet propagation.  A
-coordinate may also be an array over a batch of points; one evaluation
-then covers the batch.  Binding substitutes the parameters once: a
-field is its tree with each parameter a number, which the trajectory
-integrators compile under the same domain rules (:mod:`lagmech.compiled`)
-and every other path evaluates here.
+immutable.  Binding substitutes the parameters once: a field is its tree
+with each parameter a number.  :func:`eval_expr` evaluates it at float
+coordinates (entry by entry at arrays over a batch of points), and
+:mod:`lagmech.compiled` lowers it into every derivative program under
+the same domain rules.
 
 Grammar (EBNF, also in docs/grammar.md)::
 
@@ -27,6 +24,11 @@ Only smooth primitives are provided; absolute values, minima and signs
 would silently break every derivative-based identity downstream.
 Non-integer exponents require a positive base at evaluation time, while
 integer exponents multiply out and stay smooth through zero.
+
+Every walk over a tree recurses, so a source is bounded: a syntax tree
+more than ``MAX_DEPTH`` levels deep (a chain of k terms is k levels), or
+parentheses, function calls, signs and exponents nested more than
+``MAX_DEPTH`` levels while parsing, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ from .errors import (
     UnboundParameter,
     VariableIndexError,
 )
-from .jets import Jet, KDual, apply_function, power
+from .jets import apply_function, power
 from .phase import ScalarField, VerticalField
 
 __all__ = [
+    "MAX_DEPTH",
     "Expr",
     "Num",
     "Var",
@@ -107,6 +110,12 @@ class Call:
 
 Expr = Union[Num, Var, Param, Neg, Bin, Call]
 
+# the deepest syntax tree, and the deepest nesting while parsing, a source
+# may have: the tree walks, the parser and the compiler recurse about five
+# frames a level at most, which keeps them well inside Python's default
+# recursion limit of 1000
+MAX_DEPTH = 128
+
 _FUNCTIONS = {"sqrt": 1, "sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "pow": 2}
 _VAR_RE = re.compile(r"^([xy])([1-9][0-9]*)$")
 _TOKEN_RE = re.compile(
@@ -145,6 +154,7 @@ class _Parser:
         self.n = n
         self.toks = _Tokenizer(source).tokens
         self.i = 0
+        self.nesting = 0  # the factors being parsed, one inside the other
 
     def peek(self):
         return self.toks[self.i]
@@ -189,11 +199,17 @@ class _Parser:
                 return node
 
     def factor(self) -> Expr:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ConfigError(f"expression nests deeper than {MAX_DEPTH} levels")
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -246,11 +262,27 @@ class _Parser:
                          expected=("number", "variable", "parameter", "function", "("))
 
 
+def _depth(e: Expr) -> int:
+    """The number of levels of a syntax tree, by an explicit stack."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        kids = (node.arg,) if isinstance(node, Neg) else (node.left, node.right) \
+            if isinstance(node, Bin) else node.args if isinstance(node, Call) else ()
+        stack.extend((k, level + 1) for k in kids)
+    return deepest
+
+
 def parse(source: str, n: int) -> Expr:
-    """Parse an expression source for a system of dimension ``n``."""
+    """Parse an expression source for a system of dimension ``n``; a tree
+    deeper than ``MAX_DEPTH`` levels is a ConfigError."""
     if not source or not source.strip():
         raise ParseError("empty expression", 0, expected=("expression",))
-    return _Parser(source, n).parse()
+    e = _Parser(source, n).parse()
+    if _depth(e) > MAX_DEPTH:
+        raise ConfigError(f"expression is deeper than {MAX_DEPTH} levels")
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +291,8 @@ def parse(source: str, n: int) -> Expr:
 
 
 def eval_expr(e: Expr, xs, ys):
-    """Evaluate over whatever tower the coordinate scalars live in."""
+    """The value of a bound tree at float coordinates, or entry by entry at
+    arrays of coordinates over a batch."""
     if isinstance(e, Bin):
         if e.op == "^":
             return power(eval_expr(e.left, xs, ys),
@@ -272,10 +305,8 @@ def eval_expr(e: Expr, xs, ys):
             return l - r
         if e.op == "*":
             return l * r
-        # division; towers that carry derivatives check their own divisors
-        if not isinstance(l, (Jet, KDual)) and not isinstance(r, (Jet, KDual)):
-            if (r == 0.0).any() if isinstance(r, np.ndarray) else r == 0.0:
-                raise DomainError("division by zero")
+        if (r == 0.0).any() if isinstance(r, np.ndarray) else r == 0.0:
+            raise DomainError("division by zero")
         return l / r
     if isinstance(e, Var):
         seq = xs if e.kind == "x" else ys

@@ -12,6 +12,12 @@ spray contracts out of the formal Christoffel symbols of g,
 
 and for a zero-homogeneous force the evolution horizontal curves drop
 the force term, so the energy is constant along them.
+
+The Euler tests run the compiled ``jet`` program (order 1 for the mode
+gate; order 2 with the partials along y in the direction y for
+:func:`homogeneity_report`), which does not invert the metric, so a
+singular metric does not fail them; the Christoffel symbols read g and
+dg/dx from the ``metric_x`` program (:mod:`lagmech.compiled`).
 """
 
 from __future__ import annotations
@@ -21,28 +27,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import FinslerModeError
-from .jets import (
-    _jet,
-    batch_shape,
-    eval_jet,
-    matvec,
-    max_abs,
-    seed_point,
-    sym_invert,
-    tangent_part,
-    tower_vector,
-    value_of,
-    vecdot,
-    vecmat,
-)
-from .mechanics import (
-    MechanicalSystem,
-    PointGeometry,
-    _christoffel,
-    _metric_x_pass,
-    each_point,
-    sweep,
-)
+from .jets import batch_shape, eval_jet, matvec, max_abs, sym_invert, value_of, vecdot, vecmat
+from .mechanics import MechanicalSystem, PointGeometry, _christoffel, _run, each_point, sweep
 from .phase import PhasePoint
 
 __all__ = [
@@ -78,14 +64,14 @@ class HomogeneityReport:
         return asdict(self)
 
 
-def _euler_defect(j, p: PhasePoint) -> float:
-    """|(dL/dy_i) y^i - 2L| from a jet of L at ``p`` (per point of a batch)."""
-    return value_of(abs(vecdot(tower_vector(p.y, batch_shape(p)), j.d_y) - 2.0 * j.value))
+def _euler_defect(value, d_y, p: PhasePoint) -> float:
+    """|(dL/dy_i) y^i - 2L| from L and dL/dy at ``p`` (per point of a batch)."""
+    return value_of(abs(vecdot(np.array(p.y), d_y) - 2.0 * value))
 
 
 def _probe_values(sys: MechanicalSystem, p: PhasePoint, tol: float) -> dict:
-    j = _jet(sys.L, p, 1)
-    return {"defect": _euler_defect(j, p), "bound": tol * (1.0 + abs(j.value))}
+    value, _, d_y = _run("jet", sys.L, None, p, 1)[:3]
+    return {"defect": _euler_defect(value, d_y, p), "bound": tol * (1.0 + abs(value))}
 
 
 def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bool:
@@ -114,7 +100,7 @@ def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bo
 def _require_euler(j, p: PhasePoint, tol: float = _GATE_TOL):
     """Raise FinslerModeError unless a jet of L at ``p`` passes the Euler
     test (at every point of a batch)."""
-    res = _euler_defect(j, p)
+    res = _euler_defect(j.value, j.d_y, p)
     bad = res > tol * (1.0 + abs(j.value))
     if isinstance(bad, np.ndarray):
         if bad.any():
@@ -132,17 +118,13 @@ def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint, tol: float = _GAT
 
 
 def _euler_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
-    lanes = batch_shape(p)
-    b = bool(lanes)
-    q = seed_point(p, np.array([p.y], dtype=float))
-    d = _jet(sys.L, q, 2)
-    v = tower_vector(sys.V(q.x, q.y), lanes)
-    j = d.primal()
-    lag = _euler_defect(j, p)
+    b = bool(batch_shape(p))
+    value, d_y, dg_y, dv_y = _run("jet", sys.L, sys.V, p)
+    lag = _euler_defect(value, d_y, p)
     return {"lagrangian_residual": lag,
-            "metric_residual": max_abs(tangent_part(d.d_yy * 0.5, 1)[..., 0], b),
-            "force_residual": max_abs(tangent_part(v, 1)[..., 0], b),
-            "rejected": lag > _GATE_TOL * (1.0 + abs(j.value))}
+            "metric_residual": max_abs(dg_y, b),
+            "force_residual": max_abs(dv_y, b),
+            "rejected": lag > _GATE_TOL * (1.0 + abs(value))}
 
 
 def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
@@ -150,8 +132,9 @@ def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
 
     The system is accepted as Finsler-mode when the Lagrangian residual
     stays below 1e-8 (1 + |L|) at every sampled point.  Each point costs
-    one pass of L and V with y seeded along y itself: the value parts give
-    the Euler defect, the tangents (dg/dy) y and (dV/dy) y.
+    one pass of L and V with their partials along y in the direction y:
+    L and dL/dy give the Euler defect, and the pass also gives (dg/dy) y
+    and (dV/dy) y.
     """
     worst, tested, failures = sweep(samples, lambda p: _euler_values(sys, p))
     return HomogeneityReport(
@@ -168,11 +151,11 @@ def christoffel_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     """Formal Christoffel symbols of second kind of g(x, y).
 
     gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h),
-    with g and its position derivatives from one jet of L with x seeded
-    along every base direction.  For a homogeneous L these contract to
-    the canonical spray: gamma^i_jk y^j y^k = 2 G0^i.
+    with g and its position derivatives from one ``metric_x`` pass.  For a
+    homogeneous L these contract to the canonical spray:
+    gamma^i_jk y^j y^k = 2 G0^i.
     """
-    g, dgdx = _metric_x_pass(sys.L, p)
+    g, dgdx = _run("metric_x", sys.L, None, p)
     return _christoffel(sym_invert(g).inverse, dgdx)
 
 

@@ -1,49 +1,38 @@
-"""Forward-mode jet arithmetic and small dense linear algebra.
+"""Jet blocks, the elementary functions, contractions and small dense
+linear algebra.
 
-The jet carried here is tailored to Lagrange-space geometry on a single
-chart: for a scalar field f(x, y) it propagates, exactly and to machine
-precision, the value, the first derivatives in x and y, and the second
-derivatives in (y, y) and mixed (y, x).  No (x, x) block is carried.
-
-Anything deeper is one extra forward-mode layer threaded through the
-whole evaluation pipeline with :func:`push_direction`: a :class:`KDual`
-carries float values with k tangents on a trailing float axis, so a pass
-seeded with a (k, n) direction matrix returns k directional derivatives
-and a full Jacobian costs one pass.  Jet blocks stay plain float arrays
-until a seeded coordinate reaches them.  d3f/dy3 is the y-Jacobian of
-the Hessian block (:func:`hessian_y_tangent`), position derivatives of
-the metric its x-Jacobian.  :func:`sym_invert` inverts the float value
-part and carries the tangents through d(A^-1) = -A^-1 dA A^-1.
-
-A pass may also run over a batch of B points: a phase point whose
-coordinates are length-B float arrays.  The point axis sits after the
-value axes and before the tangent axis, so values are (B,), blocks
-(n, B) or (n, n, B) and tangents (..., B, k); elementwise arithmetic
-broadcasts unchanged.  The contractions :func:`matvec`, :func:`vecmat`,
-:func:`vecdot` and :func:`matmat` are one rule, :func:`_contract`: a
-left-to-right sum of elementwise products started at +0.0, which runs
-the same IEEE operations on each point whatever the batch size, so a
-point gets the bits of its one-point pass by construction (ordered
-recursive summation; Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., 2002, sec. 4.1).  A domain check (division by
-zero, a root or logarithm out of range, overflow, a singular metric)
-raises for the whole batch before any point computes a non-finite
-value; :func:`lagmech.mechanics.sweep` splits a batch that raises.
+A :class:`Jet` is the record of one scalar field's derivatives at a
+point: the value, the first derivatives in x and y, the second
+derivatives in (y, y) and mixed (y, x), and d3f/dy3.  No (x, x) block is
+carried.  :func:`eval_jet` fills one from the field's compiled ``jet``
+program (:mod:`lagmech.compiled`, the only code in the package that
+differentiates).
 
 Each elementary function is defined once, as its derivative sequence
 f, f', f'', f''' at a float or at each entry of an array; a term is
 computed only when read, and transcendentals are evaluated by
-:mod:`math`, one entry at a time.  The same sequence serves floats,
-KDuals and jets.
+:mod:`math`, one entry at a time, so an entry of an array gets the bits
+of its float.  The compiled programs take their terms from these
+sequences, and :func:`lagmech.dsl.eval_expr` their values.
+
+A quantity may also hold a batch of B points, with the point axis after
+the value axes: values are (B,), blocks (n, B) or (n, n, B).  The
+contractions :func:`matvec`, :func:`vecmat`, :func:`vecdot` and
+:func:`matmat` are one rule, :func:`_contract`: a left-to-right sum of
+elementwise products started at +0.0, which runs the same IEEE
+operations on each point whatever the batch size, so a point gets the
+bits of its one-point contraction by construction (ordered recursive
+summation; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+ed., 2002, sec. 4.1).  :func:`sym_invert` gates a symmetric matrix on
+its rank and inverts it, in closed form up to 2x2, one matrix or a batch
+point by point.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -51,18 +40,11 @@ from .errors import DomainError, SingularMetric
 from .phase import PhasePoint
 
 __all__ = [
-    "KDual",
     "Jet",
     "SymMatrix",
     "eval_jet",
-    "hessian_y_tangent",
-    "push_direction",
-    "seed_point",
-    "value_part",
-    "tangent_part",
     "sym_invert",
     "value_of",
-    "tower_vector",
     "batch_shape",
     "matvec",
     "vecmat",
@@ -77,8 +59,9 @@ __all__ = [
 
 
 def _any(cond) -> bool:
-    """Whether a condition holds at a point, or at any point of a batch."""
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+    """Whether a condition (a bool, or a numpy bool or array of them) holds
+    at a point, or at any point of a batch."""
+    return cond is True or cond is not False and bool(cond.any())
 
 
 def _each(fn, v, *args):
@@ -90,168 +73,17 @@ def _each(fn, v, *args):
 
 
 # ---------------------------------------------------------------------------
-# dual numbers: k tangents on a trailing float axis
-# ---------------------------------------------------------------------------
-
-
-def _lift(v):
-    """Align a value operand with the trailing tangent axis."""
-    return v[..., None] if isinstance(v, np.ndarray) else v
-
-
-def _widen(tan, val):
-    """Broadcast a tangent block to the shape of the value it belongs to."""
-    shape = np.shape(val) + tan.shape[-1:]
-    return tan if tan.shape == shape else np.broadcast_to(tan, shape)
-
-
-def _check_divisor(d):
-    if _any(d == 0.0):
-        raise DomainError("division by zero in dual evaluation")
-
-
-class KDual:
-    """A float value carrying k tangents, ``val + tan . (eps_1, .., eps_k)``.
-
-    ``val`` is a float or a float64 array; ``tan`` is a float64 array of
-    shape ``shape(val) + (k,)`` whose trailing axis indexes the seeded
-    directions.  Arithmetic, indexing, transposition, ``@`` and ``.dot``
-    follow numpy on the value axes, and numpy operands of arithmetic and
-    ``@`` defer to these methods.  A KDual has no plain array form:
-    ``np.asarray`` and ``ndarray.dot`` refuse it rather than build an
-    object array, so tower-generic code contracts with ``@``.  ``float()``
-    reads the value part of a scalar.
-    """
-
-    __slots__ = ("val", "tan")
-    __array_ufunc__ = None
-
-    def __init__(self, val, tan):
-        self.val = val
-        self.tan = tan
-
-    def __repr__(self):
-        return f"KDual({self.val!r}, {self.tan!r})"
-
-    @property
-    def shape(self):
-        return np.shape(self.val)
-
-    @property
-    def ndim(self):
-        return np.ndim(self.val)
-
-    def __float__(self):
-        return float(self.val)
-
-    def __array__(self, dtype=None, copy=None):
-        raise TypeError("a KDual has no plain array form; contract it with @ "
-                        "or read its .val and .tan parts")
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self.val)))
-
-    def __getitem__(self, key):
-        key = key if isinstance(key, tuple) else (key,)
-        if any(k is Ellipsis for k in key):
-            return KDual(self.val[key], self.tan[key + (slice(None),)])
-        return KDual(self.val[key], self.tan[key])
-
-    @property
-    def T(self):
-        return self.transpose(*reversed(range(self.ndim)))
-
-    def transpose(self, *axes):
-        return KDual(self.val.transpose(axes), self.tan.transpose(axes + (len(axes),)))
-
-    def swapaxes(self, a, b):
-        return KDual(self.val.swapaxes(a, b), self.tan.swapaxes(a, b))
-
-    def __add__(self, other):
-        if isinstance(other, KDual):
-            return KDual(self.val + other.val, self.tan + other.tan)
-        val = self.val + other
-        return KDual(val, _widen(self.tan, val))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, KDual):
-            return KDual(self.val - other.val, self.tan - other.tan)
-        val = self.val - other
-        return KDual(val, _widen(self.tan, val))
-
-    def __rsub__(self, other):
-        val = other - self.val
-        return KDual(val, _widen(-self.tan, val))
-
-    def __neg__(self):
-        return KDual(-self.val, -self.tan)
-
-    def __pos__(self):
-        return self
-
-    def __mul__(self, other):
-        if isinstance(other, KDual):
-            return KDual(self.val * other.val,
-                         self.tan * _lift(other.val) + _lift(self.val) * other.tan)
-        return KDual(self.val * other, self.tan * _lift(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, KDual):
-            _check_divisor(other.val)
-            v = self.val / other.val
-            return KDual(v, (self.tan - _lift(v) * other.tan) / _lift(other.val))
-        _check_divisor(other)
-        return KDual(self.val / other, self.tan / _lift(other))
-
-    def __rtruediv__(self, other):
-        _check_divisor(self.val)
-        v = other / self.val
-        return KDual(v, _lift(-v / self.val) * self.tan)
-
-    def __pow__(self, k):
-        return power(self, k)
-
-    def __matmul__(self, other):
-        return _matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return _matmul(other, self)
-
-    def dot(self, other):
-        return _matmul(self, other)
-
-
-def _matmul(a, b):
-    """``a @ b`` for a 1-D or 2-D ``b`` (``a`` of any rank), either of
-    which carries tangents; contracts a's last axis with b's first."""
-    av = a.val if isinstance(a, KDual) else np.asarray(a)
-    bv = b.val if isinstance(b, KDual) else np.asarray(b)
-    tan = 0.0
-    if isinstance(a, KDual):
-        tan = bv.T @ a.tan
-    if isinstance(b, KDual):
-        t = b.tan
-        tan = tan + (av @ t.reshape(t.shape[0], -1)).reshape(av.shape[:-1] + t.shape[1:])
-    return KDual(av @ bv, tan)
-
-
-# ---------------------------------------------------------------------------
 # contractions: one rule for a point and a batch
 # ---------------------------------------------------------------------------
 
 
-def _expand(x, r: int, after: int, lanes: int, tangent: bool = False):
+def _expand(x, r: int, after: int, lanes: int):
     """``x`` (core rank ``r``) with ``after`` unit axes after its core axes
-    and, when it has no point axes, ``lanes`` unit ones (a tangent axis
-    stays last)."""
-    pad = (None,) * lanes if x.ndim - tangent == r else ()
+    and, when it has no point axes, ``lanes`` unit ones."""
+    pad = (None,) * lanes if x.ndim == r else ()
     if not (after or pad):
         return x
-    return x[(slice(None),) * r + (None,) * after + (Ellipsis,) + pad + (slice(None),) * tangent]
+    return x[(slice(None),) * r + (None,) * after + (Ellipsis,) + pad]
 
 
 def _ordered(terms, axis: int):
@@ -266,27 +98,17 @@ def _ordered(terms, axis: int):
 
 def _contract(a, b, ra, rb):
     """Contract the last of a's ``ra`` core axes with the first of b's
-    ``rb``: sum_m a[.., m] b[m, ..], of floats or KDuals, whose result has
-    a's other core axes, then b's.  Point axes trail the core axes of
-    either operand or of both, and a KDual's tangent axis trails them; a
-    rank given as None is what leaves that operand the other's point axes.
-    Each term is one elementwise product (a tangent term the product
-    rule's two), and the terms are summed by :func:`_ordered`."""
-    da, db = isinstance(a, KDual), isinstance(b, KDual)
-    av = a.val if da else np.asarray(a)
-    bv = b.val if db else np.asarray(b)
+    ``rb``: sum_m a[.., m] b[m, ..], whose result has a's other core axes,
+    then b's.  Point axes trail the core axes of either operand or of
+    both; a rank given as None is what leaves that operand the other's
+    point axes.  Each term is one elementwise product, and the terms are
+    summed by :func:`_ordered`."""
+    av, bv = np.asarray(a), np.asarray(b)
     ra = av.ndim - bv.ndim + rb if ra is None else ra
     rb = bv.ndim - av.ndim + ra if rb is None else rb
     lanes = max(av.ndim - ra, bv.ndim - rb)
     # (a's others, m, unit axes for b's others, points) times (m, b's others, points)
-    x = _expand(av, ra, rb - 1, lanes)
-    y = _expand(bv, rb, 0, lanes)
-    val = _ordered(x * y, ra - 1)
-    if not (da or db):
-        return val
-    tan = _sum(_expand(a.tan, ra, rb - 1, lanes, True) * y[..., None] if da else None,
-               x[..., None] * _expand(b.tan, rb, 0, lanes, True) if db else None)
-    return KDual(val, _ordered(tan, ra - 1))
+    return _ordered(_expand(av, ra, rb - 1, lanes) * _expand(bv, rb, 0, lanes), ra - 1)
 
 
 def matvec(a, v):
@@ -319,43 +141,22 @@ def max_abs(a, batched: bool = False):
 
 
 def value_of(v):
-    """Float value part of a tower scalar (an array over a batch)."""
-    if isinstance(v, KDual):
-        return v.val
+    """A scalar as a float, or over a batch as its (B,) array."""
     return v if isinstance(v, np.ndarray) else float(v)
 
 
 def batch_shape(p: PhasePoint) -> tuple:
     """``(B,)`` for a batch of B points, ``()`` for a single point."""
-    v = p.x[0]
-    v = v.val if isinstance(v, KDual) else v
-    return v.shape if isinstance(v, np.ndarray) else ()
-
-
-def tower_vector(seq, lanes: tuple = ()):
-    """Pack tower scalars into a float vector, or into a KDual vector when
-    any of them carries tangents.  Over a batch (``lanes = (B,)``) the
-    vector is (n, B) and constant entries are broadcast to every point."""
-    vals = list(seq)
-    vec = np.array([np.broadcast_to(value_part(v), lanes) if lanes else value_part(v)
-                    for v in vals], dtype=float)
-    tans = [v.tan for v in vals if isinstance(v, KDual)]
-    if not tans:
-        return vec
-    zero = np.zeros(lanes + tans[0].shape[-1:])
-    return KDual(vec, np.array([_widen(v.tan, vec[0]) if isinstance(v, KDual) else zero
-                                for v in vals]))
+    return np.shape(p.x[0])
 
 
 # ---------------------------------------------------------------------------
-# elementary functions: one derivative sequence each, for every tower
+# elementary functions: one derivative sequence each
 # ---------------------------------------------------------------------------
 #
 # Each is a generator over a float or an array v yielding f(v), f'(v),
 # f''(v), f'''(v), each computed when it is read; it raises DomainError
-# before a term it cannot supply at v (at any entry of an array).  A float
-# takes f, a KDual f and f', an order-o jet o + 1 terms, or o + 2 when its
-# value carries tangents (Jet._compose).
+# before a term it cannot supply at v (at any entry of an array).
 
 
 def _sqrt(v):
@@ -423,51 +224,43 @@ def _log(v):
     yield 2.0 * (f1 * f1 * f1)
 
 
-def _real_power(v, b, m, k=0, pw=math.pow):
-    """Terms k..m-1 of v**b's derivative sequence, b (b-1) .. (b-j+1) v**(b-j),
-    at a float, or with ``pw`` entrywise at an array (:func:`power`)."""
-    if k == 0 and _any(v <= 0.0):  # a later term is read after term 0
+def _real_power(v, b, m):
+    """The first m terms of v**b's derivative sequence, b (b-1) .. (b-j+1)
+    v**(b-j), at a float or entry by entry at an array."""
+    if _any(v <= 0.0):
         raise DomainError("non-integer power of a non-positive base")
+    pw = _EACH_POW if isinstance(v, np.ndarray) else math.pow
     c, terms = 1.0, []
     try:
         for j in range(m):
-            if j >= k:
-                terms.append(c * pw(v, b - j))
+            terms.append(c * pw(v, b - j))
             c *= b - j
     except OverflowError:
         raise DomainError("real power overflows") from None
     return terms
 
 
+_EACH_POW = partial(_each, math.pow)
+
 # the named functions of the expression language, as derivative sequences
 SCALAR_FUNCTIONS = {"sqrt": _sqrt, "sin": _sin, "cos": _cos,
                     "tan": _tan, "exp": _exp, "log": _log}
-
-
-def _apply(seq, v):
-    """Apply the function whose derivative sequence is ``seq`` to a float,
-    a KDual or a jet."""
-    if isinstance(v, Jet):
-        return v._compose(seq)
-    if isinstance(v, KDual):
-        f0, f1 = islice(seq(v.val), 2)
-        return KDual(f0, _lift(f1) * v.tan)
-    return next(seq(v))
 
 
 def ipow(v, k: int):
     """Integer power by repeated multiplication.
 
     Stays smooth through zero for non-negative exponents, which plain
-    ``a ** b`` through logarithms would not.  Shared by every numeric
-    tower so value slots agree bit for bit across towers.
+    ``a ** b`` through logarithms would not.
     """
 
-    if k == 0:  # a KDual keeps its tower, with no tangent
-        return KDual(np.ones_like(v.val) if isinstance(v.val, np.ndarray) else 1.0,
-                     np.zeros_like(v.tan)) if isinstance(v, KDual) else 1.0
-    if k < 0:
-        return 1.0 / ipow(v, -k)
+    if k == 0:
+        return 1.0
+    if k < 0:  # v**-k may underflow to zero where v is not
+        d = ipow(v, -k)
+        if _any(d == 0.0):
+            raise DomainError("division by zero")
+        return 1.0 / d
     if k == 1:
         return v
     if k == 2:
@@ -488,129 +281,40 @@ def ipow(v, k: int):
         base = base * base
 
 
-def power(base, exponent):
-    """Generic power: integer exponents multiply out, real exponents
-    require a positive base."""
+def _power(base, exponent, m: int) -> tuple:
+    """The first m (1 or 2) terms of base**exponent's derivative sequence in
+    the base, at floats or entry by entry over arrays: an integer exponent
+    multiplies out (zero to a negative power is a DomainError), a real
+    one requires a positive base."""
+    if isinstance(base, np.ndarray) or isinstance(exponent, np.ndarray):
+        pairs = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(base, exponent)))
+        shape = np.broadcast_shapes(np.shape(base), np.shape(exponent))
+        return tuple(np.reshape(t, shape) for t in zip(*(_power(a, b, m) for a, b in pairs)))
+    if not float(exponent).is_integer():
+        return tuple(_real_power(base, float(exponent), m))
+    k = int(exponent)
+    if k < 0 and base == 0.0:
+        raise DomainError("zero raised to a negative power")
+    return (ipow(base, k),) if m == 1 else (ipow(base, k), k * ipow(base, k - 1) if k else 0.0)
 
-    if isinstance(exponent, (int, float)) and float(exponent).is_integer():
-        k = int(exponent)
-        if k < 0 and _any(value_of(base.value if isinstance(base, Jet) else base) == 0.0):
-            raise DomainError("zero raised to a negative power")
-        return ipow(base, k)
-    if isinstance(exponent, (int, float)):
-        b, pw = float(exponent), partial(_each, math.pow)
-        # the derivative sequence term by term, each computed when read
-        return _apply(lambda v: (_real_power(v, b, k + 1, k, pw)[0] for k in range(4)), base)
-    # exponent is itself a varying tower value: a^b = exp(b * log(a))
-    return apply_function("exp", exponent * apply_function("log", base))
+
+def power(base, exponent):
+    """``base**exponent`` of floats, or entry by entry over arrays."""
+    return _power(base, exponent, 1)[0]
 
 
 def apply_function(name, v):
-    """Apply a named elementary function to a tower scalar or jet."""
-    return _apply(SCALAR_FUNCTIONS[name], v)
+    """A named elementary function of a float, or of each entry of an array."""
+    return next(SCALAR_FUNCTIONS[name](v))
 
 
 # ---------------------------------------------------------------------------
-# block helpers
-# ---------------------------------------------------------------------------
-
-_BASIS_CACHE: dict = {}
-_ZERO_CACHE: dict = {}
-_SYM3_INDEX_CACHE: dict = {}
-
-
-def _zeros(shape):
-    z = _ZERO_CACHE.get(shape)
-    if z is None:
-        z = _ZERO_CACHE[shape] = np.zeros(shape)
-        z.setflags(write=False)
-    return z
-
-
-def _basis(n, i, batched=False):
-    """e_i, as a column (n, 1) that broadcasts over a batch when ``batched``."""
-    e = _BASIS_CACHE.get(n)
-    if e is None:
-        e = _BASIS_CACHE[n] = np.eye(n)
-        e.setflags(write=False)
-    return e[i, :, None] if batched else e[i]
-
-
-def _mirror3(t):
-    """Force bitwise total symmetry on the leading (n, n, n) axes of an
-    array by copying each entry from its sorted-index representative."""
-    n = t.shape[0]
-    idx = _SYM3_INDEX_CACHE.get(n)
-    if idx is None:
-        idx = _SYM3_INDEX_CACHE[n] = tuple(np.sort(np.indices((n, n, n)), axis=0))
-    return t[idx]
-
-
-# A block is a float array, a KDual array, or None when it is identically
-# zero; the helpers below skip the arithmetic on zero blocks.
-
-
-def _sum(*terms):
-    """Left-to-right sum of the non-zero blocks (None if there are none)."""
-    out = None
-    for t in terms:
-        if t is not None:
-            out = t if out is None else out + t
-    return out
-
-
-def _diff(a, *terms):
-    """``a`` minus each non-zero block, left to right."""
-    for t in terms:
-        if t is not None:
-            a = -t if a is None else a - t
-    return a
-
-
-def _mul(a, s):
-    return None if a is None else a * s
-
-
-def _div(a, s):
-    return None if a is None else a / s
-
-
-def _outer(a, b):
-    """Tensor product of two vector blocks, either of which may carry
-    tangents; a point axis after the vector axis is kept."""
-    if a is None or b is None:
-        return None
-    return a[:, None] * b
-
-
-def _sym2(q):
-    return None if q is None else q + q.swapaxes(0, 1)
-
-
-def _finite(v) -> bool:
-    if isinstance(v, KDual):
-        return bool(np.isfinite(v.val).all() and np.isfinite(v.tan).all())
-    return bool(np.isfinite(v).all())
-
-
-def _full(b, shape):
-    """A block broadcast to ``shape`` (its tangents to ``shape + (k,)``)."""
-    if isinstance(b, KDual):
-        return b if b.shape == shape else KDual(np.broadcast_to(b.val, shape),
-                                                np.broadcast_to(b.tan, shape + b.tan.shape[-1:]))
-    return b if np.shape(b) == shape else np.broadcast_to(b, shape)
-
-
-# ---------------------------------------------------------------------------
-# the jet
+# the jet record
 # ---------------------------------------------------------------------------
 
 
 class Jet:
-    """Truncated Taylor carrier for one scalar field evaluation.
-
-    Blocks (``None`` while identically zero, which includes every block
-    above the tracked order; zero-filled by :meth:`finalized`):
+    """The derivative blocks of one scalar field at a point.
 
     ``value``            scalar
     ``d_x[i]``           df/dx_i
@@ -619,16 +323,9 @@ class Jet:
     ``d_xy[i, j]``       d2f/dy_i dx_j           (row = y index)
     ``d_yyy[i, j, k]``   d3f/dy_i dy_j dy_k      (bitwise totally symmetric)
 
-    Over a batch of B points each block gains a trailing point axis:
-    ``value`` is (B,), ``d_x`` (n, B), ``d_yy`` (n, n, B).
-
-    Arithmetic propagates orders 0 to 2; ``d_yyy`` is filled only by
-    :func:`eval_jet` at order 3, as the y-tangent of ``d_yy``.  Under a
-    push the value and each block are float, or :class:`KDual` once a
-    seeded coordinate has reached them.  Supports ``+ - * / **`` against
-    jets of the same shape and plain numbers, plus the elementary
-    functions of the expression language.  Instances are never mutated
-    after construction.
+    Blocks are float arrays, zero above ``order``; over a batch of B
+    points each gains a trailing point axis (``value`` (B,), ``d_x``
+    (n, B), ``d_yy`` (n, n, B)).  A record: it has no arithmetic.
     """
 
     __slots__ = ("n", "order", "value", "d_x", "d_y", "d_yy", "d_xy", "d_yyy")
@@ -643,269 +340,36 @@ class Jet:
         self.d_xy = d_xy
         self.d_yyy = d_yyy
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, c, n, order):
-        return cls(n, order, c)
-
-    @classmethod
-    def seed_x(cls, value, i, n, order, batched=False):
-        return cls(n, order, value, d_x=_basis(n, i, batched) if order >= 1 else None)
-
-    @classmethod
-    def seed_y(cls, value, i, n, order, batched=False):
-        return cls(n, order, value, d_y=_basis(n, i, batched) if order >= 1 else None)
-
-    def _const(self, c):
-        return Jet.constant(c, self.n, self.order)
-
-    def _blocks(self):
-        return self.d_x, self.d_y, self.d_yy, self.d_xy
-
-    def primal(self):
-        """The jet of the value parts: what the unseeded evaluation gives."""
-        return Jet(self.n, self.order, value_part(self.value), *map(value_part, self._blocks()))
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.n, self.order, self.value + other.value,
-                       *map(_sum, self._blocks(), other._blocks()))
-        return Jet(self.n, self.order, self.value + other, *self._blocks())
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.n, self.order, self.value - other.value,
-                       *map(_diff, self._blocks(), other._blocks()))
-        return Jet(self.n, self.order, self.value - other, *self._blocks())
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Jet(self.n, self.order, -self.value, *(_mul(b, -1.0) for b in self._blocks()))
-
-    def __pos__(self):
-        return self
-
-    def __mul__(self, other):
-        o = self.order
-        if not isinstance(other, Jet):
-            return Jet(self.n, o, self.value * other, *(_mul(b, other) for b in self._blocks()))
-        sv, ov = self.value, other.value
-        j = Jet(self.n, o, sv * ov)
-        if o >= 1:
-            j.d_x = _sum(_mul(self.d_x, ov), _mul(other.d_x, sv))
-            j.d_y = _sum(_mul(self.d_y, ov), _mul(other.d_y, sv))
-        if o >= 2:
-            j.d_yy = _sum(_mul(self.d_yy, ov), _mul(other.d_yy, sv),
-                          _sym2(_outer(self.d_y, other.d_y)))
-            j.d_xy = _sum(_mul(self.d_xy, ov), _mul(other.d_xy, sv),
-                          _outer(self.d_y, other.d_x), _outer(other.d_y, self.d_x))
-        return j
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self.order
-        if not isinstance(other, Jet):
-            if _any(value_of(other) == 0.0):
-                raise DomainError("division by zero")
-            return Jet(self.n, o, self.value / other, *(_div(b, other) for b in self._blocks()))
-        if _any(value_of(other.value) == 0.0):
-            raise DomainError("division by zero")
-        w0 = self.value / other.value
-        q = 1.0 / other.value
-        j = Jet(self.n, o, w0)
-        if o >= 1:
-            j.d_x = _mul(_diff(self.d_x, _mul(other.d_x, w0)), q)
-            j.d_y = _mul(_diff(self.d_y, _mul(other.d_y, w0)), q)
-        if o >= 2:
-            j.d_yy = _mul(_diff(self.d_yy, _mul(other.d_yy, w0),
-                                _sym2(_outer(j.d_y, other.d_y))), q)
-            j.d_xy = _mul(_diff(self.d_xy, _mul(other.d_xy, w0),
-                                _outer(j.d_y, other.d_x), _outer(other.d_y, j.d_x)), q)
-        return j
-
-    def __rtruediv__(self, other):
-        return self._const(other) / self
-
-    def __pow__(self, k):
-        return power(self, k)
-
-    # -- chain rule ----------------------------------------------------
-
-    def _compose(self, seq):
-        """Chain rule through the function whose derivative sequence is
-        ``seq``.  When the value carries tangents so does each coefficient
-        f^(m), with f^(m+1) times the value's tangent."""
-        o, v = self.order, self.value
-        if isinstance(v, KDual):
-            fs = tuple(islice(seq(v.val), o + 2))
-            f = [KDual(a, _lift(b) * v.tan) for a, b in zip(fs, fs[1:])]
-        else:
-            f = tuple(islice(seq(v), o + 1))
-        j = Jet(self.n, o, f[0])
-        if o >= 1:
-            j.d_x = _mul(self.d_x, f[1])
-            j.d_y = _mul(self.d_y, f[1])
-        if o >= 2:
-            j.d_yy = _sum(_mul(self.d_yy, f[1]), _mul(_outer(self.d_y, self.d_y), f[2]))
-            j.d_xy = _sum(_mul(self.d_xy, f[1]), _mul(_outer(self.d_y, self.d_x), f[2]))
-        return j
-
-    # -- finalization ----------------------------------------------------
-
-    def finalized(self, lanes: tuple = ()):
-        """Zero-fill the zero blocks, ``d_yyy`` included, broadcast every
-        block over the batch ``lanes`` (``(B,)``, or ``()`` for one point),
-        and verify finiteness."""
-        n = self.n
-        if not _finite(self.value):
-            raise DomainError("field evaluation produced a non-finite value")
-        blocks = []
-        for b, shape in zip((*self._blocks(), self.d_yyy),
-                            ((n,), (n,), (n, n), (n, n), (n, n, n))):
-            if b is None:
-                b = _zeros(shape + lanes)
-            elif not _finite(b):
-                raise DomainError("field evaluation produced a non-finite derivative")
-            elif lanes:
-                b = _full(b, shape + lanes)
-            blocks.append(b)
-        value = _full(self.value, lanes) if lanes else self.value
-        return Jet(n, self.order, value, *blocks)
-
     def __repr__(self):
         return f"Jet(n={self.n}, order={self.order}, value={self.value!r})"
 
 
-# ---------------------------------------------------------------------------
-# public entry points
-# ---------------------------------------------------------------------------
-
-
-def _propagate(f, p: PhasePoint, order: int) -> Jet:
-    """The jet of ``f`` at ``p`` to ``order`` <= 2, in the tower ``p``
-    carries and over the batch it holds: the pass behind :func:`eval_jet`."""
-    n = p.n
-    lanes = batch_shape(p)
-    batched = bool(lanes)
-    xs = [Jet.seed_x(v, i, n, order, batched) for i, v in enumerate(p.x)]
-    ys = [Jet.seed_y(v, i, n, order, batched) for i, v in enumerate(p.y)]
-    out = f(xs, ys)
-    if not isinstance(out, Jet):
-        out = Jet.constant(out, n, order)
-    return out.finalized(lanes)
-
-
-def hessian_y_tangent(j: Jet) -> np.ndarray:
-    """d3f/dy_i dy_j dy_k of a jet propagated with y seeded along ``np.eye(n)``:
-    the y-tangent of its ``d_yy`` block, made bitwise totally symmetric
-    (over a batch, with the point axis last)."""
-    t = tangent_part(j.d_yy, j.n)
-    return _mirror3(np.moveaxis(t, -1, 2) if t.ndim == 4 else t)
-
-
 def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
-    """Evaluate a scalar field at ``p`` carrying derivatives up to ``order``.
+    """The jet of the field ``f`` (a field carrying its bound tree, as
+    :func:`lagmech.dsl.bind_scalar` makes) at ``p`` to ``order`` 0..3, by
+    its compiled ``jet`` program.
 
     Blocks above the requested order come back zero-filled, with
-    ``jet.order`` recording which blocks were computed.  Order 3 runs one
-    order-2 pass with y seeded along ``np.eye(n)``: its value parts, and
-    ``d_yyy`` from :func:`hessian_y_tangent`.
+    ``jet.order`` recording which blocks were computed.  Order 3 runs the
+    pass of order 2 with tangents along every y direction, whose y-partials
+    of ``d_yy`` give ``d_yyy``.
 
-    Raises :class:`DomainError` if the evaluation produces a non-finite
-    value or derivative, and ValueError for an order outside 0..3 or for
-    order 3 at a point whose coordinates already carry tangents.
+    Raises :class:`DomainError` if the evaluation leaves a function's
+    domain or produces a non-finite value or derivative, ValueError for an
+    order outside 0..3 and TypeError for a field without a tree.
     """
 
     if order not in (0, 1, 2, 3):
         raise ValueError(f"jet order must be 0..3, got {order}")
-    if order < 3:
-        return _propagate(f, p, order)
-    if any(isinstance(v, KDual) for v in (*p.x, *p.y)):
-        raise ValueError("an order-3 jet needs a point whose coordinates carry no tangents")
-    d = _propagate(f, seed_point(p, np.eye(p.n)), 2)
-    j = d.primal()
-    return Jet(j.n, 3, j.value, *j._blocks(), d_yyy=hessian_y_tangent(d))
+    if not hasattr(f, "tree"):
+        raise TypeError("eval_jet needs a field that carries its expression tree (bind_scalar)")
+    from .compiled import run  # compiled at the first pass, not at import
 
-
-def _seed(val, tan):
-    """A coordinate carrying the tangents ``tan``: (k,), or over a batch
-    (k, B) with one seed per point."""
-    if isinstance(val, np.ndarray):
-        tan = _widen(np.moveaxis(tan, 0, -1) if tan.ndim > 1 else tan, val)
-    return KDual(val, tan)
-
-
-def seed_point(p: PhasePoint, seeds, wrt: str = "y") -> PhasePoint:
-    """``p`` with its ``y`` (default) or ``x`` coordinates carrying the k
-    tangents of a (k, n) seed matrix, column i for coordinate i; with
-    ``np.eye(n)`` a pass yields the full Jacobian.  Over a batch the seeds
-    are (k, n), shared by every point, or (k, n, B), one matrix per point."""
-    if wrt == "y":
-        return PhasePoint(p.x, tuple(_seed(value_of(v), seeds[:, i]) for i, v in enumerate(p.y)))
-    if wrt == "x":
-        return PhasePoint(tuple(_seed(value_of(v), seeds[:, i]) for i, v in enumerate(p.x)), p.y)
-    raise ValueError("wrt must be 'x' or 'y'")
-
-
-def value_part(v):
-    """Float value part of a tower value; floats pass through."""
-    return v.val if isinstance(v, KDual) else v
-
-
-def tangent_part(out, k: int) -> np.ndarray:
-    """The k tangents of a pipeline output (a KDual, a list of tower
-    scalars, or a float value the seeds never reached) on a trailing axis.
-    Any other output (an object array, a jet) raises TypeError."""
-    if isinstance(out, (list, tuple)):
-        out = tower_vector(out)
-    if isinstance(out, KDual):
-        return np.array(out.tan, dtype=float)
-    if isinstance(out, (numbers.Real, np.ndarray)) and np.asarray(out).dtype.kind in "biuf":
-        return np.zeros(np.shape(out) + (k,))
-    raise TypeError(f"cannot read tangents from a {type(out).__name__} output; "
-                    "return a KDual, a float array or a list of tower scalars")
-
-
-def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
-    """Directional derivatives of an arbitrary evaluation pipeline.
-
-    Re-runs ``pipeline`` at ``p`` with the ``y`` (default) or ``x``
-    coordinates seeded along ``direction`` (see :func:`seed_point`) and
-    returns the tangent part of the output.  The pipeline may involve
-    jets, metric inversion, contractions: the tangents are threaded
-    through all of it.
-
-    A length-n ``direction`` returns a float array shaped like the
-    pipeline output (a float for a scalar output).  A ``(k, n)`` matrix
-    returns all k directional derivatives from the same pass, stacked on
-    a trailing axis; with ``np.eye(n)`` that is the full Jacobian.
-
-    The pipeline sees :class:`KDual` coordinates, so it contracts with
-    ``@`` (or ``.dot`` on a KDual) and returns an output that
-    :func:`tangent_part` reads; any other output raises TypeError.
-    """
-
-    n = p.n
-    d = np.asarray(direction, dtype=float)
-    if d.ndim not in (1, 2) or d.shape[-1] != n:
-        raise ValueError("direction must be a length-n vector or a (k, n) matrix")
-    seeds = d.reshape(-1, n)
-    tan = tangent_part(pipeline(seed_point(p, seeds, wrt)), len(seeds))
-    if d.ndim == 2:
-        return tan
-    return tan[..., 0] if tan.ndim > 1 else float(tan[0])
+    return Jet(f.n, order, *run("jet", f, None, p, order))
 
 
 # ---------------------------------------------------------------------------
-# symmetric inversion with the tangents carried through
+# symmetric inversion behind a rank gate
 # ---------------------------------------------------------------------------
 
 
@@ -914,10 +378,8 @@ class SymMatrix:
     """A symmetric matrix with its inverse and a rank diagnostic.
 
     ``entries @ inverse`` equals the identity to roundoff scaled by the
-    condition number.  Under a push the entries and the inverse are
-    :class:`KDual`; the eigenvalue estimates always refer to the float
-    value part.  Over a batch the matrices are (n, n, B) and the
-    estimates (B,).
+    condition number.  Over a batch the matrices are (n, n, B) and the
+    eigenvalue estimates (B,).
     """
 
     entries: np.ndarray
@@ -928,11 +390,6 @@ class SymMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def primal(self) -> "SymMatrix":
-        """The value parts: what the unseeded inversion gives."""
-        return SymMatrix(value_part(self.entries), value_part(self.inverse),
-                         self.min_abs_eigen_estimate, self.max_abs_eigen)
 
 
 # a symmetric [[p, b], [b, d]] with |p| + |b| + |d| in this range keeps
@@ -1031,54 +488,28 @@ def _rank_gate(mn, mx, rel_tol: float = 1e-10):
     return mn, mx
 
 
-def _sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
-    """:func:`sym_invert` of one matrix or of a batch (n, n, B)."""
-    dual = isinstance(m, KDual)
-    a = m.val if dual else np.asarray(m, dtype=float)
+def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
+    """Symmetrize, gate on rank, and invert a small dense float matrix.
+
+    A batch (n, n, B) is inverted point by point, with the bits of
+    one-point inversions.
+
+    Raises
+    ------
+    SingularMetric
+        When the smallest eigenvalue magnitude falls below ``rel_tol``
+        times the largest (at any point of a batch); beyond that point
+        the inverse amplifies noise past every tolerance used downstream.
+    ValueError
+        If the input is not symmetric to 1e-12 relative.
+    """
+    a = np.asarray(m, dtype=float)
     if a.ndim not in (2, 3) or a.shape[0] != a.shape[1]:
         raise ValueError("sym_invert expects a square matrix")
-    batched = a.ndim == 3
     norm = np.abs(a).max(axis=(0, 1))  # over a batch, per point
     at = a.swapaxes(0, 1)
     if _any(np.abs(a - at).max(axis=(0, 1)) > 1e-12 * (1.0 + norm)):
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     a = (a + at) * 0.5
-    mn, mx = _rank_gate(*_spectrum_range(a, batched), rel_tol)
-    inv = _inverse(a)
-    if not dual:
-        return SymMatrix(a, inv, mn, mx)
-    ms = (m + m.swapaxes(0, 1)) * 0.5
-    return SymMatrix(ms, KDual(inv, -matmat(matmat(inv, ms), inv).tan), mn, mx)
-
-
-def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
-    """Symmetrize, gate on rank, and invert a small dense matrix.
-
-    The value part is inverted in floats; tangents, when ``m`` carries
-    them, follow from d(A^-1) = -A^-1 dA A^-1.  A batch (n, n, B) is
-    inverted point by point, with the bits of one-point inversions.
-
-    Raises
-    ------
-    SingularMetric
-        When the smallest eigenvalue magnitude of the value part falls
-        below ``rel_tol`` times the largest (at any point of a batch);
-        beyond that point the inverse amplifies noise past every
-        tolerance used downstream.
-    ValueError
-        If the input is not symmetric to 1e-12 relative.
-    """
-    return _sym_invert(m, rel_tol)
-
-
-# The pipeline's passes (here and in ``mechanics._evolution_pass``) go
-# through the public ``eval_jet`` and ``sym_invert`` at one point and
-# straight to ``_propagate`` and ``_sym_invert`` over a batch:
-# ``benchmarks/tracing.py`` wraps the public names and fingerprints their
-# arguments as one point's floats, so it sees every one-point pass and no
-# batch.
-
-
-def _jet(f, p: PhasePoint, order: int) -> Jet:
-    """:func:`eval_jet` to ``order`` <= 2 at ``p``, one point or a batch."""
-    return _propagate(f, p, order) if batch_shape(p) else eval_jet(f, p, order)
+    mn, mx = _rank_gate(*_spectrum_range(a, a.ndim == 3), rel_tol)
+    return SymMatrix(a, _inverse(a), mn, mx)

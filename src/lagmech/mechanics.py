@@ -17,17 +17,19 @@ sigma:
   the evolution connection compatible with the symplectic 2-form.
 
 All of it comes from one pass: the jet of L, the metric, y, V, G0 and G
-at a point; the trajectories run the same quantities compiled
-(:mod:`lagmech.compiled`).  :class:`PointGeometry` runs it once with y
-seeded along the identity, which yields the values together with every
-fiber Jacobian (N0, dV/dy, N, dsigma/dy, d3L/dy3); position derivatives
-of g are evaluated only when read.
+at a point.  :class:`PointGeometry` runs the compiled ``point`` program
+(:mod:`lagmech.compiled`) once, which yields the values together with
+every fiber Jacobian (N0, dV/dy, N, dsigma/dy, d3L/dy3) as partials of
+the same DAG the trajectories' programs are built from; position
+derivatives of g are evaluated only when read.
 
 A context holds one point or a batch of B points (a phase point whose
 coordinates are (B,) arrays, see :func:`stack_points`).  Over a batch
 the point axis comes last: scalars are (B,), vectors (n, B), matrices
-(n, n, B).  Each contraction is one ordered sum per entry (see
-:mod:`lagmech.jets`), so a point gets the bits of its one-point context.
+(n, n, B).  The program runs the same operations on each entry of an
+array as on a float, and each contraction is one ordered sum per entry
+(see :mod:`lagmech.jets`), so a point gets the bits of its one-point
+context.
 :func:`sweep` evaluates the samples in chunks of up to 256 points, one
 batched context per chunk.  A chunk that raises SingularMetric,
 DomainError or FinslerModeError is retried in blocks of 16 points, and
@@ -51,26 +53,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
-from .jets import (
-    Jet,
-    _contract,
-    _finite,
-    _jet,
-    _sym_invert,
-    batch_shape,
-    hessian_y_tangent,
-    matmat,
-    matvec,
-    max_abs,
-    seed_point,
-    sym_invert,
-    tangent_part,
-    tower_vector,
-    value_of,
-    value_part,
-    vecdot,
-    vecmat,
-)
+from .jets import (Jet, SymMatrix, _contract, batch_shape, matmat, matvec, max_abs, value_of,
+                   vecdot, vecmat)
 from .phase import PhasePoint, ScalarField, VerticalField
 
 __all__ = [
@@ -120,34 +104,16 @@ class MechanicalSystem:
         )
 
 
-def _evolution_pass(sys: MechanicalSystem, p: PhasePoint):
-    """The jet of L (order 2), the metric, y, V, G0 and G = G0 - V/4 at
-    ``p``, as a plain tuple; sigma = g V is ``matvec(metric.entries, V)``.
+def _run(kind: str, L, V, p: PhasePoint, order: int = 2) -> list:
+    """:func:`lagmech.compiled.run`, imported at the first pass so that
+    importing the package compiles none of it."""
+    from .compiled import run
 
-    Runs in whatever tower ``p`` carries: floats at a plain point, values
-    with their tangents at a seeded one, and over the batch ``p`` holds.
-    Raises DomainError when V, or a tangent of V, is not finite.
-    """
-    lanes = batch_shape(p)
-    j = _jet(sys.L, p, 2)
-    g = (_sym_invert if lanes else sym_invert)(j.d_yy * 0.5)
-    yv = tower_vector(p.y, lanes)
-    spray0 = matvec(g.inverse, matvec(j.d_xy, yv) - j.d_x) * 0.25
-    v = tower_vector(sys.V(p.x, p.y), lanes)
-    if not _finite(v):
-        raise DomainError("force evaluation produced a non-finite value")
-    return j, g, yv, v, spray0, spray0 - v * 0.25
-
-
-def _tangents(w, k: int, batched: bool) -> np.ndarray:
-    """The k tangents of ``w`` as a trailing core axis, before the point
-    axis of a batch."""
-    t = tangent_part(w, k)
-    return np.moveaxis(t, -1, -2) if batched else t
+    return run(kind, L, V, p, order)
 
 
 def _energy_parts(j: Jet, yv):
-    """E and its x- and y-differentials from a jet of L, in any tower."""
+    """E and its x- and y-differentials from a jet of L."""
     return vecdot(yv, j.d_y) - j.value, vecmat(yv, j.d_xy) - j.d_x, vecmat(yv, j.d_yy)
 
 
@@ -181,13 +147,6 @@ def _sode_residual(j: Jet, yv, spray, sigma=None) -> float:
     return max_abs(np.concatenate([res_x, res_y]), yv.ndim == 2)
 
 
-def _metric_x_pass(L: ScalarField, p: PhasePoint):
-    """g and its position derivatives ``dgdx[a, b, c] = dg_ab/dx_c`` from
-    one jet of L with x seeded along every base direction."""
-    g = _jet(L, seed_point(p, np.eye(p.n), wrt="x"), 2).d_yy * 0.5
-    return value_part(g), _tangents(g, p.n, bool(batch_shape(p)))
-
-
 def _christoffel(ginv, dgdx):
     """gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h)."""
     rest = tuple(range(3, dgdx.ndim))  # the point axis of a batch
@@ -209,28 +168,22 @@ def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
     return _two_form_value(g, a, delta[:, :, None], delta[:, None, :])
 
 
-def _scalar_s(j: Jet, yv, spray):
-    """S(L) = y^k dL/dx_k - 2 spray^k dL/dy_k from a jet of L."""
-    return vecdot(yv, j.d_x) - 2.0 * vecdot(spray, j.d_y)
-
-
 class PointGeometry:
     """Every pointwise quantity of a forced system at one phase point, or
     at each point of a batch.
 
-    The evolution pipeline runs once, with y seeded along ``np.eye(n)``.
-    The value parts of that pass are what the pipeline gives at ``p``:
-    ``jet`` (L to order 2), ``metric``, ``y``, ``V``, ``spray0`` (G0),
-    ``spray`` (G) and ``sigma``.  Its tangents are their fiber Jacobians:
-    ``conn0`` (N0), ``dV_dy``, ``conn`` (N), ``dsigma_dy`` (J) and, read
-    off the Hessian block, ``d_yyy`` (d3L/dy3, four times the Cartan
+    The compiled ``point`` program runs once.  It gives ``jet`` (L to
+    order 3), ``metric``, ``y``, ``V``, ``spray0`` (G0), ``spray`` (G) and
+    ``sigma``, and their fiber Jacobians: ``conn0`` (N0), ``dV_dy``,
+    ``conn`` (N), ``dsigma_dy`` (J), ``dSL_dy`` and ``dS0L_dy`` (of S(L)
+    along G and G0), and ``d_yyy`` (d3L/dy3, four times the Cartan
     tensor).  The symmetric quarter of J is the dynamical covariant
     derivative of g along the evolution pair, its antisymmetric half the
     helicoidal tensor: 4 gbar_ij = J_ij + J_ji, 2 F_ij = J_ij - J_ji.
 
-    One more jet evaluation runs only when read: ``dg_dx`` (x seeded
-    along ``np.eye(n)``), for the Christoffel symbols and the dynamical
-    derivative of g.
+    One more pass runs only when read: ``dg_dx`` (the ``metric_x``
+    program), for the Christoffel symbols and the dynamical derivative
+    of g.
 
     ``p`` may hold a batch (:func:`stack_points`): then every field and
     member carries a trailing point axis, a scalar member is a (B,) array
@@ -250,18 +203,12 @@ class PointGeometry:
         self.sys = sys
         self.p = p
         self.batched = bool(batch_shape(p))
-        self._dual = _evolution_pass(sys, seed_point(p, np.eye(sys.n)))
-        j, g, yv, v, spray0, spray = self._dual
-        sigma = matvec(g.entries, v)
-        self.jet = j.primal()
-        self.metric = g.primal()
-        self.y, self.V, self.spray0, self.spray, self.sigma = map(
-            value_part, (yv, v, spray0, spray, sigma))
-        self.conn0, self.dV_dy, self.conn, self.dsigma_dy = (
-            self._jacobian(w) for w in (spray0, v, spray, sigma))
-
-    def _jacobian(self, w) -> np.ndarray:
-        return _tangents(w, self.sys.n, self.batched)
+        (value, d_x, d_y, d_yy, d_xy, self.d_yyy, g, g_inv, mn, mx, self.spray0, self.V,
+         self.spray, self.sigma, self.conn0, self.dV_dy, self.conn, self.dsigma_dy,
+         self.dSL_dy, self.dS0L_dy) = _run("point", sys.L, sys.V, p)
+        self.jet = Jet(sys.n, 3, value, d_x, d_y, d_yy, d_xy, self.d_yyy)
+        self.metric = SymMatrix(g, g_inv, mn, mx)
+        self.y = np.array(p.y)
 
     def peak(self, a):
         """max |a| over the value axes: a float, or over a batch the (B,)
@@ -295,26 +242,9 @@ class PointGeometry:
         return value_of(_two_form_value(*_two_form_pieces(self.jet), X, Y))
 
     @cached_property
-    def dSL_dy(self) -> np.ndarray:
-        """d(S(L))/dy_i along the evolution spray."""
-        j, _, yv, _, _, spray = self._dual
-        return self._jacobian(_scalar_s(j, yv, spray))
-
-    @cached_property
-    def dS0L_dy(self) -> np.ndarray:
-        """d(S0(L))/dy_i along the canonical spray."""
-        j, _, yv, _, spray0, _ = self._dual
-        return self._jacobian(_scalar_s(j, yv, spray0))
-
-    @cached_property
     def dg_dx(self) -> np.ndarray:
-        """``dg_dx[a, b, c] = dg_ab/dx_c``."""
-        return _metric_x_pass(self.sys.L, self.p)[1]
-
-    @cached_property
-    def d_yyy(self) -> np.ndarray:
-        """d3L/dy_i dy_j dy_k, the y-tangent of the Hessian block."""
-        return hessian_y_tangent(self._dual[0])
+        """``dg_dx[a, b, c] = dg_ab/dx_c``, from one more pass."""
+        return _run("metric_x", self.sys.L, None, self.p)[1]
 
     @property
     def cartan(self) -> np.ndarray:

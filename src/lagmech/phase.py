@@ -1,10 +1,11 @@
 """Phase points and evaluatable fields on the tangent bundle.
 
 A phase point u = (x, y) collects base coordinates x and fiber (velocity)
-coordinates y of a single chart on an open subset of R^n.  A field is its
-bound expression tree (:mod:`lagmech.dsl`), called as ``f(x, y)`` over
-sequences of tower scalars, so the same field evaluates on floats, dual
-numbers (KDual), or jets without change.
+coordinates y of a single chart on an open subset of R^n; over a batch
+each coordinate is a (B,) array.  A field is its bound expression tree
+(:mod:`lagmech.dsl`): called as ``f(x, y)`` it evaluates the tree at
+float coordinates, and :mod:`lagmech.compiled` lowers the same tree into
+the derivative programs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ def _coerce(values) -> tuple:
         if isinstance(v, (int, float)):
             out.append(float(v))
         else:
-            out.append(v)  # dual numbers and other tower scalars pass through
+            out.append(v)  # the arrays of a batch pass through
     return tuple(out)
 
 
@@ -28,8 +29,7 @@ class PhasePoint:
     """A point u = (x, y) of the (slit) tangent bundle.
 
     Coordinates are stored as tuples so points are hashable and safe to
-    share.  Entries are usually floats; directional-derivative evaluation
-    substitutes dual numbers.
+    share.  Entries are floats, or (B,) arrays for a batch of points.
     """
 
     x: tuple
@@ -53,9 +53,9 @@ class PhasePoint:
 
 class ScalarField:
     """A scalar field L(x, y): its bound expression tree, evaluated by
-    :func:`lagmech.dsl.eval_expr` over whatever tower ``x`` and ``y``
-    carry (float in, float out; jet in, jet out).  The integrators
-    compile the same tree.
+    :func:`lagmech.dsl.eval_expr` at float coordinates (entry by entry at
+    arrays).  Every derivative of it comes from the same tree compiled
+    (:mod:`lagmech.compiled`).
     """
 
     __slots__ = ("n", "tree", "source")

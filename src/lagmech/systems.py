@@ -128,14 +128,24 @@ def _build_sys_d(params: dict) -> MechanicalSystem:
                             domain_guard="y_nonzero", label="SYS-D")
 
 
-def _build_sys_e(params: dict) -> MechanicalSystem:
-    _require(params, ("e",))
-    e = real_parameter("e", params["e"])
+def _sys_e_base(params: dict) -> tuple:
+    """SYS-E's base and dimension: the parameter ``n`` (default 2) for a
+    base of any dimension, else the base's own, which an ``n`` must match."""
     base = str(params.get("base", "SYS-C"))
     if base not in _BASES:
         raise UnknownBuiltin(f"SYS-E base {base!r} is not a known Lagrangian")
-    dim, src_fn, guard = _BASES[base]
-    n = _dimension(params, dim if dim is not None else 2)
+    dim = _BASES[base][0]
+    n = _dimension(params, dim or 2)
+    if dim is not None and n != dim:
+        raise ConfigError(f"SYS-E base {base!r} has dimension {dim}, got n = {n}")
+    return base, n
+
+
+def _build_sys_e(params: dict) -> MechanicalSystem:
+    _require(params, ("e",))
+    e = real_parameter("e", params["e"])
+    base, n = _sys_e_base(params)
+    _, src_fn, guard = _BASES[base]
     src = src_fn(n)
     L = bind_scalar(parse(src, n), n, source=src)
     V = bind_vertical([parse(f"e*y{i}", n) for i in range(1, n + 1)], n, {"e": e})
@@ -214,8 +224,7 @@ _CATALOG = [
         reference="Liouville force family",
         domain_guard="y_nonzero",
         build=_build_sys_e,
-        box=lambda params: _base_box(str(params.get("base", "SYS-C")),
-                                     _dimension(params, _BASES[str(params.get("base", "SYS-C"))][0] or 2)),
+        box=lambda params: _base_box(*_sys_e_base(params)),
     ),
 ]
 

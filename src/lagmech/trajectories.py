@@ -22,8 +22,8 @@ Along every trajectory the energy, Lagrangian, dissipation power and the
 Lagrange-equation residual (the curve's own acceleration substituted)
 are recorded.  A right-hand side is one call of the system's compiled
 program (:mod:`lagmech.compiled`), built from the bound trees of L and V
-under the domain rules of their jet evaluation: it returns z' and the
-float blocks of L and V as lists.  The drivers form the stages in
+under the same domain rules as every pointwise pass: it returns z' and
+the float blocks of L and V as lists.  The drivers form the stages in
 floats, in numpy's order of operations; a record sums its traces from
 its stage's blocks in order from +0.0 as :func:`lagmech.jets.matvec` (a
 geodesic record evaluates V), and the arrays are built at the end.

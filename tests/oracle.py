@@ -77,7 +77,8 @@ def fd_oracle(f, p: PhasePoint, order: int = 3, h: float = 1e-5) -> Jet:
     s1 = h
     s0 = max(h, _RIDDERS_START) * scale
 
-    out = Jet.constant(f0, n, order)
+    out = Jet(n, order, f0, np.zeros(n), np.zeros(n), np.zeros((n, n)), np.zeros((n, n)),
+              np.zeros((n, n, n)))
     if order >= 1:
         d_x = np.zeros(n)
         d_y = np.zeros(n)
@@ -127,4 +128,4 @@ def fd_oracle(f, p: PhasePoint, order: int = 3, h: float = 1e-5) -> Jet:
                     for idx in {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
                         d_yyy[idx] = v
         out.d_yyy = d_yyy
-    return out.finalized()
+    return out

@@ -1,22 +1,19 @@
 """Reference routes to the pointwise geometry, for the tests.
 
-Each route is built from the engine's primitives (``eval_jet``,
-``sym_invert``, ``push_direction`` and the evolution pass)
-on its own, not through :class:`~lagmech.mechanics.PointGeometry`, so a
-test can compare the context with it.  The routes run in whatever tower
-the point carries, so a test can also push them with ``push_direction``.
+Each route is built from the reference tower's primitives (``eval_jet``,
+``sym_invert``, ``push_direction`` and the evolution pass of
+:mod:`tower`) on its own, not through the engine's compiled programs, so
+a test can compare the context with it.  The routes run in whatever
+tower the point carries, so a test can also push them with
+``push_direction``.
 """
 
 import numpy as np
 
-from lagmech.jets import eval_jet, push_direction, sym_invert, tower_vector
-from lagmech.mechanics import (
-    MechanicalSystem,
-    _energy_parts,
-    _evolution_pass,
-    _metric_x_pass,
-)
+from lagmech.mechanics import MechanicalSystem
 from lagmech.phase import VerticalField
+from tower import eval_jet, evolution_pass, metric_x_pass, push_direction, sym_invert, tower_vector
+from tower import energy_parts as _energy_parts
 
 
 def free_system(L) -> MechanicalSystem:
@@ -35,7 +32,7 @@ def energy(L, p):
 
 
 def canonical_spray(L, p):
-    return _evolution_pass(free_system(L), p)[4]
+    return evolution_pass(free_system(L), p)[4]
 
 
 def canonical_connection(L, p):
@@ -44,7 +41,7 @@ def canonical_connection(L, p):
 
 
 def evolution_spray(sys, p):
-    return _evolution_pass(sys, p)[5]
+    return evolution_pass(sys, p)[5]
 
 
 def evolution_connection(sys, p):
@@ -53,7 +50,7 @@ def evolution_connection(sys, p):
 
 
 def sigma(sys, p):
-    _, g, _, v, _, _ = _evolution_pass(sys, p)
+    _, g, _, v, _, _ = evolution_pass(sys, p)
     return g.entries @ v
 
 
@@ -70,7 +67,7 @@ def dyn_cov_deriv_g(L, p, spray, conn) -> np.ndarray:
     derivatives are read off the third-order jet.
     """
     j3 = eval_jet(L, p, order=3)
-    dgdx = _metric_x_pass(L, p)[1]
+    dgdx = metric_x_pass(L, p)[1]
     yv = tower_vector(p.y)
     g = j3.d_yy * 0.5
     s_g = dgdx @ yv - j3.d_yyy @ np.asarray(spray, dtype=float)

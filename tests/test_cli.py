@@ -508,3 +508,63 @@ def test_builtin_parameter_errors_are_config_errors(tmp_path, capsys, system, fl
     cfg = write_config(tmp_path, "builtin.json", {"system": system})
     assert main(["classify", cfg, *flags]) == 2
     assert detail in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, n", [("SYS-A", 2), ("SYS-B", 3), ("SYS-C", 1)])
+def test_sys_e_refuses_an_n_its_base_cannot_take(tmp_path, capsys, base, n):
+    # a fixed-dimension base with another n built a system whose L ignored
+    # the extra coordinates, so every sample was a SingularMetric
+    dim = {"SYS-A": 1, "SYS-B": 2, "SYS-C": 2}[base]
+    system = {"builtin": "SYS-E", "params": {"e": -1.0, "base": base, "n": n}}
+    for command in ("classify", "simulate"):
+        cfg = write_config(tmp_path, "sys_e.json", {"system": system, "integrator": {"t_end": 0.01}})
+        assert main([command, cfg]) == 2
+        assert f"SYS-E base {base!r} has dimension {dim}, got n = {n}" in capsys.readouterr().err
+    # its own dimension is accepted, given or not
+    for params in ({"e": -1.0, "base": base, "n": dim}, {"e": -1.0, "base": base}):
+        cfg = write_config(tmp_path, "sys_e.json", {"system": {"builtin": "SYS-E", "params": params},
+                                                    "samples": {"count": 4}})
+        assert main(["classify", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["points_tested"] == 4
+
+
+def _deep_source(levels, shape):
+    """A source exactly ``levels`` deep: a chain of terms (the syntax
+    tree's depth), or nested parentheses (the parser's)."""
+    if shape == "chain":
+        return "y1^2" + " + 0.001*x1" * (levels - 2)
+    return "y1^2 + 0.1*" + "(" * (levels - 1) + "x1" + ")" * (levels - 1)
+
+
+@pytest.mark.parametrize("shape", ["chain", "nest"])
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+def test_expression_depth_bound(tmp_path, capsys, shape, command):
+    # a tree at the bound runs; one level more is a ConfigError (exit 2),
+    # where 1,200 chained terms used to end in a RecursionError traceback
+    from lagmech.dsl import MAX_DEPTH
+
+    for levels, code in ((MAX_DEPTH, 0), (MAX_DEPTH + 1, 2), (1202, 2)):
+        system = {"n": 1, "lagrangian": _deep_source(levels, shape), "force": ["-0.1*y1"]}
+        cfg = write_config(tmp_path, "deep.json", {
+            "system": system, "samples": {"points": [{"x": [0.5], "y": [1.0]}]},
+            "initial": {"x": [0.5], "y": [1.0]}, "integrator": {"step": 0.01, "t_end": 0.02}})
+        assert main([command, cfg]) == code, (levels, shape)
+        err = capsys.readouterr().err
+        assert (f"deeper than {MAX_DEPTH} levels" in err) == (code == 2), err
+
+
+def test_negative_power_of_an_underflowing_base_is_a_domain_error(tmp_path, capsys):
+    # x1^(-2) at x1 = 1e-200: x1^2 underflows to zero where x1 is not, and
+    # the reciprocal raised a bare ZeroDivisionError (exit 1)
+    point = {"x": [1e-200], "y": [1.0]}
+    cfg = write_config(tmp_path, "ipow.json", {
+        "system": {"n": 1, "lagrangian": "y1^2 + x1^(-2)"},
+        "samples": {"points": [point, {"x": [0.5], "y": [1.0]}]},
+        "initial": point, "integrator": {"t_end": 0.01}})
+    assert main(["classify", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points_tested"] == 1
+    assert [(f["index"], f["error"], f["detail"]) for f in doc["failures"]] == \
+        [(0, "DomainError", "division by zero")]
+    assert main(["simulate", cfg]) == 3
+    assert '"status": "domain_stop"' in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Compiled derivative programs against the jet route: the same blocks
-and accelerations, and the same errors at the same points."""
+"""Compiled derivative programs against the reference tower: the same
+blocks, accelerations and pointwise quantities, and the same errors at
+the same points."""
 
 import math
 from collections import Counter
@@ -9,28 +10,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tower
 import trajectory_routes
-from lagmech.compiled import _invert, program
+from lagmech.compiled import _invert, program, run
 from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import _sym_invert, eval_jet, sym_invert
-from lagmech.mechanics import MechanicalSystem, _evolution_pass
+from lagmech.jets import sym_invert
+from lagmech.mechanics import MechanicalSystem, PointGeometry
 from lagmech.phase import PhasePoint
 from lagmech.systems import catalog, instantiate, standard_samples
 from test_dsl import _guarded_strategy
 
 _TOL = 1e-13
+_POINT_FIELDS = ("spray0", "V", "spray", "sigma", "conn0", "dV_dy", "conn", "dsigma_dy",
+                 "dSL_dy", "dS0L_dy", "d_yyy")
 
 
 def _jet_route(kind, sys_, p):
-    """The jet route's acceleration and float pass at p."""
+    """The reference tower's acceleration and float pass at p."""
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "evolution":
-            j, g, yv, v, _, spray = _evolution_pass(sys_, p)
+            j, g, yv, v, _, spray = tower.evolution_pass(sys_, p)
             return -2.0 * spray, j, v
         accel = {"horizontal": trajectory_routes.horizontal_accel,
                  "geodesic": trajectory_routes.geodesic_accel}[kind](sys_, p)
         return accel, None, None
+
+
+def _euler_route(sys_, p):
+    """The reference tower's Euler pass: L and V with y seeded along y."""
+    q = tower.seed_point(p, np.array([p.y], dtype=float))
+    d = tower.eval_jet(sys_.L, q, 2)
+    v = tower.tower_vector(tower.call(sys_.V, q.x, q.y))
+    j = d.primal()
+    return [j.value, j.d_y, tower.tangent_part(d.d_yy * 0.5, 1)[..., 0],
+            tower.tangent_part(v, 1)[..., 0]]
+
+
+def _pointwise_routes(sys_, p):
+    """Each pointwise kind's outputs as ``run`` gives them, and the reference
+    tower's, as functions of no argument."""
+    def point():
+        ctx = PointGeometry(sys_, p)
+        return [ctx.jet.value, ctx.jet.d_x, ctx.jet.d_y, ctx.jet.d_yy, ctx.jet.d_xy,
+                ctx.metric.entries, ctx.metric.inverse] + [getattr(ctx, f) for f in _POINT_FIELDS]
+
+    def point_ref():
+        ref = tower.point_geometry(sys_, p)
+        j, g = ref["jet"], ref["metric"]
+        return [j.value, j.d_x, j.d_y, j.d_yy, j.d_xy, g.entries, g.inverse] + [
+            ref[f] for f in _POINT_FIELDS]
+
+    def jet_ref(order):
+        j = tower.eval_jet(sys_.L, p, order)
+        return [j.value, j.d_x, j.d_y, j.d_yy, j.d_xy, j.d_yyy]
+
+    routes = {"point": (point, point_ref),
+              "metric_x": (lambda: run("metric_x", sys_.L, None, p),
+                           lambda: tower.metric_x_pass(sys_.L, p)),
+              "euler": (lambda: run("jet", sys_.L, sys_.V, p), lambda: _euler_route(sys_, p))}
+    for order in range(4):
+        routes[f"jet{order}"] = (lambda o=order: run("jet", sys_.L, None, p, o),
+                                 lambda o=order: jet_ref(o))
+    return routes
 
 
 def _outcome(fn, *args):
@@ -51,12 +93,37 @@ def _same_error(err, ref):
     return err == ref
 
 
-def _assert_agree(sys_, p, kinds=("evolution", "horizontal", "geodesic")):
-    """Each compiled program at p against the jet route: blocks to 1e-13 of
-    their size, accelerations to 1e-13 times the metric's condition number
-    (the inverse amplifies the blocks' rounding), or the same error."""
+def _condition(sys_, p):
+    metric = tower.sym_invert(tower.eval_jet(sys_.L, p, 2).d_yy * 0.5)
+    return metric.max_abs_eigen / metric.min_abs_eigen_estimate
+
+
+def _assert_agree(sys_, p, kinds=("evolution", "horizontal", "geodesic"), pointwise=True):
+    """Each compiled program at p against the reference tower: blocks to
+    1e-13 of their size, accelerations and quantities read through the
+    inverse to 1e-13 times the metric's condition number (the inverse
+    amplifies the blocks' rounding), or the same error; with ``pointwise``
+    also every pointwise kind."""
     z = [*p.x, *p.y]
     n = sys_.n
+    if pointwise:
+        for kind, (got_fn, ref_fn) in _pointwise_routes(sys_, p).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, err = _outcome(got_fn)
+                ref, ref_err = _outcome(ref_fn)
+            assert _same_error(err, ref_err), (kind, p, err, ref_err)
+            if err is not None:
+                continue
+            scale = _TOL * (_condition(sys_, p) if kind == "point" else 1.0)
+            for a, b in zip(got, ref):
+                # the Euler pass, as the tower's, does not check V: an
+                # infinite force is an infinite residual
+                a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+                finite = np.isfinite(b)
+                assert a.shape == b.shape, (kind, p)
+                assert np.array_equal(a[~finite], b[~finite], equal_nan=True), (kind, p)
+                assert np.abs(a[finite] - b[finite]).max(initial=0.0) <= scale * (
+                    1.0 + np.abs(b[finite]).max(initial=0.0)), (kind, p)
     for kind in kinds:
         got, err = _outcome(program(kind, sys_.L, sys_.V), z)
         ref, ref_err = _outcome(_jet_route, kind, sys_, p)
@@ -71,8 +138,7 @@ def _assert_agree(sys_, p, kinds=("evolution", "horizontal", "geodesic")):
             for a, b in blocks:
                 a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
                 assert np.abs(a - b).max() <= _TOL * (1.0 + np.abs(b).max()), (kind, p)
-        metric = sym_invert(eval_jet(sys_.L, p, 2).d_yy * 0.5)
-        cond = metric.max_abs_eigen / metric.min_abs_eigen_estimate
+        cond = _condition(sys_, p)
         a = np.array(zdot[n:])
         assert np.abs(a - accel).max() <= _TOL * cond * (1.0 + np.abs(accel).max()), (kind, p)
 
@@ -89,15 +155,19 @@ _POINTS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                     st.floats(0.3, 1.5), st.floats(-1.5, -0.3))
 
 
+def random_system(lag, force):
+    """L = lag + y1^2 + y2^2, which keeps most metrics regular (a singular
+    one must fail the same way on both routes), with the force pair."""
+    L = bind_scalar(Bin("+", lag, Bin("+", Bin("^", Var("y", 1), Num(2.0)),
+                                      Bin("^", Var("y", 2), Num(2.0)))), 2)
+    return MechanicalSystem(L, bind_vertical(list(force), 2), 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(lag=_guarded_strategy(), force=st.tuples(_guarded_strategy(), _guarded_strategy()),
        pts=st.lists(_POINTS, min_size=1, max_size=3))
 def test_random_trees_agree_with_the_jet_route(lag, force, pts):
-    # L + y1^2 + y2^2 keeps most metrics regular; a singular one must fail
-    # the same way on both routes
-    L = bind_scalar(Bin("+", lag, Bin("+", Bin("^", Var("y", 1), Num(2.0)),
-                                      Bin("^", Var("y", 2), Num(2.0)))), 2)
-    sys_ = MechanicalSystem(L, bind_vertical(list(force), 2), 2)
+    sys_ = random_system(lag, force)
     for x1, x2, y1, y2 in pts:
         _assert_agree(sys_, PhasePoint((x1, x2), (y1, y2)))
 
@@ -132,9 +202,7 @@ _HOLED_POINTS = st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.5])] * 4)
 @given(lag=_holed_strategy(), force=st.tuples(_holed_strategy(), _holed_strategy()),
        pts=st.lists(_HOLED_POINTS, min_size=1, max_size=4))
 def test_domain_holes_fail_alike(lag, force, pts):
-    L = bind_scalar(Bin("+", lag, Bin("+", Bin("^", Var("y", 1), Num(2.0)),
-                                      Bin("^", Var("y", 2), Num(2.0)))), 2)
-    sys_ = MechanicalSystem(L, bind_vertical(list(force), 2), 2)
+    sys_ = random_system(lag, force)
     for x1, x2, y1, y2 in pts:
         _assert_agree(sys_, PhasePoint((x1, x2), (y1, y2)))
 
@@ -212,21 +280,72 @@ def _symmetric_entries(rng):
 
 
 def test_float_gate_and_inverse_match_the_jets():
-    # the compiled program's 1x1 and 2x2 gate and inverse run on floats; they
-    # give sym_invert's bits, and its SingularMetric with the same range
+    # the compiled programs' 1x1 and 2x2 gate and inverse run on floats, or
+    # point by point over a batch; they give sym_invert's bits and |eig|
+    # range, and its SingularMetric with the same range
     def outcome(fn, *args):
         try:
             return np.array(fn(*args), dtype=float).ravel().tobytes(), None
         except SingularMetric as err:
             return None, (str(err), err.min_abs_eigen, err.max_abs_eigen)
 
+    def inverted(m):
+        return [*m.inverse.ravel(), m.min_abs_eigen_estimate, m.max_abs_eigen]
+
+    def flat(inverse, mn, mx):
+        return [*inverse, mn, mx]
+
     rng = np.random.default_rng(13)
     seen = Counter()
     for e in _symmetric_entries(rng):
         e, n = [float(v) for v in e], 1 if len(e) == 1 else 2
+        a = np.array(e).reshape(n, n)
         with np.errstate(all="ignore"):  # numpy's 1x1 inverse of a subnormal overflows
-            got = outcome(_invert, n, e)
-            ref = outcome(lambda a: _sym_invert(a).inverse, np.array(e).reshape(n, n))
-        assert got == ref, e
+            got = outcome(lambda: flat(*_invert(n, e, False)))
+            ref = outcome(lambda: inverted(sym_invert(a)))
+            # a batch of two copies runs the same closed forms point by point
+            batch = outcome(lambda: [v[1] for v in flat(*_invert(n, [np.array([v, v]) for v in e], True))])
+        assert got == ref == batch, e
         seen[n, got[1] is None] += 1
     assert min(seen[2, True], seen[2, False], seen[1, True]) > 100 and seen[1, False]
+
+
+# ---------------------------------------------------------------------------
+# one program serves a point and a curve
+# ---------------------------------------------------------------------------
+
+
+def _assert_point_serves_curve(sys_, p):
+    """At p the evolution program's blocks and acceleration are, bit for
+    bit, the context's jet blocks, V and -2 G: the same DAG helpers build
+    both programs.  (The context's outputs carry +0.0 for an exact zero, so
+    both sides are compared with their zeros made +0.0.)"""
+    try:
+        zdot, (value, d_x, d_y, d_yy, d_xy, v) = program("evolution", sys_.L, sys_.V)([*p.x, *p.y])
+        ctx = PointGeometry(sys_, p)
+    except (DomainError, SingularMetric):
+        return False
+    n, j = sys_.n, ctx.jet
+    pairs = [([value], [j.value]), (d_x, j.d_x), (d_y, j.d_y), (d_yy, j.d_yy.ravel()),
+             (d_xy, j.d_xy.ravel()), (v, ctx.V), (zdot[n:], -2.0 * ctx.spray), (zdot[:n], p.y)]
+    for a, b in pairs:
+        a, b = (np.asarray(v, dtype=float) + 0.0 for v in (a, b))
+        assert a.tobytes() == b.tobytes(), (p, a, b)
+    return True
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_one_program_serves_a_point_and_a_curve(entry):
+    sys_ = instantiate(entry.id, entry.default_params)
+    assert all([_assert_point_serves_curve(sys_, p)
+                for p in standard_samples(entry.id, entry.default_params, count=12)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(lag=_guarded_strategy(), force=st.tuples(_guarded_strategy(), _guarded_strategy()),
+       pts=st.lists(_POINTS, min_size=1, max_size=3))
+def test_one_program_serves_random_points_and_curves(lag, force, pts):
+    sys_ = random_system(lag, force)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x1, x2, y1, y2 in pts:
+            _assert_point_serves_curve(sys_, PhasePoint((x1, x2), (y1, y2)))

@@ -3,14 +3,16 @@ batch sweeps against one point at a time."""
 
 import json
 import math
-import sys
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagmech import jets
+import tower
+from lagmech import cli, compiled, finsler, mechanics, verify
 from lagmech.cli import main
 from lagmech.finsler import christoffel_at, finsler_identities, homogeneity_report
 from lagmech.mechanics import PointGeometry, classify, stack_points
@@ -18,6 +20,8 @@ from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
 from lagmech.verify import run_verification
 import routes
+from test_compiled import _holed_strategy, random_system
+from test_dsl import _guarded_strategy
 
 _SYSTEMS = {
     "SYS-A": ("SYS-A", {"c": 0.1}),
@@ -71,7 +75,7 @@ def test_context_fields_match_accessors(name, index, shift, scale):
     conn0, conn = routes.canonical_connection(sys_.L, p), routes.evolution_connection(sys_, p)
     _close(ctx.conn0, conn0)
     _close(ctx.conn, conn)
-    dv_dy = jets.push_direction(lambda q: sys_.V(q.x, q.y), p, np.eye(sys_.n))
+    dv_dy = tower.push_direction(lambda q: tower.call(sys_.V, q.x, q.y), p, np.eye(sys_.n))
     _close(ctx.dV_dy, dv_dy)
     # N = N0 - dV/dy / 4 across independent passes
     _close(ctx.conn, conn0 - 0.25 * dv_dy)
@@ -79,7 +83,7 @@ def test_context_fields_match_accessors(name, index, shift, scale):
     _close(ctx.cartan, routes.cartan(sys_.L, p))
     for pair in ((ctx.spray0, ctx.conn0), (ctx.spray, ctx.conn)):
         _close(ctx.dyn_cov_deriv_g(*pair), routes.dyn_cov_deriv_g(sys_.L, p, *pair))
-    dsigma_dy = jets.push_direction(lambda q: routes.sigma(sys_, q), p, np.eye(sys_.n))
+    dsigma_dy = tower.push_direction(lambda q: routes.sigma(sys_, q), p, np.eye(sys_.n))
     alone = {
         "sigma": sigma,
         "spray": spray,
@@ -94,35 +98,27 @@ def test_context_fields_match_accessors(name, index, shift, scale):
 
 
 # ---------------------------------------------------------------------------
-# pass budget: jet evaluations and inversions per point
+# pass budget: compiled program runs per point
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts jet passes (``jets._propagate``, the pass behind ``eval_jet``),
-    inversions (``jets._sym_invert``, behind ``sym_invert``) and
-    ``push_direction`` calls made through any lagmech module.  A pass over
+    """Counts compiled program runs by kind (``compiled.run``, through which
+    every context, sweep and ``eval_jet`` runs its programs).  A pass over
     a batch of points counts once."""
-    targets = {"jet": jets._propagate, "inversion": jets._sym_invert,
-               "push": jets.push_direction}
-    counts = dict.fromkeys(targets, 0)
-    modules = [m for k, m in list(sys.modules.items())
-               if m is not None and (k == "lagmech" or k.startswith("lagmech."))]
-    for name, original in targets.items():
+    counts = Counter()
+    original = compiled.run
 
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+    def counted(kind, *args, **kwargs):
+        counts[kind] += 1
+        return original(kind, *args, **kwargs)
 
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    monkeypatch.setattr(compiled, "run", counted)
 
     def take():
         out = dict(counts)
-        counts.update(dict.fromkeys(targets, 0))
+        counts.clear()
         return out
 
     return take
@@ -135,11 +131,11 @@ def test_failing_chunk_pass_budget(passes):
     z = _zero_section(sys_.n, 1)
     passes()
     classify(sys_, samples[:100] + [z] + samples[100:253])
-    assert passes()["jet"] == 1 + 16 + 16
+    assert passes() == {"point": 1 + 16 + 16}
     classify(sys_, samples[:40] + [z] + samples[40:200] + [z] + samples[200:])
-    assert passes()["jet"] == 1 + 16 + 2 * 16
+    assert passes() == {"point": 1 + 16 + 2 * 16}
     classify(sys_, [z] * 256)
-    assert passes()["jet"] == 1 + 16 + 256
+    assert passes() == {"point": 1 + 16 + 256}
 
 
 def _read_every_member(ctx, n):
@@ -155,33 +151,33 @@ def test_pass_budget(passes, name, tmp_path):
     passes()
 
     classify(sys_, samples)
-    assert passes() == {"jet": 1, "inversion": 1, "push": 0}
+    assert passes() == {"point": 1}
     classify(sys_, samples * 50)  # 300 points: two chunks
-    assert passes() == {"jet": 2, "inversion": 2, "push": 0}
+    assert passes() == {"point": 2}
 
     # one context serves every member, for one point or a batch; the
-    # Christoffel symbols add one x-seeded jet
+    # Christoffel symbols add one x-derivative pass
     for p in (samples[0], stack_points(samples)):
         ctx = PointGeometry(sys_, p)
         _read_every_member(ctx, sys_.n)
-        assert passes() == {"jet": 1, "inversion": 1, "push": 0}
+        assert passes() == {"point": 1}
         ctx.christoffel
-        assert passes() == {"jet": 1, "inversion": 0, "push": 0}
+        assert passes() == {"metric_x": 1}
 
     # one batch of Finsler-mode probes, then the context and (all three
-    # systems are Finsler) the x-seeded jet of the Christoffel symbols
+    # systems are Finsler) the x-derivative pass of the Christoffel symbols
     run_verification(sys_, samples)
-    assert passes() == {"jet": 3, "inversion": 1, "push": 0}
+    assert passes() == {"jet": 1, "point": 1, "metric_x": 1}
 
     finsler_identities(sys_, samples)
-    assert passes() == {"jet": 2, "inversion": 1, "push": 0}
+    assert passes() == {"point": 1, "metric_x": 1}
 
-    # one pass seeded along y itself serves all three Euler tests
+    # one pass with the partials along y itself serves all three Euler tests
     homogeneity_report(sys_, samples)
-    assert passes() == {"jet": 1, "inversion": 0, "push": 0}
+    assert passes() == {"jet": 1}
 
     christoffel_at(sys_, samples[0])
-    assert passes() == {"jet": 1, "inversion": 1, "push": 0}
+    assert passes() == {"metric_x": 1}
 
     builtin, params = _SYSTEMS[name]
     cfg = tmp_path / "run.json"
@@ -191,7 +187,7 @@ def test_pass_budget(passes, name, tmp_path):
     }))
     passes()
     assert main(["inspect", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
-    assert passes() == {"jet": 1, "inversion": 1, "push": 0}
+    assert passes() == {"point": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -346,3 +342,67 @@ def test_failure_records_carry_the_point(sys_a, sys_d):
         assert list(failures[0]) == ["index", "error", "detail", "point"]
         assert failures[0]["error"] == error
         assert failures[0]["point"] == {"x": list(point.x), "y": list(point.y)}
+
+
+# ---------------------------------------------------------------------------
+# batch equals points over random systems, failing points included
+# ---------------------------------------------------------------------------
+
+
+def _per_point_functions(sys_):
+    """Each report's per-point values, as its sweep evaluates them on a
+    chunk or at one point."""
+    return {"classify": lambda q: mechanics._classification_values(sys_, q),
+            "verify": lambda q: verify._point_residuals(sys_, q, True),
+            "probes": lambda q: finsler._probe_values(sys_, q, 1e-8),
+            "homogeneity": lambda q: finsler._euler_values(sys_, q),
+            "identities": lambda q: finsler._identity_values(sys_, q),
+            "inspect": lambda q: cli._inspect_fields(sys_, q)}
+
+
+def _bits(values):
+    return {name: np.asarray(v, dtype=float).tobytes() for name, v in values.items()}
+
+
+def _assert_batch_equals_points(sys_, samples):
+    # chunks of 8 and blocks of 2 put failing points inside a chunk and
+    # across its end on short lists; the split logic is the one of 256 and 16
+    with mock.patch.object(mechanics, "_CHUNK", 8), mock.patch.object(mechanics, "_BLOCK", 2):
+        for name, fn in _per_point_functions(sys_).items():
+            batch = list(mechanics.each_point(samples, fn))
+            assert [i for i, *_ in batch] == list(range(len(samples)))
+            for (_, p, values, err), q in zip(batch, samples):
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        alone = fn(q)
+                except mechanics._SKIPPED as e:
+                    assert values is None and (type(err), str(err)) == (type(e), str(e)), name
+                else:
+                    assert err is None and _bits(values) == _bits(alone), (name, q)
+        one = [classify(sys_, [q]) for q in samples]
+        report = classify(sys_, samples)
+        assert report.failures == [dict(f, index=i) for i, r in enumerate(one) for f in r.failures]
+        tested = [r for r in one if r.points_tested]
+        assert report.metric_defect == max((r.metric_defect for r in tested), default=0.0)
+
+
+_LIST_POINTS = st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.5])] * 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lag=_guarded_strategy(), force=st.tuples(_guarded_strategy(), _guarded_strategy()),
+       pts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                              st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=9, max_size=14),
+       zeros=st.lists(st.integers(0, 13), max_size=3))
+def test_random_systems_batch_equals_points(lag, force, pts, zeros):
+    # with points on the zero section at drawn places
+    samples = [PhasePoint(p[:2], (0.0, 0.0) if i in zeros else p[2:]) for i, p in enumerate(pts)]
+    _assert_batch_equals_points(random_system(lag, force), samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lag=_holed_strategy(), force=st.tuples(_holed_strategy(), _holed_strategy()),
+       pts=st.lists(_LIST_POINTS, min_size=9, max_size=14))
+def test_domain_holed_systems_batch_equals_points(lag, force, pts):
+    _assert_batch_equals_points(random_system(lag, force),
+                                [PhasePoint(p[:2], p[2:]) for p in pts])

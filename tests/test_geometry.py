@@ -7,7 +7,8 @@ import pytest
 
 from lagmech.dsl import bind_scalar, parse
 from lagmech.errors import SingularMetric
-from lagmech.jets import eval_jet, push_direction
+from lagmech.jets import eval_jet
+from tower import push_direction
 from lagmech.mechanics import PointGeometry
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
@@ -254,16 +255,26 @@ def test_bundle_consistency(sys_b):
 
 
 def test_free_context_equals_the_reference_routes(sys_b, sys_c, samples_b, samples_c):
-    # one y-seeded pass gives what the single-quantity routes give, bit for bit
+    # the context's one pass gives the bits of the single-quantity programs
+    # (the jet at every order, g of the x-derivative pass), and what the
+    # reference tower's single-quantity routes give to 1e-12
+    from lagmech.compiled import run
+
+    blocks = ("value", "d_x", "d_y", "d_yy", "d_xy", "d_yyy")
     for sys_, samples in ((sys_b, samples_b), (sys_c, samples_c)):
         for p in samples[:4]:
             ctx = PointGeometry(sys_.free(), p)
+            for order, count in ((0, 1), (1, 3), (2, 5), (3, 6)):
+                j = eval_jet(sys_.L, p, order=order)
+                for name in blocks[:count]:
+                    assert np.array_equal(getattr(ctx.jet, name), getattr(j, name)), (order, name)
+            assert np.array_equal(ctx.metric.entries, run("metric_x", sys_.L, None, p)[0])
             g = routes.metric(sys_.L, p)
             e, de_x, de_y = routes.energy(sys_.L, p)
-            assert np.array_equal(ctx.metric.entries, g.entries)
-            assert np.array_equal(ctx.metric.inverse, g.inverse)
-            assert ctx.energy == e and np.array_equal(ctx.dE, np.concatenate([de_x, de_y]))
-            assert np.array_equal(ctx.jet.d_y, eval_jet(sys_.L, p, order=1).d_y)
-            assert np.array_equal(ctx.spray0, routes.canonical_spray(sys_.L, p))
-            assert np.array_equal(ctx.conn0, routes.canonical_connection(sys_.L, p))
-            assert np.array_equal(ctx.cartan, routes.cartan(sys_.L, p))
+            pairs = [(ctx.metric.entries, g.entries), (ctx.metric.inverse, g.inverse),
+                     (ctx.energy, e), (ctx.dE, np.concatenate([de_x, de_y])),
+                     (ctx.spray0, routes.canonical_spray(sys_.L, p)),
+                     (ctx.conn0, routes.canonical_connection(sys_.L, p)),
+                     (ctx.cartan, routes.cartan(sys_.L, p))]
+            for a, b in pairs:
+                assert np.abs(a - b).max() <= 1e-12 * (1.0 + np.abs(b).max())

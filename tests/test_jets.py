@@ -1,4 +1,5 @@
-"""Kernel tests: jet propagation, the FD oracle, pushes, inversion."""
+"""Kernel tests: the engine's jets against exact values and the FD oracle,
+its inversion, and the reference tower's own arithmetic and pushes."""
 
 import math
 
@@ -7,22 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tower
+from lagmech.dsl import bind_scalar, parse
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import (
-    KDual,
-    eval_jet,
-    push_direction,
-    sym_invert,
-)
+from lagmech.jets import eval_jet, sym_invert
 from lagmech.phase import PhasePoint
 from oracle import fd_oracle
+from tower import KDual, push_direction
 import routes
 
 SQRT2 = math.sqrt(2.0)
 
 
+def field(source, n):
+    return bind_scalar(parse(source, n), n)
+
+
 def quartic_root_field():
-    return lambda x, y: ((y[0] ** 4 + y[1] ** 4)) ** 0.5
+    return field("(y1^4 + y2^4)^0.5", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +34,7 @@ def quartic_root_field():
 
 
 def test_jet_quadratic_form():
-    f = lambda x, y: y[0] * y[0] + y[1] * y[1]
+    f = field("y1*y1 + y2*y2", 2)
     j = eval_jet(f, PhasePoint((0.0, 0.0), (1.0, 2.0)), order=2)
     assert j.value == 5.0
     assert np.array_equal(j.d_y, [2.0, 4.0])
@@ -40,7 +43,7 @@ def test_jet_quadratic_form():
 
 
 def test_jet_constant_field():
-    f = lambda x, y: 7.0
+    f = field("7", 2)
     j = eval_jet(f, PhasePoint((0.3, -1.0), (1.0, 2.0)), order=3)
     assert j.value == 7.0
     for block in (j.d_x, j.d_y, j.d_yy, j.d_xy, j.d_yyy):
@@ -75,17 +78,23 @@ def test_jet_order_gate():
         eval_jet(f, PhasePoint((0.0, 0.0), (1.0, 1.0)), order=4)
 
 
+def test_jet_needs_a_field_with_a_tree():
+    with pytest.raises(TypeError):
+        eval_jet(lambda x, y: y[0] * y[0], PhasePoint((0.0,), (1.0,)), order=2)
+
+
 def test_order_three_refuses_a_seeded_point(sys_d):
-    # order 3 seeds y itself and would drop the tangents the point carries
+    # the reference tower's order 3 seeds y itself and would drop the
+    # tangents the point carries
     p = PhasePoint((0.3, -0.2), (0.9, 1.4))
     for wrt in ("x", "y"):
         with pytest.raises(ValueError):
-            push_direction(lambda q: eval_jet(sys_d.L, q, order=3).d_yyy, p, [1.0, 0.0], wrt=wrt)
+            push_direction(lambda q: tower.eval_jet(sys_d.L, q, order=3).d_yyy, p, [1.0, 0.0],
+                           wrt=wrt)
 
 
 def test_jet_symmetry_is_bitwise(rng):
-    def f(x, y):
-        return y[0] * y[1] * y[2] + (y[0] ** 4 + y[1] ** 4 + y[2] ** 4) ** 0.5 + x[0] * y[1] ** 3
+    f = field("y1*y2*y3 + (y1^4 + y2^4 + y3^4)^0.5 + x1*y2^3", 3)
     for _ in range(5):
         p = PhasePoint(rng.uniform(-1, 1, 3), rng.uniform(0.4, 1.6, 3))
         j = eval_jet(f, p, order=3)
@@ -107,7 +116,7 @@ def test_fd_exact_on_quadratics():
 
 
 def test_fd_sine_first_derivative():
-    f = lambda x, y: math.sin(y[0]) if isinstance(y[0], float) else y[0].sin()
+    f = lambda x, y: math.sin(y[0])
     fd = fd_oracle(f, PhasePoint((0.0,), (0.0,)), order=1, h=1e-5)
     assert abs(fd.d_y[0] - 1.0) <= 1e-9
 
@@ -156,7 +165,7 @@ def test_push_spray_matches_fd_column(sys_b):
 def test_push_jacobian_reconstructs_metric(sys_c, samples_c):
     # the y-Jacobian of grad_y L is the full velocity Hessian, i.e. 2 g
     for p in samples_c[:6]:
-        jac = push_direction(lambda q: eval_jet(sys_c.L, q, order=1).d_y, p, np.eye(2))
+        jac = push_direction(lambda q: tower.eval_jet(sys_c.L, q, order=1).d_y, p, np.eye(2))
         j = eval_jet(sys_c.L, p, order=2)
         assert np.abs(jac - j.d_yy).max() <= 1e-10 * (1.0 + np.abs(j.d_yy).max())
 
@@ -200,8 +209,6 @@ def test_2x2_gate_and_inverse_are_scale_free(k):
     # one point and on a batch: a power of two scales the eigenvalue range
     # by 2^k and the inverse by 2^-k exactly, however far the closed forms
     # would leave the float range on the entries themselves
-    from lagmech.jets import _sym_invert
-
     s = 2.0 ** k
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     ref = sym_invert(a)
@@ -209,13 +216,13 @@ def test_2x2_gate_and_inverse_are_scale_free(k):
     assert one.inverse.tobytes() == (ref.inverse / s).tobytes()
     assert (one.min_abs_eigen_estimate, one.max_abs_eigen) == \
         (ref.min_abs_eigen_estimate * s, ref.max_abs_eigen * s)
-    batch = _sym_invert(np.stack([a * s, a, a * 2.0 * s], axis=-1))
+    batch = sym_invert(np.stack([a * s, a, a * 2.0 * s], axis=-1))
     for i, m in enumerate((a * s, a, a * 2.0 * s)):
         assert batch.inverse[..., i].tobytes() == sym_invert(m).inverse.tobytes()
 
     def rank_failure(m):
         with pytest.raises(SingularMetric) as err:
-            (sym_invert if m.ndim == 2 else _sym_invert)(m)
+            sym_invert(m)
         return err.value.min_abs_eigen, err.value.max_abs_eigen
 
     singular = np.diag([1.0, 1e-12])
@@ -252,7 +259,7 @@ def test_sym_invert_product_is_identity(rng):
 
 
 # ---------------------------------------------------------------------------
-# dual scalars
+# the reference tower: dual scalars, jets and pushes
 # ---------------------------------------------------------------------------
 
 
@@ -264,7 +271,7 @@ def test_dual_arithmetic_product_rule():
 
 
 def test_dual_division_and_functions():
-    from lagmech.jets import apply_function
+    from tower import apply_function
 
     x = KDual(2.0, np.array([1.0]))
     y = (1.0 + x * x) / x  # f = x + 1/x, f' = 1 - 1/x^2
@@ -280,24 +287,26 @@ def test_dual_division_and_functions():
 
 
 def test_overflow_raises_domain_error_in_every_tower():
-    from lagmech.jets import apply_function, power
+    from tower import apply_function, power
 
     f_exp = lambda x, y: apply_function("exp", y[0])
     f_pow = lambda x, y: power(y[0], 200.5)
-    for f, v in ((f_exp, 1000.0), (f_pow, 1e5)):
+    for f, v, source in ((f_exp, 1000.0, "exp(y1)"), (f_pow, 1e5, "y1^200.5")):
         with pytest.raises(DomainError):
             f([0.0], [v])
         with pytest.raises(DomainError):
             f([0.0], [KDual(v, np.array([1.0]))])
         with pytest.raises(DomainError):
-            eval_jet(f, PhasePoint((0.0,), (v,)), order=2)
+            tower.eval_jet(f, PhasePoint((0.0,), (v,)), order=2)
+        with pytest.raises(DomainError):
+            eval_jet(field(source, 1), PhasePoint((0.0,), (v,)), order=2)
 
 
 def test_derivative_terms_are_computed_when_read(monkeypatch):
     from types import SimpleNamespace
 
     from lagmech import jets
-    from lagmech.jets import apply_function, power
+    from tower import apply_function, power
 
     calls = []
 
@@ -305,8 +314,10 @@ def test_derivative_terms_are_computed_when_read(monkeypatch):
         fn = getattr(math, name)
         return lambda *args: calls.append(name) or fn(*args)
 
-    monkeypatch.setattr(jets, "math", SimpleNamespace(
-        **{name: counted(name) for name in ("pow", "sqrt", "sin", "cos", "tan", "exp", "log")}))
+    counting = SimpleNamespace(
+        **{name: counted(name) for name in ("pow", "sqrt", "sin", "cos", "tan", "exp", "log")})
+    monkeypatch.setattr(jets, "math", counting)
+    monkeypatch.setattr(tower, "math", counting)
     f = lambda x, y: power(y[0], 0.5)
     # a float reads f, a KDual f and f', an order-o jet o + 1 terms
     for value, pows in ((2.0, 1), (KDual(2.0, np.array([1.0])), 2)):
@@ -315,7 +326,7 @@ def test_derivative_terms_are_computed_when_read(monkeypatch):
         assert calls == ["pow"] * pows
     for order in (0, 1, 2):
         calls.clear()
-        eval_jet(f, PhasePoint((0.0,), (2.0,)), order=order)
+        tower.eval_jet(f, PhasePoint((0.0,), (2.0,)), order=order)
         assert calls == ["pow"] * (order + 1)
     calls.clear()
     apply_function("sin", 0.3)
@@ -344,7 +355,7 @@ def test_batched_elementary_functions_match_floats():
     c=st.floats(-1.5, 1.5),
 )
 def test_jet_matches_fd_on_random_cubics(a, b, c):
-    f = lambda x, y: a * y[0] * y[0] * y[0] + b * y[0] * y[0] + c * y[0]
+    f = field(f"({a!r})*y1*y1*y1 + ({b!r})*y1*y1 + ({c!r})*y1", 1)
     p = PhasePoint((0.0,), (0.7,))
     j = eval_jet(f, p, order=3)
     assert j.d_y[0] == pytest.approx(3 * a * 0.49 + 2 * b * 0.7 + c, abs=1e-12)
@@ -359,7 +370,7 @@ def test_push_is_linear_in_direction(direction):
     p = PhasePoint((0.0, 0.0), (1.1, 0.8))
 
     def pipeline(q):
-        return eval_jet(f, q, order=1).d_y
+        return tower.eval_jet(f, q, order=1).d_y
 
     d = np.asarray(direction)
     full = push_direction(pipeline, p, d)
@@ -432,7 +443,7 @@ def test_inverse_tangent_matches_fd(n, near_gate):
         a = b @ b.T + 0.5 * np.eye(n)
     da = rng.normal(size=(n, n, 2))
     da = da + da.transpose(1, 0, 2)
-    sm = sym_invert(KDual(a, da))
+    sm = tower.sym_invert(KDual(a, da))
     h = 1e-4 * np.abs(np.linalg.eigvalsh(a)).min() / np.abs(da).max()
     for c in range(2):
         up = sym_invert(a + h * da[..., c]).inverse
@@ -442,16 +453,16 @@ def test_inverse_tangent_matches_fd(n, near_gate):
 
 
 def test_x_push_through_x_free_lagrangian_stays_float():
-    from lagmech.jets import Jet
+    from tower import Jet
 
     n = 3
     f = lambda x, y: y[0] * y[0] + y[1] * y[2] + y[2] ** 4
     seen = []
 
     def pipeline(q):
-        j = eval_jet(f, q, order=2)
+        j = tower.eval_jet(f, q, order=2)
         seen.append(j)
-        return sym_invert(j.d_yy * 0.5).inverse
+        return tower.sym_invert(j.d_yy * 0.5).inverse
 
     p = PhasePoint((0.2, -0.1, 0.4), (1.0, 0.7, 1.3))
     out = push_direction(pipeline, p, np.eye(n), wrt="x")
@@ -463,17 +474,15 @@ def test_x_push_through_x_free_lagrangian_stays_float():
 
 
 def test_push_outputs_and_jet_blocks_are_float64(sys_d):
-    from lagmech.mechanics import _evolution_pass, _scalar_s
-
     p = PhasePoint((0.3, -0.2), (0.9, 1.4))
     jets_built = []
 
     def scalar_sl(q):
-        j, _, yv, _, _, spray = _evolution_pass(sys_d, q)
-        return _scalar_s(j, yv, spray)
+        j, _, yv, _, _, spray = tower.evolution_pass(sys_d, q)
+        return tower.scalar_s(j, yv, spray)
 
     def jet_pipeline(q):
-        j = eval_jet(sys_d.L, q, order=2)
+        j = tower.eval_jet(sys_d.L, q, order=2)
         jets_built.append(j)
         return j.d_yy
 
@@ -482,7 +491,7 @@ def test_push_outputs_and_jet_blocks_are_float64(sys_d):
                  lambda q: routes.sigma(sys_d, q),
                  lambda q: routes.metric(sys_d.L, q).inverse,
                  scalar_sl,
-                 lambda q: sys_d.V(q.x, q.y)]
+                 lambda q: tower.call(sys_d.V, q.x, q.y)]
     for pipeline in pipelines:
         for wrt in ("x", "y"):
             for d in ([1.0, -0.5], np.eye(2)):
@@ -541,6 +550,6 @@ def test_push_rejects_outputs_without_readable_tangents(sys_d):
             out[i] = v
         return out
 
-    for pipeline in (object_array, lambda q: eval_jet(sys_d.L, q, order=1)):
+    for pipeline in (object_array, lambda q: tower.eval_jet(sys_d.L, q, order=1)):
         with pytest.raises(TypeError):
             push_direction(pipeline, p, [1.0, 0.0])

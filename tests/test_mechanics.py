@@ -246,7 +246,7 @@ def test_horizontal_de_sys_d_vanishes(sys_d, samples_c):
 
 
 def test_horizontal_de_finsler_force_term(sys_e_finsler, samples_c):
-    from lagmech.jets import push_direction
+    from tower import call, push_direction
 
     V = sys_e_finsler.V
     for p in samples_c[:8]:
@@ -254,7 +254,7 @@ def test_horizontal_de_finsler_force_term(sys_e_finsler, samples_c):
         out = ctx.horizontal_dE()
         g = ctx.metric.entries
         yv = np.array([float(v) for v in p.y])
-        dv_dy = push_direction(lambda q: V(q.x, q.y), p, np.eye(2))
+        dv_dy = push_direction(lambda q: call(V, q.x, q.y), p, np.eye(2))
         rhs = 0.5 * g.dot(yv).dot(dv_dy)
         assert np.abs(out - rhs).max() <= 1e-8
 
@@ -275,7 +275,8 @@ def test_first_integrals_euclid_free(euclid):
 def test_horizontal_dl_contraction_identity(sys_a, sys_d, samples_c, rng):
     # contracting the horizontal derivative of L with y must reproduce
     # (1/2) [ C(S0 L) + (1/2) (dV/dy y) . dL/dy ] for any force
-    from lagmech.jets import eval_jet, push_direction
+    from lagmech.jets import eval_jet
+    from tower import call, evolution_pass, push_direction, scalar_s
 
     cases = [(sys_a, [PhasePoint(rng.uniform(-1, 1, 1), rng.uniform(0.5, 2, 1))
                       for _ in range(5)]),
@@ -285,15 +286,13 @@ def test_horizontal_dl_contraction_identity(sys_a, sys_d, samples_c, rng):
             out = PointGeometry(sys_, p).horizontal_dL()
             yv = np.array([float(v) for v in p.y])
             lhs = 2.0 * out.dot(yv)
-            from lagmech.mechanics import _evolution_pass, _scalar_s
-
             def scalar_sl_free(q):
-                j, _, yv, _, spray0, _ = _evolution_pass(sys_, q)
-                return _scalar_s(j, yv, spray0)
+                j, _, yv, _, spray0, _ = evolution_pass(sys_, q)
+                return scalar_s(j, yv, spray0)
 
             theta = eval_jet(sys_.L, p, order=1).d_y
             csl = push_direction(scalar_sl_free, p, list(yv), wrt="y")
-            dvy = push_direction(lambda q: sys_.V(q.x, q.y), p, list(yv), wrt="y")
+            dvy = push_direction(lambda q: call(sys_.V, q.x, q.y), p, list(yv), wrt="y")
             rhs = csl + 0.5 * dvy.dot(theta)
             assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
 
@@ -402,7 +401,17 @@ def test_route_disagreement_is_a_verify_offender(monkeypatch, sys_d, owner, targ
     samples = standard_samples("SYS-D", {"e": -0.5}, count=4)
     assert verify.run_verification(sys_d, samples)["offenders"] == []
     obj = mechanics.PointGeometry if owner == "PointGeometry" else verify
-    original = inspect.getattr_static(obj, target)
+    original = inspect.getattr_static(obj, target, None)
+    if original is None:  # a field the context's pass sets
+        init = obj.__init__
+
+        def shifted_init(self, *args):
+            init(self, *args)
+            setattr(self, target, getattr(self, target) + 1.0)
+
+        monkeypatch.setattr(obj, "__init__", shifted_init)
+        assert residual in verify.run_verification(sys_d, samples)["offenders"]
+        return
     if isinstance(original, property):
         shifted = property(lambda self: original.fget(self) + 1.0)
     elif isinstance(original, cached_property):

@@ -9,7 +9,6 @@ import pytest
 
 import lagmech.trajectories as trajectories
 from lagmech.cli import build_system
-from lagmech.jets import KDual
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate
 from lagmech.trajectories import (
@@ -368,27 +367,27 @@ def _counted_programs(monkeypatch, calls):
 @pytest.mark.parametrize("curve", list(INTEGRATE))
 def test_pass_budget(monkeypatch, curve):
     # with every state recorded, a run makes exactly one compiled call per
-    # right-hand side and no jet pass (a geodesic record evaluates V alone)
-    import lagmech.jets as jets
-    import lagmech.mechanics as mechanics
+    # right-hand side and no pointwise pass but the geodesic's Finsler gate
+    # at the initial point (a geodesic record evaluates V alone)
+    import lagmech.compiled as compiled
 
     calls = Counter()
-    for module, name in ((mechanics, "_evolution_pass"), (jets, "push_direction"),
-                         (jets, "eval_jet")):
-        _counting(monkeypatch, calls, module, name)
+    _counting(monkeypatch, calls, compiled, "run")
     _counted_programs(monkeypatch, calls)
     for method in ("rk4_fixed", "rk45_adaptive"):
         calls.clear()
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.3, method, 1)
         rhs = INTEGRATE[curve](sys_, p0, cfg).stats.rhs_calls
-        assert dict(calls) == {curve: rhs}, method
+        assert dict(calls) == {curve: rhs, **({"run": 1} if curve == "geodesic" else {})}, method
 
 
 def test_one_compile_per_tree(monkeypatch):
-    # two instantiations of SYS-D carry equal trees and share each program
+    # two instantiations of SYS-D carry equal trees and share each program,
+    # the geodesic's Finsler gate (an order-1 jet) included
     import lagmech.compiled as compiled
 
     compiled._program.cache_clear()
+    compiled._fields_program.cache_clear()
     builds = Counter()
     build = compiled._build
 
@@ -401,7 +400,7 @@ def test_one_compile_per_tree(monkeypatch):
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.1, "rk4_fixed", 1)
         for curve in INTEGRATE:
             INTEGRATE[curve](sys_, p0, cfg)
-    assert builds == {"evolution": 1, "horizontal": 1, "geodesic": 1}
+    assert builds == {"evolution": 1, "horizontal": 1, "geodesic": 1, "jet": 1}
 
 
 @pytest.mark.parametrize("t_end", [0.3, 0.7])

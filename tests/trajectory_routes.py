@@ -13,8 +13,8 @@ the traces from those blocks with numpy and the jets' contractions
 (:func:`contract_traces`), so a test can compare the engine's drivers
 and its float records with them bit for bit.  With ``jet=True`` they
 read the jet route instead, the engine's reference for the compiled
-programs: the float evolution pass, a push of it along y, and the
-Christoffel symbols of ``finsler.christoffel_at``.
+programs: the reference tower's float evolution pass, a push of it along
+y, and its Christoffel symbols (:mod:`tower`).
 """
 
 import math
@@ -22,11 +22,12 @@ import math
 import numpy as np
 
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.finsler import christoffel_at, require_finsler_mode
-from lagmech.jets import matvec, push_direction, vecdot
-from lagmech.mechanics import _evolution_pass
+from lagmech.finsler import require_finsler_mode
+from lagmech.jets import matvec, vecdot
 from lagmech.phase import PhasePoint
 from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, RunStats, Trajectory, _route
+from tower import christoffel, push_direction
+from tower import evolution_pass as _evolution_pass
 
 # the 5th-order weights of the pair
 DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
@@ -43,7 +44,7 @@ def horizontal_accel(sys, p):
 
 
 def geodesic_accel(sys, p):
-    gamma = christoffel_at(sys, p)
+    gamma = christoffel(sys.L, p)
     yv = np.array([float(v) for v in p.y])
     return -(gamma @ yv @ yv)
 
