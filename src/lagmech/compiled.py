@@ -29,15 +29,20 @@ one-point run.
 ``metric_x``    g and dg/dx
 ``jet``         L to order 0..3, with no inverse; given V, order 2 and
                 the partials of d_yy and V along y in the direction y
+``value``       one field's value, or each force component's (given V
+                alone), an exact zero +0.0: what a field's call and
+                ``at`` return
 
 The curve kinds return ``(z', (L, d_x, d_y, d_yy, d_xy, V))``, blocks as
-row-major lists; :func:`run` returns any kind's outputs at a phase point
-as floats and arrays.  The domain rules are those of the same pass run
-on a forward-mode tower (the tests' reference): L propagated as an
-order-2 jet (order o for ``jet``) and V in floats, each carrying
-tangents along the seeded directions.  Each node is evaluated behind the
-check the tower makes there and takes the terms of the jets' derivative
-sequence the tower takes.
+row-major lists, and ``value`` the list of its values; :func:`run`
+returns any other kind's outputs at a phase point as floats and arrays.
+The domain rules are those of the same pass run on a forward-mode tower
+(the tests' reference): L propagated as an order-2 jet (order o for
+``jet``) and V in floats, each carrying tangents along the seeded
+directions (``value`` in floats alone).  Each node is evaluated behind
+the check the tower makes there and takes the terms of the jets'
+derivative sequence the tower takes.  Programs sit behind one bounded
+cache, keyed by kind, the fields' structural keys and order.
 """
 
 from __future__ import annotations
@@ -320,9 +325,16 @@ _TOWERS = {"evolution": (2, 0), "horizontal": (2, _Y), "geodesic": (2, _X),
 
 
 def _build(kind: str, n: int, ltree, vtrees, order):
-    """The DAG of a kind, and its return statement (a curve kind) or its
-    output groups, each a list of nodes with the array shape they fill."""
+    """The DAG of a kind, and its return statement (a curve kind or
+    ``value``) or its output groups, each a list of nodes with the array
+    shape they fill."""
     g, r = _Dag(n), range(n)
+    if kind == "value":  # in floats: one field's value, or each component's
+        field = "field" if vtrees is None else "force"
+        values = [g.lower(t, (None, 0)) for t in ((ltree,) if vtrees is None else vtrees)]
+        g.check(values, f"{field} evaluation produced a non-finite value")
+        out = [f"{g.names([v])} + 0.0" for v in values]  # an exact zero as +0.0, as run gives it
+        return g, f"return [{', '.join(out)}]"
     euler = kind == "jet" and vtrees is not None
     if kind != "jet":
         order, seeded = _TOWERS[kind]
@@ -390,8 +402,12 @@ def _build(kind: str, n: int, ltree, vtrees, order):
 
 
 @lru_cache(maxsize=128)
-def _program(kind: str, n: int, key: str, ltree, vtrees, order):
-    g, out = _build(kind, n, ltree, vtrees, order)
+def _program(kind: str, L, V, order):
+    """The ``kind`` program of fields L and V (either may be None) and its
+    output shapes (None for a curve kind).  A field hashes and compares by
+    the structural key it made at construction, so equal trees share a
+    program and a lookup renders no tree."""
+    g, out = _build(kind, (L or V).n, L and L.tree, V and V.trees, order)
     shapes = None
     if not isinstance(out, str):  # output groups, as lists
         shapes = [shape for _, shape in out]
@@ -403,22 +419,12 @@ def _program(kind: str, n: int, key: str, ltree, vtrees, order):
     return namespace["program"], shapes
 
 
-_WITH_V = ("evolution", "horizontal", "point", "jet")
-
-
-@lru_cache(maxsize=128)
-def _fields_program(kind: str, L, V, order):
-    """``_program`` of two field objects (hashed by identity), so a pass at
-    one point does not render their trees."""
-    vtrees = V.trees if V is not None and kind in _WITH_V else None
-    return _program(kind, L.n, repr((L.tree, vtrees)), L.tree, vtrees, order)
-
-
 def program(kind: str, L, V=None, order: int = 2):
-    """The compiled ``kind`` program of fields L and V that carry their
-    trees, built at its first request and shared by equal trees (their
-    repr tells -0.0 from 0.0); V is read by the kinds that take it."""
-    return _fields_program(kind, L, V, order)[0]
+    """The compiled ``kind`` program of fields L and V, built at its first
+    request and shared by equal fields; callers pass V only to the kinds
+    that read it (``evolution``, ``horizontal``, ``point``, ``jet`` for its
+    Euler partials, and ``value`` given V alone)."""
+    return _program(kind, L, V, order)[0]
 
 
 def run(kind: str, L, V, p, order: int = 2) -> list:
@@ -426,7 +432,7 @@ def run(kind: str, L, V, p, order: int = 2) -> list:
     or an array per output group at one point, and over a batch (``p``'s
     coordinates (B,) arrays) each with a trailing point axis.  An exact
     zero is +0.0, as the contractions of :mod:`lagmech.jets` give it."""
-    fn, shapes = _fields_program(kind, L, V, order)
+    fn, shapes = _program(kind, L, V, order)
     out = fn([*p.x, *p.y])
     lanes = np.shape(p.x[0])
     if not lanes:

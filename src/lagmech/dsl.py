@@ -3,10 +3,9 @@
 Sources are plain arithmetic over coordinates ``x1..xn``, ``y1..yn`` and
 named parameters, e.g. ``"(1 + x1^2)*y1^2 + y2^2"``.  Parsed trees are
 immutable.  Binding substitutes the parameters once: a field is its tree
-with each parameter a number.  :func:`eval_expr` evaluates it at float
-coordinates (entry by entry at arrays over a batch of points), and
-:mod:`lagmech.compiled` lowers it into every derivative program under
-the same domain rules.
+with each parameter a number, and :mod:`lagmech.compiled` lowers it into
+the program of its value and into every derivative program, under the
+same domain rules.
 
 Grammar (EBNF, also in docs/grammar.md)::
 
@@ -38,17 +37,13 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .errors import (
     ArityError,
     ConfigError,
-    DomainError,
     ParseError,
     UnboundParameter,
     VariableIndexError,
 )
-from .jets import apply_function, power
 from .phase import ScalarField, VerticalField
 
 __all__ = [
@@ -61,7 +56,6 @@ __all__ = [
     "Bin",
     "Call",
     "parse",
-    "eval_expr",
     "to_source",
     "bind_scalar",
     "bind_vertical",
@@ -286,43 +280,8 @@ def parse(source: str, n: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# binding
 # ---------------------------------------------------------------------------
-
-
-def eval_expr(e: Expr, xs, ys):
-    """The value of a bound tree at float coordinates, or entry by entry at
-    arrays of coordinates over a batch."""
-    if isinstance(e, Bin):
-        if e.op == "^":
-            return power(eval_expr(e.left, xs, ys),
-                         eval_expr(e.right, xs, ys))
-        l = eval_expr(e.left, xs, ys)
-        r = eval_expr(e.right, xs, ys)
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "*":
-            return l * r
-        if (r == 0.0).any() if isinstance(r, np.ndarray) else r == 0.0:
-            raise DomainError("division by zero")
-        return l / r
-    if isinstance(e, Var):
-        seq = xs if e.kind == "x" else ys
-        return seq[e.index - 1]
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Call):
-        if e.name == "pow":
-            return power(eval_expr(e.args[0], xs, ys),
-                         eval_expr(e.args[1], xs, ys))
-        return apply_function(e.name, eval_expr(e.args[0], xs, ys))
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, xs, ys)
-    if isinstance(e, Param):  # a bound tree has none
-        raise UnboundParameter(e.name)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _bound_tree(e: Expr, params: dict):

@@ -12,8 +12,8 @@ Each elementary function is defined once, as its derivative sequence
 f, f', f'', f''' at a float or at each entry of an array; a term is
 computed only when read, and transcendentals are evaluated by
 :mod:`math`, one entry at a time, so an entry of an array gets the bits
-of its float.  The compiled programs take their terms from these
-sequences, and :func:`lagmech.dsl.eval_expr` their values.
+of its float.  The compiled programs, a field's value included, take
+their terms from these sequences.
 
 A quantity may also hold a batch of B points, with the point axis after
 the value axes: values are (B,), blocks (n, B) or (n, n, B).  The
@@ -52,8 +52,6 @@ __all__ = [
     "matmat",
     "max_abs",
     "ipow",
-    "power",
-    "apply_function",
     "SCALAR_FUNCTIONS",
 ]
 
@@ -296,16 +294,6 @@ def _power(base, exponent, m: int) -> tuple:
     if k < 0 and base == 0.0:
         raise DomainError("zero raised to a negative power")
     return (ipow(base, k),) if m == 1 else (ipow(base, k), k * ipow(base, k - 1) if k else 0.0)
-
-
-def power(base, exponent):
-    """``base**exponent`` of floats, or entry by entry over arrays."""
-    return _power(base, exponent, 1)[0]
-
-
-def apply_function(name, v):
-    """A named elementary function of a float, or of each entry of an array."""
-    return next(SCALAR_FUNCTIONS[name](v))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ the derivative programs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 
@@ -51,61 +52,80 @@ class PhasePoint:
         return f"PhasePoint(x={self.x}, y={self.y})"
 
 
-class ScalarField:
-    """A scalar field L(x, y): its bound expression tree, evaluated by
-    :func:`lagmech.dsl.eval_expr` at float coordinates (entry by entry at
-    arrays).  Every derivative of it comes from the same tree compiled
-    (:mod:`lagmech.compiled`).
+def _values(L, V, x, y) -> list:
+    """The ``value`` program of the field L or V at coordinates x, y
+    (floats, or (B,) arrays over a batch)."""
+    from .compiled import program  # compiled at the first evaluation, not at import
+
+    return program("value", L, V)([*x, *y])
+
+
+class _Field:
+    """A field is its bound tree(s) in n dimensions: fields whose
+    structural keys (made once, at construction) agree are equal and share
+    their compiled programs."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class ScalarField(_Field):
+    """A scalar field L(x, y): its bound expression tree, evaluated by its
+    compiled ``value`` program (:mod:`lagmech.compiled`), which also gives
+    every derivative of it.
     """
 
-    __slots__ = ("n", "tree", "source")
+    __slots__ = ("n", "tree", "source", "key")
 
     def __init__(self, n: int, tree, source: str | None = None):
         self.n = n
         self.tree = tree
         self.source = source
+        self.key = repr((n, tree))  # repr tells -0.0 from 0.0
 
     def __call__(self, x: Sequence, y: Sequence):
-        from .dsl import eval_expr  # dsl builds fields, so it imports this module
-
-        return eval_expr(self.tree, x, y)
+        return _values(self, None, x, y)[0]
 
     def at(self, p: PhasePoint):
-        """Evaluate at a phase point with plain scalars."""
-        from .dsl import eval_expr
-
-        return eval_expr(self.tree, p.x, p.y)
+        """The value at a phase point: a float, or over a batch a (B,)
+        array (a float still where the tree is a constant)."""
+        return _values(self, None, p.x, p.y)[0]
 
     def __repr__(self):
         return f"ScalarField(n={self.n}, source={self.source!r})"
 
 
-class VerticalField:
+class VerticalField(_Field):
     """A vertical vector field with components V^i(x, y), one bound tree
-    each.
+    each, evaluated by their compiled ``value`` program.
 
     Only fiber components are carried; the field acts along the velocity
     directions by construction.
     """
 
-    __slots__ = ("n", "trees", "sources")
+    __slots__ = ("n", "trees", "sources", "key")
 
     def __init__(self, n: int, trees, sources=None):
         self.n = n
         self.trees = tuple(trees)
         self.sources = tuple(sources) if sources else None
+        self.key = repr((n, self.trees))
 
     def __call__(self, x: Sequence, y: Sequence):
-        from .dsl import eval_expr
-
-        return [eval_expr(t, x, y) for t in self.trees]
+        return _values(None, self, x, y)
 
     def at(self, p: PhasePoint):
-        from .dsl import eval_expr
-
-        return [eval_expr(t, p.x, p.y) for t in self.trees]
+        """The components at a phase point, as a list of floats (of (B,)
+        arrays over a batch)."""
+        return _values(None, self, p.x, p.y)
 
     @classmethod
+    @cache  # a field is immutable: one zero field per n serves every free system
     def zero(cls, n: int) -> "VerticalField":
         from .dsl import Num
 

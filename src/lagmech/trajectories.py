@@ -26,7 +26,8 @@ under the same domain rules as every pointwise pass: it returns z' and
 the float blocks of L and V as lists.  The drivers form the stages in
 floats, in numpy's order of operations; a record sums its traces from
 its stage's blocks in order from +0.0 as :func:`lagmech.jets.matvec` (a
-geodesic record evaluates V), and the arrays are built at the end.
+geodesic record runs V's value program, so V is read at records alone),
+and the arrays are built at the end.
 ``Trajectory.stats`` counts what the run did and says where and why it
 stopped.
 """
@@ -189,7 +190,7 @@ def _route(sys: MechanicalSystem, curve: str):
     from .compiled import program  # compiled at the first run, not at import
 
     n = sys.n
-    rhs = program(curve, sys.L, sys.V)
+    rhs = program(curve, sys.L, None if curve == "geodesic" else sys.V)
 
     # sum_m a[m] b[m] in order from +0.0, as jets._contract
     dot = lambda a, b: reduce(add, map(mul, a, b), 0.0)  # noqa: E731
@@ -201,8 +202,6 @@ def _route(sys: MechanicalSystem, curve: str):
         yv, rows = z[n:], range(0, n * n, n)
         if v is None:  # a geodesic's pass never saw V
             v = sys.V(z[:n], yv)
-            if not all(map(math.isfinite, v)):
-                raise DomainError("force evaluation produced a non-finite value")
         sigma = [dot([e * 0.5 for e in d_yy[i:i + n]], v) for i in rows]
         el = [dot(d_xy[i:i + n], yv) + dot(d_yy[i:i + n], accel) - dx - s
               for i, dx, s in zip(rows, d_x, sigma)]

@@ -16,8 +16,8 @@ from lagmech.compiled import _invert, program, run
 from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
 from lagmech.errors import DomainError, SingularMetric
 from lagmech.jets import sym_invert
-from lagmech.mechanics import MechanicalSystem, PointGeometry
-from lagmech.phase import PhasePoint
+from lagmech.mechanics import MechanicalSystem, PointGeometry, stack_points
+from lagmech.phase import PhasePoint, VerticalField
 from lagmech.systems import catalog, instantiate, standard_samples
 from test_dsl import _guarded_strategy
 
@@ -125,7 +125,7 @@ def _assert_agree(sys_, p, kinds=("evolution", "horizontal", "geodesic"), pointw
                 assert np.abs(a[finite] - b[finite]).max(initial=0.0) <= scale * (
                     1.0 + np.abs(b[finite]).max(initial=0.0)), (kind, p)
     for kind in kinds:
-        got, err = _outcome(program(kind, sys_.L, sys_.V), z)
+        got, err = _outcome(program(kind, sys_.L, None if kind == "geodesic" else sys_.V), z)
         ref, ref_err = _outcome(_jet_route, kind, sys_, p)
         assert _same_error(err, ref_err), (kind, p, err, ref_err)
         if err is not None:
@@ -205,6 +205,77 @@ def test_domain_holes_fail_alike(lag, force, pts):
     sys_ = random_system(lag, force)
     for x1, x2, y1, y2 in pts:
         _assert_agree(sys_, PhasePoint((x1, x2), (y1, y2)))
+
+
+# ---------------------------------------------------------------------------
+# value programs: a field's call and ``at`` against the tower's eval_expr
+# ---------------------------------------------------------------------------
+
+
+def _listed(field, out):
+    return out if isinstance(field, VerticalField) else [out]
+
+
+def _value_reference(field, p):
+    """A field's values at p by the tower's eval_expr, as a list, or the
+    type and message of the error its value program must raise there: the
+    tower's own, or the finiteness check's where a value is not finite."""
+    try:
+        values = _listed(field, tower.call(field, p.x, p.y))
+    except DomainError as err:
+        return None, ("DomainError", str(err))
+    if not all(map(math.isfinite, values)):
+        what = "force" if isinstance(field, VerticalField) else "field"
+        return None, ("DomainError", f"{what} evaluation produced a non-finite value")
+    return values, None
+
+
+def _assert_values_match_the_tower(field, points):
+    """At each point, by call and by ``at``: the tower's values, equal by ==
+    (an exact zero may come back +0.0), or its error.  Over the batch of
+    all the points: each point's values, or an error that one of the
+    points raises alone."""
+    refs = [_value_reference(field, p) for p in points]
+    for p, (ref, ref_err) in zip(points, refs):
+        for evaluate in (field.at, lambda q: field(q.x, q.y)):
+            got, err = _outcome(lambda: _listed(field, evaluate(p)))
+            assert err == ref_err and got == ref, (field, p, got, err, ref, ref_err)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, err = _outcome(lambda: _listed(field, field.at(stack_points(points))))
+    errors = {ref_err for _, ref_err in refs if ref_err}
+    if errors:
+        assert err in errors, (field, points, err, errors)
+        return
+    assert err is None, (field, points, err)
+    for k, column in enumerate(got):
+        expected = [ref[k] for ref, _ in refs]
+        assert np.array_equal(np.broadcast_to(column, (len(points),)), expected), (field, k)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_builtin_values_match_the_tower(entry):
+    sys_ = instantiate(entry.id, entry.default_params)
+    points = standard_samples(entry.id, entry.default_params, count=12)
+    for field in (sys_.L, sys_.V):
+        _assert_values_match_the_tower(field, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lag=_guarded_strategy(), force=st.tuples(_guarded_strategy(), _guarded_strategy()),
+       pts=st.lists(_POINTS, min_size=2, max_size=5))
+def test_random_values_match_the_tower(lag, force, pts):
+    points = [PhasePoint(p[:2], p[2:]) for p in pts]
+    for field in (bind_scalar(lag, 2), bind_vertical(list(force), 2)):
+        _assert_values_match_the_tower(field, points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lag=_holed_strategy(), force=st.tuples(_holed_strategy(), _holed_strategy()),
+       pts=st.lists(_HOLED_POINTS, min_size=2, max_size=5))
+def test_domain_holed_values_fail_alike(lag, force, pts):
+    points = [PhasePoint(p[:2], p[2:]) for p in pts]
+    for field in (bind_scalar(lag, 2), bind_vertical(list(force), 2)):
+        _assert_values_match_the_tower(field, points)
 
 
 @pytest.mark.parametrize("source, point, detail", [

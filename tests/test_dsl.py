@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tower
+
 from lagmech.dsl import (
     Bin,
     Call,
@@ -35,8 +37,9 @@ SQRT2 = math.sqrt(2.0)
 
 
 def value(tree, p, params=None):
-    """The plain value of an expression at a point, through its bound field."""
-    return bind_scalar(tree, p.n, params).at(p)
+    """The plain value of an expression at a point, through its bound tree
+    evaluated by the reference tower."""
+    return tower.call(bind_scalar(tree, p.n, params), p.x, p.y)
 
 
 def jet(tree, p, order):
@@ -145,6 +148,19 @@ def test_noninteger_power_needs_positive_base():
 def test_pow_function_two_args():
     e = parse("pow(y1, 3)", 1)
     assert value(e, PhasePoint((0.0,), (2.0,))) == 8.0
+
+
+def test_field_values_are_never_infinite():
+    # 1e300 y1^2 overflows at y1 = 1e10: a field's value program raises its
+    # finiteness check's error, at a point and over a batch, for L and V
+    p = PhasePoint((0.0,), (1e10,))
+    batch = PhasePoint((np.zeros(2),), (np.array([1.0, 1e10]),))
+    for field, what in ((bind_scalar(parse("1e300*y1^2", 1), 1), "field"),
+                        (bind_vertical([parse("1e300*y1^2", 1)], 1), "force")):
+        for evaluate in (lambda: field(p.x, p.y), lambda: field.at(p), lambda: field.at(batch)):
+            with pytest.raises(DomainError, match=f"^{what} evaluation produced a non-finite value$"):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    evaluate()
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +274,6 @@ def test_jet_tower_matches_fd_for_each_function(rng):
 
 @pytest.mark.parametrize("src", ["y1^(-2) + y1^2", "pow(y1, -2)"])
 def test_negative_integer_power_of_a_jet(src):
-    import tower
     from lagmech.jets import eval_jet
     from oracle import fd_oracle
     from tower import push_direction
@@ -267,7 +282,7 @@ def test_negative_integer_power_of_a_jet(src):
     p = PhasePoint((0.0,), (2.0,))
     for order in (1, 2, 3):
         j = eval_jet(field, p, order=order)
-        assert j.value == field.at(p)
+        assert j.value == tower.call(field, p.x, p.y)
         fd = fd_oracle(field, p, order=order, h=1e-5)
         for name in ("d_y", "d_yy", "d_yyy")[:order]:
             a, b = getattr(j, name), getattr(fd, name)
@@ -330,7 +345,6 @@ def _guarded_strategy():
                                              Num(2.0)),)),)),
          x=(0.0, 0.0), y=(1.0, -1.0))
 def test_jets_of_random_trees_match_fd_and_pushes(tree, x, y):
-    import tower
     from lagmech.jets import eval_jet
     from oracle import fd_oracle
     from tower import push_direction
@@ -339,7 +353,7 @@ def test_jets_of_random_trees_match_fd_and_pushes(tree, x, y):
     p = PhasePoint(x, y)
     for order in (1, 2, 3):
         j = eval_jet(field, p, order=order)
-        assert j.value == field.at(p)
+        assert j.value == tower.call(field, p.x, p.y)
         fd = fd_oracle(field, p, order=order, h=1e-5)
         for name in ("d_x", "d_y", "d_yy", "d_xy", "d_yyy")[:{1: 2, 2: 4, 3: 5}[order]]:
             a, b = getattr(j, name), getattr(fd, name)

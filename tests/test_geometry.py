@@ -8,7 +8,7 @@ import pytest
 from lagmech.dsl import bind_scalar, parse
 from lagmech.errors import SingularMetric
 from lagmech.jets import eval_jet
-from tower import push_direction
+from tower import call, push_direction
 from lagmech.mechanics import PointGeometry
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
@@ -66,7 +66,7 @@ def test_metric_singular_on_quartic_axis(sys_c):
 def test_energy_homogeneous_equals_lagrangian(sys_c, samples_c):
     for p in samples_c[:20]:
         e = PointGeometry(sys_c.free(), p).energy
-        lval = sys_c.L.at(p)
+        lval = call(sys_c.L, p.x, p.y)
         assert abs(e - lval) <= 1e-10 * (1.0 + abs(lval))
 
 

@@ -335,7 +335,7 @@ def test_derivative_terms_are_computed_when_read(monkeypatch):
 
 def test_batched_elementary_functions_match_floats():
     """Over an array each entry gets the math-module bits of its float."""
-    from lagmech.jets import apply_function, power
+    from tower import apply_function, power
 
     v = np.linspace(0.05, 3.0, 37)
     for fn in (lambda t: power(t, 0.37), lambda t: power(t, -2.5),

@@ -10,6 +10,7 @@ from lagmech.mechanics import MechanicalSystem, PointGeometry, classify
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
 import routes
+import tower
 
 SQRT2 = math.sqrt(2.0)
 # sigma of the normalized Liouville force at y=(1,1) on the quartic-root
@@ -61,7 +62,7 @@ def test_sigma_normalized_liouville(sys_d):
 def test_power_identity_two_routes(sys_d, samples_c):
     for p in samples_c[:15]:
         g = routes.metric(sys_d.L, p)
-        v = np.array(sys_d.V.at(p))
+        v = np.array(tower.call(sys_d.V, p.x, p.y))
         yv = np.array([float(t) for t in p.y])
         direct = yv.dot(g.entries).dot(v)
         assert abs(PointGeometry(sys_d, p).power - direct) <= 1e-10 * (1.0 + abs(direct))
@@ -74,7 +75,7 @@ def test_power_oscillator(sys_a, p_oscillator):
 def test_power_liouville_finsler(sys_e_finsler, samples_c):
     # power = e F^2 for V = e y over a homogeneous base
     for p in samples_c[:15]:
-        f2 = sys_e_finsler.L.at(p)
+        f2 = tower.call(sys_e_finsler.L, p.x, p.y)
         assert PointGeometry(sys_e_finsler, p).power == pytest.approx(-f2, rel=1e-12)
 
 

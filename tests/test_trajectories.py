@@ -368,7 +368,7 @@ def _counted_programs(monkeypatch, calls):
 def test_pass_budget(monkeypatch, curve):
     # with every state recorded, a run makes exactly one compiled call per
     # right-hand side and no pointwise pass but the geodesic's Finsler gate
-    # at the initial point (a geodesic record evaluates V alone)
+    # at the initial point; a geodesic record runs V's value program once
     import lagmech.compiled as compiled
 
     calls = Counter()
@@ -377,17 +377,17 @@ def test_pass_budget(monkeypatch, curve):
     for method in ("rk4_fixed", "rk45_adaptive"):
         calls.clear()
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.3, method, 1)
-        rhs = INTEGRATE[curve](sys_, p0, cfg).stats.rhs_calls
-        assert dict(calls) == {curve: rhs, **({"run": 1} if curve == "geodesic" else {})}, method
+        traj = INTEGRATE[curve](sys_, p0, cfg)
+        geodesic = {"run": 1, "value": len(traj.t)} if curve == "geodesic" else {}
+        assert dict(calls) == {curve: traj.stats.rhs_calls, **geodesic}, method
 
 
 def test_one_compile_per_tree(monkeypatch):
     # two instantiations of SYS-D carry equal trees and share each program,
-    # the geodesic's Finsler gate (an order-1 jet) included
+    # the geodesic's Finsler gate (an order-1 jet) and its records' V included
     import lagmech.compiled as compiled
 
     compiled._program.cache_clear()
-    compiled._fields_program.cache_clear()
     builds = Counter()
     build = compiled._build
 
@@ -400,7 +400,7 @@ def test_one_compile_per_tree(monkeypatch):
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.1, "rk4_fixed", 1)
         for curve in INTEGRATE:
             INTEGRATE[curve](sys_, p0, cfg)
-    assert builds == {"evolution": 1, "horizontal": 1, "geodesic": 1, "jet": 1}
+    assert builds == {"evolution": 1, "horizontal": 1, "geodesic": 1, "jet": 1, "value": 1}
 
 
 @pytest.mark.parametrize("t_end", [0.3, 0.7])
@@ -465,6 +465,27 @@ def test_geodesic_records_check_the_force():
                  trajectory_routes.integrate("geodesic", sys_, p0, cfg, jet=True)):
         assert traj.status == "domain_stop" and len(traj.t) == 0
         assert traj.stats.stop["detail"] == "force evaluation produced a non-finite value"
+
+
+# V = (-0.1 y1 log(x1), 0) leaves log's domain as the geodesic x1 = 0.5 - t
+# crosses zero.  V is read at the records alone, never at a stage between
+# them: RK4 records every step and stops at t = 0.5, where x1 is
+# -3.1e-16; DP5(4) takes steps of 0.1 and stops at the record at t = 0.6
+_LOG_FORCE = {"n": 2, "lagrangian": "y1^2 + y2^2", "force": ["-0.1*y1*log(x1)", "0"]}
+
+
+@pytest.mark.parametrize("method, t, x", [
+    ("rk4_fixed", 0.5, [-3.0878077872387166e-16, 0.2500000000000001]),
+    ("rk45_adaptive", 0.6, [-0.09999999999999987, 0.29999999999999993]),
+])
+def test_geodesic_reads_the_force_at_records(method, t, x):
+    sys_ = build_system({"system": _LOG_FORCE}, {})
+    cfg = IntegratorConfig(method=method, step=0.01, t_end=2.0)
+    traj = integrate_geodesic(sys_, PhasePoint((0.5, 0.0), (-1.0, 0.5)), cfg)
+    assert traj.status == "domain_stop"
+    assert traj.stats.stop == {"t": t, "error": "DomainError",
+                               "detail": "log of a non-positive value",
+                               "point": {"x": x, "y": [-1.0, 0.5]}}
 
 
 # the force drives the fiber to about 1e297 within a step: the zero-section

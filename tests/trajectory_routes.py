@@ -26,7 +26,7 @@ from lagmech.finsler import require_finsler_mode
 from lagmech.jets import matvec, vecdot
 from lagmech.phase import PhasePoint
 from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, RunStats, Trajectory, _route
-from tower import christoffel, push_direction
+from tower import call, christoffel, push_direction
 from tower import evolution_pass as _evolution_pass
 
 # the 5th-order weights of the pair
@@ -75,7 +75,7 @@ def contract_traces(sys, z, blocks, accel):
     z = np.asarray(z)
     d_yy, d_xy, yv, zl = np.reshape(d_yy, (n, n)), np.reshape(d_xy, (n, n)), z[n:], z.tolist()
     if v is None:  # a geodesic's pass never saw V
-        v = sys.V(zl[:n], zl[n:])
+        v = call(sys.V, zl[:n], zl[n:])
         if not all(map(math.isfinite, v)):
             raise DomainError("force evaluation produced a non-finite value")
     sigma = matvec(d_yy * 0.5, v)
