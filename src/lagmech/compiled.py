@@ -17,8 +17,8 @@ fires if its test holds at any point, and the inverse runs its closed
 forms point by point, so each point of a batch gets the bits of its
 one-point run.
 
-``evolution``   L to order 2 and V, the rank gate and inverse (the
-                jets' float closed forms up to 2x2, numpy beyond), and
+``evolution``   L to order 2 and V, the rank gate and inverse (the one
+                gate and inverse, ``jets._invert``), and
                 x'' = -2 G = -2 (G0 - V/4)
 ``horizontal``  x'' = -N y, the partial of G along y in the direction y
 ``geodesic``    x'' = -gamma^i_jk y^j y^k from d3L/dy dy dx (V is None)
@@ -55,8 +55,7 @@ import numpy as np
 
 from .dsl import Bin, Call, Neg, Num, Var
 from .errors import DomainError
-from .jets import (SCALAR_FUNCTIONS, _inverse, _inverse2, _power, _rank_gate, _real_power,
-                   _spectrum2, _spectrum_range, ipow)
+from .jets import SCALAR_FUNCTIONS, _invert, _power, _real_power, batch_shape, ipow
 
 __all__ = ["program", "run"]
 
@@ -67,23 +66,6 @@ _DIR = "dir"  # the partial along y in the direction y itself
 def _seq(f, m, v):
     """f(v), f'(v), ... to m terms of a named elementary function."""
     return tuple(islice(SCALAR_FUNCTIONS[f](v), m))
-
-
-def _invert(n, e, batched):
-    """``(inverse, min |eig|, max |eig|)`` of the symmetric matrix of
-    row-major entries e, the inverse row-major, behind the jets' rank gate:
-    their float closed forms up to 2x2, numpy's beyond; over a batch point
-    by point."""
-    if n == 2 and not batched:
-        mn, mx = _rank_gate(*_spectrum2(e[0], e[1], e[3]))
-        return _inverse2(e[0], e[1], e[3]), mn, mx
-    if n == 1 and not batched:
-        mn, mx = _rank_gate(abs(e[0]), abs(e[0]))
-        return [1.0 / e[0]], mn, mx
-    a = np.array(np.broadcast_arrays(*e) if batched else e).reshape((n, n) + (-1,) * batched)
-    mn, mx = _rank_gate(*_spectrum_range(a, batched))
-    inverse = _inverse(a)
-    return inverse.reshape(n * n, -1) if batched else inverse.ravel().tolist(), mn, mx
 
 
 def _fold_fn(f, a, b=None):
@@ -434,7 +416,7 @@ def run(kind: str, L, V, p, order: int = 2) -> list:
     zero is +0.0, as the contractions of :mod:`lagmech.jets` give it."""
     fn, shapes = _program(kind, L, V, order)
     out = fn([*p.x, *p.y])
-    lanes = np.shape(p.x[0])
+    lanes = batch_shape(p)
     if not lanes:
         return [vals[0] + 0.0 if not shape else np.array(vals).reshape(shape) + 0.0
                 for vals, shape in zip(out, shapes)]

@@ -69,9 +69,14 @@ def _euler_defect(value, d_y, p: PhasePoint) -> float:
     return value_of(abs(vecdot(np.array(p.y), d_y) - 2.0 * value))
 
 
-def _probe_values(sys: MechanicalSystem, p: PhasePoint, tol: float) -> dict:
+def _fails_euler(defect, value, tol: float = _GATE_TOL):
+    """The Euler test: whether a defect exceeds tol (1 + |L|), per point."""
+    return defect > tol * (1.0 + abs(value))
+
+
+def _probe_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
     value, _, d_y = _run("jet", sys.L, None, p, 1)[:3]
-    return {"defect": _euler_defect(value, d_y, p), "bound": tol * (1.0 + abs(value))}
+    return {"defect": _euler_defect(value, d_y, p), "value": value}
 
 
 def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bool:
@@ -88,20 +93,20 @@ def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bo
     while tested < 8 and start < len(probes):
         batch = probes[start:start + 8 - tested]
         start += len(batch)
-        for _, _, values, err in each_point(batch, lambda q: _probe_values(sys, q, tol)):
+        for _, _, values, err in each_point(batch, lambda q: _probe_values(sys, q)):
             if err is not None:
                 continue
-            if values["defect"] > values["bound"]:
+            if _fails_euler(values["defect"], values["value"], tol):
                 return False
             tested += 1
     return tested > 0
 
 
-def _require_euler(j, p: PhasePoint, tol: float = _GATE_TOL):
+def _require_euler(j, p: PhasePoint):
     """Raise FinslerModeError unless a jet of L at ``p`` passes the Euler
     test (at every point of a batch)."""
     res = _euler_defect(j.value, j.d_y, p)
-    bad = res > tol * (1.0 + abs(j.value))
+    bad = _fails_euler(res, j.value)
     if isinstance(bad, np.ndarray):
         if bad.any():
             raise FinslerModeError(
@@ -112,9 +117,9 @@ def _require_euler(j, p: PhasePoint, tol: float = _GATE_TOL):
         )
 
 
-def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint, tol: float = _GATE_TOL):
+def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint):
     """Gate an operation on the homogeneity of L at a reference point."""
-    _require_euler(eval_jet(sys.L, p, order=1), p, tol)
+    _require_euler(eval_jet(sys.L, p, order=1), p)
 
 
 def _euler_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
@@ -124,7 +129,7 @@ def _euler_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
     return {"lagrangian_residual": lag,
             "metric_residual": max_abs(dg_y, b),
             "force_residual": max_abs(dv_y, b),
-            "rejected": lag > _GATE_TOL * (1.0 + abs(value))}
+            "rejected": _fails_euler(lag, value)}
 
 
 def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
@@ -180,16 +185,25 @@ class FinslerIdentityReport:
         return asdict(self)
 
 
+def _finsler_residuals(ctx: PointGeometry) -> tuple:
+    """The 2-homogeneity identities at a context, as finsler_identities and
+    verify report them: max |gamma y y - 2 G0| and max |dE_h - (g y)^T dV/dy / 2|."""
+    yv = ctx.y
+    slope = 0.5 * vecmat(matvec(ctx.metric.entries, yv), ctx.dV_dy)
+    return (ctx.peak(matvec(matvec(ctx.christoffel, yv), yv) - 2.0 * ctx.spray0),
+            ctx.peak(ctx.horizontal_dE() - slope))
+
+
 def _identity_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
     ctx = PointGeometry(sys, p)
     _require_euler(ctx.jet, p)
-    lv, yv, spray0 = value_of(ctx.jet.value), ctx.y, ctx.spray0
-    rhs = 0.5 * vecmat(matvec(ctx.metric.entries, yv), ctx.dV_dy)
+    lv = value_of(ctx.jet.value)
+    christoffel, energy_slope = _finsler_residuals(ctx)
     return {
         "energy_residual": abs(ctx.energy - lv) / (1.0 + abs(lv)),
-        "spray_homogeneity_residual": ctx.peak(2.0 * spray0 - matvec(ctx.conn0, yv)),
-        "energy_slope_residual": ctx.peak(ctx.horizontal_dE() - rhs),
-        "christoffel_residual": ctx.peak(matvec(matvec(ctx.christoffel, yv), yv) - 2.0 * spray0),
+        "spray_homogeneity_residual": ctx.peak(2.0 * ctx.spray0 - matvec(ctx.conn0, ctx.y)),
+        "energy_slope_residual": energy_slope,
+        "christoffel_residual": christoffel,
     }
 
 

@@ -23,9 +23,8 @@ elementwise products started at +0.0, which runs the same IEEE
 operations on each point whatever the batch size, so a point gets the
 bits of its one-point contraction by construction (ordered recursive
 summation; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-ed., 2002, sec. 4.1).  :func:`sym_invert` gates a symmetric matrix on
-its rank and inverts it, in closed form up to 2x2, one matrix or a batch
-point by point.
+ed., 2002, sec. 4.1).  :func:`_invert` is the one gate and inverse of a
+metric, which the compiled programs and :func:`sym_invert` call.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def value_of(v):
 
 def batch_shape(p: PhasePoint) -> tuple:
     """``(B,)`` for a batch of B points, ``()`` for a single point."""
-    return np.shape(p.x[0])
+    return getattr(p.x[0], "shape", ())
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +410,6 @@ def _inverse2(p, b, d):
     return [d / det * s, c / det * s, c / det * s, p / det * s]
 
 
-def _inverse(a):
-    """Inverse of a symmetric float matrix (or of each of a batch), in
-    closed form up to 2x2 (a batch of 2x2 point by point)."""
-    if a.shape[0] == 1:
-        return 1.0 / a
-    if a.shape[0] == 2:
-        (p, b), (_, d) = a.tolist()
-        if a.ndim == 2:
-            return np.reshape(_inverse2(p, b, d), a.shape)
-        return np.array(list(map(_inverse2, p, b, d))).T.reshape(a.shape)
-    if a.ndim == 3:
-        return np.moveaxis(np.linalg.inv(np.moveaxis(a, -1, 0)), 0, -1)
-    return np.linalg.inv(a)
-
-
 def _spectrum2(p, b, d):
     """min and max |eigenvalue| of the symmetric [[p, b], [b, d]] of floats,
     in closed form; outside ``_SAFE2`` on the entries rescaled by
@@ -441,29 +425,11 @@ def _spectrum2(p, b, d):
     return (e1, e2) if e1 <= e2 else (e2, e1)
 
 
-def _spectrum_range(a, batched):
-    """min and max |eigenvalue| of a symmetric matrix (per point of a
-    batch): closed form up to 2x2, ``eigvalsh`` beyond."""
-    if a.shape[0] == 1:
-        mn = mx = abs(a[0, 0])
-    elif a.shape[0] == 2:
-        (p, b), (_, d) = a.tolist()
-        mn, mx = map(np.array, zip(*map(_spectrum2, p, b, d))) if batched else _spectrum2(p, b, d)
-    elif batched:
-        eig = np.abs(np.linalg.eigvalsh(np.moveaxis(a, -1, 0)))
-        mn, mx = eig.min(axis=-1), eig.max(axis=-1)
-    else:
-        eig = np.linalg.eigvalsh(a)
-        mn = float(np.abs(eig).min())
-        mx = float(np.abs(eig).max())
-    return mn, mx
-
-
-def _rank_gate(mn, mx, rel_tol: float = 1e-10):
+def _rank_gate(mn, mx):
     """``(mn, mx)``, min and max |eig| (floats, or per point of a batch);
-    SingularMetric when the smallest is zero or below rel_tol x the largest
+    SingularMetric when the smallest is zero or below 1e-10 x the largest
     (a product that underflows to zero where the largest is subnormal)."""
-    bad = (mn == 0.0) | (mn < rel_tol * mx)
+    bad = (mn == 0.0) | (mn < 1e-10 * mx)
     if _any(bad):
         if isinstance(bad, np.ndarray):
             first = int(np.flatnonzero(bad)[0])
@@ -476,7 +442,32 @@ def _rank_gate(mn, mx, rel_tol: float = 1e-10):
     return mn, mx
 
 
-def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
+def _invert(n, e, batched):
+    """``(inverse, min |eig|, max |eig|)`` of the symmetric matrix of row-major
+    entries e behind the rank gate, the inverse row-major: n * n floats at a
+    point, n * n rows of B over a batch (whose entries are (B,) arrays or
+    shared floats).  Float closed forms up to 2x2, point by point; numpy's beyond."""
+    if n == 2 and not batched:
+        mn, mx = _rank_gate(*_spectrum2(e[0], e[1], e[3]))
+        return _inverse2(e[0], e[1], e[3]), mn, mx
+    if n == 1:  # at a point, or entry by entry over a batch
+        mn, mx = _rank_gate(abs(e[0]), abs(e[0]))
+        return [1.0 / e[0]], mn, mx
+    if batched:  # n * n rows of B points, a constant entry broadcast
+        e = np.array(np.broadcast_arrays(*e)).reshape(n * n, -1)
+    if n == 2:
+        p, b, _, d = e.tolist()
+        mn, mx = _rank_gate(*map(np.array, zip(*map(_spectrum2, p, b, d))))
+        return np.array(list(map(_inverse2, p, b, d))).T, mn, mx
+    a = np.moveaxis(e.reshape(n, n, -1), -1, 0) if batched else np.array(e).reshape(n, n)
+    eig = np.abs(np.linalg.eigvalsh(a))
+    mn, mx = (eig.min(-1), eig.max(-1)) if batched else (float(eig.min()), float(eig.max()))
+    _rank_gate(mn, mx)
+    inverse = np.linalg.inv(a)
+    return inverse.reshape(-1, n * n).T if batched else inverse.ravel().tolist(), mn, mx
+
+
+def sym_invert(m) -> SymMatrix:
     """Symmetrize, gate on rank, and invert a small dense float matrix.
 
     A batch (n, n, B) is inverted point by point, with the bits of
@@ -485,9 +476,9 @@ def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
     Raises
     ------
     SingularMetric
-        When the smallest eigenvalue magnitude falls below ``rel_tol``
-        times the largest (at any point of a batch); beyond that point
-        the inverse amplifies noise past every tolerance used downstream.
+        When the smallest eigenvalue magnitude falls below 1e-10 times
+        the largest (at any point of a batch); beyond that point the
+        inverse amplifies noise past every tolerance used downstream.
     ValueError
         If the input is not symmetric to 1e-12 relative.
     """
@@ -499,5 +490,6 @@ def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
     if _any(np.abs(a - at).max(axis=(0, 1)) > 1e-12 * (1.0 + norm)):
         raise ValueError("matrix is not symmetric within 1e-12 relative")
     a = (a + at) * 0.5
-    mn, mx = _rank_gate(*_spectrum_range(a, a.ndim == 3), rel_tol)
-    return SymMatrix(a, _inverse(a), mn, mx)
+    n, batched = a.shape[0], a.ndim == 3
+    inverse, mn, mx = _invert(n, a.reshape(n * n, -1) if batched else a.ravel().tolist(), batched)
+    return SymMatrix(a, np.reshape(inverse, a.shape), mn, mx)

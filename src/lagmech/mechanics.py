@@ -123,15 +123,6 @@ def _two_form_pieces(j: Jet):
     return g, a
 
 
-def _two_form_value(g, a, X, Y):
-    n = g.shape[0]
-    xx, xy = X[:n], X[n:]
-    yx, yy = Y[:n], Y[n:]
-    term1 = 2.0 * (vecdot(vecmat(yx, g), xy) - vecdot(vecmat(xx, g), yy))
-    term2 = vecdot(vecmat(yx, a), xx) - vecdot(vecmat(xx, a), yx)
-    return term1 + term2
-
-
 def _sode_residual(j: Jet, yv, spray, sigma=None) -> float:
     """Max residual of i_S omega = -dE (+ sigma) over the 2n basis vectors.
 
@@ -156,16 +147,11 @@ def _christoffel(ginv, dgdx):
 
 def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
     """omega(delta_i, delta_k) on the horizontal basis delta_i = (e_i, -N[:, i])
-    of a connection, as an n x n array (n x n x B over a batch), in one
-    evaluation with each pair (i, k) of each point as its own lane.  Each
-    difference of the form's terms is negated exactly by swapping i and k,
-    so the result is exactly antisymmetric."""
-    n = conn.shape[0]
-    lanes = conn.shape[2:]
-    g, a = (b[:, :, None, None] for b in _two_form_pieces(j))
-    eye = np.eye(n).reshape((n, n) + (1,) * len(lanes))
-    delta = np.concatenate([np.broadcast_to(eye, (n, n) + lanes), -conn])  # column i: delta_i
-    return _two_form_value(g, a, delta[:, :, None], delta[:, None, :])
+    of a connection, as an n x n array (n x n x B over a batch), in closed
+    form: 2 (g N - (g N)^T) + a^T - a, exactly antisymmetric."""
+    g, a = _two_form_pieces(j)
+    gn = matmat(g, conn)
+    return 2.0 * (gn - gn.swapaxes(0, 1)) + (a.swapaxes(0, 1) - a)
 
 
 class PointGeometry:
@@ -233,13 +219,17 @@ class PointGeometry:
         In coordinates: 2 g_ij dy^j ^ dx^i plus the antisymmetrized mixed
         block (1/2)(d2L/dy_i dx_j - d2L/dy_j dx_i) dx^j ^ dx^i.
         """
-        shape = (2 * self.sys.n,) + self.y.shape[1:]
+        n = self.sys.n
+        shape = (2 * n,) + self.y.shape[1:]
         X, Y = (np.asarray(V, dtype=float) for V in (X, Y))
         if self.batched:
             X, Y = (np.broadcast_to(V[:, None], shape) if V.ndim == 1 else V for V in (X, Y))
         if X.shape != shape or Y.shape != shape:
             raise ValueError("tangent vectors must have 2n components")
-        return value_of(_two_form_value(*_two_form_pieces(self.jet), X, Y))
+        g, a = _two_form_pieces(self.jet)
+        (xx, xy), (yx, yy) = (X[:n], X[n:]), (Y[:n], Y[n:])
+        term2 = vecdot(vecmat(yx, a), xx) - vecdot(vecmat(xx, a), yx)
+        return value_of(2.0 * (vecdot(vecmat(yx, g), xy) - vecdot(vecmat(xx, g), yy)) + term2)
 
     @cached_property
     def dg_dx(self) -> np.ndarray:

@@ -21,8 +21,7 @@ Points where the metric degenerates are collected, not fatal.
 
 from __future__ import annotations
 
-from .finsler import is_finsler_mode
-from .jets import matvec, vecmat
+from .finsler import _finsler_residuals, is_finsler_mode
 from .mechanics import (
     MechanicalSystem,
     PointGeometry,
@@ -37,11 +36,10 @@ __all__ = ["run_verification"]
 
 def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dict:
     ctx = PointGeometry(sys, p)
-    j, yv = ctx.jet, ctx.y
+    j = ctx.jet
     scale = 1.0 + ctx.peak(ctx.metric.entries)
-    hde = ctx.horizontal_dE()
     out = {
-        "canonical_spray_equation": _sode_residual(j, yv, ctx.spray0),
+        "canonical_spray_equation": _sode_residual(j, ctx.y, ctx.spray0),
         "evolution_spray_equation": ctx.evolution_equation_residual(),
         "cartan_form_transport": ctx.lie_theta_residual(),
         "canonical_metricity": ctx.peak(ctx.dyn_cov_deriv_g(ctx.spray0, ctx.conn0)) / scale,
@@ -53,13 +51,10 @@ def _point_residuals(sys: MechanicalSystem, p: PhasePoint, finsler: bool) -> dic
         "lagrangian_horizontal_routes": ctx.peak(
             ctx.horizontal_dL() - (ctx.dSL_dy - ctx.sigma) * 0.5),
         "energy_horizontal_routes": ctx.peak(
-            hde - ctx.horizontal_dE_closed()),
+            ctx.horizontal_dE() - ctx.horizontal_dE_closed()),
     }
     if finsler:
-        out["christoffel_contraction"] = ctx.peak(
-            matvec(matvec(ctx.christoffel, yv), yv) - 2.0 * ctx.spray0)
-        out["finsler_energy_formula"] = ctx.peak(
-            hde - 0.5 * vecmat(matvec(ctx.metric.entries, yv), ctx.dV_dy))
+        out["christoffel_contraction"], out["finsler_energy_formula"] = _finsler_residuals(ctx)
     return out
 
 

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import tower
 import trajectory_routes
-from lagmech.compiled import _invert, program, run
+from lagmech.compiled import program, run
 from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import sym_invert
+from lagmech.jets import _invert, sym_invert
 from lagmech.mechanics import MechanicalSystem, PointGeometry, stack_points
 from lagmech.phase import PhasePoint, VerticalField
 from lagmech.systems import catalog, instantiate, standard_samples
@@ -327,6 +327,20 @@ def test_force_guards_follow_the_tower(force, point, detail):
     _assert_agree(sys_, p)
 
 
+def test_negative_power_of_an_underflowing_base_fails_as_the_tower():
+    # x1^2 underflows to zero at x1 = 1e-200 where x1 is not: the value, the
+    # blocks and every program raise the tower's DomainError
+    from lagmech.dsl import parse
+
+    p = PhasePoint((1e-200,), (1.0,))
+    _assert_values_match_the_tower(bind_scalar(parse("x1^(-2)", 1), 1), [p])
+    sys_ = MechanicalSystem(bind_scalar(parse("y1^2 + x1^(-2)", 1), 1),
+                            bind_vertical([parse("0", 1)], 1), 1)
+    _, err = _outcome(run, "jet", sys_.L, None, p, 2)
+    assert err == ("DomainError", "division by zero")
+    _assert_agree(sys_, p)
+
+
 def _symmetric_entries(rng):
     """Row-major symmetric 1x1 and 2x2 matrices: random entries of
     magnitudes up to 1e300, near-singular ones with eigenvalue ratios on
@@ -351,9 +365,9 @@ def _symmetric_entries(rng):
 
 
 def test_float_gate_and_inverse_match_the_jets():
-    # the compiled programs' 1x1 and 2x2 gate and inverse run on floats, or
-    # point by point over a batch; they give sym_invert's bits and |eig|
-    # range, and its SingularMetric with the same range
+    # the 1x1 and 2x2 gate and inverse the compiled programs call run on
+    # floats, or point by point over a batch; they give sym_invert's bits
+    # and |eig| range, and its SingularMetric with the same range
     def outcome(fn, *args):
         try:
             return np.array(fn(*args), dtype=float).ravel().tobytes(), None

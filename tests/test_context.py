@@ -354,7 +354,7 @@ def _per_point_functions(sys_):
     chunk or at one point."""
     return {"classify": lambda q: mechanics._classification_values(sys_, q),
             "verify": lambda q: verify._point_residuals(sys_, q, True),
-            "probes": lambda q: finsler._probe_values(sys_, q, 1e-8),
+            "probes": lambda q: finsler._probe_values(sys_, q),
             "homogeneity": lambda q: finsler._euler_values(sys_, q),
             "identities": lambda q: finsler._identity_values(sys_, q),
             "inspect": lambda q: cli._inspect_fields(sys_, q)}

@@ -2,6 +2,9 @@
 its inversion, and the reference tower's own arithmetic and pushes."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 import tower
 from lagmech.dsl import bind_scalar, parse
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import eval_jet, sym_invert
+from lagmech.jets import _invert, eval_jet, sym_invert
 from lagmech.phase import PhasePoint
 from oracle import fd_oracle
 from tower import KDual, push_direction
@@ -241,6 +244,89 @@ def test_2x2_gate_and_inverse_are_scale_free(k):
 def test_2x2_inverse_out_of_the_closed_forms_range(a, inverse):
     got = sym_invert(np.array(a)).inverse
     assert np.allclose(got, inverse, rtol=1e-15, atol=0.0)
+
+
+def _random_metrics(rng, n, count):
+    """Random symmetric n x n matrices Q diag(lam) Q^T, scaled by 1e-3 to
+    1e3, whose |lam| range within 10 has its smallest |lam| made 1e-7,
+    3e-10 (regular), 3e-11 (below the rank gate) or 0 times the largest."""
+    for k in range(count):
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        lam = rng.choice([-1.0, 1.0], size=n) * rng.uniform(1.0, 10.0, size=n)
+        lam *= 10.0 ** rng.uniform(-3, 3)
+        ratio = (None, 1e-7, 3e-10, 3e-11, 0.0)[k % 5]
+        if ratio is not None:
+            lam[0] = np.copysign(ratio * np.abs(lam).max(), lam[0])
+        a = q @ np.diag(lam) @ q.T
+        yield (a + a.T) * 0.5
+
+
+def _numpy_gate_and_inverse(a):
+    """(inverse, min |eig|, max |eig|) by numpy, or None for the inverse
+    where the range fails the rank gate."""
+    eig = np.abs(np.linalg.eigvalsh(a))
+    mn, mx = eig.min(), eig.max()
+    return (None if mn == 0.0 or mn < 1e-10 * mx else np.linalg.inv(a)), mn, mx
+
+
+def _gate_and_inverse(n, e, batched):
+    try:
+        inverse, mn, mx = _invert(n, e, batched)
+    except SingularMetric as err:
+        return None, err.min_abs_eigen, err.max_abs_eigen
+    return np.reshape(inverse, (n, n) + (-1,) * batched), mn, mx
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_invert_matches_numpy(rng, n):
+    # the one gate and inverse against numpy's eigvalsh and inv: the inverse
+    # to 1e-13 x the condition number, the |eig| range to roundoff, and a
+    # SingularMetric with the same range where numpy's range fails the gate
+    mats = list(_random_metrics(rng, n, 40))
+    outcomes = []
+    for a in mats:
+        ref, ref_mn, ref_mx = _numpy_gate_and_inverse(a)
+        got, mn, mx = outcome = _gate_and_inverse(n, a.ravel().tolist(), False)
+        outcomes.append(outcome)
+        assert abs(mn - ref_mn) <= 1e-13 * ref_mx and abs(mx - ref_mx) <= 1e-13 * ref_mx
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            cond = ref_mx / ref_mn
+            assert np.abs(got - ref).max() <= 1e-13 * cond * np.abs(ref).max()
+    # over a batch: each point's bits, or the first failing point's range
+    regular = [a for a, (got, _, _) in zip(mats, outcomes) if got is not None]
+    for batch in (regular, mats):
+        stack = np.stack(batch, axis=-1)
+        got, mn, mx = _gate_and_inverse(n, list(stack.reshape(n * n, -1)), True)
+        alone = [_gate_and_inverse(n, a.ravel().tolist(), False) for a in batch]
+        failed = [o for o in alone if o[0] is None]
+        if failed:
+            assert got is None and (mn, mx) == failed[0][1:]
+            continue
+        assert got.tobytes() == np.stack([o[0] for o in alone], axis=-1).tobytes()
+        assert mn.tolist() == [o[1] for o in alone] and mx.tolist() == [o[2] for o in alone]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_invert_broadcasts_constant_entries(n):
+    # a batch whose off-diagonal entries are floats shared by every point
+    # (a constant metric is all floats): each point's one-point bits
+    diagonal = [np.array([1.0 + i, 2.0, 0.5 * (i + 1)]) for i in range(n)]
+    e = [diagonal[i] if i == k else 0.25 for i in range(n) for k in range(n)]
+    got, mn, mx = _invert(n, e, True)
+    for lane in range(3):
+        one = _invert(n, [v[lane] if isinstance(v, np.ndarray) else v for v in e], False)
+        assert np.reshape(got, (n * n, -1))[:, lane].tolist() == list(one[0])
+        assert (mn[lane], mx[lane]) == one[1:]
+    constant, *_ = _invert(n, [float(v) for v in np.eye(n).ravel() * 2.0], True)
+    assert np.array_equal(np.reshape(constant, (n * n, -1)), np.eye(n).reshape(n * n, 1) * 0.5)
+
+
+def test_importing_the_package_compiles_nothing():
+    # lagmech.compiled is imported at the first pass, not with the package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, lagmech; sys.exit('lagmech.compiled' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}).returncode == 0
 
 
 def test_sym_invert_rejects_asymmetric():

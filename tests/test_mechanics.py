@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lagmech.dsl import bind_scalar, bind_vertical, parse
-from lagmech.mechanics import MechanicalSystem, PointGeometry, classify
+from lagmech.mechanics import (MechanicalSystem, PointGeometry, _horizontal_two_form, classify,
+                               stack_points)
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
 import routes
@@ -210,6 +211,41 @@ def test_symplectic_defect_matches_helicoidal():
     b = PointGeometry(sys_, p)
     assert d == pytest.approx(np.abs(b.helicoidal).max(), rel=1e-9)
     assert d > 1e-3  # this force is genuinely non-symplectic
+
+
+def magnetic_sys():
+    """A Lagrangian whose mixed block d2L/dy dx is not symmetric (the
+    magnetic terms x1 y2 - x2 y1 / 2), with a velocity-dependent force."""
+    n = 2
+    L = bind_scalar(parse("(1 + x2^2)*y1^2 + y2^2 + x1*y2 - 0.5*x2*y1 + 0.1*y1^2*y2^2", n), n)
+    V = bind_vertical([parse("-0.2*y1 + 0.1*x2*y2", n), parse("-0.1*y2*y1^2", n)], n)
+    return MechanicalSystem(L, V, n, label="magnetic")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: instantiate("SYS-A", {"c": 0.1}), forced_sys_b, magnetic_sys,
+    lambda: instantiate("SYS-D", {"e": -0.5}),
+    lambda: instantiate("SYS-E", {"e": -1.0, "base": "EUCLID", "n": 4}),
+], ids=["SYS-A", "SYS-B+poly", "magnetic", "SYS-D", "SYS-E/EUCLID"])
+def test_horizontal_two_form_is_omega_on_the_horizontal_basis(make, rng):
+    # the closed form 2 (g N - (g N)^T) + a^T - a is, bit for bit, omega on
+    # each pair of delta_i = (e_i, -N[:, i]), for N and N0, at a point and
+    # over a batch
+    sys_ = make()
+    n = sys_.n
+    points = [PhasePoint(tuple(rng.uniform(-0.5, 0.5, n)), tuple(rng.uniform(0.5, 1.5, n)))
+              for _ in range(5)]
+    for p in (points[0], stack_points(points)):
+        ctx = PointGeometry(sys_, p)
+        lanes = ctx.conn.shape[2:]
+        eye = np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(lanes)), (n, n) + lanes)
+        for conn in (ctx.conn, ctx.conn0):
+            delta = np.concatenate([eye, -conn])  # column i: delta_i
+            closed = _horizontal_two_form(ctx.jet, conn)
+            for i in range(n):
+                for k in range(n):
+                    omega = np.asarray(ctx.omega(delta[:, i], delta[:, k]), dtype=float)
+                    assert omega.tobytes() == np.asarray(closed[i, k]).tobytes(), (i, k)
 
 
 # ---------------------------------------------------------------------------

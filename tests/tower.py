@@ -18,8 +18,9 @@ A pass may also run over a batch of B points (coordinates that are
 length-B float arrays): values are (B,), blocks (n, B) or (n, n, B) and
 tangents (..., B, k).  Fields are evaluated by :func:`eval_expr` on
 their bound trees in whatever tower their coordinates carry.  The
-engine's elementary derivative sequences, 2x2 closed forms and rank gate
-are shared; everything that propagates derivatives is this module's own.
+engine's elementary derivative sequences and its gate and inverse of a
+value matrix (:func:`lagmech.jets.sym_invert`) are shared; everything
+that propagates derivatives is this module's own.
 """
 
 import math
@@ -29,10 +30,10 @@ from itertools import islice
 
 import numpy as np
 
+from lagmech import jets
 from lagmech.dsl import Bin, Call, Neg, Num, Param, Var
 from lagmech.errors import DomainError, UnboundParameter
-from lagmech.jets import (SCALAR_FUNCTIONS, SymMatrix, _any, _each, _inverse, _rank_gate,
-                          _spectrum_range)
+from lagmech.jets import SCALAR_FUNCTIONS, SymMatrix, _any, _each
 from lagmech.jets import Jet as JetRecord
 from lagmech.mechanics import MechanicalSystem, _christoffel
 from lagmech.phase import PhasePoint, VerticalField
@@ -339,8 +340,11 @@ def ipow(v, k: int):
     if k == 0:  # a KDual keeps its tower, with no tangent
         return KDual(np.ones_like(v.val) if isinstance(v.val, np.ndarray) else 1.0,
                      np.zeros_like(v.tan)) if isinstance(v, KDual) else 1.0
-    if k < 0:
-        return 1.0 / ipow(v, -k)
+    if k < 0:  # v**-k may underflow to zero where v is not; a Jet or KDual checks its own
+        d = ipow(v, -k)
+        if not isinstance(d, (Jet, KDual)) and _any(d == 0.0):
+            raise DomainError("division by zero")
+        return 1.0 / d
     if k == 1:
         return v
     if k == 2:
@@ -799,39 +803,21 @@ def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
     return tan[..., 0] if tan.ndim > 1 else float(tan[0])
 
 
-def sym_invert(m, rel_tol: float = 1e-10) -> SymMatrix:
+def sym_invert(m) -> SymMatrix:
     """Symmetrize, gate on rank, and invert a small dense matrix.
 
-    The value part is inverted in floats; tangents, when ``m`` carries
-    them, follow from d(A^-1) = -A^-1 dA A^-1.  A batch (n, n, B) is
-    inverted point by point, with the bits of one-point inversions.
-
-    Raises
-    ------
-    SingularMetric
-        When the smallest eigenvalue magnitude of the value part falls
-        below ``rel_tol`` times the largest (at any point of a batch);
-        beyond that point the inverse amplifies noise past every
-        tolerance used downstream.
-    ValueError
-        If the input is not symmetric to 1e-12 relative.
+    The value part is checked, gated and inverted by the engine's
+    :func:`lagmech.jets.sym_invert`; tangents, when ``m`` carries them,
+    follow from d(A^-1) = -A^-1 dA A^-1.  A batch (n, n, B) is inverted
+    point by point, with the bits of one-point inversions.
     """
     dual = isinstance(m, KDual)
-    a = m.val if dual else np.asarray(m, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[0] != a.shape[1]:
-        raise ValueError("sym_invert expects a square matrix")
-    batched = a.ndim == 3
-    norm = np.abs(a).max(axis=(0, 1))  # over a batch, per point
-    at = a.swapaxes(0, 1)
-    if _any(np.abs(a - at).max(axis=(0, 1)) > 1e-12 * (1.0 + norm)):
-        raise ValueError("matrix is not symmetric within 1e-12 relative")
-    a = (a + at) * 0.5
-    mn, mx = _rank_gate(*_spectrum_range(a, batched), rel_tol)
-    inv = _inverse(a)
+    sm = jets.sym_invert(m.val if dual else m)
     if not dual:
-        return SymMatrix(a, inv, mn, mx)
-    ms = (m + m.swapaxes(0, 1)) * 0.5
-    return SymMatrix(ms, KDual(inv, -matmat(matmat(inv, ms), inv).tan), mn, mx)
+        return sm
+    ms, inv = (m + m.swapaxes(0, 1)) * 0.5, sm.inverse
+    return SymMatrix(ms, KDual(inv, -matmat(matmat(inv, ms), inv).tan),
+                     sm.min_abs_eigen_estimate, sm.max_abs_eigen)
 
 
 # ---------------------------------------------------------------------------
