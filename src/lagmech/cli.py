@@ -27,12 +27,12 @@ import argparse
 import json
 import math
 import sys as _sys
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
 
 from . import systems as _systems
-from .dsl import bind_scalar, bind_vertical, parse
 from .errors import (
     ArityError,
     ConfigError,
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .finsler import is_finsler_mode
 from .mechanics import MechanicalSystem, PointGeometry, classify, each_block
-from .phase import PhasePoint, VerticalField
+from .phase import PhasePoint
 from .sampling import sample_box
 from .trajectories import (
     IntegratorConfig,
@@ -165,9 +165,7 @@ def _emit(text: str, path: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -230,13 +228,12 @@ def _parse_param(text: str):
         return name, raw
 
 
-def build_system(cfg: dict, overrides: dict) -> MechanicalSystem:
+def build_system(cfg: dict) -> MechanicalSystem:
     """Construct a system from the ``system`` config section."""
     spec = cfg.get("system")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'system' object")
     params = dict(_section(spec, "params"))
-    params.update(overrides)
     if "builtin" in spec:
         return _systems.instantiate(str(spec["builtin"]), params)
     try:
@@ -245,21 +242,8 @@ def build_system(cfg: dict, overrides: dict) -> MechanicalSystem:
         raise ConfigError("expression systems need an integer 'n'") from err
     if "lagrangian" not in spec:
         raise ConfigError("expression systems need a 'lagrangian' source")
-    lagrangian = parse(str(spec["lagrangian"]), n)
-    force = spec.get("force")
-    if force is not None:
-        if not isinstance(force, list):
-            raise ConfigError("'force' must be a list of n component sources")
-        if len(force) != n:
-            raise ConfigError(
-                f"force has {len(force)} components but the dimension is {n}"
-            )
-        force = [parse(str(s), n) for s in force]
-    L = bind_scalar(lagrangian, n, params, source=str(spec["lagrangian"]))
-    V = VerticalField.zero(n) if force is None else bind_vertical(force, n, params)
-    return MechanicalSystem(L, V, n, params=params,
-                            domain_guard=spec.get("domain_guard"),
-                            label=spec.get("label", "custom"))
+    return _systems.from_sources(n, str(spec["lagrangian"]), spec.get("force"), params,
+                                 spec.get("domain_guard"), spec.get("label", "custom"))
 
 
 def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
@@ -318,15 +302,10 @@ def _integrator_config(cfg: dict, args) -> IntegratorConfig:
         spec["step"] = args.step
     if args.t_end is not None:
         spec["t_end"] = args.t_end
-    ic = IntegratorConfig(
-        method=str(spec.get("method", "rk4_fixed")),
-        step=_number(spec, "step", 1e-3),
-        t_end=_number(spec, "t_end", 10.0),
-        record_every=_integer(spec, "record_every", 1),
-        rel_tol=_number(spec, "rel_tol", 1e-8),
-        abs_tol=_number(spec, "abs_tol", 1e-10),
-        max_step=_number(spec, "max_step", 0.1),
-    )
+    read = {str: lambda spec, key, default: str(spec.get(key, default)),
+            float: _number, int: _integer}
+    ic = IntegratorConfig(**{f.name: read[type(f.default)](spec, f.name, f.default)
+                             for f in fields(IntegratorConfig)})
     try:
         ic.validate()
     except ValueError as err:
@@ -384,9 +363,9 @@ def _inspect_entries(start: int, points: list, values: dict) -> list:
     return (((entry + "\0") * len(points)) % tuple(chain.from_iterable(cells))).split("\0")[:-1]
 
 
-def cmd_inspect(cfg: dict, args, overrides: dict) -> int:
-    sys_ = build_system(cfg, overrides)
-    samples = build_samples(cfg, sys_, _integer(cfg, "seed", args.seed or 0))
+def cmd_inspect(cfg: dict, args) -> int:
+    sys_ = build_system(cfg)
+    samples = build_samples(cfg, sys_, _integer(cfg, "seed", 0))
     entries = []
     hit_singular = False
     for start, points, values, err in each_block(samples, lambda q: _inspect_fields(sys_, q)):
@@ -401,20 +380,18 @@ def cmd_inspect(cfg: dict, args, overrides: dict) -> int:
     return EXIT_DOMAIN if hit_singular else EXIT_OK
 
 
-def cmd_classify(cfg: dict, args, overrides: dict) -> int:
-    sys_ = build_system(cfg, overrides)
-    seed = _integer(cfg, "seed", args.seed or 0)
-    samples = build_samples(cfg, sys_, seed)
+def cmd_classify(cfg: dict, args) -> int:
+    sys_ = build_system(cfg)
+    samples = build_samples(cfg, sys_, _integer(cfg, "seed", 0))
     tol = _number(cfg, "tolerance", 1e-8)
     report = classify(sys_, samples, tol=tol)
     _emit(render_json(report.to_dict()), args.out)
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, args, overrides: dict) -> int:
-    sys_ = build_system(cfg, overrides)
-    seed = _integer(cfg, "seed", args.seed or 0)
-    samples = build_samples(cfg, sys_, seed)
+def cmd_verify(cfg: dict, args) -> int:
+    sys_ = build_system(cfg)
+    samples = build_samples(cfg, sys_, _integer(cfg, "seed", 0))
     tol = _number(cfg, "tolerance", 1e-8)
     report = run_verification(sys_, samples, tol=tol)
     _emit(render_json(report), args.out)
@@ -425,8 +402,8 @@ def cmd_verify(cfg: dict, args, overrides: dict) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: dict, args, overrides: dict) -> int:
-    sys_ = build_system(cfg, overrides)
+def cmd_simulate(cfg: dict, args) -> int:
+    sys_ = build_system(cfg)
     p0 = _point(cfg.get("initial"), "simulate's 'initial' point")
     if p0.n != sys_.n:
         raise ConfigError("initial point dimension mismatch")
@@ -506,24 +483,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_COMMANDS = {"inspect": cmd_inspect, "classify": cmd_classify, "verify": cmd_verify,
+             "simulate": cmd_simulate}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "catalog":
             return cmd_catalog(args)
         cfg = _load_config(args.config)
-        overrides = dict(_parse_param(t) for t in (args.param or []))
+        overrides = dict(_parse_param(t) for t in args.param)
+        system = cfg.get("system")
+        if overrides and isinstance(system, dict):
+            system["params"] = {**_section(system, "params"), **overrides}
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.command == "inspect":
-            return cmd_inspect(cfg, args, overrides)
-        if args.command == "classify":
-            return cmd_classify(cfg, args, overrides)
-        if args.command == "verify":
-            return cmd_verify(cfg, args, overrides)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args, overrides)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, args)
     except (ConfigError, ParseError, ArityError, VariableIndexError,
             UnboundParameter, UnknownBuiltin) as err:
         _sys.stderr.write(f"error: {err}\n")

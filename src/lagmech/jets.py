@@ -245,7 +245,8 @@ SCALAR_FUNCTIONS = {"sqrt": _sqrt, "sin": _sin, "cos": _cos,
 
 
 def ipow(v, k: int):
-    """Integer power by repeated multiplication.
+    """Integer power by square-and-multiply, whose products for k = 2, 3, 4
+    are those of the compiled programs' inline forms.
 
     Stays smooth through zero for non-negative exponents, which plain
     ``a ** b`` through logarithms would not.
@@ -258,15 +259,6 @@ def ipow(v, k: int):
         if _any(d == 0.0):
             raise DomainError("division by zero")
         return 1.0 / d
-    if k == 1:
-        return v
-    if k == 2:
-        return v * v
-    if k == 3:
-        return v * v * v
-    if k == 4:
-        vv = v * v
-        return vv * vv
     r = None
     base = v
     while True:
@@ -419,20 +411,23 @@ def _spectrum2(p, b, d):
     if not _SAFE2[0] <= abs(p) + abs(b) + abs(d) <= _SAFE2[1]:
         s = _scale2(p, b, d)
         p, b, d = p * s, b * s, d * s
-    half_tr = 0.5 * (p + d)
+    half_tr = abs(0.5 * (p + d))
     disc = math.sqrt((0.5 * (p - d)) ** 2 + b * b)
-    e1, e2 = abs(half_tr + disc) / s, abs(half_tr - disc) / s
-    return (e1, e2) if e1 <= e2 else (e2, e1)
+    mx = half_tr + disc
+    # where the difference cancels to zero, |det| / the larger is the smaller
+    mn = abs(half_tr - disc) or mx and abs(p * d - b * b) / mx
+    return mn / s, mx / s
 
 
 def _rank_gate(mn, mx):
     """``(mn, mx)``, min and max |eig| (floats, or per point of a batch);
-    SingularMetric when the smallest is zero or below 1e-10 x the largest
-    (a product that underflows to zero where the largest is subnormal)."""
-    bad = (mn == 0.0) | (mn < 1e-10 * mx)
-    if _any(bad):
-        if isinstance(bad, np.ndarray):
-            first = int(np.flatnonzero(bad)[0])
+    SingularMetric when either is NaN, or the smallest is zero or below
+    1e-10 x the largest (a product that underflows to zero where the
+    largest is subnormal)."""
+    ok = (mn > 0.0) & (mn >= 1e-10 * mx)  # false where either is NaN
+    if ok is not True and (ok is False or not ok.all()):
+        if isinstance(ok, np.ndarray):
+            first = int(np.flatnonzero(~ok)[0])
             mn, mx = float(mn[first]), float(mx[first])
         raise SingularMetric(
             f"metric rank failure: |eig| range [{mn:.3e}, {mx:.3e}]",
@@ -489,7 +484,12 @@ def sym_invert(m) -> SymMatrix:
     at = a.swapaxes(0, 1)
     if _any(np.abs(a - at).max(axis=(0, 1)) > 1e-12 * (1.0 + norm)):
         raise ValueError("matrix is not symmetric within 1e-12 relative")
-    a = (a + at) * 0.5
+    big = norm >= 2.0 ** 1023  # a + a^T may overflow there: halve first
+    if _any(big):
+        h = np.where(big, 0.5, 1.0)
+        a = (a * h + at * h) * (0.5 / h)
+    else:
+        a = (a + at) * 0.5
     n, batched = a.shape[0], a.ndim == 3
     inverse, mn, mx = _invert(n, a.reshape(n * n, -1) if batched else a.ravel().tolist(), batched)
     return SymMatrix(a, np.reshape(inverse, a.shape), mn, mx)

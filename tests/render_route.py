@@ -50,7 +50,7 @@ def render_json(obj, indent: int = 0) -> str:
 
 def inspect(cfg: dict, seed: int = 0):
     """``(stdout, exit code)`` of ``lagmech inspect`` on a config."""
-    sys_ = build_system(cfg, {})
+    sys_ = build_system(cfg)
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", seed))
     results = []
     hit_singular = False

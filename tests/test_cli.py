@@ -305,7 +305,7 @@ def test_finsler_gate_of_samples_agrees_with_verify():
     cfg = {"system": {"n": 2, "lagrangian": "(y1^2 + y2^2) * log(x1)"},
            "samples": {"box_x": [[-1, 2], [-1, 1]], "box_y": [[-1, 1], [-1, 1]],
                        "count": 200}}
-    sys_ = build_system(cfg, {})
+    sys_ = build_system(cfg)
     samples = build_samples(cfg, sys_, 0)
     assert run_verification(sys_, samples)["finsler_mode"] is True
     # Finsler mode draws box samples with fiber norms of at least 0.1
@@ -413,10 +413,9 @@ def test_non_numeric_expression_parameter_is_a_config_error(tmp_path, capsys, pa
     assert main(["classify", cfg, *flags]) == 2
     assert "parameter 'c' must be a number" in capsys.readouterr().err
     # a builtin keeps its string parameters, and an unused one is no error
-    assert build_system({"system": {"builtin": "SYS-E", "params": {"e": -1.0, "base": "EUCLID"}}},
-                        {}).n == 2
-    assert build_system({"system": {"n": 1, "lagrangian": "y1^2", "params": params}},
-                        {"c": "xyz"}).n == 1
+    assert build_system({"system": {"builtin": "SYS-E", "params": {"e": -1.0, "base": "EUCLID"}}}).n == 2
+    assert build_system({"system": {"n": 1, "lagrangian": "y1^2",
+                                    "params": {**params, "c": "xyz"}}}).n == 1
 
 
 _SMOKE_BUILTINS = [
@@ -526,6 +525,33 @@ def test_sys_e_refuses_an_n_its_base_cannot_take(tmp_path, capsys, base, n):
                                                     "samples": {"count": 4}})
         assert main(["classify", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["points_tested"] == 4
+
+
+@pytest.mark.parametrize("system, flags, params", [
+    ({"builtin": "EUCLID", "params": {"n": 2}}, ["--param", "n=4"], {"n": 4}),
+    ({"builtin": "SYS-E", "params": {"e": -1.0, "base": "SYS-C"}}, ["--param", "base=SYS-A"],
+     {"e": -1.0, "base": "SYS-A"}),
+], ids=["EUCLID-n", "SYS-E-base"])
+def test_param_reaches_the_default_sample_box(tmp_path, capsys, system, flags, params):
+    # --param reached the system but not the default box, which kept the
+    # config's dimension: a bare ValueError, exit 1
+    given = write_config(tmp_path, "given.json", {"system": system})
+    written = write_config(tmp_path, "written.json", {"system": dict(system, params=params)})
+    assert main(["classify", written]) == 0
+    expected = capsys.readouterr()
+    assert main(["classify", given, *flags]) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("system", [{"n": 0, "lagrangian": "1"}, {"n": -1, "lagrangian": "1"},
+                                    {"builtin": "EUCLID", "params": {"n": 0}}])
+def test_dimension_below_one_is_a_config_error(tmp_path, capsys, system):
+    # n = 0 was a bare IndexError (exit 1) for an expression system, and
+    # an empty-expression ParseError for EUCLID
+    cfg = write_config(tmp_path, "n0.json", {"system": system,
+                                             "samples": {"points": [{"x": [], "y": []}]}})
+    assert main(["classify", cfg]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def _deep_source(levels, shape):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import tower
 from lagmech.dsl import bind_scalar, parse
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import _invert, eval_jet, sym_invert
+from lagmech.compiled import _EXPR
+from lagmech.jets import _invert, _rank_gate, eval_jet, ipow, sym_invert
 from lagmech.phase import PhasePoint
 from oracle import fd_oracle
 from tower import KDual, push_direction
@@ -332,6 +333,52 @@ def test_importing_the_package_compiles_nothing():
 def test_sym_invert_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_invert(np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sym_invert_of_entries_near_the_float_limit(n):
+    # (a + a^T) * 0.5 overflowed: the entries became inf, the inverse nan,
+    # and the gate let the range (nan, inf) or (nan, nan) through
+    a = np.diag([1.5e308] + [1.0] * (n - 1))
+    for m in (a, np.stack([np.eye(n), a], axis=-1)):
+        with pytest.raises(SingularMetric) as err:
+            sym_invert(m)
+        assert (err.value.min_abs_eigen, err.value.max_abs_eigen) == (1.0, 1.5e308)
+    # a regular one inverts, and the other points of its batch keep their bits
+    big, b = np.diag([1.5e308] + [1e300] * (n - 1)), np.eye(n) + 0.25
+    batch = sym_invert(np.stack([big, b], axis=-1))
+    assert np.array_equal(batch.entries[..., 0], big)
+    assert np.allclose(batch.inverse[..., 0], np.diag(1.0 / np.diag(big)), rtol=1e-12, atol=0.0)
+    assert batch.inverse[..., 1].tobytes() == sym_invert(b).inverse.tobytes()
+
+
+@pytest.mark.parametrize("mn, mx", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+def test_rank_gate_rejects_nan(mn, mx):
+    # nan < 1e-10 * x is false, so a NaN range passed the gate
+    for lo, hi in ((mn, mx), (np.array([1.0, mn]), np.array([1.0, mx]))):
+        with pytest.raises(SingularMetric):
+            _rank_gate(lo, hi)
+
+
+def test_ipow_is_the_compiled_inline_forms():
+    # square-and-multiply groups k = 2, 3, 4 as the compiled programs'
+    # inline forms do, so one algorithm gives their bits
+    rng = np.random.default_rng(3)
+    wide = (rng.uniform(-1.0, 1.0, 3000) * 10.0 ** rng.uniform(-150, 150, 3000)).tolist()
+    wide += [0.0, -0.0, math.inf, -math.inf, math.nan]
+    narrow = rng.uniform(-1.0, 1.0, 300) * 10.0 ** rng.uniform(-60, 60, 300)
+    bits = lambda v: np.float64(v).tobytes()
+    for k in (2, 3, 4):
+        inline = lambda v: eval(_EXPR[k].format("v"), {"v": v})
+        for v in wide:
+            assert bits(ipow(v, k)) == bits(inline(v)), (v, k)
+            if inline(v) == 0.0:
+                with pytest.raises(DomainError):
+                    ipow(v, -k)
+            else:
+                assert bits(ipow(v, -k)) == bits(1.0 / inline(v)), (v, -k)
+        assert ipow(narrow, k).tobytes() == inline(narrow).tobytes()
+        assert ipow(narrow, -k).tobytes() == (1.0 / inline(narrow)).tobytes()
 
 
 def test_sym_invert_product_is_identity(rng):

@@ -233,7 +233,7 @@ def _run(spec, t_end, method, every):
     rel_tol = rel_tol[0] if rel_tol else 1e-10
     cfg = IntegratorConfig(method=method, step=0.02, t_end=t_end, record_every=every,
                            rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
-    return build_system({"system": system}, {}), PhasePoint(x, y), cfg
+    return build_system({"system": system}), PhasePoint(x, y), cfg
 
 
 @pytest.mark.parametrize("name, curve, method, every",
@@ -317,7 +317,7 @@ def test_adaptive_end_rule():
 
 def test_non_finite_force_stops_the_run():
     sys_ = build_system({"system": {"n": 1, "lagrangian": "y1^2",
-                                    "force": ["1e200*y1*1e200"]}}, {})
+                                    "force": ["1e200*y1*1e200"]}})
     for method in ("rk4_fixed", "rk45_adaptive"):
         traj = integrate_evolution(sys_, PhasePoint((0.0,), (1.0,)),
                                    IntegratorConfig(method=method, t_end=0.1))
@@ -446,7 +446,7 @@ def test_stop_records_match_the_jet_route(case, method):
         sys_, p0, cfg = _run(_STOP, 10.0, method, 3)
     else:
         spec, x, y = _LOG_EXIT
-        sys_, p0 = build_system({"system": spec}, {}), PhasePoint(x, y)
+        sys_, p0 = build_system({"system": spec}), PhasePoint(x, y)
         cfg = IntegratorConfig(method=method, step=0.02, t_end=2.0, record_every=3)
     got = integrate_evolution(sys_, p0, cfg)
     ref = trajectory_routes.integrate("evolution", sys_, p0, cfg, jet=True)
@@ -458,7 +458,7 @@ def test_stop_records_match_the_jet_route(case, method):
 def test_geodesic_records_check_the_force():
     # both routes: the record at t=0 evaluates V, which overflows
     sys_ = build_system({"system": {"n": 2, "lagrangian": "y1^2 + y2^2",
-                                    "force": ["1e200*y1*1e200", "0"]}}, {})
+                                    "force": ["1e200*y1*1e200", "0"]}})
     p0 = PhasePoint((0.0, 0.0), (1.0, 0.5))
     cfg = IntegratorConfig(step=0.01, t_end=0.05)
     for traj in (integrate_geodesic(sys_, p0, cfg),
@@ -479,7 +479,7 @@ _LOG_FORCE = {"n": 2, "lagrangian": "y1^2 + y2^2", "force": ["-0.1*y1*log(x1)", 
     ("rk45_adaptive", 0.6, [-0.09999999999999987, 0.29999999999999993]),
 ])
 def test_geodesic_reads_the_force_at_records(method, t, x):
-    sys_ = build_system({"system": _LOG_FORCE}, {})
+    sys_ = build_system({"system": _LOG_FORCE})
     cfg = IntegratorConfig(method=method, step=0.01, t_end=2.0)
     traj = integrate_geodesic(sys_, PhasePoint((0.5, 0.0), (-1.0, 0.5)), cfg)
     assert traj.status == "domain_stop"
@@ -497,7 +497,7 @@ _FIBER_OVERFLOW = {"n": 2, "lagrangian": "(y1^4 + y2^4)^(1/2)", "force": ["1e300
 
 @pytest.mark.parametrize("method", ["rk4_fixed", "rk45_adaptive"])
 def test_zero_section_guard_does_not_overflow(method):
-    sys_ = build_system({"system": _FIBER_OVERFLOW}, {})
+    sys_ = build_system({"system": _FIBER_OVERFLOW})
     p0 = PhasePoint((0.1, 0.2), (0.7, 0.8))
     cfg = IntegratorConfig(method=method, step=0.01, t_end=1.0)
     traj = integrate_evolution(sys_, p0, cfg)
