@@ -28,6 +28,7 @@ import json
 import math
 import sys as _sys
 from dataclasses import fields
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -236,10 +237,9 @@ def build_system(cfg: dict) -> MechanicalSystem:
     params = dict(_section(spec, "params"))
     if "builtin" in spec:
         return _systems.instantiate(str(spec["builtin"]), params)
-    try:
-        n = int(spec["n"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError("expression systems need an integer 'n'") from err
+    if "n" not in spec:
+        raise ConfigError("expression systems need an integer 'n'")
+    n = _integer(spec, "n", None)
     if "lagrangian" not in spec:
         raise ConfigError("expression systems need a 'lagrangian' source")
     return _systems.from_sources(n, str(spec["lagrangian"]), spec.get("force"), params,
@@ -452,6 +452,7 @@ def cmd_simulate(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # one parser a process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lagmech",

@@ -18,7 +18,8 @@ forms point by point, so each point of a batch gets the bits of its
 one-point run.
 
 ``evolution``   L to order 2 and V, the rank gate and inverse (the one
-                gate and inverse, ``jets._invert``), and
+                gate and inverse, ``jets._invert``; run once, at build
+                time, where every metric entry is a finite constant), and
                 x'' = -2 G = -2 (G0 - V/4)
 ``horizontal``  x'' = -N y, the partial of G along y in the direction y
 ``geodesic``    x'' = -gamma^i_jk y^j y^k from d3L/dy dy dx (V is None)
@@ -47,6 +48,7 @@ cache, keyed by kind, the fields' structural keys and order.
 
 from __future__ import annotations
 
+import warnings
 from functools import lru_cache, reduce
 from itertools import islice
 from operator import or_
@@ -54,7 +56,7 @@ from operator import or_
 import numpy as np
 
 from .dsl import Bin, Call, Neg, Num, Var
-from .errors import DomainError
+from .errors import DomainError, SingularMetric
 from .jets import SCALAR_FUNCTIONS, _invert, _power, _real_power, batch_shape, ipow
 
 __all__ = ["program", "run"]
@@ -85,6 +87,24 @@ _EXPR = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{} / {}",
          0: "1.0", 2: "{0} * {0}", 3: "{0} * {0} * {0}", 4: "({0} * {0}) * ({0} * {0})"}
 
 
+def _fold_invert(n, entries):
+    """``_invert``'s inverse, min and max |eig| of the metric whose entry
+    nodes are ``entries``, taken once at build time, where every entry is
+    a finite constant; None where one is not, or where the gate fails,
+    ``_invert`` warns or raises, or a result is not finite: that metric is
+    left to its statement, to fail (or not) at run time as it would."""
+    if any(op != "const" or not abs(v) < np.inf for op, _, v in entries):
+        return None
+    try:
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inverse, mn, mx = _invert(n, [v for _, _, v in entries], False)
+    except (SingularMetric, ArithmeticError, ValueError, Warning):
+        return None
+    out = [*inverse, mn, mx]
+    return out if all(abs(v) < np.inf for v in out) else None
+
+
 class _Dag:
     """The hash-consed nodes ``(op, operands, parameter)`` of one program, its
     memoised partials (None when zero) and its statements, in order."""
@@ -93,7 +113,7 @@ class _Dag:
         self.nodes, self.deps, self.ids, self.partials, self.counts = [], [], {}, {}, {}
         self.lines, self.done, self.guarded, self.solved = [], set(), set(), {}
         self.x, self.y = ([self.node(c, (), i) for i in range(n)] for c in "xy")
-        self.inv = []
+        self.inv, self.g = [], None  # g: the entries of a metric inverted at run time
 
     def node(self, op, kids=(), arg=None):
         key = (op, kids, repr(arg))  # repr tells -0.0 from 0.0
@@ -145,9 +165,9 @@ class _Dag:
         op, kids, arg = self.nodes[i]
         if i in self.solved:  # d(g^-1 u) = g^-1 (du - (dg) g^-1 u)
             row, u, s = self.solved[i]
-            n, g = len(self.x), self.nodes[self.inv[0]][1]
+            n = len(self.x)
             r = self.dot(self.inv[row * n:row * n + n], [self.sub(self.d(u[j], wrt), self.dot(
-                [self.d(g[j * n + k], wrt) for k in range(n)], s)) for j in range(n)])
+                [self.d(self.g[j * n + k], wrt) for k in range(n)], s)) for j in range(n)])
         elif op in ("fn", "term"):  # a runtime exponent does not vary along wrt
             fn, k = (i, 1) if op == "fn" else (kids[0], arg + 1)
             r = self.mul(self.node("term", (fn,), k), self.d(self.nodes[fn][1][0], wrt))
@@ -174,19 +194,26 @@ class _Dag:
     def solve(self, u):
         """Nodes of g^-1 u, g^-1 the inverse this program took, whose partial
         follows d(g^-1) = -g^-1 (dg) g^-1 as d(g^-1 u) = g^-1 (du - (dg) g^-1 u):
-        2 n^2 products a direction, not the 2 n^3 of d(g^-1) itself."""
+        2 n^2 products a direction, not the 2 n^3 of d(g^-1) itself.  A
+        folded (constant) g^-1 is differentiated by the chain rule."""
         n = len(self.x)
         s = tuple(self.dot(self.inv[i * n:i * n + n], u) for i in range(n))
-        self.solved.update((v, (i, tuple(u), s)) for i, v in enumerate(s) if v is not None)
+        if self.g is not None:
+            self.solved.update((v, (i, tuple(u), s)) for i, v in enumerate(s) if v is not None)
         return list(s)
 
     def invert(self, entries):
         """Nodes of the inverse of the symmetric matrix of row-major entry
         nodes, then of its min and max |eig|: one statement, behind the rank
-        gate."""
+        gate, or constants where the gate and inverse fold."""
         n, kids = len(self.x), tuple(self.const(0.0) if e is None else e for e in entries)
+        folded = _fold_invert(n, [self.nodes[k] for k in kids])
+        if folded is not None:
+            out = [self.const(v) for v in folded]
+            self.inv = out[:-2]
+            return out
         out = [self.node("inv", kids, k) for k in [*range(n * n), "min", "max"]]
-        self.inv = out[:-2]
+        self.inv, self.g = out[:-2], kids
         names = [self.name(i) for i in out]
         self.lines.append(f"({', '.join(names[:-2])},), {names[-2]}, {names[-1]} = _invert("
                           f"{n}, ({self.names(kids)},), isinstance(x1, _ndarray))")

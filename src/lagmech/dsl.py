@@ -32,6 +32,7 @@ parentheses, function calls, signs and exponents nested more than
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from dataclasses import dataclass
@@ -304,11 +305,17 @@ def _bound_tree(e: Expr, params: dict):
 
 
 def real_parameter(name: str, value) -> float:
-    """A parameter's value as a float; ConfigError unless it is a real
-    number."""
+    """A parameter's value as a float; ConfigError unless it is a finite
+    real number."""
     if not isinstance(value, numbers.Real):
         raise ConfigError(f"parameter {name!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"parameter {name!r} must be finite, got {value!r}")
+    return number
 
 
 def bind_scalar(e: Expr, n: int, params=None, source: str | None = None) -> ScalarField:

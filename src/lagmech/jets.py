@@ -441,7 +441,9 @@ def _invert(n, e, batched):
     """``(inverse, min |eig|, max |eig|)`` of the symmetric matrix of row-major
     entries e behind the rank gate, the inverse row-major: n * n floats at a
     point, n * n rows of B over a batch (whose entries are (B,) arrays or
-    shared floats).  Float closed forms up to 2x2, point by point; numpy's beyond."""
+    shared floats).  Float closed forms up to 2x2, point by point; numpy's beyond.
+    A compiled program whose metric entries are all finite constants calls
+    it once, when the program is built, and holds its output as constants."""
     if n == 2 and not batched:
         mn, mx = _rank_gate(*_spectrum2(e[0], e[1], e[3]))
         return _inverse2(e[0], e[1], e[3]), mn, mx

@@ -500,13 +500,62 @@ def test_scaled_regular_metric_inverts(tmp_path, capsys, lagrangian, diagonal):
     ({"builtin": "EUCLID", "params": {"n": 2.5}}, [], "parameter 'n' must be a whole number"),
     ({"builtin": "SYS-E", "params": {"e": -1.0, "base": "EUCLID", "n": 2.5}}, [],
      "parameter 'n' must be a whole number"),
-], ids=["SYS-A-c", "SYS-D-e", "SYS-E-e", "EUCLID-n", "EUCLID-n-fraction", "SYS-E-n-fraction"])
+    ({"builtin": "SYS-A", "params": {"c": 0.1}}, ["--param", "c=nan"], "parameter 'c' must be finite"),
+    ({"builtin": "SYS-A", "params": {"c": 0.1}}, ["--param", "c=inf"], "parameter 'c' must be finite"),
+    ({"builtin": "SYS-A", "params": {"c": math.nan}}, [], "parameter 'c' must be finite"),
+    ({"builtin": "SYS-E", "params": {"e": -math.inf, "base": "EUCLID"}}, [],
+     "parameter 'e' must be finite"),
+], ids=["SYS-A-c", "SYS-D-e", "SYS-E-e", "EUCLID-n", "EUCLID-n-fraction", "SYS-E-n-fraction",
+        "SYS-A-c-nan-flag", "SYS-A-c-inf-flag", "SYS-A-c-json-nan", "SYS-E-e-json-inf"])
 def test_builtin_parameter_errors_are_config_errors(tmp_path, capsys, system, flags, detail):
     # a builtin's numeric parameters pass the expression systems' check:
-    # exit 2 with a ConfigError, not a ValueError traceback or a truncated n
+    # exit 2 with a ConfigError, not a ValueError traceback or a truncated
+    # n; a NaN or infinite one ran, and recorded every sample as a failure
     cfg = write_config(tmp_path, "builtin.json", {"system": system})
     assert main(["classify", cfg, *flags]) == 2
     assert detail in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params, flags", [
+    ({"c": 1.0}, ["--param", "c=nan"]), ({"c": 1.0}, ["--param", "c=-inf"]), ({"c": math.nan}, []),
+], ids=["nan-flag", "inf-flag", "json-nan"])
+def test_non_finite_expression_parameter_is_a_config_error(tmp_path, capsys, params, flags):
+    # a NaN or infinite parameter was accepted: classify exited 0 and
+    # recorded every sample as a non-finite field evaluation
+    cfg = write_config(tmp_path, "param.json", {
+        "system": {"n": 1, "lagrangian": "c*y1^2", "params": params},
+        "samples": {"points": [{"x": [0.1], "y": [1.0]}]}})
+    assert main(["classify", cfg, *flags]) == 2
+    assert "parameter 'c' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, detail", [
+    (2.5, "'n' must be an integer, got 2.5"),
+    (math.inf, "'n' must be an integer, got inf"),
+    ("two", "'n' must be a number, got 'two'"),
+    (None, "expression systems need an integer 'n'"),
+])
+def test_expression_dimension_must_be_a_whole_number(tmp_path, capsys, n, detail):
+    # n = 2.5 ran as n = 2 (exit 0), where a builtin's n = 2.5 exits 2, and
+    # n = Infinity ended in a bare OverflowError; a missing n keeps its message
+    system = {"lagrangian": "y1^2 + y2^2", **({} if n is None else {"n": n})}
+    cfg = write_config(tmp_path, "n.json", {
+        "system": system, "samples": {"points": [{"x": [0.1, 0.2], "y": [1.0, 0.5]}]}})
+    assert main(["classify", cfg]) == 2
+    assert detail in capsys.readouterr().err
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    # main builds its parser once a process: a second call with other
+    # flags must print what a fresh process prints, with no flag carried over
+    cfg = write_config(tmp_path, "sys_a.json", {"system": {"builtin": "SYS-A", "params": {"c": 0.1}},
+                                                "samples": {"count": 6, "mode": "random"}})
+    runs = [["--param", "c=0.3", "--seed", "5"], ["--param", "c=-0.2", "--seed", "9"], []]
+    for flags in runs:
+        assert main(["classify", cfg, *flags]) == 0
+        fresh = run_cli("classify", cfg, *flags)
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out == fresh.stdout, flags
 
 
 @pytest.mark.parametrize("base, n", [("SYS-A", 2), ("SYS-B", 3), ("SYS-C", 1)])

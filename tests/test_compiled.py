@@ -2,6 +2,7 @@
 blocks, accelerations and pointwise quantities, and the same errors at
 the same points."""
 
+import json
 import math
 from collections import Counter
 
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 
 import tower
 import trajectory_routes
+from lagmech.cli import main
 from lagmech.compiled import program, run
 from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
 from lagmech.errors import DomainError, SingularMetric
 from lagmech.jets import _invert, sym_invert
 from lagmech.mechanics import MechanicalSystem, PointGeometry, stack_points
 from lagmech.phase import PhasePoint, VerticalField
-from lagmech.systems import catalog, instantiate, standard_samples
+from lagmech.systems import catalog, from_sources, instantiate, standard_samples
 from test_dsl import _guarded_strategy
 
 _TOL = 1e-13
@@ -434,3 +436,121 @@ def test_one_program_serves_random_points_and_curves(lag, force, pts):
     with np.errstate(over="ignore", invalid="ignore"):
         for x1, x2, y1, y2 in pts:
             _assert_point_serves_curve(sys_, PhasePoint((x1, x2), (y1, y2)))
+
+
+# ---------------------------------------------------------------------------
+# a constant metric's gate and inverse fold into the program at build time
+# ---------------------------------------------------------------------------
+
+_KINDS = ("evolution", "horizontal", "geodesic", "point")
+
+
+def _inverts_at_run_time(sys_, kind):
+    return "_invert" in program(kind, sys_.L, None if kind == "geodesic" else sys_.V).__code__.co_names
+
+
+@pytest.mark.parametrize("builtin, params, folds", [
+    ("SYS-A", {"c": 0.1}, True), ("EUCLID", {"n": 1}, True), ("EUCLID", {"n": 3}, True),
+    ("EUCLID", {"n": 6}, True), ("SYS-E", {"e": -1.0, "base": "EUCLID", "n": 6}, True),
+    ("SYS-B", {}, False), ("SYS-D", {"e": -0.5}, False),
+], ids=["SYS-A", "EUCLID1", "EUCLID3", "EUCLID6", "SYS-E6", "SYS-B", "SYS-D"])
+def test_a_constant_metric_is_inverted_at_build_time(builtin, params, folds):
+    # a metric of finite constants is gated and inverted once, when the
+    # program is built; any other keeps the runtime statement
+    sys_ = instantiate(builtin, params)
+    assert [_inverts_at_run_time(sys_, kind) for kind in _KINDS] == [not folds] * len(_KINDS)
+
+
+@pytest.mark.parametrize("system", [
+    (3, "y1^2 + y2^2 + y3^2 + x1*y2 + x2^2*y3", ["-0.1*y1", "0", "0"]),
+    (1, "y1^2 + x1^2*y1", ["-0.1*y1"]),
+], ids=["n3", "n1"])
+def test_gyroscopic_term_over_a_constant_metric_agrees_with_the_tower(system):
+    # g = I folds while the linear-in-y terms keep G0 and N varying: the
+    # partial of g^-1 u must not read g's entries off the folded inverse,
+    # nor, at n = 1 where g^-1 u is u itself, take u's partial as its own
+    sys_ = from_sources(*system)
+    assert not any(_inverts_at_run_time(sys_, kind) for kind in _KINDS)
+    samples = [PhasePoint([0.1 * k - 0.3, 0.2, -0.1 * k][:sys_.n],
+                          [0.7, -0.4 + 0.2 * k, 1.0 - 0.1 * k][:sys_.n]) for k in range(6)]
+    for p in samples:
+        _assert_agree(sys_, p)
+    batch = run("point", sys_.L, sys_.V, stack_points(samples))
+    for lane, p in enumerate(samples):
+        for a, b in zip(batch, run("point", sys_.L, sys_.V, p)):
+            assert np.asarray(a)[..., lane].tobytes() == np.asarray(b, dtype=float).tobytes(), p
+
+
+def _cli(tmp_path, capsys, argv, doc):
+    """``main`` of ``argv`` with the config ``doc`` after the command:
+    the exit code, stdout and stderr."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code = main([argv[0], str(path), *argv[1:]])
+    return (code, *capsys.readouterr())
+
+
+_POINTS3 = [{"x": [0.1, 0.2, -0.3], "y": [0.7, 0.8, 0.5]},
+            {"x": [0.3, -0.2, 0.1], "y": [0.5, -0.8, 1.0]},
+            {"x": [-0.4, 0.1, 0.2], "y": [1.2, 0.3, -0.6]}]
+
+
+def _classify_failures(tmp_path, capsys, system):
+    code, out, _ = _cli(tmp_path, capsys, ["classify"], {"system": system, "samples": {"points": _POINTS3}})
+    assert code == 0
+    return [(f["index"], f["error"], f["detail"]) for f in json.loads(out)["failures"]]
+
+
+def _simulate_status(tmp_path, capsys, system, curves=("evolution", "horizontal")):
+    """The (exit code, status) pairs of simulate over ``curves`` under both
+    integrators."""
+    statuses = set()
+    for curve in curves:
+        for method in ("rk4_fixed", "rk45_adaptive"):
+            code, _, err = _cli(tmp_path, capsys, ["simulate", "--curve", curve], {
+                "system": system, "initial": _POINTS3[0],
+                "integrator": {"method": method, "t_end": 0.2}})
+            statuses.add((code, json.loads(err)["status"]))
+    return statuses
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_constant_singular_metric_fails_at_run_time(tmp_path, capsys):
+    # g = diag(1, 1, 0): the build-time gate fails, so the program keeps
+    # the runtime gate, which fails at every point as before
+    system = {"n": 3, "lagrangian": "y1^2 + y2^2 + 0*y3^2 + x1*y3"}
+    sys_ = from_sources(3, system["lagrangian"])
+    assert all(_inverts_at_run_time(sys_, kind) for kind in _KINDS)
+    detail = "metric rank failure: |eig| range [0.000e+00, 1.000e+00]"
+    assert _classify_failures(tmp_path, capsys, system) == [(i, "SingularMetric", detail) for i in range(3)]
+    assert _simulate_status(tmp_path, capsys, system) == {(3, "singular_metric_stop")}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_infinite_constant_metric_is_a_domain_error(tmp_path, capsys):
+    # d_yy = 2e308 overflows to inf: the finiteness check fails before any
+    # inverse, so the build must not take numpy's eigvalsh of it
+    system = {"n": 3, "lagrangian": "1e308*(y1^2 + y2^2 + y3^2)"}
+    failures = _classify_failures(tmp_path, capsys, system)
+    assert [f[:2] for f in failures] == [(i, "DomainError") for i in range(3)]
+    assert all(f[2].startswith("field evaluation produced a non-finite") for f in failures)
+    assert _simulate_status(tmp_path, capsys, system) == {(3, "domain_stop")}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lagrangian, status", [
+    ("1e-310*(y1^2 + y2^2 + y3^2)", (0, "completed")),
+    ("1e300*(y1^2 + y2^2) + 1e-300*y3^2", (3, "singular_metric_stop")),
+], ids=["subnormal", "ill-conditioned"])
+def test_extreme_scale_constant_metrics_keep_their_outcomes(tmp_path, capsys, lagrangian, status):
+    # g = 1e-310 I inverts to an overflow, so it is left to the runtime
+    # statement; diag(1e300, 1e300, 1e-300) fails the gate at build time
+    system = {"n": 3, "lagrangian": lagrangian}
+    sys_ = from_sources(3, lagrangian)
+    assert all(_inverts_at_run_time(sys_, kind) for kind in _KINDS)
+    failures = _classify_failures(tmp_path, capsys, system)
+    if status[0]:
+        assert [f[:2] for f in failures] == [(i, "SingularMetric") for i in range(3)]
+    else:
+        assert failures == []
+    assert _simulate_status(tmp_path, capsys, system, _KINDS[:3]) == {status}
