@@ -23,6 +23,9 @@ one-point run.
                 x'' = -2 G = -2 (G0 - V/4)
 ``horizontal``  x'' = -N y, the partial of G along y in the direction y
 ``geodesic``    x'' = -gamma^i_jk y^j y^k from d3L/dy dy dx (V is None)
+``record``      E, L, sigma . y and max |Lagrange defect| at z and its
+                acceleration ``a1..an``, V lowered (and, on a geodesic
+                alone, checked) as the curve's own stage would
 ``point``       what :class:`~lagmech.mechanics.PointGeometry` holds:
                 L's blocks and d3L/dy3, g, its inverse and its |eig|
                 range, G0, V, G, sigma = g V, and the y-Jacobians N0,
@@ -34,16 +37,17 @@ one-point run.
                 alone), an exact zero +0.0: what a field's call and
                 ``at`` return
 
-The curve kinds return ``(z', (L, d_x, d_y, d_yy, d_xy, V))``, blocks as
-row-major lists, and ``value`` the list of its values; :func:`run`
-returns any other kind's outputs at a phase point as floats and arrays.
+The curve kinds return z', ``value`` its values as a list and ``record``
+its traces summed as floats sum them; :func:`run` returns any other
+kind's outputs at a phase point as floats and arrays.
 The domain rules are those of the same pass run on a forward-mode tower
 (the tests' reference): L propagated as an order-2 jet (order o for
 ``jet``) and V in floats, each carrying tangents along the seeded
 directions (``value`` in floats alone).  Each node is evaluated behind
 the check the tower makes there and takes the terms of the jets'
 derivative sequence the tower takes.  Programs sit behind one bounded
-cache, keyed by kind, the fields' structural keys and order.
+cache, keyed by kind, the fields' structural keys and a jet's order or
+a record's curve.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ def _fold_fn(f, a, b=None):
 
 _RUNTIME = {"_DomainError": DomainError, "_seq": _seq, "_pow": _power, "_rpow": _real_power,
             "_ipow": ipow, "_invert": _invert, "_ndarray": np.ndarray,
-            "_INF": float("inf"), "_NAN": float("nan")}
+            "_INF": float("inf"), "_NAN": float("nan"),
+            "_max_abs": lambda *el: max(map(abs, el), key=lambda e: (e != e, e))}  # NaN first
 # folding evaluates as the program would; a constant that fails is left
 # to fail, behind its check, at run time
 _FOLD = {"add": lambda _, a, b: a + b, "sub": lambda _, a, b: a - b, "mul": lambda _, a, b: a * b,
@@ -113,6 +118,7 @@ class _Dag:
         self.nodes, self.deps, self.ids, self.partials, self.counts = [], [], {}, {}, {}
         self.lines, self.done, self.guarded, self.solved = [], set(), set(), {}
         self.x, self.y = ([self.node(c, (), i) for i in range(n)] for c in "xy")
+        self.inputs = self.x + self.y
         self.inv, self.g = [], None  # g: the entries of a metric inverted at run time
 
     def node(self, op, kids=(), arg=None):
@@ -155,6 +161,13 @@ class _Dag:
     def dot(self, a, b):
         """sum_m a[m] b[m], left to right."""
         return reduce(self.add, map(self.mul, a, b), None)
+
+    def fdot(self, a, b):
+        """sum_m a[m] b[m] as floats sum it: from +0.0, left to right, with a
+        structural zero (None) a 0.0 term, so that 0 inf is NaN."""
+        z = self.const(0.0)
+        return reduce(lambda s, u: self.node("add", (s, self.node("mul", tuple(
+            z if e is None else e for e in u)))), zip(a, b), z)
 
     def d(self, i, wrt):
         """Node i's partial derivative along ("x", k), ("y", k) or _DIR."""
@@ -227,7 +240,7 @@ class _Dag:
         if op == "const":
             text = repr(v) if abs(v) < np.inf else "_NAN" if v != v else "_INF" if v > 0 else "-_INF"
             return f"({text})" if text.startswith("-") else text
-        return f"{op}{v + 1}" if op in ("x", "y") else f"ginv_{v}" if op == "inv" else \
+        return f"{op}{v + 1}" if op in ("x", "y", "a") else f"ginv_{v}" if op == "inv" else \
             f"v{kids[0]}_{v}" if op == "term" else f"v{i}"
 
     def emit(self, i):
@@ -330,13 +343,13 @@ class _Dag:
 
 # kind: (the order of L's jet, the seeded coordinates); jet's order is its own
 _TOWERS = {"evolution": (2, 0), "horizontal": (2, _Y), "geodesic": (2, _X),
-           "point": (2, _Y), "metric_x": (2, _X)}
+           "record": (2, 0), "point": (2, _Y), "metric_x": (2, _X)}
 
 
-def _build(kind: str, n: int, ltree, vtrees, order):
-    """The DAG of a kind, and its return statement (a curve kind or
-    ``value``) or its output groups, each a list of nodes with the array
-    shape they fill."""
+def _build(kind: str, n: int, ltree, vtrees, arg):
+    """The DAG of a kind, and its return statement (a curve kind, ``record``
+    or ``value``) or its output groups, each a list of nodes with the array
+    shape they fill.  ``arg`` is a jet's order or a record's curve."""
     g, r = _Dag(n), range(n)
     if kind == "value":  # in floats: one field's value, or each component's
         field = "field" if vtrees is None else "force"
@@ -348,7 +361,7 @@ def _build(kind: str, n: int, ltree, vtrees, order):
     if kind != "jet":
         order, seeded = _TOWERS[kind]
     else:
-        order, seeded = (2, _Y) if order == 3 or euler else (order, 0)
+        order, seeded = (2, _Y) if arg == 3 or euler else (arg, 0)
     # the blocks' partials along the seeded directions, as the tower checks them
     wrts = [_DIR] if kind == "horizontal" or euler else \
         [("x" if seeded == _X else "y", k) for k in r] if seeded else []
@@ -358,11 +371,22 @@ def _build(kind: str, n: int, ltree, vtrees, order):
     # d_yy from i <= j only, so that it is bitwise symmetric
     dyy = [g.d(dy[min(i, j)], ("y", max(i, j))) for i in r for j in r] if order > 1 else []
     dxy = [g.d(dy[i], ("x", j)) for i in r for j in r] if order > 1 else []
+    G = [g.mul(v, half) for v in dyy]
+    if kind == "record":  # at z and its acceleration a; the curve's stage checked L there
+        a, rows = [g.node("a", (), i) for i in r], [slice(i * n, i * n + n) for i in r]
+        g.inputs += a
+        V = [g.lower(t, (None, _Y if arg == "horizontal" else 0)) for t in vtrees]
+        if arg == "geodesic":  # whose stage never saw V
+            g.check(V, "force evaluation produced a non-finite value")
+        sigma = [g.fdot(G[row], V) for row in rows]
+        el = [g.sub(g.sub(g.add(g.fdot(dxy[row], g.y), g.fdot(dyy[row], a)), dx[i]), sigma[i])
+              for i, row in enumerate(rows)]
+        traces = [g.sub(g.fdot(g.y, dy), L), L, g.fdot(sigma, g.y)]
+        return g, f"return {g.names(traces)}, _max_abs({g.names(el)})"
     blocks = dx + dy + dyy + dxy
     g.check([L] + [g.d(L, w) for w in wrts], "field evaluation produced a non-finite value")
     g.check(blocks + [g.d(v, w) for w in wrts for v in blocks],
             "field evaluation produced a non-finite derivative")
-    G = [g.mul(v, half) for v in dyy]
     # d_yyy[i, j, k] from its sorted indices, so that it is bitwise totally symmetric
     dyyy = [g.d(dyy[a * n + b], ("y", c)) for i in r for j in r for k in r
             for a, b, c in [sorted((i, j, k))]] if ("y", 0) in wrts else []
@@ -377,7 +401,6 @@ def _build(kind: str, n: int, ltree, vtrees, order):
     if kind == "metric_x":
         return g, [(G, (n, n)), ([g.d(v, ("x", c)) for v in G for c in r], (n, n, n))]
     inv = g.invert(G)
-    seen = f"({g.name(L)}, [{g.names(dx)}], [{g.names(dy)}], [{g.names(dyy)}], [{g.names(dxy)}]"
     ys = g.names(g.y)
     if kind == "geodesic":
         # gamma^i_jk y^j y^k = g^ih (2 dg_hj/dx_k - dg_jk/dx_h) y^j y^k / 2,
@@ -386,7 +409,7 @@ def _build(kind: str, n: int, ltree, vtrees, order):
         s = [g.dot([g.sub(g.mul(g.dot(dg[h][j], g.y), g.const(2.0)),
                           g.dot([dg[j][k][h] for k in r], g.y)) for j in r], g.y) for h in r]
         accel = [g.neg(g.mul(g.dot(inv[i * n:i * n + n], s), half)) for i in r]
-        return g, f"return [{ys}, {g.names(accel)}], {seen}, None)"
+        return g, f"return [{ys}, {g.names(accel)}]"
     dxy_y = [g.dot(dxy[i * n:i * n + n], g.y) for i in r]
     spray0 = [g.mul(v, quarter) for v in g.solve([g.sub(dxy_y[j], dx[j]) for j in r])]
     g.names(spray0)  # before V, as the tower
@@ -407,33 +430,34 @@ def _build(kind: str, n: int, ltree, vtrees, order):
                    (inv[-1:], ()), (spray0, (n,)), (V, (n,)), (spray, (n,)), (sigma, (n,)),
                    (jac(spray0), (n, n)), (jac(V), (n, n)), (jac(spray), (n, n)),
                    (jac(sigma), (n, n)), (jac(s_l[:1]), (n,)), (jac(s_l[1:]), (n,))]
-    return g, f"return [{ys}, {g.names(accel)}], {seen}, [{g.names(V)}])"
+    return g, f"return [{ys}, {g.names(accel)}]"
 
 
 @lru_cache(maxsize=128)
-def _program(kind: str, L, V, order):
+def _program(kind: str, L, V, arg):
     """The ``kind`` program of fields L and V (either may be None) and its
-    output shapes (None for a curve kind).  A field hashes and compares by
-    the structural key it made at construction, so equal trees share a
-    program and a lookup renders no tree."""
-    g, out = _build(kind, (L or V).n, L and L.tree, V and V.trees, order)
+    output shapes (None for a curve kind or ``record``).  A field hashes and
+    compares by the structural key it made at construction, so equal trees
+    share a program and a lookup renders no tree."""
+    g, out = _build(kind, (L or V).n, L and L.tree, V and V.trees, arg)
     shapes = None
     if not isinstance(out, str):  # output groups, as lists
         shapes = [shape for _, shape in out]
         out = "return (" + "".join(f"[{g.names(nodes)}], " for nodes, _ in out) + ")"
     namespace = dict(_RUNTIME)
-    head = ", ".join(g.name(i) for i in g.x + g.y)
+    head = ", ".join(g.name(i) for i in g.inputs)
     src = "\n    ".join([f"def program(z):\n    {head}, = z", *g.lines, out])
     exec(compile(src, "<lagmech compiled program>", "exec"), namespace)
     return namespace["program"], shapes
 
 
-def program(kind: str, L, V=None, order: int = 2):
+def program(kind: str, L, V=None, arg=2):
     """The compiled ``kind`` program of fields L and V, built at its first
     request and shared by equal fields; callers pass V only to the kinds
-    that read it (``evolution``, ``horizontal``, ``point``, ``jet`` for its
-    Euler partials, and ``value`` given V alone)."""
-    return _program(kind, L, V, order)[0]
+    that read it (``evolution``, ``horizontal``, ``record``, ``point``,
+    ``jet`` for its Euler partials, and ``value`` given V alone), and
+    ``arg``, a jet's order or a record's curve."""
+    return _program(kind, L, V, arg)[0]
 
 
 def run(kind: str, L, V, p, order: int = 2) -> list:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import FinslerModeError
+from .errors import DomainError, FinslerModeError
 from .jets import batch_shape, eval_jet, matvec, max_abs, sym_invert, value_of, vecdot, vecmat
 from .mechanics import MechanicalSystem, PointGeometry, _christoffel, _run, each_point, sweep
 from .phase import PhasePoint
@@ -65,13 +65,18 @@ class HomogeneityReport:
 
 
 def _euler_defect(value, d_y, p: PhasePoint) -> float:
-    """|(dL/dy_i) y^i - 2L| from L and dL/dy at ``p`` (per point of a batch)."""
-    return value_of(abs(vecdot(np.array(p.y), d_y) - 2.0 * value))
+    """|(dL/dy_i) y^i - 2L| from L and dL/dy at ``p`` (per point of a batch);
+    a DomainError where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = value_of(abs(vecdot(np.array(p.y), d_y) - 2.0 * value))
+    if not np.isfinite(defect).all():
+        raise DomainError("field evaluation produced a non-finite value")
+    return defect
 
 
 def _fails_euler(defect, value, tol: float = _GATE_TOL):
-    """The Euler test: whether a defect exceeds tol (1 + |L|), per point."""
-    return defect > tol * (1.0 + abs(value))
+    """Whether a defect fails the Euler test, defect <= tol (1 + |L|), per point."""
+    return np.logical_not(defect <= tol * (1.0 + abs(value)))
 
 
 def _probe_values(sys: MechanicalSystem, p: PhasePoint) -> dict:

@@ -20,14 +20,14 @@ with an explicit status instead of propagating non-finite values.
 
 Along every trajectory the energy, Lagrangian, dissipation power and the
 Lagrange-equation residual (the curve's own acceleration substituted)
-are recorded.  A right-hand side is one call of the system's compiled
+are recorded.  A right-hand side is one call of the curve's compiled
 program (:mod:`lagmech.compiled`), built from the bound trees of L and V
-under the same domain rules as every pointwise pass: it returns z' and
-the float blocks of L and V as lists.  The drivers form the stages in
-floats, in numpy's order of operations; a record sums its traces from
-its stage's blocks in order from +0.0 as :func:`lagmech.jets.matvec` (a
-geodesic record runs V's value program, so V is read at records alone),
-and the arrays are built at the end.
+under the same domain rules as every pointwise pass, which returns z';
+the drivers form the stages in floats, in numpy's order of operations.
+A record is one call of the ``record`` program at the recorded state and
+its acceleration, which returns the four traces (a geodesic's record is
+where V is read and checked, at records alone); the arrays are built at
+the end.
 ``Trajectory.stats`` counts what the run did and says where and why it
 stopped.
 """
@@ -37,8 +37,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
 
 import numpy as np
 
@@ -183,43 +181,14 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _route(sys: MechanicalSystem, curve: str):
-    """``(rhs, observe)``: ``rhs(z)`` at a list z is z' and the blocks (L,
-    d_x, d_y, d_yy, d_xy, V; V None on a geodesic) as lists, by the compiled
-    program; ``observe(z, blocks, accel)`` a record's traces."""
-    from .compiled import program  # compiled at the first run, not at import
-
-    n = sys.n
-    rhs = program(curve, sys.L, None if curve == "geodesic" else sys.V)
-
-    # sum_m a[m] b[m] in order from +0.0, as jets._contract
-    dot = lambda a, b: reduce(add, map(mul, a, b), 0.0)  # noqa: E731
-
-    def observe(z, blocks, accel):
-        # energy, Lagrangian, power, and the Lagrange-equation defect with
-        # the curve's acceleration, which vanishes along evolution curves
-        value, d_x, d_y, d_yy, d_xy, v = blocks
-        yv, rows = z[n:], range(0, n * n, n)
-        if v is None:  # a geodesic's pass never saw V
-            v = sys.V(z[:n], yv)
-        sigma = [dot([e * 0.5 for e in d_yy[i:i + n]], v) for i in rows]
-        el = [dot(d_xy[i:i + n], yv) + dot(d_yy[i:i + n], accel) - dx - s
-              for i, dx, s in zip(rows, d_x, sigma)]
-        return (dot(yv, d_y) - value, value, dot(sigma, yv),
-                max(map(abs, el), key=lambda e: (e != e, e)))  # a NaN first, as numpy's max
-
-    return rhs, observe
-
-
 class _Run:
-    """One integration: its right-hand side, the zero-section guard, the
-    records and the stats.  A stage is the pair (z', what its pass saw)
-    at a state z.
+    """One integration: its stage and record programs, the zero-section
+    guard, the records and the stats.  A stage is z' at a state z.
     """
 
-    def __init__(self, sys: MechanicalSystem, route):
+    def __init__(self, sys: MechanicalSystem, programs):
         self.n = sys.n
-        self.rhs, self.observe = route
+        self.rhs, self.traces = programs
         self.guard_fiber = sys.domain_guard == "y_nonzero"
         self.stats = RunStats()
         self.at = (0.0, None)  # time and state of the latest evaluation
@@ -249,8 +218,7 @@ class _Run:
         return f
 
     def record(self, t, z, stage):
-        n = self.n
-        self.rows.append((t, z[:n], z[n:], *self.observe(z, stage[1], stage[0][n:])))
+        self.rows.append((t, z[:self.n], z[self.n:], *self.traces(z + stage[self.n:])))
 
     def stop(self, err):
         t, z = self.at
@@ -276,11 +244,15 @@ class _Run:
         )
 
 
-def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, route):
-    """Integrate from p0 along ``route``, a curve family's name or a
-    ``(rhs, observe)`` pair as :func:`_route` makes."""
+def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, curve, programs=None):
+    """Integrate from p0 along a curve family by its compiled programs (or
+    ``programs`` in their place): the stage, z -> z', and the ``record``,
+    z + z'' -> (E, L, power, defect)."""
+    from .compiled import program  # compiled at the first run, not at import
+
     cfg.validate()
-    run = _Run(sys, _route(sys, route) if isinstance(route, str) else route)
+    run = _Run(sys, programs or (program(curve, sys.L, None if curve == "geodesic" else sys.V),
+                                 program("record", sys.L, sys.V, curve)))
     z = [float(v) for v in p0.x] + [float(v) for v in p0.y]
     status = "completed"
     try:
@@ -297,13 +269,13 @@ def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, rou
     return run.trajectory(status)
 
 
-def _rk4_step(run, t, z, h, f):
-    """One RK4 step of size h from the state z at time t, whose stage f
+def _rk4_step(run, t, z, h, k1):
+    """One RK4 step of size h from the state z at time t, whose stage k1
     is given."""
-    hh, h6, k1 = 0.5 * h, h / 6.0, f[0]
-    k2 = run.stage(t + hh, [a + hh * b for a, b in zip(z, k1)])[0]
-    k3 = run.stage(t + hh, [a + hh * b for a, b in zip(z, k2)])[0]
-    k4 = run.stage(t + h, [a + h * b for a, b in zip(z, k3)])[0]
+    hh, h6 = 0.5 * h, h / 6.0
+    k2 = run.stage(t + hh, [a + hh * b for a, b in zip(z, k1)])
+    k3 = run.stage(t + hh, [a + hh * b for a, b in zip(z, k2)])
+    k4 = run.stage(t + h, [a + h * b for a, b in zip(z, k3)])
     run.stats.accepted += 1
     return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
@@ -366,20 +338,19 @@ def _drive_rk45(run, z, cfg):
         last = cfg.t_end - (t + h) < end_tol
         if last:
             h = cfg.t_end - t
-        ks = [f[0]]
+        ks = [f]
         for i in range(1, 7):
             zi = _combine(z, h, _DP_A[i], ks)
-            f7 = run.stage(t + _DP_C[i] * h, zi)
-            ks.append(f7[0])
+            ks.append(run.stage(t + _DP_C[i] * h, zi))
         # FSAL: the last stage ran at the 5th-order solution; accepted, it
-        # is the next step's first stage and the record's pass
+        # is the next step's first stage and gives the record its acceleration
         z5 = zi
         za, z5a, z4a = np.array([z, z5, _combine(z, h, _DP_B4, ks)])
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(za), np.abs(z5a))
         err = float(np.sqrt(np.mean(((z5a - z4a) / scale) ** 2)))
         if err <= 1.0:
             t = cfg.t_end if last else t + h
-            z, f = z5, f7
+            z, f = z5, ks[-1]
             stats.accepted += 1
             if stats.accepted % cfg.record_every == 0 or last:
                 run.record(t, z, f)

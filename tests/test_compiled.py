@@ -1,6 +1,6 @@
 """Compiled derivative programs against the reference tower: the same
-blocks, accelerations and pointwise quantities, and the same errors at
-the same points."""
+blocks, accelerations, records and pointwise quantities, and the same
+errors at the same points."""
 
 import json
 import math
@@ -17,7 +17,7 @@ from lagmech.cli import main
 from lagmech.compiled import program, run
 from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import _invert, sym_invert
+from lagmech.jets import _invert, matvec, sym_invert, vecdot
 from lagmech.mechanics import MechanicalSystem, PointGeometry, stack_points
 from lagmech.phase import PhasePoint, VerticalField
 from lagmech.systems import catalog, from_sources, instantiate, standard_samples
@@ -29,14 +29,9 @@ _POINT_FIELDS = ("spray0", "V", "spray", "sigma", "conn0", "dV_dy", "conn", "dsi
 
 
 def _jet_route(kind, sys_, p):
-    """The reference tower's acceleration and float pass at p."""
+    """The reference tower's acceleration at p."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "evolution":
-            j, g, yv, v, _, spray = tower.evolution_pass(sys_, p)
-            return -2.0 * spray, j, v
-        accel = {"horizontal": trajectory_routes.horizontal_accel,
-                 "geodesic": trajectory_routes.geodesic_accel}[kind](sys_, p)
-        return accel, None, None
+        return trajectory_routes.ACCEL[kind](sys_, p)
 
 
 def _euler_route(sys_, p):
@@ -100,12 +95,25 @@ def _condition(sys_, p):
     return metric.max_abs_eigen / metric.min_abs_eigen_estimate
 
 
+def _assert_close(got, ref, scale, what):
+    """Each output of ``got`` equals ``ref``'s where that is not finite, and
+    is within ``scale`` (1 + its max |entry|) of it where it is."""
+    for a, b in zip(got, ref):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        finite = np.isfinite(b)
+        assert a.shape == b.shape, what
+        assert np.array_equal(a[~finite], b[~finite], equal_nan=True), what
+        assert np.abs(a[finite] - b[finite]).max(initial=0.0) <= scale * (
+            1.0 + np.abs(b[finite]).max(initial=0.0)), what
+
+
 def _assert_agree(sys_, p, kinds=("evolution", "horizontal", "geodesic"), pointwise=True):
-    """Each compiled program at p against the reference tower: blocks to
-    1e-13 of their size, accelerations and quantities read through the
-    inverse to 1e-13 times the metric's condition number (the inverse
-    amplifies the blocks' rounding), or the same error; with ``pointwise``
-    also every pointwise kind."""
+    """Each compiled program at p against the reference tower: a record's
+    traces (given the curve program's acceleration) to 1e-13 of their
+    size, accelerations and quantities read through the inverse to 1e-13
+    times the metric's condition number (the inverse amplifies the blocks'
+    rounding), or the same error; with ``pointwise`` also every pointwise
+    kind."""
     z = [*p.x, *p.y]
     n = sys_.n
     if pointwise:
@@ -114,35 +122,27 @@ def _assert_agree(sys_, p, kinds=("evolution", "horizontal", "geodesic"), pointw
                 got, err = _outcome(got_fn)
                 ref, ref_err = _outcome(ref_fn)
             assert _same_error(err, ref_err), (kind, p, err, ref_err)
-            if err is not None:
-                continue
-            scale = _TOL * (_condition(sys_, p) if kind == "point" else 1.0)
-            for a, b in zip(got, ref):
+            if err is None:
                 # the Euler pass, as the tower's, does not check V: an
                 # infinite force is an infinite residual
-                a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-                finite = np.isfinite(b)
-                assert a.shape == b.shape, (kind, p)
-                assert np.array_equal(a[~finite], b[~finite], equal_nan=True), (kind, p)
-                assert np.abs(a[finite] - b[finite]).max(initial=0.0) <= scale * (
-                    1.0 + np.abs(b[finite]).max(initial=0.0)), (kind, p)
+                _assert_close(got, ref, _TOL * (_condition(sys_, p) if kind == "point" else 1.0),
+                              (kind, p))
     for kind in kinds:
-        got, err = _outcome(program(kind, sys_.L, None if kind == "geodesic" else sys_.V), z)
-        ref, ref_err = _outcome(_jet_route, kind, sys_, p)
+        zdot, err = _outcome(program(kind, sys_.L, None if kind == "geodesic" else sys_.V), z)
+        accel, ref_err = _outcome(_jet_route, kind, sys_, p)
         assert _same_error(err, ref_err), (kind, p, err, ref_err)
         if err is not None:
             continue
-        zdot, (value, d_x, d_y, d_yy, d_xy, v) = got
-        accel, j, jv = ref
-        if j is not None:
-            blocks = [(value, j.value), (d_x, j.d_x), (d_y, j.d_y), (d_yy, j.d_yy.ravel()),
-                      (d_xy, j.d_xy.ravel()), (v, jv)]
-            for a, b in blocks:
-                a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-                assert np.abs(a - b).max() <= _TOL * (1.0 + np.abs(b).max()), (kind, p)
         cond = _condition(sys_, p)
         a = np.array(zdot[n:])
         assert np.abs(a - accel).max() <= _TOL * cond * (1.0 + np.abs(accel).max()), (kind, p)
+        # the record at z and this acceleration: E, L, power and the defect
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, err = _outcome(program("record", sys_.L, sys_.V, kind), z + zdot[n:])
+            ref, ref_err = _outcome(trajectory_routes.observe, sys_, p, a)
+        assert _same_error(err, ref_err), ("record", kind, p, err, ref_err)
+        if err is None:
+            _assert_close(got, ref, _TOL, ("record", kind, p))
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
@@ -403,18 +403,21 @@ def test_float_gate_and_inverse_match_the_jets():
 
 
 def _assert_point_serves_curve(sys_, p):
-    """At p the evolution program's blocks and acceleration are, bit for
-    bit, the context's jet blocks, V and -2 G: the same DAG helpers build
-    both programs.  (The context's outputs carry +0.0 for an exact zero, so
+    """At p the evolution program's acceleration is, bit for bit, the
+    context's -2 G, and its record's traces those the context's jet blocks
+    and sigma give, each sum ordered from +0.0: the same DAG helpers build
+    the programs.  (The context's outputs carry +0.0 for an exact zero, so
     both sides are compared with their zeros made +0.0.)"""
     try:
-        zdot, (value, d_x, d_y, d_yy, d_xy, v) = program("evolution", sys_.L, sys_.V)([*p.x, *p.y])
+        zdot = program("evolution", sys_.L, sys_.V)([*p.x, *p.y])
+        traces = program("record", sys_.L, sys_.V, "evolution")([*p.x, *p.y, *zdot[sys_.n:]])
         ctx = PointGeometry(sys_, p)
     except (DomainError, SingularMetric):
         return False
-    n, j = sys_.n, ctx.jet
-    pairs = [([value], [j.value]), (d_x, j.d_x), (d_y, j.d_y), (d_yy, j.d_yy.ravel()),
-             (d_xy, j.d_xy.ravel()), (v, ctx.V), (zdot[n:], -2.0 * ctx.spray), (zdot[:n], p.y)]
+    n, j, y = sys_.n, ctx.jet, np.array(p.y)
+    el = matvec(j.d_xy, y) + matvec(j.d_yy, zdot[n:]) - j.d_x - ctx.sigma
+    pairs = [(traces, [ctx.energy, j.value, vecdot(ctx.sigma, y), np.abs(el).max()]),
+             (zdot[n:], -2.0 * ctx.spray), (zdot[:n], p.y)]
     for a, b in pairs:
         a, b = (np.asarray(v, dtype=float) + 0.0 for v in (a, b))
         assert a.tobytes() == b.tobytes(), (p, a, b)

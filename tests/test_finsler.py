@@ -1,19 +1,25 @@
 """Homogeneity gates, Christoffel contraction, Finsler identities."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from lagmech.cli import main
 from lagmech.dsl import bind_scalar, parse
-from lagmech.errors import FinslerModeError
+from lagmech.errors import DomainError, FinslerModeError
 from lagmech.finsler import (
+    _fails_euler,
     christoffel_at,
     finsler_identities,
     homogeneity_report,
+    is_finsler_mode,
     require_finsler_mode,
 )
 from lagmech.mechanics import MechanicalSystem, PointGeometry
 from lagmech.phase import PhasePoint, VerticalField
-from lagmech.systems import instantiate, standard_samples
+from lagmech.systems import from_sources, instantiate, standard_samples
 
 
 def test_homogeneity_quartic_root(sys_c, samples_c):
@@ -116,3 +122,44 @@ def test_euclid_any_dimension_is_finsler():
     pts = standard_samples("EUCLID", {"n": 3}, count=10)
     rep = homogeneity_report(sys_, pts)
     assert rep.accepted
+
+
+# L = c |y|^2 with L and dL/dy finite where (dL/dy) y = 2L overflows: the
+# Euler defect is not finite there, a DomainError, and no numpy warning
+_NON_FINITE = "field evaluation produced a non-finite value"
+_P3 = PhasePoint((0.1, 0.2, -0.3), (0.7, 0.8, 0.5))
+
+
+def test_non_finite_euler_defect_is_a_domain_error():
+    sys_ = from_sources(3, "1e308*(y1^2 + y2^2 + y3^2)")
+    assert not is_finsler_mode(sys_, [_P3])
+    assert [(f["error"], f["detail"]) for f in homogeneity_report(sys_, [_P3]).failures] == [
+        ("DomainError", _NON_FINITE)]
+    with pytest.raises(DomainError, match=_NON_FINITE):
+        require_finsler_mode(sys_, _P3)
+
+
+def test_non_finite_euler_defect_fails_its_point_alone():
+    # at 1e307 the defect overflows at y = (1, 3, 0) only: in a batch with a
+    # finite point, that point fails and the other is tested
+    sys_ = from_sources(3, "1e307*(y1^2 + y2^2 + y3^2)")
+    bad = PhasePoint((0.1, 0.2, -0.3), (1.0, 3.0, 0.0))
+    assert not is_finsler_mode(sys_, [bad]) and is_finsler_mode(sys_, [bad, _P3])
+    for rep in (homogeneity_report(sys_, [_P3, bad]), finsler_identities(sys_, [_P3, bad])):
+        assert rep.points_tested == 1
+        assert [(f["index"], f["detail"]) for f in rep.failures] == [(1, _NON_FINITE)]
+
+
+def test_euler_gate_rejects_a_nan_defect():
+    assert _fails_euler(math.nan, 1.0) and not _fails_euler(0.0, 1.0)
+    defects = np.array([math.nan, 0.0, 1.0])
+    assert _fails_euler(defects, np.ones(3)).tolist() == [True, False, True]
+
+
+def test_geodesic_of_a_non_finite_euler_defect_exits_3(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"system": {"n": 3, "lagrangian": "1e308*(y1^2 + y2^2 + y3^2)"},
+                                "initial": {"x": list(_P3.x), "y": list(_P3.y)},
+                                "integrator": {"t_end": 0.1}}))
+    assert main(["simulate", str(path), "--curve", "geodesic"]) == 3
+    assert capsys.readouterr().err == f"error: {_NON_FINITE}\n"

@@ -9,8 +9,10 @@ import pytest
 
 import lagmech.trajectories as trajectories
 from lagmech.cli import build_system
+from lagmech.compiled import program
+from lagmech.mechanics import PointGeometry, stack_points
 from lagmech.phase import PhasePoint
-from lagmech.systems import instantiate
+from lagmech.systems import from_sources, instantiate
 from lagmech.trajectories import (
     IntegratorConfig,
     Trajectory,
@@ -288,18 +290,19 @@ def test_nan_error_estimate_rejects_the_step(sys_a):
     # keeps doing so: each attempt is rejected with the smallest factor
     # until the step collapses (a NaN estimate must not grow the step)
     calls = Counter()
-    evolution, observe = trajectories._route(sys_a, "evolution")
+    evolution = program("evolution", sys_a.L, sys_a.V)
 
     def rhs(z):
         calls["rhs"] += 1
         assert calls["rhs"] < 2000, "the controller never gives up on a NaN estimate"
         if calls["nan"] or z[0] > 0.5:
             calls["nan"] += 1
-            return np.array([z[1], math.nan]), None
+            return [z[1], math.nan]
         return evolution(z)
 
     cfg = IntegratorConfig(method="rk45_adaptive", t_end=5.0)
-    traj = trajectories._integrate(sys_a, PhasePoint((0.0,), (1.0,)), cfg, (rhs, observe))
+    record = program("record", sys_a.L, sys_a.V, "evolution")
+    traj = trajectories._integrate(sys_a, PhasePoint((0.0,), (1.0,)), cfg, "evolution", (rhs, record))
     assert traj.status == "domain_stop"
     assert traj.stats.stop["detail"] == "adaptive step collapsed"
     assert traj.t[-1] == traj.stats.stop["t"] < 0.6 and np.isfinite(traj.xs).all()
@@ -352,8 +355,8 @@ def _counted_programs(monkeypatch, calls):
 
     build = compiled.program
 
-    def counted_program(kind, L, V):
-        fn = build(kind, L, V)
+    def counted_program(kind, *args):
+        fn = build(kind, *args)
 
         def run(z):
             calls[kind] += 1
@@ -367,8 +370,8 @@ def _counted_programs(monkeypatch, calls):
 @pytest.mark.parametrize("curve", list(INTEGRATE))
 def test_pass_budget(monkeypatch, curve):
     # with every state recorded, a run makes exactly one compiled call per
-    # right-hand side and no pointwise pass but the geodesic's Finsler gate
-    # at the initial point; a geodesic record runs V's value program once
+    # right-hand side and one record call per row, and no pointwise pass but
+    # the geodesic's Finsler gate at the initial point
     import lagmech.compiled as compiled
 
     calls = Counter()
@@ -378,13 +381,14 @@ def test_pass_budget(monkeypatch, curve):
         calls.clear()
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.3, method, 1)
         traj = INTEGRATE[curve](sys_, p0, cfg)
-        geodesic = {"run": 1, "value": len(traj.t)} if curve == "geodesic" else {}
-        assert dict(calls) == {curve: traj.stats.rhs_calls, **geodesic}, method
+        geodesic = {"run": 1} if curve == "geodesic" else {}
+        assert dict(calls) == {curve: traj.stats.rhs_calls, "record": len(traj.t), **geodesic}, method
 
 
 def test_one_compile_per_tree(monkeypatch):
     # two instantiations of SYS-D carry equal trees and share each program,
-    # the geodesic's Finsler gate (an order-1 jet) and its records' V included
+    # the geodesic's Finsler gate (an order-1 jet) and each curve's record
+    # program included
     import lagmech.compiled as compiled
 
     compiled._program.cache_clear()
@@ -400,7 +404,7 @@ def test_one_compile_per_tree(monkeypatch):
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.1, "rk4_fixed", 1)
         for curve in INTEGRATE:
             INTEGRATE[curve](sys_, p0, cfg)
-    assert builds == {"evolution": 1, "horizontal": 1, "geodesic": 1, "jet": 1, "value": 1}
+    assert builds == {"evolution": 1, "horizontal": 1, "geodesic": 1, "jet": 1, "record": 3}
 
 
 @pytest.mark.parametrize("t_end", [0.3, 0.7])
@@ -508,3 +512,92 @@ def test_zero_section_guard_does_not_overflow(method):
     with np.errstate(over="ignore", invalid="ignore"):
         ref = trajectory_routes.integrate("evolution", sys_, p0, cfg)
     assert ref.status == "domain_stop" and ref.t.tobytes() == traj.t.tobytes()
+
+
+# -- a record sums as floats do ------------------------------------------------
+
+# an exact zero power is +0.0 (a sum that started at its first term keeps
+# the sign of a -0.0 product), and an infinite acceleration makes a
+# structural zero of d_yy times it a NaN term of the defect (L's huge x1
+# term over the tiny metric overflows the evolution spray)
+_FLOAT_SUMS = {
+    "signed-zero": ({"n": 2, "lagrangian": "y1^2 + y2^2 - 0*x1*y1", "force": ["-0*y1", "0*x1 - 0.0"]},
+                    (-0.0, 0.0), (1.0, -0.0)),
+    "infinite-acceleration": ({"n": 2, "lagrangian": "1e-300*(y1^2 + y2^2) + 1e10*x1",
+                               "force": ["0", "-0.1*y2"]}, (0.1, 0.2), (0.7, 0.8)),
+}
+
+
+@pytest.mark.parametrize("name, curve", [("signed-zero", "evolution"), ("signed-zero", "horizontal"),
+                                         ("infinite-acceleration", "evolution")])
+def test_records_sum_as_floats(name, curve):
+    sys_, p0, cfg = _run(_FLOAT_SUMS[name], 0.1, "rk4_fixed", 1)
+    got = INTEGRATE[curve](sys_, p0, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = trajectory_routes.integrate(curve, sys_, p0, cfg)
+    for key in ("t", "xs", "ys", "energy", "lagrangian", "power", "el_residual"):
+        assert getattr(got, key).tobytes() == getattr(ref, key).tobytes(), key
+    if name == "signed-zero":
+        assert got.status == "completed" and not np.signbit(got.power).any()
+    else:
+        assert got.status == "domain_stop" and np.isnan(got.el_residual).all() and len(got.t) == 1
+
+
+# -- record cadence: a sparser run records the same rows ---------------------
+
+
+@pytest.mark.parametrize("name, curve, method", sorted({
+    (name, curve, method) for name, curve, method, _ in _GRID
+    if name in ("SYS-D", "SYS-E/EUCLID6", "EVERY-FUNCTION")}))
+def test_record_every_keeps_each_row(name, curve, method):
+    # record_every only thins the records: each row of a completed run at 3
+    # is, byte for byte, the row at the same t of the run at 1
+    dense, sparse = (INTEGRATE[curve](*_run(_RUNS[name], 0.5, method, every)) for every in (1, 3))
+    assert dense.status == sparse.status == "completed"
+    rows = {t: k for k, t in enumerate(dense.t.tolist())}
+    assert set(sparse.t.tolist()) <= set(rows) and len(sparse.t) < len(dense.t)
+    for key in ("t", "xs", "ys", "energy", "lagrangian", "power", "el_residual"):
+        a, b = getattr(sparse, key), getattr(dense, key)
+        assert a.tobytes() == b[[rows[t] for t in sparse.t.tolist()]].tobytes(), key
+
+
+# -- curve oracles: the rates of L and E along horizontal curves -------------
+
+_SYS_B = "(1 + x1^2)*y1^2 + y2^2"
+_ZERO_HOMOGENEOUS = [f"-0.5*y{i}*(y1^2 + y2^2)^(-1/2)" for i in (1, 2)]
+
+
+def _horizontal_rates(force, step):
+    """A horizontal curve of SYS-B's L with ``force``, and the errors of the
+    rates of its recorded L and E (second-order differences, as in
+    energy_audit) against horizontal_dL . y and horizontal_dE . y at its
+    states, with those pointwise rates."""
+    sys_ = from_sources(2, _SYS_B, force)
+    traj = integrate_horizontal(sys_, PhasePoint((0.3, -0.2), (0.8, 0.5)),
+                                IntegratorConfig(step=step, t_end=1.0))
+    assert traj.status == "completed"
+    ctx = PointGeometry(sys_, stack_points([PhasePoint(x, y) for x, y in
+                                            zip(traj.xs.tolist(), traj.ys.tolist())]))
+    rates = [(d * traj.ys.T).sum(axis=0) for d in (ctx.horizontal_dL(), ctx.horizontal_dE())]
+    errors = [np.abs(np.gradient(trace, traj.t, edge_order=2) - rate).max()
+              for trace, rate in zip((traj.lagrangian, traj.energy), rates)]
+    return traj, errors, rates
+
+
+def test_horizontal_rates_of_L_and_E():
+    # dL/dt = (dL/dx_i - N^j_i dL/dy_j) y^i along x'' = -N y, and so for E:
+    # the differences' error falls 4x as the step halves
+    coarse, fine = (_horizontal_rates(["-0.1*y1", "0.2*y2*x1"], h)[1] for h in (0.02, 0.01))
+    for e1, e2 in zip(coarse, fine):
+        assert e2 <= 2e-7 and 3.5 <= e1 / e2 <= 4.5
+
+
+def test_zero_homogeneous_force_keeps_L_and_E_on_a_moving_horizontal_curve():
+    # a zero-homogeneous force on a Finsler L: the horizontal curve turns,
+    # both rates vanish at every state, and E's drift falls at RK4's order
+    runs = [_horizontal_rates(_ZERO_HOMOGENEOUS, h) for h in (0.02, 0.01)]
+    for traj, errors, rates in runs:
+        assert np.abs(traj.ys[-1] - traj.ys[0]).max() > 0.2
+        assert max(np.abs(r).max() for r in rates) <= 1e-15 and max(errors) <= 1e-8
+    drift = [np.abs(traj.energy - traj.energy[0]).max() for traj, _, _ in runs]
+    assert drift[1] <= drift[0] / 8.0 and drift[0] <= 1e-9

@@ -8,10 +8,11 @@ Both take :class:`~lagmech.trajectories.IntegratorConfig` and return a
 of a run that did not complete: the error, its detail and the state of
 the evaluation that raised (the current state for a collapsed adaptive
 step), without its time.  By default they read the engine's
-accelerations and blocks (``_route``, the compiled programs) and compute
-the traces from those blocks with numpy and the jets' contractions
-(:func:`contract_traces`), so a test can compare the engine's drivers
-and its float records with them bit for bit.  With ``jet=True`` they
+accelerations (the compiled curve programs) and compute the traces with
+numpy and the jets' contractions from L's blocks by the order-2 ``jet``
+program and V as the curve's stage reads it (:func:`contract_traces`),
+so a test can compare the engine's drivers and its compiled records with
+them bit for bit.  With ``jet=True`` they
 read the jet route instead, the engine's reference for the compiled
 programs: the reference tower's float evolution pass, a push of it along
 y, and its Christoffel symbols (:mod:`tower`).
@@ -21,11 +22,12 @@ import math
 
 import numpy as np
 
+from lagmech.compiled import program, run
 from lagmech.errors import DomainError, SingularMetric
 from lagmech.finsler import require_finsler_mode
 from lagmech.jets import matvec, vecdot
 from lagmech.phase import PhasePoint
-from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, RunStats, Trajectory, _route
+from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, RunStats, Trajectory
 from tower import call, christoffel, push_direction
 from tower import evolution_pass as _evolution_pass
 
@@ -66,15 +68,19 @@ def observe(sys, p, accel):
     return energy, float(j.value), power, float(np.abs(el).max())
 
 
-def contract_traces(sys, z, blocks, accel):
-    """E, L, power and the Lagrange defect from a stage's blocks (row-major
-    lists, V None on a geodesic), by numpy and ``jets._contract``: the form
-    the engine's records took before they summed in floats."""
+def contract_traces(sys, curve, z, accel):
+    """E, L, power and the Lagrange defect at z with the acceleration accel,
+    by numpy and ``jets._contract``, from L's blocks by the order-2 ``jet``
+    program (row-major lists) and V as the curve's stage reads it: the
+    value for evolution curves and geodesics, the ``point`` program's,
+    pushed along y, for horizontal curves."""
     n = sys.n
-    value, d_x, d_y, d_yy, d_xy, v = blocks
-    z = np.asarray(z)
-    d_yy, d_xy, yv, zl = np.reshape(d_yy, (n, n)), np.reshape(d_xy, (n, n)), z[n:], z.tolist()
-    if v is None:  # a geodesic's pass never saw V
+    zl = np.asarray(z).tolist()
+    value, d_x, d_y, d_yy, d_xy = (np.array(b) for b in program("jet", sys.L, None, 2)(zl)[:5])
+    d_yy, d_xy, yv, value = d_yy.reshape(n, n), d_xy.reshape(n, n), np.array(zl[n:]), value[0]
+    if curve == "horizontal":
+        v = run("point", sys.L, sys.V, PhasePoint(zl[:n], zl[n:]))[11]
+    else:
         v = call(sys.V, zl[:n], zl[n:])
         if not all(map(math.isfinite, v)):
             raise DomainError("force evaluation produced a non-finite value")
@@ -98,14 +104,13 @@ def integrate(curve, sys, p0, cfg, jet=False) -> Trajectory:
             p = PhasePoint(z[:n], z[n:])
             return observe(sys, p, None if curve == "evolution" else accel(z))
     else:
-        route_rhs = _route(sys, curve)[0]
+        stage = program(curve, sys.L, None if curve == "geodesic" else sys.V)
 
         def accel(z):
-            return route_rhs(z.tolist())[0][n:]
+            return stage(z.tolist())[n:]
 
         def traces(z):
-            zdot, seen = route_rhs(z.tolist())
-            return contract_traces(sys, z, seen, zdot[n:])
+            return contract_traces(sys, curve, z, accel(z))
 
     at = [None]  # the state of the latest evaluation
 
