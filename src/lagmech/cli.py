@@ -190,10 +190,11 @@ def _section(cfg: dict, key: str, kind: type = dict):
 
 
 def _number(spec: dict, key: str, default) -> float:
-    """``spec[key]`` (``default`` when absent) as a float."""
+    """``spec[key]`` (``default`` when absent) as a float; a JSON boolean is
+    not a number."""
     value = spec.get(key, default)
     try:
-        return float(value)
+        return float(value if not isinstance(value, bool) else None)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from err
 
@@ -202,7 +203,7 @@ def _integer(spec: dict, key: str, default: int) -> int:
     """``spec[key]`` (``default`` when absent) as an int; a fractional or
     non-finite value is an error, not truncated."""
     value = spec.get(key, default)
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     number = _number(spec, key, default)
     if not number.is_integer():

@@ -28,11 +28,17 @@ one-point run.
                 alone, checked) as the curve's own stage would
 ``point``       what :class:`~lagmech.mechanics.PointGeometry` holds:
                 L's blocks and d3L/dy3, g, its inverse and its |eig|
-                range, G0, V, G, sigma = g V, and the y-Jacobians N0,
-                dV/dy, N, dsigma/dy, dS(L)/dy and dS0(L)/dy
-``metric_x``    g and dg/dx
-``jet``         L to order 0..3, with no inverse; given V, order 2 and
-                the partials of d_yy and V along y in the direction y
+                range, G0, V, G, sigma = g V, the y-Jacobians N0,
+                dV/dy, N, dsigma/dy, dS(L)/dy and dS0(L)/dy, E and
+                sigma . y
+``residuals``   a report's values (arg ``verify``, ``identities`` or
+                ``context``), after the point program's checks, the
+                identities' Euler test and the metric_x program's checks
+``metric_x``    g, dg/dx and, behind the rank gate, the Christoffel symbols
+``jet``         L to order 0..3, with no inverse
+``euler``       |(dL/dy) y - 2 L|, checked finite, and L, from L to order
+                1; given V, to order 2 with the max |partial| of d_yy / 2
+                and of V along y in the direction y
 ``value``       one field's value, or each force component's (given V
                 alone), an exact zero +0.0: what a field's call and
                 ``at`` return
@@ -46,22 +52,23 @@ The domain rules are those of the same pass run on a forward-mode tower
 directions (``value`` in floats alone).  Each node is evaluated behind
 the check the tower makes there and takes the terms of the jets'
 derivative sequence the tower takes.  Programs sit behind one bounded
-cache, keyed by kind, the fields' structural keys and a jet's order or
-a record's curve.
+cache, keyed by kind, the fields' structural keys and the arg: a jet's
+or Euler test's order, a record's curve or a report.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import islice
-from operator import or_
+from operator import attrgetter, or_
 
 import numpy as np
 
 from .dsl import Bin, Call, Neg, Num, Var
 from .errors import DomainError, SingularMetric
 from .jets import SCALAR_FUNCTIONS, _invert, _power, _real_power, batch_shape, ipow
+from .phase import PhasePoint
 
 __all__ = ["program", "run"]
 
@@ -79,15 +86,30 @@ def _fold_fn(f, a, b=None):
             else _seq(f, 1, a))[0]
 
 
+def _max_abs(*el):
+    """max |e| over the entries, NaN first, as ``np.abs(a).max()`` propagates
+    NaN: a float, or per point where an entry is a batch's array."""
+    if any(isinstance(e, np.ndarray) for e in el):
+        return np.abs(np.array(np.broadcast_arrays(*el))).max(axis=0)
+    return max(map(abs, el), key=lambda e: (e != e, e))
+
+
+def _euler_gate(defect, value, z):
+    """The Euler test of :mod:`lagmech.finsler` at the phase point z."""
+    from .finsler import _require_euler
+
+    _require_euler(defect, value, PhasePoint(z[:len(z) // 2], z[len(z) // 2:]))
+
+
 _RUNTIME = {"_DomainError": DomainError, "_seq": _seq, "_pow": _power, "_rpow": _real_power,
             "_ipow": ipow, "_invert": _invert, "_ndarray": np.ndarray,
-            "_INF": float("inf"), "_NAN": float("nan"),
-            "_max_abs": lambda *el: max(map(abs, el), key=lambda e: (e != e, e))}  # NaN first
+            "_INF": float("inf"), "_NAN": float("nan"), "_max_abs": _max_abs,
+            "_euler_gate": _euler_gate}
 # folding evaluates as the program would; a constant that fails is left
 # to fail, behind its check, at run time
 _FOLD = {"add": lambda _, a, b: a + b, "sub": lambda _, a, b: a - b, "mul": lambda _, a, b: a * b,
          "div": lambda _, a, b: a / b, "neg": lambda _, a: -a, "ipow": lambda k, a: ipow(a, k),
-         "fn": _fold_fn}
+         "fn": _fold_fn, "maxabs": lambda _, *a: _max_abs(*a)}
 _EXPR = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{} / {}", "neg": "-{}",
          0: "1.0", 2: "{0} * {0}", 3: "{0} * {0} * {0}", 4: "({0} * {0}) * ({0} * {0})"}
 
@@ -163,8 +185,10 @@ class _Dag:
         return reduce(self.add, map(self.mul, a, b), None)
 
     def fdot(self, a, b):
-        """sum_m a[m] b[m] as floats sum it: from +0.0, left to right, with a
-        structural zero (None) a 0.0 term, so that 0 inf is NaN."""
+        """sum_m a[m] b[m] as floats sum it, the rule of every tensor sum of a
+        report or a record: from +0.0, left to right, a structural zero (None)
+        a 0.0 term, so that 0 inf is NaN (ordered recursive summation; Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, 4.1)."""
         z = self.const(0.0)
         return reduce(lambda s, u: self.node("add", (s, self.node("mul", tuple(
             z if e is None else e for e in u)))), zip(a, b), z)
@@ -270,6 +294,8 @@ class _Dag:
             self.lines.append(f"{outs}= {call}")
         elif op == "ipow":
             self.lines.append(f"v{i} = " + _EXPR.get(arg, f"_ipow({{}}, {arg})").format(*a))
+        elif op == "maxabs":
+            self.lines.append(f"v{i} = _max_abs({', '.join(a)})")
         else:
             self.lines.append(f"v{i} = " + _EXPR[op].format(*a))
         self.done.add(i)
@@ -327,6 +353,15 @@ class _Dag:
         self.emit(i)
         return i
 
+    def deepen(self, fns):
+        """Run each function node of ``fns`` (L's, as an order-2 jet) that
+        depends on x and took three terms again to four, as the metric_x
+        program does: its fourth term's checks, after every statement so far."""
+        for i in fns:
+            if self.counts[i] == 3 and self.deps[i] & _X:
+                self.counts[i] = 4
+                self.statement(i)
+
     def check(self, nodes, message):
         """Raise DomainError(message) unless every node is finite."""
         nodes = [i for i in dict.fromkeys(nodes) if i is not None and not (
@@ -341,15 +376,174 @@ class _Dag:
         return ", ".join(self.name(i) for i in nodes)
 
 
-# kind: (the order of L's jet, the seeded coordinates); jet's order is its own
+def _operator(op, swap=False):
+    return lambda s, *o: s.op(op, *o, s) if swap else s.op(op, s, *o)
+
+
+class _Node:
+    """A node of a :class:`_Dag` (None: a structural zero) as a number:
+    ``+ - * /`` and unary ``-`` build nodes by the DAG's rules, a float a
+    constant, so an object array of them takes a tensor formula as numpy
+    writes it."""
+
+    __slots__ = ("dag", "i")
+
+    def __init__(self, dag, i):
+        self.dag, self.i = dag, i
+
+    def op(self, name, *args):
+        return _Node(self.dag, getattr(self.dag, name)(*(
+            a.i if isinstance(a, _Node) else self.dag.const(a) for a in args)))
+
+    __add__, __radd__ = _operator("add"), _operator("add", True)
+    __sub__, __rsub__ = _operator("sub"), _operator("sub", True)
+    __mul__, __rmul__ = _operator("mul"), _operator("mul", True)
+    __truediv__ = _operator("div")  # by 1 + a maximum: never by a zero
+    __neg__ = _operator("neg")
+
+
+class _Geometry:
+    """The ``point`` program's nodes as tensors (object arrays of
+    :class:`_Node`) and the tensor formulas the reports read, each lowered
+    once, when first read, with the bits of the formula on float arrays: a
+    contraction is :meth:`_Dag.fdot`'s sum, and a structural zero is skipped
+    only where a float operation would give a zero (whose sign the outputs
+    drop)."""
+
+    def __init__(self, dag, **parts):
+        self.dag, self.n = dag, len(dag.x)
+        self.update(y=(dag.y, (self.n,)), **parts)
+
+    def update(self, **parts):
+        """Set each part, ``(nodes, shape)``, as a tensor."""
+        for name, (nodes, shape) in parts.items():
+            setattr(self, name, self.tensor(nodes, shape))
+
+    def tensor(self, nodes, shape):
+        """An object array of the nodes (of structural zeros, given none)."""
+        a = np.empty(shape, dtype=object)
+        a.flat = [_Node(self.dag, i) for i in nodes] or [_Node(self.dag, None)]
+        return a[()] if not shape else a
+
+    def contract(self, a, b):
+        """sum_m a[..., m] b[m, ...]."""
+        k, out = a.ndim - 1, np.empty(a.shape[:-1] + b.shape[1:], dtype=object)
+        for i in np.ndindex(out.shape):
+            out[i] = _Node(self.dag, self.dag.fdot([e.i for e in a[i[:k]]],
+                                                   [e.i for e in b[(slice(None),) + i[k:]]]))
+        return out[()] if not out.shape else out
+
+    def peak(self, a):
+        """max |a| over its entries, NaN first."""
+        kids = tuple(e.i for e in np.ravel(a) if e.i is not None)
+        return _Node(self.dag, self.dag.node("maxabs", kids or (self.dag.const(0.0),)))
+
+    energy = cached_property(lambda q: q.contract(q.y, q.dy) - q.L)
+    power = cached_property(lambda q: q.contract(q.sigma, q.y))
+    euler_defect = cached_property(lambda q: q.peak(q.contract(q.y, q.dy) - 2.0 * q.L))
+    # (dE/dx, dE/dy), and as one vector
+    de = cached_property(lambda q: (q.contract(q.y, q.dxy) - q.dx, q.contract(q.y, q.dyy)))
+    dE = cached_property(lambda q: np.concatenate(q.de))
+    # the antisymmetrized mixed block of the Cartan 2-form
+    mixed = cached_property(lambda q: (q.dxy - q.dxy.T) * 0.5)
+    gbar = cached_property(lambda q: (q.dsigma_dy + q.dsigma_dy.T) * 0.25)
+    helicoidal = cached_property(lambda q: (q.dsigma_dy - q.dsigma_dy.T) * 0.5)
+
+    def sode(self, spray, sigma=None):
+        """max |i_S omega + dE (- sigma)| over the 2n basis vectors, S having
+        the natural components (y, -2 spray) and sigma acting on x-slots."""
+        res_x = (self.contract(self.G, spray * (-2.0)) * 2.0
+                 + self.contract(self.mixed, self.y) * 2.0 + self.de[0])
+        if sigma is not None:
+            res_x = res_x - sigma
+        return self.peak(np.concatenate([res_x, self.contract(self.G, self.y) * (-2.0)
+                                         + self.de[1]]))
+
+    evolution_equation_residual = cached_property(lambda q: q.sode(q.spray, q.sigma))
+    # max |S(dL/dy) - dL/dx - sigma| along the evolution semispray
+    lie_theta_residual = cached_property(lambda q: q.peak(
+        q.contract(q.dxy, q.y) - 2.0 * q.contract(q.dyy, q.spray) - q.dx - q.sigma))
+    symplectic_defect = cached_property(lambda q: q.peak(q.horizontal_two_form(q.conn)))
+
+    def horizontal_two_form(self, conn):
+        """omega(delta_i, delta_k), delta_i = (e_i, -N[:, i]): 2 (g N - (g N)^T) + a^T - a."""
+        gn = self.contract(self.G, conn)
+        return 2.0 * (gn - gn.T) + (self.mixed.T - self.mixed)
+
+    @cached_property
+    def dg_dx(self):
+        return self.tensor([self.dag.d(v.i, ("x", c)) for v in self.G.flat for c in range(self.n)],
+                           (self.n,) * 3)
+
+    @cached_property
+    def christoffel(self):
+        d = self.dg_dx
+        return 0.5 * self.contract(self.ginv, d + d.transpose(0, 2, 1) - d.transpose(2, 0, 1))
+
+    def dyn_cov_deriv_g(self, spray, conn):
+        gn = self.contract(self.G, conn)
+        return (self.contract(self.dg_dx, self.y) - self.contract(self.dyyy, spray)) - gn - gn.T
+
+    horizontal_dL = cached_property(lambda q: q.dx - q.contract(q.dy, q.conn))
+    horizontal_dE = cached_property(lambda q: q.de[0] - q.contract(q.de[1], q.conn))
+    # the force-only form of the horizontal dE of a 2-homogeneous L
+    slope = cached_property(lambda q: 0.5 * q.contract(q.contract(q.G, q.y), q.dV_dy))
+    horizontal_dE_closed = cached_property(lambda q: 2.0 * q.contract(
+        q.G, 2.0 * q.spray0 - q.contract(q.conn0, q.y)) + q.slope)
+    gamma_yy = cached_property(lambda q: q.contract(q.contract(q.christoffel, q.y), q.y))
+    lagrangian_condition = cached_property(lambda q: q.contract(q.contract(q.dV_dy, q.y), q.dy)
+                                           + 2.0 * q.contract(q.dS0L_dy, q.y))
+    energy_condition = cached_property(lambda q: 2.0 * q.contract(q.horizontal_dE_closed, q.y))
+
+
+# each ``residuals`` report (the program's arg): its per-point values by
+# name, in output order
+_REPORTS = {
+    "context": {name: attrgetter(name) for name in (
+        "dE", "dg_dx", "christoffel", "horizontal_dL", "horizontal_dE", "horizontal_dE_closed",
+        "evolution_equation_residual", "lie_theta_residual", "symplectic_defect",
+        "lagrangian_condition", "energy_condition")},
+    "verify": {
+        "canonical_spray_equation": lambda q: q.sode(q.spray0),
+        "evolution_spray_equation": attrgetter("evolution_equation_residual"),
+        "cartan_form_transport": attrgetter("lie_theta_residual"),
+        "canonical_metricity": lambda q: q.peak(q.dyn_cov_deriv_g(q.spray0, q.conn0))
+        / (1.0 + q.peak(q.G)),
+        "canonical_horizontal_two_form": lambda q: q.peak(q.horizontal_two_form(q.conn0)),
+        "metric_derivative_agreement": lambda q: q.peak(
+            q.gbar - q.dyn_cov_deriv_g(q.spray, q.conn)),
+        "symplectic_vs_helicoidal": lambda q: q.peak(q.horizontal_two_form(q.conn) + q.helicoidal),
+        "lagrangian_horizontal_routes": lambda q: q.peak(
+            q.horizontal_dL - (q.dSL_dy - q.sigma) * 0.5),
+        "energy_horizontal_routes": lambda q: q.peak(q.horizontal_dE - q.horizontal_dE_closed),
+        "christoffel_contraction": lambda q: q.peak(q.gamma_yy - 2.0 * q.spray0),
+        "finsler_energy_formula": lambda q: q.peak(q.horizontal_dE - q.slope),
+    },
+    "identities": {
+        "energy_residual": lambda q: q.peak(q.energy - q.L) / (1.0 + q.peak(q.L)),
+        "spray_homogeneity_residual": lambda q: q.peak(
+            2.0 * q.spray0 - q.contract(q.conn0, q.y)),
+        "energy_slope_residual": lambda q: q.peak(q.horizontal_dE - q.slope),
+        "christoffel_residual": lambda q: q.peak(q.gamma_yy - 2.0 * q.spray0),
+    },
+}
+
+# kind: (the order of L's jet, the seeded coordinates); jet's order is its
+# arg, as is euler's (1, or 2 with the partials along y itself)
 _TOWERS = {"evolution": (2, 0), "horizontal": (2, _Y), "geodesic": (2, _X),
-           "record": (2, 0), "point": (2, _Y), "metric_x": (2, _X)}
+           "record": (2, 0), "point": (2, _Y), "metric_x": (2, _X), "residuals": (2, _Y)}
+
+
+def _groups(values) -> list:
+    """Output groups of tensors and scalars of nodes."""
+    return [([e.i for e in np.ravel(v)], np.shape(v)) for v in values]
 
 
 def _build(kind: str, n: int, ltree, vtrees, arg):
     """The DAG of a kind, and its return statement (a curve kind, ``record``
     or ``value``) or its output groups, each a list of nodes with the array
-    shape they fill.  ``arg`` is a jet's order or a record's curve."""
+    shape they fill.  ``arg`` is a jet's order, a record's curve or a
+    ``residuals`` program's report."""
     g, r = _Dag(n), range(n)
     if kind == "value":  # in floats: one field's value, or each component's
         field = "field" if vtrees is None else "force"
@@ -357,50 +551,52 @@ def _build(kind: str, n: int, ltree, vtrees, arg):
         g.check(values, f"{field} evaluation produced a non-finite value")
         out = [f"{g.names([v])} + 0.0" for v in values]  # an exact zero as +0.0, as run gives it
         return g, f"return [{', '.join(out)}]"
-    euler = kind == "jet" and vtrees is not None
-    if kind != "jet":
-        order, seeded = _TOWERS[kind]
+    if kind in ("jet", "euler"):
+        order, seeded = (2, _Y) if arg == 3 or kind == "euler" and arg == 2 else (arg, 0)
     else:
-        order, seeded = (2, _Y) if arg == 3 or euler else (arg, 0)
+        order, seeded = _TOWERS[kind]
     # the blocks' partials along the seeded directions, as the tower checks them
-    wrts = [_DIR] if kind == "horizontal" or euler else \
+    wrts = [_DIR] if kind == "horizontal" or kind == "euler" and arg == 2 else \
         [("x" if seeded == _X else "y", k) for k in r] if seeded else []
     half, quarter = g.const(0.5), g.const(0.25)
     L = g.lower(ltree, (order, seeded))
+    fns = list(g.counts)  # L's function nodes
     dx, dy = ([g.d(L, (c, i)) for i in r] if order else [] for c in "xy")
     # d_yy from i <= j only, so that it is bitwise symmetric
     dyy = [g.d(dy[min(i, j)], ("y", max(i, j))) for i in r for j in r] if order > 1 else []
     dxy = [g.d(dy[i], ("x", j)) for i in r for j in r] if order > 1 else []
     G = [g.mul(v, half) for v in dyy]
+    q = _Geometry(g, L=([L], ()), dx=(dx, (n,)), dy=(dy, (n,)), dyy=(dyy, (n, n)),
+                  dxy=(dxy, (n, n)), G=(G, (n, n)))
     if kind == "record":  # at z and its acceleration a; the curve's stage checked L there
-        a, rows = [g.node("a", (), i) for i in r], [slice(i * n, i * n + n) for i in r]
+        a = [g.node("a", (), i) for i in r]
         g.inputs += a
         V = [g.lower(t, (None, _Y if arg == "horizontal" else 0)) for t in vtrees]
         if arg == "geodesic":  # whose stage never saw V
             g.check(V, "force evaluation produced a non-finite value")
-        sigma = [g.fdot(G[row], V) for row in rows]
-        el = [g.sub(g.sub(g.add(g.fdot(dxy[row], g.y), g.fdot(dyy[row], a)), dx[i]), sigma[i])
-              for i, row in enumerate(rows)]
-        traces = [g.sub(g.fdot(g.y, dy), L), L, g.fdot(sigma, g.y)]
-        return g, f"return {g.names(traces)}, _max_abs({g.names(el)})"
+        q.update(a=(a, (n,)), V=(V, (n,)))
+        sigma = q.contract(q.G, q.V)
+        el = q.contract(q.dxy, q.y) + q.contract(q.dyy, q.a) - q.dx - sigma
+        return g, f"return {g.names([q.energy.i, L, q.contract(sigma, q.y).i, q.peak(el).i])}"
     blocks = dx + dy + dyy + dxy
     g.check([L] + [g.d(L, w) for w in wrts], "field evaluation produced a non-finite value")
     g.check(blocks + [g.d(v, w) for w in wrts for v in blocks],
             "field evaluation produced a non-finite derivative")
     # d_yyy[i, j, k] from its sorted indices, so that it is bitwise totally symmetric
-    dyyy = [g.d(dyy[a * n + b], ("y", c)) for i in r for j in r for k in r
-            for a, b, c in [sorted((i, j, k))]] if ("y", 0) in wrts else []
-    if kind == "jet" and not euler:
-        zero = [None] * n
-        return g, [([L], ()), (dx or zero, (n,)), (dy or zero, (n,)), (dyy or zero * n, (n, n)),
-                   (dxy or zero * n, (n, n)), (dyyy or zero * n * n, (n, n, n))]
-    if euler:
-        V = [g.lower(t, (None, seeded)) for t in vtrees]
-        return g, [([L], ()), (dy, (n,)), ([g.mul(g.d(v, _DIR), half) for v in dyy], (n, n)),
-                   ([g.d(v, _DIR) for v in V], (n,))]
-    if kind == "metric_x":
-        return g, [(G, (n, n)), ([g.d(v, ("x", c)) for v in G for c in r], (n, n, n))]
+    q.update(dyyy=([g.d(dyy[a * n + b], ("y", c)) for i in r for j in r for k in r
+                    for a, b, c in [sorted((i, j, k))]] if ("y", 0) in wrts else [], (n, n, n)))
+    if kind == "jet":
+        return g, _groups([q.L, q.dx, q.dy, q.dyy, q.dxy, q.dyyy])
+    if kind == "euler":  # the Euler test of L; given V, max |(dg/dy) y| and max |(dV/dy) y|
+        V = [g.lower(t, (None, seeded)) for t in vtrees or ()]
+        g.check([q.euler_defect.i], "field evaluation produced a non-finite value")
+        return g, _groups([q.euler_defect, q.L] + ([] if vtrees is None else [
+            q.peak(q.tensor([g.mul(g.d(v, _DIR), half) for v in dyy], (n, n))),
+            q.peak(q.tensor([g.d(v, _DIR) for v in V], (n,)))]))
     inv = g.invert(G)
+    q.update(ginv=(inv[:-2], (n, n)), mn=(inv[-2:-1], ()), mx=(inv[-1:], ()))
+    if kind == "metric_x":
+        return g, _groups([q.G, q.dg_dx, q.christoffel])
     ys = g.names(g.y)
     if kind == "geodesic":
         # gamma^i_jk y^j y^k = g^ih (2 dg_hj/dx_k - dg_jk/dx_h) y^j y^k / 2,
@@ -417,20 +613,30 @@ def _build(kind: str, n: int, ltree, vtrees, arg):
     g.check(V + [g.d(v, w) for w in wrts for v in V],
             "force evaluation produced a non-finite value")
     spray = [g.sub(spray0[i], g.mul(V[i], quarter)) for i in r]
-    if kind == "evolution":
-        accel = [g.mul(g.const(-2.0), s) for s in spray]
-    elif kind == "horizontal":
-        accel = [g.neg(g.d(s, _DIR)) for s in spray]
-    else:
-        sigma = [g.dot(G[i * n:i * n + n], V) for i in r]
-        s_l = [g.sub(g.dot(g.y, dx), g.mul(g.const(2.0), g.dot(w, dy))) for w in (spray, spray0)]
-        jac = lambda w: [g.d(v, ("y", k)) for v in w for k in r]  # noqa: E731
-        return g, [([L], ()), (dx, (n,)), (dy, (n,)), (dyy, (n, n)), (dxy, (n, n)),
-                   (dyyy, (n, n, n)), (G, (n, n)), (inv[:-2], (n, n)), (inv[-2:-1], ()),
-                   (inv[-1:], ()), (spray0, (n,)), (V, (n,)), (spray, (n,)), (sigma, (n,)),
-                   (jac(spray0), (n, n)), (jac(V), (n, n)), (jac(spray), (n, n)),
-                   (jac(sigma), (n, n)), (jac(s_l[:1]), (n,)), (jac(s_l[1:]), (n,))]
-    return g, f"return [{ys}, {g.names(accel)}]"
+    if kind in ("evolution", "horizontal"):
+        accel = [g.mul(g.const(-2.0), s) if kind == "evolution" else g.neg(g.d(s, _DIR))
+                 for s in spray]
+        return g, f"return [{ys}, {g.names(accel)}]"
+    sigma = [g.dot(G[i * n:i * n + n], V) for i in r]
+    s_l = [g.sub(g.dot(g.y, dx), g.mul(g.const(2.0), g.dot(w, dy))) for w in (spray, spray0)]
+    jac = lambda w: [g.d(v, ("y", k)) for v in w for k in r]  # noqa: E731
+    q.update(spray0=(spray0, (n,)), V=(V, (n,)), spray=(spray, (n,)), sigma=(sigma, (n,)),
+             conn0=(jac(spray0), (n, n)), dV_dy=(jac(V), (n, n)), conn=(jac(spray), (n, n)),
+             dsigma_dy=(jac(sigma), (n, n)), dSL_dy=(jac(s_l[:1]), (n,)),
+             dS0L_dy=(jac(s_l[1:]), (n,)))
+    if kind == "point":
+        return g, _groups([q.L, q.dx, q.dy, q.dyy, q.dxy, q.dyyy, q.G, q.ginv, q.mn, q.mx,
+                           q.spray0, q.V, q.spray, q.sigma, q.conn0, q.dV_dy, q.conn,
+                           q.dsigma_dy, q.dSL_dy, q.dS0L_dy, q.energy, q.power])
+    # a report: the point program's checks; for the identities, the Euler
+    # test; then the checks of the metric_x program that g's x-partials read
+    if arg == "identities":
+        g.check([q.euler_defect.i], "field evaluation produced a non-finite value")
+        g.lines.append(f"_euler_gate({g.names([q.euler_defect.i, L])}, z)")
+    g.deepen(fns)
+    g.check([g.d(v, ("x", k)) for k in r for v in blocks],
+            "field evaluation produced a non-finite derivative")
+    return g, _groups([value(q) for value in _REPORTS[arg].values()])
 
 
 @lru_cache(maxsize=128)
@@ -455,27 +661,30 @@ def program(kind: str, L, V=None, arg=2):
     """The compiled ``kind`` program of fields L and V, built at its first
     request and shared by equal fields; callers pass V only to the kinds
     that read it (``evolution``, ``horizontal``, ``record``, ``point``,
-    ``jet`` for its Euler partials, and ``value`` given V alone), and
-    ``arg``, a jet's order or a record's curve."""
+    ``residuals``, ``euler`` for its partials along y, and ``value`` given
+    V alone), and ``arg``, a jet's or an Euler test's order, a record's
+    curve or a report."""
     return _program(kind, L, V, arg)[0]
 
 
-def run(kind: str, L, V, p, order: int = 2) -> list:
+def run(kind: str, L, V, p, arg=2) -> list:
     """The outputs of the ``kind`` program at the phase point ``p``: a float
     or an array per output group at one point, and over a batch (``p``'s
-    coordinates (B,) arrays) each with a trailing point axis.  An exact
-    zero is +0.0, as the contractions of :mod:`lagmech.jets` give it."""
-    fn, shapes = _program(kind, L, V, order)
+    coordinates (B,) arrays) each with a trailing point axis, a report's by
+    name.  An exact zero is +0.0, as a sum of float products from +0.0
+    gives it."""
+    fn, shapes = _program(kind, L, V, arg)
     out = fn([*p.x, *p.y])
     lanes = batch_shape(p)
     if not lanes:
-        return [vals[0] + 0.0 if not shape else np.array(vals).reshape(shape) + 0.0
-                for vals, shape in zip(out, shapes)]
-    arrays = []
-    for vals, shape in zip(out, shapes):
-        a = np.empty((len(vals),) + lanes)
-        for k, v in enumerate(vals):
-            a[k] = v
-        a += 0.0
-        arrays.append(a.reshape(shape + lanes))
-    return arrays
+        values = [vals[0] + 0.0 if not shape else np.array(vals).reshape(shape) + 0.0
+                  for vals, shape in zip(out, shapes)]
+    else:
+        values = []
+        for vals, shape in zip(out, shapes):
+            a = np.empty((len(vals),) + lanes)
+            for k, v in enumerate(vals):
+                a[k] = v
+            a += 0.0
+            values.append(a.reshape(shape + lanes))
+    return dict(zip(_REPORTS[arg], values)) if kind == "residuals" else values

@@ -306,8 +306,8 @@ def _bound_tree(e: Expr, params: dict):
 
 def real_parameter(name: str, value) -> float:
     """A parameter's value as a float; ConfigError unless it is a finite
-    real number."""
-    if not isinstance(value, numbers.Real):
+    real number (a JSON boolean is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"parameter {name!r} must be a number, got {value!r}")
     try:
         number = float(value)

@@ -13,22 +13,22 @@ spray contracts out of the formal Christoffel symbols of g,
 and for a zero-homogeneous force the evolution horizontal curves drop
 the force term, so the energy is constant along them.
 
-The Euler tests run the compiled ``jet`` program (order 1 for the mode
+The Euler tests run the compiled ``euler`` program (order 1 for the mode
 gate; order 2 with the partials along y in the direction y for
 :func:`homogeneity_report`), which does not invert the metric, so a
-singular metric does not fail them; the Christoffel symbols read g and
-dg/dx from the ``metric_x`` program (:mod:`lagmech.compiled`).
+singular metric does not fail them; :func:`christoffel_at` runs the
+``metric_x`` program and :func:`finsler_identities` the ``residuals``
+program's ``identities`` report (:mod:`lagmech.compiled`).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, FinslerModeError
-from .jets import batch_shape, eval_jet, matvec, max_abs, sym_invert, value_of, vecdot, vecmat
-from .mechanics import MechanicalSystem, PointGeometry, _christoffel, _run, each_point, sweep
+from .errors import FinslerModeError
+from .mechanics import MechanicalSystem, _run, each_point, sweep
 from .phase import PhasePoint
 
 __all__ = [
@@ -64,14 +64,10 @@ class HomogeneityReport:
         return asdict(self)
 
 
-def _euler_defect(value, d_y, p: PhasePoint) -> float:
-    """|(dL/dy_i) y^i - 2L| from L and dL/dy at ``p`` (per point of a batch);
-    a DomainError where it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = value_of(abs(vecdot(np.array(p.y), d_y) - 2.0 * value))
-    if not np.isfinite(defect).all():
-        raise DomainError("field evaluation produced a non-finite value")
-    return defect
+def _maxima(report, worst) -> dict:
+    """A report's ``*_residual`` fields: the sweep's maxima, 0.0 where no
+    point was tested."""
+    return {f.name: worst.get(f.name, 0.0) for f in fields(report) if f.name.endswith("_residual")}
 
 
 def _fails_euler(defect, value, tol: float = _GATE_TOL):
@@ -80,8 +76,8 @@ def _fails_euler(defect, value, tol: float = _GATE_TOL):
 
 
 def _probe_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
-    value, _, d_y = _run("jet", sys.L, None, p, 1)[:3]
-    return {"defect": _euler_defect(value, d_y, p), "value": value}
+    defect, value = _run("euler", sys.L, None, p, 1)
+    return {"defect": defect, "value": value}
 
 
 def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bool:
@@ -107,33 +103,24 @@ def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bo
     return tested > 0
 
 
-def _require_euler(j, p: PhasePoint):
-    """Raise FinslerModeError unless a jet of L at ``p`` passes the Euler
-    test (at every point of a batch)."""
-    res = _euler_defect(j.value, j.d_y, p)
-    bad = _fails_euler(res, j.value)
-    if isinstance(bad, np.ndarray):
-        if bad.any():
-            raise FinslerModeError(
-                f"Lagrangian is not 2-homogeneous at {int(bad.sum())} of {bad.size} points")
-    elif bad:
-        raise FinslerModeError(
-            f"Lagrangian is not 2-homogeneous at {p} (Euler defect {res:.3e})"
-        )
+def _require_euler(defect, value, p: PhasePoint):
+    """Raise FinslerModeError unless L passes the Euler test at ``p`` (at
+    every point of a batch), given its Euler defect and value there."""
+    bad = _fails_euler(defect, value)
+    if bad.any():
+        where = f"{int(bad.sum())} of {bad.size} points" if bad.ndim else \
+            f"{p} (Euler defect {defect:.3e})"
+        raise FinslerModeError(f"Lagrangian is not 2-homogeneous at {where}")
 
 
 def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint):
     """Gate an operation on the homogeneity of L at a reference point."""
-    _require_euler(eval_jet(sys.L, p, order=1), p)
+    _require_euler(*_run("euler", sys.L, None, p, 1), p)
 
 
 def _euler_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
-    b = bool(batch_shape(p))
-    value, d_y, dg_y, dv_y = _run("jet", sys.L, sys.V, p)
-    lag = _euler_defect(value, d_y, p)
-    return {"lagrangian_residual": lag,
-            "metric_residual": max_abs(dg_y, b),
-            "force_residual": max_abs(dv_y, b),
+    lag, value, metric, force = _run("euler", sys.L, sys.V, p)
+    return {"lagrangian_residual": lag, "metric_residual": metric, "force_residual": force,
             "rejected": _fails_euler(lag, value)}
 
 
@@ -147,14 +134,8 @@ def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
     and (dV/dy) y.
     """
     worst, tested, failures = sweep(samples, lambda p: _euler_values(sys, p))
-    return HomogeneityReport(
-        lagrangian_residual=worst.get("lagrangian_residual", 0.0),
-        metric_residual=worst.get("metric_residual", 0.0),
-        force_residual=worst.get("force_residual", 0.0),
-        points_tested=tested,
-        accepted=tested > 0 and not worst["rejected"],
-        failures=failures,
-    )
+    return HomogeneityReport(**_maxima(HomogeneityReport, worst), points_tested=tested,
+                             accepted=tested > 0 and not worst["rejected"], failures=failures)
 
 
 def christoffel_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
@@ -165,8 +146,7 @@ def christoffel_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     homogeneous L these contract to the canonical spray:
     gamma^i_jk y^j y^k = 2 G0^i.
     """
-    g, dgdx = _run("metric_x", sys.L, None, p)
-    return _christoffel(sym_invert(g).inverse, dgdx)
+    return _run("metric_x", sys.L, None, p)[2]
 
 
 @dataclass
@@ -190,36 +170,9 @@ class FinslerIdentityReport:
         return asdict(self)
 
 
-def _finsler_residuals(ctx: PointGeometry) -> tuple:
-    """The 2-homogeneity identities at a context, as finsler_identities and
-    verify report them: max |gamma y y - 2 G0| and max |dE_h - (g y)^T dV/dy / 2|."""
-    yv = ctx.y
-    slope = 0.5 * vecmat(matvec(ctx.metric.entries, yv), ctx.dV_dy)
-    return (ctx.peak(matvec(matvec(ctx.christoffel, yv), yv) - 2.0 * ctx.spray0),
-            ctx.peak(ctx.horizontal_dE() - slope))
-
-
-def _identity_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
-    ctx = PointGeometry(sys, p)
-    _require_euler(ctx.jet, p)
-    lv = value_of(ctx.jet.value)
-    christoffel, energy_slope = _finsler_residuals(ctx)
-    return {
-        "energy_residual": abs(ctx.energy - lv) / (1.0 + abs(lv)),
-        "spray_homogeneity_residual": ctx.peak(2.0 * ctx.spray0 - matvec(ctx.conn0, ctx.y)),
-        "energy_slope_residual": energy_slope,
-        "christoffel_residual": christoffel,
-    }
-
-
 def finsler_identities(sys: MechanicalSystem, samples) -> FinslerIdentityReport:
     """Verify the identities forced by 2-homogeneity over a sample set."""
-    worst, tested, failures = sweep(samples, lambda p: _identity_values(sys, p))
-    return FinslerIdentityReport(
-        energy_residual=worst.get("energy_residual", 0.0),
-        spray_homogeneity_residual=worst.get("spray_homogeneity_residual", 0.0),
-        energy_slope_residual=worst.get("energy_slope_residual", 0.0),
-        christoffel_residual=worst.get("christoffel_residual", 0.0),
-        points_tested=tested,
-        failures=failures,
-    )
+    worst, tested, failures = sweep(
+        samples, lambda p: _run("residuals", sys.L, sys.V, p, "identities"))
+    return FinslerIdentityReport(**_maxima(FinslerIdentityReport, worst), points_tested=tested,
+                                 failures=failures)

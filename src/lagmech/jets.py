@@ -1,5 +1,4 @@
-"""Jet blocks, the elementary functions, contractions and small dense
-linear algebra.
+"""Jet blocks, the elementary functions and small dense linear algebra.
 
 A :class:`Jet` is the record of one scalar field's derivatives at a
 point: the value, the first derivatives in x and y, the second
@@ -17,14 +16,9 @@ their terms from these sequences.
 
 A quantity may also hold a batch of B points, with the point axis after
 the value axes: values are (B,), blocks (n, B) or (n, n, B).  The
-contractions :func:`matvec`, :func:`vecmat`, :func:`vecdot` and
-:func:`matmat` are one rule, :func:`_contract`: a left-to-right sum of
-elementwise products started at +0.0, which runs the same IEEE
-operations on each point whatever the batch size, so a point gets the
-bits of its one-point contraction by construction (ordered recursive
-summation; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-ed., 2002, sec. 4.1).  :func:`_invert` is the one gate and inverse of a
-metric, which the compiled programs and :func:`sym_invert` call.
+tensor algebra built on the blocks is lowered into the compiled
+programs.  :func:`_invert` is the one gate and inverse of a metric,
+which the compiled programs and :func:`sym_invert` call.
 """
 
 from __future__ import annotations
@@ -43,13 +37,7 @@ __all__ = [
     "SymMatrix",
     "eval_jet",
     "sym_invert",
-    "value_of",
     "batch_shape",
-    "matvec",
-    "vecmat",
-    "vecdot",
-    "matmat",
-    "max_abs",
     "ipow",
     "SCALAR_FUNCTIONS",
 ]
@@ -67,79 +55,6 @@ def _each(fn, v, *args):
     if isinstance(v, np.ndarray):
         return np.array([fn(e, *args) for e in v.ravel().tolist()]).reshape(v.shape)
     return fn(v, *args)
-
-
-# ---------------------------------------------------------------------------
-# contractions: one rule for a point and a batch
-# ---------------------------------------------------------------------------
-
-
-def _expand(x, r: int, after: int, lanes: int):
-    """``x`` (core rank ``r``) with ``after`` unit axes after its core axes
-    and, when it has no point axes, ``lanes`` unit ones."""
-    pad = (None,) * lanes if x.ndim == r else ()
-    if not (after or pad):
-        return x
-    return x[(slice(None),) * r + (None,) * after + (Ellipsis,) + pad]
-
-
-def _ordered(terms, axis: int):
-    """The sum of ``terms`` along ``axis``, left to right from +0.0, so an
-    exact zero is +0.0 (a sum that started at its first term would keep
-    the sign of a -0.0 product)."""
-    total, head = 0.0, (slice(None),) * axis
-    for m in range(terms.shape[axis]):
-        total = total + terms[head + (m,)]
-    return total
-
-
-def _contract(a, b, ra, rb):
-    """Contract the last of a's ``ra`` core axes with the first of b's
-    ``rb``: sum_m a[.., m] b[m, ..], whose result has a's other core axes,
-    then b's.  Point axes trail the core axes of either operand or of
-    both; a rank given as None is what leaves that operand the other's
-    point axes.  Each term is one elementwise product, and the terms are
-    summed by :func:`_ordered`."""
-    av, bv = np.asarray(a), np.asarray(b)
-    ra = av.ndim - bv.ndim + rb if ra is None else ra
-    rb = bv.ndim - av.ndim + ra if rb is None else rb
-    lanes = max(av.ndim - ra, bv.ndim - rb)
-    # (a's others, m, unit axes for b's others, points) times (m, b's others, points)
-    return _ordered(_expand(av, ra, rb - 1, lanes) * _expand(bv, rb, 0, lanes), ra - 1)
-
-
-def matvec(a, v):
-    """``a @ v``: a matrix, or a tensor whose last core axis is contracted,
-    times a vector; ``a`` carries the point axes ``v`` carries."""
-    return _contract(a, v, None, 1)
-
-
-def vecmat(v, a):
-    """``v @ a``: a vector times a matrix or tensor; as :func:`matvec`."""
-    return _contract(v, a, 1, None)
-
-
-def vecdot(u, v):
-    """``u @ v`` of two vectors."""
-    return _contract(u, v, 1, 1)
-
-
-def matmat(a, b):
-    """``a @ b`` of two matrices."""
-    return _contract(a, b, 2, 2)
-
-
-def max_abs(a, batched: bool = False):
-    """max |a| as a float, or per point (over the leading core axes) when
-    ``batched``."""
-    if batched:
-        return np.abs(a).max(axis=tuple(range(np.ndim(a) - 1)))
-    return float(np.abs(a).max())
-
-
-def value_of(v):
-    """A scalar as a float, or over a batch as its (B,) array."""
-    return v if isinstance(v, np.ndarray) else float(v)
 
 
 def batch_shape(p: PhasePoint) -> tuple:
@@ -164,8 +79,11 @@ def _sqrt(v):
     if _any(v == 0.0):
         raise DomainError("sqrt requires a positive argument for derivatives")
     yield 0.5 / s
-    yield -0.25 / (s * v)
-    yield 0.375 / (s * v * v)
+    for c in (-0.25, 0.375):  # c / (s v), c / (s v v)
+        s = s * v
+        if _any(s == 0.0):
+            raise DomainError("sqrt's derivative overflows")
+        yield c / s
 
 
 def _trig(fn, v):

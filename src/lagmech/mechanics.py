@@ -20,16 +20,15 @@ All of it comes from one pass: the jet of L, the metric, y, V, G0 and G
 at a point.  :class:`PointGeometry` runs the compiled ``point`` program
 (:mod:`lagmech.compiled`) once, which yields the values together with
 every fiber Jacobian (N0, dV/dy, N, dsigma/dy, d3L/dy3) as partials of
-the same DAG the trajectories' programs are built from; position
-derivatives of g are evaluated only when read.
+the same DAG the trajectories' programs are built from; the residuals,
+horizontal derivatives and position derivatives of g are lowered on
+that DAG too, and evaluated only when read.
 
 A context holds one point or a batch of B points (a phase point whose
 coordinates are (B,) arrays, see :func:`stack_points`).  Over a batch
 the point axis comes last: scalars are (B,), vectors (n, B), matrices
-(n, n, B).  The program runs the same operations on each entry of an
-array as on a float, and each contraction is one ordered sum per entry
-(see :mod:`lagmech.jets`), so a point gets the bits of its one-point
-context.
+(n, n, B).  The programs run the same operations on each entry of an
+array as on a float, so a point gets the bits of its one-point context.
 :func:`sweep` evaluates the samples in chunks of up to 256 points, one
 batched context per chunk.  A chunk that raises SingularMetric,
 DomainError or FinslerModeError is retried in blocks of 16 points, and
@@ -53,8 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
-from .jets import (Jet, SymMatrix, _contract, batch_shape, matmat, matvec, max_abs, value_of,
-                   vecdot, vecmat)
+from .jets import Jet, SymMatrix, batch_shape
 from .phase import PhasePoint, ScalarField, VerticalField
 
 __all__ = [
@@ -104,54 +102,34 @@ class MechanicalSystem:
         )
 
 
-def _run(kind: str, L, V, p: PhasePoint, order: int = 2) -> list:
+def _run(kind: str, L, V, p: PhasePoint, arg=2):
     """:func:`lagmech.compiled.run`, imported at the first pass so that
     importing the package compiles none of it."""
     from .compiled import run
 
-    return run(kind, L, V, p, order)
+    return run(kind, L, V, p, arg)
 
 
-def _energy_parts(j: Jet, yv):
-    """E and its x- and y-differentials from a jet of L."""
-    return vecdot(yv, j.d_y) - j.value, vecmat(yv, j.d_xy) - j.d_x, vecmat(yv, j.d_yy)
+def _contract(a, b, ra: int):
+    """sum_m a[.., m] b[m, ..] of two float arrays with the same point axes
+    (none at a point), m being the last of a's ``ra`` core axes and b's
+    first: the terms summed left to right from +0.0, as the compiled
+    programs sum them."""
+    others = b.ndim - (a.ndim - ra) - 1  # b's core axes besides m
+    a = a.reshape(a.shape[:ra] + (1,) * others + a.shape[ra:])
+    total = 0.0
+    for m in range(a.shape[ra - 1]):
+        total = total + a[(slice(None),) * (ra - 1) + (m,)] * b[m]
+    return total
 
 
-def _two_form_pieces(j: Jet):
-    g = j.d_yy * 0.5
-    a = (j.d_xy - j.d_xy.swapaxes(0, 1)) * 0.5
-    return g, a
+def _member(name: str, doc: str):
+    """A context member of no argument that the ``context`` report gives."""
+    def member(self):
+        return self._lowered[name]
 
-
-def _sode_residual(j: Jet, yv, spray, sigma=None) -> float:
-    """Max residual of i_S omega = -dE (+ sigma) over the 2n basis vectors.
-
-    S has natural components (y, -2 spray); sigma acts on x-slots only.
-    """
-    g, a = _two_form_pieces(j)
-    _, de_x, de_y = _energy_parts(j, yv)
-    sy = spray * (-2.0)
-    res_x = matvec(g, sy) * 2.0 + matvec(a, yv) * 2.0 + de_x
-    if sigma is not None:
-        res_x = res_x - sigma
-    res_y = matvec(g, yv) * (-2.0) + de_y
-    return max_abs(np.concatenate([res_x, res_y]), yv.ndim == 2)
-
-
-def _christoffel(ginv, dgdx):
-    """gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h)."""
-    rest = tuple(range(3, dgdx.ndim))  # the point axis of a batch
-    a = dgdx + dgdx.transpose((0, 2, 1) + rest) - dgdx.transpose((2, 0, 1) + rest)
-    return 0.5 * _contract(ginv, a, 2, 3)
-
-
-def _horizontal_two_form(j: Jet, conn) -> np.ndarray:
-    """omega(delta_i, delta_k) on the horizontal basis delta_i = (e_i, -N[:, i])
-    of a connection, as an n x n array (n x n x B over a batch), in closed
-    form: 2 (g N - (g N)^T) + a^T - a, exactly antisymmetric."""
-    g, a = _two_form_pieces(j)
-    gn = matmat(g, conn)
-    return 2.0 * (gn - gn.swapaxes(0, 1)) + (a.swapaxes(0, 1) - a)
+    member.__name__, member.__doc__ = name, doc
+    return member
 
 
 class PointGeometry:
@@ -159,30 +137,29 @@ class PointGeometry:
     at each point of a batch.
 
     The compiled ``point`` program runs once.  It gives ``jet`` (L to
-    order 3), ``metric``, ``y``, ``V``, ``spray0`` (G0), ``spray`` (G) and
-    ``sigma``, and their fiber Jacobians: ``conn0`` (N0), ``dV_dy``,
-    ``conn`` (N), ``dsigma_dy`` (J), ``dSL_dy`` and ``dS0L_dy`` (of S(L)
-    along G and G0), and ``d_yyy`` (d3L/dy3, four times the Cartan
-    tensor).  The symmetric quarter of J is the dynamical covariant
-    derivative of g along the evolution pair, its antisymmetric half the
-    helicoidal tensor: 4 gbar_ij = J_ij + J_ji, 2 F_ij = J_ij - J_ji.
+    order 3), ``metric``, ``y``, ``V``, ``spray0`` (G0), ``spray`` (G),
+    ``sigma``, ``energy``, ``power`` and the fiber Jacobians: ``conn0``
+    (N0), ``dV_dy``, ``conn`` (N), ``dsigma_dy`` (J), ``dSL_dy`` and
+    ``dS0L_dy`` (of S(L) along G and G0), and ``d_yyy`` (d3L/dy3, four
+    times the Cartan tensor).  The symmetric quarter of J is the dynamical
+    covariant derivative of g along the evolution pair, its antisymmetric
+    half the helicoidal tensor: 4 gbar_ij = J_ij + J_ji, 2 F_ij = J_ij - J_ji.
 
-    One more pass runs only when read: ``dg_dx`` (the ``metric_x``
-    program), for the Christoffel symbols and the dynamical derivative
-    of g.
+    One more pass runs only when read (the compiled ``residuals`` program's
+    ``context`` report, which fails where the ``point`` program or the
+    x-derivative pass of g would): ``dE``, ``dg_dx``, ``christoffel``,
+    ``evolution_equation_residual()``, ``lie_theta_residual()``,
+    ``symplectic_defect()``, ``first_integral_conditions()`` and the
+    horizontal derivatives ``horizontal_dL()``, ``horizontal_dE()`` and
+    ``horizontal_dE_closed()``.  ``omega(X, Y)`` and ``dyn_cov_deriv_g``
+    contract the caller's arrays.
 
     ``p`` may hold a batch (:func:`stack_points`): then every field and
     member carries a trailing point axis, a scalar member is a (B,) array
     instead of a float, and each point's values are bitwise those of its
-    one-point context.  ``batched`` tells the two apart.
-
-    The paper's named results are members read off the same pass:
-    ``energy`` and ``dE``, the Cartan 2-form ``omega(X, Y)``, the
-    residuals ``evolution_equation_residual()``, ``lie_theta_residual()``
-    and ``symplectic_defect()``, the ``first_integral_conditions()`` and
-    the horizontal derivatives ``horizontal_dL()`` and ``horizontal_dE()``.
-    The free system's context, ``PointGeometry(sys.free(), p)``, gives the
-    canonical quantities of the Lagrange space.
+    one-point context.  ``batched`` tells the two apart.  The free
+    system's context, ``PointGeometry(sys.free(), p)``, gives the canonical
+    quantities of the Lagrange space.
     """
 
     def __init__(self, sys: MechanicalSystem, p: PhasePoint):
@@ -191,7 +168,7 @@ class PointGeometry:
         self.batched = bool(batch_shape(p))
         (value, d_x, d_y, d_yy, d_xy, self.d_yyy, g, g_inv, mn, mx, self.spray0, self.V,
          self.spray, self.sigma, self.conn0, self.dV_dy, self.conn, self.dsigma_dy,
-         self.dSL_dy, self.dS0L_dy) = _run("point", sys.L, sys.V, p)
+         self.dSL_dy, self.dS0L_dy, self.energy, self.power) = _run("point", sys.L, sys.V, p)
         self.jet = Jet(sys.n, 3, value, d_x, d_y, d_yy, d_xy, self.d_yyy)
         self.metric = SymMatrix(g, g_inv, mn, mx)
         self.y = np.array(p.y)
@@ -199,18 +176,39 @@ class PointGeometry:
     def peak(self, a):
         """max |a| over the value axes: a float, or over a batch the (B,)
         array of each point's maximum."""
-        return max_abs(a, self.batched)
+        if self.batched:
+            return np.abs(a).max(axis=tuple(range(np.ndim(a) - 1)))
+        return float(np.abs(a).max())
 
-    @property
-    def energy(self) -> float:
-        return value_of(vecdot(self.y, self.jet.d_y) - self.jet.value)
+    @cached_property
+    def _lowered(self) -> dict:
+        return _run("residuals", self.sys.L, self.sys.V, self.p, "context")
 
-    @property
-    def dE(self) -> np.ndarray:
-        """The energy differential in the (x, y) basis: first the dE/dx_k
-        slots, then dE/dy_k = y^i d2L/dy_i dy_k."""
-        _, de_x, de_y = _energy_parts(self.jet, self.y)
-        return np.concatenate([de_x, de_y])
+    dE = property(_member("dE", """The energy differential in the (x, y) basis: first
+        the dE/dx_k slots, then dE/dy_k = y^i d2L/dy_i dy_k."""))
+    dg_dx = property(_member("dg_dx", "``dg_dx[a, b, c] = dg_ab/dx_c``."))
+    christoffel = property(_member("christoffel", """gamma^i_jk =
+        (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h)."""))
+    horizontal_dL = _member("horizontal_dL", "dL/dx_i - N^j_i dL/dy_j.")
+    horizontal_dE = _member("horizontal_dE", "dE/dx_i - N^j_i dE/dy_j.")
+    horizontal_dE_closed = _member("horizontal_dE_closed", """The closed form
+        2 g_ij (2 G0^j - N0^j_k y^k) + (1/2) g_jk dV^j/dy_i y^k.""")
+    evolution_equation_residual = _member("evolution_equation_residual", """Residual
+        of i_S omega = -dE + sigma over the 2n basis vectors.
+
+        The force one-form acts on x-slots only and is extended by zero on
+        the fiber slots, the unique extension under which the defining
+        equation of the evolution semispray closes.  With no force this is
+        the defining equation of the canonical spray.""")
+    lie_theta_residual = _member("lie_theta_residual", """Residual of the Lie
+        transport of the Cartan 1-form along the evolution semispray against
+        dL + sigma, over the 2n natural basis vectors (the fiber slots
+        vanish identically).""")
+    symplectic_defect = _member("symplectic_defect", """Failure of the evolution
+        horizontal subbundle to be Lagrangian: the largest |omega(delta_i,
+        delta_k)| over the horizontal basis delta_i = (e_i, -N[:, i]).  It
+        equals the helicoidal tensor entrywise up to sign; ``verify`` reports
+        the difference as ``symplectic_vs_helicoidal``.""")
 
     def omega(self, X, Y) -> float:
         """The Cartan 2-form d(dL/dy_i dx^i) on two tangent vectors (the
@@ -226,29 +224,28 @@ class PointGeometry:
             X, Y = (np.broadcast_to(V[:, None], shape) if V.ndim == 1 else V for V in (X, Y))
         if X.shape != shape or Y.shape != shape:
             raise ValueError("tangent vectors must have 2n components")
-        g, a = _two_form_pieces(self.jet)
+        g = self.jet.d_yy * 0.5
+        a = (self.jet.d_xy - self.jet.d_xy.swapaxes(0, 1)) * 0.5
         (xx, xy), (yx, yy) = (X[:n], X[n:]), (Y[:n], Y[n:])
-        term2 = vecdot(vecmat(yx, a), xx) - vecdot(vecmat(xx, a), yx)
-        return value_of(2.0 * (vecdot(vecmat(yx, g), xy) - vecdot(vecmat(xx, g), yy)) + term2)
 
-    @cached_property
-    def dg_dx(self) -> np.ndarray:
-        """``dg_dx[a, b, c] = dg_ab/dx_c``, from one more pass."""
-        return _run("metric_x", self.sys.L, None, self.p)[1]
+        def form(m, u, v):  # u^T m v
+            return _contract(_contract(u, m, 1), v, 1)
+
+        term2 = form(a, yx, xx) - form(a, xx, yx)
+        value = 2.0 * (form(g, yx, xy) - form(g, xx, yy)) + term2
+        return value if self.batched else float(value)
 
     @property
     def cartan(self) -> np.ndarray:
         return self.d_yyy * 0.25
 
-    @cached_property
-    def christoffel(self) -> np.ndarray:
-        return _christoffel(self.metric.inverse, self.dg_dx)
-
     def dyn_cov_deriv_g(self, spray, conn) -> np.ndarray:
-        """Dynamical covariant derivative of g along (spray, conn):
+        """Dynamical covariant derivative of g along (spray, conn), which
+        carry the context's point axes:
         S(g_ij) - g_im N^m_j - g_mj N^m_i with S(g) = y^k dg/dx_k - 2 G^k dg/dy_k."""
-        s_g = matvec(self.dg_dx, self.y) - matvec(self.d_yyy, np.asarray(spray, dtype=float))
-        gn = matmat(self.metric.entries, np.asarray(conn, dtype=float))
+        s_g = (_contract(self.dg_dx, self.y, 3)
+               - _contract(self.d_yyy, np.asarray(spray, dtype=float), 3))
+        gn = _contract(self.metric.entries, np.asarray(conn, dtype=float), 2)
         return s_g - gn - gn.swapaxes(0, 1)
 
     @property
@@ -259,52 +256,6 @@ class PointGeometry:
     def helicoidal(self) -> np.ndarray:
         return (self.dsigma_dy - self.dsigma_dy.swapaxes(0, 1)) * 0.5
 
-    @property
-    def power(self) -> float:
-        """sigma_i y^i, the energy rate along evolution curves."""
-        return value_of(vecdot(self.sigma, self.y))
-
-    def horizontal_dL(self) -> np.ndarray:
-        """dL/dx_i - N^j_i dL/dy_j."""
-        return self.jet.d_x - vecmat(self.jet.d_y, self.conn)
-
-    def horizontal_dE(self) -> np.ndarray:
-        """dE/dx_i - N^j_i dE/dy_j."""
-        _, de_x, de_y = _energy_parts(self.jet, self.y)
-        return de_x - vecmat(de_y, self.conn)
-
-    def horizontal_dE_closed(self) -> np.ndarray:
-        """The closed form 2 g_ij (2 G0^j - N0^j_k y^k) + (1/2) g_jk dV^j/dy_i y^k."""
-        g = self.metric.entries
-        return (2.0 * matvec(g, 2.0 * self.spray0 - matvec(self.conn0, self.y))
-                + 0.5 * vecmat(matvec(g, self.y), self.dV_dy))
-
-    def evolution_equation_residual(self) -> float:
-        """Residual of i_S omega = -dE + sigma over the 2n basis vectors.
-
-        The force one-form acts on x-slots only and is extended by zero on
-        the fiber slots, the unique extension under which the defining
-        equation of the evolution semispray closes.  With no force this is
-        the defining equation of the canonical spray.
-        """
-        return _sode_residual(self.jet, self.y, self.spray, sigma=self.sigma)
-
-    def lie_theta_residual(self) -> float:
-        """Residual of the Lie transport of the Cartan 1-form along the
-        evolution semispray against dL + sigma, over the 2n natural basis
-        vectors (the fiber slots vanish identically)."""
-        j = self.jet
-        s_theta = matvec(j.d_xy, self.y) - 2.0 * matvec(j.d_yy, self.spray)
-        return self.peak(s_theta - j.d_x - self.sigma)
-
-    def symplectic_defect(self) -> float:
-        """Failure of the evolution horizontal subbundle to be Lagrangian:
-        the largest |omega(delta_i, delta_k)| over the horizontal basis
-        delta_i = (e_i, -N[:, i]).  It equals the helicoidal tensor
-        entrywise up to sign; ``verify`` reports the difference as
-        ``symplectic_vs_helicoidal``."""
-        return self.peak(_horizontal_two_form(self.jet, self.conn))
-
     def first_integral_conditions(self):
         """Residuals of the two force conditions for conserved quantities.
 
@@ -313,10 +264,7 @@ class PointGeometry:
         first integral of the horizontal flow; likewise the second for the
         energy.
         """
-        res_l = value_of(vecdot(matvec(self.dV_dy, self.y), self.jet.d_y)
-                         + 2.0 * vecdot(self.dS0L_dy, self.y))
-        res_e = 2.0 * value_of(vecdot(self.horizontal_dE_closed(), self.y))
-        return res_l, res_e
+        return self._lowered["lagrangian_condition"], self._lowered["energy_condition"]
 
 
 def stack_points(points) -> PhasePoint:

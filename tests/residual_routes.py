@@ -1,0 +1,155 @@
+"""The reports' and the context's tensor formulas in numpy, on the
+reference tower's contractions: what the compiled ``residuals`` program
+(and the ``point`` program's E and sigma . y, and the ``euler`` and
+``metric_x`` programs' outputs) must equal bit for bit.
+
+Each route reads a context's ``point`` outputs (the fields of a
+:class:`~lagmech.mechanics.PointGeometry`) and, where it needs them, g's
+x-derivatives from the ``metric_x`` program, and evaluates the formula
+on float arrays: a contraction is a left-to-right sum of products from
++0.0, as :func:`tower.matvec` and its siblings sum it.
+"""
+
+import numpy as np
+
+from lagmech.compiled import run
+from lagmech.errors import DomainError, FinslerModeError
+from tower import christoffel_symbols, energy_parts, matmat, matvec, max_abs, value_of, vecdot, vecmat
+
+_GATE_TOL = 1e-8  # the Euler test's, defect <= tol (1 + |L|)
+
+
+def dg_dx(ctx) -> np.ndarray:
+    """``dg_dx[a, b, c] = dg_ab/dx_c`` from the ``metric_x`` program."""
+    return run("metric_x", ctx.sys.L, None, ctx.p)[1]
+
+
+def two_form_pieces(j):
+    g = j.d_yy * 0.5
+    a = (j.d_xy - j.d_xy.swapaxes(0, 1)) * 0.5
+    return g, a
+
+
+def sode_residual(j, yv, spray, sigma=None):
+    """Max residual of i_S omega = -dE (+ sigma) over the 2n basis vectors,
+    S having the natural components (y, -2 spray)."""
+    g, a = two_form_pieces(j)
+    _, de_x, de_y = energy_parts(j, yv)
+    sy = spray * (-2.0)
+    res_x = matvec(g, sy) * 2.0 + matvec(a, yv) * 2.0 + de_x
+    if sigma is not None:
+        res_x = res_x - sigma
+    res_y = matvec(g, yv) * (-2.0) + de_y
+    return max_abs(np.concatenate([res_x, res_y]), yv.ndim == 2)
+
+
+def horizontal_two_form(j, conn):
+    """2 (g N - (g N)^T) + a^T - a."""
+    g, a = two_form_pieces(j)
+    gn = matmat(g, conn)
+    return 2.0 * (gn - gn.swapaxes(0, 1)) + (a.swapaxes(0, 1) - a)
+
+
+def dyn_cov_deriv_g(ctx, dgdx, spray, conn):
+    s_g = matvec(dgdx, ctx.y) - matvec(ctx.d_yyy, np.asarray(spray, dtype=float))
+    gn = matmat(ctx.metric.entries, np.asarray(conn, dtype=float))
+    return s_g - gn - gn.swapaxes(0, 1)
+
+
+def point_values(ctx) -> dict:
+    """E and sigma . y, the ``point`` program's last two outputs."""
+    return {"energy": value_of(vecdot(ctx.y, ctx.jet.d_y) - ctx.jet.value),
+            "power": value_of(vecdot(ctx.sigma, ctx.y))}
+
+
+def context_values(ctx, dgdx) -> dict:
+    """The ``context`` report."""
+    j, yv = ctx.jet, ctx.y
+    _, de_x, de_y = energy_parts(j, yv)
+    g = ctx.metric.entries
+    closed = (2.0 * matvec(g, 2.0 * ctx.spray0 - matvec(ctx.conn0, yv))
+              + 0.5 * vecmat(matvec(g, yv), ctx.dV_dy))
+    s_theta = matvec(j.d_xy, yv) - 2.0 * matvec(j.d_yy, ctx.spray)
+    return {
+        "dE": np.concatenate([de_x, de_y]),
+        "dg_dx": dgdx,
+        "christoffel": christoffel_symbols(ctx.metric.inverse, dgdx),
+        "horizontal_dL": j.d_x - vecmat(j.d_y, ctx.conn),
+        "horizontal_dE": de_x - vecmat(de_y, ctx.conn),
+        "horizontal_dE_closed": closed,
+        "evolution_equation_residual": sode_residual(j, yv, ctx.spray, sigma=ctx.sigma),
+        "lie_theta_residual": ctx.peak(s_theta - j.d_x - ctx.sigma),
+        "symplectic_defect": ctx.peak(horizontal_two_form(j, ctx.conn)),
+        "lagrangian_condition": value_of(vecdot(matvec(ctx.dV_dy, yv), j.d_y)
+                                         + 2.0 * vecdot(ctx.dS0L_dy, yv)),
+        "energy_condition": 2.0 * value_of(vecdot(closed, yv)),
+    }
+
+
+def _finsler_residuals(ctx, members) -> tuple:
+    """max |gamma y y - 2 G0| and max |dE_h - (g y)^T dV/dy / 2|."""
+    yv = ctx.y
+    slope = 0.5 * vecmat(matvec(ctx.metric.entries, yv), ctx.dV_dy)
+    return (ctx.peak(matvec(matvec(members["christoffel"], yv), yv) - 2.0 * ctx.spray0),
+            ctx.peak(members["horizontal_dE"] - slope))
+
+
+def verify_values(ctx, dgdx) -> dict:
+    """The ``verify`` report."""
+    members = context_values(ctx, dgdx)
+    j = ctx.jet
+    scale = 1.0 + ctx.peak(ctx.metric.entries)
+    out = {
+        "canonical_spray_equation": sode_residual(j, ctx.y, ctx.spray0),
+        "evolution_spray_equation": members["evolution_equation_residual"],
+        "cartan_form_transport": members["lie_theta_residual"],
+        "canonical_metricity": ctx.peak(dyn_cov_deriv_g(ctx, dgdx, ctx.spray0, ctx.conn0)) / scale,
+        "canonical_horizontal_two_form": ctx.peak(horizontal_two_form(j, ctx.conn0)),
+        "metric_derivative_agreement": ctx.peak(
+            ctx.gbar - dyn_cov_deriv_g(ctx, dgdx, ctx.spray, ctx.conn)),
+        "symplectic_vs_helicoidal": ctx.peak(horizontal_two_form(j, ctx.conn) + ctx.helicoidal),
+        "lagrangian_horizontal_routes": ctx.peak(
+            members["horizontal_dL"] - (ctx.dSL_dy - ctx.sigma) * 0.5),
+        "energy_horizontal_routes": ctx.peak(
+            members["horizontal_dE"] - members["horizontal_dE_closed"]),
+    }
+    out["christoffel_contraction"], out["finsler_energy_formula"] = _finsler_residuals(ctx, members)
+    return out
+
+
+def euler_defect(value, d_y, p):
+    """|(dL/dy_i) y^i - 2L| (per point of a batch); a DomainError where it
+    is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = value_of(abs(vecdot(np.array(p.y), d_y) - 2.0 * value))
+    if not np.isfinite(defect).all():
+        raise DomainError("field evaluation produced a non-finite value")
+    return defect
+
+
+def require_euler(value, d_y, p):
+    """FinslerModeError where L fails the Euler test at ``p``."""
+    defect = euler_defect(value, d_y, p)
+    bad = np.logical_not(defect <= _GATE_TOL * (1.0 + abs(value)))
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise FinslerModeError(
+                f"Lagrangian is not 2-homogeneous at {int(bad.sum())} of {bad.size} points")
+    elif bad:
+        raise FinslerModeError(f"Lagrangian is not 2-homogeneous at {p} (Euler defect {defect:.3e})")
+
+
+def identity_values(ctx) -> dict:
+    """The ``identities`` report: the Euler test at the context's point,
+    then the residuals, g's x-derivatives read as the Christoffel symbols
+    read them."""
+    require_euler(ctx.jet.value, ctx.jet.d_y, ctx.p)
+    members = context_values(ctx, dg_dx(ctx))
+    lv = value_of(ctx.jet.value)
+    christoffel, energy_slope = _finsler_residuals(ctx, members)
+    return {
+        "energy_residual": abs(point_values(ctx)["energy"] - lv) / (1.0 + abs(lv)),
+        "spray_homogeneity_residual": ctx.peak(2.0 * ctx.spray0 - matvec(ctx.conn0, ctx.y)),
+        "energy_slope_residual": energy_slope,
+        "christoffel_residual": christoffel,
+    }

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,35 @@ def test_malformed_config_value_exit_code(tmp_path, capsys, command, payload):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_POINT = {"samples": {"points": [{"x": [0.0], "y": [1.0]}]}}
+
+
+@pytest.mark.parametrize("command, payload, detail", [
+    ("classify", {"system": {"n": True, "lagrangian": "y1^2"}, **_POINT}, "'n' must be a number"),
+    ("classify", {"system": {"builtin": "EUCLID", "params": {"n": True}}},
+     "parameter 'n' must be a number"),
+    ("verify", {"system": {"builtin": "SYS-A", "params": {"c": 0.3}}, "tolerance": True},
+     "'tolerance' must be a number"),
+    ("classify", {"system": {"builtin": "SYS-B"}, "seed": False}, "'seed' must be a number"),
+    ("classify", {"system": {"builtin": "SYS-B"}, "samples": {"count": True}},
+     "'count' must be a number"),
+    ("simulate", {**_SYS_A_RUN, "integrator": {"t_end": True}}, "'t_end' must be a number"),
+    ("simulate", {**_SYS_A_RUN, "integrator": {"t_end": 0.01, "record_every": True}},
+     "'record_every' must be a number"),
+    ("classify", {"system": {"builtin": "SYS-A", "params": {"c": True}}},
+     "parameter 'c' must be a number"),
+    ("classify", {"system": {"n": 1, "lagrangian": "c*y1^2", "params": {"c": False}}, **_POINT},
+     "parameter 'c' must be a number"),
+], ids=["n", "builtin-n", "tolerance", "seed", "count", "t_end", "record_every", "builtin-param",
+        "expression-param"])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, command, payload, detail):
+    # a JSON boolean is a Python int: "n": true crashed with a TypeError
+    # (exit 1), and "tolerance": true ran with tol = 1
+    cfg = write_config(tmp_path, "bool.json", payload)
+    assert main([command, cfg]) == 2
+    assert detail in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--step", "nan"], ["--t-end", "inf"]])
 def test_non_finite_integrator_flag_exit_code(tmp_path, capsys, flags):
     cfg = write_config(tmp_path, "run.json", _SYS_A_RUN)
@@ -390,6 +420,26 @@ def test_trig_of_an_infinite_argument_is_a_recorded_domain_failure(tmp_path, cap
     for curve in ("evolution", "horizontal"):
         assert main(["simulate", cfg, "--curve", curve]) == 3
         assert json.loads(capsys.readouterr().err) == {"status": "domain_stop"}
+
+
+def test_sqrt_derivative_underflow_is_a_recorded_domain_failure(tmp_path, capsys):
+    # at y1 = 1e-160, sqrt(y1^2 + 1e-300)'s second derivative divides by
+    # s v = 1e-450, which underflows to zero: every command exited 1 with a
+    # ZeroDivisionError traceback
+    cfg = write_config(tmp_path, "sqrt.json", {
+        "system": {"n": 1, "lagrangian": "sqrt(y1^2 + 1e-300) + y1^2"},
+        "samples": {"points": [{"x": [0.0], "y": [1e-160]}, {"x": [0.0], "y": [0.5]}]},
+        "initial": {"x": [0.0], "y": [1e-160]}, "integrator": {"t_end": 0.01}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["classify", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["points_tested"] == 1
+        assert [(f["index"], f["error"], f["detail"]) for f in report["failures"]] == [
+            (0, "DomainError", "sqrt's derivative overflows")]
+        for command in (["inspect"], ["verify"], ["simulate", "--curve", "evolution"]):
+            assert main([command[0], cfg, *command[1:]]) == 3, command
+            capsys.readouterr()
 
 
 def test_geodesic_records_check_the_force(tmp_path, capsys):

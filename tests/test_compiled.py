@@ -11,17 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import residual_routes
 import tower
 import trajectory_routes
 from lagmech.cli import main
 from lagmech.compiled import program, run
 from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import _invert, matvec, sym_invert, vecdot
+from lagmech.jets import _invert, sym_invert
 from lagmech.mechanics import MechanicalSystem, PointGeometry, stack_points
 from lagmech.phase import PhasePoint, VerticalField
 from lagmech.systems import catalog, from_sources, instantiate, standard_samples
 from test_dsl import _guarded_strategy
+from tower import matvec, vecdot
 
 _TOL = 1e-13
 _POINT_FIELDS = ("spray0", "V", "spray", "sigma", "conn0", "dV_dy", "conn", "dsigma_dy",
@@ -34,14 +36,20 @@ def _jet_route(kind, sys_, p):
         return trajectory_routes.ACCEL[kind](sys_, p)
 
 
-def _euler_route(sys_, p):
-    """The reference tower's Euler pass: L and V with y seeded along y."""
+def _euler_route(sys_, p, order):
+    """The reference tower's Euler test: |(dL/dy) y - 2 L| and L; at order
+    2, from L and V with y seeded along y, also max |(dg/dy) y| and
+    max |(dV/dy) y|."""
+    if order == 1:
+        j = tower.eval_jet(sys_.L, p, 1)
+        return [residual_routes.euler_defect(j.value, j.d_y, p), j.value]
     q = tower.seed_point(p, np.array([p.y], dtype=float))
     d = tower.eval_jet(sys_.L, q, 2)
     v = tower.tower_vector(tower.call(sys_.V, q.x, q.y))
     j = d.primal()
-    return [j.value, j.d_y, tower.tangent_part(d.d_yy * 0.5, 1)[..., 0],
-            tower.tangent_part(v, 1)[..., 0]]
+    return [residual_routes.euler_defect(j.value, j.d_y, p), j.value,
+            tower.max_abs(tower.tangent_part(d.d_yy * 0.5, 1)[..., 0]),
+            tower.max_abs(tower.tangent_part(v, 1)[..., 0])]
 
 
 def _pointwise_routes(sys_, p):
@@ -64,8 +72,10 @@ def _pointwise_routes(sys_, p):
 
     routes = {"point": (point, point_ref),
               "metric_x": (lambda: run("metric_x", sys_.L, None, p),
-                           lambda: tower.metric_x_pass(sys_.L, p)),
-              "euler": (lambda: run("jet", sys_.L, sys_.V, p), lambda: _euler_route(sys_, p))}
+                           lambda: [*tower.metric_x_pass(sys_.L, p), tower.christoffel(sys_.L, p)]),
+              "euler1": (lambda: run("euler", sys_.L, None, p, 1), lambda: _euler_route(sys_, p, 1)),
+              "euler2": (lambda: run("euler", sys_.L, sys_.V, p, 2),
+                         lambda: _euler_route(sys_, p, 2))}
     for order in range(4):
         routes[f"jet{order}"] = (lambda o=order: run("jet", sys_.L, None, p, o),
                                  lambda o=order: jet_ref(o))
@@ -125,8 +135,8 @@ def _assert_agree(sys_, p, kinds=("evolution", "horizontal", "geodesic"), pointw
             if err is None:
                 # the Euler pass, as the tower's, does not check V: an
                 # infinite force is an infinite residual
-                _assert_close(got, ref, _TOL * (_condition(sys_, p) if kind == "point" else 1.0),
-                              (kind, p))
+                inverse = kind in ("point", "metric_x")
+                _assert_close(got, ref, _TOL * (_condition(sys_, p) if inverse else 1.0), (kind, p))
     for kind in kinds:
         zdot, err = _outcome(program(kind, sys_.L, None if kind == "geodesic" else sys_.V), z)
         accel, ref_err = _outcome(_jet_route, kind, sys_, p)

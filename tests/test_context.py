@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import residual_routes
 import tower
-from lagmech import cli, compiled, finsler, mechanics, verify
+from lagmech import cli, compiled, finsler, mechanics
 from lagmech.cli import main
 from lagmech.finsler import christoffel_at, finsler_identities, homogeneity_report
 from lagmech.mechanics import PointGeometry, classify, stack_points
 from lagmech.phase import PhasePoint
-from lagmech.systems import instantiate, standard_samples
+from lagmech.systems import catalog, instantiate, standard_samples
 from lagmech.verify import run_verification
 import routes
 from test_compiled import _holed_strategy, random_system
@@ -155,26 +156,25 @@ def test_pass_budget(passes, name, tmp_path):
     classify(sys_, samples * 50)  # 300 points: two chunks
     assert passes() == {"point": 2}
 
-    # one context serves every member, for one point or a batch; the
-    # Christoffel symbols add one x-derivative pass
+    # a context reads every member in two passes, for one point or a
+    # batch: the point program, and the residuals program's context report
     for p in (samples[0], stack_points(samples)):
         ctx = PointGeometry(sys_, p)
-        _read_every_member(ctx, sys_.n)
         assert passes() == {"point": 1}
-        ctx.christoffel
-        assert passes() == {"metric_x": 1}
+        _read_every_member(ctx, sys_.n)
+        ctx.christoffel, ctx.dg_dx
+        assert passes() == {"residuals": 1}
 
-    # one batch of Finsler-mode probes, then the context and (all three
-    # systems are Finsler) the x-derivative pass of the Christoffel symbols
+    # one batch of Finsler-mode probes, then one residuals pass
     run_verification(sys_, samples)
-    assert passes() == {"jet": 1, "point": 1, "metric_x": 1}
+    assert passes() == {"euler": 1, "residuals": 1}
 
     finsler_identities(sys_, samples)
-    assert passes() == {"point": 1, "metric_x": 1}
+    assert passes() == {"residuals": 1}
 
     # one pass with the partials along y itself serves all three Euler tests
     homogeneity_report(sys_, samples)
-    assert passes() == {"jet": 1}
+    assert passes() == {"euler": 1}
 
     christoffel_at(sys_, samples[0])
     assert passes() == {"metric_x": 1}
@@ -353,15 +353,124 @@ def _per_point_functions(sys_):
     """Each report's per-point values, as its sweep evaluates them on a
     chunk or at one point."""
     return {"classify": lambda q: mechanics._classification_values(sys_, q),
-            "verify": lambda q: verify._point_residuals(sys_, q, True),
+            "verify": lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "verify"),
             "probes": lambda q: finsler._probe_values(sys_, q),
             "homogeneity": lambda q: finsler._euler_values(sys_, q),
-            "identities": lambda q: finsler._identity_values(sys_, q),
+            "identities": lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "identities"),
             "inspect": lambda q: cli._inspect_fields(sys_, q)}
 
 
 def _bits(values):
     return {name: np.asarray(v, dtype=float).tobytes() for name, v in values.items()}
+
+
+def _reference_functions(sys_):
+    """The per-point values each compiled report (and the ``point``
+    program's E and sigma . y, and the Euler tests) must equal bit for bit,
+    as functions of a phase point: the numpy formulas of
+    :mod:`residual_routes` on the ``point``, ``jet`` and ``metric_x``
+    programs' outputs, with their checks in their order."""
+    def context(q, report):
+        ctx = PointGeometry(sys_, q)
+        return getattr(residual_routes, f"{report}_values")(ctx, residual_routes.dg_dx(ctx))
+
+    def probe(q):
+        value, _, d_y = compiled.run("jet", sys_.L, None, q, 1)[:3]
+        return {"defect": residual_routes.euler_defect(value, d_y, q), "value": value}
+
+    def point(q):
+        ctx = PointGeometry(sys_, q)
+        return {"energy": ctx.energy, "power": ctx.power}
+
+    return {
+        "verify": (lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "verify"),
+                   lambda q: context(q, "verify")),
+        "context": (lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "context"),
+                    lambda q: context(q, "context")),
+        "identities": (lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "identities"),
+                       lambda q: residual_routes.identity_values(PointGeometry(sys_, q))),
+        "point": (point, lambda q: residual_routes.point_values(PointGeometry(sys_, q))),
+        "probes": (lambda q: finsler._probe_values(sys_, q), probe),
+    }
+
+
+def _outcome(fn, q):
+    """fn's values as bits, or the type and message of the skipped error it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _bits(fn(q))
+    except mechanics._SKIPPED as err:
+        return type(err).__name__, str(err)
+
+
+def _assert_reports_equal_the_formulas(sys_, points):
+    """At each point (a batch included) every compiled report equals its
+    numpy formulas bit for bit, or both raise the same error."""
+    for name, (got, ref) in _reference_functions(sys_).items():
+        for q in points:
+            assert _outcome(got, q) == _outcome(ref, q), (name, q)
+
+
+_BUILTINS = list({json.dumps(case): case for case in [(e.id, e.default_params) for e in catalog()]
+                  + list(_SYSTEMS.values())}.values())
+
+
+@pytest.mark.parametrize("builtin, params", _BUILTINS,
+                         ids=[f"{b}{json.dumps(p)}" for b, p in _BUILTINS])
+def test_reports_equal_the_numpy_formulas_on_every_builtin(builtin, params):
+    sys_ = instantiate(builtin, params)
+    samples = standard_samples(builtin, params, count=12)
+    _assert_reports_equal_the_formulas(sys_, samples + [stack_points(samples)])
+
+
+@pytest.mark.parametrize("lagrangian", ["y1^2 + y2^2 + x1^0.5", "y1^2 + y2^2 + x1^0.5*y1"])
+def test_reports_keep_the_checks_of_the_x_derivative_pass(lagrangian):
+    # at x1 = 1e-200 the point program takes x1^0.5 to three terms, and the
+    # x-derivative (metric_x) program to four, whose x1^-2.5 overflows: the
+    # verify and identity reports fail there as that pass did, and a
+    # context's second pass too
+    from lagmech.systems import from_sources
+
+    sys_ = from_sources(2, lagrangian)
+    points = [PhasePoint((1e-200, 0.3), (1.0, 0.5)), PhasePoint((0.2, 0.3), (1.0, 0.5))]
+    _assert_reports_equal_the_formulas(sys_, points + [stack_points(points)])
+    failures = run_verification(sys_, points)["singular_points"]
+    assert [(f["index"], f["detail"]) for f in failures] == [(0, "real power overflows")]
+
+
+def test_members_keep_the_bits_of_the_numpy_formulas():
+    """Every member a context reads off its programs is, at a point and
+    over a batch, bitwise the numpy formula of the point program's outputs
+    and g's x-derivatives; omega and dyn_cov_deriv_g, which contract the
+    caller's arrays, equal the reference tower's contractions."""
+    for name in _SYSTEMS:
+        sys_, samples = _case(name, count=7)
+        for p in samples[:2] + [stack_points(samples)]:
+            ctx = PointGeometry(sys_, p)
+            dgdx = residual_routes.dg_dx(ctx)
+            ref = {**residual_routes.context_values(ctx, dgdx), **residual_routes.point_values(ctx)}
+            fi = ctx.first_integral_conditions()
+            got = {"dE": ctx.dE, "dg_dx": ctx.dg_dx, "christoffel": ctx.christoffel,
+                   "horizontal_dL": ctx.horizontal_dL(), "horizontal_dE": ctx.horizontal_dE(),
+                   "horizontal_dE_closed": ctx.horizontal_dE_closed(),
+                   "evolution_equation_residual": ctx.evolution_equation_residual(),
+                   "lie_theta_residual": ctx.lie_theta_residual(),
+                   "symplectic_defect": ctx.symplectic_defect(),
+                   "lagrangian_condition": fi[0], "energy_condition": fi[1],
+                   "energy": ctx.energy, "power": ctx.power}
+            assert _bits(got) == _bits(ref), (name, p)
+            for pair in ((ctx.spray0, ctx.conn0), (ctx.spray, ctx.conn)):
+                assert ctx.dyn_cov_deriv_g(*pair).tobytes() == \
+                    residual_routes.dyn_cov_deriv_g(ctx, dgdx, *pair).tobytes()
+            X, Y = np.linspace(-1.0, 1.0, 2 * sys_.n), np.cos(np.arange(2.0 * sys_.n))
+            g, a = residual_routes.two_form_pieces(ctx.jet)
+            if ctx.batched:
+                X, Y = (np.broadcast_to(v[:, None], v.shape + ctx.y.shape[1:]) for v in (X, Y))
+            n = sys_.n
+            (xx, xy), (yx, yy) = (X[:n], X[n:]), (Y[:n], Y[n:])
+            form = lambda m, u, v: tower.vecdot(tower.vecmat(u, m), v)  # noqa: E731
+            omega = 2.0 * (form(g, yx, xy) - form(g, xx, yy)) + (form(a, yx, xx) - form(a, xx, yx))
+            assert np.asarray(ctx.omega(X, Y)).tobytes() == np.asarray(omega).tobytes()
 
 
 def _assert_batch_equals_points(sys_, samples):
@@ -379,6 +488,7 @@ def _assert_batch_equals_points(sys_, samples):
                     assert values is None and (type(err), str(err)) == (type(e), str(e)), name
                 else:
                     assert err is None and _bits(values) == _bits(alone), (name, q)
+        _assert_reports_equal_the_formulas(sys_, samples)
         one = [classify(sys_, [q]) for q in samples]
         report = classify(sys_, samples)
         assert report.failures == [dict(f, index=i) for i, r in enumerate(one) for f in r.failures]

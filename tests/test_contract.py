@@ -1,14 +1,14 @@
-"""The one contraction rule behind matvec, vecmat, vecdot and matmat:
-numpy's ``@`` to rounding, the same bits for a point alone and in any
-batch, and +0.0 for an exact zero.  Float operands run the engine's
-rule; an operand with tangents runs the reference tower's, which carries
-them by the same rule."""
+"""The reference tower's one contraction rule behind matvec, vecmat,
+vecdot and matmat, the rule the tests check the compiled programs'
+tensor sums against: numpy's ``@`` to rounding, the same bits for a
+point alone and in any batch, and +0.0 for an exact zero, for float
+operands and for operands with tangents, which it carries by the same
+rule."""
 
 import numpy as np
 import pytest
 
 import tower
-from lagmech import jets
 from tower import KDual
 
 _K = 3  # tangents of a KDual operand
@@ -21,11 +21,6 @@ _FORMS = {
     "matmat": lambda n: ((n, n), (n, n)),
 }
 _DUALS = [(False, False), (True, False), (False, True), (True, True)]
-
-
-def _rule(name, da, db):
-    """The engine's contraction for float operands, the tower's otherwise."""
-    return getattr(jets if not (da or db) else tower, name)
 
 
 def _operand(rng, shape, dual, lanes=(), draw=None):
@@ -56,7 +51,7 @@ def test_contractions_agree_with_matmul(form, n):
     rng = np.random.default_rng(n)
     for da, db in _DUALS:
         a, b = (_operand(rng, s, d) for s, d in zip(shapes(n), (da, db)))
-        got, ref = _parts(_rule(form, da, db)(a, b)), _parts(a @ b)
+        got, ref = _parts(getattr(tower, form)(a, b)), _parts(a @ b)
         av, bv = (np.abs(w.val if isinstance(w, KDual) else w) for w in (a, b))
         size = av @ bv
         assert np.all(np.abs(got[0] - ref[0]) <= 1e-14 * size), (form, n, da, db)
@@ -82,7 +77,7 @@ def test_each_point_of_a_batch_has_its_own_bits(form, n, size):
     shapes = _FORMS[form]
     rng = np.random.default_rng(size)
     for da, db in _DUALS:
-        fn, contract = _rule(form, da, db), _rule("_contract", da, db)
+        fn, contract = getattr(tower, form), tower._contract
         left, right = shapes(n)
         a = _operand(rng, left, da, (size,))
         b = _operand(rng, right, db, (size,))
@@ -107,7 +102,7 @@ def test_no_negative_zero_where_matmul_gives_positive_zero(form, lanes):
     draw = lambda size: rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=size)  # noqa: E731
     for da, db in _DUALS:
         a, b = (_operand(rng, s, d, lanes, draw) for s, d in zip(shapes(3), (da, db)))
-        val, tan = _parts(_rule(form, da, db)(a, b))
+        val, tan = _parts(getattr(tower, form)(a, b))
         for lane in range(lanes[0]) if lanes else [None]:
             pa, pb = (a, b) if lane is None else (_lane(a, lane), _lane(b, lane))
             got = (val, tan) if lane is None else (

@@ -435,6 +435,29 @@ def test_overflow_raises_domain_error_in_every_tower():
             eval_jet(field(source, 1), PhasePoint((0.0,), (v,)), order=2)
 
 
+@pytest.mark.parametrize("v, terms", [(1e-300, 2), (1e-200, 3)], ids=["s*v", "s*v*v"])
+def test_sqrt_derivative_underflow_is_a_domain_error(v, terms):
+    # where s v (or s v v) underflows to zero at v > 0, sqrt's next term was
+    # a bare ZeroDivisionError at a point and a divide warning in a batch;
+    # at a point and in a batch alike it is now a DomainError before that
+    # term, and the terms before it keep their bits
+    from lagmech.jets import SCALAR_FUNCTIONS
+
+    seq = SCALAR_FUNCTIONS["sqrt"]
+    point = seq(v)
+    head = [next(point) for _ in range(terms)]
+    with pytest.raises(DomainError, match="sqrt's derivative overflows"):
+        next(point)
+    s = math.sqrt(v)
+    assert head == ([s, 0.5 / s] if terms == 2 else [s, 0.5 / s, -0.25 / (s * v)])
+    batch = seq(np.array([0.25, v]))
+    with np.errstate(divide="raise"):
+        heads = [next(batch) for _ in range(terms)]
+        with pytest.raises(DomainError, match="sqrt's derivative overflows"):
+            next(batch)
+    assert [h[1] for h in heads] == head
+
+
 def test_derivative_terms_are_computed_when_read(monkeypatch):
     from types import SimpleNamespace
 

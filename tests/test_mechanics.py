@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from lagmech.dsl import bind_scalar, bind_vertical, parse
-from lagmech.mechanics import (MechanicalSystem, PointGeometry, _horizontal_two_form, classify,
-                               stack_points)
+from lagmech.mechanics import MechanicalSystem, PointGeometry, classify, stack_points
 from lagmech.phase import PhasePoint
 from lagmech.systems import instantiate, standard_samples
 import routes
 import tower
+from residual_routes import horizontal_two_form, sode_residual
 
 SQRT2 = math.sqrt(2.0)
 # sigma of the normalized Liouville force at y=(1,1) on the quartic-root
@@ -123,11 +123,9 @@ def test_evolution_connection_finsler_liouville(sys_e_finsler, samples_c):
 
 
 def test_evolution_equation_free_matches_spray_equation(sys_b):
-    from lagmech.mechanics import _sode_residual
-
     ctx = PointGeometry(sys_b, PhasePoint((0.4, 0.6), (1.1, -0.3)))
     assert ctx.evolution_equation_residual() == pytest.approx(
-        _sode_residual(ctx.jet, ctx.y, ctx.spray0), abs=1e-15
+        sode_residual(ctx.jet, ctx.y, ctx.spray0), abs=1e-15
     )
 
 
@@ -241,7 +239,7 @@ def test_horizontal_two_form_is_omega_on_the_horizontal_basis(make, rng):
         eye = np.broadcast_to(np.eye(n).reshape((n, n) + (1,) * len(lanes)), (n, n) + lanes)
         for conn in (ctx.conn, ctx.conn0):
             delta = np.concatenate([eye, -conn])  # column i: delta_i
-            closed = _horizontal_two_form(ctx.jet, conn)
+            closed = horizontal_two_form(ctx.jet, conn)
             for i in range(n):
                 for k in range(n):
                     omega = np.asarray(ctx.omega(delta[:, i], delta[:, k]), dtype=float)
@@ -418,42 +416,44 @@ def test_report_serialization_fields(sys_d, samples_c):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("owner, target, residual", [
-    ("PointGeometry", "gbar", "metric_derivative_agreement"),
-    ("PointGeometry", "dyn_cov_deriv_g", "metric_derivative_agreement"),
-    ("PointGeometry", "helicoidal", "symplectic_vs_helicoidal"),
-    ("verify", "_horizontal_two_form", "symplectic_vs_helicoidal"),
-    ("PointGeometry", "horizontal_dL", "lagrangian_horizontal_routes"),
-    ("PointGeometry", "dSL_dy", "lagrangian_horizontal_routes"),
-    ("PointGeometry", "horizontal_dE", "energy_horizontal_routes"),
-    ("PointGeometry", "horizontal_dE_closed", "energy_horizontal_routes"),
-])
-def test_route_disagreement_is_a_verify_offender(monkeypatch, sys_d, owner, target, residual):
-    # shift one side of a route comparison by one unit so the two disagree
+@pytest.mark.parametrize("target, residual", [
+    pytest.param(target, residual, id=f"{owner}-{target}-{residual}")
+    for owner, target, residual in [
+        ("PointGeometry", "gbar", "metric_derivative_agreement"),
+        ("PointGeometry", "dyn_cov_deriv_g", "metric_derivative_agreement"),
+        ("PointGeometry", "helicoidal", "symplectic_vs_helicoidal"),
+        ("verify", "_horizontal_two_form", "symplectic_vs_helicoidal"),
+        ("PointGeometry", "horizontal_dL", "lagrangian_horizontal_routes"),
+        ("PointGeometry", "dSL_dy", "lagrangian_horizontal_routes"),
+        ("PointGeometry", "horizontal_dE", "energy_horizontal_routes"),
+        ("PointGeometry", "horizontal_dE_closed", "energy_horizontal_routes"),
+    ]])
+def test_route_disagreement_is_a_verify_offender(monkeypatch, request, sys_d, target, residual):
+    # shift one side of a route comparison by one unit, where the verify
+    # program lowers it, so that the two disagree; the id names the
+    # quantity's public owner (PointGeometry, or verify alone)
     import inspect
     from functools import cached_property
 
-    from lagmech import mechanics, verify
+    from lagmech import compiled, verify
 
     samples = standard_samples("SYS-D", {"e": -0.5}, count=4)
     assert verify.run_verification(sys_d, samples)["offenders"] == []
-    obj = mechanics.PointGeometry if owner == "PointGeometry" else verify
-    original = inspect.getattr_static(obj, target, None)
-    if original is None:  # a field the context's pass sets
-        init = obj.__init__
+    request.addfinalizer(compiled._program.cache_clear)  # no shifted program outlives the test
+    compiled._program.cache_clear()
+    obj, name = compiled._Geometry, target.lstrip("_")
+    original = inspect.getattr_static(obj, name, None)
+    if original is None:  # a tensor of the point program's nodes
+        update = obj.update
 
-        def shifted_init(self, *args):
-            init(self, *args)
-            setattr(self, target, getattr(self, target) + 1.0)
+        def shifted_update(self, **parts):
+            update(self, **parts)
+            if name in parts:
+                setattr(self, name, getattr(self, name) + 1.0)
 
-        monkeypatch.setattr(obj, "__init__", shifted_init)
-        assert residual in verify.run_verification(sys_d, samples)["offenders"]
-        return
-    if isinstance(original, property):
-        shifted = property(lambda self: original.fget(self) + 1.0)
+        monkeypatch.setattr(obj, "update", shifted_update)
     elif isinstance(original, cached_property):
-        shifted = property(lambda self: original.func(self) + 1.0)
+        monkeypatch.setattr(obj, name, property(lambda self: original.func(self) + 1.0))
     else:
-        shifted = lambda *a, **kw: original(*a, **kw) + 1.0  # noqa: E731
-    monkeypatch.setattr(obj, target, shifted)
+        monkeypatch.setattr(obj, name, lambda *a, **kw: original(*a, **kw) + 1.0)
     assert residual in verify.run_verification(sys_d, samples)["offenders"]

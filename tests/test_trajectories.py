@@ -387,8 +387,8 @@ def test_pass_budget(monkeypatch, curve):
 
 def test_one_compile_per_tree(monkeypatch):
     # two instantiations of SYS-D carry equal trees and share each program,
-    # the geodesic's Finsler gate (an order-1 jet) and each curve's record
-    # program included
+    # the geodesic's Finsler gate (the order-1 Euler test) and each curve's
+    # record program included
     import lagmech.compiled as compiled
 
     compiled._program.cache_clear()
@@ -404,7 +404,7 @@ def test_one_compile_per_tree(monkeypatch):
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.1, "rk4_fixed", 1)
         for curve in INTEGRATE:
             INTEGRATE[curve](sys_, p0, cfg)
-    assert builds == {"evolution": 1, "horizontal": 1, "geodesic": 1, "jet": 1, "record": 3}
+    assert builds == {"evolution": 1, "horizontal": 1, "geodesic": 1, "euler": 1, "record": 3}
 
 
 @pytest.mark.parametrize("t_end", [0.3, 0.7])

@@ -35,7 +35,7 @@ from lagmech.dsl import Bin, Call, Neg, Num, Param, Var
 from lagmech.errors import DomainError, UnboundParameter
 from lagmech.jets import SCALAR_FUNCTIONS, SymMatrix, _any, _each
 from lagmech.jets import Jet as JetRecord
-from lagmech.mechanics import MechanicalSystem, _christoffel
+from lagmech.mechanics import MechanicalSystem
 from lagmech.phase import PhasePoint, VerticalField
 
 # ---------------------------------------------------------------------------
@@ -868,10 +868,17 @@ def metric_x_pass(L, p: PhasePoint):
     return value_part(g), jacobian(g, p.n, bool(batch_shape(p)))
 
 
+def christoffel_symbols(ginv, dgdx):
+    """gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h)."""
+    rest = tuple(range(3, dgdx.ndim))  # the point axis of a batch
+    a = dgdx + dgdx.transpose((0, 2, 1) + rest) - dgdx.transpose((2, 0, 1) + rest)
+    return 0.5 * _contract(ginv, a, 2, 3)
+
+
 def christoffel(L, p: PhasePoint) -> np.ndarray:
     """The formal Christoffel symbols of g from :func:`metric_x_pass`."""
     g, dgdx = metric_x_pass(L, p)
-    return _christoffel(sym_invert(g).inverse, dgdx)
+    return christoffel_symbols(sym_invert(g).inverse, dgdx)
 
 
 def point_geometry(sys: MechanicalSystem, p: PhasePoint) -> dict:

@@ -25,10 +25,9 @@ import numpy as np
 from lagmech.compiled import program, run
 from lagmech.errors import DomainError, SingularMetric
 from lagmech.finsler import require_finsler_mode
-from lagmech.jets import matvec, vecdot
 from lagmech.phase import PhasePoint
 from lagmech.trajectories import _DP_A, _DP_B4, _MIN_FIBER_NORM, RunStats, Trajectory
-from tower import call, christoffel, push_direction
+from tower import call, christoffel, matvec, push_direction, vecdot
 from tower import evolution_pass as _evolution_pass
 
 # the 5th-order weights of the pair
@@ -70,7 +69,7 @@ def observe(sys, p, accel):
 
 def contract_traces(sys, curve, z, accel):
     """E, L, power and the Lagrange defect at z with the acceleration accel,
-    by numpy and ``jets._contract``, from L's blocks by the order-2 ``jet``
+    by numpy and the tower's contractions, from L's blocks by the order-2 ``jet``
     program (row-major lists) and V as the curve's stage reads it: the
     value for evolution curves and geodesics, the ``point`` program's,
     pushed along y, for horizontal curves."""
