@@ -11,8 +11,9 @@ One executable with five subcommands:
 Configuration is a single JSON file (see docs/config.md) with flag
 overrides for parameter sweeps.  All numeric output is printed with 17
 significant digits so regression goldens are stable; identical config
-and seed produce byte-identical output.  ``inspect`` formats each clean
-chunk of samples field by field, all points of the chunk in one pass
+and seed produce byte-identical output.  ``inspect`` sweeps the compiled
+``inspect`` report (:mod:`lagmech.compiled`), formats each clean chunk
+of samples field by field, all points of the chunk in one pass
 (:func:`render_rows`), and assembles the entries in sample order; the
 output is byte-identical to rendering every point on its own with
 :func:`render_json`.
@@ -46,7 +47,7 @@ from .errors import (
     VariableIndexError,
 )
 from .finsler import is_finsler_mode
-from .mechanics import MechanicalSystem, PointGeometry, classify, each_block
+from .mechanics import MechanicalSystem, _report, classify, each_block
 from .phase import PhasePoint
 from .sampling import sample_box
 from .trajectories import (
@@ -211,11 +212,41 @@ def _integer(spec: dict, key: str, default: int) -> int:
     return int(number)
 
 
-def _point(item, what: str) -> PhasePoint:
+def _numbers(values, part: str, what: str) -> list:
+    """``values``, a JSON list of finite numbers; a boolean, a string, NaN,
+    an infinity or an integer past the float range is an error."""
     try:
-        return PhasePoint(item["x"], item["y"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"{what} needs 'x' and 'y' lists of one length") from err
+        if {int, float}.issuperset(map(type, values)) and all(map(math.isfinite, values)):
+            return values
+    except OverflowError:  # an int past the float range
+        pass
+    raise ConfigError(f"{part} of {what} must be finite numbers, got {values!r}")
+
+
+def _point(item, what: str) -> PhasePoint:
+    x, y = (item.get("x"), item.get("y")) if isinstance(item, dict) else (None, None)
+    if not (isinstance(x, list) and isinstance(y, list) and len(x) == len(y)):
+        raise ConfigError(f"{what} needs 'x' and 'y' lists of one length")
+    z = _numbers(x + y, "the coordinates", what)
+    return PhasePoint(z[:len(x)], z[len(x):])
+
+
+def _box(spec: dict, key: str) -> list:
+    """``spec[key]``, one [lo, hi] pair of finite numbers per coordinate."""
+    bounds = spec.get(key)
+    if bounds is None:
+        raise ConfigError("samples need both box_x and box_y bounds")
+    if not (isinstance(bounds, list) and all(isinstance(b, list) and len(b) == 2 for b in bounds)):
+        raise ConfigError(f"{key!r} must list one [lo, hi] pair per coordinate, got {bounds!r}")
+    return [tuple(_numbers(b, "the bounds", repr(key))) for b in bounds]
+
+
+def _tolerance(cfg: dict) -> float:
+    """``tolerance`` (default 1e-8), a finite number > 0."""
+    tol = _number(cfg, "tolerance", 1e-8)
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"'tolerance' must be a finite number > 0, got {cfg['tolerance']!r}")
+    return tol
 
 
 def _parse_param(text: str):
@@ -264,11 +295,7 @@ def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
         raise ConfigError(f"'count' must be at least 1, got {count}")
     mode = str(spec.get("mode", "halton"))
     if "box_x" in spec or "box_y" in spec:
-        try:
-            box_x = [tuple(map(float, b)) for b in spec["box_x"]]
-            box_y = [tuple(map(float, b)) for b in spec["box_y"]]
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError("samples need both box_x and box_y bounds") from err
+        box_x, box_y = _box(spec, "box_x"), _box(spec, "box_y")
         if len(box_x) != sys.n or len(box_y) != sys.n:
             raise ConfigError("sample box dimension mismatch")
     else:
@@ -325,24 +352,6 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _inspect_fields(sys_: MechanicalSystem, p: PhasePoint) -> dict:
-    ctx = PointGeometry(sys_, p)
-    return {
-        "g": ctx.metric.entries,
-        "g_inv": ctx.metric.inverse,
-        "E": ctx.energy,
-        "G0": ctx.spray0,
-        "N0": ctx.conn0,
-        "C": ctx.cartan,
-        "sigma": ctx.sigma,
-        "G": ctx.spray,
-        "N": ctx.conn,
-        "F": ctx.helicoidal,
-        "gbar": ctx.gbar,
-        "power": ctx.power,
-    }
-
-
 def _inspect_entries(start: int, points: list, values: dict) -> list:
     """The rendered entries of points evaluated together: ``values`` of a
     batch (a trailing point axis) or of a single point.  Each field is
@@ -369,7 +378,7 @@ def cmd_inspect(cfg: dict, args) -> int:
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", 0))
     entries = []
     hit_singular = False
-    for start, points, values, err in each_block(samples, lambda q: _inspect_fields(sys_, q)):
+    for start, points, values, err in each_block(samples, _report(sys_, "inspect")):
         if err is None:
             entries += _inspect_entries(start, points, values)
             continue
@@ -384,7 +393,7 @@ def cmd_inspect(cfg: dict, args) -> int:
 def cmd_classify(cfg: dict, args) -> int:
     sys_ = build_system(cfg)
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", 0))
-    tol = _number(cfg, "tolerance", 1e-8)
+    tol = _tolerance(cfg)
     report = classify(sys_, samples, tol=tol)
     _emit(render_json(report.to_dict()), args.out)
     return EXIT_OK
@@ -393,7 +402,7 @@ def cmd_classify(cfg: dict, args) -> int:
 def cmd_verify(cfg: dict, args) -> int:
     sys_ = build_system(cfg)
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", 0))
-    tol = _number(cfg, "tolerance", 1e-8)
+    tol = _tolerance(cfg)
     report = run_verification(sys_, samples, tol=tol)
     _emit(render_json(report), args.out)
     if report["singular_points"]:

@@ -26,16 +26,14 @@ one-point run.
 ``record``      E, L, sigma . y and max |Lagrange defect| at z and its
                 acceleration ``a1..an``, V lowered (and, on a geodesic
                 alone, checked) as the curve's own stage would
-``point``       what :class:`~lagmech.mechanics.PointGeometry` holds:
-                L's blocks and d3L/dy3, g, its inverse and its |eig|
-                range, G0, V, G, sigma = g V, the y-Jacobians N0,
-                dV/dy, N, dsigma/dy, dS(L)/dy and dS0(L)/dy, E and
-                sigma . y
-``residuals``   a report's values (arg ``verify``, ``identities`` or
-                ``context``), after the point program's checks, the
-                identities' Euler test and the metric_x program's checks
+``report``      a report's values (its arg names an entry of ``_REPORTS``):
+                ``point``, what :class:`~lagmech.mechanics.PointGeometry`
+                holds; ``classify`` and ``inspect``, the CLI's; ``context``,
+                ``verify`` and ``identities``, residuals.  Each makes the
+                point report's checks, the identities then the Euler test,
+                and one that reads g's x-partials the metric_x program's
 ``metric_x``    g, dg/dx and, behind the rank gate, the Christoffel symbols
-``jet``         L to order 0..3, with no inverse
+``jet``         L to order 0..3, a :class:`~lagmech.jets.Jet`'s blocks
 ``euler``       |(dL/dy) y - 2 L|, checked finite, and L, from L to order
                 1; given V, to order 2 with the max |partial| of d_yy / 2
                 and of V along y in the direction y
@@ -45,7 +43,7 @@ one-point run.
 
 The curve kinds return z', ``value`` its values as a list and ``record``
 its traces summed as floats sum them; :func:`run` returns any other
-kind's outputs at a phase point as floats and arrays.
+kind's outputs at a phase point by name, as floats and arrays.
 The domain rules are those of the same pass run on a forward-mode tower
 (the tests' reference): L propagated as an order-2 jet (order o for
 ``jet``) and V in floats, each carrying tangents along the seeded
@@ -67,7 +65,7 @@ import numpy as np
 
 from .dsl import Bin, Call, Neg, Num, Var
 from .errors import DomainError, SingularMetric
-from .jets import SCALAR_FUNCTIONS, _invert, _power, _real_power, batch_shape, ipow
+from .jets import _BLOCKS, SCALAR_FUNCTIONS, _invert, _power, _real_power, batch_shape, ipow
 from .phase import PhasePoint
 
 __all__ = ["program", "run"]
@@ -403,7 +401,7 @@ class _Node:
 
 
 class _Geometry:
-    """The ``point`` program's nodes as tensors (object arrays of
+    """The ``point`` report's nodes as tensors (object arrays of
     :class:`_Node`) and the tensor formulas the reports read, each lowered
     once, when first read, with the bits of the formula on float arrays: a
     contraction is :meth:`_Dag.fdot`'s sum, and a structural zero is skipped
@@ -433,72 +431,85 @@ class _Geometry:
                                                    [e.i for e in b[(slice(None),) + i[k:]]]))
         return out[()] if not out.shape else out
 
-    def peak(self, a):
-        """max |a| over its entries, NaN first."""
+    def norm(self, a):
+        """The max-norm, max |a| over its entries, NaN first."""
         kids = tuple(e.i for e in np.ravel(a) if e.i is not None)
         return _Node(self.dag, self.dag.node("maxabs", kids or (self.dag.const(0.0),)))
 
-    energy = cached_property(lambda q: q.contract(q.y, q.dy) - q.L)
+    energy = cached_property(lambda q: q.contract(q.y, q.d_y) - q.value)
     power = cached_property(lambda q: q.contract(q.sigma, q.y))
-    euler_defect = cached_property(lambda q: q.peak(q.contract(q.y, q.dy) - 2.0 * q.L))
+    euler_defect = cached_property(lambda q: q.norm(q.contract(q.y, q.d_y) - 2.0 * q.value))
     # (dE/dx, dE/dy), and as one vector
-    de = cached_property(lambda q: (q.contract(q.y, q.dxy) - q.dx, q.contract(q.y, q.dyy)))
+    de = cached_property(lambda q: (q.contract(q.y, q.d_xy) - q.d_x, q.contract(q.y, q.d_yy)))
     dE = cached_property(lambda q: np.concatenate(q.de))
     # the antisymmetrized mixed block of the Cartan 2-form
-    mixed = cached_property(lambda q: (q.dxy - q.dxy.T) * 0.5)
+    mixed = cached_property(lambda q: (q.d_xy - q.d_xy.T) * 0.5)
+    # 4 gbar = J + J^T and 2 F = J - J^T, J = dsigma/dy; the Cartan tensor d3L/dy3 / 4
     gbar = cached_property(lambda q: (q.dsigma_dy + q.dsigma_dy.T) * 0.25)
     helicoidal = cached_property(lambda q: (q.dsigma_dy - q.dsigma_dy.T) * 0.5)
+    cartan = cached_property(lambda q: q.d_yyy * 0.25)
+    # the normalisation of the metric defects: 1 + max |g|
+    scale = cached_property(lambda q: 1.0 + q.norm(q.g))
 
     def sode(self, spray, sigma=None):
         """max |i_S omega + dE (- sigma)| over the 2n basis vectors, S having
         the natural components (y, -2 spray) and sigma acting on x-slots."""
-        res_x = (self.contract(self.G, spray * (-2.0)) * 2.0
+        res_x = (self.contract(self.g, spray * (-2.0)) * 2.0
                  + self.contract(self.mixed, self.y) * 2.0 + self.de[0])
         if sigma is not None:
             res_x = res_x - sigma
-        return self.peak(np.concatenate([res_x, self.contract(self.G, self.y) * (-2.0)
+        return self.norm(np.concatenate([res_x, self.contract(self.g, self.y) * (-2.0)
                                          + self.de[1]]))
 
     evolution_equation_residual = cached_property(lambda q: q.sode(q.spray, q.sigma))
     # max |S(dL/dy) - dL/dx - sigma| along the evolution semispray
-    lie_theta_residual = cached_property(lambda q: q.peak(
-        q.contract(q.dxy, q.y) - 2.0 * q.contract(q.dyy, q.spray) - q.dx - q.sigma))
-    symplectic_defect = cached_property(lambda q: q.peak(q.horizontal_two_form(q.conn)))
+    lie_theta_residual = cached_property(lambda q: q.norm(
+        q.contract(q.d_xy, q.y) - 2.0 * q.contract(q.d_yy, q.spray) - q.d_x - q.sigma))
+    symplectic_defect = cached_property(lambda q: q.norm(q.horizontal_two_form(q.conn)))
 
     def horizontal_two_form(self, conn):
         """omega(delta_i, delta_k), delta_i = (e_i, -N[:, i]): 2 (g N - (g N)^T) + a^T - a."""
-        gn = self.contract(self.G, conn)
+        gn = self.contract(self.g, conn)
         return 2.0 * (gn - gn.T) + (self.mixed.T - self.mixed)
 
     @cached_property
     def dg_dx(self):
-        return self.tensor([self.dag.d(v.i, ("x", c)) for v in self.G.flat for c in range(self.n)],
+        return self.tensor([self.dag.d(v.i, ("x", c)) for v in self.g.flat for c in range(self.n)],
                            (self.n,) * 3)
 
     @cached_property
     def christoffel(self):
         d = self.dg_dx
-        return 0.5 * self.contract(self.ginv, d + d.transpose(0, 2, 1) - d.transpose(2, 0, 1))
+        return 0.5 * self.contract(self.g_inv, d + d.transpose(0, 2, 1) - d.transpose(2, 0, 1))
 
     def dyn_cov_deriv_g(self, spray, conn):
-        gn = self.contract(self.G, conn)
-        return (self.contract(self.dg_dx, self.y) - self.contract(self.dyyy, spray)) - gn - gn.T
+        gn = self.contract(self.g, conn)
+        return (self.contract(self.dg_dx, self.y) - self.contract(self.d_yyy, spray)) - gn - gn.T
 
-    horizontal_dL = cached_property(lambda q: q.dx - q.contract(q.dy, q.conn))
+    horizontal_dL = cached_property(lambda q: q.d_x - q.contract(q.d_y, q.conn))
     horizontal_dE = cached_property(lambda q: q.de[0] - q.contract(q.de[1], q.conn))
     # the force-only form of the horizontal dE of a 2-homogeneous L
-    slope = cached_property(lambda q: 0.5 * q.contract(q.contract(q.G, q.y), q.dV_dy))
+    slope = cached_property(lambda q: 0.5 * q.contract(q.contract(q.g, q.y), q.dV_dy))
     horizontal_dE_closed = cached_property(lambda q: 2.0 * q.contract(
-        q.G, 2.0 * q.spray0 - q.contract(q.conn0, q.y)) + q.slope)
+        q.g, 2.0 * q.spray0 - q.contract(q.conn0, q.y)) + q.slope)
     gamma_yy = cached_property(lambda q: q.contract(q.contract(q.christoffel, q.y), q.y))
-    lagrangian_condition = cached_property(lambda q: q.contract(q.contract(q.dV_dy, q.y), q.dy)
+    lagrangian_condition = cached_property(lambda q: q.contract(q.contract(q.dV_dy, q.y), q.d_y)
                                            + 2.0 * q.contract(q.dS0L_dy, q.y))
     energy_condition = cached_property(lambda q: 2.0 * q.contract(q.horizontal_dE_closed, q.y))
 
 
-# each ``residuals`` report (the program's arg): its per-point values by
-# name, in output order
+# each ``report`` program (its arg): its per-point values by name, in output order
 _REPORTS = {
+    "point": {name: attrgetter(name) for name in (
+        *_BLOCKS, "g", "g_inv", "eig_min", "eig_max", "spray0", "V", "spray", "sigma", "conn0",
+        "dV_dy", "conn", "dsigma_dy", "dSL_dy", "dS0L_dy", "energy", "power", "gbar",
+        "helicoidal", "cartan")},
+    "classify": {"metric_defect": lambda q: q.norm(q.gbar) / q.scale,
+                 "symplectic_defect": lambda q: q.norm(q.helicoidal) / q.scale,
+                 "worst_power": attrgetter("power")},
+    "inspect": {key: attrgetter(name) for key, name in dict(
+        g="g", g_inv="g_inv", E="energy", G0="spray0", N0="conn0", C="cartan", sigma="sigma",
+        G="spray", N="conn", F="helicoidal", gbar="gbar", power="power").items()},
     "context": {name: attrgetter(name) for name in (
         "dE", "dg_dx", "christoffel", "horizontal_dL", "horizontal_dE", "horizontal_dE_closed",
         "evolution_equation_residual", "lie_theta_residual", "symplectic_defect",
@@ -507,43 +518,42 @@ _REPORTS = {
         "canonical_spray_equation": lambda q: q.sode(q.spray0),
         "evolution_spray_equation": attrgetter("evolution_equation_residual"),
         "cartan_form_transport": attrgetter("lie_theta_residual"),
-        "canonical_metricity": lambda q: q.peak(q.dyn_cov_deriv_g(q.spray0, q.conn0))
-        / (1.0 + q.peak(q.G)),
-        "canonical_horizontal_two_form": lambda q: q.peak(q.horizontal_two_form(q.conn0)),
-        "metric_derivative_agreement": lambda q: q.peak(
+        "canonical_metricity": lambda q: q.norm(q.dyn_cov_deriv_g(q.spray0, q.conn0)) / q.scale,
+        "canonical_horizontal_two_form": lambda q: q.norm(q.horizontal_two_form(q.conn0)),
+        "metric_derivative_agreement": lambda q: q.norm(
             q.gbar - q.dyn_cov_deriv_g(q.spray, q.conn)),
-        "symplectic_vs_helicoidal": lambda q: q.peak(q.horizontal_two_form(q.conn) + q.helicoidal),
-        "lagrangian_horizontal_routes": lambda q: q.peak(
+        "symplectic_vs_helicoidal": lambda q: q.norm(q.horizontal_two_form(q.conn) + q.helicoidal),
+        "lagrangian_horizontal_routes": lambda q: q.norm(
             q.horizontal_dL - (q.dSL_dy - q.sigma) * 0.5),
-        "energy_horizontal_routes": lambda q: q.peak(q.horizontal_dE - q.horizontal_dE_closed),
-        "christoffel_contraction": lambda q: q.peak(q.gamma_yy - 2.0 * q.spray0),
-        "finsler_energy_formula": lambda q: q.peak(q.horizontal_dE - q.slope),
+        "energy_horizontal_routes": lambda q: q.norm(q.horizontal_dE - q.horizontal_dE_closed),
+        "christoffel_contraction": lambda q: q.norm(q.gamma_yy - 2.0 * q.spray0),
+        "finsler_energy_formula": lambda q: q.norm(q.horizontal_dE - q.slope),
     },
     "identities": {
-        "energy_residual": lambda q: q.peak(q.energy - q.L) / (1.0 + q.peak(q.L)),
-        "spray_homogeneity_residual": lambda q: q.peak(
+        "energy_residual": lambda q: q.norm(q.energy - q.value) / (1.0 + q.norm(q.value)),
+        "spray_homogeneity_residual": lambda q: q.norm(
             2.0 * q.spray0 - q.contract(q.conn0, q.y)),
-        "energy_slope_residual": lambda q: q.peak(q.horizontal_dE - q.slope),
-        "christoffel_residual": lambda q: q.peak(q.gamma_yy - 2.0 * q.spray0),
+        "energy_slope_residual": lambda q: q.norm(q.horizontal_dE - q.slope),
+        "christoffel_residual": lambda q: q.norm(q.gamma_yy - 2.0 * q.spray0),
     },
 }
 
 # kind: (the order of L's jet, the seeded coordinates); jet's order is its
 # arg, as is euler's (1, or 2 with the partials along y itself)
 _TOWERS = {"evolution": (2, 0), "horizontal": (2, _Y), "geodesic": (2, _X),
-           "record": (2, 0), "point": (2, _Y), "metric_x": (2, _X), "residuals": (2, _Y)}
+           "record": (2, 0), "report": (2, _Y), "metric_x": (2, _X)}
 
 
-def _groups(values) -> list:
-    """Output groups of tensors and scalars of nodes."""
-    return [([e.i for e in np.ravel(v)], np.shape(v)) for v in values]
+def _groups(values: dict) -> dict:
+    """Named output groups: each tensor or scalar of nodes as its list of
+    nodes and the array shape they fill."""
+    return {name: ([e.i for e in np.ravel(v)], np.shape(v)) for name, v in values.items()}
 
 
 def _build(kind: str, n: int, ltree, vtrees, arg):
     """The DAG of a kind, and its return statement (a curve kind, ``record``
-    or ``value``) or its output groups, each a list of nodes with the array
-    shape they fill.  ``arg`` is a jet's order, a record's curve or a
-    ``residuals`` program's report."""
+    or ``value``) or its named output groups.  ``arg`` is a jet's order, a
+    record's curve or a report's name."""
     g, r = _Dag(n), range(n)
     if kind == "value":  # in floats: one field's value, or each component's
         field = "field" if vtrees is None else "force"
@@ -566,8 +576,8 @@ def _build(kind: str, n: int, ltree, vtrees, arg):
     dyy = [g.d(dy[min(i, j)], ("y", max(i, j))) for i in r for j in r] if order > 1 else []
     dxy = [g.d(dy[i], ("x", j)) for i in r for j in r] if order > 1 else []
     G = [g.mul(v, half) for v in dyy]
-    q = _Geometry(g, L=([L], ()), dx=(dx, (n,)), dy=(dy, (n,)), dyy=(dyy, (n, n)),
-                  dxy=(dxy, (n, n)), G=(G, (n, n)))
+    q = _Geometry(g, value=([L], ()), d_x=(dx, (n,)), d_y=(dy, (n,)), d_yy=(dyy, (n, n)),
+                  d_xy=(dxy, (n, n)), g=(G, (n, n)))
     if kind == "record":  # at z and its acceleration a; the curve's stage checked L there
         a = [g.node("a", (), i) for i in r]
         g.inputs += a
@@ -575,28 +585,31 @@ def _build(kind: str, n: int, ltree, vtrees, arg):
         if arg == "geodesic":  # whose stage never saw V
             g.check(V, "force evaluation produced a non-finite value")
         q.update(a=(a, (n,)), V=(V, (n,)))
-        sigma = q.contract(q.G, q.V)
-        el = q.contract(q.dxy, q.y) + q.contract(q.dyy, q.a) - q.dx - sigma
-        return g, f"return {g.names([q.energy.i, L, q.contract(sigma, q.y).i, q.peak(el).i])}"
+        sigma = q.contract(q.g, q.V)
+        el = q.contract(q.d_xy, q.y) + q.contract(q.d_yy, q.a) - q.d_x - sigma
+        return g, f"return {g.names([q.energy.i, L, q.contract(sigma, q.y).i, q.norm(el).i])}"
     blocks = dx + dy + dyy + dxy
     g.check([L] + [g.d(L, w) for w in wrts], "field evaluation produced a non-finite value")
     g.check(blocks + [g.d(v, w) for w in wrts for v in blocks],
             "field evaluation produced a non-finite derivative")
     # d_yyy[i, j, k] from its sorted indices, so that it is bitwise totally symmetric
-    q.update(dyyy=([g.d(dyy[a * n + b], ("y", c)) for i in r for j in r for k in r
-                    for a, b, c in [sorted((i, j, k))]] if ("y", 0) in wrts else [], (n, n, n)))
+    q.update(d_yyy=([g.d(dyy[a * n + b], ("y", c)) for i in r for j in r for k in r
+                     for a, b, c in [sorted((i, j, k))]] if ("y", 0) in wrts else [], (n, n, n)))
     if kind == "jet":
-        return g, _groups([q.L, q.dx, q.dy, q.dyy, q.dxy, q.dyyy])
+        return g, _groups({name: getattr(q, name) for name in _BLOCKS})
     if kind == "euler":  # the Euler test of L; given V, max |(dg/dy) y| and max |(dV/dy) y|
         V = [g.lower(t, (None, seeded)) for t in vtrees or ()]
         g.check([q.euler_defect.i], "field evaluation produced a non-finite value")
-        return g, _groups([q.euler_defect, q.L] + ([] if vtrees is None else [
-            q.peak(q.tensor([g.mul(g.d(v, _DIR), half) for v in dyy], (n, n))),
-            q.peak(q.tensor([g.d(v, _DIR) for v in V], (n,)))]))
+        out = {"defect": q.euler_defect, "value": q.value}
+        if vtrees is not None:
+            out["metric_residual"] = q.norm(q.tensor([g.mul(g.d(v, _DIR), half) for v in dyy],
+                                                     (n, n)))
+            out["force_residual"] = q.norm(q.tensor([g.d(v, _DIR) for v in V], (n,)))
+        return g, _groups(out)
     inv = g.invert(G)
-    q.update(ginv=(inv[:-2], (n, n)), mn=(inv[-2:-1], ()), mx=(inv[-1:], ()))
+    q.update(g_inv=(inv[:-2], (n, n)), eig_min=(inv[-2:-1], ()), eig_max=(inv[-1:], ()))
     if kind == "metric_x":
-        return g, _groups([q.G, q.dg_dx, q.christoffel])
+        return g, _groups({"g": q.g, "dg_dx": q.dg_dx, "christoffel": q.christoffel})
     ys = g.names(g.y)
     if kind == "geodesic":
         # gamma^i_jk y^j y^k = g^ih (2 dg_hj/dx_k - dg_jk/dx_h) y^j y^k / 2,
@@ -624,32 +637,29 @@ def _build(kind: str, n: int, ltree, vtrees, arg):
              conn0=(jac(spray0), (n, n)), dV_dy=(jac(V), (n, n)), conn=(jac(spray), (n, n)),
              dsigma_dy=(jac(sigma), (n, n)), dSL_dy=(jac(s_l[:1]), (n,)),
              dS0L_dy=(jac(s_l[1:]), (n,)))
-    if kind == "point":
-        return g, _groups([q.L, q.dx, q.dy, q.dyy, q.dxy, q.dyyy, q.G, q.ginv, q.mn, q.mx,
-                           q.spray0, q.V, q.spray, q.sigma, q.conn0, q.dV_dy, q.conn,
-                           q.dsigma_dy, q.dSL_dy, q.dS0L_dy, q.energy, q.power])
-    # a report: the point program's checks; for the identities, the Euler
-    # test; then the checks of the metric_x program that g's x-partials read
+    # a report: the point report's checks, and for the identities the Euler test
     if arg == "identities":
         g.check([q.euler_defect.i], "field evaluation produced a non-finite value")
         g.lines.append(f"_euler_gate({g.names([q.euler_defect.i, L])}, z)")
-    g.deepen(fns)
-    g.check([g.d(v, ("x", k)) for k in r for v in blocks],
-            "field evaluation produced a non-finite derivative")
-    return g, _groups([value(q) for value in _REPORTS[arg].values()])
+    out = {name: value(q) for name, value in _REPORTS[arg].items()}
+    if "dg_dx" in vars(q):  # the metric_x program's checks; no formula emitted a statement yet
+        g.deepen(fns)
+        g.check([g.d(v, ("x", k)) for k in r for v in blocks],
+                "field evaluation produced a non-finite derivative")
+    return g, _groups(out)
 
 
 @lru_cache(maxsize=128)
 def _program(kind: str, L, V, arg):
     """The ``kind`` program of fields L and V (either may be None) and its
-    output shapes (None for a curve kind or ``record``).  A field hashes and
-    compares by the structural key it made at construction, so equal trees
-    share a program and a lookup renders no tree."""
+    outputs' shapes by name (None for a kind that returns a list).  A field
+    hashes and compares by the structural key it made at construction, so
+    equal trees share a program and a lookup renders no tree."""
     g, out = _build(kind, (L or V).n, L and L.tree, V and V.trees, arg)
     shapes = None
-    if not isinstance(out, str):  # output groups, as lists
-        shapes = [shape for _, shape in out]
-        out = "return (" + "".join(f"[{g.names(nodes)}], " for nodes, _ in out) + ")"
+    if not isinstance(out, str):  # named output groups, as lists
+        shapes = {name: shape for name, (_, shape) in out.items()}
+        out = "return (" + "".join(f"[{g.names(nodes)}], " for nodes, _ in out.values()) + ")"
     namespace = dict(_RUNTIME)
     head = ", ".join(g.name(i) for i in g.inputs)
     src = "\n    ".join([f"def program(z):\n    {head}, = z", *g.lines, out])
@@ -660,31 +670,30 @@ def _program(kind: str, L, V, arg):
 def program(kind: str, L, V=None, arg=2):
     """The compiled ``kind`` program of fields L and V, built at its first
     request and shared by equal fields; callers pass V only to the kinds
-    that read it (``evolution``, ``horizontal``, ``record``, ``point``,
-    ``residuals``, ``euler`` for its partials along y, and ``value`` given
-    V alone), and ``arg``, a jet's or an Euler test's order, a record's
-    curve or a report."""
+    that read it (``evolution``, ``horizontal``, ``record``, ``report``,
+    ``euler`` for its partials along y, and ``value`` given V alone), and
+    ``arg``, a jet's or an Euler test's order, a record's curve or a
+    report's name."""
     return _program(kind, L, V, arg)[0]
 
 
-def run(kind: str, L, V, p, arg=2) -> list:
-    """The outputs of the ``kind`` program at the phase point ``p``: a float
-    or an array per output group at one point, and over a batch (``p``'s
-    coordinates (B,) arrays) each with a trailing point axis, a report's by
-    name.  An exact zero is +0.0, as a sum of float products from +0.0
-    gives it."""
+def run(kind: str, L, V, p, arg=2) -> dict:
+    """The outputs of the ``kind`` program (a kind of named outputs) at the
+    phase point ``p`` by name: a float or an array each at one point, and
+    over a batch (``p``'s coordinates (B,) arrays) each with a trailing
+    point axis.  An exact zero is +0.0, as a sum of float products from
+    +0.0 gives it."""
     fn, shapes = _program(kind, L, V, arg)
     out = fn([*p.x, *p.y])
     lanes = batch_shape(p)
-    if not lanes:
-        values = [vals[0] + 0.0 if not shape else np.array(vals).reshape(shape) + 0.0
-                  for vals, shape in zip(out, shapes)]
-    else:
-        values = []
-        for vals, shape in zip(out, shapes):
-            a = np.empty((len(vals),) + lanes)
-            for k, v in enumerate(vals):
-                a[k] = v
-            a += 0.0
-            values.append(a.reshape(shape + lanes))
-    return dict(zip(_REPORTS[arg], values)) if kind == "residuals" else values
+    values = {}
+    for (name, shape), vals in zip(shapes.items(), out):
+        if not lanes:
+            values[name] = vals[0] + 0.0 if not shape else np.array(vals).reshape(shape) + 0.0
+            continue
+        a = np.empty((len(vals),) + lanes)
+        for k, v in enumerate(vals):
+            a[k] = v
+        a += 0.0
+        values[name] = a.reshape(shape + lanes)
+    return values

@@ -17,8 +17,8 @@ The Euler tests run the compiled ``euler`` program (order 1 for the mode
 gate; order 2 with the partials along y in the direction y for
 :func:`homogeneity_report`), which does not invert the metric, so a
 singular metric does not fail them; :func:`christoffel_at` runs the
-``metric_x`` program and :func:`finsler_identities` the ``residuals``
-program's ``identities`` report (:mod:`lagmech.compiled`).
+``metric_x`` program and :func:`finsler_identities` the ``identities``
+report (:mod:`lagmech.compiled`).  Each returns its outputs by name.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import FinslerModeError
-from .mechanics import MechanicalSystem, _run, each_point, sweep
+from .mechanics import MechanicalSystem, _report, _run, each_point, sweep
 from .phase import PhasePoint
 
 __all__ = [
@@ -76,8 +76,8 @@ def _fails_euler(defect, value, tol: float = _GATE_TOL):
 
 
 def _probe_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
-    defect, value = _run("euler", sys.L, None, p, 1)
-    return {"defect": defect, "value": value}
+    """L's Euler ``defect`` and its ``value`` at ``p``."""
+    return _run("euler", sys.L, None, p, 1)
 
 
 def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bool:
@@ -115,13 +115,14 @@ def _require_euler(defect, value, p: PhasePoint):
 
 def require_finsler_mode(sys: MechanicalSystem, p: PhasePoint):
     """Gate an operation on the homogeneity of L at a reference point."""
-    _require_euler(*_run("euler", sys.L, None, p, 1), p)
+    _require_euler(**_probe_values(sys, p), p=p)
 
 
 def _euler_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
-    lag, value, metric, force = _run("euler", sys.L, sys.V, p)
-    return {"lagrangian_residual": lag, "metric_residual": metric, "force_residual": force,
-            "rejected": _fails_euler(lag, value)}
+    out = _run("euler", sys.L, sys.V, p)
+    return {"lagrangian_residual": out["defect"], "metric_residual": out["metric_residual"],
+            "force_residual": out["force_residual"],
+            "rejected": _fails_euler(out["defect"], out["value"])}
 
 
 def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
@@ -146,7 +147,7 @@ def christoffel_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
     homogeneous L these contract to the canonical spray:
     gamma^i_jk y^j y^k = 2 G0^i.
     """
-    return _run("metric_x", sys.L, None, p)[2]
+    return _run("metric_x", sys.L, None, p)["christoffel"]
 
 
 @dataclass
@@ -172,7 +173,6 @@ class FinslerIdentityReport:
 
 def finsler_identities(sys: MechanicalSystem, samples) -> FinslerIdentityReport:
     """Verify the identities forced by 2-homogeneity over a sample set."""
-    worst, tested, failures = sweep(
-        samples, lambda p: _run("residuals", sys.L, sys.V, p, "identities"))
+    worst, tested, failures = sweep(samples, _report(sys, "identities"))
     return FinslerIdentityReport(**_maxima(FinslerIdentityReport, worst), points_tested=tested,
                                  failures=failures)

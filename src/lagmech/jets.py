@@ -210,6 +210,9 @@ def _power(base, exponent, m: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+_BLOCKS = ("value", "d_x", "d_y", "d_yy", "d_xy", "d_yyy")  # a Jet's, as named outputs
+
+
 class Jet:
     """The derivative blocks of one scalar field at a point.
 
@@ -225,7 +228,7 @@ class Jet:
     (n, B), ``d_yy`` (n, n, B)).  A record: it has no arithmetic.
     """
 
-    __slots__ = ("n", "order", "value", "d_x", "d_y", "d_yy", "d_xy", "d_yyy")
+    __slots__ = ("n", "order", *_BLOCKS)
 
     def __init__(self, n, order, value, d_x=None, d_y=None, d_yy=None, d_xy=None, d_yyy=None):
         self.n = n
@@ -262,7 +265,7 @@ def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
         raise TypeError("eval_jet needs a field that carries its expression tree (bind_scalar)")
     from .compiled import run  # compiled at the first pass, not at import
 
-    return Jet(f.n, order, *run("jet", f, None, p, order))
+    return Jet(f.n, order, **run("jet", f, None, p, order))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ sigma:
   the evolution connection compatible with the symplectic 2-form.
 
 All of it comes from one pass: the jet of L, the metric, y, V, G0 and G
-at a point.  :class:`PointGeometry` runs the compiled ``point`` program
+at a point.  :class:`PointGeometry` runs the compiled ``point`` report
 (:mod:`lagmech.compiled`) once, which yields the values together with
 every fiber Jacobian (N0, dV/dy, N, dsigma/dy, d3L/dy3) as partials of
 the same DAG the trajectories' programs are built from; the residuals,
@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
-from .jets import Jet, SymMatrix, batch_shape
+from .jets import _BLOCKS, Jet, SymMatrix, batch_shape
 from .phase import PhasePoint, ScalarField, VerticalField
 
 __all__ = [
@@ -110,6 +110,11 @@ def _run(kind: str, L, V, p: PhasePoint, arg=2):
     return run(kind, L, V, p, arg)
 
 
+def _report(sys: MechanicalSystem, name: str):
+    """The compiled report ``name`` of ``sys``, as a sweep's ``per_batch``."""
+    return lambda p: _run("report", sys.L, sys.V, p, name)
+
+
 def _contract(a, b, ra: int):
     """sum_m a[.., m] b[m, ..] of two float arrays with the same point axes
     (none at a point), m being the last of a's ``ra`` core axes and b's
@@ -136,18 +141,19 @@ class PointGeometry:
     """Every pointwise quantity of a forced system at one phase point, or
     at each point of a batch.
 
-    The compiled ``point`` program runs once.  It gives ``jet`` (L to
+    The compiled ``point`` report runs once.  It gives ``jet`` (L to
     order 3), ``metric``, ``y``, ``V``, ``spray0`` (G0), ``spray`` (G),
-    ``sigma``, ``energy``, ``power`` and the fiber Jacobians: ``conn0``
-    (N0), ``dV_dy``, ``conn`` (N), ``dsigma_dy`` (J), ``dSL_dy`` and
-    ``dS0L_dy`` (of S(L) along G and G0), and ``d_yyy`` (d3L/dy3, four
-    times the Cartan tensor).  The symmetric quarter of J is the dynamical
-    covariant derivative of g along the evolution pair, its antisymmetric
-    half the helicoidal tensor: 4 gbar_ij = J_ij + J_ji, 2 F_ij = J_ij - J_ji.
+    ``sigma``, ``energy``, ``power``, the fiber Jacobians ``conn0`` (N0),
+    ``dV_dy``, ``conn`` (N), ``dsigma_dy`` (J), ``dSL_dy`` and ``dS0L_dy``
+    (of S(L) along G and G0) and ``d_yyy`` (d3L/dy3), and the derived
+    tensors ``cartan`` (d3L/dy3 / 4), ``gbar`` and ``helicoidal``.  The
+    symmetric quarter of J is the dynamical covariant derivative of g along
+    the evolution pair, its antisymmetric half the helicoidal tensor:
+    4 gbar_ij = J_ij + J_ji, 2 F_ij = J_ij - J_ji.
 
-    One more pass runs only when read (the compiled ``residuals`` program's
-    ``context`` report, which fails where the ``point`` program or the
-    x-derivative pass of g would): ``dE``, ``dg_dx``, ``christoffel``,
+    One more pass runs only when read (the compiled ``context`` report,
+    which fails where the ``point`` report or the x-derivative pass of g
+    would): ``dE``, ``dg_dx``, ``christoffel``,
     ``evolution_equation_residual()``, ``lie_theta_residual()``,
     ``symplectic_defect()``, ``first_integral_conditions()`` and the
     horizontal derivatives ``horizontal_dL()``, ``horizontal_dE()`` and
@@ -166,23 +172,16 @@ class PointGeometry:
         self.sys = sys
         self.p = p
         self.batched = bool(batch_shape(p))
-        (value, d_x, d_y, d_yy, d_xy, self.d_yyy, g, g_inv, mn, mx, self.spray0, self.V,
-         self.spray, self.sigma, self.conn0, self.dV_dy, self.conn, self.dsigma_dy,
-         self.dSL_dy, self.dS0L_dy, self.energy, self.power) = _run("point", sys.L, sys.V, p)
-        self.jet = Jet(sys.n, 3, value, d_x, d_y, d_yy, d_xy, self.d_yyy)
-        self.metric = SymMatrix(g, g_inv, mn, mx)
+        out = _run("report", sys.L, sys.V, p, "point")
+        self.jet = Jet(sys.n, 3, **{name: out.pop(name) for name in _BLOCKS})
+        self.metric = SymMatrix(*(out.pop(name) for name in ("g", "g_inv", "eig_min", "eig_max")))
+        vars(self).update(out)  # spray0, V, ... cartan: the fields named above
+        self.d_yyy = self.jet.d_yyy
         self.y = np.array(p.y)
-
-    def peak(self, a):
-        """max |a| over the value axes: a float, or over a batch the (B,)
-        array of each point's maximum."""
-        if self.batched:
-            return np.abs(a).max(axis=tuple(range(np.ndim(a) - 1)))
-        return float(np.abs(a).max())
 
     @cached_property
     def _lowered(self) -> dict:
-        return _run("residuals", self.sys.L, self.sys.V, self.p, "context")
+        return _run("report", self.sys.L, self.sys.V, self.p, "context")
 
     dE = property(_member("dE", """The energy differential in the (x, y) basis: first
         the dE/dx_k slots, then dE/dy_k = y^i d2L/dy_i dy_k."""))
@@ -235,10 +234,6 @@ class PointGeometry:
         value = 2.0 * (form(g, yx, xy) - form(g, xx, yy)) + term2
         return value if self.batched else float(value)
 
-    @property
-    def cartan(self) -> np.ndarray:
-        return self.d_yyy * 0.25
-
     def dyn_cov_deriv_g(self, spray, conn) -> np.ndarray:
         """Dynamical covariant derivative of g along (spray, conn), which
         carry the context's point axes:
@@ -247,14 +242,6 @@ class PointGeometry:
                - _contract(self.d_yyy, np.asarray(spray, dtype=float), 3))
         gn = _contract(self.metric.entries, np.asarray(conn, dtype=float), 2)
         return s_g - gn - gn.swapaxes(0, 1)
-
-    @property
-    def gbar(self) -> np.ndarray:
-        return (self.dsigma_dy + self.dsigma_dy.swapaxes(0, 1)) * 0.25
-
-    @property
-    def helicoidal(self) -> np.ndarray:
-        return (self.dsigma_dy - self.dsigma_dy.swapaxes(0, 1)) * 0.5
 
     def first_integral_conditions(self):
         """Residuals of the two force conditions for conserved quantities.
@@ -382,18 +369,10 @@ class ClassificationReport:
         return asdict(self)
 
 
-def _classification_values(sys: MechanicalSystem, p: PhasePoint) -> dict:
-    ctx = PointGeometry(sys, p)
-    scale = 1.0 + ctx.peak(ctx.metric.entries)
-    return {"metric_defect": ctx.peak(ctx.gbar) / scale,
-            "symplectic_defect": ctx.peak(ctx.helicoidal) / scale,
-            "worst_power": ctx.power}
-
-
 def classify(sys: MechanicalSystem, samples, tol: float = 1e-8) -> ClassificationReport:
     """Sweep sample points and classify the evolution connection; failed
     points are recorded and skipped by :func:`sweep`."""
-    worst, tested, failures = sweep(samples, lambda p: _classification_values(sys, p))
+    worst, tested, failures = sweep(samples, _report(sys, "classify"))
     metric_defect = worst.get("metric_defect", 0.0)
     sympl_defect = worst.get("symplectic_defect", 0.0)
     worst_power = worst.get("worst_power", float("nan"))

@@ -15,15 +15,15 @@ residual and reduced to its maximum over the sample set:
 ``christoffel_contraction``       spray vs Christoffel contraction (Finsler)
 ``finsler_energy_formula``        horizontal dE vs its force-only form (Finsler)
 
-Each chunk is one run of the compiled ``residuals`` program's ``verify``
-report; the last two report null for systems that fail the homogeneity
-gate.  Points where the metric degenerates are collected, not fatal.
+Each chunk is one run of the compiled ``verify`` report; the last two
+report null for systems that fail the homogeneity gate.  Points where
+the metric degenerates are collected, not fatal.
 """
 
 from __future__ import annotations
 
 from .finsler import is_finsler_mode
-from .mechanics import MechanicalSystem, _run, sweep
+from .mechanics import MechanicalSystem, _report, sweep
 
 __all__ = ["run_verification"]
 
@@ -38,8 +38,7 @@ def run_verification(sys: MechanicalSystem, samples, tol: float = 1e-8) -> dict:
     where it can be evaluated (:func:`~lagmech.finsler.is_finsler_mode`).
     """
     finsler = is_finsler_mode(sys, samples, tol)
-    residuals, tested, singular = sweep(
-        samples, lambda p: _run("residuals", sys.L, sys.V, p, "verify"))
+    residuals, tested, singular = sweep(samples, _report(sys, "verify"))
     if not finsler:
         residuals.update(christoffel_contraction=None, finsler_energy_formula=None)
     offenders = sorted(

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from lagmech.cli import EXIT_DOMAIN, EXIT_OK, _inspect_fields, _integer, build_samples, build_system
+from lagmech.cli import EXIT_DOMAIN, EXIT_OK, _integer, build_samples, build_system
+from lagmech.compiled import run
 from lagmech.mechanics import each_point
 
 
@@ -54,7 +55,8 @@ def inspect(cfg: dict, seed: int = 0):
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", seed))
     results = []
     hit_singular = False
-    for idx, p, fields, err in each_point(samples, lambda q: _inspect_fields(sys_, q)):
+    for idx, p, fields, err in each_point(samples,
+                                          lambda q: run("report", sys_.L, sys_.V, q, "inspect")):
         entry = {"index": idx, "point": {"x": list(p.x), "y": list(p.y)}}
         if err is None:
             entry.update(fields)

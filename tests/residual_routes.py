@@ -1,13 +1,14 @@
 """The reports' and the context's tensor formulas in numpy, on the
-reference tower's contractions: what the compiled ``residuals`` program
-(and the ``point`` program's E and sigma . y, and the ``euler`` and
-``metric_x`` programs' outputs) must equal bit for bit.
+reference tower's contractions: what the compiled reports (and the
+``point`` report's E, sigma . y and derived tensors, and the ``euler``
+and ``metric_x`` programs' outputs) must equal bit for bit.
 
 Each route reads a context's ``point`` outputs (the fields of a
 :class:`~lagmech.mechanics.PointGeometry`) and, where it needs them, g's
 x-derivatives from the ``metric_x`` program, and evaluates the formula
 on float arrays: a contraction is a left-to-right sum of products from
-+0.0, as :func:`tower.matvec` and its siblings sum it.
++0.0, as :func:`tower.matvec` and its siblings sum it, and a maximum
+takes NaN first, as ``np.abs(a).max()`` does.
 """
 
 import numpy as np
@@ -21,7 +22,34 @@ _GATE_TOL = 1e-8  # the Euler test's, defect <= tol (1 + |L|)
 
 def dg_dx(ctx) -> np.ndarray:
     """``dg_dx[a, b, c] = dg_ab/dx_c`` from the ``metric_x`` program."""
-    return run("metric_x", ctx.sys.L, None, ctx.p)[1]
+    return run("metric_x", ctx.sys.L, None, ctx.p)["dg_dx"]
+
+
+def peak(ctx, a):
+    """max |a| over the value axes: a float, or over a batch the (B,)
+    array of each point's maximum."""
+    if ctx.batched:
+        return np.abs(a).max(axis=tuple(range(np.ndim(a) - 1)))
+    return float(np.abs(a).max())
+
+
+# the derived tensors of the point outputs, each an exact zero +0.0 as a
+# report's outputs are (a product that underflows is -0.0 before it)
+
+
+def gbar(ctx) -> np.ndarray:
+    """The symmetric part of dsigma/dy over 4: the dynamical covariant
+    derivative of g along the evolution pair."""
+    return (ctx.dsigma_dy + ctx.dsigma_dy.swapaxes(0, 1)) * 0.25 + 0.0
+
+
+def helicoidal(ctx) -> np.ndarray:
+    """The antisymmetric part of dsigma/dy over 2."""
+    return (ctx.dsigma_dy - ctx.dsigma_dy.swapaxes(0, 1)) * 0.5 + 0.0
+
+
+def cartan(ctx) -> np.ndarray:
+    return ctx.d_yyy * 0.25 + 0.0
 
 
 def two_form_pieces(j):
@@ -57,9 +85,28 @@ def dyn_cov_deriv_g(ctx, dgdx, spray, conn):
 
 
 def point_values(ctx) -> dict:
-    """E and sigma . y, the ``point`` program's last two outputs."""
+    """E, sigma . y and the derived tensors, the ``point`` report's last
+    five outputs."""
     return {"energy": value_of(vecdot(ctx.y, ctx.jet.d_y) - ctx.jet.value),
-            "power": value_of(vecdot(ctx.sigma, ctx.y))}
+            "power": value_of(vecdot(ctx.sigma, ctx.y)),
+            "gbar": gbar(ctx), "helicoidal": helicoidal(ctx), "cartan": cartan(ctx)}
+
+
+def classify_values(ctx) -> dict:
+    """The ``classify`` report: the metric and symplectic defects over
+    1 + max |g|, and sigma . y."""
+    scale = 1.0 + peak(ctx, ctx.metric.entries)
+    return {"metric_defect": peak(ctx, gbar(ctx)) / scale,
+            "symplectic_defect": peak(ctx, helicoidal(ctx)) / scale,
+            "worst_power": ctx.power}
+
+
+def inspect_values(ctx) -> dict:
+    """The ``inspect`` report."""
+    return {"g": ctx.metric.entries, "g_inv": ctx.metric.inverse, "E": ctx.energy,
+            "G0": ctx.spray0, "N0": ctx.conn0, "C": cartan(ctx), "sigma": ctx.sigma,
+            "G": ctx.spray, "N": ctx.conn, "F": helicoidal(ctx), "gbar": gbar(ctx),
+            "power": ctx.power}
 
 
 def context_values(ctx, dgdx) -> dict:
@@ -78,8 +125,8 @@ def context_values(ctx, dgdx) -> dict:
         "horizontal_dE": de_x - vecmat(de_y, ctx.conn),
         "horizontal_dE_closed": closed,
         "evolution_equation_residual": sode_residual(j, yv, ctx.spray, sigma=ctx.sigma),
-        "lie_theta_residual": ctx.peak(s_theta - j.d_x - ctx.sigma),
-        "symplectic_defect": ctx.peak(horizontal_two_form(j, ctx.conn)),
+        "lie_theta_residual": peak(ctx, s_theta - j.d_x - ctx.sigma),
+        "symplectic_defect": peak(ctx, horizontal_two_form(j, ctx.conn)),
         "lagrangian_condition": value_of(vecdot(matvec(ctx.dV_dy, yv), j.d_y)
                                          + 2.0 * vecdot(ctx.dS0L_dy, yv)),
         "energy_condition": 2.0 * value_of(vecdot(closed, yv)),
@@ -90,28 +137,28 @@ def _finsler_residuals(ctx, members) -> tuple:
     """max |gamma y y - 2 G0| and max |dE_h - (g y)^T dV/dy / 2|."""
     yv = ctx.y
     slope = 0.5 * vecmat(matvec(ctx.metric.entries, yv), ctx.dV_dy)
-    return (ctx.peak(matvec(matvec(members["christoffel"], yv), yv) - 2.0 * ctx.spray0),
-            ctx.peak(members["horizontal_dE"] - slope))
+    return (peak(ctx, matvec(matvec(members["christoffel"], yv), yv) - 2.0 * ctx.spray0),
+            peak(ctx, members["horizontal_dE"] - slope))
 
 
 def verify_values(ctx, dgdx) -> dict:
     """The ``verify`` report."""
     members = context_values(ctx, dgdx)
     j = ctx.jet
-    scale = 1.0 + ctx.peak(ctx.metric.entries)
+    scale = 1.0 + peak(ctx, ctx.metric.entries)
     out = {
         "canonical_spray_equation": sode_residual(j, ctx.y, ctx.spray0),
         "evolution_spray_equation": members["evolution_equation_residual"],
         "cartan_form_transport": members["lie_theta_residual"],
-        "canonical_metricity": ctx.peak(dyn_cov_deriv_g(ctx, dgdx, ctx.spray0, ctx.conn0)) / scale,
-        "canonical_horizontal_two_form": ctx.peak(horizontal_two_form(j, ctx.conn0)),
-        "metric_derivative_agreement": ctx.peak(
-            ctx.gbar - dyn_cov_deriv_g(ctx, dgdx, ctx.spray, ctx.conn)),
-        "symplectic_vs_helicoidal": ctx.peak(horizontal_two_form(j, ctx.conn) + ctx.helicoidal),
-        "lagrangian_horizontal_routes": ctx.peak(
-            members["horizontal_dL"] - (ctx.dSL_dy - ctx.sigma) * 0.5),
-        "energy_horizontal_routes": ctx.peak(
-            members["horizontal_dE"] - members["horizontal_dE_closed"]),
+        "canonical_metricity": peak(ctx, dyn_cov_deriv_g(ctx, dgdx, ctx.spray0, ctx.conn0)) / scale,
+        "canonical_horizontal_two_form": peak(ctx, horizontal_two_form(j, ctx.conn0)),
+        "metric_derivative_agreement": peak(
+            ctx, gbar(ctx) - dyn_cov_deriv_g(ctx, dgdx, ctx.spray, ctx.conn)),
+        "symplectic_vs_helicoidal": peak(ctx, horizontal_two_form(j, ctx.conn) + helicoidal(ctx)),
+        "lagrangian_horizontal_routes": peak(
+            ctx, members["horizontal_dL"] - (ctx.dSL_dy - ctx.sigma) * 0.5),
+        "energy_horizontal_routes": peak(
+            ctx, members["horizontal_dE"] - members["horizontal_dE_closed"]),
     }
     out["christoffel_contraction"], out["finsler_energy_formula"] = _finsler_residuals(ctx, members)
     return out
@@ -149,7 +196,7 @@ def identity_values(ctx) -> dict:
     christoffel, energy_slope = _finsler_residuals(ctx, members)
     return {
         "energy_residual": abs(point_values(ctx)["energy"] - lv) / (1.0 + abs(lv)),
-        "spray_homogeneity_residual": ctx.peak(2.0 * ctx.spray0 - matvec(ctx.conn0, ctx.y)),
+        "spray_homogeneity_residual": peak(ctx, 2.0 * ctx.spray0 - matvec(ctx.conn0, ctx.y)),
         "energy_slope_residual": energy_slope,
         "christoffel_residual": christoffel,
     }

@@ -309,6 +309,54 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, command, payload, detai
     assert detail in capsys.readouterr().err
 
 
+_SYS_A_20 = {"system": {"builtin": "SYS-A", "params": {"c": 0.3}}, "samples": {"count": 20}}
+_SYS_B = {"builtin": "SYS-B", "params": {}}
+_BOX_Y = [[-1.0, 1.0], [-1.0, 1.0]]
+_TOLERANCE = "'tolerance' must be a finite number > 0"
+_SAMPLE = "the coordinates of a sample point must be finite numbers"
+
+
+@pytest.mark.parametrize("command, payload, detail", [
+    # SYS-A at c = 0.3 is strictly dissipative and symplectic: a NaN
+    # tolerance reported neither, and verify exited 0
+    ("classify", {**_SYS_A_20, "tolerance": math.nan}, _TOLERANCE),
+    ("verify", {**_SYS_A_20, "tolerance": math.nan}, _TOLERANCE),
+    ("classify", {**_SYS_A_20, "tolerance": math.inf}, _TOLERANCE),
+    ("verify", {**_SYS_A_20, "tolerance": -math.inf}, _TOLERANCE),
+    ("classify", {**_SYS_A_20, "tolerance": 0}, _TOLERANCE),
+    ("verify", {**_SYS_A_20, "tolerance": -1e-8}, _TOLERANCE),
+    # a boolean ran as 1 or 0; a NaN or an infinity was a failure at every point
+    ("inspect", {"system": _SYS_A_20["system"],
+                 "samples": {"points": [{"x": [True], "y": [False]}]}}, f"{_SAMPLE}, got [True, False]"),
+    ("classify", {"system": _SYS_B, "samples": {"points": [{"x": [math.nan, 0.0], "y": [1.0, 0.5]}]}},
+     f"{_SAMPLE}, got [nan, 0.0, 1.0, 0.5]"),
+    ("classify", {"system": _SYS_B, "samples": {"points": [{"x": [10 ** 400, 0], "y": [1, 0]}]}},
+     _SAMPLE),
+    ("classify", {"system": _SYS_B, "samples": {"points": [{"x": ["0.5", 0.0], "y": [1.0, 0.5]}]}},
+     f"{_SAMPLE}, got ['0.5', 0.0, 1.0, 0.5]"),
+    # a one-entry bound raised an IndexError; an infinite one drew infinite points
+    ("classify", {"system": _SYS_B, "samples": {"box_x": [[0.0], [0.0, 1.0]], "box_y": _BOX_Y}},
+     "'box_x' must list one [lo, hi] pair per coordinate"),
+    ("classify", {"system": _SYS_B, "samples": {"box_x": [[0.0, math.inf], [0.0, 1.0]],
+                                                "box_y": _BOX_Y}},
+     "the bounds of 'box_x' must be finite numbers, got [0.0, inf]"),
+    ("verify", {"system": _SYS_B, "samples": {"box_x": _BOX_Y, "box_y": [[0.0, 1.0], [False, 1.0]]}},
+     "the bounds of 'box_y' must be finite numbers, got [False, 1.0]"),
+    # an infinite initial point exited 3, as a domain failure
+    ("simulate", {"system": _SYS_B, "initial": {"x": [math.inf, 0.0], "y": [1.0, 0.5]},
+                  "integrator": {"t_end": 0.01}},
+     "the coordinates of simulate's 'initial' point must be finite numbers, got [inf, 0.0, 1.0"),
+], ids=["nan-tolerance", "nan-tolerance-verify", "inf-tolerance", "-inf-tolerance",
+        "zero-tolerance", "negative-tolerance", "boolean-point", "nan-point", "huge-int-point",
+        "string-point", "one-entry-bound", "inf-bound", "boolean-bound", "inf-initial"])
+def test_non_finite_tolerances_coordinates_and_bounds_are_config_errors(tmp_path, capsys, command,
+                                                                        payload, detail):
+    cfg = write_config(tmp_path, "bad.json", payload)  # NaN and Infinity as JSON parses them
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and detail in err
+
+
 @pytest.mark.parametrize("flags", [["--step", "nan"], ["--t-end", "inf"]])
 def test_non_finite_integrator_flag_exit_code(tmp_path, capsys, flags):
     cfg = write_config(tmp_path, "run.json", _SYS_A_RUN)

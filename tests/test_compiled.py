@@ -70,15 +70,16 @@ def _pointwise_routes(sys_, p):
         j = tower.eval_jet(sys_.L, p, order)
         return [j.value, j.d_x, j.d_y, j.d_yy, j.d_xy, j.d_yyy]
 
+    def outputs(kind, V=None, arg=2):  # run's named outputs, in their order
+        return lambda: list(run(kind, sys_.L, V, p, arg).values())
+
     routes = {"point": (point, point_ref),
-              "metric_x": (lambda: run("metric_x", sys_.L, None, p),
+              "metric_x": (outputs("metric_x"),
                            lambda: [*tower.metric_x_pass(sys_.L, p), tower.christoffel(sys_.L, p)]),
-              "euler1": (lambda: run("euler", sys_.L, None, p, 1), lambda: _euler_route(sys_, p, 1)),
-              "euler2": (lambda: run("euler", sys_.L, sys_.V, p, 2),
-                         lambda: _euler_route(sys_, p, 2))}
+              "euler1": (outputs("euler", arg=1), lambda: _euler_route(sys_, p, 1)),
+              "euler2": (outputs("euler", sys_.V), lambda: _euler_route(sys_, p, 2))}
     for order in range(4):
-        routes[f"jet{order}"] = (lambda o=order: run("jet", sys_.L, None, p, o),
-                                 lambda o=order: jet_ref(o))
+        routes[f"jet{order}"] = (outputs("jet", arg=order), lambda o=order: jet_ref(o))
     return routes
 
 
@@ -455,11 +456,13 @@ def test_one_program_serves_random_points_and_curves(lag, force, pts):
 # a constant metric's gate and inverse fold into the program at build time
 # ---------------------------------------------------------------------------
 
-_KINDS = ("evolution", "horizontal", "geodesic", "point")
+_KINDS = ("evolution", "horizontal", "geodesic", "report")
 
 
 def _inverts_at_run_time(sys_, kind):
-    return "_invert" in program(kind, sys_.L, None if kind == "geodesic" else sys_.V).__code__.co_names
+    fn = program(kind, sys_.L, None, 2) if kind == "geodesic" else \
+        program(kind, sys_.L, sys_.V, "point" if kind == "report" else 2)
+    return "_invert" in fn.__code__.co_names
 
 
 @pytest.mark.parametrize("builtin, params, folds", [
@@ -488,10 +491,11 @@ def test_gyroscopic_term_over_a_constant_metric_agrees_with_the_tower(system):
                           [0.7, -0.4 + 0.2 * k, 1.0 - 0.1 * k][:sys_.n]) for k in range(6)]
     for p in samples:
         _assert_agree(sys_, p)
-    batch = run("point", sys_.L, sys_.V, stack_points(samples))
+    batch = run("report", sys_.L, sys_.V, stack_points(samples), "point")
     for lane, p in enumerate(samples):
-        for a, b in zip(batch, run("point", sys_.L, sys_.V, p)):
-            assert np.asarray(a)[..., lane].tobytes() == np.asarray(b, dtype=float).tobytes(), p
+        for name, b in run("report", sys_.L, sys_.V, p, "point").items():
+            assert np.asarray(batch[name])[..., lane].tobytes() == \
+                np.asarray(b, dtype=float).tobytes(), (name, p)
 
 
 def _cli(tmp_path, capsys, argv, doc):

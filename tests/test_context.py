@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import residual_routes
 import tower
-from lagmech import cli, compiled, finsler, mechanics
+from lagmech import compiled, finsler, mechanics
 from lagmech.cli import main
 from lagmech.finsler import christoffel_at, finsler_identities, homogeneity_report
 from lagmech.mechanics import PointGeometry, classify, stack_points
@@ -105,14 +105,14 @@ def test_context_fields_match_accessors(name, index, shift, scale):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts compiled program runs by kind (``compiled.run``, through which
-    every context, sweep and ``eval_jet`` runs its programs).  A pass over
-    a batch of points counts once."""
+    """Counts compiled program runs by kind, a report by its name
+    (``compiled.run``, through which every context, sweep and ``eval_jet``
+    runs its programs).  A pass over a batch of points counts once."""
     counts = Counter()
     original = compiled.run
 
     def counted(kind, *args, **kwargs):
-        counts[kind] += 1
+        counts[f"report {args[3]}" if kind == "report" else kind] += 1
         return original(kind, *args, **kwargs)
 
     monkeypatch.setattr(compiled, "run", counted)
@@ -132,11 +132,11 @@ def test_failing_chunk_pass_budget(passes):
     z = _zero_section(sys_.n, 1)
     passes()
     classify(sys_, samples[:100] + [z] + samples[100:253])
-    assert passes() == {"point": 1 + 16 + 16}
+    assert passes() == {"report classify": 1 + 16 + 16}
     classify(sys_, samples[:40] + [z] + samples[40:200] + [z] + samples[200:])
-    assert passes() == {"point": 1 + 16 + 2 * 16}
+    assert passes() == {"report classify": 1 + 16 + 2 * 16}
     classify(sys_, [z] * 256)
-    assert passes() == {"point": 1 + 16 + 256}
+    assert passes() == {"report classify": 1 + 16 + 256}
 
 
 def _read_every_member(ctx, n):
@@ -152,25 +152,25 @@ def test_pass_budget(passes, name, tmp_path):
     passes()
 
     classify(sys_, samples)
-    assert passes() == {"point": 1}
+    assert passes() == {"report classify": 1}
     classify(sys_, samples * 50)  # 300 points: two chunks
-    assert passes() == {"point": 2}
+    assert passes() == {"report classify": 2}
 
     # a context reads every member in two passes, for one point or a
-    # batch: the point program, and the residuals program's context report
+    # batch: the point report, and the context report
     for p in (samples[0], stack_points(samples)):
         ctx = PointGeometry(sys_, p)
-        assert passes() == {"point": 1}
+        assert passes() == {"report point": 1}
         _read_every_member(ctx, sys_.n)
         ctx.christoffel, ctx.dg_dx
-        assert passes() == {"residuals": 1}
+        assert passes() == {"report context": 1}
 
-    # one batch of Finsler-mode probes, then one residuals pass
+    # one batch of Finsler-mode probes, then one verify report
     run_verification(sys_, samples)
-    assert passes() == {"euler": 1, "residuals": 1}
+    assert passes() == {"euler": 1, "report verify": 1}
 
     finsler_identities(sys_, samples)
-    assert passes() == {"residuals": 1}
+    assert passes() == {"report identities": 1}
 
     # one pass with the partials along y itself serves all three Euler tests
     homogeneity_report(sys_, samples)
@@ -187,7 +187,7 @@ def test_pass_budget(passes, name, tmp_path):
     }))
     passes()
     assert main(["inspect", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
-    assert passes() == {"point": 1}
+    assert passes() == {"report inspect": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +352,12 @@ def test_failure_records_carry_the_point(sys_a, sys_d):
 def _per_point_functions(sys_):
     """Each report's per-point values, as its sweep evaluates them on a
     chunk or at one point."""
-    return {"classify": lambda q: mechanics._classification_values(sys_, q),
-            "verify": lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "verify"),
+    return {"classify": mechanics._report(sys_, "classify"),
+            "verify": mechanics._report(sys_, "verify"),
             "probes": lambda q: finsler._probe_values(sys_, q),
             "homogeneity": lambda q: finsler._euler_values(sys_, q),
-            "identities": lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "identities"),
-            "inspect": lambda q: cli._inspect_fields(sys_, q)}
+            "identities": mechanics._report(sys_, "identities"),
+            "inspect": mechanics._report(sys_, "inspect")}
 
 
 def _bits(values):
@@ -366,30 +366,34 @@ def _bits(values):
 
 def _reference_functions(sys_):
     """The per-point values each compiled report (and the ``point``
-    program's E and sigma . y, and the Euler tests) must equal bit for bit,
-    as functions of a phase point: the numpy formulas of
-    :mod:`residual_routes` on the ``point``, ``jet`` and ``metric_x``
-    programs' outputs, with their checks in their order."""
+    report's E, sigma . y and derived tensors, and the Euler tests) must
+    equal bit for bit, as functions of a phase point: the numpy formulas of
+    :mod:`residual_routes` on the ``point`` report's and the ``jet`` and
+    ``metric_x`` programs' outputs, with their checks in their order."""
     def context(q, report):
         ctx = PointGeometry(sys_, q)
         return getattr(residual_routes, f"{report}_values")(ctx, residual_routes.dg_dx(ctx))
 
     def probe(q):
-        value, _, d_y = compiled.run("jet", sys_.L, None, q, 1)[:3]
-        return {"defect": residual_routes.euler_defect(value, d_y, q), "value": value}
+        jet = compiled.run("jet", sys_.L, None, q, 1)
+        return {"defect": residual_routes.euler_defect(jet["value"], jet["d_y"], q),
+                "value": jet["value"]}
 
     def point(q):
         ctx = PointGeometry(sys_, q)
-        return {"energy": ctx.energy, "power": ctx.power}
+        return {name: getattr(ctx, name)
+                for name in ("energy", "power", "gbar", "helicoidal", "cartan")}
+
+    def formulas(report):  # a report of the point outputs alone
+        return lambda q: getattr(residual_routes, f"{report}_values")(PointGeometry(sys_, q))
 
     return {
-        "verify": (lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "verify"),
-                   lambda q: context(q, "verify")),
-        "context": (lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "context"),
-                    lambda q: context(q, "context")),
-        "identities": (lambda q: compiled.run("residuals", sys_.L, sys_.V, q, "identities"),
-                       lambda q: residual_routes.identity_values(PointGeometry(sys_, q))),
-        "point": (point, lambda q: residual_routes.point_values(PointGeometry(sys_, q))),
+        "verify": (mechanics._report(sys_, "verify"), lambda q: context(q, "verify")),
+        "context": (mechanics._report(sys_, "context"), lambda q: context(q, "context")),
+        "identities": (mechanics._report(sys_, "identities"), formulas("identity")),
+        "classify": (mechanics._report(sys_, "classify"), formulas("classify")),
+        "inspect": (mechanics._report(sys_, "inspect"), formulas("inspect")),
+        "point": (point, formulas("point")),
         "probes": (lambda q: finsler._probe_values(sys_, q), probe),
     }
 
@@ -436,6 +440,38 @@ def test_reports_keep_the_checks_of_the_x_derivative_pass(lagrangian):
     _assert_reports_equal_the_formulas(sys_, points + [stack_points(points)])
     failures = run_verification(sys_, points)["singular_points"]
     assert [(f["index"], f["detail"]) for f in failures] == [(0, "real power overflows")]
+    # classify and inspect read no x-derivative of g, and make none of its checks
+    assert classify(sys_, points).failures == []
+    for report in ("classify", "inspect", "point"):
+        mechanics._report(sys_, report)(stack_points(points))
+
+
+# edge systems: a real power of x1 whose x-derivative pass alone overflows
+# at x1 = 1e-200, a sqrt whose second derivative underflows at y1 = 1e-160,
+# log holes at x <= 0, and metrics scaled by 1e160 (singular) and 1e-170
+_EDGE_SYSTEMS = {
+    "x1^0.5": (2, "y1^2 + y2^2 + x1^0.5*y1", None),
+    "sqrt": (1, "sqrt(y1^2 + 1e-300) + y1^2", None),
+    "log": (2, "y1^2 + y2^2 - log(x1)", ["-0.1*y1*log(x2)", "0"]),
+    "1e160": (2, "1e160*(y1^2 + 1e-12*y2^2)", ["-0.1*y1", "0"]),
+    "1e-170": (2, "1e-170*(y1^2 + y2^2)", ["-0.1*y1", "0"]),
+}
+_EDGE_POINTS = [((0.3, 0.2), (1.0, 0.5)), ((1e-200, 0.3), (1.0, 0.5)), ((0.5, 0.7), (1e-160, 0.5)),
+                ((0.1, 0.1), (0.0, 0.0)), ((-0.5, 0.4), (1.0, -0.7)), ((0.8, -0.2), (-0.6, 1.2)),
+                ((0.4, 0.0), (0.5, 0.5)), ((0.2, 0.9), (0.7, -0.3))]
+
+
+@pytest.mark.parametrize("name", _EDGE_SYSTEMS)
+def test_edge_systems_reports_equal_the_formulas(name):
+    # every report, one point at a time, over a batch, and swept in
+    # chunks and blocks, failing points included
+    from lagmech.systems import from_sources
+
+    n, lagrangian, force = _EDGE_SYSTEMS[name]
+    sys_ = from_sources(n, lagrangian, force)
+    samples = [PhasePoint(x[:n], y[:n]) for x, y in _EDGE_POINTS]
+    _assert_reports_equal_the_formulas(sys_, samples + [stack_points(samples)])
+    _assert_batch_equals_points(sys_, samples)
 
 
 def test_members_keep_the_bits_of_the_numpy_formulas():
@@ -457,7 +493,8 @@ def test_members_keep_the_bits_of_the_numpy_formulas():
                    "lie_theta_residual": ctx.lie_theta_residual(),
                    "symplectic_defect": ctx.symplectic_defect(),
                    "lagrangian_condition": fi[0], "energy_condition": fi[1],
-                   "energy": ctx.energy, "power": ctx.power}
+                   "energy": ctx.energy, "power": ctx.power, "gbar": ctx.gbar,
+                   "helicoidal": ctx.helicoidal, "cartan": ctx.cartan}
             assert _bits(got) == _bits(ref), (name, p)
             for pair in ((ctx.spray0, ctx.conn0), (ctx.spray, ctx.conn)):
                 assert ctx.dyn_cov_deriv_g(*pair).tobytes() == \

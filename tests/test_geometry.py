@@ -268,7 +268,7 @@ def test_free_context_equals_the_reference_routes(sys_b, sys_c, samples_b, sampl
                 j = eval_jet(sys_.L, p, order=order)
                 for name in blocks[:count]:
                     assert np.array_equal(getattr(ctx.jet, name), getattr(j, name)), (order, name)
-            assert np.array_equal(ctx.metric.entries, run("metric_x", sys_.L, None, p)[0])
+            assert np.array_equal(ctx.metric.entries, run("metric_x", sys_.L, None, p)["g"])
             g = routes.metric(sys_.L, p)
             e, de_x, de_y = routes.energy(sys_.L, p)
             pairs = [(ctx.metric.entries, g.entries), (ctx.metric.inverse, g.inverse),

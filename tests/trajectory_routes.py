@@ -78,7 +78,7 @@ def contract_traces(sys, curve, z, accel):
     value, d_x, d_y, d_yy, d_xy = (np.array(b) for b in program("jet", sys.L, None, 2)(zl)[:5])
     d_yy, d_xy, yv, value = d_yy.reshape(n, n), d_xy.reshape(n, n), np.array(zl[n:]), value[0]
     if curve == "horizontal":
-        v = run("point", sys.L, sys.V, PhasePoint(zl[:n], zl[n:]))[11]
+        v = run("report", sys.L, sys.V, PhasePoint(zl[:n], zl[n:]), "point")["V"]
     else:
         v = call(sys.V, zl[:n], zl[n:])
         if not all(map(math.isfinite, v)):
