@@ -9,14 +9,14 @@ One executable with five subcommands:
 ``simulate``   integrate an evolution, horizontal or geodesic curve
 
 Configuration is a single JSON file (see docs/config.md) with flag
-overrides for parameter sweeps.  All numeric output is printed with 17
-significant digits so regression goldens are stable; identical config
-and seed produce byte-identical output.  ``inspect`` sweeps the compiled
-``inspect`` report (:mod:`lagmech.compiled`), formats each clean chunk
-of samples field by field, all points of the chunk in one pass
-(:func:`render_rows`), and assembles the entries in sample order; the
-output is byte-identical to rendering every point on its own with
-:func:`render_json`.
+overrides for parameter sweeps; its sample points are read as one batch.
+All numeric output is printed with 17 significant digits so regression
+goldens are stable; identical config and seed produce byte-identical
+output.  ``inspect`` sweeps the compiled ``inspect`` report
+(:mod:`lagmech.compiled`), formats each clean chunk of samples field by
+field, all points of the chunk in one pass (:func:`render_rows`), and
+assembles the entries in sample order; the output is byte-identical to
+rendering every point on its own with :func:`render_json`.
 
 Exit codes: 0 ok; 2 config or expression error; 3 domain or singularity
 failure at a requested point; 4 identity-suite tolerance failure.
@@ -47,7 +47,7 @@ from .errors import (
     VariableIndexError,
 )
 from .finsler import is_finsler_mode
-from .mechanics import MechanicalSystem, _report, classify, each_block
+from .mechanics import MechanicalSystem, _lanes, _report, classify, each_block, stack_points
 from .phase import PhasePoint
 from .sampling import sample_box
 from .trajectories import (
@@ -212,15 +212,19 @@ def _integer(spec: dict, key: str, default: int) -> int:
     return int(number)
 
 
-def _numbers(values, part: str, what: str) -> list:
-    """``values``, a JSON list of finite numbers; a boolean, a string, NaN,
-    an infinity or an integer past the float range is an error."""
+def _finite(values) -> bool:
+    """Whether ``values`` are all finite numbers, none a boolean or string."""
     try:
-        if {int, float}.issuperset(map(type, values)) and all(map(math.isfinite, values)):
-            return values
+        return {int, float}.issuperset(map(type, values)) and all(map(math.isfinite, values))
     except OverflowError:  # an int past the float range
-        pass
-    raise ConfigError(f"{part} of {what} must be finite numbers, got {values!r}")
+        return False
+
+
+def _numbers(values, part: str, what: str) -> list:
+    """``values``, a JSON list of finite numbers (:func:`_finite`)."""
+    if not _finite(values):
+        raise ConfigError(f"{part} of {what} must be finite numbers, got {values!r}")
+    return values
 
 
 def _point(item, what: str) -> PhasePoint:
@@ -229,6 +233,22 @@ def _point(item, what: str) -> PhasePoint:
         raise ConfigError(f"{what} needs 'x' and 'y' lists of one length")
     z = _numbers(x + y, "the coordinates", what)
     return PhasePoint(z[:len(x)], z[len(x):])
+
+
+def _points(items: list, n: int) -> PhasePoint:
+    """Explicit sample points of dimension ``n`` as one batch: one pass
+    checks the items' structure and dimension, one check all their
+    coordinates.  Where that fails, the first bad item raises what
+    reading it alone raises (structure, numbers, then dimension)."""
+    rows = [item["x"] + item["y"] for item in items if isinstance(item, dict)
+            and isinstance(item.get("x"), list) and isinstance(item.get("y"), list)
+            and len(item["x"]) == len(item["y"]) == n]
+    if len(rows) < len(items) or not _finite(list(chain.from_iterable(rows))):
+        for item in items:  # raises at the first bad item
+            if _point(item, "a sample point").n != n:
+                raise ConfigError("sample point dimension mismatch")
+    z = np.array(rows, dtype=float).T.copy()  # a contiguous row per coordinate
+    return PhasePoint(z[:n], z[n:])
 
 
 def _box(spec: dict, key: str) -> list:
@@ -278,18 +298,15 @@ def build_system(cfg: dict) -> MechanicalSystem:
                                  spec.get("domain_guard"), spec.get("label", "custom"))
 
 
-def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
-    """Sample points from the config, or the builtin default box."""
+def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> PhasePoint:
+    """Sample points from the config, or the builtin default box, as one
+    batch (:func:`~lagmech.mechanics.stack_points`)."""
     spec = _section(cfg, "samples")
     if "points" in spec:
-        pts = []
-        for item in _section(spec, "points", list):
-            pts.append(_point(item, "a sample point"))
-            if pts[-1].n != sys.n:
-                raise ConfigError("sample point dimension mismatch")
-        if not pts:
+        items = _section(spec, "points", list)
+        if not items:
             raise ConfigError("'points' must list at least one point")
-        return pts
+        return _points(items, sys.n)
     count = _integer(spec, "count", 200)
     if count < 1:
         raise ConfigError(f"'count' must be at least 1, got {count}")
@@ -305,14 +322,10 @@ def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> list:
         if entry is None:
             raise ConfigError("expression systems need an explicit 'samples' box")
         box_x, box_y = entry.box(dict(_section(system, "params")))
-    min_y = 0.0
-    if sys.domain_guard == "y_nonzero":
-        min_y = 0.1
-    else:
-        probe = _draw(box_x, box_y, 4, mode="halton", min_y_norm=0.15)
-        if is_finsler_mode(sys, probe):
-            min_y = 0.1
-    return _draw(box_x, box_y, count, mode=mode, seed=seed, min_y_norm=min_y)
+    off_zero_section = sys.domain_guard == "y_nonzero" or is_finsler_mode(
+        sys, _draw(box_x, box_y, 4, mode="halton", min_y_norm=0.15))
+    return stack_points(_draw(box_x, box_y, count, mode=mode, seed=seed,
+                              min_y_norm=0.1 if off_zero_section else 0.0))
 
 
 def _draw(*args, **kwargs) -> list:
@@ -352,25 +365,25 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _inspect_entries(start: int, points: list, values: dict) -> list:
-    """The rendered entries of points evaluated together: ``values`` of a
-    batch (a trailing point axis) or of a single point.  Each field is
-    formatted in one pass over all the points, and the entries fill one
+def _inspect_entries(start: int, p: PhasePoint, values: dict) -> list:
+    """The rendered entries of points evaluated together, at a batch ``p``
+    (``values`` with a trailing point axis) or a single point.  Each field
+    is formatted in one pass over all the points, and the entries fill one
     entry template in one pass."""
-    batched = len(points) > 1
+    count = _lanes(p)
 
-    def slices(v):
+    def slices(v):  # one row per point, from a batch's trailing point axis
         v = np.asarray(v, dtype=float)
-        return np.moveaxis(v, -1, 0) if batched else v[None]
+        return np.moveaxis(v, -1, 0) if count > 1 else v[None]
 
     # an entry is at indent 2 of {"points": [...]}, its fields at 3
     point = _object([('"x"', "%s"), ('"y"', "%s")], "      ")
     entry = _object([('"index"', "%s"), ('"point"', point)]
                     + [(json.dumps(name).replace("%", "%%"), "%s") for name in values], "    ")
-    cells = zip(range(start, start + len(points)),
-                render_rows([p.x for p in points], 4), render_rows([p.y for p in points], 4),
+    cells = zip(range(start, start + count), render_rows(slices(np.array(p.x)), 4),
+                render_rows(slices(np.array(p.y)), 4),
                 *(render_rows(slices(v), 3) for v in values.values()))
-    return (((entry + "\0") * len(points)) % tuple(chain.from_iterable(cells))).split("\0")[:-1]
+    return (((entry + "\0") * count) % tuple(chain.from_iterable(cells))).split("\0")[:-1]
 
 
 def cmd_inspect(cfg: dict, args) -> int:
@@ -378,12 +391,11 @@ def cmd_inspect(cfg: dict, args) -> int:
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", 0))
     entries = []
     hit_singular = False
-    for start, points, values, err in each_block(samples, _report(sys_, "inspect")):
+    for start, p, values, err in each_block(samples, _report(sys_, "inspect")):
         if err is None:
-            entries += _inspect_entries(start, points, values)
+            entries += _inspect_entries(start, p, values)
             continue
         hit_singular = True
-        p = points[0]
         entries.append(render_json({"index": start, "point": {"x": list(p.x), "y": list(p.y)},
                                     "error": type(err).__name__, "detail": str(err)}, 2))
     _emit(_object([('"points"', _list(entries, "  "))], ""), args.out)
@@ -393,8 +405,7 @@ def cmd_inspect(cfg: dict, args) -> int:
 def cmd_classify(cfg: dict, args) -> int:
     sys_ = build_system(cfg)
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", 0))
-    tol = _tolerance(cfg)
-    report = classify(sys_, samples, tol=tol)
+    report = classify(sys_, samples, tol=_tolerance(cfg))
     _emit(render_json(report.to_dict()), args.out)
     return EXIT_OK
 
@@ -402,8 +413,7 @@ def cmd_classify(cfg: dict, args) -> int:
 def cmd_verify(cfg: dict, args) -> int:
     sys_ = build_system(cfg)
     samples = build_samples(cfg, sys_, _integer(cfg, "seed", 0))
-    tol = _tolerance(cfg)
-    report = run_verification(sys_, samples, tol=tol)
+    report = run_verification(sys_, samples, tol=_tolerance(cfg))
     _emit(render_json(report), args.out)
     if report["singular_points"]:
         return EXIT_DOMAIN

@@ -29,7 +29,8 @@ one-point run.
 ``report``      a report's values (its arg names an entry of ``_REPORTS``):
                 ``point``, what :class:`~lagmech.mechanics.PointGeometry`
                 holds; ``classify`` and ``inspect``, the CLI's; ``context``,
-                ``verify`` and ``identities``, residuals.  Each makes the
+                ``verify`` (``verify_finsler`` with the two Finsler
+                residuals) and ``identities``, residuals.  Each makes the
                 point report's checks, the identities then the Euler test,
                 and one that reads g's x-partials the metric_x program's
 ``metric_x``    g, dg/dx and, behind the rank gate, the Christoffel symbols
@@ -526,8 +527,6 @@ _REPORTS = {
         "lagrangian_horizontal_routes": lambda q: q.norm(
             q.horizontal_dL - (q.dSL_dy - q.sigma) * 0.5),
         "energy_horizontal_routes": lambda q: q.norm(q.horizontal_dE - q.horizontal_dE_closed),
-        "christoffel_contraction": lambda q: q.norm(q.gamma_yy - 2.0 * q.spray0),
-        "finsler_energy_formula": lambda q: q.norm(q.horizontal_dE - q.slope),
     },
     "identities": {
         "energy_residual": lambda q: q.norm(q.energy - q.value) / (1.0 + q.norm(q.value)),
@@ -537,6 +536,10 @@ _REPORTS = {
         "christoffel_residual": lambda q: q.norm(q.gamma_yy - 2.0 * q.spray0),
     },
 }
+# verify's residuals, then two Finsler ones: the identities' formulas
+_REPORTS["verify_finsler"] = dict(
+    _REPORTS["verify"], christoffel_contraction=_REPORTS["identities"]["christoffel_residual"],
+    finsler_energy_formula=_REPORTS["identities"]["energy_slope_residual"])
 
 # kind: (the order of L's jet, the seeded coordinates); jet's order is its
 # arg, as is euler's (1, or 2 with the partials along y itself)

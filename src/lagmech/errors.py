@@ -72,10 +72,3 @@ class FinslerModeError(LagmechError):
 
 class ConfigError(LagmechError):
     """A run configuration is structurally invalid."""
-
-
-def failure_record(index: int, err: LagmechError, p) -> dict:
-    """The report entry for a sample point that failed: its index in the
-    sample list, the error type and message, and the point itself."""
-    return {"index": index, "error": type(err).__name__, "detail": str(err),
-            "point": {"x": list(p.x), "y": list(p.y)}}

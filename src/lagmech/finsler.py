@@ -19,6 +19,7 @@ gate; order 2 with the partials along y in the direction y for
 singular metric does not fail them; :func:`christoffel_at` runs the
 ``metric_x`` program and :func:`finsler_identities` the ``identities``
 report (:mod:`lagmech.compiled`).  Each returns its outputs by name.
+The reports and the gate take a list of points or one batch.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import FinslerModeError
-from .mechanics import MechanicalSystem, _report, _run, each_point, sweep
+from .mechanics import MechanicalSystem, _lanes, _report, _run, _take, stack_points, sweep
 from .phase import PhasePoint
 
 __all__ = [
@@ -89,17 +90,15 @@ def is_finsler_mode(sys: MechanicalSystem, probes, tol: float = _GATE_TOL) -> bo
     The probes run as one batch of up to 8, and a further batch only for
     as many as were skipped.
     """
-    probes = list(probes)
+    probes = stack_points(probes)
     tested = start = 0
-    while tested < 8 and start < len(probes):
-        batch = probes[start:start + 8 - tested]
-        start += len(batch)
-        for _, _, values, err in each_point(batch, lambda q: _probe_values(sys, q)):
-            if err is not None:
-                continue
-            if _fails_euler(values["defect"], values["value"], tol):
-                return False
-            tested += 1
+    while tested < 8 and start < _lanes(probes):
+        stop = start + 8 - tested
+        worst, count, _ = sweep(_take(probes, slice(start, stop)), lambda q: {
+            "fails": _fails_euler(**_probe_values(sys, q), tol=tol)})
+        if worst.get("fails"):
+            return False
+        tested, start = tested + count, stop
     return tested > 0
 
 

@@ -29,11 +29,11 @@ coordinates are (B,) arrays, see :func:`stack_points`).  Over a batch
 the point axis comes last: scalars are (B,), vectors (n, B), matrices
 (n, n, B).  The programs run the same operations on each entry of an
 array as on a float, so a point gets the bits of its one-point context.
-:func:`sweep` evaluates the samples in chunks of up to 256 points, one
-batched context per chunk.  A chunk that raises SingularMetric,
+:func:`sweep` takes a list of points, stacked once, or one batch, and
+runs one program per slice of up to 256 points, reducing each output
+over the slice in one call.  A chunk that raises SingularMetric,
 DomainError or FinslerModeError is retried in blocks of 16 points, and
-a block that raises point by point, so each failing point is found and
-recorded alone while a clean chunk pays nothing.
+a block point by point, so each failing point is recorded alone.
 
 Sign conventions, pinned by the identity tests: a tangent vector on TM
 has 2n components (x-slots, then y-slots) in the natural basis, and the
@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, FinslerModeError, SingularMetric, failure_record
+from .errors import DomainError, FinslerModeError, SingularMetric
 from .jets import _BLOCKS, Jet, SymMatrix, batch_shape
 from .phase import PhasePoint, ScalarField, VerticalField
 
@@ -63,7 +63,6 @@ __all__ = [
     "stack_points",
     "sweep",
     "each_block",
-    "each_point",
 ]
 
 _CHUNK = 256  # points per batched pass
@@ -256,94 +255,87 @@ class PointGeometry:
 
 def stack_points(points) -> PhasePoint:
     """A batch: one phase point whose coordinates are the (B,) arrays of
-    the coordinates of ``points``."""
+    the coordinates of ``points``; a batch is returned as it is."""
+    if isinstance(points, PhasePoint):
+        return points
+    points = list(points)
     return PhasePoint(tuple(np.array(c) for c in zip(*(p.x for p in points))),
                       tuple(np.array(c) for c in zip(*(p.y for p in points))))
 
 
-def _blocks(points, start, per_batch):
-    """Evaluate ``per_batch`` on ``points`` as one batch; if that raises
-    one of the skipped errors, on blocks of ``_BLOCK`` points, and a block
-    that raises point by point.  Yields ``(start, points, values, error)``
-    for each block evaluated together, and for each single point that
-    failed (``values`` None).  A single point runs the one-point path, so
-    a failure carries its own message.  numpy's overflow in a pass ends in
-    the pass's finiteness checks, as a DomainError."""
-    if len(points) == 1:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = per_batch(points[0])
-        except _SKIPPED as err:
-            yield start, points, None, err
-        else:
-            yield start, points, values, None
-        return
+def _lanes(p: PhasePoint) -> int:
+    """The points ``p`` holds: B for a batch, 1 for a point, 0 for none."""
+    return np.size(p.x[0]) if p.x else 0
+
+
+def _take(batch: PhasePoint, lanes) -> PhasePoint:
+    """A batch's points at a slice, or its one point of floats at an index."""
+    return PhasePoint([c[lanes] for c in batch.x], [c[lanes] for c in batch.y])
+
+
+def _blocks(batch, start, stop, per_batch):
+    """Evaluate ``per_batch`` on the points start..stop of ``batch``
+    together; if that raises a skipped error, on blocks of ``_BLOCK``
+    points, and a block that raises point by point (the one-point path, so
+    a failure carries its own message).  Yields ``(start, p, values,
+    error)`` for each slice ``p`` evaluated together and each point that
+    failed (``values`` None).  numpy's overflow in a pass ends in the
+    pass's finiteness checks, as a DomainError."""
+    p = _take(batch, start if stop - start == 1 else slice(start, stop))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            values = per_batch(stack_points(points))
-    except _SKIPPED:
-        step = _BLOCK if len(points) > _BLOCK else 1
-        for s in range(0, len(points), step):
-            yield from _blocks(points[s:s + step], start + s, per_batch)
-        return
-    yield start, points, values, None
+            values = per_batch(p)
+    except _SKIPPED as err:
+        if stop - start == 1:
+            yield start, p, None, err
+        else:
+            step = _BLOCK if stop - start > _BLOCK else 1
+            for s in range(start, stop, step):
+                yield from _blocks(batch, s, min(s + step, stop), per_batch)
+    else:
+        yield start, p, values, None
 
 
 def each_block(samples, per_batch):
-    """Yield ``(start, points, values, error)`` for each run of consecutive
+    """Yield ``(start, p, values, error)`` for each run of consecutive
     samples evaluated together, in sample order, ``start`` being the index
     of its first point.
 
-    ``per_batch(p)`` returns a dict of named values at ``p``.  A clean
-    chunk or block of several points yields the values of its batch, with
-    a trailing point axis; a single point its one-point values, or None
-    and the SingularMetric, DomainError or FinslerModeError it raised.
+    The samples, a list of phase points or one batch, are sliced
+    ``_CHUNK`` points at a time.  ``per_batch(p)`` returns a dict of named
+    values at ``p``.  A clean slice of several points yields its batch and
+    values with a trailing point axis; a single point its phase point of
+    floats and values, or None and the SingularMetric, DomainError or
+    FinslerModeError it raised.
     """
-    samples = list(samples)
-    for start in range(0, len(samples), _CHUNK):
-        yield from _blocks(samples[start:start + _CHUNK], start, per_batch)
-
-
-def each_point(samples, per_batch):
-    """Yield ``(index, point, values, error)`` for each sample in order.
-
-    ``per_batch(p)`` returns a dict of named values at ``p``, a chunk of
-    the samples as a batch (values with a trailing point axis) or a
-    single point; each yielded ``values`` holds one point's slice.  A
-    point where SingularMetric, DomainError or FinslerModeError is raised
-    yields that error instead (``values`` None).
-    """
-    for start, points, values, err in each_block(samples, per_batch):
-        if err is not None or len(points) == 1:
-            yield start, points[0], values, err
-            continue
-        for lane, p in enumerate(points):
-            yield start + lane, p, {name: v[..., lane] for name, v in values.items()}, None
+    batch = stack_points(samples)
+    size = _lanes(batch)
+    for start in range(0, size, _CHUNK):
+        yield from _blocks(batch, start, min(start + _CHUNK, size), per_batch)
 
 
 def sweep(samples, per_batch) -> tuple:
-    """Reduce the named values of ``per_batch`` (see :func:`each_point`)
+    """Reduce the named values of ``per_batch`` (see :func:`each_block`)
     over the samples.
 
     Returns ``(maxima, points_tested, failures)``.  Each name keeps the
     ordered maximum ``max(previous, value)`` of its values in sample
-    order; a name no tested point produced is absent.  A point where
-    ``per_batch`` raises SingularMetric, DomainError or FinslerModeError
-    is skipped and recorded by ``failure_record`` under its index.
+    order, one ``max`` over the previous maximum and a chunk's column: a
+    NaN first sticks, a later one is skipped.  A name no tested point
+    produced is absent.  A point where ``per_batch`` raises
+    SingularMetric, DomainError or FinslerModeError is skipped, and its
+    failure record gives its index, the error's type and message, and the point.
     """
-    maxima: dict = {}
-    failures = []
-    tested = 0
-    for start, points, values, err in each_block(samples, per_batch):
+    maxima, failures, tested = {}, [], 0
+    for start, p, values, err in each_block(samples, per_batch):
         if err is not None:
-            failures.append(failure_record(start, err, points[0]))
+            failures.append({"index": start, "error": type(err).__name__, "detail": str(err),
+                             "point": {"x": list(p.x), "y": list(p.y)}})
             continue
-        tested += len(points)
-        columns = [(name, np.atleast_1d(v).tolist()) for name, v in values.items()]
-        for lane in range(len(points)):
-            for name, col in columns:
-                v = col[lane]
-                maxima[name] = max(maxima[name], v) if name in maxima else v
+        tested += _lanes(p)
+        for name, v in values.items():
+            column = np.atleast_1d(v).tolist()
+            maxima[name] = max(maxima.get(name, column[0]), *column)
     return maxima, tested, failures
 
 

@@ -15,15 +15,15 @@ residual and reduced to its maximum over the sample set:
 ``christoffel_contraction``       spray vs Christoffel contraction (Finsler)
 ``finsler_energy_formula``        horizontal dE vs its force-only form (Finsler)
 
-Each chunk is one run of the compiled ``verify`` report; the last two
-report null for systems that fail the homogeneity gate.  Points where
-the metric degenerates are collected, not fatal.
+Each chunk is one run of the compiled ``verify_finsler`` report, or of
+``verify`` (the last two null) for a system that fails the homogeneity
+gate.  Points where the metric degenerates are collected, not fatal.
 """
 
 from __future__ import annotations
 
 from .finsler import is_finsler_mode
-from .mechanics import MechanicalSystem, _report, sweep
+from .mechanics import MechanicalSystem, _report, stack_points, sweep
 
 __all__ = ["run_verification"]
 
@@ -37,8 +37,10 @@ def run_verification(sys: MechanicalSystem, samples, tol: float = 1e-8) -> dict:
     reported when L passes the Euler test at each of the first 8 samples
     where it can be evaluated (:func:`~lagmech.finsler.is_finsler_mode`).
     """
+    samples = stack_points(samples)
     finsler = is_finsler_mode(sys, samples, tol)
-    residuals, tested, singular = sweep(samples, _report(sys, "verify"))
+    report = _report(sys, "verify_finsler" if finsler else "verify")
+    residuals, tested, singular = sweep(samples, report)
     if not finsler:
         residuals.update(christoffel_contraction=None, finsler_energy_formula=None)
     offenders = sorted(

@@ -2,8 +2,8 @@
 
 ``render_json`` renders every value by recursion, one element at a time,
 and ``inspect`` renders one document of per-point entries, each point's
-fields sliced off the batch by :func:`~lagmech.mechanics.each_point`.
-A test compares the CLI's output with these byte for byte.
+fields sliced off the batch by :func:`each_point`.  A test compares the
+CLI's output with these byte for byte.
 """
 
 import json
@@ -13,7 +13,27 @@ import numpy as np
 
 from lagmech.cli import EXIT_DOMAIN, EXIT_OK, _integer, build_samples, build_system
 from lagmech.compiled import run
-from lagmech.mechanics import each_point
+from lagmech.jets import batch_shape
+from lagmech.mechanics import _take, each_block
+
+
+def each_point(samples, per_batch):
+    """Yield ``(index, point, values, error)`` for each sample in order.
+
+    ``per_batch(p)`` returns a dict of named values at ``p``, a chunk of
+    the samples as a batch (values with a trailing point axis) or a
+    single point; each yielded ``values`` holds one point's slice, and
+    ``point`` is that point with float coordinates.  A point where
+    SingularMetric, DomainError or FinslerModeError is raised yields that
+    error instead (``values`` None).
+    """
+    for start, p, values, err in each_block(samples, per_batch):
+        if err is not None or not batch_shape(p):
+            yield start, p, values, err
+            continue
+        for lane in range(len(p.x[0])):
+            yield (start + lane, _take(p, lane),
+                   {name: v[..., lane] for name, v in values.items()}, None)
 
 
 def render_json(obj, indent: int = 0) -> str:

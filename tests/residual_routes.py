@@ -142,11 +142,11 @@ def _finsler_residuals(ctx, members) -> tuple:
 
 
 def verify_values(ctx, dgdx) -> dict:
-    """The ``verify`` report."""
+    """The ``verify`` report, which every system runs."""
     members = context_values(ctx, dgdx)
     j = ctx.jet
     scale = 1.0 + peak(ctx, ctx.metric.entries)
-    out = {
+    return {
         "canonical_spray_equation": sode_residual(j, ctx.y, ctx.spray0),
         "evolution_spray_equation": members["evolution_equation_residual"],
         "cartan_form_transport": members["lie_theta_residual"],
@@ -160,6 +160,13 @@ def verify_values(ctx, dgdx) -> dict:
         "energy_horizontal_routes": peak(
             ctx, members["horizontal_dE"] - members["horizontal_dE_closed"]),
     }
+
+
+def verify_finsler_values(ctx, dgdx) -> dict:
+    """The ``verify_finsler`` report: ``verify``'s residuals, then the two
+    Finsler ones."""
+    out = verify_values(ctx, dgdx)
+    members = context_values(ctx, dgdx)
     out["christoffel_contraction"], out["finsler_energy_formula"] = _finsler_residuals(ctx, members)
     return out
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lagmech.cli import build_samples, build_system, main
+from lagmech.mechanics import stack_points
 from lagmech.sampling import sample_box
 from lagmech.verify import run_verification
 from trajectory_csv import read_csv
@@ -357,6 +358,69 @@ def test_non_finite_tolerances_coordinates_and_bounds_are_config_errors(tmp_path
     assert err.startswith("error: ") and detail in err
 
 
+_STRUCTURE = "error: a sample point needs 'x' and 'y' lists of one length\n"
+_BAD_POINTS = {  # a bad entry of a 2-dimensional system, and the whole stderr it gives
+    "non-object": ([1.0, 2.0], _STRUCTURE),
+    "missing-x": ({"y": [1.0, 0.5]}, _STRUCTURE),
+    "missing-y": ({"x": [1.0, 0.5]}, _STRUCTURE),
+    "unequal": ({"x": [1.0], "y": [1.0, 0.5]}, _STRUCTURE),
+    "boolean": ({"x": [True, 0.2], "y": [1.0, 0.5]}, f"error: {_SAMPLE}, got [True, 0.2, 1.0, 0.5]\n"),
+    "string": ({"x": ["0.1", 0.2], "y": [1.0, 0.5]},
+               f"error: {_SAMPLE}, got ['0.1', 0.2, 1.0, 0.5]\n"),
+    "nan": ({"x": [math.nan, 0.2], "y": [1.0, 0.5]}, f"error: {_SAMPLE}, got [nan, 0.2, 1.0, 0.5]\n"),
+    "infinity": ({"x": [0.1, 0.2], "y": [math.inf, 0.5]},
+                 f"error: {_SAMPLE}, got [0.1, 0.2, inf, 0.5]\n"),
+    "-infinity": ({"x": [0.1, -math.inf], "y": [1.0, 0.5]},
+                  f"error: {_SAMPLE}, got [0.1, -inf, 1.0, 0.5]\n"),
+    "huge-int": ({"x": [0.1, 10 ** 400], "y": [1.0, 0.5]},
+                 f"error: {_SAMPLE}, got [0.1, {10 ** 400}, 1.0, 0.5]\n"),
+    "dimension": ({"x": [0.1, 0.2, 0.3], "y": [1.0, 0.5, 0.1]},
+                  "error: sample point dimension mismatch\n"),
+    # the numbers are checked before the dimension
+    "dimension-boolean": ({"x": [True], "y": [1.0]}, f"error: {_SAMPLE}, got [True, 1.0]\n"),
+}
+
+
+@pytest.mark.parametrize("at", [0, 150])
+@pytest.mark.parametrize("name", _BAD_POINTS)
+def test_a_bad_sample_point_gives_its_own_message(tmp_path, capsys, name, at):
+    # the points are read as one batch, and a bad one, first or behind 150
+    # valid ones, raises what reading it alone raises
+    bad, stderr = _BAD_POINTS[name]
+    points = [{"x": [0.1 * (i % 7), 0.2], "y": [1.0, 0.5]} for i in range(150)]
+    points.insert(at, bad)
+    cfg = write_config(tmp_path, "bad.json", {"system": _SYS_B, "samples": {"points": points}})
+    assert main(["classify", cfg]) == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
+def test_the_first_bad_sample_point_raises(tmp_path, capsys):
+    points = [{"x": [0.1, 0.2], "y": [1.0, 0.5]}] * 20
+    for first, second, stderr in [(_BAD_POINTS["dimension"], _BAD_POINTS["nan"], "dimension"),
+                                  (_BAD_POINTS["nan"], _BAD_POINTS["dimension"], "nan")]:
+        cfg = write_config(tmp_path, "bad.json", {"system": _SYS_B, "samples": {
+            "points": points[:5] + [first[0]] + points[5:10] + [second[0]] + points[10:]}})
+        assert main(["classify", cfg]) == 2
+        assert capsys.readouterr().err == _BAD_POINTS[stderr][1]
+
+
+def test_integer_coordinates_print_as_floats(tmp_path, capsys):
+    # an integer coordinate is read as the float nearest it: 2^60 prints
+    # with 17 significant digits, 1 and 0 as they are, in an entry and in a
+    # failure record (SYS-D's metric is singular at y = (1, 0))
+    cfg = write_config(tmp_path, "ints.json", {
+        "system": {"builtin": "SYS-D", "params": {"e": -0.5}},
+        "samples": {"points": [{"x": [2 ** 60, 0], "y": [2, 1]}, {"x": [1, 0], "y": [1, 0]}]}})
+    assert main(["inspect", cfg]) == 3
+    out = capsys.readouterr().out
+    assert '"x": [1.152921504606847e+18, 0],\n        "y": [2, 1]\n      },\n      "g": ' in out
+    assert '"x": [1, 0],\n        "y": [1, 0]\n      },\n      "error": "SingularMetric"' in out
+    assert main(["classify", cfg]) == 0
+    out = capsys.readouterr().out
+    assert '"point": {\n        "x": [1, 0],\n        "y": [1, 0]\n      }' in out
+    assert [f["index"] for f in json.loads(out)["failures"]] == [1]
+
+
 @pytest.mark.parametrize("flags", [["--step", "nan"], ["--t-end", "inf"]])
 def test_non_finite_integrator_flag_exit_code(tmp_path, capsys, flags):
     cfg = write_config(tmp_path, "run.json", _SYS_A_RUN)
@@ -387,8 +451,9 @@ def test_finsler_gate_of_samples_agrees_with_verify():
     samples = build_samples(cfg, sys_, 0)
     assert run_verification(sys_, samples)["finsler_mode"] is True
     # Finsler mode draws box samples with fiber norms of at least 0.1
-    floor = sample_box(cfg["samples"]["box_x"], cfg["samples"]["box_y"], 200, min_y_norm=0.1)
-    assert samples == floor
+    floor = stack_points(sample_box(cfg["samples"]["box_x"], cfg["samples"]["box_y"], 200,
+                                    min_y_norm=0.1))
+    assert np.array_equal(samples.x + samples.y, floor.x + floor.y)
 
 
 @pytest.mark.parametrize("lagrangian", ["exp(y1^3) + y1^2", "y1^2 + (1 + y1^2)^200.5"])

@@ -21,6 +21,7 @@ from lagmech.phase import PhasePoint
 from lagmech.systems import catalog, instantiate, standard_samples
 from lagmech.verify import run_verification
 import routes
+from render_route import each_point
 from test_compiled import _holed_strategy, random_system
 from test_dsl import _guarded_strategy
 
@@ -139,6 +140,19 @@ def test_failing_chunk_pass_budget(passes):
     assert passes() == {"report classify": 1 + 16 + 256}
 
 
+def test_verify_lowers_the_finsler_residuals_in_finsler_mode_alone(passes):
+    # SYS-A's L fails the probes: its verify report has no Finsler residual
+    # to overwrite with null
+    sys_, samples = _case("SYS-A", count=6)
+    passes()
+    report = run_verification(sys_, samples)
+    assert passes() == {"euler": 1, "report verify": 1}
+    assert not report["finsler_mode"]
+    assert list(report["residuals"])[-2:] == ["christoffel_contraction", "finsler_energy_formula"]
+    assert report["residuals"]["christoffel_contraction"] is None
+    assert report["residuals"]["finsler_energy_formula"] is None
+
+
 def _read_every_member(ctx, n):
     ctx.dE, ctx.omega(np.ones(2 * n), np.arange(2.0 * n))
     ctx.evolution_equation_residual(), ctx.lie_theta_residual(), ctx.symplectic_defect()
@@ -165,9 +179,10 @@ def test_pass_budget(passes, name, tmp_path):
         ctx.christoffel, ctx.dg_dx
         assert passes() == {"report context": 1}
 
-    # one batch of Finsler-mode probes, then one verify report
+    # one batch of Finsler-mode probes, then one verify report, with the
+    # two Finsler residuals since the three systems pass the probes
     run_verification(sys_, samples)
-    assert passes() == {"euler": 1, "report verify": 1}
+    assert passes() == {"euler": 1, "report verify_finsler": 1}
 
     finsler_identities(sys_, samples)
     assert passes() == {"report identities": 1}
@@ -354,6 +369,7 @@ def _per_point_functions(sys_):
     chunk or at one point."""
     return {"classify": mechanics._report(sys_, "classify"),
             "verify": mechanics._report(sys_, "verify"),
+            "verify_finsler": mechanics._report(sys_, "verify_finsler"),
             "probes": lambda q: finsler._probe_values(sys_, q),
             "homogeneity": lambda q: finsler._euler_values(sys_, q),
             "identities": mechanics._report(sys_, "identities"),
@@ -389,6 +405,8 @@ def _reference_functions(sys_):
 
     return {
         "verify": (mechanics._report(sys_, "verify"), lambda q: context(q, "verify")),
+        "verify_finsler": (mechanics._report(sys_, "verify_finsler"),
+                           lambda q: context(q, "verify_finsler")),
         "context": (mechanics._report(sys_, "context"), lambda q: context(q, "context")),
         "identities": (mechanics._report(sys_, "identities"), formulas("identity")),
         "classify": (mechanics._report(sys_, "classify"), formulas("classify")),
@@ -515,7 +533,7 @@ def _assert_batch_equals_points(sys_, samples):
     # across its end on short lists; the split logic is the one of 256 and 16
     with mock.patch.object(mechanics, "_CHUNK", 8), mock.patch.object(mechanics, "_BLOCK", 2):
         for name, fn in _per_point_functions(sys_).items():
-            batch = list(mechanics.each_point(samples, fn))
+            batch = list(each_point(samples, fn))
             assert [i for i, *_ in batch] == list(range(len(samples)))
             for (_, p, values, err), q in zip(batch, samples):
                 try:
