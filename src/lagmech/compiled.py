@@ -44,7 +44,10 @@ one-point run.
 
 The curve kinds return z', ``value`` its values as a list and ``record``
 its traces summed as floats sum them; :func:`run` returns any other
-kind's outputs at a phase point by name, as floats and arrays.
+kind's outputs at a phase point by name, as floats and arrays (the curve
+kinds and ``record`` run on floats alone: a check tests a bool).
+:func:`stepper` emits an RK4 step or a Dormand-Prince attempt as one
+straight-line function around a curve's program, passed in.
 The domain rules are those of the same pass run on a forward-mode tower
 (the tests' reference): L propagated as an order-2 jet (order o for
 ``jet``) and V in floats, each carrying tangents along the seeded
@@ -57,6 +60,7 @@ or Euler test's order, a record's curve or a report.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import cached_property, lru_cache, reduce
 from itertools import islice
@@ -69,7 +73,7 @@ from .errors import DomainError, SingularMetric
 from .jets import _BLOCKS, SCALAR_FUNCTIONS, _invert, _power, _real_power, batch_shape, ipow
 from .phase import PhasePoint
 
-__all__ = ["program", "run"]
+__all__ = ["program", "run", "stepper"]
 
 _X, _Y = 1, 2  # what a node depends on
 _DIR = "dir"  # the partial along y in the direction y itself
@@ -135,7 +139,8 @@ class _Dag:
     """The hash-consed nodes ``(op, operands, parameter)`` of one program, its
     memoised partials (None when zero) and its statements, in order."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, floats=False):
+        self.floats = floats  # whether the program runs on floats alone
         self.nodes, self.deps, self.ids, self.partials, self.counts = [], [], {}, {}, {}
         self.lines, self.done, self.guarded, self.solved = [], set(), set(), {}
         self.x, self.y = ([self.node(c, (), i) for i in range(n)] for c in "xy")
@@ -301,9 +306,10 @@ class _Dag:
 
     def raise_if(self, test, message):
         """Raise DomainError(message) where ``test`` holds: a bool at a point,
-        an array over a batch (``jets._any``'s test, inline)."""
-        self.lines.append(f"if (_t := {test}) is not False and (_t is True or _t.any()): "
-                          f"raise _DomainError({message!r})")
+        an array over a batch (``jets._any``'s test, inline), a bool alone in
+        a program that runs on floats alone."""
+        test = test if self.floats else f"(_t := {test}) is not False and (_t is True or _t.any())"
+        self.lines.append(f"if {test}: raise _DomainError({message!r})")
 
     def lower(self, e, tower):
         """The node of e, as the tower ``(order, seeded)`` evaluates it: an
@@ -557,7 +563,7 @@ def _build(kind: str, n: int, ltree, vtrees, arg):
     """The DAG of a kind, and its return statement (a curve kind, ``record``
     or ``value``) or its named output groups.  ``arg`` is a jet's order, a
     record's curve or a report's name."""
-    g, r = _Dag(n), range(n)
+    g, r = _Dag(n, kind in ("evolution", "horizontal", "geodesic", "record")), range(n)
     if kind == "value":  # in floats: one field's value, or each component's
         field = "field" if vtrees is None else "force"
         values = [g.lower(t, (None, 0)) for t in ((ltree,) if vtrees is None else vtrees)]
@@ -687,8 +693,8 @@ def run(kind: str, L, V, p, arg=2) -> dict:
     point axis.  An exact zero is +0.0, as a sum of float products from
     +0.0 gives it."""
     fn, shapes = _program(kind, L, V, arg)
-    out = fn([*p.x, *p.y])
     lanes = batch_shape(p)
+    out = fn([*p.x, *p.y])
     values = {}
     for (name, shape), vals in zip(shapes.items(), out):
         if not lanes:
@@ -700,3 +706,30 @@ def run(kind: str, L, V, p, arg=2) -> dict:
         a += 0.0
         values[name] = a.reshape(shape + lanes)
     return values
+
+
+@lru_cache(maxsize=64)
+def stepper(states: tuple, staged: int, n: int, guard=None):
+    """An integration step in 2n floats as one function ``(rhs, z, k0, h)``.
+    Each formula of ``states`` makes a state, entry by entry, as z plus the
+    formula in the stages ``{i}`` (k0 given; ``hh`` and ``h6`` are h / 2 and
+    h / 6); each of the first ``staged`` states is then passed to ``rhs``,
+    behind the zero-section check ``guard`` (min |y|, message) if given.
+    It returns the last staged state, the states after it and its stage."""
+    m = 2 * n
+    names = lambda v, lo=0: ", ".join(f"{v}_{j}" for j in range(lo, m))  # noqa: E731
+    lines = ["def step(rhs, z, k0, h):", f"{names('z')}, = z", f"{names('k0')}, = k0",
+             "hh, h6 = 0.5 * h, h / 6.0"]
+    for i, formula in enumerate(states):
+        lines += [f"s{i}_{j} = z_{j} + " + formula.format(*(f"k{q}_{j}" for q in range(i + 1)))
+                  for j in range(m)]
+        if i < staged:
+            lines += [f"if _hypot({names(f's{i}', n)}) < {guard[0]!r}: raise _DomainError("
+                      f"{guard[1]!r})"] if guard else []
+            lines.append(f"k{i + 1} = rhs([{names(f's{i}')}])")
+            lines += [f"{names(f'k{i + 1}')}, = k{i + 1}"] if i + 1 < len(states) else []
+    outs = "".join(f"[{names(f's{i}')}], " for i in range(staged - 1, len(states)))
+    namespace = {"_hypot": math.hypot, "_DomainError": DomainError}
+    src = "\n    ".join([*lines, f"return {outs}k{staged}"])
+    exec(compile(src, "<lagmech step>", "exec"), namespace)
+    return namespace["step"]

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, SingularMetric
+from .errors import DomainError, LagmechError, SingularMetric
 from .phase import PhasePoint
 
 __all__ = [
@@ -59,6 +59,8 @@ def _each(fn, v, *args):
 
 def batch_shape(p: PhasePoint) -> tuple:
     """``(B,)`` for a batch of B points, ``()`` for a single point."""
+    if not p.x:
+        raise LagmechError("an empty batch: no point to evaluate")
     return getattr(p.x[0], "shape", ())
 
 

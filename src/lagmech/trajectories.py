@@ -22,14 +22,18 @@ Along every trajectory the energy, Lagrangian, dissipation power and the
 Lagrange-equation residual (the curve's own acceleration substituted)
 are recorded.  A right-hand side is one call of the curve's compiled
 program (:mod:`lagmech.compiled`), built from the bound trees of L and V
-under the same domain rules as every pointwise pass, which returns z';
-the drivers form the stages in floats, in numpy's order of operations.
-A record is one call of the ``record`` program at the recorded state and
-its acceleration, which returns the four traces (a geodesic's record is
+under the same domain rules as every pointwise pass, which returns z'.
+An RK4 step and its new state's stage, or a Dormand-Prince attempt, is
+one call of a function generated around it (:func:`lagmech.compiled.stepper`)
+that forms the stages in floats, in numpy's order of operations, and
+checks the zero section inline.  A step that raises runs again stage by
+stage through the driver, so its stop, rows and ``rhs_calls`` (which
+counts right-hand sides) are a stage-by-stage run's.  A record is one
+call of the ``record`` program at the recorded state and its
+acceleration, which returns the four traces (a geodesic's record is
 where V is read and checked, at records alone); the arrays are built at
-the end.
-``Trajectory.stats`` counts what the run did and says where and why it
-stopped.
+the end.  ``Trajectory.stats`` counts what the run did and says where
+and why it stopped.
 """
 
 from __future__ import annotations
@@ -146,12 +150,8 @@ class Trajectory:
     # -- serialization --------------------------------------------------
 
     def csv_header(self) -> str:
-        n = self.n
-        cols = ["t"]
-        cols += [f"x{i+1}" for i in range(n)]
-        cols += [f"y{i+1}" for i in range(n)]
-        cols += ["E", "L", "power", "el_residual"]
-        return ",".join(cols)
+        xy = [f"{c}{i + 1}" for c in "xy" for i in range(self.n)]
+        return ",".join(["t", *xy, "E", "L", "power", "el_residual"])
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -189,14 +189,15 @@ class _Run:
     def __init__(self, sys: MechanicalSystem, programs):
         self.n = sys.n
         self.rhs, self.traces = programs
-        self.guard_fiber = sys.domain_guard == "y_nonzero"
+        self.guard = (_MIN_FIBER_NORM, "velocity collapsed onto the zero section") \
+            if sys.domain_guard == "y_nonzero" else None
         self.stats = RunStats()
         self.at = (0.0, None)  # time and state of the latest evaluation
         self.rows = []
 
     def _guard(self, z):
-        if self.guard_fiber and math.hypot(*z[self.n:]) < _MIN_FIBER_NORM:
-            raise DomainError("velocity collapsed onto the zero section")
+        if self.guard and math.hypot(*z[self.n:]) < self.guard[0]:
+            raise DomainError(self.guard[1])
 
     def stage(self, t, z, record=False, last=False):
         """The stage at the state z, reached at time t.
@@ -217,90 +218,86 @@ class _Run:
                 self._guard(z)
         return f
 
+    def replay(self, states, staged, times, *args):
+        """A step that raised, again: its generated function of ``states`` at
+        args, each stage through :meth:`stage` at its time in ``times``."""
+        from .compiled import stepper
+
+        times = iter(times)
+        return stepper(states, staged, self.n)(lambda z: self.stage(next(times), z), *args)
+
     def record(self, t, z, stage):
         self.rows.append((t, z[:self.n], z[self.n:], *self.traces(z + stage[self.n:])))
 
     def stop(self, err):
         t, z = self.at
-        n = self.n
         self.stats.stop = {"t": float(t), "error": type(err).__name__, "detail": str(err),
-                           "point": {"x": z[:n], "y": z[n:]}}
+                           "point": {"x": z[:self.n], "y": z[self.n:]}}
         if isinstance(err, SingularMetric):
             self.stats.stop["eigen_range"] = [err.min_abs_eigen, err.max_abs_eigen]
 
     def trajectory(self, status: str) -> Trajectory:
-        n = self.n
-        t, xs, ys, e, lv, w, r = zip(*self.rows) if self.rows else [()] * 7
-        return Trajectory(
-            t=np.array(t),
-            xs=np.array(xs) if xs else np.zeros((0, n)),
-            ys=np.array(ys) if ys else np.zeros((0, n)),
-            energy=np.array(e),
-            lagrangian=np.array(lv),
-            power=np.array(w),
-            el_residual=np.array(r),
-            status=status,
-            stats=self.stats,
-        )
+        t, xs, ys, *traces = zip(*self.rows) if self.rows else [()] * 7
+        xs, ys = (np.array(v) if v else np.zeros((0, self.n)) for v in (xs, ys))
+        return Trajectory(np.array(t), xs, ys, *map(np.array, traces), status=status,
+                          stats=self.stats)
 
 
 def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, curve, programs=None):
     """Integrate from p0 along a curve family by its compiled programs (or
     ``programs`` in their place): the stage, z -> z', and the ``record``,
     z + z'' -> (E, L, power, defect)."""
-    from .compiled import program  # compiled at the first run, not at import
+    from .compiled import program, stepper  # compiled at the first run, not at import
 
     cfg.validate()
     run = _Run(sys, programs or (program(curve, sys.L, None if curve == "geodesic" else sys.V),
                                  program("record", sys.L, sys.V, curve)))
     z = [float(v) for v in p0.x] + [float(v) for v in p0.y]
+    rk4 = cfg.method == "rk4_fixed"
+    step = stepper(_RK4, 4, sys.n, run.guard) if rk4 else stepper(_DP5, 6, sys.n, run.guard)
     status = "completed"
     try:
         # numpy's overflow becomes a non-finite value, which the finiteness
         # checks of the next pass turn into a DomainError
         with np.errstate(over="ignore", invalid="ignore"):
-            (_drive_rk4 if cfg.method == "rk4_fixed" else _drive_rk45)(run, z, cfg)
-    except SingularMetric as err:
-        status = "singular_metric_stop"
-        run.stop(err)
-    except DomainError as err:
-        status = "domain_stop"
+            (_drive_rk4 if rk4 else _drive_rk45)(run, z, cfg, step)
+    except (SingularMetric, DomainError) as err:
+        status = "singular_metric_stop" if isinstance(err, SingularMetric) else "domain_stop"
         run.stop(err)
     return run.trajectory(status)
 
 
-def _rk4_step(run, t, z, h, k1):
-    """One RK4 step of size h from the state z at time t, whose stage k1
-    is given."""
-    hh, h6 = 0.5 * h, h / 6.0
-    k2 = run.stage(t + hh, [a + hh * b for a, b in zip(z, k1)])
-    k3 = run.stage(t + hh, [a + hh * b for a, b in zip(z, k2)])
-    k4 = run.stage(t + h, [a + h * b for a, b in zip(z, k3)])
-    run.stats.accepted += 1
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+# the states of an RK4 step in its stages {0}..{3}, the new state's stage
+# being the next step's first
+_RK4 = ("hh * {0}", "hh * {1}", "h * {2}", "h6 * ({0} + 2.0 * {1} + 2.0 * {2} + {3})")
 
 
-def _drive_rk4(run, z, cfg):
-    h = cfg.step
-    total = cfg.t_end
+def _drive_rk4(run, z, cfg, step):
+    h, total = cfg.step, cfg.t_end
     nfull = int(math.floor(total / h + 1e-9))
     rem = total - nfull * h
     if rem < 1e-12 * max(1.0, total):
         rem = 0.0
-    f = run.stage(0.0, z, record=True, last=not (nfull or rem))
-    if nfull or rem:
+    steps = nfull + (rem > 0.0)
+    f = run.stage(0.0, z, record=True, last=not steps)
+    if steps:
         run.stats.min_step = h
-    for k in range(1, nfull + 1):
-        z = _rk4_step(run, (k - 1) * h, z, h, f)
-        last = k == nfull and rem == 0.0
-        # the new state's stage is the next step's first; a record reads it.
-        # A dropped remainder leaves the last state on t_end.
-        f = run.stage(total if last else k * h, z,
-                      record=last or k % cfg.record_every == 0, last=last)
-    if rem > 0.0:
-        z = _rk4_step(run, nfull * h, z, rem, f)
-        run.stage(total, z, record=True, last=True)
+    for k in range(1, steps + 1):
+        # the last step takes the remainder; a dropped one leaves it on t_end
+        t, hk, last = (k - 1) * h, h if k <= nfull else rem, k == steps
+        t_new, record = total if last else k * h, last or k % cfg.record_every == 0
+        try:
+            z, f = step(run.rhs, z, f, hk)
+        except (DomainError, SingularMetric):  # replayed for its stop, rows and counts
+            z = run.replay(_RK4, 3, [t + 0.5 * hk, t + 0.5 * hk, t + hk], z, f, hk)[1]
+            run.stats.accepted += 1
+            f = run.stage(t_new, z, record=record, last=last)
+        else:
+            run.stats.rhs_calls += 4
+            run.stats.accepted += 1
+            run.at = (t_new, z)  # where a record that raises stops the run
+            if record:
+                run.record(t_new, z, f)
 
 
 # Dormand-Prince 5(4) tableau; the last row of A holds the 5th-order
@@ -316,17 +313,13 @@ _DP_A = [
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
 _DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# the states of an attempt, z + h * sum(c * k), as numpy arrays add: each
+# stage's, the last z5, then z4
+_DP5 = tuple("h * (0.0" + "".join(f" + ({c!r}) * {{{i}}}" for i, c in enumerate(row)) + ")"
+             for row in _DP_A[1:] + [_DP_B4])
 
 
-def _combine(z, h, coefs, ks):
-    """z + h * sum(c * k for c, k in zip(coefs, ks)), as numpy arrays add."""
-    acc = [0.0] * len(z)
-    for c, k in zip(coefs, ks):
-        acc = [s + c * e for s, e in zip(acc, k)]
-    return [a + h * s for a, s in zip(z, acc)]
-
-
-def _drive_rk45(run, z, cfg):
+def _drive_rk45(run, z, cfg, step):
     stats = run.stats
     t = 0.0
     h = min(cfg.max_step, cfg.t_end)
@@ -338,19 +331,21 @@ def _drive_rk45(run, z, cfg):
         last = cfg.t_end - (t + h) < end_tol
         if last:
             h = cfg.t_end - t
-        ks = [f]
-        for i in range(1, 7):
-            zi = _combine(z, h, _DP_A[i], ks)
-            ks.append(run.stage(t + _DP_C[i] * h, zi))
+        try:
+            z5, z4, f5 = step(run.rhs, z, f, h)
+        except (DomainError, SingularMetric):  # replayed for its stop, rows and counts
+            z5, z4, f5 = run.replay(_DP5, 6, [t + c * h for c in _DP_C[1:]], z, f, h)
+        else:
+            stats.rhs_calls += 6
+            run.at = (t + h, z5)  # the last stage's, where a record that raises stops
         # FSAL: the last stage ran at the 5th-order solution; accepted, it
         # is the next step's first stage and gives the record its acceleration
-        z5 = zi
-        za, z5a, z4a = np.array([z, z5, _combine(z, h, _DP_B4, ks)])
+        za, z5a, z4a = np.array([z, z5, z4])
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(za), np.abs(z5a))
         err = float(np.sqrt(np.mean(((z5a - z4a) / scale) ** 2)))
         if err <= 1.0:
             t = cfg.t_end if last else t + h
-            z, f = z5, ks[-1]
+            z, f = z5, f5
             stats.accepted += 1
             if stats.accepted % cfg.record_every == 0 or last:
                 run.record(t, z, f)

@@ -452,6 +452,19 @@ def test_one_program_serves_random_points_and_curves(lag, force, pts):
             _assert_point_serves_curve(sys_, PhasePoint((x1, x2), (y1, y2)))
 
 
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.id)
+def test_float_programs_test_their_checks_as_bools(entry):
+    # the curve and record programs run on floats alone: each check tests a
+    # bool; a report runs over batches too, and tests an array's any()
+    sys_ = instantiate(entry.id, entry.default_params)
+    curves = ("evolution", "horizontal", "geodesic")
+    floats = [program(curve, sys_.L, None if curve == "geodesic" else sys_.V) for curve in curves]
+    floats += [program("record", sys_.L, sys_.V, curve) for curve in curves]
+    assert "_DomainError" in floats[0].__code__.co_names
+    assert not any("any" in fn.__code__.co_names for fn in floats)
+    assert "any" in program("report", sys_.L, sys_.V, "point").__code__.co_names
+
+
 # ---------------------------------------------------------------------------
 # a constant metric's gate and inverse fold into the program at build time
 # ---------------------------------------------------------------------------

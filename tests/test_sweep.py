@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from lagmech import cli
-from lagmech.errors import DomainError
+from lagmech.compiled import run
+from lagmech.errors import DomainError, LagmechError
 from lagmech.finsler import finsler_identities, homogeneity_report
-from lagmech.mechanics import classify, stack_points, sweep
+from lagmech.mechanics import PointGeometry, classify, stack_points, sweep
 from lagmech.phase import PhasePoint
+from lagmech.systems import instantiate
 from lagmech.verify import run_verification
 from render_route import each_point
 
@@ -144,3 +146,14 @@ def test_sweep_keeps_the_nan_rules():
     assert maxima["middle"] == 1.0
     assert math.copysign(1.0, maxima["zeros"]) == -1.0
     assert maxima["flag"] is True and maxima["late_flag"] is True
+
+
+def test_an_empty_batch_is_a_typed_error():
+    # a sweep of no points tests none; a context or a program run over the
+    # batch of no points has no values to give
+    sys_ = instantiate("SYS-D", {"e": -0.5})
+    assert classify(sys_, []).points_tested == 0
+    with pytest.raises(LagmechError, match="an empty batch"):
+        PointGeometry(sys_, stack_points([]))
+    with pytest.raises(LagmechError, match="an empty batch"):
+        run("report", sys_.L, sys_.V, stack_points([]), "point")

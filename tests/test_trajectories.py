@@ -350,39 +350,129 @@ def _counting(monkeypatch, calls, module, name):
 
 def _counted_programs(monkeypatch, calls):
     """Count the calls of every compiled program the integrators fetch, by
-    kind."""
+    kind, and of every generated step function as ``step``."""
     import lagmech.compiled as compiled
 
-    build = compiled.program
+    for name in ("program", "stepper"):
+        def counted_build(*args, build=getattr(compiled, name), name=name):
+            fn, label = build(*args), args[0] if name == "program" else "step"
 
-    def counted_program(kind, *args):
-        fn = build(kind, *args)
+            def run(*a):
+                calls[label] += 1
+                return fn(*a)
 
-        def run(z):
-            calls[kind] += 1
-            return fn(z)
+            return run
 
-        return run
-
-    monkeypatch.setattr(compiled, "program", counted_program)
+        monkeypatch.setattr(compiled, name, counted_build)
 
 
 @pytest.mark.parametrize("curve", list(INTEGRATE))
 def test_pass_budget(monkeypatch, curve):
-    # with every state recorded, a run makes exactly one compiled call per
-    # right-hand side and one record call per row, and no pointwise pass but
-    # the geodesic's Finsler gate at the initial point
+    # with every state recorded, a run makes one call of its generated step
+    # per RK4 step or Dormand-Prince attempt, which runs the stage program
+    # once per right-hand side, one stage call outside it (the first), one
+    # record call per row, and no pointwise pass but the geodesic's Finsler
+    # gate at the initial point
     import lagmech.compiled as compiled
 
     calls = Counter()
     _counting(monkeypatch, calls, compiled, "run")
+    _counting(monkeypatch, calls, trajectories._Run, "stage")
     _counted_programs(monkeypatch, calls)
     for method in ("rk4_fixed", "rk45_adaptive"):
         calls.clear()
         sys_, p0, cfg = _run(_RUNS["SYS-D"], 0.3, method, 1)
         traj = INTEGRATE[curve](sys_, p0, cfg)
+        st = traj.stats
         geodesic = {"run": 1} if curve == "geodesic" else {}
-        assert dict(calls) == {curve: traj.stats.rhs_calls, "record": len(traj.t), **geodesic}, method
+        assert dict(calls) == {curve: st.rhs_calls, "step": st.accepted + st.rejected, "stage": 1,
+                               "record": len(traj.t), **geodesic}, method
+
+
+@pytest.mark.parametrize("every, budget", [
+    # the fourth step's new state is on the zero section; due for a record,
+    # it is recorded before the guard stops the run
+    (1, {"evolution": 20, "step": 5, "stage": 5, "record": 5, "rhs_calls": 17}),
+    # not due for one, the guard stops the run before its stage
+    (3, {"evolution": 19, "step": 5, "stage": 5, "record": 2, "rhs_calls": 16}),
+])
+def test_a_failing_step_is_replayed_stage_by_stage(monkeypatch, every, budget):
+    # the fourth step's generated call stops at the guard before the new
+    # state's stage; its replay (a fifth step call) takes the 3 stages again,
+    # each a stage call, then the new state's, so the stage program runs 3
+    # more times than rhs_calls counts
+    sys_ = build_system({"system": {"n": 2, "lagrangian": "y1^2 + y2^2", "force": ["-2", "-6*y1^2"],
+                                    "domain_guard": "y_nonzero"}})
+    calls = Counter()
+    _counting(monkeypatch, calls, trajectories._Run, "stage")
+    _counted_programs(monkeypatch, calls)
+    cfg = IntegratorConfig(step=0.25, t_end=2.0, record_every=every)
+    traj = integrate_evolution(sys_, PhasePoint((0.1, 0.2), (1.0, 1.0)), cfg)
+    assert traj.status == "domain_stop" and traj.stats.stop["t"] == 1.0
+    assert traj.stats.stop["detail"] == "velocity collapsed onto the zero section"
+    assert dict(calls, rhs_calls=traj.stats.rhs_calls) == budget
+
+
+def _rk4_by_stages(rhs, z, k1, h):
+    """An RK4 step and its new state's stage as the drivers took them stage
+    by stage before the steps were generated."""
+    hh, h6 = 0.5 * h, h / 6.0
+    k2 = rhs([a + hh * b for a, b in zip(z, k1)])
+    k3 = rhs([a + hh * b for a, b in zip(z, k2)])
+    k4 = rhs([a + h * b for a, b in zip(z, k3)])
+    z = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+    return z, rhs(z)
+
+
+def _dp5_by_stages(rhs, z, k1, h):
+    """A Dormand-Prince attempt's z5, z4 and last stage, likewise."""
+    def combine(coefs, ks):  # as numpy arrays add
+        acc = [0.0] * len(z)
+        for c, k in zip(coefs, ks):
+            acc = [s + c * e for s, e in zip(acc, k)]
+        return [a + h * s for a, s in zip(z, acc)]
+
+    ks = [k1]
+    for row in trajectories._DP_A[1:]:
+        ks.append(rhs(combine(row, ks)))
+    return combine(trajectories._DP_A[6], ks), combine(trajectories._DP_B4, ks), ks[-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_generated_steps_are_the_stage_by_stage_steps(n):
+    # on states and stages that hold zeros of both signs (a state of -0.0
+    # keeps its sign only if a sum starts from the first term, not 0.0),
+    # infinities (an infinite second stage makes the 0.0 terms NaN), NaN,
+    # huge and subnormal entries, a generated RK4 step and Dormand-Prince
+    # attempt take their stages at the bits of the stage-by-stage ones and
+    # return the same bits
+    from lagmech.compiled import stepper
+
+    rng = np.random.default_rng(n)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -5e-324]
+    seen = []
+
+    def mix(z):  # mixes the entries, keeps a zero's sign, is finite at inf
+        return [math.atan(3.0 * a) + 0.5 * math.atan(b) for a, b in zip(z, z[::-1])]
+
+    def rhs(z):  # mix, logged; with ``spike`` infinite at a step's first stage
+        seen.append(list(z))
+        return [math.inf] + mix(z)[1:] if spike and len(seen) == 1 else mix(z)
+
+    rk4 = stepper(trajectories._RK4, 4, n)
+    dp5 = stepper(trajectories._DP5, 6, n)
+    for trial in range(40):
+        spike = trial % 4 == 2
+        z = rng.normal(size=2 * n).tolist() if trial else [-0.0] * (2 * n)
+        if trial % 2:
+            z[rng.integers(2 * n)] = special[trial % len(special)]
+        k1, h = mix(z), float(rng.choice([1e-3, 0.1, 0.5, 1e300]))
+        for step, ref in ((rk4, _rk4_by_stages), (dp5, _dp5_by_stages)):
+            seen.clear()
+            got = np.array([*step(rhs, z, k1, h), *seen])
+            seen.clear()
+            want = np.array([*ref(rhs, z, k1, h), *seen])
+            assert got.tobytes() == want.tobytes(), (step, trial)
 
 
 def test_one_compile_per_tree(monkeypatch):
