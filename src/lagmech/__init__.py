@@ -29,7 +29,6 @@ from .errors import (
 from .finsler import (
     FinslerIdentityReport,
     HomogeneityReport,
-    christoffel_at,
     finsler_identities,
     homogeneity_report,
 )
@@ -37,7 +36,6 @@ from .jets import (
     Jet,
     SymMatrix,
     eval_jet,
-    sym_invert,
 )
 from .mechanics import (
     ClassificationReport,
@@ -89,7 +87,6 @@ __all__ = [
     "bind_vertical",
     "catalog",
     "classify",
-    "christoffel_at",
     "energy_audit",
     "eval_jet",
     "find",
@@ -105,6 +102,5 @@ __all__ = [
     "sample_box",
     "stack_points",
     "standard_samples",
-    "sym_invert",
     "to_source",
 ]

@@ -323,18 +323,9 @@ def build_samples(cfg: dict, sys: MechanicalSystem, seed: int) -> PhasePoint:
             raise ConfigError("expression systems need an explicit 'samples' box")
         box_x, box_y = entry.box(dict(_section(system, "params")))
     off_zero_section = sys.domain_guard == "y_nonzero" or is_finsler_mode(
-        sys, _draw(box_x, box_y, 4, mode="halton", min_y_norm=0.15))
-    return stack_points(_draw(box_x, box_y, count, mode=mode, seed=seed,
-                              min_y_norm=0.1 if off_zero_section else 0.0))
-
-
-def _draw(*args, **kwargs) -> list:
-    """``sample_box``, whose rejections of the sampling settings (mode,
-    bounds, dimension, fiber floor) are config errors."""
-    try:
-        return sample_box(*args, **kwargs)
-    except ValueError as err:
-        raise ConfigError(f"cannot draw samples: {err}") from err
+        sys, sample_box(box_x, box_y, 4, mode="halton", min_y_norm=0.15))
+    return stack_points(sample_box(box_x, box_y, count, mode=mode, seed=seed,
+                                   min_y_norm=0.1 if off_zero_section else 0.0))
 
 
 def _integrator_config(cfg: dict, args) -> IntegratorConfig:
@@ -347,10 +338,7 @@ def _integrator_config(cfg: dict, args) -> IntegratorConfig:
             float: _number, int: _integer}
     ic = IntegratorConfig(**{f.name: read[type(f.default)](spec, f.name, f.default)
                              for f in fields(IntegratorConfig)})
-    try:
-        ic.validate()
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    ic.validate()
     return ic
 
 

@@ -28,12 +28,13 @@ one-point run.
                 alone, checked) as the curve's own stage would
 ``report``      a report's values (its arg names an entry of ``_REPORTS``):
                 ``point``, what :class:`~lagmech.mechanics.PointGeometry`
-                holds; ``classify`` and ``inspect``, the CLI's; ``context``,
+                holds; ``classify`` and ``inspect``, the CLI's; ``context``
+                (dg/dx and the Christoffel symbols among its members),
                 ``verify`` (``verify_finsler`` with the two Finsler
                 residuals) and ``identities``, residuals.  Each makes the
                 point report's checks, the identities then the Euler test,
-                and one that reads g's x-partials the metric_x program's
-``metric_x``    g, dg/dx and, behind the rank gate, the Christoffel symbols
+                and one that reads g's x-partials then those of the
+                x-derivative pass of g (the tests' reference tower's)
 ``jet``         L to order 0..3, a :class:`~lagmech.jets.Jet`'s blocks
 ``euler``       |(dL/dy) y - 2 L|, checked finite, and L, from L to order
                 1; given V, to order 2 with the max |partial| of d_yy / 2
@@ -360,8 +361,9 @@ class _Dag:
 
     def deepen(self, fns):
         """Run each function node of ``fns`` (L's, as an order-2 jet) that
-        depends on x and took three terms again to four, as the metric_x
-        program does: its fourth term's checks, after every statement so far."""
+        depends on x and took three terms again to four, as the x-derivative
+        pass of g of the tests' reference tower does: its fourth term's
+        checks, after every statement so far."""
         for i in fns:
             if self.counts[i] == 3 and self.deps[i] & _X:
                 self.counts[i] = 4
@@ -550,7 +552,7 @@ _REPORTS["verify_finsler"] = dict(
 # kind: (the order of L's jet, the seeded coordinates); jet's order is its
 # arg, as is euler's (1, or 2 with the partials along y itself)
 _TOWERS = {"evolution": (2, 0), "horizontal": (2, _Y), "geodesic": (2, _X),
-           "record": (2, 0), "report": (2, _Y), "metric_x": (2, _X)}
+           "record": (2, 0), "report": (2, _Y)}
 
 
 def _groups(values: dict) -> dict:
@@ -617,8 +619,6 @@ def _build(kind: str, n: int, ltree, vtrees, arg):
         return g, _groups(out)
     inv = g.invert(G)
     q.update(g_inv=(inv[:-2], (n, n)), eig_min=(inv[-2:-1], ()), eig_max=(inv[-1:], ()))
-    if kind == "metric_x":
-        return g, _groups({"g": q.g, "dg_dx": q.dg_dx, "christoffel": q.christoffel})
     ys = g.names(g.y)
     if kind == "geodesic":
         # gamma^i_jk y^j y^k = g^ih (2 dg_hj/dx_k - dg_jk/dx_h) y^j y^k / 2,
@@ -651,7 +651,7 @@ def _build(kind: str, n: int, ltree, vtrees, arg):
         g.check([q.euler_defect.i], "field evaluation produced a non-finite value")
         g.lines.append(f"_euler_gate({g.names([q.euler_defect.i, L])}, z)")
     out = {name: value(q) for name, value in _REPORTS[arg].items()}
-    if "dg_dx" in vars(q):  # the metric_x program's checks; no formula emitted a statement yet
+    if "dg_dx" in vars(q):  # the x-derivative pass's checks; no formula emitted a statement yet
         g.deepen(fns)
         g.check([g.d(v, ("x", k)) for k in r for v in blocks],
                 "field evaluation produced a non-finite derivative")

@@ -328,7 +328,7 @@ def bind_vertical(exprs, n: int, params=None) -> VerticalField:
     """Force component expressions with their parameters substituted."""
     exprs = list(exprs)
     if len(exprs) != n:
-        raise ValueError(f"force needs {n} components, got {len(exprs)}")
+        raise ConfigError(f"force needs {n} components, got {len(exprs)}")
     return VerticalField(n, [_bound_tree(e, params or {}) for e in exprs],
                          sources=[to_source(e) for e in exprs])
 

@@ -71,4 +71,6 @@ class FinslerModeError(LagmechError):
 
 
 class ConfigError(LagmechError):
-    """A run configuration is structurally invalid."""
+    """A run configuration, or an argument a caller passes the library
+    (integrator settings, a sample box, a phase point, a system's or a
+    force's dimension, a jet order), is invalid."""

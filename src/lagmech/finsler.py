@@ -16,10 +16,11 @@ the force term, so the energy is constant along them.
 The Euler tests run the compiled ``euler`` program (order 1 for the mode
 gate; order 2 with the partials along y in the direction y for
 :func:`homogeneity_report`), which does not invert the metric, so a
-singular metric does not fail them; :func:`christoffel_at` runs the
-``metric_x`` program and :func:`finsler_identities` the ``identities``
-report (:mod:`lagmech.compiled`).  Each returns its outputs by name.
-The reports and the gate take a list of points or one batch.
+singular metric does not fail them; :func:`finsler_identities` runs the
+``identities`` report (:mod:`lagmech.compiled`).  Each returns its
+outputs by name.  The Christoffel symbols are a member of the free
+system's context, ``PointGeometry(sys.free(), p).christoffel``.  The
+reports and the gate take a list of points or one batch.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "homogeneity_report",
     "is_finsler_mode",
     "require_finsler_mode",
-    "christoffel_at",
     "finsler_identities",
 ]
 
@@ -136,17 +136,6 @@ def homogeneity_report(sys: MechanicalSystem, samples) -> HomogeneityReport:
     worst, tested, failures = sweep(samples, lambda p: _euler_values(sys, p))
     return HomogeneityReport(**_maxima(HomogeneityReport, worst), points_tested=tested,
                              accepted=tested > 0 and not worst["rejected"], failures=failures)
-
-
-def christoffel_at(sys: MechanicalSystem, p: PhasePoint) -> np.ndarray:
-    """Formal Christoffel symbols of second kind of g(x, y).
-
-    gamma^i_jk = (1/2) g^{ih} (dg_hj/dx_k + dg_hk/dx_j - dg_jk/dx_h),
-    with g and its position derivatives from one ``metric_x`` pass.  For a
-    homogeneous L these contract to the canonical spray:
-    gamma^i_jk y^j y^k = 2 G0^i.
-    """
-    return _run("metric_x", sys.L, None, p)["christoffel"]
 
 
 @dataclass

@@ -18,7 +18,7 @@ A quantity may also hold a batch of B points, with the point axis after
 the value axes: values are (B,), blocks (n, B) or (n, n, B).  The
 tensor algebra built on the blocks is lowered into the compiled
 programs.  :func:`_invert` is the one gate and inverse of a metric,
-which the compiled programs and :func:`sym_invert` call.
+which the compiled programs call.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, LagmechError, SingularMetric
+from .errors import ConfigError, DomainError, LagmechError, SingularMetric
 from .phase import PhasePoint
 
 __all__ = [
     "Jet",
     "SymMatrix",
     "eval_jet",
-    "sym_invert",
     "batch_shape",
     "ipow",
     "SCALAR_FUNCTIONS",
@@ -257,12 +256,12 @@ def eval_jet(f, p: PhasePoint, order: int = 3) -> Jet:
     of ``d_yy`` give ``d_yyy``.
 
     Raises :class:`DomainError` if the evaluation leaves a function's
-    domain or produces a non-finite value or derivative, ValueError for an
+    domain or produces a non-finite value or derivative, ConfigError for an
     order outside 0..3 and TypeError for a field without a tree.
     """
 
     if order not in (0, 1, 2, 3):
-        raise ValueError(f"jet order must be 0..3, got {order}")
+        raise ConfigError(f"jet order must be 0..3, got {order}")
     if not hasattr(f, "tree"):
         raise TypeError("eval_jet needs a field that carries its expression tree (bind_scalar)")
     from .compiled import run  # compiled at the first pass, not at import
@@ -385,36 +384,3 @@ def _invert(n, e, batched):
     _rank_gate(mn, mx)
     inverse = np.linalg.inv(a)
     return inverse.reshape(-1, n * n).T if batched else inverse.ravel().tolist(), mn, mx
-
-
-def sym_invert(m) -> SymMatrix:
-    """Symmetrize, gate on rank, and invert a small dense float matrix.
-
-    A batch (n, n, B) is inverted point by point, with the bits of
-    one-point inversions.
-
-    Raises
-    ------
-    SingularMetric
-        When the smallest eigenvalue magnitude falls below 1e-10 times
-        the largest (at any point of a batch); beyond that point the
-        inverse amplifies noise past every tolerance used downstream.
-    ValueError
-        If the input is not symmetric to 1e-12 relative.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[0] != a.shape[1]:
-        raise ValueError("sym_invert expects a square matrix")
-    norm = np.abs(a).max(axis=(0, 1))  # over a batch, per point
-    at = a.swapaxes(0, 1)
-    if _any(np.abs(a - at).max(axis=(0, 1)) > 1e-12 * (1.0 + norm)):
-        raise ValueError("matrix is not symmetric within 1e-12 relative")
-    big = norm >= 2.0 ** 1023  # a + a^T may overflow there: halve first
-    if _any(big):
-        h = np.where(big, 0.5, 1.0)
-        a = (a * h + at * h) * (0.5 / h)
-    else:
-        a = (a + at) * 0.5
-    n, batched = a.shape[0], a.ndim == 3
-    inverse, mn, mx = _invert(n, a.reshape(n * n, -1) if batched else a.ravel().tolist(), batched)
-    return SymMatrix(a, np.reshape(inverse, a.shape), mn, mx)

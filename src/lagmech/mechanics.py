@@ -21,8 +21,10 @@ at a point.  :class:`PointGeometry` runs the compiled ``point`` report
 (:mod:`lagmech.compiled`) once, which yields the values together with
 every fiber Jacobian (N0, dV/dy, N, dsigma/dy, d3L/dy3) as partials of
 the same DAG the trajectories' programs are built from; the residuals,
-horizontal derivatives and position derivatives of g are lowered on
-that DAG too, and evaluated only when read.
+horizontal derivatives, position derivatives of g and the Christoffel
+symbols are lowered on that DAG too, and evaluated only when read (the
+free system's context, ``PointGeometry(sys.free(), p)``, is the one
+route to the Christoffel symbols).
 
 A context holds one point or a batch of B points (a phase point whose
 coordinates are (B,) arrays, see :func:`stack_points`).  Over a batch
@@ -51,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, FinslerModeError, SingularMetric
+from .errors import ConfigError, DomainError, FinslerModeError, SingularMetric
 from .jets import _BLOCKS, Jet, SymMatrix, batch_shape
 from .phase import PhasePoint, ScalarField, VerticalField
 
@@ -90,7 +92,7 @@ class MechanicalSystem:
 
     def __post_init__(self):
         if self.L.n != self.n or self.V.n != self.n:
-            raise ValueError("field dimensions do not match the system dimension")
+            raise ConfigError("field dimensions do not match the system dimension")
 
     def free(self) -> "MechanicalSystem":
         """The same Lagrange structure with the force switched off."""
@@ -221,7 +223,7 @@ class PointGeometry:
         if self.batched:
             X, Y = (np.broadcast_to(V[:, None], shape) if V.ndim == 1 else V for V in (X, Y))
         if X.shape != shape or Y.shape != shape:
-            raise ValueError("tangent vectors must have 2n components")
+            raise ConfigError("tangent vectors must have 2n components")
         g = self.jet.d_yy * 0.5
         a = (self.jet.d_xy - self.jet.d_xy.swapaxes(0, 1)) * 0.5
         (xx, xy), (yx, yy) = (X[:n], X[n:]), (Y[:n], Y[n:])

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
+from .errors import ConfigError
+
 
 def _coerce(values) -> tuple:
     out = []
@@ -40,9 +42,7 @@ class PhasePoint:
         object.__setattr__(self, "x", _coerce(x))
         object.__setattr__(self, "y", _coerce(y))
         if len(self.x) != len(self.y):
-            raise ValueError(
-                f"base and fiber dimensions differ: {len(self.x)} vs {len(self.y)}"
-            )
+            raise ConfigError(f"base and fiber dimensions differ: {len(self.x)} vs {len(self.y)}")
 
     @property
     def n(self) -> int:

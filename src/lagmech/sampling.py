@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .phase import PhasePoint
 
 __all__ = ["halton", "sample_box"]
@@ -24,7 +25,7 @@ def _radical_inverse(index: int, base: int) -> float:
 def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
     """Low-discrepancy points in the unit cube, deterministic in ``start``."""
     if dims > len(_PRIMES):
-        raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
+        raise ConfigError(f"at most {len(_PRIMES)} dimensions supported")
     return np.array(
         [[_radical_inverse(i, _PRIMES[d]) for d in range(dims)]
          for i in range(start, start + count)]
@@ -42,11 +43,11 @@ def sample_box(box_x, box_y, count: int, mode: str = "halton", seed: int = 0,
     """
     n = len(box_x)
     if len(box_y) != n:
-        raise ValueError("box_x and box_y must have the same dimension")
+        raise ConfigError("box_x and box_y must have the same dimension")
     lo = np.array([b[0] for b in box_x] + [b[0] for b in box_y], dtype=float)
     hi = np.array([b[1] for b in box_x] + [b[1] for b in box_y], dtype=float)
     if np.any(hi < lo):
-        raise ValueError("box bounds must satisfy lo <= hi")
+        raise ConfigError("box bounds must satisfy lo <= hi")
 
     points: list = []
     if mode == "halton":
@@ -71,7 +72,7 @@ def sample_box(box_x, box_y, count: int, mode: str = "halton", seed: int = 0,
             if np.linalg.norm(z[n:]) >= min_y_norm:
                 points.append(PhasePoint(z[:n], z[n:]))
     else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
+        raise ConfigError(f"unknown sampling mode {mode!r}")
     if len(points) < count:
-        raise ValueError("could not draw enough samples satisfying the fiber guard")
+        raise ConfigError("could not draw enough samples satisfying the fiber guard")
     return points

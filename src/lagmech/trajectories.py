@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SingularMetric
+from .errors import ConfigError, DomainError, SingularMetric
 from .finsler import require_finsler_mode
 from .mechanics import MechanicalSystem
 from .phase import PhasePoint
@@ -82,22 +82,22 @@ class IntegratorConfig:
 
     def validate(self):
         if self.method not in ("rk4_fixed", "rk45_adaptive"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
+            raise ConfigError(f"unknown integrator method {self.method!r}")
         for name in ("step", "t_end", "max_step"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.method == "rk4_fixed" and self.step <= 0.0:
-            raise ValueError("fixed step must be positive")
+            raise ConfigError("fixed step must be positive")
         if self.method == "rk45_adaptive":
             for name, v in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
                 if not (1e-14 <= v <= 1e-2):
-                    raise ValueError(f"{name}={v} outside [1e-14, 1e-2]")
+                    raise ConfigError(f"{name}={v} outside [1e-14, 1e-2]")
             if self.max_step <= 0.0:
-                raise ValueError("max_step must be positive")
+                raise ConfigError("max_step must be positive")
         if self.t_end < 0.0:
-            raise ValueError("t_end must be non-negative")
+            raise ConfigError("t_end must be non-negative")
         if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+            raise ConfigError("record_every must be at least 1")
 
 
 @dataclass
@@ -243,15 +243,14 @@ class _Run:
                           stats=self.stats)
 
 
-def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, curve, programs=None):
-    """Integrate from p0 along a curve family by its compiled programs (or
-    ``programs`` in their place): the stage, z -> z', and the ``record``,
-    z + z'' -> (E, L, power, defect)."""
+def _integrate(sys: MechanicalSystem, p0: PhasePoint, cfg: IntegratorConfig, curve):
+    """Integrate from p0 along a curve family by its compiled programs: the
+    stage, z -> z', and the ``record``, z + z'' -> (E, L, power, defect)."""
     from .compiled import program, stepper  # compiled at the first run, not at import
 
     cfg.validate()
-    run = _Run(sys, programs or (program(curve, sys.L, None if curve == "geodesic" else sys.V),
-                                 program("record", sys.L, sys.V, curve)))
+    run = _Run(sys, (program(curve, sys.L, None if curve == "geodesic" else sys.V),
+                     program("record", sys.L, sys.V, curve)))
     z = [float(v) for v in p0.x] + [float(v) for v in p0.y]
     rk4 = cfg.method == "rk4_fixed"
     step = stepper(_RK4, 4, sys.n, run.guard) if rk4 else stepper(_DP5, 6, sys.n, run.guard)

@@ -1,11 +1,12 @@
 """The reports' and the context's tensor formulas in numpy, on the
 reference tower's contractions: what the compiled reports (and the
 ``point`` report's E, sigma . y and derived tensors, and the ``euler``
-and ``metric_x`` programs' outputs) must equal bit for bit.
+program's outputs) must equal bit for bit.
 
 Each route reads a context's ``point`` outputs (the fields of a
 :class:`~lagmech.mechanics.PointGeometry`) and, where it needs them, g's
-x-derivatives from the ``metric_x`` program, and evaluates the formula
+x-derivatives (the context's ``dg_dx``, behind the checks of the
+reference tower's x-derivative pass of g), and evaluates the formula
 on float arrays: a contraction is a left-to-right sum of products from
 +0.0, as :func:`tower.matvec` and its siblings sum it, and a maximum
 takes NaN first, as ``np.abs(a).max()`` does.
@@ -13,16 +14,18 @@ takes NaN first, as ``np.abs(a).max()`` does.
 
 import numpy as np
 
-from lagmech.compiled import run
 from lagmech.errors import DomainError, FinslerModeError
-from tower import christoffel_symbols, energy_parts, matmat, matvec, max_abs, value_of, vecdot, vecmat
+from tower import (christoffel_symbols, energy_parts, matmat, matvec, max_abs, metric_x_pass,
+                   value_of, vecdot, vecmat)
 
 _GATE_TOL = 1e-8  # the Euler test's, defect <= tol (1 + |L|)
 
 
 def dg_dx(ctx) -> np.ndarray:
-    """``dg_dx[a, b, c] = dg_ab/dx_c`` from the ``metric_x`` program."""
-    return run("metric_x", ctx.sys.L, None, ctx.p)["dg_dx"]
+    """``dg_dx[a, b, c] = dg_ab/dx_c``: the context's bits, raising first
+    what the reference tower's x-derivative pass of g raises."""
+    metric_x_pass(ctx.sys.L, ctx.p)
+    return ctx.dg_dx
 
 
 def peak(ctx, a):

@@ -18,7 +18,7 @@ from lagmech.cli import main
 from lagmech.compiled import program, run
 from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import _invert, sym_invert
+from lagmech.jets import _invert
 from lagmech.mechanics import MechanicalSystem, PointGeometry, stack_points
 from lagmech.phase import PhasePoint, VerticalField
 from lagmech.systems import catalog, from_sources, instantiate, standard_samples
@@ -73,9 +73,15 @@ def _pointwise_routes(sys_, p):
     def outputs(kind, V=None, arg=2):  # run's named outputs, in their order
         return lambda: list(run(kind, sys_.L, V, p, arg).values())
 
-    routes = {"point": (point, point_ref),
-              "metric_x": (outputs("metric_x"),
-                           lambda: [*tower.metric_x_pass(sys_.L, p), tower.christoffel(sys_.L, p)]),
+    def context():  # the free system's, which reads g's x-derivatives
+        ctx = PointGeometry(sys_.free(), p)
+        return [ctx.dg_dx, ctx.christoffel]
+
+    def context_ref():  # the point report's checks, then the x-derivative pass's
+        tower.point_geometry(sys_.free(), p)
+        return [tower.metric_x_pass(sys_.L, p)[1], tower.christoffel(sys_.L, p)]
+
+    routes = {"point": (point, point_ref), "context": (context, context_ref),
               "euler1": (outputs("euler", arg=1), lambda: _euler_route(sys_, p, 1)),
               "euler2": (outputs("euler", sys_.V), lambda: _euler_route(sys_, p, 2))}
     for order in range(4):
@@ -136,7 +142,7 @@ def _assert_agree(sys_, p, kinds=("evolution", "horizontal", "geodesic"), pointw
             if err is None:
                 # the Euler pass, as the tower's, does not check V: an
                 # infinite force is an infinite residual
-                inverse = kind in ("point", "metric_x")
+                inverse = kind in ("point", "context")
                 _assert_close(got, ref, _TOL * (_condition(sys_, p) if inverse else 1.0), (kind, p))
     for kind in kinds:
         zdot, err = _outcome(program(kind, sys_.L, None if kind == "geodesic" else sys_.V), z)
@@ -379,7 +385,7 @@ def _symmetric_entries(rng):
 
 def test_float_gate_and_inverse_match_the_jets():
     # the 1x1 and 2x2 gate and inverse the compiled programs call run on
-    # floats, or point by point over a batch; they give sym_invert's bits
+    # floats, or point by point over a batch; they give tower.sym_invert's bits
     # and |eig| range, and its SingularMetric with the same range
     def outcome(fn, *args):
         try:
@@ -400,7 +406,7 @@ def test_float_gate_and_inverse_match_the_jets():
         a = np.array(e).reshape(n, n)
         with np.errstate(all="ignore"):  # numpy's 1x1 inverse of a subnormal overflows
             got = outcome(lambda: flat(*_invert(n, e, False)))
-            ref = outcome(lambda: inverted(sym_invert(a)))
+            ref = outcome(lambda: inverted(tower.sym_invert(a)))
             # a batch of two copies runs the same closed forms point by point
             batch = outcome(lambda: [v[1] for v in flat(*_invert(n, [np.array([v, v]) for v in e], True))])
         assert got == ref == batch, e

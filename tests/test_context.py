@@ -15,7 +15,7 @@ import residual_routes
 import tower
 from lagmech import compiled, finsler, mechanics
 from lagmech.cli import main
-from lagmech.finsler import christoffel_at, finsler_identities, homogeneity_report
+from lagmech.finsler import finsler_identities, homogeneity_report
 from lagmech.mechanics import PointGeometry, classify, stack_points
 from lagmech.phase import PhasePoint
 from lagmech.systems import catalog, instantiate, standard_samples
@@ -81,7 +81,7 @@ def test_context_fields_match_accessors(name, index, shift, scale):
     _close(ctx.dV_dy, dv_dy)
     # N = N0 - dV/dy / 4 across independent passes
     _close(ctx.conn, conn0 - 0.25 * dv_dy)
-    _close(ctx.christoffel, christoffel_at(sys_, p))
+    _close(ctx.christoffel, tower.christoffel(sys_.L, p))
     _close(ctx.cartan, routes.cartan(sys_.L, p))
     for pair in ((ctx.spray0, ctx.conn0), (ctx.spray, ctx.conn)):
         _close(ctx.dyn_cov_deriv_g(*pair), routes.dyn_cov_deriv_g(sys_.L, p, *pair))
@@ -191,8 +191,9 @@ def test_pass_budget(passes, name, tmp_path):
     homogeneity_report(sys_, samples)
     assert passes() == {"euler": 1}
 
-    christoffel_at(sys_, samples[0])
-    assert passes() == {"metric_x": 1}
+    # the Christoffel symbols: the free system's point report, then its context
+    PointGeometry(sys_.free(), samples[0]).christoffel
+    assert passes() == {"report point": 1, "report context": 1}
 
     builtin, params = _SYSTEMS[name]
     cfg = tmp_path / "run.json"
@@ -384,8 +385,9 @@ def _reference_functions(sys_):
     """The per-point values each compiled report (and the ``point``
     report's E, sigma . y and derived tensors, and the Euler tests) must
     equal bit for bit, as functions of a phase point: the numpy formulas of
-    :mod:`residual_routes` on the ``point`` report's and the ``jet`` and
-    ``metric_x`` programs' outputs, with their checks in their order."""
+    :mod:`residual_routes` on the ``point`` report's and the ``jet``
+    program's outputs and the context's dg/dx, with their checks in their
+    order (those of g's x-derivative pass from the reference tower)."""
     def context(q, report):
         ctx = PointGeometry(sys_, q)
         return getattr(residual_routes, f"{report}_values")(ctx, residual_routes.dg_dx(ctx))
@@ -448,9 +450,9 @@ def test_reports_equal_the_numpy_formulas_on_every_builtin(builtin, params):
 @pytest.mark.parametrize("lagrangian", ["y1^2 + y2^2 + x1^0.5", "y1^2 + y2^2 + x1^0.5*y1"])
 def test_reports_keep_the_checks_of_the_x_derivative_pass(lagrangian):
     # at x1 = 1e-200 the point program takes x1^0.5 to three terms, and the
-    # x-derivative (metric_x) program to four, whose x1^-2.5 overflows: the
-    # verify and identity reports fail there as that pass did, and a
-    # context's second pass too
+    # x-derivative pass of g (the tower's metric_x_pass) to four, whose
+    # x1^-2.5 overflows: the verify and identity reports fail there as that
+    # pass does, and a context's second pass too
     from lagmech.systems import from_sources
 
     sys_ = from_sources(2, lagrangian)

@@ -11,7 +11,6 @@ from lagmech.dsl import bind_scalar, parse
 from lagmech.errors import DomainError, FinslerModeError
 from lagmech.finsler import (
     _fails_euler,
-    christoffel_at,
     finsler_identities,
     homogeneity_report,
     is_finsler_mode,
@@ -63,22 +62,22 @@ def test_liouville_force_is_one_homogeneous(sys_e_finsler, samples_c):
 
 def test_christoffel_x_independent_zero(sys_c, samples_c):
     for p in samples_c[:6]:
-        assert np.abs(christoffel_at(sys_c, p)).max() == 0.0
+        assert np.abs(PointGeometry(sys_c.free(), p).christoffel).max() == 0.0
 
 
 def test_christoffel_sys_b_value(sys_b):
     # gamma^1_11 = x1 / (1 + x1^2), equal to 0.5 at x1 = 1
-    gamma = christoffel_at(sys_b, PhasePoint((1.0, 0.0), (1.0, 1.0)))
+    gamma = PointGeometry(sys_b.free(), PhasePoint((1.0, 0.0), (1.0, 1.0))).christoffel
     assert gamma[0, 0, 0] == pytest.approx(0.5, rel=1e-12)
     assert np.abs(gamma[1]).max() <= 1e-14
 
 
 def test_christoffel_contraction_identity(sys_b, samples_b):
     for p in samples_b[:20]:
-        gamma = christoffel_at(sys_b, p)
+        ctx = PointGeometry(sys_b.free(), p)
         yv = np.array([float(v) for v in p.y])
-        lhs = gamma.dot(yv).dot(yv)
-        rhs = 2.0 * PointGeometry(sys_b.free(), p).spray0
+        lhs = ctx.christoffel.dot(yv).dot(yv)
+        rhs = 2.0 * ctx.spray0
         assert np.abs(lhs - rhs).max() <= 1e-8 * (1.0 + np.abs(rhs).max())
 
 

@@ -255,11 +255,9 @@ def test_bundle_consistency(sys_b):
 
 
 def test_free_context_equals_the_reference_routes(sys_b, sys_c, samples_b, samples_c):
-    # the context's one pass gives the bits of the single-quantity programs
-    # (the jet at every order, g of the x-derivative pass), and what the
-    # reference tower's single-quantity routes give to 1e-12
-    from lagmech.compiled import run
-
+    # the context's one pass gives the bits of the jet program at every
+    # order, and what the reference tower's single-quantity routes give to
+    # 1e-12
     blocks = ("value", "d_x", "d_y", "d_yy", "d_xy", "d_yyy")
     for sys_, samples in ((sys_b, samples_b), (sys_c, samples_c)):
         for p in samples[:4]:
@@ -268,7 +266,6 @@ def test_free_context_equals_the_reference_routes(sys_b, sys_c, samples_b, sampl
                 j = eval_jet(sys_.L, p, order=order)
                 for name in blocks[:count]:
                     assert np.array_equal(getattr(ctx.jet, name), getattr(j, name)), (order, name)
-            assert np.array_equal(ctx.metric.entries, run("metric_x", sys_.L, None, p)["g"])
             g = routes.metric(sys_.L, p)
             e, de_x, de_y = routes.energy(sys_.L, p)
             pairs = [(ctx.metric.entries, g.entries), (ctx.metric.inverse, g.inverse),

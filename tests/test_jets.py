@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 import tower
 from lagmech.dsl import bind_scalar, parse
-from lagmech.errors import DomainError, SingularMetric
+from lagmech.errors import ConfigError, DomainError, SingularMetric
 from lagmech.compiled import _EXPR
-from lagmech.jets import _invert, _rank_gate, eval_jet, ipow, sym_invert
+from lagmech.jets import _invert, _rank_gate, eval_jet, ipow
 from lagmech.phase import PhasePoint
 from oracle import fd_oracle
-from tower import KDual, push_direction
+from tower import KDual, push_direction, sym_invert
 import routes
 
 SQRT2 = math.sqrt(2.0)
@@ -78,7 +78,7 @@ def test_jet_domain_error_on_slit():
 
 def test_jet_order_gate():
     f = quartic_root_field()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         eval_jet(f, PhasePoint((0.0, 0.0), (1.0, 1.0)), order=4)
 
 
@@ -186,7 +186,7 @@ def test_push_through_matrix_inverse_matches_identity_rule(sys_c):
 
 
 # ---------------------------------------------------------------------------
-# sym_invert
+# sym_invert (the tests' reference) on the engine's one gate and inverse
 # ---------------------------------------------------------------------------
 
 

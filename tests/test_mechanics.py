@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from lagmech.dsl import bind_scalar, bind_vertical, parse
+from lagmech.errors import ConfigError, LagmechError
+from lagmech.jets import eval_jet
 from lagmech.mechanics import MechanicalSystem, PointGeometry, classify, stack_points
-from lagmech.phase import PhasePoint
+from lagmech.phase import PhasePoint, VerticalField
+from lagmech.sampling import halton, sample_box
 from lagmech.systems import instantiate, standard_samples
+from lagmech.trajectories import IntegratorConfig
 import routes
 import tower
 from residual_routes import horizontal_two_form, sode_residual
@@ -457,3 +461,44 @@ def test_route_disagreement_is_a_verify_offender(monkeypatch, request, sys_d, ta
     else:
         monkeypatch.setattr(obj, name, lambda *a, **kw: original(*a, **kw) + 1.0)
     assert residual in verify.run_verification(sys_d, samples)["offenders"]
+
+
+_SYS_B = instantiate("SYS-B")
+_BOX = [(0.0, 1.0)]
+# each check of a caller's argument the library makes, as a call that fails it
+_BAD_ARGUMENTS = {
+    "validate method": (lambda: IntegratorConfig(method="euler").validate(),
+                        "unknown integrator method"),
+    "validate finite": (lambda: IntegratorConfig(t_end=math.inf).validate(),
+                        "t_end must be finite"),
+    "validate step": (lambda: IntegratorConfig(step=0.0).validate(), "fixed step must be positive"),
+    "validate tolerance": (lambda: IntegratorConfig(method="rk45_adaptive", rel_tol=1.0).validate(),
+                           r"rel_tol=1.0 outside \[1e-14, 1e-2\]"),
+    "validate max_step": (lambda: IntegratorConfig(method="rk45_adaptive", max_step=0.0).validate(),
+                          "max_step must be positive"),
+    "validate t_end": (lambda: IntegratorConfig(t_end=-1.0).validate(), "t_end must be non-negative"),
+    "validate record_every": (lambda: IntegratorConfig(record_every=0).validate(),
+                              "record_every must be at least 1"),
+    "halton dims": (lambda: halton(1, 21), "at most 20 dimensions"),
+    "sample_box dims": (lambda: sample_box(_BOX, _BOX * 2, 1), "the same dimension"),
+    "sample_box bounds": (lambda: sample_box([(1.0, 0.0)], _BOX, 1), "lo <= hi"),
+    "sample_box mode": (lambda: sample_box(_BOX, _BOX, 1, mode="sobol"), "unknown sampling mode"),
+    "sample_box fiber": (lambda: sample_box(_BOX, _BOX, 1, mode="random", min_y_norm=2.0),
+                         "could not draw enough samples"),
+    "PhasePoint": (lambda: PhasePoint((0.0,), (1.0, 0.0)), "dimensions differ"),
+    "MechanicalSystem": (lambda: MechanicalSystem(_SYS_B.L, VerticalField.zero(1), 2),
+                         "field dimensions"),
+    "bind_vertical": (lambda: bind_vertical([parse("y1", 2)], 2), "force needs 2 components"),
+    "omega": (lambda: PointGeometry(_SYS_B, PhasePoint((0.2, 0.1), (1.0, 0.5))).omega(
+        np.zeros(3), np.zeros(4)), "2n components"),
+    "eval_jet order": (lambda: eval_jet(_SYS_B.L, PhasePoint((0.2, 0.1), (1.0, 0.5)), order=4),
+                       "jet order must be 0..3"),
+}
+
+
+@pytest.mark.parametrize("site", _BAD_ARGUMENTS)
+def test_a_bad_argument_is_a_typed_config_error(site):
+    call, message = _BAD_ARGUMENTS[site]
+    with pytest.raises(ConfigError, match=message) as err:
+        call()
+    assert isinstance(err.value, LagmechError)

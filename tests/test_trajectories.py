@@ -10,6 +10,7 @@ import pytest
 import lagmech.trajectories as trajectories
 from lagmech.cli import build_system
 from lagmech.compiled import program
+from lagmech.errors import ConfigError
 from lagmech.mechanics import PointGeometry, stack_points
 from lagmech.phase import PhasePoint
 from lagmech.systems import from_sources, instantiate
@@ -29,13 +30,13 @@ INTEGRATE = {"evolution": integrate_evolution, "horizontal": integrate_horizonta
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         IntegratorConfig(method="rk4_fixed", step=0.0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         IntegratorConfig(method="rk45_adaptive", rel_tol=1e-1).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         IntegratorConfig(method="euler").validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         IntegratorConfig(record_every=0).validate()
     IntegratorConfig().validate()
 
@@ -285,10 +286,12 @@ def test_run_stats():
     assert not {f.name: f for f in dataclasses.fields(Trajectory)}["stats"].compare
 
 
-def test_nan_error_estimate_rejects_the_step(sys_a):
+def test_nan_error_estimate_rejects_the_step(monkeypatch, sys_a):
     # from x = 0.5 on the right-hand side returns NaN without raising, and
     # keeps doing so: each attempt is rejected with the smallest factor
     # until the step collapses (a NaN estimate must not grow the step)
+    import lagmech.compiled as compiled
+
     calls = Counter()
     evolution = program("evolution", sys_a.L, sys_a.V)
 
@@ -300,9 +303,12 @@ def test_nan_error_estimate_rejects_the_step(sys_a):
             return [z[1], math.nan]
         return evolution(z)
 
+    # the integrator fetches its stage program by kind: the evolution
+    # curve's is rhs, and every other kind is the compiled one
+    monkeypatch.setattr(compiled, "program", lambda kind, *args, build=compiled.program:
+                        rhs if kind == "evolution" else build(kind, *args))
     cfg = IntegratorConfig(method="rk45_adaptive", t_end=5.0)
-    record = program("record", sys_a.L, sys_a.V, "evolution")
-    traj = trajectories._integrate(sys_a, PhasePoint((0.0,), (1.0,)), cfg, "evolution", (rhs, record))
+    traj = integrate_evolution(sys_a, PhasePoint((0.0,), (1.0,)), cfg)
     assert traj.status == "domain_stop"
     assert traj.stats.stop["detail"] == "adaptive step collapsed"
     assert traj.t[-1] == traj.stats.stop["t"] < 0.6 and np.isfinite(traj.xs).all()

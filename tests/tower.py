@@ -18,9 +18,10 @@ A pass may also run over a batch of B points (coordinates that are
 length-B float arrays): values are (B,), blocks (n, B) or (n, n, B) and
 tangents (..., B, k).  Fields are evaluated by :func:`eval_expr` on
 their bound trees in whatever tower their coordinates carry.  The
-engine's elementary derivative sequences and its gate and inverse of a
-value matrix (:func:`lagmech.jets.sym_invert`) are shared; everything
-that propagates derivatives is this module's own.
+engine's elementary derivative sequences and its one gate and inverse
+of a value matrix (:func:`lagmech.jets._invert`) are shared; everything
+that propagates derivatives is this module's own, and so is
+:func:`sym_invert`'s symmetrizing of a matrix before that inverse.
 """
 
 import math
@@ -806,13 +807,35 @@ def push_direction(pipeline, p: PhasePoint, direction, wrt: str = "y"):
 def sym_invert(m) -> SymMatrix:
     """Symmetrize, gate on rank, and invert a small dense matrix.
 
-    The value part is checked, gated and inverted by the engine's
-    :func:`lagmech.jets.sym_invert`; tangents, when ``m`` carries them,
-    follow from d(A^-1) = -A^-1 dA A^-1.  A batch (n, n, B) is inverted
-    point by point, with the bits of one-point inversions.
+    The value part is symmetrized, then gated and inverted by the
+    engine's one gate and inverse, :func:`lagmech.jets._invert`; tangents,
+    when ``m`` carries them, follow from d(A^-1) = -A^-1 dA A^-1.  A batch
+    (n, n, B) is inverted point by point, with the bits of one-point
+    inversions.
+
+    Raises SingularMetric when the smallest eigenvalue magnitude falls
+    below 1e-10 times the largest (at any point of a batch), and
+    ValueError unless the value part is square and symmetric to 1e-12
+    relative.
     """
     dual = isinstance(m, KDual)
-    sm = jets.sym_invert(m.val if dual else m)
+    a = np.asarray(m.val if dual else m, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[0] != a.shape[1]:
+        raise ValueError("sym_invert expects a square matrix")
+    norm = np.abs(a).max(axis=(0, 1))  # over a batch, per point
+    at = a.swapaxes(0, 1)
+    if _any(np.abs(a - at).max(axis=(0, 1)) > 1e-12 * (1.0 + norm)):
+        raise ValueError("matrix is not symmetric within 1e-12 relative")
+    big = norm >= 2.0 ** 1023  # a + a^T may overflow there: halve first
+    if _any(big):
+        h = np.where(big, 0.5, 1.0)
+        a = (a * h + at * h) * (0.5 / h)
+    else:
+        a = (a + at) * 0.5
+    n, batched = a.shape[0], a.ndim == 3
+    inverse, mn, mx = jets._invert(n, a.reshape(n * n, -1) if batched else a.ravel().tolist(),
+                                   batched)
+    sm = SymMatrix(a, np.reshape(inverse, a.shape), mn, mx)
     if not dual:
         return sm
     ms, inv = (m + m.swapaxes(0, 1)) * 0.5, sm.inverse
