@@ -13,9 +13,9 @@ arXiv:1904.02990; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
 The same code runs on floats at one point and on (B,) arrays over a
 batch: ``+ - * /`` are elementwise IEEE either way, elementary functions
 and real powers are evaluated by :mod:`math` entry by entry, a guard
-fires if its test holds at any point, and the inverse runs its closed
-forms point by point, so each point of a batch gets the bits of its
-one-point run.
+fires if its test holds at any point, and the 2x2 inverse runs its closed
+forms' IEEE operations as masked array operations, so each point of a
+batch gets the bits of its one-point run.
 
 ``evolution``   L to order 2 and V, the rank gate and inverse (the one
                 gate and inverse, ``jets._invert``; run once, at build

@@ -18,7 +18,9 @@ A quantity may also hold a batch of B points, with the point axis after
 the value axes: values are (B,), blocks (n, B) or (n, n, B).  The
 tensor algebra built on the blocks is lowered into the compiled
 programs.  :func:`_invert` is the one gate and inverse of a metric,
-which the compiled programs call.
+which the compiled programs call; its batched 2x2 closed forms run the
+float path's IEEE operations as masked array operations, so each point
+keeps its bits there too.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -50,9 +53,10 @@ def _any(cond) -> bool:
 
 def _each(fn, v, *args):
     """``fn(v, *args)`` of a float, or of each entry of an array, by plain
-    float calls."""
+    float calls in one ``map``."""
     if isinstance(v, np.ndarray):
-        return np.array([fn(e, *args) for e in v.ravel().tolist()]).reshape(v.shape)
+        entries = map(fn, v.ravel().tolist(), *map(repeat, args))
+        return np.fromiter(entries, float, v.size).reshape(v.shape)
     return fn(v, *args)
 
 
@@ -145,7 +149,7 @@ def _real_power(v, b, m):
     v**(b-j), at a float or entry by entry at an array."""
     if _any(v <= 0.0):
         raise DomainError("non-integer power of a non-positive base")
-    pw = _EACH_POW if isinstance(v, np.ndarray) else math.pow
+    pw = partial(_each, math.pow) if isinstance(v, np.ndarray) else math.pow
     c, terms = 1.0, []
     try:
         for j in range(m):
@@ -154,9 +158,6 @@ def _real_power(v, b, m):
     except OverflowError:
         raise DomainError("real power overflows") from None
     return terms
-
-
-_EACH_POW = partial(_each, math.pow)
 
 # the named functions of the expression language, as derivative sequences
 SCALAR_FUNCTIONS = {"sqrt": _sqrt, "sin": _sin, "cos": _cos,
@@ -301,11 +302,14 @@ _MIN_NORMAL = 2.0 ** -1022
 
 
 def _scale2(p, b, d):
-    """The power of two that takes the largest of |p|, |b|, |d| (floats) to
-    [0.5, 1) (by 2^1023 at most; 2^-1024 for an infinity or a NaN, so that
-    no finite entry overflows).  A power of two scales every step of the
-    2x2 closed forms exactly, so a rescaled result is the unscaled one
-    wherever that stayed in the float range."""
+    """The power of two that takes the largest of |p|, |b|, |d| (floats, or
+    lane by lane of arrays) to [0.5, 1) (by 2^1023 at most; 2^-1024 for an
+    infinity or a NaN, so that no finite entry overflows).  A power of two
+    scales every step of the 2x2 closed forms exactly, so a rescaled
+    result is the unscaled one wherever that stayed in the float range."""
+    if isinstance(p, np.ndarray):
+        m = np.maximum(np.maximum(abs(p), abs(b)), abs(d))
+        return np.ldexp(1.0, np.where(m < math.inf, np.minimum(1023, -np.frexp(m)[1]), -1024))
     m = max(abs(p), abs(b), abs(d))
     return math.ldexp(1.0, min(1023, -math.frexp(m)[1]) if m < math.inf else -1024)
 
@@ -333,12 +337,34 @@ def _spectrum2(p, b, d):
     if not _SAFE2[0] <= abs(p) + abs(b) + abs(d) <= _SAFE2[1]:
         s = _scale2(p, b, d)
         p, b, d = p * s, b * s, d * s
-    half_tr = abs(0.5 * (p + d))
-    disc = math.sqrt((0.5 * (p - d)) ** 2 + b * b)
+    half_tr, h = abs(0.5 * (p + d)), 0.5 * (p - d)
+    disc = math.sqrt(h * h + b * b)
     mx = half_tr + disc
     # where the difference cancels to zero, |det| / the larger is the smaller
     mn = abs(half_tr - disc) or mx and abs(p * d - b * b) / mx
     return mn / s, mx / s
+
+
+def _lanes2(p, b, d):
+    """``(inverse, min |eig|, max |eig|)`` of :func:`_inverse2` and
+    :func:`_spectrum2`, ungated, lane by lane of (B,) arrays: their IEEE
+    operations, each rescale on the lanes that need it (by 1.0, exactly,
+    on the others) and the cancelled eigenvalue's recovery under a mask."""
+    size, c = abs(p) + abs(b) + abs(d), 0.0 - b
+    ok = (_SAFE2[0] <= size) & (size <= _SAFE2[1])
+    s = 1.0 if ok.all() else np.where(ok, 1.0, _scale2(p, b, d))
+    sp, sb, sd = p * s, b * s, d * s
+    half_tr, h = abs(0.5 * (sp + sd)), 0.5 * (sp - sd)
+    disc = np.sqrt(h * h + sb * sb)
+    mx, mn = half_tr + disc, abs(half_tr - disc)
+    mn = np.where((mn == 0.0) & (mx != 0.0), abs(sp * sd - sb * sb) / mx, mn)
+    mn, mx, det = mn / s, mx / s, abs(p * d - c * c)  # c * c is b * b, bit for bit
+    ok = (_MIN_NORMAL <= det) & (det < math.inf)
+    s = 1.0 if ok.all() else np.where(ok, 1.0, _scale2(p, b, d))
+    p, c, d = p * s, c * s, d * s
+    det = p * d - c * c
+    q = c / det * s
+    return np.array([d / det * s, q, q, p / det * s]), mn, mx
 
 
 def _rank_gate(mn, mx):
@@ -363,7 +389,8 @@ def _invert(n, e, batched):
     """``(inverse, min |eig|, max |eig|)`` of the symmetric matrix of row-major
     entries e behind the rank gate, the inverse row-major: n * n floats at a
     point, n * n rows of B over a batch (whose entries are (B,) arrays or
-    shared floats).  Float closed forms up to 2x2, point by point; numpy's beyond.
+    shared floats).  Closed forms up to 2x2, on floats or, over a batch, by
+    the same IEEE operations as masked array operations; numpy's beyond.
     A compiled program whose metric entries are all finite constants calls
     it once, when the program is built, and holds its output as constants."""
     if n == 2 and not batched:
@@ -375,9 +402,9 @@ def _invert(n, e, batched):
     if batched:  # n * n rows of B points, a constant entry broadcast
         e = np.array(np.broadcast_arrays(*e)).reshape(n * n, -1)
     if n == 2:
-        p, b, _, d = e.tolist()
-        mn, mx = _rank_gate(*map(np.array, zip(*map(_spectrum2, p, b, d))))
-        return np.array(list(map(_inverse2, p, b, d))).T, mn, mx
+        with np.errstate(all="ignore"):  # lanes out of range: rescaled, or failing the gate
+            inverse, mn, mx = _lanes2(e[0], e[1], e[3])
+        return inverse, *_rank_gate(mn, mx)
     a = np.moveaxis(e.reshape(n, n, -1), -1, 0) if batched else np.array(e).reshape(n, n)
     eig = np.abs(np.linalg.eigvalsh(a))
     mn, mx = (eig.min(-1), eig.max(-1)) if batched else (float(eig.min()), float(eig.max()))

@@ -4,6 +4,7 @@ errors at the same points."""
 
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,7 @@ from lagmech.cli import main
 from lagmech.compiled import program, run
 from lagmech.dsl import Bin, Call, Neg, Num, Var, bind_scalar, bind_vertical
 from lagmech.errors import DomainError, SingularMetric
-from lagmech.jets import _invert
+from lagmech.jets import _invert, _lanes2, _spectrum2
 from lagmech.mechanics import MechanicalSystem, PointGeometry, stack_points
 from lagmech.phase import PhasePoint, VerticalField
 from lagmech.systems import catalog, from_sources, instantiate, standard_samples
@@ -385,8 +386,9 @@ def _symmetric_entries(rng):
 
 def test_float_gate_and_inverse_match_the_jets():
     # the 1x1 and 2x2 gate and inverse the compiled programs call run on
-    # floats, or point by point over a batch; they give tower.sym_invert's bits
-    # and |eig| range, and its SingularMetric with the same range
+    # floats, or over a batch as array operations of the same IEEE steps; they
+    # give tower.sym_invert's bits and |eig| range, and its SingularMetric with
+    # the same range
     def outcome(fn, *args):
         try:
             return np.array(fn(*args), dtype=float).ravel().tobytes(), None
@@ -407,11 +409,73 @@ def test_float_gate_and_inverse_match_the_jets():
         with np.errstate(all="ignore"):  # numpy's 1x1 inverse of a subnormal overflows
             got = outcome(lambda: flat(*_invert(n, e, False)))
             ref = outcome(lambda: inverted(tower.sym_invert(a)))
-            # a batch of two copies runs the same closed forms point by point
+            # a batch of two copies runs the same closed forms lane by lane
             batch = outcome(lambda: [v[1] for v in flat(*_invert(n, [np.array([v, v]) for v in e], True))])
         assert got == ref == batch, e
         seen[n, got[1] is None] += 1
     assert min(seen[2, True], seen[2, False], seen[1, True]) > 100 and seen[1, False]
+
+
+def _mixed_2x2_lanes(rng):
+    """(p, b, d) of every 2x2 case of ``_symmetric_entries``, of entries at
+    +-inf, NaN, zero and one, and of 10^4 random draws at scales 1,
+    2^+-980 and 1e+-300, one eigenvalue of some cancelled below the other's
+    roundoff; shuffled, so that regular, rescaled and failing lanes mix."""
+    lanes = [(float(e[0]), float(e[1]), float(e[3])) for e in _symmetric_entries(rng) if len(e) == 4]
+    special = (math.inf, -math.inf, math.nan, 0.0, 1.0)
+    lanes += [(p, b, d) for p in special for b in special for d in special]
+    for scale in (1.0, 2.0 ** 980, 2.0 ** -980, 1e300, 1e-300):
+        p, b, d = rng.normal(size=(3, 2000)) * scale
+        cancelled = rng.random(2000) < 0.2  # |d| and |b| far below |p|
+        d[cancelled] = p[cancelled] * 10.0 ** -rng.uniform(8, 40, cancelled.sum())
+        b[cancelled] = p[cancelled] * 10.0 ** -rng.uniform(5, 40, cancelled.sum())
+        lanes += zip(p.tolist(), b.tolist(), d.tolist())
+    return [lanes[i] for i in rng.permutation(len(lanes))]
+
+
+def test_batched_2x2_lanes_keep_the_bits_of_their_floats():
+    # the batched 2x2 gate and inverse are masked array operations: each
+    # lane's inverse and |eig| range are those of its floats bit for bit, a
+    # batch with a failing lane raises that of its first failing lane, and
+    # no numpy warning escapes, however the lanes mix
+    def bits(*v):
+        return np.array(v, dtype=float).tobytes()
+
+    def alone(p, b, d):
+        try:
+            inverse, mn, mx = _invert(2, [p, b, b, d], False)
+        except SingularMetric as err:
+            return None, (str(err), bits(err.min_abs_eigen, err.max_abs_eigen))
+        return bits(*inverse, mn, mx), None
+
+    def batched(lanes):
+        try:
+            p, b, d = (np.array(v) for v in zip(*lanes))
+            inverse, mn, mx = _invert(2, [p, b, b, d], True)
+        except SingularMetric as err:
+            return None, (str(err), bits(err.min_abs_eigen, err.max_abs_eigen))
+        return [bits(*inverse[:, i], mn[i], mx[i]) for i in range(len(lanes))], None
+
+    lanes = _mixed_2x2_lanes(np.random.default_rng(27))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floats = [alone(*lane) for lane in lanes]
+        # every lane's |eig| range, failing ones included, before the gate
+        with np.errstate(all="ignore"):  # as _invert calls it
+            _, mn, mx = _lanes2(*(np.array(v) for v in zip(*lanes)))
+        for lane, (mn_i, mx_i) in zip(lanes, zip(mn.tolist(), mx.tolist())):
+            assert bits(mn_i, mx_i) == bits(*_spectrum2(*lane)), lane
+        regular = [i for i, (_, err) in enumerate(floats) if err is None]
+        got, err = batched([lanes[i] for i in regular])
+        assert err is None and got == [floats[i][0] for i in regular]
+        failing = Counter()
+        for start in range(0, len(lanes), 97):  # each window's first failure
+            window = floats[start:start + 97]
+            got, err = batched(lanes[start:start + 97])
+            first = next((e for _, e in window if e is not None), None)
+            assert err == first and (got is None) == (first is not None), start
+            failing[first is None] += 1
+    assert min(failing.values()) > 10 and len(regular) > 5000
 
 
 # ---------------------------------------------------------------------------

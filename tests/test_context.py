@@ -24,6 +24,7 @@ import routes
 from render_route import each_point
 from test_compiled import _holed_strategy, random_system
 from test_dsl import _guarded_strategy
+from test_jets import _NO_SHRINK
 
 _SYSTEMS = {
     "SYS-A": ("SYS-A", {"c": 0.1}),
@@ -556,7 +557,7 @@ def _assert_batch_equals_points(sys_, samples):
 _LIST_POINTS = st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.5])] * 4)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(lag=_guarded_strategy(), force=st.tuples(_guarded_strategy(), _guarded_strategy()),
        pts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                               st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=9, max_size=14),
@@ -567,7 +568,7 @@ def test_random_systems_batch_equals_points(lag, force, pts, zeros):
     _assert_batch_equals_points(random_system(lag, force), samples)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(lag=_holed_strategy(), force=st.tuples(_holed_strategy(), _holed_strategy()),
        pts=st.lists(_LIST_POINTS, min_size=9, max_size=14))
 def test_domain_holed_systems_batch_equals_points(lag, force, pts):

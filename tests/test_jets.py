@@ -8,14 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import tower
 from lagmech.dsl import bind_scalar, parse
 from lagmech.errors import ConfigError, DomainError, SingularMetric
 from lagmech.compiled import _EXPR
-from lagmech.jets import _invert, _rank_gate, eval_jet, ipow
+from lagmech.jets import SCALAR_FUNCTIONS, _invert, _rank_gate, _real_power, eval_jet, ipow
 from lagmech.phase import PhasePoint
 from oracle import fd_oracle
 from tower import KDual, push_direction, sym_invert
@@ -502,6 +502,93 @@ def test_batched_elementary_functions_match_floats():
         assert all(batch[i] == fn(float(t)) for i, t in enumerate(v))
     with pytest.raises(DomainError):
         apply_function("log", np.array([1.0, 0.0, 2.0]))
+
+
+def _sequence(name, b=2.5):
+    """The derivative sequence ``name`` as a function of v: an elementary
+    function's, or for ``pow<m>`` the m terms of v**b's (m = 1..4)."""
+    if name.startswith("pow"):
+        return lambda v: _real_power(v, b, int(name[3:]))
+    return SCALAR_FUNCTIONS[name]
+
+
+_SEQUENCES = (*SCALAR_FUNCTIONS, "pow1", "pow2", "pow3", "pow4")
+_WHOLE_LINE = ("sin", "cos", "tan", "exp")  # defined at negative arguments too
+# a failure injected into an array: an infinite trig argument, exp(800), an
+# overflowing pow, a non-positive sqrt, log or real-power base; and values
+# that fail nowhere or only in a later term
+_INJECTED = (math.inf, -math.inf, 800.0, 1e300, 5e-324, 0.0, -0.0, -1.0, math.nan, 1e-300)
+# shrinking a failing bit comparison can run for minutes (over random
+# systems, each building its own programs); the first falsifying example is
+# reported as drawn
+_NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
+def _read(seq, v):
+    """The terms of the derivative sequence seq(v) read in order, and the
+    DomainError message that ends them (None where none does)."""
+    terms = []
+    try:
+        for t in seq(v):
+            terms.append(t)
+    except DomainError as err:
+        return terms, str(err)
+    return terms, None
+
+
+@settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
+@given(name=st.sampled_from(sorted(_SEQUENCES)), b=st.floats(-4.0, 4.0),
+       shape=st.sampled_from([(5,), (2, 4), (3, 3, 2), (1,)]), data=st.data())
+def test_elementary_functions_over_arrays_keep_each_entrys_bits(name, b, shape, data):
+    # over an array of shape (B,), (n, B) or (n, n, B), every term read is,
+    # entry by entry, the float sequence's term bit for bit, and the array's
+    # sequence ends with a DomainError at the first term where any entry's
+    # does, with the message of an entry that fails there
+    seq = _sequence(name, b)
+    size = math.prod(shape)
+    values = data.draw(st.lists(st.floats(1e-300, 700.0), min_size=size, max_size=size))
+    if name in _WHOLE_LINE:
+        signs = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        values = [-v if neg else v for v, neg in zip(values, signs)]
+    for i, v in data.draw(st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from(_INJECTED)),
+                                   max_size=2)):
+        values[i] = v
+    floats = [_read(seq, v) for v in values]
+    with np.errstate(over="ignore", invalid="ignore"):  # as a sweep runs its programs
+        terms, message = _read(seq, np.array(values).reshape(shape))
+    assert len(terms) == min(len(t) for t, _ in floats)
+    for k, term in enumerate(terms):
+        assert term.shape == shape
+        assert term.ravel().tobytes() == np.array([t[k] for t, _ in floats]).tobytes(), (name, k)
+    ends = {m for t, m in floats if len(t) == len(terms) and m is not None}
+    assert message in ends if ends else message is None
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("sin", math.inf, "sin of an infinite value"),
+    ("cos", -math.inf, "cos of an infinite value"),
+    ("tan", math.inf, "tan of an infinite value"),
+    ("exp", 800.0, "exp overflows"),
+    ("pow2", 1e300, "real power overflows"),
+    ("sqrt", -1.0, "sqrt of a negative value"),
+    ("sqrt", 0.0, "sqrt requires a positive argument for derivatives"),
+    ("log", 0.0, "log of a non-positive value"),
+    ("pow3", -0.0, "non-integer power of a non-positive base"),
+])
+def test_an_array_entry_fails_as_its_float(name, bad, message):
+    # one failing entry among regular ones: the array's sequence ends where
+    # that float's does, with its message, the terms before keeping their bits
+    seq = _sequence(name)
+    good = [0.3, 1.7, 2.5, 0.9, 1.1, 0.6]
+    float_terms, float_message = _read(seq, bad)
+    assert float_message == message
+    for shape, at in (((7,), 3), ((2, 4), 0), ((2, 2, 2), 7)):
+        values = (good * 2)[:math.prod(shape)]
+        values[at] = bad
+        terms, got = _read(seq, np.array(values).reshape(shape))
+        assert got == message and len(terms) == len(float_terms)
+        for k, term in enumerate(terms):
+            assert term.ravel().tobytes() == np.array([_read(seq, v)[0][k] for v in values]).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -810,8 +810,8 @@ def sym_invert(m) -> SymMatrix:
     The value part is symmetrized, then gated and inverted by the
     engine's one gate and inverse, :func:`lagmech.jets._invert`; tangents,
     when ``m`` carries them, follow from d(A^-1) = -A^-1 dA A^-1.  A batch
-    (n, n, B) is inverted point by point, with the bits of one-point
-    inversions.
+    (n, n, B) is inverted in one call, each point with the bits of its
+    one-point inversion.
 
     Raises SingularMetric when the smallest eigenvalue magnitude falls
     below 1e-10 times the largest (at any point of a batch), and
